@@ -124,6 +124,16 @@ impl PartialEq for Dictionary {
     }
 }
 
+/// Capacity class for a buffer that must hold `need` elements: `need`
+/// rounded up to a multiple of one eighth of the enclosing power of two
+/// (never more than 25 % above `need`).
+fn size_class(need: usize) -> usize {
+    match need.next_power_of_two() / 8 {
+        0 => need,
+        step => need.div_ceil(step) * step,
+    }
+}
+
 /// Borrowed view of a [`Column::DictStr`]: `(codes, dict, validity)`.
 pub type DictParts<'a> = (&'a [u32], &'a Arc<Dictionary>, Option<&'a [bool]>);
 
@@ -628,6 +638,52 @@ impl Column {
             _ => unreachable!("dtype equality checked above"),
         }
         Ok(())
+    }
+
+    /// Returns `self` followed by the rows of `other` as a fresh column —
+    /// the copy-on-append step of a stored table, whose columns are shared
+    /// with published snapshots and so can never grow in place.
+    ///
+    /// Each buffer is allocated **once**, at a capacity rounded up to a size
+    /// class (eighth-of-an-octave steps, ≤ 25 % slack), and old and new rows
+    /// are copied in. Cloning at the exact length and then extending would
+    /// reallocate to a slightly different size on every append; a table that
+    /// grows by 0.3 % per append then frees buffers no later copy fits, and
+    /// the allocator's holes — not the data — set the process's peak memory.
+    /// With size classes, consecutive generations of a column request the
+    /// same few sizes and reuse each other's freed buffers exactly.
+    pub fn grown(&self, other: &Column) -> Result<Column> {
+        let cap = size_class(self.len() + other.len());
+        fn sized<T: Clone>(d: &[T], cap: usize) -> Vec<T> {
+            let mut v = Vec::with_capacity(cap);
+            v.extend_from_slice(d);
+            v
+        }
+        // A mask that `other`'s first NULL would otherwise create at the
+        // exact old length (and then reallocate) is created sized up front.
+        let mask = |valid: &Option<Vec<bool>>| match valid {
+            Some(v) => Some(sized(v, cap)),
+            None if other.null_count() > 0 => {
+                let mut v = Vec::with_capacity(cap);
+                v.resize(self.len(), true);
+                Some(v)
+            }
+            None => None,
+        };
+        let mut out = match self {
+            Column::Int(d, v) => Column::Int(sized(d, cap), mask(v)),
+            Column::Float(d, v) => Column::Float(sized(d, cap), mask(v)),
+            Column::Bool(d, v) => Column::Bool(sized(d, cap), mask(v)),
+            Column::Str(d, v) => Column::Str(sized(d, cap), mask(v)),
+            Column::DictStr { codes, dict, valid } => Column::DictStr {
+                codes: sized(codes, cap),
+                dict: dict.clone(),
+                valid: mask(valid),
+            },
+            Column::Date(d, v) => Column::Date(sized(d, cap), mask(v)),
+        };
+        out.append(other)?;
+        Ok(out)
     }
 
     /// Casts to `target`, converting row by row (int↔float, anything→str,

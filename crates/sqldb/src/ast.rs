@@ -155,6 +155,28 @@ pub enum BinOp {
     Concat,
 }
 
+impl BinOp {
+    /// `true` for `=`, `<>`, `<`, `<=`, `>`, `>=`.
+    pub fn is_comparison(self) -> bool {
+        matches!(
+            self,
+            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
+        )
+    }
+
+    /// The operator with its operands swapped (`5 < x` ⇒ `x > 5`);
+    /// symmetric operators return themselves.
+    pub fn mirrored(self) -> BinOp {
+        match self {
+            BinOp::Lt => BinOp::Gt,
+            BinOp::Le => BinOp::Ge,
+            BinOp::Gt => BinOp::Lt,
+            BinOp::Ge => BinOp::Le,
+            other => other,
+        }
+    }
+}
+
 /// Aggregate function names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggName {

@@ -19,7 +19,7 @@ use crate::db::Snapshot;
 use crate::expr::{BExpr, LikePattern, SFunc};
 use crate::plan::{BAgg, BoundQuery, JKind, LogicalPlan};
 use crate::table::{Field, Schema};
-use pytond_common::{DType, Error, Result, Value};
+use pytond_common::{date, DType, Error, Result, Value};
 
 /// Binds a parsed query against the database catalog.
 pub fn bind_query(db: &Snapshot, q: &Query) -> Result<BoundQuery> {
@@ -712,11 +712,15 @@ impl<'a> Binder<'a> {
                     }
                 }
                 let l = self.bind_expr(left, schema, agg.as_deref_mut())?;
-                let r = self.bind_expr(right, schema, agg)?;
-                Ok(BExpr::Bin {
-                    op: *op,
-                    l: Box::new(l),
-                    r: Box::new(r),
+                let r = self.bind_expr(right, schema, agg.as_deref_mut())?;
+                Ok(if op.is_comparison() {
+                    typed_cmp(*op, l, r, &operand_types(schema, agg.as_deref()))
+                } else {
+                    BExpr::Bin {
+                        op: *op,
+                        l: Box::new(l),
+                        r: Box::new(r),
+                    }
                 })
             }
             SqlExpr::Neg(inner) => Ok(BExpr::Neg(Box::new(self.bind_expr(inner, schema, agg)?))),
@@ -739,8 +743,12 @@ impl<'a> Binder<'a> {
                 list,
                 negated,
             } => {
-                let e = self.bind_expr(expr, schema, agg)?;
-                let vals = list.iter().map(literal_value).collect::<Result<Vec<_>>>()?;
+                let e = self.bind_expr(expr, schema, agg.as_deref_mut())?;
+                let dtype = e.dtype(&operand_types(schema, agg.as_deref()));
+                let vals = list
+                    .iter()
+                    .map(|v| Ok(coerce_literal(literal_value(v)?, dtype)))
+                    .collect::<Result<Vec<_>>>()?;
                 Ok(BExpr::InList {
                     e: Box::new(e),
                     list: vals,
@@ -755,21 +763,12 @@ impl<'a> Binder<'a> {
             } => {
                 let e = self.bind_expr(expr, schema, agg.as_deref_mut())?;
                 let lo = self.bind_expr(low, schema, agg.as_deref_mut())?;
-                let hi = self.bind_expr(high, schema, agg)?;
-                let ge = BExpr::Bin {
-                    op: BinOp::Ge,
-                    l: Box::new(e.clone()),
-                    r: Box::new(lo),
-                };
-                let le = BExpr::Bin {
-                    op: BinOp::Le,
-                    l: Box::new(e),
-                    r: Box::new(hi),
-                };
+                let hi = self.bind_expr(high, schema, agg.as_deref_mut())?;
+                let types = operand_types(schema, agg.as_deref());
                 let both = BExpr::Bin {
                     op: BinOp::And,
-                    l: Box::new(ge),
-                    r: Box::new(le),
+                    l: Box::new(typed_cmp(BinOp::Ge, e.clone(), lo, &types)),
+                    r: Box::new(typed_cmp(BinOp::Le, e, hi, &types)),
                 };
                 Ok(if *negated {
                     BExpr::Not(Box::new(both))
@@ -904,6 +903,61 @@ fn default_name(e: &SqlExpr) -> String {
     }
 }
 
+/// The column types bound operands index into: the input schema, or —
+/// inside an aggregate context, where bound columns address the aggregate
+/// node's output — the group keys followed by the aggregates collected so
+/// far.
+fn operand_types(schema: &Schema, agg: Option<&AggCtx>) -> Vec<DType> {
+    let input: Vec<DType> = schema.fields.iter().map(|f| f.dtype).collect();
+    match agg {
+        None => input,
+        Some(ctx) => ctx
+            .group_keys
+            .iter()
+            .map(|g| g.dtype(&input))
+            .chain(ctx.aggs.iter().map(|a| agg_output_type(a, &input)))
+            .collect(),
+    }
+}
+
+/// Types a literal to the expression it is compared against, once, so no
+/// kernel, zone test or selectivity estimate has to reinterpret it per row:
+///
+/// | literal | other side | becomes |
+/// |---|---|---|
+/// | `Str` that [`date::parse`] accepts | `Date` | `Value::Date` |
+/// | `Int` | `Float` | `Value::Float` |
+///
+/// Everything else — unparsable strings included — is left alone and keeps
+/// the row-wise [`Value::sql_cmp`] semantics. Both folds are exactly what
+/// `sql_cmp` would compute per row, so results cannot change.
+fn coerce_literal(lit: Value, other: DType) -> Value {
+    match (&lit, other) {
+        (Value::Str(s), DType::Date) => date::parse(s).map_or(lit, Value::Date),
+        (Value::Int(i), DType::Float) => Value::Float(*i as f64),
+        _ => lit,
+    }
+}
+
+/// Builds the comparison `l op r`, typing a literal operand to the other
+/// side's static dtype (see [`coerce_literal`]).
+fn typed_cmp(op: BinOp, l: BExpr, r: BExpr, types: &[DType]) -> BExpr {
+    let (l, r) = match (l, r) {
+        (BExpr::Lit(a), BExpr::Lit(b)) => (BExpr::Lit(a), BExpr::Lit(b)),
+        (e, BExpr::Lit(v)) => {
+            let v = coerce_literal(v, e.dtype(types));
+            (e, BExpr::Lit(v))
+        }
+        (BExpr::Lit(v), e) => (BExpr::Lit(coerce_literal(v, e.dtype(types))), e),
+        other => other,
+    };
+    BExpr::Bin {
+        op,
+        l: Box::new(l),
+        r: Box::new(r),
+    }
+}
+
 fn literal_value(e: &SqlExpr) -> Result<Value> {
     Ok(match e {
         SqlExpr::Int(i) => Value::Int(*i),
@@ -979,5 +1033,87 @@ fn agg_output_type(a: &BAgg, in_types: &[DType]) -> DType {
             .as_ref()
             .map(|e| e.dtype(in_types))
             .unwrap_or(DType::Float),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::db::Database;
+    use pytond_common::{Column, Relation};
+
+    /// The bound (un-optimized) plan of `sql`, `Debug`-rendered.
+    fn explain(sql: &str) -> String {
+        let db = Database::new();
+        db.register(
+            "t",
+            Relation::new(vec![
+                ("d".into(), Column::from_dates(vec![0, 400, 9000])),
+                ("f".into(), Column::from_f64(vec![0.5, 1.5, 2.5])),
+                ("i".into(), Column::from_i64(vec![1, 2, 3])),
+                ("s".into(), Column::from_strs(&["a", "b", "c"])),
+            ])
+            .unwrap(),
+        );
+        let query = crate::parser::parse_sql(sql).unwrap();
+        format!("{:?}", super::bind_query(&db.snapshot(), &query).unwrap())
+    }
+
+    /// The literal typing table of [`super::coerce_literal`], through every
+    /// arm that compares: `Bin`, `BETWEEN`, `IN`, either side, and inside an
+    /// aggregate context (where operands address the aggregate's output).
+    #[test]
+    fn comparison_literals_are_typed_to_the_other_side() {
+        let plan = explain("SELECT i FROM t WHERE d >= '1994-01-01' AND '1995-01-01' > d");
+        assert!(
+            plan.contains("Date(8766)") && plan.contains("Date(9131)"),
+            "{plan}"
+        );
+        assert!(!plan.contains("Str("), "{plan}");
+        let plan = explain("SELECT i FROM t WHERE d BETWEEN '1994-01-01' AND '1994-12-31'");
+        assert!(
+            plan.contains("Date(8766)") && !plan.contains("Str("),
+            "{plan}"
+        );
+        let plan = explain("SELECT i FROM t WHERE f > 1 AND 2 >= f AND f BETWEEN 0 AND 3");
+        assert!(
+            plan.contains("Float(1.0)") && plan.contains("Float(2.0)"),
+            "{plan}"
+        );
+        assert!(
+            plan.contains("Float(3.0)") && !plan.contains("Int("),
+            "{plan}"
+        );
+        let plan = explain("SELECT s, SUM(f) AS x FROM t GROUP BY s HAVING SUM(f) > 1");
+        assert!(plan.contains("Float(1.0)"), "{plan}");
+        let plan = explain("SELECT s, MAX(d) AS x FROM t GROUP BY s HAVING MAX(d) < '1995-01-01'");
+        assert!(plan.contains("Date(9131)"), "{plan}");
+    }
+
+    /// What does not fold: unparsable date strings, strings against string
+    /// columns, ints against int columns, and arithmetic operands.
+    #[test]
+    fn other_literals_stay_as_written() {
+        let plan = explain("SELECT i FROM t WHERE d <> 'soon' AND s = '1994-01-01' AND i < 3");
+        assert!(plan.contains("Str(\"soon\")"), "{plan}");
+        assert!(plan.contains("Str(\"1994-01-01\")"), "{plan}");
+        assert!(plan.contains("Int(3)"), "{plan}");
+        let plan = explain("SELECT f + 1 AS g FROM t");
+        assert!(!plan.contains("Float(1.0)"), "{plan}");
+    }
+
+    /// `IN` lists type element-wise (EXPLAIN prints only their length, so
+    /// this one checks results).
+    #[test]
+    fn in_list_literals_are_typed() {
+        let db = Database::new();
+        db.register(
+            "t",
+            Relation::new(vec![("d".into(), Column::from_dates(vec![0, 8766, 9131]))]).unwrap(),
+        );
+        let sql = "SELECT d FROM t WHERE d IN ('1994-01-01', 'soon', '1995-01-01')";
+        let out = db
+            .execute_sql(sql, &crate::db::EngineConfig::default())
+            .unwrap();
+        assert_eq!(out.column("d").unwrap().as_date(), &[8766, 9131]);
     }
 }

@@ -507,9 +507,10 @@ impl Database {
             .tables
             .get(&key)
             .ok_or_else(|| Error::Data(format!("unknown table '{name}'")))?;
-        // Copy-on-append: deep-clone the one table being appended (its
-        // columns are Arc-shared with the published snapshot, so the first
-        // mutation copies them), leave every other table Arc-shared.
+        // Copy-on-append: clone the one table being appended — a shallow
+        // clone, its columns stay Arc-shared with the published snapshot
+        // until `append_relation` replaces each with a grown copy — and
+        // leave every other table Arc-shared.
         let mut grown = (**stored).clone();
         grown.append_relation(rel)?;
         // Fault-injection site: fail *after* the copy is built but *before*
@@ -782,7 +783,7 @@ impl QueryTrace {
              scan zones: {} evaluated, {} pruned\n\
              joins flipped: {}, build partitions: {}\n\
              pipelines: {}, fused ops per pipeline: {:?}, intermediates avoided: {}\n\
-             dict: {} encoded col(s) scanned, {} dict-probe pipeline(s), {} col(s) decoded",
+             dict: {} encoded col(s) scanned, {} dict-probe pipeline(s), {} predicate table(s), {} col(s) decoded",
             self.threads,
             self.metrics.snapshot_version,
             self.metrics.queue_wait_ns,
@@ -800,6 +801,7 @@ impl QueryTrace {
             self.metrics.intermediates_avoided,
             self.metrics.dict_encoded_cols,
             self.metrics.dict_probe_pipelines,
+            self.metrics.dict_pred_tables,
             self.metrics.dict_decoded_cols,
         )
     }

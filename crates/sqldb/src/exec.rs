@@ -29,7 +29,7 @@
 
 use crate::ast::AggName;
 use crate::db::Snapshot;
-use crate::expr::BExpr;
+use crate::expr::{BExpr, DictTables, RowsRef};
 use crate::pipeline::{self, Pipeline, Sink, Stage};
 use crate::plan::{BAgg, BoundQuery, JKind, LogicalPlan};
 use crate::stats::ZONE_ROWS;
@@ -171,6 +171,12 @@ pub struct ExecMetrics {
     /// Dictionary-encoded columns decoded back to plain strings at result
     /// materialization (the [`crate::table::Batch::to_relation`] boundary).
     pub dict_decoded_cols: u64,
+    /// Per-entry predicate tables built for `LIKE` / string-literal
+    /// comparison / string `IN` over dictionary-encoded columns: one per
+    /// (predicate node, dictionary) pair the execution evaluated, shared by
+    /// every morsel and worker — never one per morsel (see
+    /// [`crate::expr::DictTables`]).
+    pub dict_pred_tables: u64,
 }
 
 /// Executes a bound query, materializing CTEs in order.
@@ -210,6 +216,7 @@ pub(crate) fn execute_with_temps(
             threads,
             ..ExecMetrics::default()
         }),
+        dict_tables: DictTables::default(),
     };
     for (name, plan) in &q.ctes {
         let batch = exec.exec(plan)?;
@@ -241,6 +248,7 @@ pub(crate) fn execute_with_temps(
         .deadline()
         .map_or(0, |d| d.as_millis().max(1) as u64);
     metrics.mem_peak_bytes = exec.opts.cancel.used_bytes();
+    metrics.dict_pred_tables = exec.dict_tables.built();
     Ok((batch, q.root.schema().clone(), metrics))
 }
 
@@ -251,6 +259,11 @@ struct Executor<'a> {
     /// Updated from the single-threaded operator driver only (workers never
     /// touch it), so a plain `RefCell` suffices.
     metrics: std::cell::RefCell<ExecMetrics>,
+    /// Dictionary predicate tables of this execution: built at most once per
+    /// (predicate node, dictionary), shared by all morsels and workers. Its
+    /// keys are node addresses inside the bound query, which outlives the
+    /// executor.
+    dict_tables: DictTables,
 }
 
 impl<'a> Executor<'a> {
@@ -486,6 +499,7 @@ impl<'a> Executor<'a> {
             // stitch in zone order, so the selection is byte-for-byte the
             // serial scan's.
             let cancel = &self.opts.cancel;
+            let tables = Some(&self.dict_tables);
             let outcome = pool::par_morsels(
                 scan_threads,
                 n,
@@ -496,11 +510,8 @@ impl<'a> Executor<'a> {
                     if zone_ok.as_ref().is_some_and(|ok| !ok[z]) {
                         return Ok(Vec::new());
                     }
-                    let local: Vec<usize> = r.collect();
-                    let mask = pred.eval_mask(&full, Some(&local))?;
-                    Ok(local
-                        .into_iter()
-                        .zip(mask)
+                    let mask = pred.mask_rows(&full, RowsRef::Range(r.start, r.end), tables)?;
+                    Ok(r.zip(mask)
                         .filter_map(|(i, keep)| keep.then_some(i))
                         .collect::<Vec<usize>>())
                 },
@@ -682,9 +693,10 @@ impl<'a> Executor<'a> {
         pred: &BExpr,
         candidates: &[usize],
     ) -> Result<Vec<usize>> {
+        let tables = Some(&self.dict_tables);
         let chunks = self.par_elementwise("filter", candidates.len(), |start, end| {
             let local = &candidates[start..end];
-            let mask = pred.eval_mask(batch, Some(local))?;
+            let mask = pred.mask_rows(batch, RowsRef::Sel(local), tables)?;
             Ok(local
                 .iter()
                 .zip(mask)
@@ -697,11 +709,10 @@ impl<'a> Executor<'a> {
     /// Evaluates a predicate, returning the surviving row indices.
     fn filter_sel(&self, batch: &Batch, pred: &BExpr) -> Result<Vec<usize>> {
         let n = batch.num_rows();
+        let tables = Some(&self.dict_tables);
         let chunks = self.par_elementwise("filter", n, |start, end| {
-            let sel: Vec<usize> = (start..end).collect();
-            let mask = pred.eval_mask(batch, Some(&sel))?;
-            Ok(sel
-                .into_iter()
+            let mask = pred.mask_rows(batch, RowsRef::Range(start, end), tables)?;
+            Ok((start..end)
                 .zip(mask)
                 .filter_map(|(i, keep)| keep.then_some(i))
                 .collect::<Vec<usize>>())
@@ -722,19 +733,7 @@ impl<'a> Executor<'a> {
                     continue;
                 }
             }
-            let chunks = self.par_elementwise("project", n, |start, end| {
-                let local_sel: Vec<usize> = match sel {
-                    Some(s) => s[start..end].to_vec(),
-                    None => (start..end).collect(),
-                };
-                e.eval(batch, Some(&local_sel))
-            })?;
-            let mut it = chunks.into_iter();
-            let mut col = it.next().unwrap_or_else(|| Column::new(DType::Int));
-            for c in it {
-                col.append(&c)?;
-            }
-            out_cols.push(Arc::new(col));
+            out_cols.push(Arc::new(self.eval_parallel("project", batch, e, sel, n)?));
         }
         Ok(Batch { cols: out_cols })
     }
@@ -1054,7 +1053,7 @@ impl<'a> Executor<'a> {
         // Evaluate group keys and aggregate arguments once, over the selection.
         let key_cols: Vec<Column> = group
             .iter()
-            .map(|e| self.eval_parallel(batch, e, sel, n))
+            .map(|e| self.eval_parallel("eval", batch, e, sel, n))
             .collect::<Result<_>>()?;
         // Deduplicate argument expressions so `SUM(v) + AVG(v)` style plans
         // evaluate `v` once and fan the column out to every consumer — the
@@ -1062,7 +1061,7 @@ impl<'a> Executor<'a> {
         let (arg_map, uniq_exprs) = arg_dedup(aggs);
         let uniq_cols: Vec<Column> = uniq_exprs
             .iter()
-            .map(|e| self.eval_parallel(batch, e, sel, n))
+            .map(|e| self.eval_parallel("eval", batch, e, sel, n))
             .collect::<Result<_>>()?;
         let arg_refs: Vec<Option<&Column>> =
             arg_map.iter().map(|m| m.map(|u| &uniq_cols[u])).collect();
@@ -1197,19 +1196,23 @@ impl<'a> Executor<'a> {
         Ok(states)
     }
 
+    /// Evaluates `e` over `sel` (or all `n` rows) of `batch`, morsel-parallel
+    /// when the input is large enough; chunks concatenate in morsel order.
     fn eval_parallel(
         &self,
+        op: &str,
         batch: &Batch,
         e: &BExpr,
         sel: Option<&[usize]>,
         n: usize,
     ) -> Result<Column> {
-        let chunks = self.par_elementwise("eval", n, |start, end| {
-            let local: Vec<usize> = match sel {
-                Some(s) => s[start..end].to_vec(),
-                None => (start..end).collect(),
+        let tables = Some(&self.dict_tables);
+        let chunks = self.par_elementwise(op, n, |start, end| {
+            let rows = match sel {
+                Some(s) => RowsRef::Sel(&s[start..end]),
+                None => RowsRef::Range(start, end),
             };
-            e.eval(batch, Some(&local))
+            e.eval_rows(batch, rows, tables)
         })?;
         let mut it = chunks.into_iter();
         let mut col = it.next().unwrap_or_else(|| Column::new(DType::Int));
@@ -1404,16 +1407,19 @@ impl<'a> Executor<'a> {
         // Drive. Each claim passes the morsel guard (fault point + cancel
         // poll); each stage boundary polls again, so deadlines, budgets and
         // explicit cancels trip within one morsel even mid-pipeline.
-        let cancel = &self.opts.cancel;
+        let cx = ChunkCx {
+            cancel: &self.opts.cancel,
+            tables: &self.dict_tables,
+        };
         let outcome = pool::par_morsels(threads, n, step, &self.job_label("pipeline"), |z, r| {
-            morsel_guard(cancel)?;
-            let Some(mut chunk) = source_chunk(&source, z, r)? else {
+            morsel_guard(cx.cancel)?;
+            let Some(mut chunk) = source_chunk(&source, z, r, cx)? else {
                 return Ok(None);
             };
             for st in &stages {
-                chunk = apply_stage(st, chunk, cancel)?;
+                chunk = apply_stage(st, chunk, cx)?;
             }
-            finish_chunk(&pl.sink, chunk).map(Some)
+            finish_chunk(&pl.sink, chunk, cx).map(Some)
         })?;
         if threads > 1 {
             self.note_claims(&outcome.claimed_per_worker);
@@ -1596,6 +1602,35 @@ impl Rows {
             Rows::Sel(s) => s.len(),
         }
     }
+
+    /// The kernel-side view: ranges go through the sliced kernel entry
+    /// points, survivor selections through the classic gather path.
+    fn as_ref(&self) -> RowsRef<'_> {
+        match self {
+            Rows::Range(r) => RowsRef::Range(r.start, r.end),
+            Rows::Sel(s) => RowsRef::Sel(s),
+        }
+    }
+}
+
+/// What every chunk of one pipeline run shares: the query's lifecycle token
+/// and its dictionary predicate tables.
+#[derive(Clone, Copy)]
+struct ChunkCx<'a> {
+    cancel: &'a CancelToken,
+    tables: &'a DictTables,
+}
+
+impl ChunkCx<'_> {
+    /// Evaluates an expression over a chunk's live rows.
+    fn eval(&self, e: &BExpr, batch: &Batch, rows: &Rows) -> Result<Column> {
+        e.eval_rows(batch, rows.as_ref(), Some(self.tables))
+    }
+
+    /// [`ChunkCx::eval`] for predicates.
+    fn mask(&self, pred: &BExpr, batch: &Batch, rows: &Rows) -> Result<Vec<bool>> {
+        pred.mask_rows(batch, rows.as_ref(), Some(self.tables))
+    }
 }
 
 /// One morsel's worth of data flowing through a pipeline: a batch of
@@ -1692,7 +1727,12 @@ fn arg_dedup(aggs: &[BAgg]) -> (Vec<Option<usize>>, Vec<&BExpr>) {
 
 /// Produces the chunk for one claimed morsel, or `None` when the zone is
 /// pruned or no row survives the scan predicate.
-fn source_chunk(src: &PSource<'_>, z: usize, r: std::ops::Range<usize>) -> Result<Option<Chunk>> {
+fn source_chunk(
+    src: &PSource<'_>,
+    z: usize,
+    r: std::ops::Range<usize>,
+    cx: ChunkCx<'_>,
+) -> Result<Option<Chunk>> {
     match src {
         PSource::Mat(b) => Ok(Some(Chunk {
             batch: b.clone(),
@@ -1708,7 +1748,7 @@ fn source_chunk(src: &PSource<'_>, z: usize, r: std::ops::Range<usize>) -> Resul
             if zone_ok.as_ref().is_some_and(|ok| !ok[z]) {
                 return Ok(None);
             }
-            let mask = pred.eval_mask_range(full, r.start, r.end)?;
+            let mask = pred.mask_rows(full, RowsRef::Range(r.start, r.end), Some(cx.tables))?;
             if mask.iter().all(|&k| k) {
                 return Ok(Some(Chunk {
                     batch: proj.clone(),
@@ -1729,24 +1769,6 @@ fn source_chunk(src: &PSource<'_>, z: usize, r: std::ops::Range<usize>) -> Resul
                 owned: false,
             }))
         }
-    }
-}
-
-/// Evaluates an expression over a chunk's live rows: ranges go through the
-/// sliced kernel entry points, survivor selections through the classic
-/// gather path.
-fn eval_rows(e: &BExpr, batch: &Batch, rows: &Rows) -> Result<Column> {
-    match rows {
-        Rows::Range(r) => e.eval_range(batch, r.start, r.end),
-        Rows::Sel(s) => e.eval(batch, Some(s)),
-    }
-}
-
-/// [`eval_rows`] for predicates.
-fn mask_rows(pred: &BExpr, batch: &Batch, rows: &Rows) -> Result<Vec<bool>> {
-    match rows {
-        Rows::Range(r) => pred.eval_mask_range(batch, r.start, r.end),
-        Rows::Sel(s) => pred.eval_mask(batch, Some(s)),
     }
 }
 
@@ -1809,11 +1831,11 @@ fn charge_cols(cancel: &CancelToken, cols: &[Arc<Column>]) -> Result<()> {
 
 /// Applies one stage to a chunk. Every stage boundary polls the token, so
 /// lifecycle limits trip within one morsel even mid-pipeline.
-fn apply_stage(st: &PStage<'_>, chunk: Chunk, cancel: &CancelToken) -> Result<Chunk> {
-    cancel.check()?;
+fn apply_stage(st: &PStage<'_>, chunk: Chunk, cx: ChunkCx<'_>) -> Result<Chunk> {
+    cx.cancel.check()?;
     match st {
         PStage::Filter(pred) => {
-            let mask = mask_rows(pred, &chunk.batch, &chunk.rows)?;
+            let mask = cx.mask(pred, &chunk.batch, &chunk.rows)?;
             let Chunk { batch, rows, owned } = chunk;
             Ok(Chunk {
                 batch,
@@ -1825,16 +1847,16 @@ fn apply_stage(st: &PStage<'_>, chunk: Chunk, cancel: &CancelToken) -> Result<Ch
             let n = chunk.rows.len();
             let cols: Vec<Arc<Column>> = exprs
                 .iter()
-                .map(|e| eval_rows(e, &chunk.batch, &chunk.rows).map(Arc::new))
+                .map(|e| cx.eval(e, &chunk.batch, &chunk.rows).map(Arc::new))
                 .collect::<Result<_>>()?;
-            charge_cols(cancel, &cols)?;
+            charge_cols(cx.cancel, &cols)?;
             Ok(Chunk {
                 batch: Batch { cols },
                 rows: Rows::Range(0..n),
                 owned: true,
             })
         }
-        PStage::Probe(p) => apply_probe(p, chunk, cancel),
+        PStage::Probe(p) => apply_probe(p, chunk, cx),
     }
 }
 
@@ -1843,13 +1865,13 @@ fn apply_stage(st: &PStage<'_>, chunk: Chunk, cancel: &CancelToken) -> Result<Ch
 /// morsel (left columns gathered, right columns gathered-with-nulls), in
 /// exactly the left-major, right-ascending order the materializing join
 /// emits.
-fn apply_probe(p: &PProbe<'_>, chunk: Chunk, cancel: &CancelToken) -> Result<Chunk> {
+fn apply_probe(p: &PProbe<'_>, chunk: Chunk, cx: ChunkCx<'_>) -> Result<Chunk> {
     let kcols: Vec<Column> = p
         .left_keys
         .iter()
         .zip(&p.build_dicts)
         .map(|(e, bd)| {
-            let c = eval_rows(e, &chunk.batch, &chunk.rows)?;
+            let c = cx.eval(e, &chunk.batch, &chunk.rows)?;
             Ok(match bd {
                 // Re-encode into the build side's code space (free when the
                 // chunk already shares the build dictionary `Arc`); strings
@@ -1877,7 +1899,7 @@ fn apply_probe(p: &PProbe<'_>, chunk: Chunk, cancel: &CancelToken) -> Result<Chu
             let bi = map_local(&chunk.rows, &li);
             let mut cols = chunk.batch.gather(&bi).cols;
             cols.extend(p.right.gather_opt(&ri).cols);
-            charge_cols(cancel, &cols)?;
+            charge_cols(cx.cancel, &cols)?;
             let n = cols.first().map_or(0, |c| c.len());
             Chunk {
                 batch: Batch { cols },
@@ -1889,7 +1911,7 @@ fn apply_probe(p: &PProbe<'_>, chunk: Chunk, cancel: &CancelToken) -> Result<Chu
     match p.residual {
         None => Ok(joined),
         Some(res) => {
-            let mask = mask_rows(res, &joined.batch, &joined.rows)?;
+            let mask = cx.mask(res, &joined.batch, &joined.rows)?;
             let Chunk { batch, rows, owned } = joined;
             Ok(Chunk {
                 batch,
@@ -1963,7 +1985,7 @@ fn probe_rows<K: Hash + Eq + Copy + Send + Sync>(
 }
 
 /// Terminates a chunk at the pipeline's sink.
-fn finish_chunk(sink: &Sink<'_>, chunk: Chunk) -> Result<ChunkOut> {
+fn finish_chunk(sink: &Sink<'_>, chunk: Chunk, cx: ChunkCx<'_>) -> Result<ChunkOut> {
     match sink {
         Sink::Materialize => {
             // A stage-owned batch whose rows all survive needs no copy.
@@ -1979,12 +2001,12 @@ fn finish_chunk(sink: &Sink<'_>, chunk: Chunk) -> Result<ChunkOut> {
         Sink::Aggregate { group, aggs } => {
             let keys: Vec<Column> = group
                 .iter()
-                .map(|e| eval_rows(e, &chunk.batch, &chunk.rows))
+                .map(|e| cx.eval(e, &chunk.batch, &chunk.rows))
                 .collect::<Result<_>>()?;
             let (_, uniq) = arg_dedup(aggs);
             let args: Vec<Column> = uniq
                 .iter()
-                .map(|e| eval_rows(e, &chunk.batch, &chunk.rows))
+                .map(|e| cx.eval(e, &chunk.batch, &chunk.rows))
                 .collect::<Result<_>>()?;
             Ok(ChunkOut::Agg {
                 rows: chunk.rows.len(),

@@ -10,7 +10,10 @@
 //! two differential-testing paths consistent).
 
 use crate::ast::BinOp;
-use pytond_common::{date, Column, DType, Error, Result, Value};
+use pytond_common::hash::FxHashMap;
+use pytond_common::{date, Column, DType, Dictionary, Error, Result, Value};
+use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
+use std::sync::{Arc, Mutex};
 
 /// A scalar function recognized by the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -352,6 +355,13 @@ impl BExpr {
                 | BinOp::Or => DType::Bool,
                 BinOp::Concat => DType::Str,
                 BinOp::Div => DType::Float,
+                // A NULL literal borrows the other operand's type.
+                _ if matches!(**r, BExpr::Lit(Value::Null)) => {
+                    null_arith_dtype(*op, l.dtype(input))
+                }
+                _ if matches!(**l, BExpr::Lit(Value::Null)) => {
+                    null_arith_dtype(*op, r.dtype(input))
+                }
                 _ => {
                     let lt = l.dtype(input);
                     let rt = r.dtype(input);
@@ -403,10 +413,7 @@ impl BExpr {
     /// Evaluates over `batch`, optionally restricted to `sel` row indices.
     /// The output column has `sel.len()` rows when `sel` is given.
     pub fn eval(&self, batch: &crate::table::Batch, sel: Option<&[usize]>) -> Result<Column> {
-        match sel {
-            Some(s) => self.eval_rows(batch, RowsRef::Sel(s)),
-            None => self.eval_rows(batch, RowsRef::All),
-        }
+        self.eval_rows(batch, sel.map_or(RowsRef::All, RowsRef::Sel), None)
     }
 
     /// Evaluates over the contiguous row range `[start, end)` of `batch`.
@@ -422,70 +429,88 @@ impl BExpr {
         start: usize,
         end: usize,
     ) -> Result<Column> {
-        self.eval_rows(batch, RowsRef::Range(start, end))
+        self.eval_rows(batch, RowsRef::Range(start, end), None)
     }
 
-    fn eval_rows(&self, batch: &crate::table::Batch, rows: RowsRef<'_>) -> Result<Column> {
-        let n = match rows {
-            RowsRef::All => batch.num_rows(),
+    /// The executor's entry point: evaluates over `rows` of `batch`, sharing
+    /// dictionary predicate tables through the execution's `tables` memo
+    /// (see [`DictTables`]); `None` evaluates stand-alone.
+    pub(crate) fn eval_rows(
+        &self,
+        batch: &crate::table::Batch,
+        rows: RowsRef<'_>,
+        tables: Option<&DictTables>,
+    ) -> Result<Column> {
+        self.eval_in(Cx {
+            batch,
+            rows,
+            tables,
+        })
+    }
+
+    /// [`BExpr::eval_rows`] for predicates: the result as a plain `Vec<bool>`.
+    pub(crate) fn mask_rows(
+        &self,
+        batch: &crate::table::Batch,
+        rows: RowsRef<'_>,
+        tables: Option<&DictTables>,
+    ) -> Result<Vec<bool>> {
+        match self.eval_rows(batch, rows, tables)? {
+            Column::Bool(d, _) => Ok(d),
+            other => Err(Error::Exec(format!(
+                "predicate evaluated to {} not bool",
+                other.dtype()
+            ))),
+        }
+    }
+
+    fn eval_in(&self, cx: Cx<'_>) -> Result<Column> {
+        let n = match cx.rows {
+            RowsRef::All => cx.batch.num_rows(),
             RowsRef::Sel(s) => s.len(),
             RowsRef::Range(start, end) => end - start,
         };
         match self {
             BExpr::Col(i) => {
-                let col = batch
+                let col = cx
+                    .batch
                     .cols
                     .get(*i)
                     .ok_or_else(|| Error::Exec(format!("column index {i} out of range")))?;
-                Ok(match rows {
+                Ok(match cx.rows {
                     RowsRef::All => (**col).clone(),
                     RowsRef::Sel(s) => col.gather(s),
                     RowsRef::Range(start, end) => col.slice(start, end),
                 })
             }
+            // Only a bare literal projection materializes a constant column;
+            // literal *operands* run through the scalar kernels below.
             BExpr::Lit(v) => Ok(lit_column(v, n)),
-            BExpr::Bin { op, l, r } => {
-                // Code-space fast path: comparing a dictionary-encoded string
-                // column against a string literal evaluates the predicate
-                // once per dictionary entry and maps rows through the
-                // resulting table — no per-row byte comparison and no
-                // materialized literal column. (An equality literal missing
-                // from the dictionary yields an all-false table.)
-                if matches!(
-                    op,
-                    BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-                ) {
-                    let lit_side = match (l.as_ref(), r.as_ref()) {
-                        (e, BExpr::Lit(Value::Str(s))) => Some((e, s, false)),
-                        (BExpr::Lit(Value::Str(s)), e) => Some((e, s, true)),
-                        _ => None,
-                    };
-                    if let Some((e, s, flipped)) = lit_side {
-                        let c = e.eval_rows(batch, rows)?;
-                        if let Some((codes, dict, valid)) = c.dict_parts() {
-                            return Ok(dict_cmp_lit(*op, codes, dict, valid, s, flipped));
-                        }
-                        let litc = lit_column(&Value::Str(s.clone()), c.len());
-                        return if flipped {
-                            eval_bin(*op, &litc, &c)
-                        } else {
-                            eval_bin(*op, &c, &litc)
-                        };
-                    }
+            BExpr::Bin { op, l, r } => match (l.as_ref(), r.as_ref()) {
+                // Constant expression: evaluate one row, then broadcast.
+                (BExpr::Lit(a), BExpr::Lit(b)) => {
+                    let one = eval_bin(*op, &lit_column(a, 1), &lit_column(b, 1))?;
+                    Ok(one.gather(&vec![0; n]))
                 }
-                let lc = l.eval_rows(batch, rows)?;
-                let rc = r.eval_rows(batch, rows)?;
-                eval_bin(*op, &lc, &rc)
-            }
+                (e, BExpr::Lit(v)) => {
+                    let c = e.eval_in(cx)?;
+                    eval_bin_scalar(*op, &c, v, false, cx.memo(self, e))
+                }
+                (BExpr::Lit(v), e) => {
+                    let c = e.eval_in(cx)?;
+                    eval_bin_scalar(*op, &c, v, true, cx.memo(self, e))
+                }
+                (l, r) => eval_bin(*op, &l.eval_in(cx)?, &r.eval_in(cx)?),
+            },
             BExpr::Not(e) => {
-                let c = e.eval_rows(batch, rows)?;
+                let c = e.eval_in(cx)?;
                 match c {
                     Column::Bool(d, _) => Ok(Column::from_bool(d.iter().map(|b| !b).collect())),
                     _ => Err(Error::Exec("NOT requires a boolean".into())),
                 }
             }
             BExpr::Neg(e) => {
-                let c = e.eval_rows(batch, rows)?;
+                let c = e.eval_in(cx)?;
                 match c {
                     Column::Int(d, v) => Ok(Column::Int(d.iter().map(|x| -x).collect(), v)),
                     Column::Float(d, v) => Ok(Column::Float(d.iter().map(|x| -x).collect(), v)),
@@ -493,7 +518,7 @@ impl BExpr {
                 }
             }
             BExpr::IsNull { e, negated } => {
-                let c = e.eval_rows(batch, rows)?;
+                let c = e.eval_in(cx)?;
                 let out: Vec<bool> = (0..c.len()).map(|i| c.is_valid(i) == *negated).collect();
                 Ok(Column::from_bool(out))
             }
@@ -502,55 +527,30 @@ impl BExpr {
                 pattern,
                 negated,
             } => {
-                let c = e.eval_rows(batch, rows)?;
-                match &c {
-                    Column::Str(d, valid) => {
-                        let out: Vec<bool> = d
-                            .iter()
-                            .enumerate()
-                            .map(|(i, s)| {
-                                valid.as_ref().map_or(true, |v| v[i])
-                                    && pattern.matches(s) != *negated
-                            })
-                            .collect();
-                        Ok(Column::from_bool(out))
-                    }
-                    Column::DictStr { codes, dict, valid } => {
-                        // Match once per dictionary entry, then map codes.
-                        let table: Vec<bool> = dict
-                            .strs()
-                            .iter()
-                            .map(|s| pattern.matches(s) != *negated)
-                            .collect();
-                        let out: Vec<bool> = codes
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &cd)| {
-                                valid.as_ref().map_or(true, |v| v[i]) && table[cd as usize]
-                            })
-                            .collect();
-                        Ok(Column::from_bool(out))
-                    }
-                    _ => Err(Error::Exec("LIKE requires strings".into())),
-                }
+                let c = e.eval_in(cx)?;
+                str_mask(&c, cx.memo(self, e), |s| pattern.matches(s) != *negated)
+                    .map(Column::from_bool)
+                    .ok_or_else(|| Error::Exec("LIKE requires strings".into()))
             }
             BExpr::InList { e, list, negated } => {
-                let c = e.eval_rows(batch, rows)?;
-                Ok(Column::from_bool(eval_in_list(&c, list, *negated)))
+                let c = e.eval_in(cx)?;
+                Ok(Column::from_bool(eval_in_list(
+                    &c,
+                    list,
+                    *negated,
+                    cx.memo(self, e),
+                )))
             }
             BExpr::Case { arms, else_value } => {
                 let conds: Vec<Column> = arms
                     .iter()
-                    .map(|(c, _)| c.eval_rows(batch, rows))
+                    .map(|(c, _)| c.eval_in(cx))
                     .collect::<Result<_>>()?;
                 let vals: Vec<Column> = arms
                     .iter()
-                    .map(|(_, v)| v.eval_rows(batch, rows))
+                    .map(|(_, v)| v.eval_in(cx))
                     .collect::<Result<_>>()?;
-                let els = else_value
-                    .as_ref()
-                    .map(|e| e.eval_rows(batch, rows))
-                    .transpose()?;
+                let els = else_value.as_ref().map(|e| e.eval_in(cx)).transpose()?;
                 // Output type from the first branch value (ELSE included).
                 let dtype = vals
                     .iter()
@@ -574,14 +574,12 @@ impl BExpr {
                 Ok(out)
             }
             BExpr::Func { f, args } => {
-                let cols: Vec<Column> = args
-                    .iter()
-                    .map(|a| a.eval_rows(batch, rows))
-                    .collect::<Result<_>>()?;
+                let cols: Vec<Column> =
+                    args.iter().map(|a| a.eval_in(cx)).collect::<Result<_>>()?;
                 eval_func(*f, &cols, n)
             }
             BExpr::Cast { e, to } => {
-                let c = e.eval_rows(batch, rows)?;
+                let c = e.eval_in(cx)?;
                 c.cast(*to)
             }
         }
@@ -593,13 +591,7 @@ impl BExpr {
         batch: &crate::table::Batch,
         sel: Option<&[usize]>,
     ) -> Result<Vec<bool>> {
-        match self.eval(batch, sel)? {
-            Column::Bool(d, _) => Ok(d),
-            other => Err(Error::Exec(format!(
-                "predicate evaluated to {} not bool",
-                other.dtype()
-            ))),
-        }
+        self.mask_rows(batch, sel.map_or(RowsRef::All, RowsRef::Sel), None)
     }
 
     /// [`BExpr::eval_mask`] over the contiguous row range `[start, end)`
@@ -610,27 +602,175 @@ impl BExpr {
         start: usize,
         end: usize,
     ) -> Result<Vec<bool>> {
-        match self.eval_range(batch, start, end)? {
-            Column::Bool(d, _) => Ok(d),
-            other => Err(Error::Exec(format!(
-                "predicate evaluated to {} not bool",
-                other.dtype()
-            ))),
-        }
+        self.mask_rows(batch, RowsRef::Range(start, end), None)
     }
 }
 
-/// Internal row addressing for the shared kernel walk: the classic optional
-/// selection vector, or a contiguous range whose column leaves slice
-/// instead of gathering.
+/// Row addressing for the shared kernel walk: the classic optional selection
+/// vector, or a contiguous range whose column leaves slice instead of
+/// gathering.
 #[derive(Clone, Copy)]
-enum RowsRef<'s> {
+pub(crate) enum RowsRef<'s> {
     /// Every row of the batch.
     All,
     /// Explicit row indices.
     Sel(&'s [usize]),
     /// The contiguous range `[start, end)`.
     Range(usize, usize),
+}
+
+/// What one kernel walk evaluates against: the batch, the live rows and
+/// the execution's dictionary-table memo (if any).
+#[derive(Clone, Copy)]
+struct Cx<'a> {
+    batch: &'a crate::table::Batch,
+    rows: RowsRef<'a>,
+    tables: Option<&'a DictTables>,
+}
+
+impl<'a> Cx<'a> {
+    /// The memo slot for predicate `node` over operand `operand`. Only a
+    /// bare column operand memoizes: its dictionary is the batch's own, the
+    /// same `Arc` in every morsel, whereas a computed operand (`UPPER(c)`)
+    /// yields a fresh dictionary per call that no later morsel could hit.
+    fn memo(&self, node: &'a BExpr, operand: &BExpr) -> Option<Memo<'a>> {
+        match operand {
+            BExpr::Col(_) => self.tables.map(|tables| (tables, node)),
+            _ => None,
+        }
+    }
+}
+
+/// A memo slot: the execution's tables plus the predicate node keying them.
+type Memo<'a> = (&'a DictTables, &'a BExpr);
+
+/// Per-dictionary-entry verdicts of one string predicate, filled on first
+/// use: `0` = not evaluated yet, `1` = false, `2` = true. Workers share a
+/// table through relaxed atomics: a slot is its own whole datum and
+/// publishes no other memory, so no ordering is needed — a racing pair at
+/// worst evaluates one entry twice, to the same verdict.
+struct EntryTable(Vec<AtomicU8>);
+
+impl EntryTable {
+    fn new(entries: usize) -> EntryTable {
+        EntryTable((0..entries).map(|_| AtomicU8::new(0)).collect())
+    }
+
+    /// The verdict for `code`, running `test` if no one has yet.
+    fn get(&self, code: u32, test: impl FnOnce() -> bool) -> bool {
+        let slot = &self.0[code as usize];
+        match slot.load(Relaxed) {
+            0 => {
+                let verdict = test();
+                slot.store(1 + u8::from(verdict), Relaxed);
+                verdict
+            }
+            seen => seen == 2,
+        }
+    }
+
+    /// Settles every entry still open, so lookups can go through
+    /// [`EntryTable::settled`].
+    fn fill(&self, test: impl Fn(u32) -> bool) {
+        for code in 0..self.0.len() as u32 {
+            self.get(code, || test(code));
+        }
+    }
+
+    /// The verdict for a `code` already settled by [`EntryTable::fill`].
+    fn settled(&self, code: u32) -> bool {
+        self.0[code as usize].load(Relaxed) == 2
+    }
+}
+
+/// Execution-scoped memo of dictionary predicate tables.
+///
+/// A `LIKE`, string-literal comparison or string `IN` over a
+/// dictionary-encoded column is a function of the dictionary entry, not of
+/// the row. One executor owns one `DictTables`; every morsel and worker of
+/// that execution resolves `(predicate node, dictionary)` to the same
+/// per-entry verdict table, so each entry is tested at most once per query
+/// however many morsels reference it. How a call fills the table — all
+/// entries up front, or only those its rows reference — is the
+/// rows-vs-entries rule of `str_mask`.
+///
+/// Keys are addresses: the predicate node inside the bound plan, which the
+/// execution borrows immutably for its whole lifetime, and the dictionary
+/// `Arc`, which each slot pins so the address cannot be recycled.
+#[derive(Default)]
+pub struct DictTables {
+    slots: Mutex<FxHashMap<(usize, usize), Slot>>,
+}
+
+/// One memoized table, with the dictionary it was built over kept alive.
+struct Slot {
+    _dict: Arc<Dictionary>,
+    table: Arc<EntryTable>,
+}
+
+impl DictTables {
+    fn table(&self, node: &BExpr, dict: &Arc<Dictionary>) -> Arc<EntryTable> {
+        let key = (node as *const BExpr as usize, Arc::as_ptr(dict) as usize);
+        let mut slots = self.slots.lock().expect("dictionary tables poisoned");
+        let slot = slots.entry(key).or_insert_with(|| Slot {
+            _dict: dict.clone(),
+            table: Arc::new(EntryTable::new(dict.len())),
+        });
+        slot.table.clone()
+    }
+
+    /// Tables created so far — one per (predicate node, dictionary) pair the
+    /// execution evaluated (reported as `ExecMetrics::dict_pred_tables`).
+    pub fn built(&self) -> u64 {
+        self.slots.lock().expect("dictionary tables poisoned").len() as u64
+    }
+}
+
+/// The predicate `f` over every valid row of `d` — one monomorphic loop per
+/// call site. NULL rows are `false` and never reach `f` (dictionary codes
+/// under NULL rows are placeholders that must not index anything).
+fn rows<T>(d: &[T], valid: &Option<Vec<bool>>, f: impl Fn(&T) -> bool) -> Vec<bool> {
+    match valid {
+        None => d.iter().map(f).collect(),
+        Some(ok) => d.iter().zip(ok).map(|(x, &ok)| ok && f(x)).collect(),
+    }
+}
+
+/// Evaluates the string predicate `test` over a string-typed column; NULL
+/// rows collapse to `false` (predicate semantics). `None` for non-string
+/// columns. Plain strings test every row. Dictionary-encoded strings test
+/// *entries*, by the rows-vs-entries rule:
+///
+/// * no more entries than rows in this call — settle the whole table first
+///   (through the execution's memo that happens once per query; later
+///   morsels find every entry settled), then map rows through it;
+/// * more entries than rows (a delta batch or tail morsel against a large
+///   dictionary) — test only the entries the rows reference: remembered in
+///   the memoized table when there is one, so no entry is ever tested
+///   twice in a query, and directly otherwise.
+///
+/// Either way a call tests at most min(rows, entries) strings.
+fn str_mask(c: &Column, memo: Option<Memo<'_>>, test: impl Fn(&str) -> bool) -> Option<Vec<bool>> {
+    match c {
+        Column::Str(d, valid) => Some(rows(d, valid, |s| test(s))),
+        Column::DictStr { codes, dict, valid } => {
+            let small = dict.len() <= codes.len();
+            let table = match memo {
+                Some((tables, node)) => Some(tables.table(node, dict)),
+                None if small => Some(Arc::new(EntryTable::new(dict.len()))),
+                None => None,
+            };
+            Some(match table {
+                Some(t) if small => {
+                    t.fill(|c| test(dict.get(c)));
+                    rows(codes, valid, |&c| t.settled(c))
+                }
+                Some(t) => rows(codes, valid, |&c| t.get(c, || test(dict.get(c)))),
+                None => rows(codes, valid, |&c| test(dict.get(c))),
+            })
+        }
+        _ => None,
+    }
 }
 
 fn coerce(v: Value, to: DType) -> Result<Value> {
@@ -641,7 +781,12 @@ fn coerce(v: Value, to: DType) -> Result<Value> {
     })
 }
 
-/// Materializes a literal as a constant column without per-row dispatch.
+/// Materializes a literal as a constant column — the value of a bare
+/// literal *projection* (`SELECT 1`). Operands of binary operators never
+/// come here: they stay scalars (see [`eval_bin_scalar`]); literal function
+/// arguments and `CASE` branches still do, their evaluators being
+/// row-at-a-time. A NULL literal has no type of its own and, with no
+/// operand to borrow one from, defaults to `Float`.
 fn lit_column(v: &Value, n: usize) -> Column {
     match v {
         Value::Int(x) => Column::Int(vec![*x; n], None),
@@ -649,61 +794,259 @@ fn lit_column(v: &Value, n: usize) -> Column {
         Value::Bool(x) => Column::Bool(vec![*x; n], None),
         Value::Str(s) => Column::Str(vec![s.clone(); n], None),
         Value::Date(d) => Column::Date(vec![*d; n], None),
-        Value::Null => {
-            if n == 0 {
-                Column::Float(Vec::new(), None)
-            } else {
-                Column::Float(vec![0.0; n], Some(vec![false; n]))
-            }
-        }
+        Value::Null => null_column(DType::Float, n),
     }
 }
 
-/// Compares a dictionary-encoded string column against one string literal
-/// entirely in code space: the ordering predicate runs once per dictionary
-/// entry (not per row), then rows map through the bool table. `flipped`
-/// marks a literal on the left (`lit op col`). NULL rows collapse to `false`
-/// (predicate semantics) and never index the table.
-fn dict_cmp_lit(
-    op: BinOp,
-    codes: &[u32],
-    dict: &pytond_common::Dictionary,
-    valid: Option<&[bool]>,
-    lit: &str,
-    flipped: bool,
-) -> Column {
-    use std::cmp::Ordering;
-    let want = |o: Ordering| -> bool {
-        match op {
-            BinOp::Eq => o == Ordering::Equal,
-            BinOp::Ne => o != Ordering::Equal,
-            BinOp::Lt => o == Ordering::Less,
-            BinOp::Le => o != Ordering::Greater,
-            BinOp::Gt => o == Ordering::Greater,
-            BinOp::Ge => o != Ordering::Less,
-            _ => unreachable!("caller passes comparison operators only"),
-        }
-    };
-    let table: Vec<bool> = dict
-        .strs()
-        .iter()
-        .map(|s| {
-            want(if flipped {
-                lit.cmp(s.as_str())
-            } else {
-                s.as_str().cmp(lit)
-            })
-        })
-        .collect();
-    let out: Vec<bool> = codes
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| valid.map_or(true, |v| v[i]) && table[c as usize])
-        .collect();
-    Column::from_bool(out)
+/// An all-NULL column of `dtype`.
+fn null_column(dtype: DType, n: usize) -> Column {
+    let valid = (n > 0).then(|| vec![false; n]);
+    match dtype {
+        DType::Int => Column::Int(vec![0; n], valid),
+        DType::Float => Column::Float(vec![0.0; n], valid),
+        DType::Bool => Column::Bool(vec![false; n], valid),
+        DType::Str => Column::Str(vec![String::new(); n], valid),
+        DType::Date => Column::Date(vec![0; n], valid),
+    }
 }
 
-/// Vectorized binary kernels.
+/// Result type of arithmetic between a NULL literal and an operand of type
+/// `other`: NULL borrows the operand's type, so the all-NULL result has the
+/// type the same arithmetic would have over two such operands.
+fn null_arith_dtype(op: BinOp, other: DType) -> DType {
+    match other {
+        DType::Int | DType::Date if op != BinOp::Div => other,
+        _ => DType::Float,
+    }
+}
+
+/// Whether a comparison outcome satisfies the comparison operator `op`.
+fn cmp_holds(op: BinOp, o: std::cmp::Ordering) -> bool {
+    use std::cmp::Ordering::*;
+    match op {
+        BinOp::Eq => o == Equal,
+        BinOp::Ne => o != Equal,
+        BinOp::Lt => o == Less,
+        BinOp::Le => o != Greater,
+        BinOp::Gt => o == Greater,
+        BinOp::Ge => o != Less,
+        _ => unreachable!("caller passes comparison operators only"),
+    }
+}
+
+/// Column-vs-scalar binary kernels: `c op lit`, or `lit op c` when
+/// `lit_left`. The literal stays a scalar — typed once, outside the row
+/// loop — and results are bit-identical to [`eval_bin`] over the literal
+/// broadcast to a column. A NULL literal short-circuits: comparisons yield
+/// all-false, arithmetic and concatenation all-NULL.
+fn eval_bin_scalar(
+    op: BinOp,
+    c: &Column,
+    lit: &Value,
+    lit_left: bool,
+    memo: Option<Memo<'_>>,
+) -> Result<Column> {
+    use BinOp::*;
+    match op {
+        And | Or => match (c, lit) {
+            // `x AND true` / `x OR false` is `x`; the other two are constant.
+            (Column::Bool(d, _), Value::Bool(b)) => Ok(Column::from_bool(if *b == (op == And) {
+                d.clone()
+            } else {
+                vec![*b; d.len()]
+            })),
+            _ => Err(Error::Exec("AND/OR require booleans".into())),
+        },
+        Eq | Ne | Lt | Le | Gt | Ge => {
+            let op = if lit_left { op.mirrored() } else { op };
+            Ok(Column::from_bool(cmp_scalar(op, c, lit, memo)))
+        }
+        Concat => Ok(concat_scalar(c, lit, lit_left)),
+        Add | Sub | Mul | Div | Mod => arith_scalar(op, c, lit, lit_left),
+    }
+}
+
+/// `c op lit` for a comparison operator; NULL (row or literal) and
+/// incomparable pairs collapse to `false`.
+fn cmp_scalar(op: BinOp, c: &Column, lit: &Value, memo: Option<Memo<'_>>) -> Vec<bool> {
+    /// One monomorphic loop per (operator, type pair). `<>` goes through
+    /// `partial_cmp` so that NaN compares false under it like under the
+    /// others (`!=` alone would make NaN unequal to everything).
+    fn run<T, U: PartialOrd + Copy>(
+        op: BinOp,
+        d: &[T],
+        valid: &Option<Vec<bool>>,
+        conv: impl Fn(&T) -> U,
+        v: U,
+    ) -> Vec<bool> {
+        match op {
+            BinOp::Eq => rows(d, valid, |x| conv(x) == v),
+            BinOp::Ne => rows(d, valid, |x| {
+                conv(x).partial_cmp(&v).is_some_and(|o| o.is_ne())
+            }),
+            BinOp::Lt => rows(d, valid, |x| conv(x) < v),
+            BinOp::Le => rows(d, valid, |x| conv(x) <= v),
+            BinOp::Gt => rows(d, valid, |x| conv(x) > v),
+            BinOp::Ge => rows(d, valid, |x| conv(x) >= v),
+            _ => unreachable!("caller passes comparison operators only"),
+        }
+    }
+    use Column::{Bool, Date, Float, Int};
+    match (c, lit) {
+        (_, Value::Null) => vec![false; c.len()],
+        (Int(d, ok), Value::Int(v)) => run(op, d, ok, |x| *x, *v),
+        (Int(d, ok), Value::Float(v)) => run(op, d, ok, |x| *x as f64, *v),
+        (Int(d, ok), Value::Date(v)) => run(op, d, ok, |x| *x, i64::from(*v)),
+        (Float(d, ok), Value::Float(v)) => run(op, d, ok, |x| *x, *v),
+        (Float(d, ok), Value::Int(v)) => run(op, d, ok, |x| *x, *v as f64),
+        (Date(d, ok), Value::Date(v)) => run(op, d, ok, |x| *x, *v),
+        (Date(d, ok), Value::Int(v)) => run(op, d, ok, |x| i64::from(*x), *v),
+        (Bool(d, ok), Value::Bool(v)) => run(op, d, ok, |x| *x, *v),
+        (Column::Str(..) | Column::DictStr { .. }, Value::Str(v)) => {
+            str_mask(c, memo, |s| cmp_holds(op, s.cmp(v.as_str()))).expect("string column")
+        }
+        // Genuinely mixed pairs keep the row-wise `sql_cmp` semantics: a
+        // string column against a date literal, or a date against a string
+        // the binder could not type (see `bind::coerce_literal`).
+        _ => (0..c.len())
+            .map(|i| c.get(i).sql_cmp(lit).is_some_and(|o| cmp_holds(op, o)))
+            .collect(),
+    }
+}
+
+/// `c op lit` (or `lit op c`) for an arithmetic operator, with the type
+/// rules of [`eval_arith`].
+fn arith_scalar(op: BinOp, c: &Column, lit: &Value, lit_left: bool) -> Result<Column> {
+    use BinOp::*;
+    use Column::{Date, Float, Int};
+
+    /// Applies `f` with the scalar on its side of the operator.
+    fn side<T: Copy, A: Copy, R>(
+        d: &[T],
+        conv: impl Fn(T) -> A,
+        v: A,
+        lit_left: bool,
+        f: impl Fn(A, A) -> R,
+    ) -> Vec<R> {
+        if lit_left {
+            d.iter().map(|&x| f(v, conv(x))).collect()
+        } else {
+            d.iter().map(|&x| f(conv(x), v)).collect()
+        }
+    }
+    /// One monomorphic float loop per operator.
+    fn floats<T: Copy>(
+        op: BinOp,
+        d: &[T],
+        conv: impl Fn(T) -> f64,
+        v: f64,
+        lit_left: bool,
+    ) -> Vec<f64> {
+        match op {
+            Add => side(d, conv, v, lit_left, |a, b| a + b),
+            Sub => side(d, conv, v, lit_left, |a, b| a - b),
+            Mul => side(d, conv, v, lit_left, |a, b| a * b),
+            Div => side(d, conv, v, lit_left, |a, b| a / b),
+            _ => side(d, conv, v, lit_left, |a, b| a % b),
+        }
+    }
+    let id = |x: f64| x;
+    let i2f = |x: i64| x as f64;
+
+    Ok(match (c, lit) {
+        (_, Value::Null) => null_column(null_arith_dtype(op, c.dtype()), c.len()),
+        // Int ∘ Int stays Int for +,-,*,%; / divides as floats.
+        (Int(d, ok), Value::Int(v)) if op != Div => {
+            let data = match op {
+                Add => side(d, |x| x, *v, lit_left, i64::wrapping_add),
+                Sub => side(d, |x| x, *v, lit_left, i64::wrapping_sub),
+                Mul => side(d, |x| x, *v, lit_left, i64::wrapping_mul),
+                _ => side(
+                    d,
+                    |x| x,
+                    *v,
+                    lit_left,
+                    |a, b| if b == 0 { 0 } else { a % b },
+                ),
+            };
+            Int(data, ok.clone())
+        }
+        // Date ± Int days.
+        (Date(d, ok), Value::Int(v)) if !lit_left && matches!(op, Add | Sub) => {
+            let days = *v as i32;
+            let data = if op == Add {
+                d.iter().map(|&x| x + days).collect()
+            } else {
+                d.iter().map(|&x| x - days).collect()
+            };
+            Date(data, ok.clone())
+        }
+        (Int(d, ok), Value::Date(v)) if lit_left && matches!(op, Add | Sub) => {
+            let data = if op == Add {
+                d.iter().map(|&x| v + x as i32).collect()
+            } else {
+                d.iter().map(|&x| v - x as i32).collect()
+            };
+            Date(data, ok.clone())
+        }
+        // Date - Date → days.
+        (Date(d, ok), Value::Date(v)) if op == Sub => Int(
+            side(d, |x| x, *v, lit_left, |a, b| i64::from(a - b)),
+            ok.clone(),
+        ),
+        (Int(d, ok), Value::Int(v)) => Float(floats(op, d, i2f, *v as f64, lit_left), ok.clone()),
+        (Int(d, ok), Value::Float(v)) => Float(floats(op, d, i2f, *v, lit_left), ok.clone()),
+        (Float(d, ok), Value::Float(v)) => Float(floats(op, d, id, *v, lit_left), ok.clone()),
+        (Float(d, ok), Value::Int(v)) => Float(floats(op, d, id, *v as f64, lit_left), ok.clone()),
+        // Anything else (bool arithmetic, date in float math) widens to f64.
+        _ => {
+            let d = to_f64_vec(c)?;
+            let v = lit
+                .as_f64()
+                .ok_or_else(|| Error::Exec("cannot use strings in arithmetic".into()))?;
+            Float(floats(op, &d, id, v, lit_left), validity_of(c))
+        }
+    })
+}
+
+/// `c || lit` (or `lit || c`): the literal renders once, rows append to it.
+fn concat_scalar(c: &Column, lit: &Value, lit_left: bool) -> Column {
+    use std::fmt::Write;
+    let n = c.len();
+    if lit.is_null() {
+        return null_column(DType::Str, n);
+    }
+    let lit = lit.to_string();
+    let join = |s: &str| {
+        let mut out = String::with_capacity(lit.len() + s.len());
+        let (a, b) = if lit_left { (&*lit, s) } else { (s, &*lit) };
+        out.push_str(a);
+        out.push_str(b);
+        out
+    };
+    let mut scratch = String::new();
+    let data: Vec<String> = (0..n)
+        .map(|i| {
+            if !c.is_valid(i) {
+                return String::new();
+            }
+            match c {
+                Column::Str(d, _) => join(&d[i]),
+                Column::DictStr { codes, dict, .. } => join(dict.get(codes[i])),
+                // Non-string operands format through `Display`.
+                other => {
+                    scratch.clear();
+                    write!(scratch, "{}", other.get(i)).expect("write to String");
+                    join(&scratch)
+                }
+            }
+        })
+        .collect();
+    Column::Str(data, validity_of(c))
+}
+
+/// Vectorized column-vs-column binary kernels (a literal operand takes the
+/// column-vs-scalar kernels of `eval_bin_scalar` instead).
 ///
 /// Dispatches **once** per column pair to a monomorphic loop over raw typed
 /// slices (see [`Column::as_i64_slice`] and friends); only genuinely mixed
@@ -849,17 +1192,7 @@ fn eval_cmp(op: BinOp, l: &Column, r: &Column) -> Result<Column> {
     use BinOp::*;
     use Column::{Bool, Date, Float, Int, Str};
     let n = l.len();
-    let want = |o: std::cmp::Ordering| -> bool {
-        match op {
-            Eq => o == std::cmp::Ordering::Equal,
-            Ne => o != std::cmp::Ordering::Equal,
-            Lt => o == std::cmp::Ordering::Less,
-            Le => o != std::cmp::Ordering::Greater,
-            Gt => o == std::cmp::Ordering::Greater,
-            Ge => o != std::cmp::Ordering::Less,
-            _ => unreachable!(),
-        }
-    };
+    let want = |o: std::cmp::Ordering| cmp_holds(op, o);
 
     /// One monomorphic comparison loop per type pair; NULL collapses to
     /// `false` (predicate semantics), incomparable values too.
@@ -919,11 +1252,11 @@ fn eval_cmp(op: BinOp, l: &Column, r: &Column) -> Result<Column> {
                 dict: db,
                 valid: bv,
             },
-        ) if matches!(op, Eq | Ne) && std::sync::Arc::ptr_eq(da, db) => {
+        ) if matches!(op, Eq | Ne) && Arc::ptr_eq(da, db) => {
             czip!(a, av, b, bv, |x: &u32, y: &u32| Some(x.cmp(y)))
         }
         (Bool(a, av), Bool(b, bv)) => czip!(a, av, b, bv, |x: &bool, y: &bool| Some(x.cmp(y))),
-        // Genuinely mixed pairs (date vs string literal, ...) stay row-wise.
+        // Genuinely mixed pairs (date vs string column, ...) stay row-wise.
         _ => {
             let mut out = Vec::with_capacity(n);
             for i in 0..n {
@@ -935,75 +1268,52 @@ fn eval_cmp(op: BinOp, l: &Column, r: &Column) -> Result<Column> {
 }
 
 /// IN-list membership with typed fast paths for the common literal shapes
-/// (int/date column against int/date candidates, string column against
-/// string candidates); anything else keeps the row-wise `sql_cmp` semantics.
-fn eval_in_list(c: &Column, list: &[Value], negated: bool) -> Vec<bool> {
+/// (int/date column against int/date candidates, float column against
+/// numeric candidates, string column against string candidates — through
+/// [`str_mask`], so dictionary entries are tested once); anything else keeps
+/// the row-wise `sql_cmp` semantics.
+fn eval_in_list(c: &Column, list: &[Value], negated: bool, memo: Option<Memo<'_>>) -> Vec<bool> {
+    let ints = || -> Option<Vec<i64>> {
+        list.iter()
+            .map(|v| match v {
+                Value::Int(i) => Some(*i),
+                Value::Date(x) => Some(i64::from(*x)),
+                _ => None,
+            })
+            .collect()
+    };
     match c {
         Column::Int(d, valid) => {
-            if let Some(ints) = list
-                .iter()
-                .map(|v| match v {
-                    Value::Int(i) => Some(*i),
-                    Value::Date(x) => Some(i64::from(*x)),
-                    _ => None,
-                })
-                .collect::<Option<Vec<i64>>>()
-            {
-                return d
-                    .iter()
-                    .enumerate()
-                    .map(|(i, x)| {
-                        valid.as_ref().map_or(true, |v| v[i]) && ints.contains(x) != negated
-                    })
-                    .collect();
+            if let Some(ints) = ints() {
+                return rows(d, valid, |x| ints.contains(x) != negated);
             }
         }
         Column::Date(d, valid) => {
-            if let Some(ints) = list
-                .iter()
-                .map(|v| match v {
-                    Value::Int(i) => Some(*i),
-                    Value::Date(x) => Some(i64::from(*x)),
-                    _ => None,
-                })
-                .collect::<Option<Vec<i64>>>()
-            {
-                return d
-                    .iter()
-                    .enumerate()
-                    .map(|(i, x)| {
-                        valid.as_ref().map_or(true, |v| v[i])
-                            && ints.contains(&i64::from(*x)) != negated
-                    })
-                    .collect();
+            if let Some(ints) = ints() {
+                return rows(d, valid, |x| ints.contains(&i64::from(*x)) != negated);
             }
         }
-        Column::DictStr { codes, dict, valid }
-            if list.iter().all(|v| matches!(v, Value::Str(_))) =>
-        {
-            // Translate each candidate against the dictionary once; membership
-            // then runs in code space. Candidates absent from the dictionary
-            // can never match (but still flip under NOT IN).
-            let table: Vec<bool> = dict
-                .strs()
+        Column::Float(d, valid) => {
+            let floats: Option<Vec<f64>> = list
                 .iter()
-                .map(|s| list.iter().any(|v| v.as_str() == Some(s)) != negated)
-                .collect();
-            return codes
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| valid.as_ref().map_or(true, |v| v[i]) && table[c as usize])
-                .collect();
-        }
-        Column::Str(d, valid) if list.iter().all(|v| matches!(v, Value::Str(_))) => {
-            return d
-                .iter()
-                .enumerate()
-                .map(|(i, x)| {
-                    valid.as_ref().map_or(true, |v| v[i])
-                        && list.iter().any(|v| v.as_str() == Some(x)) != negated
+                .map(|v| match v {
+                    Value::Int(_) | Value::Float(_) => v.as_f64(),
+                    _ => None,
                 })
                 .collect();
+            if let Some(floats) = floats {
+                return rows(d, valid, |x| floats.contains(x) != negated);
+            }
+        }
+        Column::Str(..) | Column::DictStr { .. }
+            if list.iter().all(|v| matches!(v, Value::Str(_))) =>
+        {
+            // Candidates absent from a dictionary can never match (but still
+            // flip under NOT IN).
+            return str_mask(c, memo, |s| {
+                list.iter().any(|v| v.as_str() == Some(s)) != negated
+            })
+            .expect("string column");
         }
         _ => {}
     }
@@ -1305,7 +1615,7 @@ fn eval_func(f: SFunc, cols: &[Column], n: usize) -> Result<Column> {
                 Column::DictStr { codes, dict, valid } => {
                     // Case-folding stays encoded: fold each dictionary entry
                     // once into a fresh dictionary, codes carry over verbatim.
-                    let mut folded = pytond_common::Dictionary::default();
+                    let mut folded = Dictionary::default();
                     let remap: Vec<u32> = dict
                         .strs()
                         .iter()
@@ -1323,7 +1633,7 @@ fn eval_func(f: SFunc, cols: &[Column], n: usize) -> Result<Column> {
                                 }
                             })
                             .collect(),
-                        dict: std::sync::Arc::new(folded),
+                        dict: Arc::new(folded),
                         valid: valid.clone(),
                     })
                 }
@@ -1537,6 +1847,147 @@ mod tests {
         let out = add.eval(&b, None).unwrap();
         assert_eq!(out.get(0), Value::Int(2));
         assert_eq!(out.get(1), Value::Null);
+    }
+
+    fn bin(op: BinOp, l: BExpr, r: BExpr) -> BExpr {
+        BExpr::Bin {
+            op,
+            l: Box::new(l),
+            r: Box::new(r),
+        }
+    }
+
+    /// A NULL literal operand borrows the column's type instead of
+    /// fabricating a `Float` column: comparisons are all-false, arithmetic
+    /// is all-NULL in the column's dtype (`/` stays `Float`), on either side.
+    #[test]
+    fn null_literal_operand_short_circuits() {
+        let b = batch();
+        let null = || BExpr::Lit(Value::Null);
+        let types = [DType::Int, DType::Float, DType::Str, DType::Date];
+        for col in 0..4 {
+            for op in [BinOp::Eq, BinOp::Ne, BinOp::Lt, BinOp::Ge] {
+                for e in [
+                    bin(op, BExpr::Col(col), null()),
+                    bin(op, null(), BExpr::Col(col)),
+                ] {
+                    assert_eq!(e.eval_mask(&b, None).unwrap(), vec![false; 4], "{e}");
+                }
+            }
+        }
+        let cases = [
+            (BinOp::Add, 0, DType::Int),
+            (BinOp::Mod, 0, DType::Int),
+            (BinOp::Div, 0, DType::Float),
+            (BinOp::Mul, 1, DType::Float),
+            (BinOp::Sub, 3, DType::Date),
+            (BinOp::Div, 3, DType::Float),
+        ];
+        for (op, col, want) in cases {
+            for e in [
+                bin(op, BExpr::Col(col), null()),
+                bin(op, null(), BExpr::Col(col)),
+            ] {
+                let out = e.eval(&b, None).unwrap();
+                assert_eq!(out.dtype(), want, "{e}");
+                assert_eq!(e.dtype(&types), want, "static type of {e}");
+                assert_eq!(out.null_count(), 4, "{e}");
+                // Empty input: still the column's dtype.
+                assert_eq!(e.eval(&b, Some(&[])).unwrap().dtype(), want, "{e}");
+            }
+        }
+        let cat = bin(BinOp::Concat, BExpr::Col(2), null());
+        let out = cat.eval(&b, None).unwrap();
+        assert_eq!((out.dtype(), out.null_count()), (DType::Str, 4));
+        // Only a bare NULL projection still defaults to Float.
+        assert_eq!(null().eval(&b, None).unwrap().dtype(), DType::Float);
+    }
+
+    /// Literal operands never broadcast: scalar kernels on either side
+    /// agree with the column kernels over a materialized literal.
+    #[test]
+    fn scalar_operand_sides() {
+        let b = batch();
+        let sub = bin(BinOp::Sub, BExpr::Lit(Value::Int(10)), BExpr::Col(0));
+        assert_eq!(sub.eval(&b, None).unwrap().as_int(), &[9, 8, 7, 6]);
+        let div = bin(BinOp::Div, BExpr::Lit(Value::Float(60.0)), BExpr::Col(1));
+        assert_eq!(
+            div.eval(&b, None).unwrap().as_float(),
+            &[6.0, 3.0, 2.0, 1.5]
+        );
+        let lt = bin(BinOp::Lt, BExpr::Lit(Value::Int(2)), BExpr::Col(0));
+        assert_eq!(
+            lt.eval_mask(&b, None).unwrap(),
+            vec![false, false, true, true]
+        );
+        // A date string types once, parsable or not.
+        let day100 = Value::Str(date::format(100));
+        let ge = bin(BinOp::Ge, BExpr::Col(3), BExpr::Lit(day100));
+        assert_eq!(
+            ge.eval_mask(&b, None).unwrap(),
+            vec![false, true, true, true]
+        );
+        let bad = bin(
+            BinOp::Ne,
+            BExpr::Col(3),
+            BExpr::Lit(Value::Str("soon".into())),
+        );
+        assert_eq!(bad.eval_mask(&b, None).unwrap(), vec![false; 4]);
+        let cat = bin(BinOp::Concat, BExpr::Lit(Value::Int(7)), BExpr::Col(2));
+        assert_eq!(cat.eval(&b, None).unwrap().as_str_col()[0], "7apple");
+        let konst = bin(
+            BinOp::Mul,
+            BExpr::Lit(Value::Int(6)),
+            BExpr::Lit(Value::Int(7)),
+        );
+        assert_eq!(konst.eval(&b, None).unwrap().as_int(), &[42; 4]);
+    }
+
+    /// One execution-scoped table per (predicate node, dictionary): morsels
+    /// share it, entries are tested at most once, and only when referenced.
+    #[test]
+    fn dictionary_tables_are_shared_and_lazy() {
+        let strs: Vec<String> = (0..100).map(|i| format!("k{i:03}")).collect();
+        let refs: Vec<&str> = strs.iter().map(String::as_str).collect();
+        let b = Batch::from_columns(vec![Column::from_strs(&refs).encode_str()]);
+        let like = BExpr::Like {
+            e: Box::new(BExpr::Col(0)),
+            pattern: LikePattern::compile("k00%"),
+            negated: false,
+        };
+        let tables = DictTables::default();
+        let want = like.eval_mask(&b, None).unwrap();
+        assert_eq!(want.iter().filter(|&&k| k).count(), 10);
+        // Ten-row morsels against a 100-entry dictionary, memoized.
+        let mut got = Vec::new();
+        for start in (0..100).step_by(10) {
+            let rows = RowsRef::Range(start, start + 10);
+            got.extend(like.mask_rows(&b, rows, Some(&tables)).unwrap());
+        }
+        assert_eq!(got, want);
+        assert_eq!(tables.built(), 1);
+        // A second predicate node gets its own table; a partial scan fills
+        // only the entries it references.
+        let eq = bin(
+            BinOp::Eq,
+            BExpr::Col(0),
+            BExpr::Lit(Value::Str("k042".into())),
+        );
+        let hits = eq
+            .mask_rows(&b, RowsRef::Sel(&[42, 7]), Some(&tables))
+            .unwrap();
+        assert_eq!(hits, vec![true, false]);
+        assert_eq!(tables.built(), 2);
+        let table = tables
+            .slots
+            .lock()
+            .unwrap()
+            .values()
+            .map(|slot| slot.table.clone())
+            .find(|t| t.0.iter().filter(|s| s.load(Relaxed) != 0).count() == 2)
+            .expect("the equality table saw exactly the two referenced entries");
+        assert_eq!(table.0[42].load(Relaxed), 2);
+        assert_eq!(table.0[7].load(Relaxed), 1);
     }
 
     #[test]

@@ -973,7 +973,7 @@ pub fn selectivity(pred: &BExpr, stats: Option<&TableStats>) -> f64 {
         BExpr::Not(e) => 1.0 - selectivity(e, stats),
         BExpr::Bin { op, l, r } => match (col_of(l), lit_of(r), col_of(r), lit_of(l)) {
             (Some(c), Some(v), _, _) => cmp_selectivity(*op, c, v, stats),
-            (_, _, Some(c), Some(v)) => cmp_selectivity(mirror(*op), c, v, stats),
+            (_, _, Some(c), Some(v)) => cmp_selectivity(op.mirrored(), c, v, stats),
             _ => match op {
                 BinOp::Eq => SEL_EQ,
                 BinOp::Ne => 1.0 - SEL_EQ,
@@ -1028,16 +1028,6 @@ fn lit_of(e: &BExpr) -> Option<&Value> {
     match e {
         BExpr::Lit(v) if !v.is_null() => Some(v),
         _ => None,
-    }
-}
-
-fn mirror(op: BinOp) -> BinOp {
-    match op {
-        BinOp::Lt => BinOp::Gt,
-        BinOp::Le => BinOp::Ge,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::Ge => BinOp::Le,
-        other => other,
     }
 }
 
@@ -1613,6 +1603,33 @@ mod tests {
             l: Box::new(BExpr::Col(i)),
             r: Box::new(BExpr::Lit(Value::Int(v))),
         }
+    }
+
+    /// A typed `Date` literal interpolates into the column's min/max span;
+    /// the untyped string it was written as falls back to the fixed guess.
+    #[test]
+    fn range_selectivity_reads_date_literals() {
+        let dates = pytond_common::Column::from_dates((0..1000).collect());
+        let stats = TableStats::compute(&[&dates]);
+        let typed = cmp_selectivity(BinOp::Lt, 0, &Value::Date(250), Some(&stats));
+        assert!((typed - 250.0 / 999.0).abs() < 1e-9, "{typed}");
+        let mirrored = selectivity(
+            &BExpr::Bin {
+                op: BinOp::Lt,
+                l: Box::new(BExpr::Lit(Value::Date(250))),
+                r: Box::new(BExpr::Col(0)),
+            },
+            Some(&stats),
+        );
+        assert!(
+            (mirrored - (1.0 - 250.0 / 999.0)).abs() < 1e-9,
+            "{mirrored}"
+        );
+        let untyped = Value::Str(pytond_common::date::format(250));
+        assert_eq!(
+            cmp_selectivity(BinOp::Lt, 0, &untyped, Some(&stats)),
+            SEL_RANGE
+        );
     }
 
     #[test]

@@ -363,7 +363,7 @@ fn collect_tests(e: &BExpr, out: &mut Vec<ZoneTest>) {
             }),
             (BExpr::Lit(v), BExpr::Col(c)) if !v.is_null() => out.push(ZoneTest::Cmp {
                 col: *c,
-                op: mirror_op(*op),
+                op: op.mirrored(),
                 lit: v.clone(),
             }),
             _ => {}
@@ -398,17 +398,6 @@ fn cmp_op(op: BinOp) -> bool {
         op,
         BinOp::Eq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
     )
-}
-
-/// Mirrors a comparison when the literal sits on the left (`5 < x` ⇒ `x > 5`).
-fn mirror_op(op: BinOp) -> BinOp {
-    match op {
-        BinOp::Lt => BinOp::Gt,
-        BinOp::Le => BinOp::Ge,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::Ge => BinOp::Le,
-        other => other,
-    }
 }
 
 /// Rewrites a zone test over a dictionary-encoded column into **code

@@ -280,8 +280,11 @@ impl StoredTable {
                 )));
             }
         }
+        // Stored columns are shared with the published snapshot, so an
+        // append always copies; `grown` builds the copy in one size-classed
+        // allocation instead of an exact-length clone plus a reallocation.
         for ((_, col), stored) in rel.columns().iter().zip(&mut self.batch.cols) {
-            Arc::make_mut(stored).append(col)?;
+            *stored = Arc::new(stored.grown(col)?);
         }
         if let Some(stats) = &mut self.stats {
             stats.extend(&self.batch.cols);

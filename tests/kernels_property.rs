@@ -4,14 +4,24 @@
 //! and selection vectors (including f64 NaN / `-0.0`), and fixed-width key
 //! packing must partition rows exactly like the byte-encoded fallback
 //! (including the NULL-vs-zero edge the folded validity bit exists for).
+//!
+//! Literal operands get the same treatment: every (operator × column dtype ×
+//! literal dtype × literal side) column-vs-scalar kernel must equal the
+//! reference evaluator over the literal broadcast to a column; bind-time
+//! literal typing (date strings, int-vs-float) must leave `Value::sql_cmp`
+//! semantics untouched through comparisons, `IN` and `BETWEEN`; and the
+//! execution-scoped dictionary predicate tables must produce the same rows
+//! at every morsel size, thread count and profile as plain strings do —
+//! one table per predicate per execution, never one per morsel.
 
 use proptest::prelude::*;
 use pytond_common::hash::{encode_value, sql_key_encodings, FixedKeySpec, KeyArena, KeyWidth};
-use pytond_common::{Column, DType, Value};
+use pytond_common::{date, Column, DType, Relation, Value};
 use pytond_sqldb::ast::BinOp;
 use pytond_sqldb::exec::planned_key_width;
 use pytond_sqldb::expr::{eval_bin, reference, BExpr};
 use pytond_sqldb::table::Batch;
+use pytond_sqldb::{Database, EngineConfig, Profile};
 
 /// Builds an Int column; selector 0 → NULL.
 fn int_col(rows: &[(u8, i64)]) -> Column {
@@ -97,18 +107,92 @@ const CMP: [BinOp; 6] = [
     BinOp::Ge,
 ];
 
+type Evaluated = pytond_common::Result<Column>;
+
+/// Kernel and reference must agree: both fail, or both yield bit-identical
+/// columns.
+fn same_outcome(what: &str, fast: Evaluated, slow: Evaluated) -> Result<(), String> {
+    match (fast, slow) {
+        (Ok(f), Ok(s)) if cols_bit_identical(&f, &s) => Ok(()),
+        (Ok(f), Ok(s)) => Err(format!("{what} diverged: {f:?} vs {s:?}")),
+        (Err(_), Err(_)) => Ok(()),
+        (f, s) => Err(format!("{what} error mismatch: {f:?} vs {s:?}")),
+    }
+}
+
 fn assert_matches_reference(ops: &[BinOp], l: &Column, r: &Column) -> Result<(), String> {
     for &op in ops {
-        let fast = eval_bin(op, l, r);
-        let slow = reference::eval_bin(op, l, r);
-        match (fast, slow) {
-            (Ok(f), Ok(s)) => {
-                if !cols_bit_identical(&f, &s) {
-                    return Err(format!("{op:?} diverged: {f:?} vs {s:?}"));
-                }
-            }
-            (Err(_), Err(_)) => {}
-            (f, s) => return Err(format!("{op:?} error mismatch: {f:?} vs {s:?}")),
+        same_outcome(
+            &format!("{op:?}"),
+            eval_bin(op, l, r),
+            reference::eval_bin(op, l, r),
+        )?;
+    }
+    Ok(())
+}
+
+/// Builds a Bool column; selector 0 → NULL.
+fn bool_col(rows: &[(u8, i64)]) -> Column {
+    let mut c = Column::new(DType::Bool);
+    for (sel, v) in rows {
+        if *sel == 0 {
+            c.push_null();
+        } else {
+            c.push(Value::Bool(v % 2 == 0)).unwrap();
+        }
+    }
+    c
+}
+
+/// Every column dtype (strings both plain and dictionary-encoded) over one
+/// row recipe.
+fn all_cols(rows: &[(u8, i64, u8, f64)]) -> Vec<Column> {
+    let i: Vec<(u8, i64)> = rows.iter().map(|r| (r.0, r.1)).collect();
+    let f: Vec<(u8, f64)> = rows.iter().map(|r| (r.2, r.3)).collect();
+    vec![
+        int_col(&i),
+        float_col(&f),
+        date_col(&i),
+        bool_col(&i),
+        str_col(&i),
+        str_col(&i).encode_str(),
+    ]
+}
+
+/// A non-null literal broadcast to `n` rows — what the scalar kernels must
+/// be indistinguishable from.
+fn lit_col(v: &Value, n: usize) -> Column {
+    let mut c = Column::with_capacity(v.dtype().expect("non-null literal"), n);
+    for _ in 0..n {
+        c.push(v.clone()).unwrap();
+    }
+    c
+}
+
+/// `col op lit` and `lit op col` through [`BExpr::eval`] (the scalar
+/// kernels) against the reference evaluator over the broadcast literal.
+fn assert_scalar_matches_reference(ops: &[BinOp], col: &Column, lit: &Value) -> Result<(), String> {
+    let batch = Batch::from_columns(vec![col.clone()]);
+    let litc = lit_col(lit, col.len());
+    for &op in ops {
+        for lit_left in [false, true] {
+            let (l, r) = (BExpr::Col(0), BExpr::Lit(lit.clone()));
+            let (l, r) = if lit_left { (r, l) } else { (l, r) };
+            let e = BExpr::Bin {
+                op,
+                l: Box::new(l),
+                r: Box::new(r),
+            };
+            let slow = if lit_left {
+                reference::eval_bin(op, &litc, col)
+            } else {
+                reference::eval_bin(op, col, &litc)
+            };
+            same_outcome(
+                &format!("{e} over {:?}", col.dtype()),
+                e.eval(&batch, None),
+                slow,
+            )?;
         }
     }
     Ok(())
@@ -186,12 +270,30 @@ proptest! {
         negated in 0u8..2,
     ) {
         let negated = negated == 1;
-        for col in [int_col(&rows), date_col(&rows), str_col(&rows)] {
-            let list: Vec<Value> = match col.dtype() {
-                DType::Int => cands.iter().map(|&v| Value::Int(v)).collect(),
+        let floats: Vec<(u8, f64)> = rows.iter().map(|r| (r.0 * 2, r.1 as f64 * 0.5)).collect();
+        let date_strs = |i: usize, v: i64| {
+            // Parsable and unparsable date strings: the row-wise fallback.
+            if i % 2 == 0 { Value::Str(date::format(v as i32)) } else { Value::Str(format!("s{v}")) }
+        };
+        let cols = [
+            (int_col(&rows), 0),
+            (date_col(&rows), 0),
+            (str_col(&rows), 0),
+            (str_col(&rows).encode_str(), 0),
+            (float_col(&floats), 0),
+            (date_col(&rows), 1),
+        ];
+        for (col, variant) in cols {
+            let list: Vec<Value> = match (col.dtype(), variant) {
+                (DType::Int, _) => cands.iter().map(|&v| Value::Int(v)).collect(),
                 // Mixed Int/Date candidates exercise the i64 unification.
-                DType::Date => cands.iter().enumerate().map(|(i, &v)| {
+                (DType::Date, 0) => cands.iter().enumerate().map(|(i, &v)| {
                     if i % 2 == 0 { Value::Date(v as i32) } else { Value::Int(v) }
+                }).collect(),
+                (DType::Date, _) => cands.iter().enumerate().map(|(i, &v)| date_strs(i, v)).collect(),
+                // Int-vs-Float candidates against a float column.
+                (DType::Float, _) => cands.iter().enumerate().map(|(i, &v)| {
+                    if i % 2 == 0 { Value::Int(v) } else { Value::Float(v as f64 * 0.5) }
                 }).collect(),
                 _ => cands.iter().map(|&v| Value::Str(format!("s{}", v.rem_euclid(12)))).collect(),
             };
@@ -213,6 +315,138 @@ proptest! {
                 })
                 .collect();
             prop_assert!(got == want, "IN-list diverged: {got:?} vs {want:?}");
+        }
+    }
+
+    /// Comparison kernels with a literal operand: every column dtype ×
+    /// literal dtype × side, NULL rows and NaN on both sides, `Ne` included,
+    /// Int-vs-Float literals, parsable and unparsable date strings.
+    #[test]
+    fn scalar_cmp_kernels_match_reference(
+        rows in prop::collection::vec(
+            (0u8..6, -50i64..50, 0u8..8, -100.0f64..100.0), 1..80),
+        k in -50i64..50,
+        x in -100.0f64..100.0,
+    ) {
+        let lits = [
+            Value::Int(k),
+            Value::Float(x),
+            Value::Float(k as f64),
+            Value::Float(f64::NAN),
+            Value::Date(k as i32),
+            Value::Bool(k % 2 == 0),
+            Value::Str(format!("s{}", k.rem_euclid(12))),
+            Value::Str(date::format(k as i32)),
+            Value::Str("1994-13-45".into()),
+        ];
+        for col in all_cols(&rows) {
+            for lit in &lits {
+                let checked = assert_scalar_matches_reference(&CMP, &col, lit);
+                prop_assert!(checked.is_ok(), "{checked:?}");
+            }
+        }
+    }
+
+    /// Arithmetic kernels with a literal operand on either side, over every
+    /// numeric-like column and literal (strings error identically and are
+    /// pinned by the engine's unit tests).
+    #[test]
+    fn scalar_arith_kernels_match_reference(
+        rows in prop::collection::vec(
+            (0u8..6, -1000i64..1000, 0u8..8, -1e6f64..1e6), 1..80),
+        k in -40i64..40,
+        x in -1e3f64..1e3,
+    ) {
+        let lits = [
+            Value::Int(k),
+            Value::Int(0),
+            Value::Float(x),
+            Value::Float(f64::NAN),
+            Value::Float(-0.0),
+            Value::Date(k as i32),
+            Value::Bool(k % 2 == 0),
+        ];
+        for col in all_cols(&rows).into_iter().take(4) {
+            for lit in &lits {
+                let checked = assert_scalar_matches_reference(&ARITH, &col, lit);
+                prop_assert!(checked.is_ok(), "{checked:?}");
+            }
+        }
+    }
+
+    /// Concatenation with a literal operand: string, dictionary and
+    /// `Display`-formatted columns, literal on either side.
+    #[test]
+    fn scalar_concat_matches_reference(
+        rows in prop::collection::vec((0u8..4, -50i64..50, 0u8..8, -9.0f64..9.0), 1..40),
+        k in -50i64..50,
+    ) {
+        let lits = [
+            Value::Str(format!("<{k}>")),
+            Value::Int(k),
+            Value::Float(k as f64 * 0.5),
+            Value::Date(k as i32),
+        ];
+        for col in all_cols(&rows) {
+            for lit in &lits {
+                let checked = assert_scalar_matches_reference(&[BinOp::Concat], &col, lit);
+                prop_assert!(checked.is_ok(), "{checked:?}");
+            }
+        }
+    }
+
+    /// Bind-time literal typing is invisible: comparisons, `IN` and
+    /// `BETWEEN` written with string dates / integer constants select exactly
+    /// the rows `Value::sql_cmp` selects with the literals as written, under
+    /// both executors.
+    #[test]
+    fn typed_literals_keep_sql_cmp_semantics(
+        rows in prop::collection::vec((0u8..5, 0i64..120, 0u8..8, -3.0f64..9.0), 1..60),
+        a in 0i64..120,
+        b in 0i64..120,
+    ) {
+        let d = date_col(&rows.iter().map(|r| (r.0, r.1)).collect::<Vec<_>>());
+        let f = float_col(&rows.iter().map(|r| (r.2, r.3)).collect::<Vec<_>>());
+        let n = rows.len();
+        let db = Database::new();
+        db.register("t", Relation::new(vec![
+            ("d".into(), d.clone()),
+            ("f".into(), f.clone()),
+            ("v".into(), Column::from_i64((0..n as i64).collect())),
+        ]).unwrap());
+        let day = |x: i64| Value::Str(date::format(x as i32));
+        let junk = || Value::Str("soon".into());
+        let (lo, hi) = (a.min(b), a.max(b));
+        let preds = [
+            Pred::Cmp("d", BinOp::Ge, day(a), false),
+            Pred::Cmp("d", BinOp::Lt, day(a), true),
+            Pred::Cmp("d", BinOp::Ne, day(a), false),
+            Pred::Cmp("d", BinOp::Ne, junk(), false),
+            Pred::Cmp("d", BinOp::Eq, junk(), true),
+            Pred::Between("d", day(lo), day(hi), false),
+            Pred::Between("d", day(lo), day(hi), true),
+            Pred::Between("d", day(lo), junk(), false),
+            Pred::In("d", vec![day(a), junk(), day(b)], false),
+            Pred::In("d", vec![day(a), day(b)], true),
+            Pred::Cmp("f", BinOp::Gt, Value::Int(a % 9), false),
+            Pred::Cmp("f", BinOp::Le, Value::Int(a % 9), true),
+            Pred::Cmp("f", BinOp::Ne, Value::Int(0), false),
+            Pred::Between("f", Value::Int(lo % 9 - 3), Value::Int(hi % 9), false),
+            Pred::In("f", vec![Value::Int(0), Value::Float(2.5), Value::Int(a % 9)], false),
+            Pred::In("f", vec![Value::Int(0), Value::Int(b % 9)], true),
+        ];
+        for p in &preds {
+            let col = if p.column() == "d" { &d } else { &f };
+            let want: Vec<i64> = (0..n).filter(|&i| p.holds(&col.get(i))).map(|i| i as i64).collect();
+            let sql = format!("SELECT v FROM t WHERE {}", p.sql());
+            for profile in [Profile::Vectorized, Profile::Fused] {
+                let cfg = EngineConfig { profile, threads: 1, ..EngineConfig::default() };
+                let got = db.execute_sql(&sql, &cfg).unwrap();
+                prop_assert!(
+                    got.column("v").unwrap().as_int() == want.as_slice(),
+                    "{sql} under {profile:?}: {:?} vs {want:?}", got.column("v").unwrap()
+                );
+            }
         }
     }
 
@@ -321,4 +555,201 @@ fn partition<K: std::hash::Hash + Eq + Clone>(keys: &[K]) -> Vec<Vec<usize>> {
         e.push(i);
     }
     order.into_iter().map(|k| map.remove(&k).unwrap()).collect()
+}
+
+/// A predicate written in SQL with untyped literals, plus its row-at-a-time
+/// meaning under `Value::sql_cmp` — the semantics bind-time literal typing
+/// must preserve.
+enum Pred {
+    /// `col op lit`, or `lit op col` when the flag is set.
+    Cmp(&'static str, BinOp, Value, bool),
+    /// `col [NOT] BETWEEN lo AND hi`.
+    Between(&'static str, Value, Value, bool),
+    /// `col [NOT] IN (list)`.
+    In(&'static str, Vec<Value>, bool),
+}
+
+fn sql_lit(v: &Value) -> String {
+    match v {
+        Value::Str(s) => format!("'{s}'"),
+        other => other.to_string(),
+    }
+}
+
+impl Pred {
+    fn column(&self) -> &'static str {
+        match self {
+            Pred::Cmp(c, ..) | Pred::Between(c, ..) | Pred::In(c, ..) => c,
+        }
+    }
+
+    fn sql(&self) -> String {
+        let sym = |op: &BinOp| match op {
+            BinOp::Eq => "=",
+            BinOp::Ne => "<>",
+            BinOp::Lt => "<",
+            BinOp::Le => "<=",
+            BinOp::Gt => ">",
+            _ => ">=",
+        };
+        match self {
+            Pred::Cmp(c, op, v, false) => format!("{c} {} {}", sym(op), sql_lit(v)),
+            Pred::Cmp(c, op, v, true) => format!("{} {} {c}", sql_lit(v), sym(op)),
+            Pred::Between(c, lo, hi, neg) => format!(
+                "{c} {}BETWEEN {} AND {}",
+                if *neg { "NOT " } else { "" },
+                sql_lit(lo),
+                sql_lit(hi)
+            ),
+            Pred::In(c, list, neg) => format!(
+                "{c} {}IN ({})",
+                if *neg { "NOT " } else { "" },
+                list.iter().map(sql_lit).collect::<Vec<_>>().join(", ")
+            ),
+        }
+    }
+
+    fn holds(&self, x: &Value) -> bool {
+        use std::cmp::Ordering::*;
+        let cmp = |op: &BinOp, l: &Value, r: &Value| {
+            l.sql_cmp(r).is_some_and(|o| match op {
+                BinOp::Eq => o == Equal,
+                BinOp::Ne => o != Equal,
+                BinOp::Lt => o == Less,
+                BinOp::Le => o != Greater,
+                BinOp::Gt => o == Greater,
+                _ => o != Less,
+            })
+        };
+        match self {
+            Pred::Cmp(_, op, v, false) => cmp(op, x, v),
+            Pred::Cmp(_, op, v, true) => cmp(op, v, x),
+            // NOT over a two-valued predicate: NULL rows flip to true, as
+            // in the engine (comparisons collapse NULL to false).
+            Pred::Between(_, lo, hi, neg) => {
+                (cmp(&BinOp::Ge, x, lo) && cmp(&BinOp::Le, x, hi)) != *neg
+            }
+            Pred::In(_, list, neg) => {
+                !x.is_null() && list.iter().any(|v| x.sql_cmp(v) == Some(Equal)) != *neg
+            }
+        }
+    }
+}
+
+/// `true` under `PYTOND_NO_DICT=1`: results still have to agree, but no
+/// column is encoded, so no predicate table can exist.
+fn dict_disabled() -> bool {
+    std::env::var("PYTOND_NO_DICT").is_ok_and(|v| {
+        let v = v.trim();
+        !v.is_empty() && v != "0"
+    })
+}
+
+/// A dictionary larger than the morsel: the same rows come back at morsel
+/// sizes 1 / 4096 / n, threads 1 / 2 / 7, fused and materializing, encoded
+/// and plain — and each dictionary predicate builds exactly one table per
+/// execution, however many morsels evaluate it.
+#[test]
+fn dictionary_tables_span_morsels() {
+    let n = 9_000usize;
+    let distinct = 6_000usize; // > ZONE_ROWS: no morsel sees the whole dictionary
+    let mut s = Column::new(DType::Str);
+    for i in 0..n {
+        if i % 11 == 0 {
+            s.push_null();
+        } else {
+            let k = i.wrapping_mul(2_654_435_761) % distinct;
+            s.push(Value::Str(format!("key-{k:05}"))).unwrap();
+        }
+    }
+    let rel = Relation::new(vec![
+        ("s".into(), s),
+        ("v".into(), Column::from_i64((0..n as i64).collect())),
+    ])
+    .unwrap();
+    let (encoded, plain) = (Database::new(), Database::new());
+    encoded.register("t", rel.clone());
+    plain.register_plain("t", rel);
+    let predicates = [
+        ("s LIKE '%7'", 1),
+        ("s NOT LIKE 'key-00%'", 1),
+        ("s >= 'key-03000'", 1),
+        ("'key-01000' > s", 1),
+        ("s IN ('key-00001', 'key-04242', 'nope')", 1),
+        ("s NOT IN ('key-00001', 'key-04242')", 1),
+        ("s LIKE '%1' OR s = 'key-00002'", 2),
+    ];
+    for (pred, tables) in predicates {
+        let sql = format!("SELECT v FROM t WHERE {pred}");
+        let oracle_cfg = EngineConfig {
+            profile: Profile::Vectorized,
+            threads: 1,
+            ..EngineConfig::default()
+        };
+        let want = plain.execute_sql(&sql, &oracle_cfg).unwrap();
+        for morsel in [1, 4096, n] {
+            for threads in [1, 2, 7] {
+                for profile in [Profile::Fused, Profile::Vectorized] {
+                    let cfg = EngineConfig {
+                        profile,
+                        threads,
+                        morsel,
+                        ..EngineConfig::default()
+                    };
+                    let (got, trace) = encoded.execute_sql_traced(&sql, &cfg).unwrap();
+                    let what = format!("{pred} / {profile:?} / morsel {morsel} / {threads}t");
+                    assert_eq!(
+                        got.column("v").unwrap().as_int(),
+                        want.column("v").unwrap().as_int(),
+                        "{what}"
+                    );
+                    let expect = if dict_disabled() { 0 } else { tables };
+                    assert_eq!(trace.metrics.dict_pred_tables, expect, "{what}");
+                }
+            }
+        }
+    }
+}
+
+/// TPC-H Q13 at SF 0.01: `o_comment NOT LIKE '%special%requests%'` runs
+/// over a 15 K-row scan in four zone morsels against a dictionary larger
+/// than any of them, and builds exactly one table — not one per morsel.
+#[test]
+fn q13_builds_one_dictionary_table() {
+    use pytond::{Backend, OptLevel, Pytond};
+    let data = pytond_tpch::generate(0.01);
+    let py = Pytond::new();
+    for (name, rel, unique) in data.tables() {
+        let keys: Vec<&[&str]> = unique.iter().map(|k| k.as_slice()).collect();
+        py.register_table(name, rel.clone(), &keys);
+    }
+    let q = pytond_tpch::query(13);
+    for profile in [Profile::Fused, Profile::Vectorized] {
+        for threads in [1, 2] {
+            let backend = Backend {
+                profile,
+                threads,
+                timeout_ms: None,
+                mem_budget_mb: None,
+            };
+            let prepared = py.prepare(q.source, &backend, OptLevel::O4).unwrap();
+            let cfg = EngineConfig {
+                profile,
+                threads,
+                ..EngineConfig::default()
+            };
+            let (_, trace) = py
+                .database()
+                .execute_prepared_traced(&prepared, &cfg)
+                .unwrap();
+            assert!(trace.metrics.morsels_scanned >= 4, "{}", trace.summary());
+            let expect = if dict_disabled() { 0 } else { 1 };
+            assert_eq!(
+                trace.metrics.dict_pred_tables,
+                expect,
+                "{profile:?}@{threads}t: {}",
+                trace.summary()
+            );
+        }
+    }
 }
