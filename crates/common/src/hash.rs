@@ -536,9 +536,15 @@ impl KeyArena {
         (s != usize::MAX).then(|| &self.buf[s..e])
     }
 
-    /// All keys as borrowed slices, in row order.
-    pub fn keys(&self) -> Vec<Option<&[u8]>> {
-        (0..self.len()).map(|i| self.key(i)).collect()
+    /// All keys as borrowed slices in row order, plus the NULL-key mask of
+    /// an arena encoded with `skip_nulls = true` (`None` when no row was
+    /// skipped; a skipped row's slice is empty and must not be matched).
+    pub fn keys_and_nulls(&self) -> (Vec<&[u8]>, Option<Vec<bool>>) {
+        let keys = (0..self.len())
+            .map(|i| self.key(i).unwrap_or(&[]))
+            .collect();
+        let nulls: Vec<bool> = self.spans.iter().map(|s| *s == NULL_SPAN).collect();
+        (keys, nulls.contains(&true).then_some(nulls))
     }
 
     /// All keys for arenas encoded with `skip_nulls = false` (every row has
@@ -581,20 +587,7 @@ fn push_f64(buf: &mut Vec<u8>, f: f64) {
     buf.extend_from_slice(&canonical_f64_bits(f).to_le_bytes());
 }
 
-/// Turns `(keys, skip)` from a fixed-width pack into per-row optional keys
-/// (join semantics: `None` = NULL-containing key, never matches).
-pub fn opt_keys<K>((keys, skip): (Vec<K>, Option<Vec<bool>>)) -> Vec<Option<K>> {
-    match skip {
-        None => keys.into_iter().map(Some).collect(),
-        Some(s) => keys
-            .into_iter()
-            .zip(s)
-            .map(|(k, null)| (!null).then_some(k))
-            .collect(),
-    }
-}
-
-// ---------------- partitioned hash-join build ----------------
+// ---------------- CSR hash-join build ----------------
 
 /// Hashes one key with the engine's [`FxHasher`] (the partitioning hash of
 /// [`PartitionedIndex`]; exposed so diagnostics can reproduce placements).
@@ -607,9 +600,73 @@ pub fn fx_hash_one<K: std::hash::Hash>(k: &K) -> u64 {
 /// Rows per partition-id morsel in [`PartitionedIndex::build`].
 const PARTITION_MORSEL: usize = 64 * 1024;
 
-/// A hash-join build side, optionally split into `P` hash partitions built
-/// concurrently (P = the worker count rounded up to a power of two, capped
-/// at 64).
+/// One partition of a join index in CSR form: every distinct key owns a
+/// dense slot, and slot `s`'s build rows are the contiguous run
+/// `rows[offsets[s]..offsets[s + 1]]`. Three flat arrays and one
+/// key → slot map — nothing is allocated per key or per row.
+#[derive(Debug)]
+struct CsrPart<K> {
+    slots: FxHashMap<K, u32>,
+    offsets: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl<K: std::hash::Hash + Eq + Copy> CsrPart<K> {
+    /// Builds from the partition's build rows, visited in **ascending**
+    /// order, in two counted passes: the first assigns slots (first
+    /// occurrence order) and counts each slot's rows, the second scatters
+    /// row ids to their slot's run. The scatter keeps visit order, so every
+    /// run is ascending — the order a row-at-a-time `push` build yields.
+    /// `at_most` bounds the row count (it sizes the per-row slot scratch);
+    /// the slot map grows with the distinct keys it meets, never the rows.
+    fn build(keys: &[K], rows: impl Iterator<Item = u32> + Clone, at_most: usize) -> CsrPart<K> {
+        let mut slots: FxHashMap<K, u32> = FxHashMap::default();
+        let mut counts: Vec<u32> = Vec::new();
+        let mut slot_of: Vec<u32> = Vec::with_capacity(at_most);
+        for i in rows.clone() {
+            let s = *slots.entry(keys[i as usize]).or_insert(counts.len() as u32);
+            if s as usize == counts.len() {
+                counts.push(0);
+            }
+            counts[s as usize] += 1;
+            slot_of.push(s);
+        }
+        // Exclusive prefix sum; `counts` then serves as the scatter cursor.
+        let mut offsets = Vec::with_capacity(counts.len() + 1);
+        let mut total = 0u32;
+        for c in &mut counts {
+            offsets.push(total);
+            total += std::mem::replace(c, total);
+        }
+        offsets.push(total);
+        let mut out = vec![0u32; total as usize];
+        for (i, s) in rows.zip(slot_of) {
+            let at = &mut counts[s as usize];
+            out[*at as usize] = i;
+            *at += 1;
+        }
+        CsrPart {
+            slots,
+            offsets,
+            rows: out,
+        }
+    }
+
+    #[inline]
+    fn get(&self, k: &K) -> Option<&[u32]> {
+        let s = *self.slots.get(k)? as usize;
+        Some(&self.rows[self.offsets[s] as usize..self.offsets[s + 1] as usize])
+    }
+
+    fn heap_bytes(&self) -> u64 {
+        let entry = std::mem::size_of::<K>() + std::mem::size_of::<u32>() + 1;
+        (self.slots.capacity() * entry + 4 * (self.offsets.len() + self.rows.len())) as u64
+    }
+}
+
+/// A hash-join build side in CSR form (see `docs/EXECUTION.md` § Join
+/// index), optionally split into `P` hash partitions built concurrently
+/// (P = the worker count rounded up to a power of two, capped at 64).
 ///
 /// Keys are assigned to partitions by hash bits **just below the top 7**:
 /// hashbrown (std's `HashMap`) tags control bytes with the top-7 bits (h2)
@@ -618,13 +675,13 @@ const PARTITION_MORSEL: usize = 64 * 1024;
 /// bucket spread — bits 51+ (below the tag, far above the buckets) touch
 /// neither. A morsel-parallel pass buckets row ids per (morsel, partition);
 /// one worker per partition then walks its buckets in morsel order, so
-/// every key's row list is ascending — exactly what a single-threaded build
+/// every key's row run is ascending — exactly what a single-threaded build
 /// over the same keys produces, and lookups are indistinguishable from the
-/// unpartitioned table. Total work is O(n) regardless of the partition
-/// count. `None` keys (NULL under join semantics) are never inserted.
+/// unpartitioned index. Total work is O(n) regardless of the partition
+/// count. NULL keys (join semantics) are never inserted.
 #[derive(Debug)]
 pub struct PartitionedIndex<K> {
-    parts: Vec<FxHashMap<K, Vec<u32>>>,
+    parts: Vec<CsrPart<K>>,
     /// `bits == 0` means a single partition (serial build, no hash on probe).
     bits: u32,
 }
@@ -634,13 +691,20 @@ pub struct PartitionedIndex<K> {
 pub const MIN_PARTITIONED_BUILD: usize = 16 * 1024;
 
 impl<K: std::hash::Hash + Eq + Copy + Send + Sync> PartitionedIndex<K> {
-    /// Builds the index over per-row optional keys. With `threads <= 1`, a
-    /// build side below [`MIN_PARTITIONED_BUILD`] rows, or a single hardware
-    /// worker, this is the exact serial single-map build.
-    pub fn build(keys: &[Option<K>], threads: usize) -> PartitionedIndex<K> {
+    /// Builds the index over per-row keys; `nulls[i]` marks a row whose key
+    /// contains a NULL (the `skip` mask of [`FixedKeySpec::pack_u64`], or
+    /// [`KeyArena::keys_and_nulls`]). With `threads <= 1` or a build side
+    /// below [`MIN_PARTITIONED_BUILD`] rows this is the serial
+    /// single-partition build.
+    pub fn build(keys: &[K], nulls: Option<&[bool]>, threads: usize) -> PartitionedIndex<K> {
+        let live = |i: &u32| nulls.map_or(true, |n| !n[*i as usize]);
         if threads <= 1 || keys.len() < MIN_PARTITIONED_BUILD {
             return PartitionedIndex {
-                parts: vec![Self::build_one(keys)],
+                parts: vec![CsrPart::build(
+                    keys,
+                    (0..keys.len() as u32).filter(live),
+                    keys.len(),
+                )],
                 bits: 0,
             };
         }
@@ -655,51 +719,41 @@ impl<K: std::hash::Hash + Eq + Copy + Send + Sync> PartitionedIndex<K> {
             "index-partition",
             |_, r| {
                 let mut local: Vec<Vec<u32>> = vec![Vec::new(); p];
-                for i in r {
-                    if let Some(k) = &keys[i] {
-                        local[partition_of(fx_hash_one(k), bits)].push(i as u32);
-                    }
+                for i in (r.start as u32..r.end as u32).filter(live) {
+                    local[partition_of(fx_hash_one(&keys[i as usize]), bits)].push(i);
                 }
                 Ok(local)
             },
         )
         .expect("partition pass is infallible")
         .results;
-        // Phase 2: one worker per partition inserts its buckets in morsel
-        // order (ascending row ids) — O(n) total across all workers.
+        // Phase 2: one worker per partition builds its CSR part from its
+        // buckets in morsel order (ascending row ids) — O(n) total.
         let parts = crate::pool::par_indexed(threads, p, "index-build", |pi| {
-            let mut m: FxHashMap<K, Vec<u32>> = FxHashMap::default();
-            for morsel in &buckets {
-                for &i in &morsel[pi] {
-                    if let Some(k) = keys[i as usize] {
-                        m.entry(k).or_default().push(i);
-                    }
-                }
-            }
-            m
+            let mine = buckets.iter().flat_map(|m| m[pi].iter().copied());
+            CsrPart::build(keys, mine, buckets.iter().map(|m| m[pi].len()).sum())
         });
         PartitionedIndex { parts, bits }
-    }
-
-    fn build_one(keys: &[Option<K>]) -> FxHashMap<K, Vec<u32>> {
-        let mut m: FxHashMap<K, Vec<u32>> = FxHashMap::default();
-        for (i, k) in keys.iter().enumerate() {
-            if let Some(k) = k {
-                m.entry(*k).or_default().push(i as u32);
-            }
-        }
-        m
     }
 
     /// The build-side rows matching `k`, in ascending row order.
     #[inline]
     pub fn get(&self, k: &K) -> Option<&[u32]> {
-        let part = if self.bits == 0 {
-            &self.parts[0]
+        if self.bits == 0 {
+            self.parts[0].get(k)
         } else {
-            &self.parts[partition_of(fx_hash_one(k), self.bits)]
-        };
-        part.get(k).map(|v| v.as_slice())
+            self.parts[partition_of(fx_hash_one(k), self.bits)].get(k)
+        }
+    }
+
+    /// [`PartitionedIndex::get`] for probe row `i` of per-row keys with
+    /// their NULL mask: NULL keys never match.
+    #[inline]
+    pub fn probe(&self, keys: &[K], nulls: Option<&[bool]>, i: usize) -> Option<&[u32]> {
+        if nulls.is_some_and(|n| n[i]) {
+            return None;
+        }
+        self.get(&keys[i])
     }
 
     /// Number of physical partitions (1 = unpartitioned serial build).
@@ -710,6 +764,12 @@ impl<K: std::hash::Hash + Eq + Copy + Send + Sync> PartitionedIndex<K> {
     /// `true` when the build actually partitioned (and ran concurrently).
     pub fn partitioned(&self) -> bool {
         self.bits != 0
+    }
+
+    /// Bytes the index holds: slot-map capacity plus the offset and row
+    /// arrays, summed over partitions.
+    pub fn heap_bytes(&self) -> u64 {
+        self.parts.iter().map(CsrPart::heap_bytes).sum()
     }
 }
 
@@ -889,39 +949,93 @@ mod tests {
         assert_eq!(a.key(0), Some(want.as_slice()));
     }
 
+    /// Splits optional keys into the packed `(keys, nulls)` form the index
+    /// builds from.
+    fn split(keys: &[Option<u64>]) -> (Vec<u64>, Option<Vec<bool>>) {
+        let nulls: Vec<bool> = keys.iter().map(Option::is_none).collect();
+        (
+            keys.iter().map(|k| k.unwrap_or(0)).collect(),
+            nulls.contains(&true).then_some(nulls),
+        )
+    }
+
+    /// The CSR index against the obvious grouping, for every input shape
+    /// the executor produces and both build paths.
     #[test]
-    fn partitioned_index_matches_serial_build() {
-        // Enough rows to cross MIN_PARTITIONED_BUILD, with NULLs sprinkled in.
-        let n = MIN_PARTITIONED_BUILD + 1234;
-        let keys: Vec<Option<u64>> = (0..n)
-            .map(|i| {
-                if i % 97 == 0 {
-                    None
-                } else {
-                    Some((i % 4096) as u64)
+    fn csr_index_matches_naive_grouping() {
+        use std::collections::BTreeMap;
+        let big = MIN_PARTITIONED_BUILD + 1234;
+        let shapes: Vec<(&str, Vec<Option<u64>>)> = vec![
+            ("empty", vec![]),
+            ("all-null", vec![None; 300]),
+            ("unique", (0..5000u64).map(|i| Some(i * 7919)).collect()),
+            ("duplicated", (0..5000u64).map(|i| Some(i % 25)).collect()),
+            (
+                "big-mixed",
+                (0..big as u64)
+                    .map(|i| (i % 97 != 0).then_some(i % 4096))
+                    .collect(),
+            ),
+            ("big-unique", (0..big as u64).map(Some).collect()),
+        ];
+        for (name, opt) in &shapes {
+            let mut naive: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+            for (i, k) in opt.iter().enumerate() {
+                if let Some(k) = k {
+                    naive.entry(*k).or_default().push(i as u32);
                 }
-            })
-            .collect();
-        let serial = PartitionedIndex::build(&keys, 1);
-        assert!(!serial.partitioned());
-        let par = PartitionedIndex::build(&keys, 7);
-        assert!(par.partitioned());
-        assert_eq!(par.num_partitions(), 8);
-        for probe in 0..5000u64 {
-            assert_eq!(serial.get(&probe), par.get(&probe), "key {probe}");
+            }
+            let (keys, nulls) = split(opt);
+            for threads in [1, 2, 7] {
+                let idx = PartitionedIndex::build(&keys, nulls.as_deref(), threads);
+                let partitioned = threads > 1 && keys.len() >= MIN_PARTITIONED_BUILD;
+                assert_eq!(idx.partitioned(), partitioned, "{name} @ {threads}");
+                for (k, rows) in &naive {
+                    assert_eq!(idx.get(k), Some(rows.as_slice()), "{name} @ {threads}: {k}");
+                    assert!(rows.windows(2).all(|w| w[0] < w[1]));
+                }
+                // Absent keys (including the NULL rows' placeholder 0 when no
+                // real row carries it) miss; NULL probe rows never match.
+                for absent in [u64::MAX, 4096 * 7919 + 1] {
+                    assert_eq!(idx.get(&absent), None, "{name} @ {threads}");
+                }
+                if !naive.contains_key(&0) {
+                    assert_eq!(idx.get(&0), None, "{name} @ {threads}: NULL placeholder");
+                }
+                for (i, k) in opt.iter().enumerate().take(200) {
+                    let want = k.and_then(|k| naive.get(&k)).map(Vec::as_slice);
+                    assert_eq!(idx.probe(&keys, nulls.as_deref(), i), want);
+                }
+            }
         }
-        // Row lists are ascending (single-build order) in both layouts.
-        let rows = par.get(&7).unwrap();
-        assert!(rows.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
-    fn small_builds_stay_unpartitioned() {
-        let keys: Vec<Option<u64>> = (0..100).map(Some).collect();
-        let idx = PartitionedIndex::build(&keys, 8);
-        assert_eq!(idx.num_partitions(), 1);
-        assert_eq!(idx.get(&5), Some(&[5u32][..]));
-        assert_eq!(idx.get(&1000), None);
+    fn partition_count_follows_the_worker_count() {
+        let keys: Vec<u64> = (0..MIN_PARTITIONED_BUILD as u64 + 1).collect();
+        assert_eq!(PartitionedIndex::build(&keys, None, 7).num_partitions(), 8);
+        assert_eq!(PartitionedIndex::build(&keys, None, 1).num_partitions(), 1);
+        assert_eq!(
+            PartitionedIndex::build(&keys[..100], None, 8).num_partitions(),
+            1
+        );
+    }
+
+    /// The index holds O(distinct) key state plus one `u32` per build row:
+    /// 25 keys over 300 K rows cost the row array and little else.
+    #[test]
+    fn heavily_duplicated_builds_hold_no_per_row_key_state() {
+        let n = 300_000usize;
+        let keys: Vec<u64> = (0..n as u64).map(|i| i % 25).collect();
+        let dup = PartitionedIndex::build(&keys, None, 1);
+        assert!(
+            dup.heap_bytes() < (4 * n + 4096) as u64,
+            "{}",
+            dup.heap_bytes()
+        );
+        let unique: Vec<u64> = (0..n as u64).collect();
+        let uniq = PartitionedIndex::build(&unique, None, 1);
+        assert!(uniq.heap_bytes() >= (4 * n + 4 * n + 13 * n) as u64);
     }
 
     #[test]

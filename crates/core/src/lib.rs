@@ -385,7 +385,8 @@ impl Pytond {
 
     /// Registers a table, inferring its schema; `unique` lists single- or
     /// multi-column unique keys (the catalog constraints of Section III-A).
-    /// Publishes a new database + catalog version, so cached prepared plans
+    /// Columns holding no NULL are recorded as such — declared keys are
+    /// trusted, not validated, and may hold one. Publishes a new database + catalog version, so cached prepared plans
     /// re-plan on their next use; in-flight queries keep the snapshot they
     /// pinned.
     pub fn register_table(&self, name: &str, rel: Relation, unique: &[&[&str]]) {
@@ -395,6 +396,7 @@ impl Pytond {
             schema = schema.with_unique(key);
         }
         schema = schema.with_rows(rel.num_rows() as u64);
+        schema.not_null = null_free_columns(&rel);
         let mut catalog = (*self.catalog.load()).clone();
         catalog.add(schema);
         self.db.register(name, rel);
@@ -417,8 +419,10 @@ impl Pytond {
             .tables()
             .find(|t| t.name.eq_ignore_ascii_case(name))
             .cloned();
-        if let Some(schema) = entry {
+        if let Some(mut schema) = entry {
             let rows = self.db.table(name).map_or(0, |t| t.num_rows() as u64);
+            let still = null_free_columns(rel);
+            schema.not_null.retain(|c| still.contains(c));
             let mut catalog = (*cur).clone();
             catalog.add(schema.with_rows(rows));
             self.catalog.publish(Arc::new(catalog));
@@ -633,6 +637,15 @@ impl Pytond {
 /// Cache key for one (source, level, profile, stats version) combination.
 fn plan_key(source: &str, level: OptLevel, profile: Profile, stats_version: u64) -> PlanKey {
     (source.to_string(), level, profile, stats_version)
+}
+
+/// Names of `rel`'s columns that hold no NULL.
+fn null_free_columns(rel: &Relation) -> Vec<String> {
+    rel.columns()
+        .iter()
+        .filter(|(_, col)| col.null_count() == 0)
+        .map(|(name, _)| name.clone())
+        .collect()
 }
 
 #[cfg(test)]

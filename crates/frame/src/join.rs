@@ -3,7 +3,7 @@
 
 use crate::dataframe::DataFrame;
 use crate::series::Series;
-use pytond_common::hash::{opt_keys, FixedKeySpec, KeyArena, KeyWidth, PartitionedIndex};
+use pytond_common::hash::{FixedKeySpec, FxHashMap, KeyArena, KeyWidth};
 use pytond_common::{pool, Column, Error, Result};
 use std::hash::Hash;
 
@@ -66,9 +66,11 @@ pub fn merge(
         right.col(k)?;
     }
 
-    // Same key machinery as the SQL engine (the fairness rule): fixed-width
+    // Same key encoding as the SQL engine (the fairness rule): fixed-width
     // keys pack into machine words, anything else arena-encodes into borrowed
-    // byte slices — either way, build and probe never clone a key. NULL keys
+    // byte slices — either way, build and probe never clone a key. The hash
+    // table itself is this crate's own ([`build_table`]), so the baseline
+    // stays a reference independent of the engine's join index. NULL keys
     // never match (SQL/Pandas semantics). Pandas equality is type-sensitive
     // (Int never equals Date), so the packed path — whose slot unification
     // would equate them — only applies when each key position carries the
@@ -100,7 +102,7 @@ pub fn merge(
         None => {
             let la = KeyArena::encode_raw(&lcols, true);
             let ra = KeyArena::encode_raw(&rcols, true);
-            probe_indices(&la.keys(), &ra.keys(), how)
+            probe_indices(&arena_keys(&la), &arena_keys(&ra), how)
         }
     };
 
@@ -109,14 +111,42 @@ pub fn merge(
     )
 }
 
+/// An arena's per-row keys (`None` = NULL-containing key).
+fn arena_keys(arena: &KeyArena) -> Vec<Option<&[u8]>> {
+    (0..arena.len()).map(|i| arena.key(i)).collect()
+}
+
+/// Turns `(keys, skip)` from a fixed-width pack into per-row optional keys
+/// (`None` = NULL-containing key, never matches).
+fn opt_keys<K>((keys, skip): (Vec<K>, Option<Vec<bool>>)) -> Vec<Option<K>> {
+    match skip {
+        None => keys.into_iter().map(Some).collect(),
+        Some(s) => keys
+            .into_iter()
+            .zip(s)
+            .map(|(k, null)| (!null).then_some(k))
+            .collect(),
+    }
+}
+
+/// The build side: key → its rows in ascending order. `None` keys are never
+/// inserted.
+fn build_table<K: Hash + Eq + Copy>(keys: &[Option<K>]) -> FxHashMap<K, Vec<u32>> {
+    let mut table: FxHashMap<K, Vec<u32>> = FxHashMap::default();
+    for (i, k) in keys.iter().enumerate() {
+        if let Some(k) = k {
+            table.entry(*k).or_default().push(i as u32);
+        }
+    }
+    table
+}
+
 /// Hash build (right) + ordered probe (left) over precomputed per-row keys;
 /// `None` keys never match.
 ///
-/// Reuses the engine's machinery on large inputs: the build side partitions
-/// by key hash and builds concurrently ([`PartitionedIndex`]), the probe
-/// side claims morsels from the shared pool and match lists stitch in
-/// morsel order — the output pairing is byte-for-byte the serial one at
-/// every thread count.
+/// On large inputs the probe side claims morsels from the shared pool and
+/// match lists stitch in morsel order — the output pairing is byte-for-byte
+/// the serial one at every thread count.
 #[allow(clippy::type_complexity)]
 fn probe_indices<K: Hash + Eq + Copy + Send + Sync>(
     lkeys: &[Option<K>],
@@ -139,7 +169,7 @@ fn probe_indices_with<K: Hash + Eq + Copy + Send + Sync>(
     how: JoinHow,
     threads: usize,
 ) -> (Vec<Option<usize>>, Vec<Option<usize>>) {
-    let table = PartitionedIndex::build(rkeys, threads);
+    let table = build_table(rkeys);
     let keep_unmatched_left = matches!(how, JoinHow::Left | JoinHow::Outer);
     if threads <= 1 {
         // Serial probe: push straight into the output vectors.
@@ -451,7 +481,7 @@ mod tests {
         assert_eq!(j2.num_rows(), 1);
     }
 
-    /// Parallel probe + partitioned build must reproduce the serial pairing
+    /// The parallel probe must reproduce the serial pairing
     /// byte-for-byte — for every join kind, at worker counts that do not
     /// divide the morsel grid, with NULL keys in the mix.
     #[test]

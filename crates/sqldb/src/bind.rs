@@ -644,10 +644,13 @@ impl<'a> Binder<'a> {
                 distinct,
             } = e
             {
-                let bound_arg = arg
+                let mut bound_arg = arg
                     .as_ref()
                     .map(|a| self.bind_expr(a, schema, None))
                     .transpose()?;
+                if let Some(a) = &mut bound_arg {
+                    order_commutative(a, &operand_types(schema, None));
+                }
                 let spec = BAgg {
                     func: *func,
                     arg: bound_arg,
@@ -917,6 +920,45 @@ fn operand_types(schema: &Schema, agg: Option<&AggCtx>) -> Vec<DType> {
             .map(|g| g.dtype(&input))
             .chain(ctx.aggs.iter().map(|a| agg_output_type(a, &input)))
             .collect(),
+    }
+}
+
+/// Orders the operands of commutative `*` / `+` nodes over two numeric
+/// (`Int`/`Float`) operands canonically — lower column index first, a bare
+/// column before anything else — so the aggregate dedup above computes
+/// `SUM(a * b)` and `SUM(b * a)` once. Only the two operands of one node
+/// ever swap (IEEE and wrapping-integer `*` and `+` commute exactly; nothing
+/// is re-associated), so every value is bit-identical to the written order.
+/// Date arithmetic is left alone: its kernels are not symmetric.
+fn order_commutative(e: &mut BExpr, types: &[DType]) {
+    let rank = |e: &BExpr| match e {
+        BExpr::Col(i) => (0, *i),
+        _ => (1, 0),
+    };
+    match e {
+        BExpr::Bin { op, l, r } => {
+            order_commutative(l, types);
+            order_commutative(r, types);
+            if matches!(op, BinOp::Add | BinOp::Mul)
+                && rank(l) > rank(r)
+                && l.dtype(types).is_numeric()
+                && r.dtype(types).is_numeric()
+            {
+                std::mem::swap(l, r);
+            }
+        }
+        BExpr::Not(e) | BExpr::Neg(e) | BExpr::Cast { e, .. } => order_commutative(e, types),
+        BExpr::Func { args, .. } => args.iter_mut().for_each(|a| order_commutative(a, types)),
+        BExpr::Case { arms, else_value } => {
+            for (c, v) in arms {
+                order_commutative(c, types);
+                order_commutative(v, types);
+            }
+            if let Some(e) = else_value {
+                order_commutative(e, types);
+            }
+        }
+        _ => {}
     }
 }
 

@@ -760,8 +760,9 @@ pub struct QueryTrace {
 
 impl QueryTrace {
     /// Human-readable runtime summary: parallelism, snapshot version,
-    /// admission queue wait, per-worker morsel claims, scan pruning and
-    /// join counters — the numbers the `docs/EXECUTION.md`,
+    /// admission queue wait, per-worker morsel claims, scan pruning, join
+    /// counters and the rows the query spent in build / probe / aggregate —
+    /// the numbers the `docs/EXECUTION.md`,
     /// `docs/SERVING.md` and ARCHITECTURE.md walk-throughs quote.
     pub fn summary(&self) -> String {
         let deadline = if self.metrics.deadline_ms == 0 {
@@ -782,6 +783,7 @@ impl QueryTrace {
              morsels claimed per worker: {:?}\n\
              scan zones: {} evaluated, {} pruned\n\
              joins flipped: {}, build partitions: {}\n\
+             rows: {} join build, {} join probe; {} aggregate group(s)\n\
              pipelines: {}, fused ops per pipeline: {:?}, intermediates avoided: {}\n\
              dict: {} encoded col(s) scanned, {} dict-probe pipeline(s), {} predicate table(s), {} col(s) decoded",
             self.threads,
@@ -796,6 +798,9 @@ impl QueryTrace {
             self.metrics.morsels_pruned,
             self.metrics.joins_flipped,
             self.metrics.partitions_built,
+            self.metrics.join_build_rows,
+            self.metrics.join_probe_rows,
+            self.metrics.agg_groups,
             self.metrics.pipelines,
             self.metrics.pipeline_ops,
             self.metrics.intermediates_avoided,
@@ -1457,6 +1462,58 @@ mod tests {
     fn order_by_multiple_keys_with_desc() {
         let r = run("SELECT s, a FROM t ORDER BY s ASC, a DESC");
         assert_eq!(r.column("a").unwrap().as_int(), &[3, 1, 2, 4]);
+    }
+
+    /// What a join charges follows what its CSR index holds: one row id (and
+    /// one scratch word) per build row, key state per *distinct* key. A
+    /// 25-key build over 300 K rows must not be charged — or reserve — a key
+    /// entry per row; a unique build pays for every key.
+    #[test]
+    fn join_index_memory_follows_distinct_keys() {
+        let n = 300_000i64;
+        let db = Database::new();
+        let keyed = |keys: Vec<i64>| Relation::new(vec![("k".into(), Column::from_i64(keys))]);
+        db.register("probe", keyed((0..n).collect()).unwrap());
+        db.register("dup", keyed((0..n).map(|i| i % 25).collect()).unwrap());
+        db.register("uniq", keyed((0..n).map(|i| i * 2).collect()).unwrap());
+        let semi = |build: &str, profile: Profile| {
+            let sql = format!("SELECT COUNT(*) AS n FROM probe WHERE k IN (SELECT k FROM {build})");
+            let (rel, trace) = db
+                .execute_sql_traced(&sql, &EngineConfig::new(profile, 1))
+                .unwrap();
+            assert_eq!(
+                trace.metrics.join_build_rows,
+                n as u64,
+                "{}",
+                trace.summary()
+            );
+            assert_eq!(
+                trace.metrics.join_probe_rows,
+                n as u64,
+                "{}",
+                trace.summary()
+            );
+            assert_eq!(trace.metrics.agg_groups, 1, "{}", trace.summary());
+            (
+                rel.column("n").unwrap().get(0),
+                trace.metrics.mem_peak_bytes,
+            )
+        };
+        for profile in [Profile::Vectorized, Profile::Fused] {
+            let (matches, charged) = semi("dup", profile);
+            assert_eq!(matches, Value::Int(25));
+            assert!(
+                charged < 8 * n as u64 + 4096,
+                "{profile:?}: {charged} bytes"
+            );
+            let (matches, charged) = semi("uniq", profile);
+            assert_eq!(matches, Value::Int(n / 2));
+            // + an offset (4 B) and a slot-map entry (≥ 13 B) per key.
+            assert!(
+                charged >= (8 + 4 + 13) * n as u64,
+                "{profile:?}: {charged} bytes"
+            );
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!   every profile; differential suites (`tests/fusion_property.rs`,
 //!   `tests/plan_fuzz.rs`) prove the two paths bit-identical.
 
-use crate::ast::AggName;
+use crate::agg::{AggLayout, AggState};
 use crate::db::Snapshot;
 use crate::expr::{BExpr, DictTables, RowsRef};
 use crate::pipeline::{self, Pipeline, Sink, Stage};
@@ -37,12 +37,14 @@ use crate::table::{Batch, Schema, StoredTable};
 use pytond_common::cancel::CancelToken;
 use pytond_common::fault::{self, FaultSite};
 use pytond_common::hash::{
-    distinct_keep, encode_value, normalize_key, opt_keys, sql_key_encodings, FixedKeySpec,
-    FxHashMap, FxHashSet, KeyArena, KeyWidth, PartitionedIndex,
+    distinct_keep, sql_key_encodings, FixedKeySpec, FxHashMap, FxHashSet, KeyArena, KeyWidth,
+    PartitionedIndex,
 };
 use pytond_common::pool;
-use pytond_common::{Column, DType, Error, Result, Value};
+use pytond_common::{Column, DType, Error, Result};
+use std::borrow::Cow;
 use std::hash::Hash;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// Runtime options (derived from [`crate::db::EngineConfig`]).
@@ -141,6 +143,13 @@ pub struct ExecMetrics {
     /// Hash-join build partitions constructed concurrently (0 when every
     /// build ran serially on one partition).
     pub partitions_built: u64,
+    /// Rows hash-join build sides indexed, summed over every join.
+    pub join_build_rows: u64,
+    /// Rows probed against a join index, summed over every join.
+    pub join_probe_rows: u64,
+    /// Groups aggregations produced, summed over every aggregation (a scalar
+    /// aggregation counts 1).
+    pub agg_groups: u64,
     /// The [`crate::db::Snapshot::version`] the query executed against —
     /// the whole run saw exactly this version of every table (stamped by
     /// the snapshot entry points; 0 for direct executor calls).
@@ -156,10 +165,11 @@ pub struct ExecMetrics {
     pub mem_budget_bytes: u64,
     /// The query's deadline in milliseconds (0 = none).
     pub deadline_ms: u64,
-    /// Bytes charged against the budget: a coarse cumulative estimate of the
-    /// query's materialized allocations (join build tables, aggregation
-    /// states, fresh output columns). Releases are not tracked, so this is
-    /// the peak of the accounted total.
+    /// Bytes charged against the budget: a cumulative account of the
+    /// query's materialized allocations — join indexes at what their flat
+    /// arrays hold, aggregation states per retained group, fresh output
+    /// columns. Releases are not tracked, so this is the peak of the
+    /// accounted total.
     pub mem_peak_bytes: u64,
     /// Dictionary-encoded string columns read by table scans (counted once
     /// per scan, over the scan's projected columns).
@@ -361,7 +371,7 @@ impl<'a> Executor<'a> {
                 input, group, aggs, ..
             } => {
                 let batch = self.exec(input)?;
-                self.aggregate(&batch, None, group, aggs)
+                self.aggregate_from_cols(&batch, batch.num_rows(), group, aggs)
             }
             LogicalPlan::Sort { input, keys } => {
                 let batch = self.exec(input)?;
@@ -517,7 +527,7 @@ impl<'a> Executor<'a> {
                 },
             )?;
             self.note_claims(&outcome.claimed_per_worker);
-            outcome.results.concat()
+            stitch(outcome.results)
         } else {
             match &zone_ok {
                 // Something pruned: evaluate only the surviving candidates.
@@ -626,22 +636,27 @@ impl<'a> Executor<'a> {
         Ok(outcome.results)
     }
 
-    /// Builds a hash-join build side, partitioned and built concurrently
-    /// when the input is large enough and workers are available. Polls the
-    /// token and charges the build table against the memory budget (one key
-    /// plus row id plus bucket overhead per row — a coarse estimate) before
-    /// allocating.
+    /// Builds a hash-join build side: a CSR index, partitioned and built
+    /// concurrently when the input is large enough and workers are
+    /// available. Polls the token and charges what the flat layout
+    /// allocates: a row id and a slot-scratch word per build row before the
+    /// build, the key → slot state (proportional to the *distinct* keys)
+    /// once its size is known.
     fn build_index<K: Hash + Eq + Copy + Send + Sync>(
         &self,
-        keys: &[Option<K>],
+        (keys, nulls): &JoinKeys<K>,
     ) -> Result<PartitionedIndex<K>> {
         self.opts.cancel.check()?;
+        self.opts.cancel.charge(8 * keys.len() as u64)?;
+        let idx = PartitionedIndex::build(keys, nulls.as_deref(), self.opts.threads);
+        let row_ids = 4 * keys.len() as u64;
         self.opts
             .cancel
-            .charge((keys.len() * (std::mem::size_of::<K>() + 24)) as u64)?;
-        let idx = PartitionedIndex::build(keys, self.opts.threads);
+            .charge(idx.heap_bytes().saturating_sub(row_ids))?;
+        let mut m = self.metrics.borrow_mut();
+        m.join_build_rows += keys.len() as u64;
         if idx.partitioned() {
-            self.metrics.borrow_mut().partitions_built += idx.num_partitions() as u64;
+            m.partitions_built += idx.num_partitions() as u64;
         }
         Ok(idx)
     }
@@ -703,7 +718,7 @@ impl<'a> Executor<'a> {
                 .filter_map(|(&i, keep)| keep.then_some(i))
                 .collect::<Vec<usize>>())
         })?;
-        Ok(chunks.concat())
+        Ok(stitch(chunks))
     }
 
     /// Evaluates a predicate, returning the surviving row indices.
@@ -717,7 +732,7 @@ impl<'a> Executor<'a> {
                 .filter_map(|(i, keep)| keep.then_some(i))
                 .collect::<Vec<usize>>())
         })?;
-        Ok(chunks.concat())
+        Ok(stitch(chunks))
     }
 
     fn project(&self, batch: &Batch, exprs: &[BExpr], sel: Option<&[usize]>) -> Result<Batch> {
@@ -776,35 +791,16 @@ impl<'a> Executor<'a> {
         }
         let lrefs: Vec<&Column> = lkey_cols.iter().collect();
         let rrefs: Vec<&Column> = rkey_cols.iter().collect();
-        // Build/probe side selection: the hash table defaults to the right
-        // input, but when the left side's (actual, post-filter) cardinality
-        // is smaller and the join kind permits, build on the left instead and
-        // probe with the right — output order is preserved either way.
-        let flip = matches!(kind, JKind::Inner | JKind::Semi | JKind::Anti)
-            && left.num_rows() < right.num_rows();
-        if flip {
-            self.metrics.borrow_mut().joins_flipped += 1;
-        }
         // Pick the key layout jointly over both sides; the packed fast paths
         // and the byte fallback share one generic build/probe implementation.
         match FixedKeySpec::plan(&[&lrefs, &rrefs], false) {
             Some(spec) if spec.width() == KeyWidth::U64 => {
-                let lk = opt_keys(spec.pack_u64(&lrefs));
-                let rk = opt_keys(spec.pack_u64(&rrefs));
-                if flip {
-                    self.join_build_left(left, right, kind, &lk, &rk, residual)
-                } else {
-                    self.join_with_keys(left, right, kind, &lk, &rk, residual)
-                }
+                let (lk, rk) = (spec.pack_u64(&lrefs), spec.pack_u64(&rrefs));
+                self.hash_join(left, right, kind, &lk, &rk, residual)
             }
             Some(spec) => {
-                let lk = opt_keys(spec.pack_u128(&lrefs));
-                let rk = opt_keys(spec.pack_u128(&rrefs));
-                if flip {
-                    self.join_build_left(left, right, kind, &lk, &rk, residual)
-                } else {
-                    self.join_with_keys(left, right, kind, &lk, &rk, residual)
-                }
+                let (lk, rk) = (spec.pack_u128(&lrefs), spec.pack_u128(&rrefs));
+                self.hash_join(left, right, kind, &lk, &rk, residual)
             }
             None => {
                 // Per-position encodings keep fallback equality identical to
@@ -813,192 +809,145 @@ impl<'a> Executor<'a> {
                 let enc = sql_key_encodings(&[&lrefs, &rrefs]);
                 let la = KeyArena::encode(&lrefs, &enc, true);
                 let ra = KeyArena::encode(&rrefs, &enc, true);
-                if flip {
-                    self.join_build_left(left, right, kind, &la.keys(), &ra.keys(), residual)
-                } else {
-                    self.join_with_keys(left, right, kind, &la.keys(), &ra.keys(), residual)
-                }
+                let (lk, rk) = (la.keys_and_nulls(), ra.keys_and_nulls());
+                self.hash_join(left, right, kind, &lk, &rk, residual)
             }
         }
     }
 
-    /// Hash join building on the **left** (smaller) side and probing with the
-    /// right — used for inner/semi/anti joins when the left input is smaller.
-    /// Match pairs are re-emitted in left-major order (for each left row, its
-    /// matching right rows in right-row order), which is exactly the order
-    /// [`Executor::join_with_keys`] produces, so flipping is invisible to
-    /// results.
-    fn join_build_left<K: Hash + Eq + Copy + Send + Sync>(
+    /// Hash join over precomputed per-row keys with their NULL-key masks
+    /// (NULL keys never match). `K` is `u64`/`u128` on the packed fast path
+    /// and a borrowed `&[u8]` arena slice on the fallback — either way
+    /// `Copy`, so the build side inserts without cloning.
+    ///
+    /// Build/probe side selection: the index defaults to the right input,
+    /// but when the left side's (actual, post-filter) cardinality is smaller
+    /// and the join kind permits, it builds on the left instead and probes
+    /// with the right — output order is preserved either way.
+    fn hash_join<K: Hash + Eq + Copy + Send + Sync>(
         &self,
         left: &Batch,
         right: &Batch,
         kind: JKind,
-        lkeys: &[Option<K>],
-        rkeys: &[Option<K>],
+        lkeys: &JoinKeys<K>,
+        rkeys: &JoinKeys<K>,
         residual: Option<&BExpr>,
     ) -> Result<Batch> {
-        let ln = left.num_rows();
-        // Build: hash the left side (partitioned + concurrent when large).
-        let table = self.build_index(lkeys)?;
-        // Probe: right side in parallel morsels, recording matches per left
-        // row.
-        let probe_chunks = self.par_elementwise("join-probe", right.num_rows(), |start, end| {
-            let mut pairs: Vec<(u32, u32)> = Vec::new(); // (left row, right row)
-            let mut matched_left: Vec<u32> = Vec::new();
-            for (j, rk) in rkeys.iter().enumerate().take(end).skip(start) {
-                if let Some(rows) = rk.as_ref().and_then(|k| table.get(k)) {
-                    match kind {
-                        JKind::Semi | JKind::Anti => matched_left.extend_from_slice(rows),
-                        _ => pairs.extend(rows.iter().map(|&l| (l, j as u32))),
-                    }
-                }
-            }
-            Ok((pairs, matched_left))
-        })?;
-        match kind {
-            JKind::Semi | JKind::Anti => {
-                let mut matched = vec![false; ln];
-                for (_, ml) in &probe_chunks {
-                    for &l in ml {
-                        matched[l as usize] = true;
-                    }
-                }
-                let want = matches!(kind, JKind::Semi);
-                let keep: Vec<usize> = (0..ln).filter(|&i| matched[i] == want).collect();
-                let mut out = left.gather(&keep);
-                if let Some(res) = residual {
-                    let sel = self.filter_sel(&out, res)?;
-                    out = out.gather(&sel);
-                }
-                Ok(out)
-            }
-            _ => {
-                // Regroup pairs left-major; right rows arrive in ascending
-                // order because probe chunks are merged in range order.
-                let mut matches: Vec<Vec<u32>> = vec![Vec::new(); ln];
-                for (pairs, _) in &probe_chunks {
-                    for &(l, r) in pairs {
-                        matches[l as usize].push(r);
-                    }
-                }
-                let mut li: Vec<usize> = Vec::new();
-                let mut ri: Vec<usize> = Vec::new();
-                for (l, rs) in matches.iter().enumerate() {
-                    for &r in rs {
-                        li.push(l);
-                        ri.push(r as usize);
-                    }
-                }
-                let mut cols = left.gather(&li).cols;
-                cols.extend(right.gather(&ri).cols);
-                let mut out = Batch { cols };
-                if let Some(res) = residual {
-                    let sel = self.filter_sel(&out, res)?;
-                    out = out.gather(&sel);
-                }
-                Ok(out)
-            }
-        }
-    }
-
-    /// Hash join over precomputed per-row keys (`None` = NULL key, never
-    /// matches). `K` is `u64`/`u128` on the packed fast path and a borrowed
-    /// `&[u8]` arena slice on the fallback — either way `Copy`, so the build
-    /// side inserts without cloning.
-    fn join_with_keys<K: Hash + Eq + Copy + Send + Sync>(
-        &self,
-        left: &Batch,
-        right: &Batch,
-        kind: JKind,
-        lkeys: &[Option<K>],
-        rkeys: &[Option<K>],
-        residual: Option<&BExpr>,
-    ) -> Result<Batch> {
-        // Build: hash the right side (partitioned + concurrent when large).
-        let table = self.build_index(rkeys)?;
-        // Probe: left side, in parallel morsels.
-        let keep_unmatched_left = matches!(kind, JKind::Left | JKind::Full);
-        let probe_chunks = self.par_elementwise("join-probe", left.num_rows(), |start, end| {
-            let mut li: Vec<Option<usize>> = Vec::new();
-            let mut ri: Vec<Option<usize>> = Vec::new();
-            let mut matched_right: Vec<u32> = Vec::new();
-            for (i, lk) in lkeys.iter().enumerate().take(end).skip(start) {
-                let matches = lk.as_ref().and_then(|k| table.get(k));
-                match (matches, kind) {
-                    (Some(rows), JKind::Semi) => {
-                        if !rows.is_empty() {
-                            li.push(Some(i));
-                            ri.push(None);
-                        }
-                    }
-                    (Some(rows), JKind::Anti) => {
-                        if rows.is_empty() {
-                            li.push(Some(i));
-                            ri.push(None);
-                        }
-                    }
-                    (None, JKind::Anti) => {
-                        li.push(Some(i));
-                        ri.push(None);
-                    }
-                    (None, JKind::Semi) => {}
-                    (Some(rows), _) => {
-                        for &r in rows {
-                            li.push(Some(i));
-                            ri.push(Some(r as usize));
-                            matched_right.push(r);
-                        }
-                    }
-                    (None, _) => {
-                        if keep_unmatched_left {
-                            li.push(Some(i));
-                            ri.push(None);
-                        }
-                    }
-                }
-            }
-            Ok((li, ri, matched_right))
-        })?;
-        let mut left_idx: Vec<Option<usize>> = Vec::new();
-        let mut right_idx: Vec<Option<usize>> = Vec::new();
-        let mut right_matched = vec![false; right.num_rows()];
-        for (li, ri, mr) in probe_chunks {
-            left_idx.extend(li);
-            right_idx.extend(ri);
-            for r in mr {
-                right_matched[r as usize] = true;
-            }
-        }
-        if matches!(kind, JKind::Right | JKind::Full) {
-            for (r, m) in right_matched.iter().enumerate() {
-                if !m {
-                    left_idx.push(None);
-                    right_idx.push(Some(r));
-                }
-            }
-        }
-        let mut out = match kind {
-            JKind::Semi | JKind::Anti => {
-                // Invariant (not reachable from user input): the probe arms
-                // for semi/anti only ever push `Some(left row)`, and the
-                // right-outer backfill above is unreachable for these kinds.
-                let li: Vec<usize> = left_idx
-                    .iter()
-                    .map(|x| x.expect("semi/anti probes emit only left rows"))
-                    .collect();
-                left.gather(&li)
-            }
-            _ => {
-                let mut cols = left.gather_opt(&left_idx).cols;
-                cols.extend(right.gather_opt(&right_idx).cols);
-                Batch { cols }
-            }
+        let flip = matches!(kind, JKind::Inner | JKind::Semi | JKind::Anti)
+            && left.num_rows() < right.num_rows();
+        let mut out = if flip {
+            self.metrics.borrow_mut().joins_flipped += 1;
+            self.join_build_left(left, right, kind, lkeys, rkeys)?
+        } else {
+            self.join_build_right(left, right, kind, lkeys, rkeys)?
         };
         if let Some(res) = residual {
             let sel = self.filter_sel(&out, res)?;
             out = out.gather(&sel);
         }
         Ok(out)
+    }
+
+    /// Hash join building on the **left** (smaller) side and probing with the
+    /// right — used for inner/semi/anti joins when the left input is smaller.
+    /// Match pairs regroup left-major by a counting sort (for each left row,
+    /// its matching right rows in right-row order), which is exactly the
+    /// order [`Executor::join_build_right`] produces, so flipping is
+    /// invisible to results.
+    fn join_build_left<K: Hash + Eq + Copy + Send + Sync>(
+        &self,
+        left: &Batch,
+        right: &Batch,
+        kind: JKind,
+        lkeys: &JoinKeys<K>,
+        rkeys: &JoinKeys<K>,
+    ) -> Result<Batch> {
+        let ln = left.num_rows();
+        let table = self.build_index(lkeys)?;
+        self.metrics.borrow_mut().join_probe_rows += right.num_rows() as u64;
+        let (rk, rnulls) = (&rkeys.0, rkeys.1.as_deref());
+        // Probe: right side in parallel morsels, emitting (left row, right
+        // row) pairs; chunks stitch in range order, so pairs arrive with
+        // right rows ascending.
+        let pairs = self.par_elementwise("join-probe", right.num_rows(), |start, end| {
+            let mut pairs: Vec<(u32, u32)> = Vec::new();
+            for j in start..end {
+                if let Some(rows) = table.probe(rk, rnulls, j) {
+                    pairs.extend(rows.iter().map(|&l| (l, j as u32)));
+                }
+            }
+            Ok(pairs)
+        })?;
+        // Matches per left row, then (exclusive prefix sum) where each left
+        // row's run starts in the left-major output.
+        let mut at = vec![0u32; ln + 1];
+        for &(l, _) in pairs.iter().flatten() {
+            at[l as usize + 1] += 1;
+        }
+        if matches!(kind, JKind::Semi | JKind::Anti) {
+            let want = kind == JKind::Semi;
+            let keep: Vec<usize> = (0..ln).filter(|&l| (at[l + 1] > 0) == want).collect();
+            return Ok(left.gather(&keep));
+        }
+        for l in 0..ln {
+            at[l + 1] += at[l];
+        }
+        let total = at[ln] as usize;
+        let (mut li, mut ri) = (vec![0usize; total], vec![0usize; total]);
+        for &(l, r) in pairs.iter().flatten() {
+            let slot = &mut at[l as usize];
+            li[*slot as usize] = l as usize;
+            ri[*slot as usize] = r as usize;
+            *slot += 1;
+        }
+        let mut cols = left.gather(&li).cols;
+        cols.extend(right.gather(&ri).cols);
+        Ok(Batch { cols })
+    }
+
+    /// Hash join building on the right input and probing with the left, in
+    /// parallel morsels stitched in range order: left-major output, each
+    /// left row's matches in ascending right-row order.
+    fn join_build_right<K: Hash + Eq + Copy + Send + Sync>(
+        &self,
+        left: &Batch,
+        right: &Batch,
+        kind: JKind,
+        lkeys: &JoinKeys<K>,
+        rkeys: &JoinKeys<K>,
+    ) -> Result<Batch> {
+        let table = self.build_index(rkeys)?;
+        self.metrics.borrow_mut().join_probe_rows += left.num_rows() as u64;
+        let (lk, lnulls) = (&lkeys.0, lkeys.1.as_deref());
+        let chunks = self.par_elementwise("join-probe", left.num_rows(), |start, end| {
+            Ok(probe_rows(lk, lnulls, start..end, &table, kind))
+        })?;
+        let (li, ri): (Vec<_>, Vec<_>) = chunks.into_iter().map(|h| (h.li, h.ri)).unzip();
+        let (li, ri) = (stitch(li), stitch(ri));
+        Ok(match kind {
+            JKind::Semi | JKind::Anti => left.gather(&li),
+            JKind::Inner => {
+                let mut cols = left.gather(&li).cols;
+                cols.extend(right.gather(&ri).cols);
+                Batch { cols }
+            }
+            _ => {
+                let mut lo: Vec<Option<usize>> = li.into_iter().map(Some).collect();
+                let mut ro = opt_rows(&ri);
+                if matches!(kind, JKind::Right | JKind::Full) {
+                    // Unmatched build rows, in right-row order.
+                    let mut matched = vec![false; right.num_rows()];
+                    ro.iter().flatten().for_each(|&r| matched[r] = true);
+                    for r in (0..matched.len()).filter(|&r| !matched[r]) {
+                        lo.push(None);
+                        ro.push(Some(r));
+                    }
+                }
+                let mut cols = left.gather_opt(&lo).cols;
+                cols.extend(right.gather_opt(&ro).cols);
+                Batch { cols }
+            }
+        })
     }
 
     fn keyless_join(
@@ -1042,94 +991,72 @@ impl<'a> Executor<'a> {
 
     // ---------------- aggregate ----------------
 
-    fn aggregate(
-        &self,
-        batch: &Batch,
-        sel: Option<&[usize]>,
-        group: &[BExpr],
-        aggs: &[BAgg],
-    ) -> Result<Batch> {
-        let n = sel.map_or(batch.num_rows(), |s| s.len());
-        // Evaluate group keys and aggregate arguments once, over the selection.
-        let key_cols: Vec<Column> = group
-            .iter()
-            .map(|e| self.eval_parallel("eval", batch, e, sel, n))
-            .collect::<Result<_>>()?;
-        // Deduplicate argument expressions so `SUM(v) + AVG(v)` style plans
-        // evaluate `v` once and fan the column out to every consumer — the
-        // same dedup the fused aggregation sink applies per chunk.
-        let (arg_map, uniq_exprs) = arg_dedup(aggs);
-        let uniq_cols: Vec<Column> = uniq_exprs
-            .iter()
-            .map(|e| self.eval_parallel("eval", batch, e, sel, n))
-            .collect::<Result<_>>()?;
-        let arg_refs: Vec<Option<&Column>> =
-            arg_map.iter().map(|m| m.map(|u| &uniq_cols[u])).collect();
-        self.aggregate_from_cols(n, key_cols, &arg_refs, group, aggs)
-    }
-
     /// The aggregation tail shared by the materializing operator and the
-    /// fused pipeline sink: group-key and argument columns in, final batch
-    /// out. The fixed morsel grid over `n` rows (and the ascending merge of
-    /// its partials) depends only on `(n, opts.morsel)`, so any producer
-    /// that delivers the same column *values* in the same row order gets a
-    /// bit-identical result — the keystone of the fused/unfused equivalence.
+    /// fused pipeline sink: the `n` input rows in (only the columns that keys
+    /// and arguments reference need to be populated), final batch out.
+    /// Group keys are evaluated and packed once over all rows; aggregate
+    /// arguments are evaluated inside [`Executor::agg_states`], one grid
+    /// morsel at a time. The fixed morsel grid over `n` rows (and the
+    /// ascending merge of its partials) depends only on `(n, opts.morsel)`,
+    /// so any producer that delivers the same column *values* in the same
+    /// row order gets a bit-identical result — the keystone of the
+    /// fused/unfused equivalence.
     fn aggregate_from_cols(
         &self,
+        input: &Batch,
         n: usize,
-        key_cols: Vec<Column>,
-        arg_cols: &[Option<&Column>],
         group: &[BExpr],
         aggs: &[BAgg],
     ) -> Result<Batch> {
-        let arg_dtypes: Vec<Option<DType>> =
-            arg_cols.iter().map(|c| c.map(Column::dtype)).collect();
+        let layout = AggLayout::plan(aggs, input, &self.dict_tables)?;
+        // A bare-column key is read in place.
+        let key_cols: Vec<Cow<'_, Column>> = group
+            .iter()
+            .map(|e| match e {
+                BExpr::Col(i) if *i < input.cols.len() => Ok(Cow::Borrowed(&*input.cols[*i])),
+                e => self
+                    .eval_parallel("eval", input, e, None, n)
+                    .map(Cow::Owned),
+            })
+            .collect::<Result<_>>()?;
         // Group keys take the packed fast path when every key column is
         // fixed-width (group semantics: NULL is a key value, so the layout
         // folds a validity bit in); strings/floats fall back to arena-encoded
-        // byte keys. Scalar aggregation is a single constant key.
-        let krefs: Vec<&Column> = key_cols.iter().collect();
-        let mut states = if group.is_empty() {
-            self.agg_states(n, &vec![0u64; n], aggs, arg_cols, &arg_dtypes)?
+        // byte keys. Scalar aggregation has no keys at all.
+        let krefs: Vec<&Column> = key_cols.iter().map(|c| c.as_ref()).collect();
+        let state = if group.is_empty() {
+            self.agg_states::<u64>(input, n, None, &layout)?
         } else {
             match FixedKeySpec::plan(&[&krefs], true) {
                 Some(spec) if spec.width() == KeyWidth::U64 => {
-                    self.agg_states(n, &spec.pack_u64(&krefs).0, aggs, arg_cols, &arg_dtypes)?
+                    self.agg_states(input, n, Some(&spec.pack_u64(&krefs).0), &layout)?
                 }
                 Some(spec) => {
-                    self.agg_states(n, &spec.pack_u128(&krefs).0, aggs, arg_cols, &arg_dtypes)?
+                    self.agg_states(input, n, Some(&spec.pack_u128(&krefs).0), &layout)?
                 }
                 None => {
                     let enc = sql_key_encodings(&[&krefs]);
                     let arena = KeyArena::encode(&krefs, &enc, false);
-                    self.agg_states(n, &arena.dense_keys(), aggs, arg_cols, &arg_dtypes)?
+                    self.agg_states(input, n, Some(&arena.dense_keys()), &layout)?
                 }
             }
         };
-        states.sort_by_key(|s| s.first_row);
-
-        // Scalar aggregation over empty input still yields one row.
-        if group.is_empty() && states.is_empty() {
-            states.push(GroupState::new(0, aggs, &arg_dtypes));
-        }
-
-        // Assemble output: group keys then aggregates.
-        let mut out_cols = Vec::with_capacity(group.len() + aggs.len());
-        let firsts: Vec<usize> = states.iter().map(|s| s.first_row).collect();
-        for k in &key_cols {
-            out_cols.push(k.gather(&firsts));
-        }
-        for (ai, agg) in aggs.iter().enumerate() {
-            let vals: Vec<Value> = states.iter().map(|s| s.finalize(ai, agg)).collect();
-            out_cols.push(Column::from_values(&vals)?);
-        }
+        self.metrics.borrow_mut().agg_groups += state.groups() as u64;
+        // Assemble output: group keys (at each group's first row — groups are
+        // in global first-occurrence order) then aggregates.
+        let mut out_cols: Vec<Column> = key_cols
+            .iter()
+            .map(|k| k.gather(&state.first_row))
+            .collect();
+        out_cols.extend(state.finalize(&layout)?);
         Ok(Batch::from_columns(out_cols))
     }
 
-    /// Partial aggregation over precomputed per-row group keys on the
-    /// **fixed morsel grid**, merged by global first occurrence. `K` is a
-    /// packed `u64`/`u128` word or a borrowed byte slice; partial maps never
-    /// clone keys.
+    /// Partial aggregation on the **fixed morsel grid**, merged by global
+    /// first occurrence. `keys` are the per-row group keys — a packed
+    /// `u64`/`u128` word or a borrowed byte slice, never cloned — or `None`
+    /// for scalar aggregation, which needs neither keys nor a hash map: every
+    /// morsel is one group.
     ///
     /// Determinism: partials are computed per fixed-size morsel (the grid
     /// depends only on `n` and `opts.morsel`, never on the worker count) and
@@ -1140,60 +1067,69 @@ impl<'a> Executor<'a> {
     /// exactly global first-occurrence order.
     fn agg_states<K: Hash + Eq + Copy + Send + Sync>(
         &self,
+        input: &Batch,
         n: usize,
-        keys: &[K],
-        aggs: &[BAgg],
-        arg_cols: &[Option<&Column>],
-        arg_dtypes: &[Option<DType>],
-    ) -> Result<Vec<GroupState>> {
+        keys: Option<&[K]>,
+        layout: &AggLayout<'_>,
+    ) -> Result<AggState> {
+        let tables = &self.dict_tables;
         let partials = self.par_fixed("agg-partial", n, |start, end| {
-            // Pass 1: assign a morsel-local group id per row, recording keys
-            // in local first-occurrence order.
-            let mut map: FxHashMap<K, usize> = FxHashMap::default();
+            let Some(keys) = keys else {
+                let part = layout.partial(input, (start, end), None, vec![start], tables)?;
+                return Ok((Vec::new(), part));
+            };
+            // Assign a morsel-local group id per row, recording keys in
+            // local first-occurrence order.
+            let mut map: FxHashMap<K, u32> = FxHashMap::default();
             let mut order: Vec<K> = Vec::new();
-            let mut states: Vec<GroupState> = Vec::new();
+            let mut first_row: Vec<usize> = Vec::new();
             let mut gids: Vec<u32> = Vec::with_capacity(end - start);
             for (i, key) in keys.iter().enumerate().take(end).skip(start) {
-                let g = match map.get(key) {
-                    Some(&g) => g,
-                    None => {
-                        map.insert(*key, states.len());
-                        order.push(*key);
-                        states.push(GroupState::new(i, aggs, arg_dtypes));
-                        states.len() - 1
-                    }
-                };
-                gids.push(g as u32);
+                let g = *map.entry(*key).or_insert(order.len() as u32);
+                if g as usize == order.len() {
+                    order.push(*key);
+                    first_row.push(i);
+                }
+                gids.push(g);
             }
-            // Pass 2: accumulate column-major — one typed loop per aggregate.
-            for (ai, agg) in aggs.iter().enumerate() {
-                accumulate(&mut states, ai, agg, &gids, start, arg_cols[ai])?;
-            }
-            Ok((order, states))
+            let part = layout.partial(input, (start, end), Some(&gids), first_row, tables)?;
+            Ok((order, part))
         })?;
         // Merge partials in ascending morsel order — the explicit merge
         // order every thread count shares. Each merge step polls the token
-        // and charges newly retained group states against the budget.
-        let state_bytes = std::mem::size_of::<GroupState>() + 32 * aggs.len().max(1);
-        let mut global: FxHashMap<K, usize> = FxHashMap::default();
-        let mut states: Vec<GroupState> = Vec::new();
-        for (order, part_states) in partials {
+        // and charges newly retained groups against the budget: their slots
+        // in every accumulator array plus the key → group map entry.
+        let group_bytes = layout.group_bytes() + std::mem::size_of::<(K, u32)>();
+        let mut global: FxHashMap<K, u32> = FxHashMap::default();
+        let mut state = layout.empty();
+        let mut to_global: Vec<u32> = Vec::new();
+        for (order, part) in partials {
             self.opts.cancel.check()?;
-            let before = states.len();
-            for (key, part) in order.into_iter().zip(part_states) {
-                match global.get(&key) {
-                    Some(&g) => states[g].merge(&part, aggs),
-                    None => {
-                        global.insert(key, states.len());
-                        states.push(part);
-                    }
+            let before = state.groups();
+            to_global.clear();
+            if keys.is_none() {
+                to_global.push(0);
+                if before == 0 {
+                    state.push_group(part.first_row[0]);
                 }
+            }
+            for (key, &row) in order.iter().zip(&part.first_row) {
+                let g = *global.entry(*key).or_insert(state.groups() as u32);
+                if g as usize == state.groups() {
+                    state.push_group(row);
+                }
+                to_global.push(g);
             }
             self.opts
                 .cancel
-                .charge(((states.len() - before) * state_bytes) as u64)?;
+                .charge(((state.groups() - before) * group_bytes) as u64)?;
+            state.merge(part, &to_global, layout);
         }
-        Ok(states)
+        // Scalar aggregation over empty input still yields one row.
+        if keys.is_none() && state.groups() == 0 {
+            state.push_group(0);
+        }
+        Ok(state)
     }
 
     /// Evaluates `e` over `sel` (or all `n` rows) of `batch`, morsel-parallel
@@ -1328,10 +1264,11 @@ impl<'a> Executor<'a> {
     /// materialized sources; chunks merge in ascending morsel order. A
     /// materialize sink therefore stitches exactly the rows the
     /// operator-at-a-time path would emit, in the same order; an aggregate
-    /// sink reconstructs the *narrow* key/argument columns in that same
-    /// order and hands them to [`Executor::aggregate_from_cols`], whose
-    /// fixed grid over the concatenated rows is byte-identical to the
-    /// unfused one. Fused ≡ unfused, bit for bit, by construction.
+    /// sink stitches just the input columns its keys and arguments
+    /// reference, in that same order, and hands them to
+    /// [`Executor::aggregate_from_cols`], whose fixed grid over the
+    /// concatenated rows is byte-identical to the unfused one. Fused ≡
+    /// unfused, bit for bit, by construction.
     fn run_pipeline(&self, plan: &LogicalPlan, pl: &Pipeline<'_>) -> Result<Batch> {
         // Source: a predicated scan fuses (zone-aligned grid, claim-time
         // zone-map skip); any breaker materializes once, then chunks.
@@ -1404,6 +1341,21 @@ impl<'a> Executor<'a> {
                 |s| matches!(s, PStage::Probe(p) if p.build_dicts.iter().any(Option::is_some)),
             ));
         }
+        // An aggregate sink streams only the input columns its keys and
+        // arguments reference; a materialize sink streams all of them.
+        let sink_cols: Option<Vec<usize>> = match &pl.sink {
+            Sink::Materialize => None,
+            Sink::Aggregate { group, aggs } => {
+                let mut used = Vec::new();
+                let args = aggs.iter().filter_map(|a| a.arg.as_ref());
+                group
+                    .iter()
+                    .chain(args)
+                    .for_each(|e| e.columns_used(&mut used));
+                used.sort_unstable();
+                Some(used)
+            }
+        };
         // Drive. Each claim passes the morsel guard (fault point + cancel
         // poll); each stage boundary polls again, so deadlines, budgets and
         // explicit cancels trip within one morsel even mid-pipeline.
@@ -1419,113 +1371,62 @@ impl<'a> Executor<'a> {
             for st in &stages {
                 chunk = apply_stage(st, chunk, cx)?;
             }
-            finish_chunk(&pl.sink, chunk, cx).map(Some)
+            Ok(Some(finish_chunk(chunk, sink_cols.as_deref())))
         })?;
         if threads > 1 {
             self.note_claims(&outcome.claimed_per_worker);
         }
+        for st in &stages {
+            if let PStage::Probe(p) = st {
+                self.metrics.borrow_mut().join_probe_rows += p.probed.load(Relaxed);
+            }
+        }
         // Merge surviving chunks in morsel order. The total surviving row
         // count is known before the merge starts, so the accumulating
         // columns reserve once instead of repeatedly doubling.
-        let chunks: Vec<ChunkOut> = outcome.results.into_iter().flatten().collect();
-        let total: usize = chunks
-            .iter()
-            .map(|c| match c {
-                ChunkOut::Batch(b) => b.num_rows(),
-                ChunkOut::Agg { rows, .. } => *rows,
-            })
-            .sum();
-        match &pl.sink {
-            Sink::Materialize => {
-                let mut cols: Option<Vec<Column>> = None;
-                for out in chunks {
-                    let ChunkOut::Batch(b) = out else {
-                        unreachable!("materialize sink emits batches");
-                    };
-                    match &mut cols {
-                        None => {
-                            let mut first: Vec<Column> = b
-                                .cols
-                                .into_iter()
-                                .map(|c| Arc::try_unwrap(c).unwrap_or_else(|a| (*a).clone()))
-                                .collect();
-                            let extra = total - first.first().map_or(total, Column::len);
-                            for c in &mut first {
-                                c.reserve(extra);
-                            }
-                            cols = Some(first);
-                        }
-                        Some(acc) => {
-                            self.opts.cancel.check()?;
-                            for (a, c) in acc.iter_mut().zip(&b.cols) {
-                                a.append(c)?;
-                            }
-                        }
+        let chunks: Vec<(usize, Batch)> = outcome.results.into_iter().flatten().collect();
+        let total: usize = chunks.iter().map(|(rows, _)| rows).sum();
+        let mut merged: Option<Vec<Column>> = None;
+        for (rows, b) in chunks {
+            match &mut merged {
+                None => {
+                    let mut first: Vec<Column> = b
+                        .cols
+                        .into_iter()
+                        .map(|c| Arc::try_unwrap(c).unwrap_or_else(|a| (*a).clone()))
+                        .collect();
+                    for c in &mut first {
+                        c.reserve(total - rows);
+                    }
+                    merged = Some(first);
+                }
+                Some(acc) => {
+                    self.opts.cancel.check()?;
+                    for (a, c) in acc.iter_mut().zip(&b.cols) {
+                        a.append(c)?;
                     }
                 }
-                Ok(match cols {
-                    Some(cols) => Batch::from_columns(cols),
-                    None => empty_batch(plan.schema()),
-                })
             }
-            Sink::Aggregate { group, aggs } => {
-                let (arg_map, uniq_exprs) = arg_dedup(aggs);
-                let mut merged: Option<(Vec<Column>, Vec<Column>)> = None;
-                let mut rows = 0usize;
-                for out in chunks {
-                    let ChunkOut::Agg {
-                        rows: r,
-                        keys,
-                        args,
-                    } = out
-                    else {
-                        unreachable!("aggregate sink emits key/arg columns");
-                    };
-                    rows += r;
-                    match &mut merged {
-                        None => {
-                            let (mut keys, mut args) = (keys, args);
-                            for c in keys.iter_mut().chain(args.iter_mut()) {
-                                c.reserve(total - r);
-                            }
-                            merged = Some((keys, args));
-                        }
-                        Some((kc, ac)) => {
-                            self.opts.cancel.check()?;
-                            for (a, b) in kc.iter_mut().zip(&keys) {
-                                a.append(b)?;
-                            }
-                            for (a, b) in ac.iter_mut().zip(&args) {
-                                a.append(b)?;
-                            }
-                        }
-                    }
-                }
-                let (key_cols, uniq_cols) = match merged {
-                    Some(m) => m,
-                    // Every zone pruned / all rows filtered: typed empties
-                    // from the stage chain's static output dtypes.
-                    None => {
-                        let LogicalPlan::Aggregate { input, .. } = plan else {
-                            unreachable!("aggregate sink under a non-aggregate root");
-                        };
-                        let dts: Vec<DType> =
-                            input.schema().fields.iter().map(|f| f.dtype).collect();
-                        (
-                            group.iter().map(|e| Column::new(e.dtype(&dts))).collect(),
-                            uniq_exprs
-                                .iter()
-                                .map(|e| Column::new(e.dtype(&dts)))
-                                .collect(),
-                        )
-                    }
+        }
+        match (&pl.sink, sink_cols) {
+            (Sink::Aggregate { group, aggs }, Some(used)) => {
+                let LogicalPlan::Aggregate { input, .. } = plan else {
+                    unreachable!("aggregate sink under a non-aggregate root");
                 };
-                // Expand the deduplicated columns back to one slot per
-                // aggregate — shared slots borrow the same merged column.
-                let arg_refs: Vec<Option<&Column>> =
-                    arg_map.iter().map(|m| m.map(|u| &uniq_cols[u])).collect();
-                self.aggregate_from_cols(rows, key_cols, &arg_refs, group, aggs)
+                // The tail addresses columns by their position in the last
+                // stage's output: put each streamed column back in its place
+                // and leave the unreferenced positions typed and empty (also
+                // the whole story when every zone was pruned or filtered).
+                let mut wide = empty_batch(input.schema());
+                for (i, c) in used.into_iter().zip(merged.into_iter().flatten()) {
+                    wide.cols[i] = Arc::new(c);
+                }
+                self.aggregate_from_cols(&wide, total, group, aggs)
             }
+            _ => Ok(match merged {
+                Some(cols) => Batch::from_columns(cols),
+                None => empty_batch(plan.schema()),
+            }),
         }
     }
 
@@ -1561,11 +1462,9 @@ impl<'a> Executor<'a> {
                     .collect::<Result<_>>()?;
                 let rrefs: Vec<&Column> = rkey_cols.iter().collect();
                 let index = match pr.spec.width() {
-                    KeyWidth::U64 => {
-                        ProbeIndex::U64(self.build_index(&opt_keys(pr.spec.pack_u64(&rrefs)))?)
-                    }
+                    KeyWidth::U64 => ProbeIndex::U64(self.build_index(&pr.spec.pack_u64(&rrefs))?),
                     KeyWidth::U128 => {
-                        ProbeIndex::U128(self.build_index(&opt_keys(pr.spec.pack_u128(&rrefs)))?)
+                        ProbeIndex::U128(self.build_index(&pr.spec.pack_u128(&rrefs))?)
                     }
                 };
                 PStage::Probe(PProbe {
@@ -1576,6 +1475,7 @@ impl<'a> Executor<'a> {
                     right,
                     index,
                     build_dicts,
+                    probed: AtomicU64::new(0),
                 })
             }
         })
@@ -1679,50 +1579,14 @@ struct PProbe<'a> {
     /// probe string absent from the build dictionary becomes an invalid row,
     /// which packs to a NULL key — exactly a join miss.
     build_dicts: Vec<Option<Arc<pytond_common::Dictionary>>>,
+    /// Rows probed so far, over every chunk (a statistic: `Relaxed`).
+    probed: AtomicU64,
 }
 
 /// The build-side hash index at its planned key width.
 enum ProbeIndex {
     U64(PartitionedIndex<u64>),
     U128(PartitionedIndex<u128>),
-}
-
-/// A chunk's contribution to the pipeline result.
-enum ChunkOut {
-    /// Materialize sink: the surviving rows, fully gathered.
-    Batch(Batch),
-    /// Aggregate sink: narrow group-key and **deduplicated** argument
-    /// columns over the surviving rows (`rows` of them), ready to
-    /// concatenate in morsel order. Argument columns follow the
-    /// [`arg_dedup`] order, so `SUM(v)` + `AVG(v)` + `MIN(v)` evaluate and
-    /// merge `v` once.
-    Agg {
-        rows: usize,
-        keys: Vec<Column>,
-        args: Vec<Column>,
-    },
-}
-
-/// Maps each aggregate's argument expression to an index into the
-/// deduplicated argument list (`None` for argument-less aggregates like
-/// `COUNT(*)`). Syntactically identical arguments share one slot, so the
-/// fused sink evaluates and concatenates each distinct expression exactly
-/// once per morsel. The mapping is a pure function of `aggs`, so every
-/// chunk and the merging driver derive the same layout independently.
-fn arg_dedup(aggs: &[BAgg]) -> (Vec<Option<usize>>, Vec<&BExpr>) {
-    let mut uniq: Vec<&BExpr> = Vec::new();
-    let map = aggs
-        .iter()
-        .map(|a| {
-            a.arg.as_ref().map(|e| {
-                uniq.iter().position(|u| *u == e).unwrap_or_else(|| {
-                    uniq.push(e);
-                    uniq.len() - 1
-                })
-            })
-        })
-        .collect();
-    (map, uniq)
 }
 
 /// Produces the chunk for one claimed morsel, or `None` when the zone is
@@ -1882,30 +1746,38 @@ fn apply_probe(p: &PProbe<'_>, chunk: Chunk, cx: ChunkCx<'_>) -> Result<Chunk> {
         })
         .collect::<Result<_>>()?;
     let krefs: Vec<&Column> = kcols.iter().collect();
+    let n = chunk.rows.len();
+    p.probed.fetch_add(n as u64, Relaxed);
     let hits = match &p.index {
-        ProbeIndex::U64(idx) => probe_rows(&opt_keys(p.spec.pack_u64(&krefs)), idx, p.kind),
-        ProbeIndex::U128(idx) => probe_rows(&opt_keys(p.spec.pack_u128(&krefs)), idx, p.kind),
-    };
-    let joined = match hits {
-        ProbeHits::Keep(keep) => {
-            let Chunk { batch, rows, owned } = chunk;
-            Chunk {
-                batch,
-                rows: select_local(rows, &keep),
-                owned,
-            }
+        ProbeIndex::U64(idx) => {
+            let (keys, nulls) = p.spec.pack_u64(&krefs);
+            probe_rows(&keys, nulls.as_deref(), 0..n, idx, p.kind)
         }
-        ProbeHits::Pairs { li, ri } => {
-            let bi = map_local(&chunk.rows, &li);
-            let mut cols = chunk.batch.gather(&bi).cols;
-            cols.extend(p.right.gather_opt(&ri).cols);
-            charge_cols(cx.cancel, &cols)?;
-            let n = cols.first().map_or(0, |c| c.len());
-            Chunk {
-                batch: Batch { cols },
-                rows: Rows::Range(0..n),
-                owned: true,
-            }
+        ProbeIndex::U128(idx) => {
+            let (keys, nulls) = p.spec.pack_u128(&krefs);
+            probe_rows(&keys, nulls.as_deref(), 0..n, idx, p.kind)
+        }
+    };
+    let joined = if matches!(p.kind, JKind::Semi | JKind::Anti) {
+        let Chunk { batch, rows, owned } = chunk;
+        Chunk {
+            batch,
+            rows: select_local(rows, &hits.li),
+            owned,
+        }
+    } else {
+        let bi = map_local(&chunk.rows, &hits.li);
+        let mut cols = chunk.batch.gather(&bi).cols;
+        cols.extend(match p.kind {
+            JKind::Inner => p.right.gather(&hits.ri).cols,
+            _ => p.right.gather_opt(&opt_rows(&hits.ri)).cols,
+        });
+        charge_cols(cx.cancel, &cols)?;
+        let n = cols.first().map_or(0, |c| c.len());
+        Chunk {
+            batch: Batch { cols },
+            rows: Rows::Range(0..n),
+            owned: true,
         }
     };
     match p.residual {
@@ -1922,99 +1794,92 @@ fn apply_probe(p: &PProbe<'_>, chunk: Chunk, cx: ChunkCx<'_>) -> Result<Chunk> {
     }
 }
 
-/// Per-row probe outcomes, in local live-row positions.
-enum ProbeHits {
-    /// Semi/anti: live rows to keep.
-    Keep(Vec<usize>),
-    /// Inner/left: match pairs — local left position, optional build row
-    /// (`None` = unmatched left row of a left join).
-    Pairs {
-        li: Vec<usize>,
-        ri: Vec<Option<usize>>,
-    },
+/// Concatenates per-morsel outputs in morsel order, growing the first in
+/// place (a serial run's single chunk moves through untouched).
+fn stitch<T>(chunks: Vec<Vec<T>>) -> Vec<T> {
+    let mut chunks = chunks.into_iter();
+    let mut out = chunks.next().unwrap_or_default();
+    chunks.for_each(|c| out.extend(c));
+    out
 }
 
-/// The probe loop, generic over the packed key width. Match semantics are
-/// byte-compatible with [`Executor::join_with_keys`]: NULL keys never
-/// match, semi keeps rows with a non-empty match list, anti keeps NULL-key
+/// Per-row keys of one join side: packed words or arena slices, plus the
+/// mask of rows whose key contains a NULL (`None` = no such row).
+type JoinKeys<K> = (Vec<K>, Option<Vec<bool>>);
+
+/// "No build row": the right index of an unmatched row of a left/full join.
+const NO_ROW: usize = usize::MAX;
+
+/// Build-row indices with [`NO_ROW`] as `None` (outer-join gathers).
+fn opt_rows(ri: &[usize]) -> Vec<Option<usize>> {
+    ri.iter().map(|&r| (r != NO_ROW).then_some(r)).collect()
+}
+
+/// Probe outcomes over a range of probe rows, in probe order. Semi/anti:
+/// `li` lists the probe rows to keep and `ri` stays empty. Every other kind:
+/// match pairs — probe row `li[k]` with build row `ri[k]`, or [`NO_ROW`] for
+/// the unmatched probe rows a left/full join keeps — each probe row's
+/// matches in ascending build-row order.
+struct ProbeHits {
+    li: Vec<usize>,
+    ri: Vec<usize>,
+}
+
+/// The probe loop, generic over the key type; shared by the materializing
+/// join and the fused probe stage, so their match semantics cannot drift:
+/// NULL keys never match, semi keeps rows with a match, anti keeps NULL-key
 /// and matchless rows.
 fn probe_rows<K: Hash + Eq + Copy + Send + Sync>(
-    keys: &[Option<K>],
+    keys: &[K],
+    nulls: Option<&[bool]>,
+    range: std::ops::Range<usize>,
     index: &PartitionedIndex<K>,
     kind: JKind,
 ) -> ProbeHits {
-    match kind {
-        JKind::Semi | JKind::Anti => {
-            let want = matches!(kind, JKind::Semi);
-            ProbeHits::Keep(
-                keys.iter()
-                    .enumerate()
-                    .filter_map(|(i, k)| {
-                        let hit = k
-                            .as_ref()
-                            .and_then(|k| index.get(k))
-                            .is_some_and(|rows| !rows.is_empty());
-                        (hit == want).then_some(i)
-                    })
-                    .collect(),
-            )
-        }
-        _ => {
-            let keep_unmatched = matches!(kind, JKind::Left);
-            let mut li: Vec<usize> = Vec::new();
-            let mut ri: Vec<Option<usize>> = Vec::new();
-            for (i, k) in keys.iter().enumerate() {
-                match k.as_ref().and_then(|k| index.get(k)) {
-                    Some(rows) => {
-                        for &r in rows {
-                            li.push(i);
-                            ri.push(Some(r as usize));
-                        }
-                    }
-                    None => {
-                        if keep_unmatched {
-                            li.push(i);
-                            ri.push(None);
-                        }
-                    }
+    let mut li: Vec<usize> = Vec::with_capacity(range.len());
+    let mut ri: Vec<usize> = Vec::new();
+    if matches!(kind, JKind::Semi | JKind::Anti) {
+        let want = kind == JKind::Semi;
+        li.extend(range.filter(|&i| index.probe(keys, nulls, i).is_some() == want));
+        return ProbeHits { li, ri };
+    }
+    let keep_unmatched = matches!(kind, JKind::Left | JKind::Full);
+    ri.reserve(range.len());
+    for i in range {
+        match index.probe(keys, nulls, i) {
+            Some(rows) => {
+                for &r in rows {
+                    li.push(i);
+                    ri.push(r as usize);
                 }
             }
-            ProbeHits::Pairs { li, ri }
+            None if keep_unmatched => {
+                li.push(i);
+                ri.push(NO_ROW);
+            }
+            None => {}
         }
     }
+    ProbeHits { li, ri }
 }
 
-/// Terminates a chunk at the pipeline's sink.
-fn finish_chunk(sink: &Sink<'_>, chunk: Chunk, cx: ChunkCx<'_>) -> Result<ChunkOut> {
-    match sink {
-        Sink::Materialize => {
-            // A stage-owned batch whose rows all survive needs no copy.
-            if chunk.owned {
-                if let Rows::Range(r) = &chunk.rows {
-                    if r.start == 0 && r.end == chunk.batch.num_rows() {
-                        return Ok(ChunkOut::Batch(chunk.batch));
-                    }
-                }
-            }
-            Ok(ChunkOut::Batch(chunk_gather(&chunk.batch, &chunk.rows)))
-        }
-        Sink::Aggregate { group, aggs } => {
-            let keys: Vec<Column> = group
-                .iter()
-                .map(|e| cx.eval(e, &chunk.batch, &chunk.rows))
-                .collect::<Result<_>>()?;
-            let (_, uniq) = arg_dedup(aggs);
-            let args: Vec<Column> = uniq
-                .iter()
-                .map(|e| cx.eval(e, &chunk.batch, &chunk.rows))
-                .collect::<Result<_>>()?;
-            Ok(ChunkOut::Agg {
-                rows: chunk.rows.len(),
-                keys,
-                args,
-            })
-        }
+/// Terminates a chunk at the pipeline's sink: its surviving rows (and how
+/// many), restricted to the columns `only` names when the sink reads just
+/// those (an aggregate sink's key and argument inputs).
+fn finish_chunk(chunk: Chunk, only: Option<&[usize]>) -> (usize, Batch) {
+    let n = chunk.rows.len();
+    let batch = match only {
+        None => chunk.batch,
+        Some(used) => Batch {
+            cols: used.iter().map(|&i| chunk.batch.cols[i].clone()).collect(),
+        },
+    };
+    // A stage-owned batch whose rows all survive needs no copy.
+    let whole = matches!(&chunk.rows, Rows::Range(r) if r.start == 0 && r.end == batch.num_rows());
+    if chunk.owned && whole {
+        return (n, batch);
     }
+    (n, chunk_gather(&batch, &chunk.rows))
 }
 
 /// An empty batch with the schema's dtypes (a pipeline whose every chunk
@@ -2037,406 +1902,6 @@ fn empty_batch(schema: &Schema) -> Batch {
 /// can assert which path a query takes.
 pub fn planned_key_width(col_sets: &[&[&Column]], nulls_matter: bool) -> Option<KeyWidth> {
     FixedKeySpec::plan(col_sets, nulls_matter).map(|s| s.width())
-}
-
-/// Column-major accumulation of one aggregate over a row chunk.
-///
-/// `gids[k]` is the chunk-local group of row `start + k`. Numeric
-/// sum/avg/count/min/max arguments take monomorphic loops over the raw column
-/// slice; every other dtype/accumulator pair (DISTINCT sets, string/date
-/// extrema) falls back to the row-at-a-time [`GroupState::update_one`].
-fn accumulate(
-    states: &mut [GroupState],
-    ai: usize,
-    agg: &BAgg,
-    gids: &[u32],
-    start: usize,
-    col: Option<&Column>,
-) -> Result<()> {
-    let Some(first) = states.first() else {
-        return Ok(());
-    };
-    let tag = first.accs[ai].tag();
-
-    /// One typed loop: `$acc` destructures the accumulator, `$x` binds the
-    /// row value (only on valid rows), `$body` updates the accumulator.
-    macro_rules! acc_loop {
-        ($d:expr, $valid:expr, $acc:pat, $x:ident, $body:expr) => {{
-            match $valid {
-                None => {
-                    for (k, &g) in gids.iter().enumerate() {
-                        let $x = $d[start + k];
-                        let $acc = &mut states[g as usize].accs[ai] else {
-                            unreachable!("accumulator kinds are uniform per aggregate");
-                        };
-                        $body
-                    }
-                }
-                Some(vs) => {
-                    for (k, &g) in gids.iter().enumerate() {
-                        if vs[start + k] {
-                            let $x = $d[start + k];
-                            let $acc = &mut states[g as usize].accs[ai] else {
-                                unreachable!("accumulator kinds are uniform per aggregate");
-                            };
-                            $body
-                        }
-                    }
-                }
-            }
-            return Ok(());
-        }};
-    }
-
-    match (col, tag) {
-        // COUNT(*) — no argument, every row counts.
-        (None, AccTag::Count) => {
-            for &g in gids {
-                if let Acc::Count(cnt) = &mut states[g as usize].accs[ai] {
-                    *cnt += 1;
-                }
-            }
-            Ok(())
-        }
-        // COUNT(arg) — count valid rows; only the validity mask matters.
-        (Some(c), AccTag::Count) => {
-            let valid = c.validity();
-            for (k, &g) in gids.iter().enumerate() {
-                if valid.map_or(true, |v| v[start + k]) {
-                    if let Acc::Count(cnt) = &mut states[g as usize].accs[ai] {
-                        *cnt += 1;
-                    }
-                }
-            }
-            Ok(())
-        }
-        (Some(Column::Float(d, v)), AccTag::SumF) => {
-            acc_loop!(d, v.as_deref(), Acc::SumF(s, any), x, {
-                *s += x;
-                *any = true;
-            })
-        }
-        (Some(Column::Int(d, v)), AccTag::SumF) => {
-            acc_loop!(d, v.as_deref(), Acc::SumF(s, any), x, {
-                *s += x as f64;
-                *any = true;
-            })
-        }
-        (Some(Column::Int(d, v)), AccTag::SumI) => {
-            acc_loop!(d, v.as_deref(), Acc::SumI(s, any), x, {
-                *s += x;
-                *any = true;
-            })
-        }
-        (Some(Column::Float(d, v)), AccTag::Avg) => {
-            acc_loop!(d, v.as_deref(), Acc::Avg(s, c), x, {
-                *s += x;
-                *c += 1;
-            })
-        }
-        (Some(Column::Int(d, v)), AccTag::Avg) => {
-            acc_loop!(d, v.as_deref(), Acc::Avg(s, c), x, {
-                *s += x as f64;
-                *c += 1;
-            })
-        }
-        // MIN/MAX over floats: NaN never replaces (partial_cmp semantics).
-        (Some(Column::Float(d, v)), AccTag::Min) => {
-            acc_loop!(d, v.as_deref(), Acc::Min(m), x, {
-                match m {
-                    Some(Value::Float(cur)) => {
-                        if x < *cur {
-                            *cur = x;
-                        }
-                    }
-                    _ => *m = Some(Value::Float(x)),
-                }
-            })
-        }
-        (Some(Column::Float(d, v)), AccTag::Max) => {
-            acc_loop!(d, v.as_deref(), Acc::Max(m), x, {
-                match m {
-                    Some(Value::Float(cur)) => {
-                        if x > *cur {
-                            *cur = x;
-                        }
-                    }
-                    _ => *m = Some(Value::Float(x)),
-                }
-            })
-        }
-        (Some(Column::Int(d, v)), AccTag::Min) => {
-            acc_loop!(d, v.as_deref(), Acc::Min(m), x, {
-                match m {
-                    Some(Value::Int(cur)) => {
-                        if x < *cur {
-                            *cur = x;
-                        }
-                    }
-                    _ => *m = Some(Value::Int(x)),
-                }
-            })
-        }
-        (Some(Column::Int(d, v)), AccTag::Max) => {
-            acc_loop!(d, v.as_deref(), Acc::Max(m), x, {
-                match m {
-                    Some(Value::Int(cur)) => {
-                        if x > *cur {
-                            *cur = x;
-                        }
-                    }
-                    _ => *m = Some(Value::Int(x)),
-                }
-            })
-        }
-        // DISTINCT over a fixed-width argument: raw i64 inserts.
-        (Some(Column::Int(d, v)), AccTag::DistinctI) => {
-            acc_loop!(d, v.as_deref(), Acc::DistinctI(set), x, {
-                set.insert(x);
-            })
-        }
-        (Some(Column::Date(d, v)), AccTag::DistinctI) => {
-            acc_loop!(d, v.as_deref(), Acc::DistinctI(set), x, {
-                set.insert(i64::from(x));
-            })
-        }
-        // Everything else row-at-a-time through the Value fallback.
-        _ => {
-            for (k, &g) in gids.iter().enumerate() {
-                let v = match col {
-                    Some(c) => c.get(start + k),
-                    None => Value::Int(1),
-                };
-                states[g as usize].update_one(ai, agg, v);
-            }
-            Ok(())
-        }
-    }
-}
-
-// ---------------- aggregate state ----------------
-
-/// Per-group accumulator states.
-#[derive(Debug, Clone)]
-struct GroupState {
-    first_row: usize,
-    accs: Vec<Acc>,
-}
-
-#[derive(Debug, Clone)]
-enum Acc {
-    SumI(i64, bool), // value, saw-any
-    SumF(f64, bool),
-    Count(i64),
-    Min(Option<Value>),
-    Max(Option<Value>),
-    Avg(f64, i64),
-    /// DISTINCT over a fixed-width argument: raw `i64` set, no encoding.
-    DistinctI(FxHashSet<i64>),
-    /// DISTINCT fallback (float/string args): byte-encoded values.
-    DistinctB(FxHashSet<Vec<u8>>),
-}
-
-/// Copyable accumulator discriminant — lets [`accumulate`] pick a typed loop
-/// without holding a borrow on the states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AccTag {
-    SumI,
-    SumF,
-    Count,
-    Min,
-    Max,
-    Avg,
-    DistinctI,
-    DistinctB,
-}
-
-impl Acc {
-    fn tag(&self) -> AccTag {
-        match self {
-            Acc::SumI(..) => AccTag::SumI,
-            Acc::SumF(..) => AccTag::SumF,
-            Acc::Count(..) => AccTag::Count,
-            Acc::Min(..) => AccTag::Min,
-            Acc::Max(..) => AccTag::Max,
-            Acc::Avg(..) => AccTag::Avg,
-            Acc::DistinctI(..) => AccTag::DistinctI,
-            Acc::DistinctB(..) => AccTag::DistinctB,
-        }
-    }
-}
-
-impl GroupState {
-    fn new(first_row: usize, aggs: &[BAgg], arg_dtypes: &[Option<DType>]) -> GroupState {
-        let accs = aggs
-            .iter()
-            .enumerate()
-            .map(|(i, a)| {
-                let dtype = arg_dtypes.get(i).copied().flatten();
-                match (a.func, a.distinct) {
-                    (_, true) => match dtype {
-                        Some(DType::Int | DType::Date | DType::Bool) => {
-                            Acc::DistinctI(FxHashSet::default())
-                        }
-                        _ => Acc::DistinctB(FxHashSet::default()),
-                    },
-                    (AggName::Count, _) => Acc::Count(0),
-                    (AggName::Avg, _) => Acc::Avg(0.0, 0),
-                    (AggName::Min, _) => Acc::Min(None),
-                    (AggName::Max, _) => Acc::Max(None),
-                    (AggName::Sum, _) => {
-                        if dtype == Some(DType::Int) && a.arg.is_some() {
-                            Acc::SumI(0, false)
-                        } else {
-                            Acc::SumF(0.0, false)
-                        }
-                    }
-                }
-            })
-            .collect();
-        GroupState { first_row, accs }
-    }
-
-    /// Row-at-a-time accumulator update — the fallback [`accumulate`] uses
-    /// for dtype/accumulator pairs without a typed loop.
-    fn update_one(&mut self, ai: usize, agg: &BAgg, v: Value) {
-        match &mut self.accs[ai] {
-            Acc::Count(c) => {
-                if agg.arg.is_none() || !v.is_null() {
-                    *c += 1;
-                }
-            }
-            Acc::SumF(s, any) => {
-                if let Some(x) = v.as_f64() {
-                    *s += x;
-                    *any = true;
-                }
-            }
-            Acc::SumI(s, any) => {
-                if let Some(x) = v.as_i64() {
-                    *s += x;
-                    *any = true;
-                }
-            }
-            Acc::Avg(s, c) => {
-                if let Some(x) = v.as_f64() {
-                    *s += x;
-                    *c += 1;
-                }
-            }
-            Acc::Min(m) => {
-                if !v.is_null()
-                    && m.as_ref()
-                        .map_or(true, |cur| v.sql_cmp(cur) == Some(std::cmp::Ordering::Less))
-                {
-                    *m = Some(v);
-                }
-            }
-            Acc::Max(m) => {
-                if !v.is_null()
-                    && m.as_ref().map_or(true, |cur| {
-                        v.sql_cmp(cur) == Some(std::cmp::Ordering::Greater)
-                    })
-                {
-                    *m = Some(v);
-                }
-            }
-            Acc::DistinctI(set) => {
-                if let Some(x) = v.as_i64() {
-                    set.insert(x);
-                }
-            }
-            Acc::DistinctB(set) => {
-                if !v.is_null() {
-                    let mut buf = Vec::new();
-                    encode_value(&mut buf, &normalize_key(v));
-                    set.insert(buf);
-                }
-            }
-        }
-    }
-
-    fn merge(&mut self, other: &GroupState, _aggs: &[BAgg]) {
-        self.first_row = self.first_row.min(other.first_row);
-        for (a, b) in self.accs.iter_mut().zip(&other.accs) {
-            match (a, b) {
-                (Acc::Count(x), Acc::Count(y)) => *x += y,
-                (Acc::SumF(x, anyx), Acc::SumF(y, anyy)) => {
-                    *x += y;
-                    *anyx |= *anyy;
-                }
-                (Acc::SumI(x, anyx), Acc::SumI(y, anyy)) => {
-                    *x += y;
-                    *anyx |= *anyy;
-                }
-                (Acc::Avg(xs, xc), Acc::Avg(ys, yc)) => {
-                    *xs += ys;
-                    *xc += yc;
-                }
-                (Acc::Min(x), Acc::Min(y)) => {
-                    if let Some(yv) = y {
-                        if x.as_ref()
-                            .map_or(true, |xv| yv.sql_cmp(xv) == Some(std::cmp::Ordering::Less))
-                        {
-                            *x = Some(yv.clone());
-                        }
-                    }
-                }
-                (Acc::Max(x), Acc::Max(y)) => {
-                    if let Some(yv) = y {
-                        if x.as_ref().map_or(true, |xv| {
-                            yv.sql_cmp(xv) == Some(std::cmp::Ordering::Greater)
-                        }) {
-                            *x = Some(yv.clone());
-                        }
-                    }
-                }
-                (Acc::DistinctI(x), Acc::DistinctI(y)) => {
-                    x.extend(y.iter().copied());
-                }
-                (Acc::DistinctB(x), Acc::DistinctB(y)) => {
-                    x.extend(y.iter().cloned());
-                }
-                _ => unreachable!("accumulator kinds align"),
-            }
-        }
-    }
-
-    fn finalize(&self, ai: usize, agg: &BAgg) -> Value {
-        match &self.accs[ai] {
-            Acc::Count(c) => Value::Int(*c),
-            Acc::SumF(s, any) => {
-                if *any {
-                    Value::Float(*s)
-                } else {
-                    Value::Null
-                }
-            }
-            Acc::SumI(s, any) => {
-                if *any {
-                    Value::Int(*s)
-                } else {
-                    Value::Null
-                }
-            }
-            Acc::Avg(s, c) => {
-                if *c > 0 {
-                    Value::Float(s / *c as f64)
-                } else {
-                    Value::Null
-                }
-            }
-            Acc::Min(m) | Acc::Max(m) => m.clone().unwrap_or(Value::Null),
-            Acc::DistinctI(set) => match agg.func {
-                AggName::Count => Value::Int(set.len() as i64),
-                _ => Value::Null,
-            },
-            Acc::DistinctB(set) => match agg.func {
-                AggName::Count => Value::Int(set.len() as i64),
-                _ => Value::Null,
-            },
-        }
-    }
 }
 
 #[cfg(test)]

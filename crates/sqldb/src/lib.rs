@@ -52,6 +52,7 @@
 
 #![warn(missing_docs)]
 
+mod agg;
 pub mod ast;
 pub mod bind;
 pub mod db;

@@ -63,10 +63,11 @@ pub struct ProbeStage<'p> {
 pub enum Sink<'p> {
     /// Stitch surviving chunks into a batch, in morsel order.
     Materialize,
-    /// Stream each chunk's group-key and aggregate-argument columns into
-    /// the fixed-morsel-grid aggregation (`docs/EXECUTION.md` § determinism:
-    /// the narrow columns are concatenated in morsel order, so the grid and
-    /// merge tree are byte-identical to the materializing path's).
+    /// Stream each chunk's surviving rows — only the columns that group
+    /// keys and aggregate arguments reference — into the fixed-morsel-grid
+    /// aggregation (`docs/EXECUTION.md` § determinism: the rows are
+    /// concatenated in morsel order, so the grid and merge tree are
+    /// byte-identical to the materializing path's).
     Aggregate {
         /// Group-key expressions over the last stage's output.
         group: &'p [BExpr],

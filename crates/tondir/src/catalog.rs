@@ -18,6 +18,9 @@ pub struct TableSchema {
     pub cols: Vec<(String, DType)>,
     /// Column sets known to be unique (primary key first, by convention).
     pub unique: Vec<Vec<String>>,
+    /// Columns known to hold no NULL. Uniqueness alone does not imply it: a
+    /// declared key may hold a NULL row.
+    pub not_null: Vec<String>,
     /// Estimated/exact row count when known.
     pub row_count: Option<u64>,
 }
@@ -29,6 +32,7 @@ impl TableSchema {
             name: name.into(),
             cols,
             unique: Vec::new(),
+            not_null: Vec::new(),
             row_count: None,
         }
     }
@@ -37,6 +41,12 @@ impl TableSchema {
     pub fn with_unique(mut self, cols: &[&str]) -> TableSchema {
         self.unique
             .push(cols.iter().map(|c| c.to_string()).collect());
+        self
+    }
+
+    /// Declares `cols` free of NULLs (builder style).
+    pub fn with_not_null(mut self, cols: &[&str]) -> TableSchema {
+        self.not_null.extend(cols.iter().map(|c| c.to_string()));
         self
     }
 
