@@ -10,8 +10,7 @@
 //! ≥ 5× the re-parse throughput there. The facade pair mirrors the same
 //! split one layer up: `facade_compile_each` re-runs the whole
 //! Python→TondIR→plan pipeline per call, `facade_cached_run` is
-//! `Pytond::run` hitting the stats-versioned plan cache. The CI gate diffs
-//! these numbers against `BENCH_3.json`.
+//! `Pytond::run` hitting the stats-versioned plan cache.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pytond::{Backend, OptLevel, Pytond};

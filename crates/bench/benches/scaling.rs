@@ -28,7 +28,7 @@ const SCAN_ROWS: i64 = 2_000_000;
 /// Thread counts of the scaling ladder.
 const THREADS: [usize; 3] = [1, 2, 4];
 
-/// The queries whose 1→4-thread speedups `BENCH_4.json` records.
+/// The queries of the 1→4-thread ladder.
 const TPCH_IDS: [usize; 3] = [3, 9, 18];
 
 fn smoke() -> bool {

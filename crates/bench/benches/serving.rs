@@ -1,5 +1,5 @@
 //! `serving` microbench: multi-client throughput of the snapshot-isolated
-//! serving core (BENCH_5.json).
+//! serving core.
 //!
 //! N client threads (1/2/4) share one cloned [`Database`] handle and fire a
 //! **prepared** TPC-H query in a closed loop while a background appender

@@ -1,5 +1,5 @@
 //! `shedding` microbench: tail latency and shed rate of bounded admission
-//! under oversubscription (BENCH_6.json).
+//! under oversubscription.
 //!
 //! Eight client threads fire a prepared aggregation in a closed loop
 //! through an [`Admission`] gate of capacity 1/2/4 with a short queue-wait

@@ -970,96 +970,6 @@ impl Column {
     }
 }
 
-/// Unifies two string-typed columns onto one shared dictionary, so packed
-/// key layouts can compare their codes directly: the result columns are both
-/// [`Column::DictStr`] holding the *same* `Arc`. The left dictionary is the
-/// base (its codes never move); right-only entries extend it and the right
-/// codes remap. Non-string inputs come back unchanged.
-pub fn unify_dict_pair(l: &Column, r: &Column) -> (Column, Column) {
-    if l.dtype() != DType::Str || r.dtype() != DType::Str {
-        return (l.clone(), r.clone());
-    }
-    let l = l.encode_str();
-    if let (
-        Column::DictStr { dict: ld, .. },
-        Column::DictStr {
-            codes: rc,
-            dict: rd,
-            valid: rv,
-        },
-    ) = (&l, r)
-    {
-        if Arc::ptr_eq(ld, rd) {
-            return (l.clone(), r.clone());
-        }
-        let mut base = (**ld).clone();
-        let remap: Vec<u32> = rd.strs().iter().map(|s| base.intern(s)).collect();
-        let shared = Arc::new(base);
-        let r_codes: Vec<u32> = rc
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                if rv.as_ref().map_or(true, |v| v[i]) {
-                    remap[c as usize]
-                } else {
-                    0
-                }
-            })
-            .collect();
-        let new_r = Column::DictStr {
-            codes: r_codes,
-            dict: shared.clone(),
-            valid: rv.clone(),
-        };
-        let new_l = match l {
-            Column::DictStr { codes, valid, .. } => Column::DictStr {
-                codes,
-                dict: shared,
-                valid,
-            },
-            _ => unreachable!("encode_str yields DictStr for string columns"),
-        };
-        return (new_l, new_r);
-    }
-    // Right side is plain: intern its rows against the left dictionary.
-    let Column::DictStr {
-        codes: lc,
-        dict: ld,
-        valid: lv,
-    } = &l
-    else {
-        unreachable!("encode_str yields DictStr for string columns")
-    };
-    let Column::Str(rd, rv) = r else {
-        unreachable!("non-dict string columns are plain")
-    };
-    let mut base = (**ld).clone();
-    let r_codes: Vec<u32> = rd
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            if rv.as_ref().map_or(true, |v| v[i]) {
-                base.intern(s)
-            } else {
-                0
-            }
-        })
-        .collect();
-    let shared = Arc::new(base);
-    (
-        Column::DictStr {
-            codes: lc.clone(),
-            dict: shared.clone(),
-            valid: lv.clone(),
-        },
-        Column::DictStr {
-            codes: r_codes,
-            dict: shared,
-            valid: rv.clone(),
-        },
-    )
-}
-
 /// The process-wide empty dictionary: zero-row placeholder columns that must
 /// share one `Arc` (key-layout planning compares dictionary identity) all
 /// point here.

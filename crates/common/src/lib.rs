@@ -28,7 +28,7 @@ pub mod value;
 pub mod version;
 
 pub use cancel::CancelToken;
-pub use column::{empty_dict, unify_dict_pair, Column, DType, DictParts, Dictionary};
+pub use column::{empty_dict, Column, DType, DictParts, Dictionary};
 pub use error::{Error, Result};
 pub use relation::Relation;
 pub use value::Value;

@@ -313,6 +313,7 @@ impl<'a> Binder<'a> {
                 left_keys: lkeys,
                 right_keys: rkeys,
                 residual: None,
+                build_left: false,
                 schema,
             };
         }
@@ -401,6 +402,7 @@ impl<'a> Binder<'a> {
                     left_keys: lkeys,
                     right_keys: rkeys,
                     residual,
+                    build_left: false,
                     schema,
                 })
             }
@@ -431,6 +433,7 @@ impl<'a> Binder<'a> {
                     left_keys: vec![key],
                     right_keys: vec![BExpr::Col(0)],
                     residual: None,
+                    build_left: false,
                     schema,
                 })
             }
@@ -445,6 +448,7 @@ impl<'a> Binder<'a> {
                     left_keys: Vec::new(),
                     right_keys: Vec::new(),
                     residual: None,
+                    build_left: false,
                     schema,
                 })
             }
@@ -472,6 +476,7 @@ impl<'a> Binder<'a> {
                         left_keys: Vec::new(),
                         right_keys: Vec::new(),
                         residual: None,
+                        build_left: false,
                         schema,
                     };
                     expr = replace_scalar_subquery(expr, col_index);

@@ -62,6 +62,13 @@ impl Profile {
             Profile::Lingo => "lingodb-sim",
         }
     }
+
+    /// The profile's pipeline-extraction policy: `true` fuses streaming
+    /// operators into maximal chains, `false` runs one operator per
+    /// pipeline (`Vectorized`; every profile under `PYTOND_NO_FUSE=1`).
+    pub(crate) fn fuses(self) -> bool {
+        self != Profile::Vectorized && !no_fuse()
+    }
 }
 
 /// Engine configuration: profile + thread count.
@@ -133,9 +140,8 @@ pub(crate) fn default_mem_budget_mb() -> Option<u64> {
     })
 }
 
-/// `PYTOND_NO_FUSE=1` forces the materializing (operator-at-a-time) path
-/// even under the fused profiles — the differential oracle the pipeline
-/// fuzzing suites run the whole test corpus against (read once).
+/// `PYTOND_NO_FUSE=1` switches every profile to the one-operator-per-pipeline
+/// extraction policy — same driver, same kernels, no fusion (read once).
 pub(crate) fn no_fuse() -> bool {
     static CACHED: OnceLock<bool> = OnceLock::new();
     *CACHED.get_or_init(|| {
@@ -297,11 +303,10 @@ impl Snapshot {
         } else {
             format!("{} bytes", metrics.mem_budget_bytes)
         };
-        // Under the fused profiles the trace also shows the pipeline
-        // decomposition the driver will execute (`PYTOND_NO_FUSE=1` reverts
-        // to pure operator-at-a-time, so no pipelines are shown).
-        let fused = matches!(prepared.profile, Profile::Fused | Profile::Lingo) && !no_fuse();
-        let pipelines = if fused {
+        // Under the fusing policy the trace also shows the pipeline
+        // decomposition the driver executed (one operator per pipeline needs
+        // no listing: it is the plan).
+        let pipelines = if config.profile.fuses() {
             crate::pipeline::describe(&prepared.bound)
         } else {
             String::new()
@@ -366,7 +371,7 @@ impl Snapshot {
         let ticket = pool::admission().admit_within(pool::default_admit_timeout())?;
         let opts = ExecOptions {
             threads: pool::resolve_threads(config.threads),
-            fused: matches!(config.profile, Profile::Fused | Profile::Lingo) && !no_fuse(),
+            fused: config.profile.fuses(),
             morsel: config.morsel,
             zone_prune: config.zone_prune,
             cancel: cancel.clone(),
@@ -1232,15 +1237,24 @@ mod tests {
     #[test]
     fn joins_build_on_smaller_side() {
         let db = q3_shaped_db();
-        // lineitem (8000 rows) probes; orders (2000 rows) should build even
-        // though it is the left input here.
-        let (_, trace) = db
-            .execute_sql_traced(
-                "SELECT o_orderkey FROM orders, lineitem WHERE o_orderkey = l_orderkey",
-                &EngineConfig::default(),
-            )
-            .unwrap();
-        assert!(trace.metrics.joins_flipped >= 1, "{:?}", trace.metrics);
+        // lineitem (8000 rows) streams; orders (2000 rows) builds even though
+        // it is the left input here. The plan says so, and every profile
+        // executes the plan's side.
+        let sql = "SELECT o_orderkey FROM orders, lineitem WHERE o_orderkey = l_orderkey";
+        let plan = db.explain_sql(sql).unwrap();
+        assert!(plan.contains("Join Inner build=left on ["), "{plan}");
+        for profile in [Profile::Vectorized, Profile::Fused, Profile::Lingo] {
+            let (_, trace) = db
+                .execute_sql_traced(sql, &EngineConfig::new(profile, 1))
+                .unwrap();
+            assert_eq!(
+                trace.metrics.joins_flipped, 1,
+                "{profile:?}: {:?}",
+                trace.metrics
+            );
+            assert_eq!(trace.metrics.join_build_rows, 2000, "{profile:?}");
+            assert_eq!(trace.metrics.join_probe_rows, 8000, "{profile:?}");
+        }
     }
 
     #[test]

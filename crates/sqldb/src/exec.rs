@@ -1,50 +1,57 @@
-//! Physical execution: morsel-parallel operators over materialized batches.
+//! Physical execution: one morsel-parallel pipeline driver over materialized
+//! batches.
 //!
-//! The executor walks the logical plan operator-at-a-time. Parallelism is
-//! morsel-driven (see `docs/EXECUTION.md` for the full threading model):
-//! predicated scans, filters, projections, join probes and partial
-//! aggregations claim morsels from [`pytond_common::pool`]'s shared atomic
-//! cursor, then merge deterministically — morsel order for row streams,
-//! global first-occurrence order for groups (matching the Pandas baseline's
-//! group order, which keeps differential tests exact). Hash-join build sides
-//! above [`pytond_common::hash::MIN_PARTITIONED_BUILD`] rows are split by
-//! key hash into partitions built concurrently
-//! ([`pytond_common::hash::PartitionedIndex`]). Order-sensitive float
-//! accumulation always folds over the fixed morsel grid — never over
-//! per-thread chunks — so every thread count (including 1) produces
-//! bit-identical results.
+//! The executor walks the logical plan top-down. Sources and breakers
+//! (unpredicated scans, `Values`, sorts, limits, windows, DISTINCT, keyless
+//! joins, aggregation merges) materialize their output; **every streaming
+//! operator** — predicated scan, filter, evaluated projection, keyed hash
+//! join — runs through `Executor::run_pipeline`, the only implementation
+//! of predicate evaluation, projection evaluation and hash-join build/probe
+//! in the engine. Which operators share a pipeline is a policy
+//! ([`crate::pipeline::extract`]), not a second engine:
 //!
-//! Profile differences:
-//!
-//! * **vectorized** — every operator materializes its full output before the
-//!   next starts (DuckDB-style operator-at-a-time with intermediate vectors);
-//! * **fused** — the plan is decomposed into single-pass pipelines
-//!   ([`crate::pipeline`]): a claimed morsel flows
+//! * **fused** — the maximal chain: a claimed morsel flows
 //!   scan → filter → project → join-probe → aggregate-partial while hot in
 //!   cache, with no intermediate relation between the fused operators — the
 //!   observable effect of Hyper-style pipeline compilation at this engine's
-//!   abstraction level. `PYTOND_NO_FUSE=1` forces the materializing path for
-//!   every profile; differential suites (`tests/fusion_property.rs`,
-//!   `tests/plan_fuzz.rs`) prove the two paths bit-identical.
+//!   abstraction level;
+//! * **vectorized** (or `PYTOND_NO_FUSE=1` under any profile) — one operator
+//!   per pipeline, each materializing its full output before the next starts
+//!   (DuckDB-style operator-at-a-time with intermediate vectors).
+//!
+//! Parallelism is morsel-driven (see `docs/EXECUTION.md` for the full
+//! threading model): pipelines and partial aggregations claim morsels from
+//! [`pytond_common::pool`]'s shared atomic cursor, then merge
+//! deterministically — morsel order for row streams, global first-occurrence
+//! order for groups (matching the Pandas baseline's group order, which keeps
+//! differential tests exact). Hash-join build sides above
+//! [`pytond_common::hash::MIN_PARTITIONED_BUILD`] rows are split by key hash
+//! into partitions built concurrently
+//! ([`pytond_common::hash::PartitionedIndex`]); which input is the build side
+//! is the plan's decision ([`LogicalPlan::Join`]'s `build_left`), never the
+//! executor's. Order-sensitive float accumulation always folds over the
+//! fixed morsel grid — never over per-thread chunks — so every thread count
+//! (including 1) and both policies produce bit-identical results
+//! (`tests/fusion_property.rs`, `tests/plan_fuzz.rs`).
 
 use crate::agg::{AggLayout, AggState};
 use crate::db::Snapshot;
 use crate::expr::{BExpr, DictTables, RowsRef};
-use crate::pipeline::{self, Pipeline, Sink, Stage};
+use crate::pipeline::{self, KeyLayout, Pipeline, ProbeStage, Sink, Source, Stage};
 use crate::plan::{BAgg, BoundQuery, JKind, LogicalPlan};
 use crate::stats::ZONE_ROWS;
 use crate::table::{Batch, Schema, StoredTable};
 use pytond_common::cancel::CancelToken;
 use pytond_common::fault::{self, FaultSite};
 use pytond_common::hash::{
-    distinct_keep, sql_key_encodings, FixedKeySpec, FxHashMap, FxHashSet, KeyArena, KeyWidth,
-    PartitionedIndex,
+    distinct_keep, sql_key_encodings, FixedKeySpec, FxHashMap, FxHashSet, KeyArena, KeyEncoding,
+    KeyWidth, PartitionedIndex,
 };
 use pytond_common::pool;
 use pytond_common::{Column, DType, Error, Result};
 use std::borrow::Cow;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// Runtime options (derived from [`crate::db::EngineConfig`]).
@@ -55,7 +62,9 @@ pub struct ExecOptions {
     /// ("auto") to [`pytond_common::pool::default_threads`] before execution
     /// reaches here. `1` runs every operator inline with no worker threads.
     pub threads: usize,
-    /// Fused (late-materialization) execution.
+    /// The pipeline-extraction policy: fuse streaming operators into maximal
+    /// chains (`true`) or run one operator per pipeline (`false`). Read by
+    /// [`crate::pipeline::extract`] alone.
     pub fused: bool,
     /// Rows per morsel.
     pub morsel: usize,
@@ -107,33 +116,33 @@ const SPAWN_MIN_MORSELS: usize = 4;
 /// Scan "morsels" are statistics zones ([`crate::stats::ZONE_ROWS`] rows):
 /// the granularity at which predicated scans either evaluate or skip input.
 /// [`ExecMetrics::morsels_claimed_per_worker`] counts dispenser claims of
-/// *any* parallel operator (scans, filters, projections, join probes,
-/// aggregation partials), accumulated per worker id across the whole query.
+/// *any* parallel work (pipelines, aggregation partials, distinct),
+/// accumulated per worker id across the whole query.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecMetrics {
     /// Resolved degree of parallelism the query ran with.
     pub threads: usize,
     /// Zones whose rows a predicated scan actually evaluated, as
-    /// **per-pipeline totals**: each pipeline (fused, or the single-operator
-    /// pipeline a materializing scan amounts to) counts every zone it
-    /// evaluates exactly once, no matter how many downstream operators
-    /// consume the scan's rows. Pinned by a trace assertion in
-    /// `tests/fusion_property.rs`.
+    /// **per-pipeline totals**: each pipeline counts every zone it evaluates
+    /// exactly once, no matter how many stages consume the scan's rows.
+    /// Pinned by a trace assertion in `tests/fusion_property.rs`.
     pub morsels_scanned: u64,
     /// Zones skipped because zone-map bounds proved the predicate false.
     pub morsels_pruned: u64,
-    /// Fused single-pass pipelines driven by this query (0 on the
-    /// materializing path).
+    /// Pipelines driven under the fusing extraction policy (0 when every
+    /// pipeline is one operator: the `Vectorized` profile, or
+    /// `PYTOND_NO_FUSE=1`).
     pub pipelines: u64,
     /// Operators fused into each pipeline (source + streaming stages + an
     /// aggregation sink), in pipeline completion order.
     pub pipeline_ops: Vec<u64>,
     /// Full intermediate materializations the fused pipelines avoided
-    /// compared to operator-at-a-time execution (see
+    /// compared to one operator per pipeline (see
     /// [`crate::pipeline::Pipeline::intermediates_avoided`]).
     pub intermediates_avoided: u64,
-    /// Hash joins that built on the left input because it was the smaller
-    /// side (the planner's layout defaults to building on the right).
+    /// Executed hash joins the plan marked `build_left` (the binder's
+    /// layout builds on the right; the optimizer flips it where the left
+    /// input is estimated smaller). The same under every profile.
     pub joins_flipped: u64,
     /// Work units claimed from the shared morsel dispenser, per worker id,
     /// summed over every parallel operator in the query. **Empty** when the
@@ -288,50 +297,25 @@ impl<'a> Executor<'a> {
         // sub-morsel observes deadlines between operators.
         self.opts.cancel.check()?;
         let out = self.exec_op(plan)?;
-        self.charge_batch(&out)?;
+        charge_cols(&self.opts.cancel, &out.cols)?;
         Ok(out)
     }
 
-    /// Charges freshly materialized output columns against the memory
-    /// budget. Only sole-owner columns count: shared `Arc`s (zero-copy
-    /// scans, bare-column projections) are views of existing storage, not
-    /// new allocations. No-op without an armed budget.
-    fn charge_batch(&self, batch: &Batch) -> Result<()> {
-        if self.opts.cancel.budget_bytes().is_none() {
-            return Ok(());
-        }
-        let fresh: u64 = batch
-            .cols
-            .iter()
-            .filter(|c| Arc::strong_count(c) == 1)
-            .map(|c| c.heap_bytes())
-            .sum();
-        self.opts.cancel.charge(fresh)
-    }
-
     fn exec_op(&self, plan: &LogicalPlan) -> Result<Batch> {
-        // Fused profiles: drive the pipeline rooted here single-pass. Plans
-        // (or subplans) that extract no pipeline fall through to the
-        // materializing operators below — which are also the whole story
-        // when fusion is off (`PYTOND_NO_FUSE=1` or the vectorized profile).
-        if self.opts.fused {
-            if let Some(pl) = pipeline::extract(plan) {
-                return self.run_pipeline(plan, &pl);
-            }
+        // Everything that streams runs through the one pipeline driver; how
+        // far a pipeline reaches (the maximal chain, or this operator alone)
+        // is the extraction policy's business. What is left below are the
+        // sources and breakers.
+        if let Some(pl) = pipeline::extract(plan, self.opts.fused) {
+            return self.run_pipeline(plan, &pl);
         }
         match plan {
             LogicalPlan::Scan {
                 table,
                 projection,
-                pred,
+                pred: None,
                 ..
-            } => {
-                let (batch, sel) = self.scan(table, projection.as_deref(), pred.as_ref())?;
-                match sel {
-                    Some(sel) => Ok(batch.gather(&sel)),
-                    None => Ok(batch),
-                }
-            }
+            } => Ok(self.scan(table, projection.as_deref())?.1),
             LogicalPlan::Values { schema, rows } => {
                 let mut cols: Vec<Column> = schema
                     .fields
@@ -345,27 +329,33 @@ impl<'a> Executor<'a> {
                 }
                 Ok(Batch::from_columns(cols))
             }
-            LogicalPlan::Filter { input, pred } => {
-                let batch = self.exec(input)?;
-                let sel = self.filter_sel(&batch, pred)?;
-                Ok(batch.gather(&sel))
-            }
+            // Bare columns only (anything evaluated is a pipeline stage):
+            // share the input's columns — permutation projections, e.g. the
+            // join-reorder restore projection, cost one `Arc` clone each.
             LogicalPlan::Project { exprs, input, .. } => {
                 let batch = self.exec(input)?;
-                self.project(&batch, exprs, None)
+                let cols = exprs.iter().map(|e| match e {
+                    BExpr::Col(i) => Ok(batch.cols[*i].clone()),
+                    e => Err(Error::Internal(format!("unevaluated projection {e}"))),
+                });
+                Ok(Batch {
+                    cols: cols.collect::<Result<_>>()?,
+                })
             }
             LogicalPlan::Join {
                 left,
                 right,
                 kind,
                 left_keys,
-                right_keys,
                 residual,
                 ..
-            } => {
-                let lb = self.exec(left)?;
-                let rb = self.exec(right)?;
-                self.join(&lb, &rb, *kind, left_keys, right_keys, residual.as_ref())
+            } if left_keys.is_empty() => {
+                let (lb, rb) = (self.exec(left)?, self.exec(right)?);
+                let out = keyless_join(&lb, &rb, *kind);
+                match residual {
+                    Some(res) => self.filter(out, res, plan.schema()),
+                    None => Ok(out),
+                }
             }
             LogicalPlan::Aggregate {
                 input, group, aggs, ..
@@ -401,6 +391,10 @@ impl<'a> Executor<'a> {
                 };
                 Ok(batch.gather(&keep))
             }
+            streaming => Err(Error::Internal(format!(
+                "{} was not extracted into a pipeline",
+                streaming.name()
+            ))),
         }
     }
 
@@ -412,14 +406,10 @@ impl<'a> Executor<'a> {
             .ok_or_else(|| Error::Exec(format!("unknown table '{table}'")))
     }
 
-    /// Zone-map pruning decision for a predicated scan: `(total zones,
-    /// per-zone keep flags)`. `None` flags = nothing prunable (pruning off,
-    /// or a stats-less CTE temp), every zone survives.
-    fn zone_survivors(
-        &self,
-        stored: &StoredTable,
-        pred: &BExpr,
-    ) -> (usize, Option<Vec<bool>>, usize) {
+    /// Zone-map pruning decision for a predicated scan: per-zone keep flags,
+    /// `None` = nothing prunable (pruning off, or a stats-less CTE temp) and
+    /// every zone survives. Counts the verdicts into the scan metrics.
+    fn zone_survivors(&self, stored: &StoredTable, pred: &BExpr) -> Option<Vec<bool>> {
         let n = stored.batch.num_rows();
         let total_zones = n.div_ceil(ZONE_ROWS).max(1);
         // A zone survives only if every prunable conjunct may match it.
@@ -460,20 +450,15 @@ impl<'a> Executor<'a> {
         let survived = zone_ok
             .as_ref()
             .map_or(total_zones, |ok| ok.iter().filter(|&&k| k).count());
-        (total_zones, zone_ok, survived)
+        let mut m = self.metrics.borrow_mut();
+        m.morsels_scanned += survived as u64;
+        m.morsels_pruned += (total_zones - survived) as u64;
+        zone_ok
     }
 
-    /// Scans a stored table: resolves the projection and, when a predicate
-    /// was pushed down, evaluates it zone-at-a-time — consulting the zone
-    /// maps first so morsels whose min/max bounds refute the predicate are
-    /// skipped without touching their rows. Returns the (unfiltered)
-    /// projected batch plus the selection of surviving rows.
-    fn scan(
-        &self,
-        table: &str,
-        projection: Option<&[usize]>,
-        pred: Option<&BExpr>,
-    ) -> Result<(Batch, Option<Vec<usize>>)> {
+    /// Resolves a scan: the stored table and its projected columns,
+    /// `Arc`-shared with storage.
+    fn scan(&self, table: &str, projection: Option<&[usize]>) -> Result<(&StoredTable, Batch)> {
         let stored = self.stored(table)?;
         let batch = match projection {
             None => stored.batch.clone(),
@@ -482,68 +467,7 @@ impl<'a> Executor<'a> {
             },
         };
         self.metrics.borrow_mut().dict_encoded_cols += batch.dict_cols() as u64;
-        let Some(pred) = pred else {
-            return Ok((batch, None));
-        };
-        let n = stored.batch.num_rows();
-        let (total_zones, zone_ok, survived) = self.zone_survivors(stored, pred);
-        {
-            let mut m = self.metrics.borrow_mut();
-            m.morsels_scanned += survived as u64;
-            m.morsels_pruned += (total_zones - survived) as u64;
-        }
-        // Evaluate the predicate over the surviving rows against the *full*
-        // stored batch (scan predicates address stored column indices).
-        let full = Batch {
-            cols: stored.batch.cols.clone(),
-        };
-        let scan_threads = if n <= ZONE_ROWS * (SPAWN_MIN_MORSELS - 1) {
-            1
-        } else {
-            self.opts.threads
-        };
-        let sel = if scan_threads > 1 {
-            // Parallel predicated scan: workers claim zone-aligned morsels
-            // from the shared dispenser; pruned zones are claimed and
-            // dropped without touching their rows. Surviving selections
-            // stitch in zone order, so the selection is byte-for-byte the
-            // serial scan's.
-            let cancel = &self.opts.cancel;
-            let tables = Some(&self.dict_tables);
-            let outcome = pool::par_morsels(
-                scan_threads,
-                n,
-                ZONE_ROWS,
-                &self.job_label("scan"),
-                |z, r| {
-                    morsel_guard(cancel)?;
-                    if zone_ok.as_ref().is_some_and(|ok| !ok[z]) {
-                        return Ok(Vec::new());
-                    }
-                    let mask = pred.mask_rows(&full, RowsRef::Range(r.start, r.end), tables)?;
-                    Ok(r.zip(mask)
-                        .filter_map(|(i, keep)| keep.then_some(i))
-                        .collect::<Vec<usize>>())
-                },
-            )?;
-            self.note_claims(&outcome.claimed_per_worker);
-            stitch(outcome.results)
-        } else {
-            match &zone_ok {
-                // Something pruned: evaluate only the surviving candidates.
-                Some(ok) if survived < total_zones => {
-                    let mut rows = Vec::new();
-                    for (z, keep) in ok.iter().enumerate() {
-                        if *keep {
-                            rows.extend(z * ZONE_ROWS..((z + 1) * ZONE_ROWS).min(n));
-                        }
-                    }
-                    self.filter_sel_within(&full, pred, &rows)?
-                }
-                _ => self.filter_sel(&full, pred)?,
-            }
-        };
-        Ok((batch, Some(sel)))
+        Ok((stored, batch))
     }
 
     /// The worker count an operator over `n` rows should spawn: the
@@ -572,64 +496,26 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Runs `f` over `(start, end)` ranges of `[0, n)` for **elementwise**
-    /// work, whose per-row outputs are independent of the chunk grid. Serial
-    /// (`threads = 1`) evaluates one range spanning the whole input — the
-    /// exact pre-pool code path — unless the query's token is armed, in
-    /// which case the serial run iterates the fixed morsel grid so a
-    /// deadline or cancel trips within one morsel (elementwise outputs are
-    /// chunk-independent, so the concatenated result is identical). Parallel
-    /// runs claim morsel-grid ranges from the shared dispenser and return
-    /// results in morsel order. `op` names the operator for pool-job panic
-    /// diagnostics.
-    fn par_elementwise<T: Send>(
+    /// Runs `f` over the grid of `[0, n)` with `step` rows per cell on up to
+    /// `threads` participants; `f` receives `(cell index, row range)` and
+    /// results come back in grid order. Every cell passes the morsel guard
+    /// (cancellation poll + fault point). Order-sensitive partials (float
+    /// aggregation) pass the **fixed** `opts.morsel` step at every thread
+    /// count, so the merge tree never depends on the worker count — see
+    /// `docs/EXECUTION.md` § determinism.
+    fn par_grid<T: Send>(
         &self,
         op: &str,
+        threads: usize,
         n: usize,
-        f: impl Fn(usize, usize) -> Result<T> + Sync,
+        step: usize,
+        f: impl Fn(usize, std::ops::Range<usize>) -> Result<T> + Sync,
     ) -> Result<Vec<T>> {
-        let threads = self.op_threads(n);
-        if threads <= 1 {
-            if !self.opts.cancel.is_armed() && fault::active().is_none() {
-                return Ok(vec![f(0, n)?]);
-            }
-            let morsel = self.opts.morsel.max(1);
-            let count = n.div_ceil(morsel);
-            let mut out = Vec::with_capacity(count);
-            for i in 0..count {
-                morsel_guard(&self.opts.cancel)?;
-                out.push(f(i * morsel, ((i + 1) * morsel).min(n))?);
-            }
-            return Ok(out);
-        }
         let cancel = &self.opts.cancel;
-        let outcome =
-            pool::par_morsels(threads, n, self.opts.morsel, &self.job_label(op), |_, r| {
-                morsel_guard(cancel)?;
-                f(r.start, r.end)
-            })?;
-        self.note_claims(&outcome.claimed_per_worker);
-        Ok(outcome.results)
-    }
-
-    /// Runs `f` over the **fixed** morsel grid of `[0, n)` at every thread
-    /// count — the grid for order-sensitive partials (float aggregation),
-    /// where the merge tree must not depend on the worker count. See
-    /// `docs/EXECUTION.md` § determinism. Every grid step passes through the
-    /// morsel guard (cancellation poll + fault point).
-    fn par_fixed<T: Send>(
-        &self,
-        op: &str,
-        n: usize,
-        f: impl Fn(usize, usize) -> Result<T> + Sync,
-    ) -> Result<Vec<T>> {
-        let threads = self.op_threads(n);
-        let cancel = &self.opts.cancel;
-        let outcome =
-            pool::par_morsels(threads, n, self.opts.morsel, &self.job_label(op), |_, r| {
-                morsel_guard(cancel)?;
-                f(r.start, r.end)
-            })?;
+        let outcome = pool::par_morsels(threads, n, step, &self.job_label(op), |z, r| {
+            morsel_guard(cancel)?;
+            f(z, r)
+        })?;
         if threads > 1 {
             self.note_claims(&outcome.claimed_per_worker);
         }
@@ -670,28 +556,19 @@ impl<'a> Executor<'a> {
         if threads <= 1 {
             return Ok(distinct_keep(keys));
         }
-        let cancel = &self.opts.cancel;
-        let outcome = pool::par_morsels(
-            threads,
-            keys.len(),
-            self.opts.morsel,
-            &self.job_label("distinct"),
-            |_, r| {
-                morsel_guard(cancel)?;
-                let mut seen: FxHashSet<K> = FxHashSet::default();
-                let mut keep = Vec::new();
-                for i in r {
-                    if seen.insert(keys[i]) {
-                        keep.push(i);
-                    }
+        let locals = self.par_grid("distinct", threads, keys.len(), self.opts.morsel, |_, r| {
+            let mut seen: FxHashSet<K> = FxHashSet::default();
+            let mut keep = Vec::new();
+            for i in r {
+                if seen.insert(keys[i]) {
+                    keep.push(i);
                 }
-                Ok(keep)
-            },
-        )?;
-        self.note_claims(&outcome.claimed_per_worker);
+            }
+            Ok(keep)
+        })?;
         let mut global: FxHashSet<K> = FxHashSet::default();
         let mut keep = Vec::new();
-        for local in outcome.results {
+        for local in locals {
             for i in local {
                 if global.insert(keys[i]) {
                     keep.push(i);
@@ -699,294 +576,6 @@ impl<'a> Executor<'a> {
             }
         }
         Ok(keep)
-    }
-
-    /// Like [`Executor::filter_sel`], restricted to the given candidate rows.
-    fn filter_sel_within(
-        &self,
-        batch: &Batch,
-        pred: &BExpr,
-        candidates: &[usize],
-    ) -> Result<Vec<usize>> {
-        let tables = Some(&self.dict_tables);
-        let chunks = self.par_elementwise("filter", candidates.len(), |start, end| {
-            let local = &candidates[start..end];
-            let mask = pred.mask_rows(batch, RowsRef::Sel(local), tables)?;
-            Ok(local
-                .iter()
-                .zip(mask)
-                .filter_map(|(&i, keep)| keep.then_some(i))
-                .collect::<Vec<usize>>())
-        })?;
-        Ok(stitch(chunks))
-    }
-
-    /// Evaluates a predicate, returning the surviving row indices.
-    fn filter_sel(&self, batch: &Batch, pred: &BExpr) -> Result<Vec<usize>> {
-        let n = batch.num_rows();
-        let tables = Some(&self.dict_tables);
-        let chunks = self.par_elementwise("filter", n, |start, end| {
-            let mask = pred.mask_rows(batch, RowsRef::Range(start, end), tables)?;
-            Ok((start..end)
-                .zip(mask)
-                .filter_map(|(i, keep)| keep.then_some(i))
-                .collect::<Vec<usize>>())
-        })?;
-        Ok(stitch(chunks))
-    }
-
-    fn project(&self, batch: &Batch, exprs: &[BExpr], sel: Option<&[usize]>) -> Result<Batch> {
-        let n = sel.map_or(batch.num_rows(), |s| s.len());
-        let mut out_cols: Vec<Arc<Column>> = Vec::with_capacity(exprs.len());
-        for e in exprs {
-            // Bare column without a selection: share the input column
-            // (permutation projections — e.g. the join-reorder restore
-            // projection — cost one Arc clone instead of a copy).
-            if sel.is_none() {
-                if let BExpr::Col(i) = e {
-                    out_cols.push(batch.cols[*i].clone());
-                    continue;
-                }
-            }
-            out_cols.push(Arc::new(self.eval_parallel("project", batch, e, sel, n)?));
-        }
-        Ok(Batch { cols: out_cols })
-    }
-
-    // ---------------- join ----------------
-
-    fn join(
-        &self,
-        left: &Batch,
-        right: &Batch,
-        kind: JKind,
-        left_keys: &[BExpr],
-        right_keys: &[BExpr],
-        residual: Option<&BExpr>,
-    ) -> Result<Batch> {
-        // Keyless joins.
-        if left_keys.is_empty() {
-            return self.keyless_join(left, right, kind, residual);
-        }
-        let mut lkey_cols: Vec<Column> = left_keys
-            .iter()
-            .map(|e| e.eval(left, None))
-            .collect::<Result<_>>()?;
-        let mut rkey_cols: Vec<Column> = right_keys
-            .iter()
-            .map(|e| e.eval(right, None))
-            .collect::<Result<_>>()?;
-        // String key pairs: unify both sides into one shared dictionary so
-        // `FixedKeySpec` can pack 32-bit codes instead of byte-encoding every
-        // row. Skipped under the no-dict oracle, which exercises the byte
-        // fallback end to end.
-        if !crate::db::no_dict() {
-            for i in 0..lkey_cols.len() {
-                if lkey_cols[i].dtype() == DType::Str && rkey_cols[i].dtype() == DType::Str {
-                    let (l, r) = pytond_common::unify_dict_pair(&lkey_cols[i], &rkey_cols[i]);
-                    lkey_cols[i] = l;
-                    rkey_cols[i] = r;
-                }
-            }
-        }
-        let lrefs: Vec<&Column> = lkey_cols.iter().collect();
-        let rrefs: Vec<&Column> = rkey_cols.iter().collect();
-        // Pick the key layout jointly over both sides; the packed fast paths
-        // and the byte fallback share one generic build/probe implementation.
-        match FixedKeySpec::plan(&[&lrefs, &rrefs], false) {
-            Some(spec) if spec.width() == KeyWidth::U64 => {
-                let (lk, rk) = (spec.pack_u64(&lrefs), spec.pack_u64(&rrefs));
-                self.hash_join(left, right, kind, &lk, &rk, residual)
-            }
-            Some(spec) => {
-                let (lk, rk) = (spec.pack_u128(&lrefs), spec.pack_u128(&rrefs));
-                self.hash_join(left, right, kind, &lk, &rk, residual)
-            }
-            None => {
-                // Per-position encodings keep fallback equality identical to
-                // what the packed path would compute (exact int-like keys,
-                // f64-normalized only where a float column participates).
-                let enc = sql_key_encodings(&[&lrefs, &rrefs]);
-                let la = KeyArena::encode(&lrefs, &enc, true);
-                let ra = KeyArena::encode(&rrefs, &enc, true);
-                let (lk, rk) = (la.keys_and_nulls(), ra.keys_and_nulls());
-                self.hash_join(left, right, kind, &lk, &rk, residual)
-            }
-        }
-    }
-
-    /// Hash join over precomputed per-row keys with their NULL-key masks
-    /// (NULL keys never match). `K` is `u64`/`u128` on the packed fast path
-    /// and a borrowed `&[u8]` arena slice on the fallback — either way
-    /// `Copy`, so the build side inserts without cloning.
-    ///
-    /// Build/probe side selection: the index defaults to the right input,
-    /// but when the left side's (actual, post-filter) cardinality is smaller
-    /// and the join kind permits, it builds on the left instead and probes
-    /// with the right — output order is preserved either way.
-    fn hash_join<K: Hash + Eq + Copy + Send + Sync>(
-        &self,
-        left: &Batch,
-        right: &Batch,
-        kind: JKind,
-        lkeys: &JoinKeys<K>,
-        rkeys: &JoinKeys<K>,
-        residual: Option<&BExpr>,
-    ) -> Result<Batch> {
-        let flip = matches!(kind, JKind::Inner | JKind::Semi | JKind::Anti)
-            && left.num_rows() < right.num_rows();
-        let mut out = if flip {
-            self.metrics.borrow_mut().joins_flipped += 1;
-            self.join_build_left(left, right, kind, lkeys, rkeys)?
-        } else {
-            self.join_build_right(left, right, kind, lkeys, rkeys)?
-        };
-        if let Some(res) = residual {
-            let sel = self.filter_sel(&out, res)?;
-            out = out.gather(&sel);
-        }
-        Ok(out)
-    }
-
-    /// Hash join building on the **left** (smaller) side and probing with the
-    /// right — used for inner/semi/anti joins when the left input is smaller.
-    /// Match pairs regroup left-major by a counting sort (for each left row,
-    /// its matching right rows in right-row order), which is exactly the
-    /// order [`Executor::join_build_right`] produces, so flipping is
-    /// invisible to results.
-    fn join_build_left<K: Hash + Eq + Copy + Send + Sync>(
-        &self,
-        left: &Batch,
-        right: &Batch,
-        kind: JKind,
-        lkeys: &JoinKeys<K>,
-        rkeys: &JoinKeys<K>,
-    ) -> Result<Batch> {
-        let ln = left.num_rows();
-        let table = self.build_index(lkeys)?;
-        self.metrics.borrow_mut().join_probe_rows += right.num_rows() as u64;
-        let (rk, rnulls) = (&rkeys.0, rkeys.1.as_deref());
-        // Probe: right side in parallel morsels, emitting (left row, right
-        // row) pairs; chunks stitch in range order, so pairs arrive with
-        // right rows ascending.
-        let pairs = self.par_elementwise("join-probe", right.num_rows(), |start, end| {
-            let mut pairs: Vec<(u32, u32)> = Vec::new();
-            for j in start..end {
-                if let Some(rows) = table.probe(rk, rnulls, j) {
-                    pairs.extend(rows.iter().map(|&l| (l, j as u32)));
-                }
-            }
-            Ok(pairs)
-        })?;
-        // Matches per left row, then (exclusive prefix sum) where each left
-        // row's run starts in the left-major output.
-        let mut at = vec![0u32; ln + 1];
-        for &(l, _) in pairs.iter().flatten() {
-            at[l as usize + 1] += 1;
-        }
-        if matches!(kind, JKind::Semi | JKind::Anti) {
-            let want = kind == JKind::Semi;
-            let keep: Vec<usize> = (0..ln).filter(|&l| (at[l + 1] > 0) == want).collect();
-            return Ok(left.gather(&keep));
-        }
-        for l in 0..ln {
-            at[l + 1] += at[l];
-        }
-        let total = at[ln] as usize;
-        let (mut li, mut ri) = (vec![0usize; total], vec![0usize; total]);
-        for &(l, r) in pairs.iter().flatten() {
-            let slot = &mut at[l as usize];
-            li[*slot as usize] = l as usize;
-            ri[*slot as usize] = r as usize;
-            *slot += 1;
-        }
-        let mut cols = left.gather(&li).cols;
-        cols.extend(right.gather(&ri).cols);
-        Ok(Batch { cols })
-    }
-
-    /// Hash join building on the right input and probing with the left, in
-    /// parallel morsels stitched in range order: left-major output, each
-    /// left row's matches in ascending right-row order.
-    fn join_build_right<K: Hash + Eq + Copy + Send + Sync>(
-        &self,
-        left: &Batch,
-        right: &Batch,
-        kind: JKind,
-        lkeys: &JoinKeys<K>,
-        rkeys: &JoinKeys<K>,
-    ) -> Result<Batch> {
-        let table = self.build_index(rkeys)?;
-        self.metrics.borrow_mut().join_probe_rows += left.num_rows() as u64;
-        let (lk, lnulls) = (&lkeys.0, lkeys.1.as_deref());
-        let chunks = self.par_elementwise("join-probe", left.num_rows(), |start, end| {
-            Ok(probe_rows(lk, lnulls, start..end, &table, kind))
-        })?;
-        let (li, ri): (Vec<_>, Vec<_>) = chunks.into_iter().map(|h| (h.li, h.ri)).unzip();
-        let (li, ri) = (stitch(li), stitch(ri));
-        Ok(match kind {
-            JKind::Semi | JKind::Anti => left.gather(&li),
-            JKind::Inner => {
-                let mut cols = left.gather(&li).cols;
-                cols.extend(right.gather(&ri).cols);
-                Batch { cols }
-            }
-            _ => {
-                let mut lo: Vec<Option<usize>> = li.into_iter().map(Some).collect();
-                let mut ro = opt_rows(&ri);
-                if matches!(kind, JKind::Right | JKind::Full) {
-                    // Unmatched build rows, in right-row order.
-                    let mut matched = vec![false; right.num_rows()];
-                    ro.iter().flatten().for_each(|&r| matched[r] = true);
-                    for r in (0..matched.len()).filter(|&r| !matched[r]) {
-                        lo.push(None);
-                        ro.push(Some(r));
-                    }
-                }
-                let mut cols = left.gather_opt(&lo).cols;
-                cols.extend(right.gather_opt(&ro).cols);
-                Batch { cols }
-            }
-        })
-    }
-
-    fn keyless_join(
-        &self,
-        left: &Batch,
-        right: &Batch,
-        kind: JKind,
-        residual: Option<&BExpr>,
-    ) -> Result<Batch> {
-        match kind {
-            JKind::Semi | JKind::Anti => {
-                // Uncorrelated EXISTS: keep all or nothing.
-                let keep = (right.num_rows() > 0) == matches!(kind, JKind::Semi);
-                if keep {
-                    Ok(left.clone())
-                } else {
-                    Ok(left.gather(&[]))
-                }
-            }
-            _ => {
-                let (ln, rn) = (left.num_rows(), right.num_rows());
-                let mut li = Vec::with_capacity(ln * rn);
-                let mut ri = Vec::with_capacity(ln * rn);
-                for i in 0..ln {
-                    for j in 0..rn {
-                        li.push(i);
-                        ri.push(j);
-                    }
-                }
-                let mut cols = left.gather(&li).cols;
-                cols.extend(right.gather(&ri).cols);
-                let mut out = Batch { cols };
-                if let Some(res) = residual {
-                    let sel = self.filter_sel(&out, res)?;
-                    out = out.gather(&sel);
-                }
-                Ok(out)
-            }
-        }
     }
 
     // ---------------- aggregate ----------------
@@ -1014,9 +603,7 @@ impl<'a> Executor<'a> {
             .iter()
             .map(|e| match e {
                 BExpr::Col(i) if *i < input.cols.len() => Ok(Cow::Borrowed(&*input.cols[*i])),
-                e => self
-                    .eval_parallel("eval", input, e, None, n)
-                    .map(Cow::Owned),
+                e => self.eval_parallel(input, e, n).map(Cow::Owned),
             })
             .collect::<Result<_>>()?;
         // Group keys take the packed fast path when every key column is
@@ -1073,7 +660,9 @@ impl<'a> Executor<'a> {
         layout: &AggLayout<'_>,
     ) -> Result<AggState> {
         let tables = &self.dict_tables;
-        let partials = self.par_fixed("agg-partial", n, |start, end| {
+        let (threads, morsel) = (self.op_threads(n), self.opts.morsel);
+        let partials = self.par_grid("agg-partial", threads, n, morsel, |_, r| {
+            let (start, end) = (r.start, r.end);
             let Some(keys) = keys else {
                 let part = layout.partial(input, (start, end), None, vec![start], tables)?;
                 return Ok((Vec::new(), part));
@@ -1132,26 +721,26 @@ impl<'a> Executor<'a> {
         Ok(state)
     }
 
-    /// Evaluates `e` over `sel` (or all `n` rows) of `batch`, morsel-parallel
-    /// when the input is large enough; chunks concatenate in morsel order.
-    fn eval_parallel(
-        &self,
-        op: &str,
-        batch: &Batch,
-        e: &BExpr,
-        sel: Option<&[usize]>,
-        n: usize,
-    ) -> Result<Column> {
+    /// Evaluates a group-key expression over all `n` rows of `batch`.
+    /// Elementwise work, whose per-row outputs are independent of the chunk
+    /// grid: a serial run evaluates one range spanning the input — unless the
+    /// query's token is armed (or faults are injected), in which case it
+    /// iterates the morsel grid so a deadline or cancel trips within one
+    /// morsel; parallel runs claim morsel-grid ranges from the shared
+    /// dispenser. Chunks concatenate in morsel order either way.
+    fn eval_parallel(&self, batch: &Batch, e: &BExpr, n: usize) -> Result<Column> {
+        let threads = self.op_threads(n);
+        let inline = threads <= 1 && !self.opts.cancel.is_armed() && fault::active().is_none();
+        let step = if inline { n } else { self.opts.morsel };
         let tables = Some(&self.dict_tables);
-        let chunks = self.par_elementwise(op, n, |start, end| {
-            let rows = match sel {
-                Some(s) => RowsRef::Sel(&s[start..end]),
-                None => RowsRef::Range(start, end),
-            };
-            e.eval_rows(batch, rows, tables)
+        let chunks = self.par_grid("eval", threads, n, step, |_, r| {
+            e.eval_rows(batch, RowsRef::Range(r.start, r.end), tables)
         })?;
         let mut it = chunks.into_iter();
-        let mut col = it.next().unwrap_or_else(|| Column::new(DType::Int));
+        let Some(mut col) = it.next() else {
+            // No rows, no morsels: the empty range still types the column.
+            return e.eval_rows(batch, RowsRef::Range(0, 0), tables);
+        };
         for c in it {
             col.append(&c)?;
         }
@@ -1161,190 +750,298 @@ impl<'a> Executor<'a> {
     // ---------------- sort / window ----------------
 
     fn sort(&self, batch: &Batch, keys: &[(BExpr, bool)]) -> Result<Batch> {
+        Ok(match self.sorted_indices(batch, keys)? {
+            Some(indices) => batch.gather(&indices),
+            None => batch.clone(),
+        })
+    }
+
+    /// The permutation that sorts `batch` by `keys` (ties broken on original
+    /// position, so the order is total), or `None` when the rows already are
+    /// in that order — found by one linear pass, before any sorting.
+    fn sorted_indices(&self, batch: &Batch, keys: &[(BExpr, bool)]) -> Result<Option<Vec<usize>>> {
         let n = batch.num_rows();
         let key_cols: Vec<(Column, bool)> = keys
             .iter()
             .map(|(e, asc)| Ok((e.eval(batch, None)?, *asc)))
             .collect::<Result<_>>()?;
-        let indices = self.sorted_indices(n, &key_cols);
-        Ok(batch.gather(&indices))
-    }
-
-    fn sorted_indices(&self, n: usize, key_cols: &[(Column, bool)]) -> Vec<usize> {
+        let keys: Vec<SortKey<'_>> = key_cols
+            .iter()
+            .map(|(c, asc)| SortKey::new(c, *asc))
+            .collect();
         let cmp = |&a: &usize, &b: &usize| {
-            for (col, asc) in key_cols {
-                let ord = col.get(a).total_cmp(&col.get(b));
-                let ord = if *asc { ord } else { ord.reverse() };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            a.cmp(&b) // stable tie-break on original position
+            keys.iter()
+                .map(|k| k.cmp(a, b))
+                .find(|ord| ord.is_ne())
+                .unwrap_or_else(|| a.cmp(&b))
         };
-        let mut idx: Vec<usize> = (0..n).collect();
-        if self.opts.threads > 1 && n > 4 * self.opts.morsel {
-            // Parallel chunk sort (pool tasks) + k-way merge. The comparator
-            // totally orders rows (ties broken on original position), so the
-            // merged output is the serial sort's, independent of chunking.
-            let chunk = n.div_ceil(self.opts.threads);
-            let bounds: Vec<&[usize]> = idx.chunks(chunk).collect();
-            let chunks: Vec<Vec<usize>> = pool::par_indexed(
-                self.opts.threads,
-                bounds.len(),
-                &self.job_label("sort"),
-                |ci| {
-                    let mut c = bounds[ci].to_vec();
-                    c.sort_by(cmp);
-                    c
-                },
-            );
-            // k-way merge
-            let mut heads = vec![0usize; chunks.len()];
-            let mut out = Vec::with_capacity(n);
-            loop {
-                let mut best: Option<(usize, usize)> = None; // (chunk, idx value)
-                for (ci, c) in chunks.iter().enumerate() {
-                    if heads[ci] < c.len() {
-                        let cand = c[heads[ci]];
-                        best = match best {
-                            None => Some((ci, cand)),
-                            Some((bci, bv)) => {
-                                if cmp(&cand, &bv) == std::cmp::Ordering::Less {
-                                    Some((ci, cand))
-                                } else {
-                                    Some((bci, bv))
-                                }
-                            }
-                        };
-                    }
-                }
-                match best {
-                    Some((ci, v)) => {
-                        out.push(v);
-                        heads[ci] += 1;
-                    }
-                    None => break,
-                }
-            }
-            out
-        } else {
-            idx.sort_by(cmp);
-            idx
+        if (1..n).all(|i| cmp(&(i - 1), &i).is_lt()) {
+            return Ok(None);
         }
+        let mut idx: Vec<usize> = (0..n).collect();
+        if self.opts.threads <= 1 || n <= 4 * self.opts.morsel {
+            idx.sort_unstable_by(cmp);
+            return Ok(Some(idx));
+        }
+        // Parallel chunk sort (pool tasks) + k-way merge. The comparator
+        // totally orders rows, so the merged output is the serial sort's,
+        // independent of chunking.
+        let chunk = n.div_ceil(self.opts.threads);
+        let bounds: Vec<&[usize]> = idx.chunks(chunk).collect();
+        let chunks: Vec<Vec<usize>> = pool::par_indexed(
+            self.opts.threads,
+            bounds.len(),
+            &self.job_label("sort"),
+            |ci| {
+                let mut c = bounds[ci].to_vec();
+                c.sort_unstable_by(cmp);
+                c
+            },
+        );
+        let mut heads = vec![0usize; chunks.len()];
+        let mut out = Vec::with_capacity(n);
+        loop {
+            let best = chunks
+                .iter()
+                .enumerate()
+                .filter(|(ci, c)| heads[*ci] < c.len())
+                .map(|(ci, c)| (ci, c[heads[ci]]))
+                .reduce(|best, cand| {
+                    if cmp(&cand.1, &best.1).is_lt() {
+                        cand
+                    } else {
+                        best
+                    }
+                });
+            let Some((ci, v)) = best else { break };
+            out.push(v);
+            heads[ci] += 1;
+        }
+        Ok(Some(out))
     }
 
     fn window(&self, batch: &Batch, order: &[(BExpr, bool)]) -> Result<Batch> {
         let n = batch.num_rows();
-        let ranks: Vec<i64> = if order.is_empty() {
-            (1..=n as i64).collect()
-        } else {
-            let key_cols: Vec<(Column, bool)> = order
-                .iter()
-                .map(|(e, asc)| Ok((e.eval(batch, None)?, *asc)))
-                .collect::<Result<_>>()?;
-            let sorted = self.sorted_indices(n, &key_cols);
-            let mut ranks = vec![0i64; n];
-            for (pos, &row) in sorted.iter().enumerate() {
-                ranks[row] = pos as i64 + 1;
+        let sorted = match order {
+            [] => None,
+            order => self.sorted_indices(batch, order)?,
+        };
+        let ranks: Vec<i64> = match sorted {
+            None => (1..=n as i64).collect(),
+            Some(sorted) => {
+                let mut ranks = vec![0i64; n];
+                for (pos, &row) in sorted.iter().enumerate() {
+                    ranks[row] = pos as i64 + 1;
+                }
+                ranks
             }
-            ranks
         };
         let mut cols = batch.cols.clone();
         cols.push(Arc::new(Column::from_i64(ranks)));
         Ok(Batch { cols })
     }
 
-    // ---------------- fused pipeline driver ----------------
+    // ---------------- the pipeline driver ----------------
 
-    /// Drives one extracted pipeline single-pass: every claimed morsel flows
-    /// source → stages → sink entirely while hot in cache.
-    ///
-    /// Determinism: the morsel grid is zone-aligned for fused scans (the
-    /// same grid the materializing scan uses) and `opts.morsel`-aligned for
-    /// materialized sources; chunks merge in ascending morsel order. A
-    /// materialize sink therefore stitches exactly the rows the
-    /// operator-at-a-time path would emit, in the same order; an aggregate
-    /// sink stitches just the input columns its keys and arguments
-    /// reference, in that same order, and hands them to
-    /// [`Executor::aggregate_from_cols`], whose fixed grid over the
-    /// concatenated rows is byte-identical to the unfused one. Fused ≡
-    /// unfused, bit for bit, by construction.
+    /// Runs one extracted pipeline: executes its source and build sides
+    /// (recursively — pipelines of their own), then drives every claimed
+    /// chunk source → stages → sink.
     fn run_pipeline(&self, plan: &LogicalPlan, pl: &Pipeline<'_>) -> Result<Batch> {
-        // Source: a predicated scan fuses (zone-aligned grid, claim-time
-        // zone-map skip); any breaker materializes once, then chunks.
-        let (source, n, step, threads) = match pl.source {
-            LogicalPlan::Scan {
+        // Source: a predicated scan streams (zone-aligned grid, claim-time
+        // zone-map skip); anything else materializes once, then chunks.
+        let source = match pl.source {
+            Source::Scan(LogicalPlan::Scan {
                 table,
                 projection,
                 pred: Some(pred),
                 ..
-            } => {
-                let stored = self.stored(table)?;
-                let n = stored.batch.num_rows();
-                let (total_zones, zone_ok, survived) = self.zone_survivors(stored, pred);
-                {
-                    let mut m = self.metrics.borrow_mut();
-                    m.morsels_scanned += survived as u64;
-                    m.morsels_pruned += (total_zones - survived) as u64;
-                }
-                let full = Batch {
-                    cols: stored.batch.cols.clone(),
-                };
-                let proj = match projection {
-                    None => stored.batch.clone(),
-                    Some(cols) => Batch {
-                        cols: cols.iter().map(|&i| stored.batch.cols[i].clone()).collect(),
-                    },
-                };
-                self.metrics.borrow_mut().dict_encoded_cols += proj.dict_cols() as u64;
-                let threads = if n <= ZONE_ROWS * (SPAWN_MIN_MORSELS - 1) {
-                    1
-                } else {
-                    self.opts.threads
-                };
-                (
-                    PSource::Scan {
-                        full,
-                        proj,
+            }) => {
+                let (stored, batch) = self.scan(table, projection.as_deref())?;
+                PSource {
+                    n: stored.batch.num_rows(),
+                    batch,
+                    scan: Some(PScan {
+                        // Scan predicates address stored column indices.
+                        full: Batch {
+                            cols: stored.batch.cols.clone(),
+                        },
                         pred,
-                        zone_ok,
-                    },
-                    n,
-                    ZONE_ROWS,
-                    threads,
-                )
+                        zone_ok: self.zone_survivors(stored, pred),
+                    }),
+                }
             }
-            src => {
+            Source::Scan(src) | Source::Breaker(src) => {
                 let batch = self.exec(src)?;
-                let n = batch.num_rows();
-                (
-                    PSource::Mat(batch),
-                    n,
-                    self.opts.morsel.max(1),
-                    self.op_threads(n),
-                )
+                PSource {
+                    n: batch.num_rows(),
+                    batch,
+                    scan: None,
+                }
             }
         };
-        // Stage preparation: join build sides execute here (recursively —
-        // possibly as pipelines of their own), before morsels start flowing.
+        // Join build sides execute here, before chunks start flowing: first
+        // the rows and key material, then the indexes that borrow them.
+        let sides: Vec<Option<BuildSide>> = pl
+            .stages
+            .iter()
+            .map(|st| match st {
+                Stage::Probe(pr) => self.build_side(pr).map(Some),
+                _ => Ok(None),
+            })
+            .collect::<Result<_>>()?;
         let stages: Vec<PStage<'_>> = pl
             .stages
             .iter()
-            .map(|s| self.prepare_stage(s))
+            .zip(&sides)
+            .map(|(st, side)| self.prepare_stage(st, side.as_ref()))
             .collect::<Result<_>>()?;
-        {
+        if pl.fused {
             let mut m = self.metrics.borrow_mut();
             m.pipelines += 1;
             m.pipeline_ops.push(pl.ops() as u64);
             m.intermediates_avoided += pl.intermediates_avoided() as u64;
             m.dict_probe_pipelines += u64::from(stages.iter().any(
-                |s| matches!(s, PStage::Probe(p) if p.build_dicts.iter().any(Option::is_some)),
+                |s| matches!(s, PStage::Probe(p) if p.side.dicts.iter().any(Option::is_some)),
             ));
         }
+        // The schema of what reaches the sink: an aggregate sink consumes
+        // its input's rows, every other sink emits the plan node's.
+        let schema = match (plan, &pl.sink) {
+            (LogicalPlan::Aggregate { input, .. }, Sink::Aggregate { .. }) => input.schema(),
+            _ => plan.schema(),
+        };
+        self.drive(source, &stages, &pl.sink, schema)
+    }
+
+    /// Keeps the rows of `batch` that satisfy `pred`: a one-stage pipeline
+    /// over a materialized source. `schema` is the batch's.
+    fn filter(&self, batch: Batch, pred: &BExpr, schema: &Schema) -> Result<Batch> {
+        let source = PSource {
+            n: batch.num_rows(),
+            batch,
+            scan: None,
+        };
+        self.drive(source, &[PStage::Filter(pred)], &Sink::Materialize, schema)
+    }
+
+    /// Executes a probe's build input and prepares its key material under
+    /// the planned layout.
+    fn build_side(&self, pr: &ProbeStage<'_>) -> Result<BuildSide> {
+        let batch = self.exec(pr.build)?;
+        // String-typed build keys of a packed layout define the probe's
+        // canonical code space: dictionary-encoded columns keep their
+        // dictionary, plain string outputs (expression results) get a fresh
+        // one. The layout planned these positions as 32-bit dict slots (see
+        // `pipeline::key_layout`), so packing needs `DictStr` here.
+        let packed = matches!(pr.layout, KeyLayout::Fixed { .. });
+        let mut dicts: Vec<Option<Arc<pytond_common::Dictionary>>> = Vec::new();
+        let key_cols: Vec<Column> = pr
+            .build_keys
+            .iter()
+            .map(|e| {
+                let c = e.eval(&batch, None)?;
+                Ok(if packed && c.dtype() == DType::Str {
+                    let enc = c.encode_str();
+                    let (_, dict, _) = enc.dict_parts().expect("encode_str yields DictStr");
+                    dicts.push(Some(dict.clone()));
+                    enc
+                } else {
+                    dicts.push(None);
+                    c
+                })
+            })
+            .collect::<Result<_>>()?;
+        let krefs: Vec<&Column> = key_cols.iter().collect();
+        let keys = match &pr.layout {
+            KeyLayout::Fixed { spec, .. } if spec.width() == KeyWidth::U64 => {
+                BuildKeys::U64(spec.pack_u64(&krefs))
+            }
+            KeyLayout::Fixed { spec, .. } => BuildKeys::U128(spec.pack_u128(&krefs)),
+            KeyLayout::Bytes(enc) => BuildKeys::Bytes(KeyArena::encode(&krefs, enc, true)),
+        };
+        Ok(BuildSide { batch, dicts, keys })
+    }
+
+    /// Turns an extracted stage into its runtime form; probe stages index
+    /// their build side here.
+    fn prepare_stage<'q>(
+        &self,
+        st: &'q Stage<'_>,
+        side: Option<&'q BuildSide>,
+    ) -> Result<PStage<'q>> {
+        Ok(match (st, side) {
+            (Stage::Filter(p), _) => PStage::Filter(p),
+            (Stage::Project(e), _) => PStage::Project(e),
+            (Stage::Probe(pr), Some(side)) => {
+                let index = match (&side.keys, &pr.layout) {
+                    (BuildKeys::U64(k), KeyLayout::Fixed { spec, .. }) => {
+                        ProbeIndex::U64(spec, self.build_index(k)?)
+                    }
+                    (BuildKeys::U128(k), KeyLayout::Fixed { spec, .. }) => {
+                        ProbeIndex::U128(spec, self.build_index(k)?)
+                    }
+                    (BuildKeys::Bytes(arena), KeyLayout::Bytes(enc)) => {
+                        ProbeIndex::Bytes(enc, self.build_index(&arena.keys_and_nulls())?)
+                    }
+                    _ => unreachable!("build keys follow the planned layout"),
+                };
+                self.metrics.borrow_mut().joins_flipped += u64::from(pr.build_left);
+                // A right/full join reports its unmatched build rows after
+                // the last chunk: probes flag the rows they match.
+                let matched = matches!(pr.kind, JKind::Right | JKind::Full).then(|| {
+                    (0..side.batch.num_rows())
+                        .map(|_| AtomicBool::new(false))
+                        .collect()
+                });
+                PStage::Probe(PProbe {
+                    stage: pr,
+                    side,
+                    index,
+                    matched,
+                    probed: AtomicU64::new(0),
+                })
+            }
+            (Stage::Probe(_), None) => unreachable!("every probe stage has a build side"),
+        })
+    }
+
+    /// Drives prepared stages over a source and finishes at the sink.
+    ///
+    /// Determinism: the chunk grid is zone-aligned for streamed scans and
+    /// `opts.morsel`-aligned for materialized sources (one chunk spanning
+    /// the input when a single operator runs inline); filters, projections
+    /// and probes are elementwise, so their concatenated output does not
+    /// depend on the grid, and chunks merge in ascending order. An
+    /// aggregate sink hands the concatenated key and argument columns to
+    /// [`Executor::aggregate_from_cols`], whose own fixed grid depends only
+    /// on the row count. Every extraction policy and thread count therefore
+    /// produces the same bits, by construction.
+    fn drive(
+        &self,
+        source: PSource<'_>,
+        stages: &[PStage<'_>],
+        sink: &Sink<'_>,
+        schema: &Schema,
+    ) -> Result<Batch> {
+        let n = source.n;
+        let (step, threads) = if source.scan.is_some() {
+            let inline = n <= ZONE_ROWS * (SPAWN_MIN_MORSELS - 1);
+            (ZONE_ROWS, if inline { 1 } else { self.opts.threads })
+        } else {
+            let threads = self.op_threads(n);
+            // A single operator run inline with nothing to poll for takes
+            // its input as one chunk: each kernel and each gather runs once.
+            // (Two operators — a stage under an aggregate sink — keep the
+            // grid: that is what holds the chunk in cache between them.)
+            let whole = stages.len() + usize::from(matches!(sink, Sink::Aggregate { .. })) <= 1
+                && threads <= 1
+                && !self.opts.cancel.is_armed()
+                && fault::active().is_none();
+            (if whole { n } else { self.opts.morsel }, threads)
+        };
         // An aggregate sink streams only the input columns its keys and
-        // arguments reference; a materialize sink streams all of them.
-        let sink_cols: Option<Vec<usize>> = match &pl.sink {
-            Sink::Materialize => None,
+        // arguments reference; the other sinks stream all of them.
+        let only: Option<Vec<usize>> = match sink {
             Sink::Aggregate { group, aggs } => {
                 let mut used = Vec::new();
                 let args = aggs.iter().filter_map(|a| a.arg.as_ref());
@@ -1355,130 +1052,166 @@ impl<'a> Executor<'a> {
                 used.sort_unstable();
                 Some(used)
             }
+            _ => None,
         };
-        // Drive. Each claim passes the morsel guard (fault point + cancel
-        // poll); each stage boundary polls again, so deadlines, budgets and
-        // explicit cancels trip within one morsel even mid-pipeline.
+        let regroup = matches!(sink, Sink::Regroup);
+        // Chunks that reach the sink as views of the source are gathered
+        // once, after the last one; chunks a stage materialized are
+        // compacted where they are hot, except under a regroup sink, whose
+        // one gather follows the counting sort.
+        let views = !stages.iter().any(PStage::materializes);
+        // Drive. Each claim passes the morsel guard; each stage boundary
+        // polls again, so deadlines, budgets and explicit cancels trip
+        // within one chunk even mid-pipeline.
         let cx = ChunkCx {
             cancel: &self.opts.cancel,
             tables: &self.dict_tables,
         };
-        let outcome = pool::par_morsels(threads, n, step, &self.job_label("pipeline"), |z, r| {
-            morsel_guard(cx.cancel)?;
+        let done = self.par_grid("pipeline", threads, n, step, |z, r| {
             let Some(mut chunk) = source_chunk(&source, z, r, cx)? else {
                 return Ok(None);
             };
-            for st in &stages {
+            for st in stages {
                 chunk = apply_stage(st, chunk, cx)?;
             }
-            Ok(Some(finish_chunk(chunk, sink_cols.as_deref())))
+            Ok(Some(if views || regroup {
+                chunk
+            } else {
+                compact_chunk(chunk, only.as_deref())
+            }))
         })?;
-        if threads > 1 {
-            self.note_claims(&outcome.claimed_per_worker);
-        }
-        for st in &stages {
+        for st in stages {
             if let PStage::Probe(p) = st {
                 self.metrics.borrow_mut().join_probe_rows += p.probed.load(Relaxed);
             }
         }
-        // Merge surviving chunks in morsel order. The total surviving row
-        // count is known before the merge starts, so the accumulating
-        // columns reserve once instead of repeatedly doubling.
-        let chunks: Vec<(usize, Batch)> = outcome.results.into_iter().flatten().collect();
-        let total: usize = chunks.iter().map(|(rows, _)| rows).sum();
+        // Merge in chunk order into `base` — the source's columns for view
+        // chunks, the stitched chunk batches otherwise — plus, for views and
+        // regroups, the selection of `base` rows that survive (`sel`). The
+        // stitched row count is known before the merge starts, so the
+        // accumulating columns reserve once instead of repeatedly doubling.
+        let chunks: Vec<Chunk> = done.into_iter().flatten().collect();
+        let owned_rows: usize = chunks.iter().map(|c| c.batch.num_rows()).sum();
+        let narrow = |b: &Batch| match &only {
+            Some(used) => Batch {
+                cols: used.iter().map(|&i| b.cols[i].clone()).collect(),
+            },
+            None => b.clone(),
+        };
+        // Every view chunk lists the same shared columns.
+        let view_base = chunks.first().filter(|_| views).map(|c| narrow(&c.batch));
         let mut merged: Option<Vec<Column>> = None;
-        for (rows, b) in chunks {
+        let (mut sels, mut build_rows) = (Vec::new(), Vec::new());
+        let mut offset = 0;
+        for c in chunks {
+            if views || regroup {
+                sels.push(c.rows.into_vec(offset));
+                build_rows.push(c.build_rows);
+            }
+            if views {
+                continue;
+            }
+            offset += c.batch.num_rows();
             match &mut merged {
                 None => {
-                    let mut first: Vec<Column> = b
+                    let mut first: Vec<Column> = c
+                        .batch
                         .cols
                         .into_iter()
                         .map(|c| Arc::try_unwrap(c).unwrap_or_else(|a| (*a).clone()))
                         .collect();
-                    for c in &mut first {
-                        c.reserve(total - rows);
+                    for col in &mut first {
+                        col.reserve(owned_rows - offset);
                     }
                     merged = Some(first);
                 }
                 Some(acc) => {
                     self.opts.cancel.check()?;
-                    for (a, c) in acc.iter_mut().zip(&b.cols) {
-                        a.append(c)?;
+                    for (a, col) in acc.iter_mut().zip(&c.batch.cols) {
+                        a.append(col)?;
                     }
                 }
             }
         }
-        match (&pl.sink, sink_cols) {
+        let sel = (views || regroup).then(|| stitch(sels));
+        // The columns chunks carry into the sink: the node's output, except
+        // that an inner regroup's chunks hold the streamed (right) input
+        // only — the build side's columns lead the join's schema.
+        let streamed = match stages.last() {
+            Some(PStage::Probe(p)) if regroup && p.stage.kind == JKind::Inner => {
+                &schema.fields[p.side.batch.cols.len()..]
+            }
+            _ => &schema.fields[..],
+        };
+        // Every chunk pruned or filtered away: typed, empty columns.
+        let base = view_base
+            .or(merged.map(Batch::from_columns))
+            .unwrap_or_else(|| narrow(&empty_batch(streamed)));
+        if regroup {
+            let Some(PStage::Probe(p)) = stages.last() else {
+                unreachable!("a regroup sink follows a build-left probe");
+            };
+            let out = regroup_pairs(p, &base, &sel.unwrap_or_default(), &stitch(build_rows));
+            return match p.stage.residual {
+                Some(res) => self.filter(out, res, schema),
+                None => Ok(out),
+            };
+        }
+        // The surviving rows. A view selection is ascending and duplicate
+        // free, so one as long as the source is the identity: share.
+        let (total, rows) = match sel {
+            Some(sel) if sel.len() != n => (sel.len(), base.gather(&sel)),
+            Some(sel) => (sel.len(), base),
+            None => (owned_rows, base),
+        };
+        match (sink, only) {
             (Sink::Aggregate { group, aggs }, Some(used)) => {
-                let LogicalPlan::Aggregate { input, .. } = plan else {
-                    unreachable!("aggregate sink under a non-aggregate root");
-                };
                 // The tail addresses columns by their position in the last
                 // stage's output: put each streamed column back in its place
-                // and leave the unreferenced positions typed and empty (also
-                // the whole story when every zone was pruned or filtered).
-                let mut wide = empty_batch(input.schema());
-                for (i, c) in used.into_iter().zip(merged.into_iter().flatten()) {
-                    wide.cols[i] = Arc::new(c);
+                // and leave the unreferenced positions typed and empty.
+                let mut wide = empty_batch(&schema.fields);
+                for (i, c) in used.into_iter().zip(rows.cols) {
+                    wide.cols[i] = c;
                 }
                 self.aggregate_from_cols(&wide, total, group, aggs)
             }
-            _ => Ok(match merged {
-                Some(cols) => Batch::from_columns(cols),
-                None => empty_batch(plan.schema()),
-            }),
+            _ => match stages.last() {
+                Some(PStage::Probe(p)) if p.matched.is_some() => {
+                    self.append_unmatched(rows, p, schema)
+                }
+                _ => Ok(rows),
+            },
         }
     }
 
-    /// Turns an extracted stage into its runtime form; probe stages execute
-    /// their build side and construct the hash index here.
-    fn prepare_stage<'q>(&self, st: &'q Stage<'_>) -> Result<PStage<'q>> {
-        Ok(match st {
-            Stage::Filter(p) => PStage::Filter(p),
-            Stage::Project(e) => PStage::Project(e),
-            Stage::Probe(pr) => {
-                let right = self.exec(pr.build)?;
-                // String-typed build keys define the probe's canonical code
-                // space: dictionary-encoded columns keep their dictionary,
-                // plain string outputs (expression results) get a fresh one.
-                // The spec planned these positions as 32-bit dict slots (see
-                // `pipeline::probe_spec`), so packing needs `DictStr` here.
-                let mut build_dicts: Vec<Option<Arc<pytond_common::Dictionary>>> = Vec::new();
-                let rkey_cols: Vec<Column> = pr
-                    .right_keys
-                    .iter()
-                    .map(|e| {
-                        let c = e.eval(&right, None)?;
-                        Ok(if c.dtype() == DType::Str {
-                            let enc = c.encode_str();
-                            let (_, dict, _) = enc.dict_parts().expect("encode_str yields DictStr");
-                            build_dicts.push(Some(dict.clone()));
-                            enc
-                        } else {
-                            build_dicts.push(None);
-                            c
-                        })
-                    })
-                    .collect::<Result<_>>()?;
-                let rrefs: Vec<&Column> = rkey_cols.iter().collect();
-                let index = match pr.spec.width() {
-                    KeyWidth::U64 => ProbeIndex::U64(self.build_index(&pr.spec.pack_u64(&rrefs))?),
-                    KeyWidth::U128 => {
-                        ProbeIndex::U128(self.build_index(&pr.spec.pack_u128(&rrefs))?)
-                    }
-                };
-                PStage::Probe(PProbe {
-                    kind: pr.kind,
-                    left_keys: pr.left_keys,
-                    residual: pr.residual,
-                    spec: &pr.spec,
-                    right,
-                    index,
-                    build_dicts,
-                    probed: AtomicU64::new(0),
-                })
-            }
-        })
+    /// Completes a right/full join: the build rows no probe matched follow
+    /// the joined rows, in build-row order, NULL on the probe side.
+    fn append_unmatched(&self, joined: Batch, p: &PProbe<'_>, schema: &Schema) -> Result<Batch> {
+        let flags = p.matched.as_deref().unwrap_or_default();
+        let unmatched: Vec<usize> = (0..flags.len())
+            .filter(|&r| !flags[r].load(Relaxed))
+            .collect();
+        let lw = joined.cols.len() - p.side.batch.cols.len();
+        let nulls = vec![None; unmatched.len()];
+        let mut cols: Vec<Arc<Column>> = joined.cols[..lw]
+            .iter()
+            .map(|c| Arc::new(c.gather_opt(&nulls)))
+            .collect();
+        cols.extend(p.side.batch.gather(&unmatched).cols);
+        let mut tail = Batch { cols };
+        if let Some(res) = p.stage.residual {
+            tail = self.filter(tail, res, schema)?;
+        }
+        if joined.num_rows() == 0 {
+            return Ok(tail);
+        }
+        let mut out = Vec::with_capacity(joined.cols.len());
+        for (c, t) in joined.cols.into_iter().zip(&tail.cols) {
+            let mut c = Arc::try_unwrap(c).unwrap_or_else(|a| (*a).clone());
+            c.append(t)?;
+            out.push(c);
+        }
+        Ok(Batch::from_columns(out))
     }
 }
 
@@ -1511,6 +1244,15 @@ impl Rows {
             Rows::Sel(s) => RowsRef::Sel(s),
         }
     }
+
+    /// The row indices, each shifted by `offset`.
+    fn into_vec(self, offset: usize) -> Vec<usize> {
+        match self {
+            Rows::Range(r) => (r.start + offset..r.end + offset).collect(),
+            Rows::Sel(s) if offset == 0 => s,
+            Rows::Sel(s) => s.into_iter().map(|i| i + offset).collect(),
+        }
+    }
 }
 
 /// What every chunk of one pipeline run shares: the query's lifecycle token
@@ -1533,28 +1275,32 @@ impl ChunkCx<'_> {
     }
 }
 
-/// One morsel's worth of data flowing through a pipeline: a batch of
-/// columns (`Arc`-shared source columns, or a morsel-sized materialization
-/// a stage produced — `owned`), plus the selection of live rows.
+/// One chunk flowing through a pipeline: a batch of columns (the source's
+/// `Arc`-shared columns, or a chunk-sized materialization a stage produced),
+/// plus the selection of live rows.
 struct Chunk {
     batch: Batch,
     rows: Rows,
-    owned: bool,
+    /// After a build-left probe, the build row each live row matched (live
+    /// rows then repeat, once per match); empty otherwise.
+    build_rows: Vec<usize>,
 }
 
-/// A pipeline's prepared source.
-enum PSource<'a> {
-    /// Fused predicated scan: the full stored batch (scan predicates
-    /// address stored column indices), the projected view chunks flow from,
-    /// the predicate, and the zone-map verdicts.
-    Scan {
-        full: Batch,
-        proj: Batch,
-        pred: &'a BExpr,
-        zone_ok: Option<Vec<bool>>,
-    },
-    /// Materialized breaker output, chunked on the `opts.morsel` grid.
-    Mat(Batch),
+/// A pipeline's prepared source: `n` rows of `batch` (the projected table
+/// or a breaker's output), chunked on the `opts.morsel` grid — or, for a
+/// predicated scan, on the zone grid through `scan`.
+struct PSource<'a> {
+    n: usize,
+    batch: Batch,
+    scan: Option<PScan<'a>>,
+}
+
+/// A streamed predicated scan: the full stored batch the predicate
+/// addresses and the zone-map verdicts.
+struct PScan<'a> {
+    full: Batch,
+    pred: &'a BExpr,
+    zone_ok: Option<Vec<bool>>,
 }
 
 /// A prepared stage: filters and projections run as-is; probes carry their
@@ -1565,28 +1311,62 @@ enum PStage<'a> {
     Probe(PProbe<'a>),
 }
 
-/// A prepared fused join probe.
+impl PStage<'_> {
+    /// Whether the stage replaces the chunk's batch with a chunk-sized
+    /// materialization (the others only narrow or re-list its live rows).
+    fn materializes(&self) -> bool {
+        match self {
+            PStage::Filter(_) => false,
+            PStage::Project(exprs) => !exprs.iter().all(|e| matches!(e, BExpr::Col(_))),
+            PStage::Probe(p) => {
+                !p.stage.build_left && !matches!(p.stage.kind, JKind::Semi | JKind::Anti)
+            }
+        }
+    }
+}
+
+/// Per-row keys of one join side: packed words or arena slices, plus the
+/// mask of rows whose key contains a NULL (`None` = no such row).
+type JoinKeys<K> = (Vec<K>, Option<Vec<bool>>);
+
+/// A build side's key material under the planned [`KeyLayout`].
+enum BuildKeys {
+    U64(JoinKeys<u64>),
+    U128(JoinKeys<u128>),
+    Bytes(KeyArena),
+}
+
+/// A probe's executed build input.
+struct BuildSide {
+    batch: Batch,
+    /// Per key position: the canonical dictionary of a string key packed as
+    /// codes (`None` for every other position). Probe chunks re-encode their
+    /// key columns into this code space before packing; a probe string
+    /// absent from the build dictionary becomes an invalid row, which packs
+    /// to a NULL key — exactly a join miss.
+    dicts: Vec<Option<Arc<pytond_common::Dictionary>>>,
+    keys: BuildKeys,
+}
+
+/// A prepared join probe.
 struct PProbe<'a> {
-    kind: JKind,
-    left_keys: &'a [BExpr],
-    residual: Option<&'a BExpr>,
-    spec: &'a FixedKeySpec,
-    right: Batch,
-    index: ProbeIndex,
-    /// Per key position: the build side's canonical dictionary for
-    /// string-typed keys (`None` for non-string positions). Probe chunks
-    /// re-encode their key columns into this code space before packing; a
-    /// probe string absent from the build dictionary becomes an invalid row,
-    /// which packs to a NULL key — exactly a join miss.
-    build_dicts: Vec<Option<Arc<pytond_common::Dictionary>>>,
+    stage: &'a ProbeStage<'a>,
+    side: &'a BuildSide,
+    index: ProbeIndex<'a>,
+    /// Right/full joins: which build rows some probe row matched. Written
+    /// `Relaxed` by the workers and read once they have all been joined
+    /// (which is the synchronization).
+    matched: Option<Vec<AtomicBool>>,
     /// Rows probed so far, over every chunk (a statistic: `Relaxed`).
     probed: AtomicU64,
 }
 
-/// The build-side hash index at its planned key width.
-enum ProbeIndex {
-    U64(PartitionedIndex<u64>),
-    U128(PartitionedIndex<u128>),
+/// The build-side hash index with the layout its keys (and every probe
+/// chunk's) are produced under.
+enum ProbeIndex<'a> {
+    U64(&'a FixedKeySpec, PartitionedIndex<u64>),
+    U128(&'a FixedKeySpec, PartitionedIndex<u128>),
+    Bytes(&'a [KeyEncoding], PartitionedIndex<&'a [u8]>),
 }
 
 /// Produces the chunk for one claimed morsel, or `None` when the zone is
@@ -1597,60 +1377,39 @@ fn source_chunk(
     r: std::ops::Range<usize>,
     cx: ChunkCx<'_>,
 ) -> Result<Option<Chunk>> {
-    match src {
-        PSource::Mat(b) => Ok(Some(Chunk {
-            batch: b.clone(),
-            rows: Rows::Range(r),
-            owned: false,
-        })),
-        PSource::Scan {
-            full,
-            proj,
-            pred,
-            zone_ok,
-        } => {
-            if zone_ok.as_ref().is_some_and(|ok| !ok[z]) {
+    let rows = match &src.scan {
+        None => Rows::Range(r),
+        Some(scan) => {
+            if scan.zone_ok.as_ref().is_some_and(|ok| !ok[z]) {
                 return Ok(None);
             }
-            let mask = pred.mask_rows(full, RowsRef::Range(r.start, r.end), Some(cx.tables))?;
-            if mask.iter().all(|&k| k) {
-                return Ok(Some(Chunk {
-                    batch: proj.clone(),
-                    rows: Rows::Range(r),
-                    owned: false,
-                }));
-            }
-            let rows: Vec<usize> = r
-                .zip(mask)
-                .filter_map(|(i, keep)| keep.then_some(i))
-                .collect();
-            if rows.is_empty() {
+            let mask = cx.mask(scan.pred, &scan.full, &Rows::Range(r.clone()))?;
+            let rows = if mask.iter().all(|&k| k) {
+                Rows::Range(r)
+            } else {
+                shrink(Rows::Range(r), &mask)
+            };
+            if rows.len() == 0 {
                 return Ok(None);
             }
-            Ok(Some(Chunk {
-                batch: proj.clone(),
-                rows: Rows::Sel(rows),
-                owned: false,
-            }))
+            rows
         }
-    }
+    };
+    Ok(Some(Chunk {
+        batch: src.batch.clone(),
+        rows,
+        build_rows: Vec::new(),
+    }))
 }
 
 /// Narrows a selection by a per-live-row mask.
 fn shrink(rows: Rows, mask: &[bool]) -> Rows {
+    let mut keep = Vec::with_capacity(mask.iter().filter(|&&k| k).count());
     match rows {
-        Rows::Range(r) => Rows::Sel(
-            r.zip(mask)
-                .filter_map(|(i, &keep)| keep.then_some(i))
-                .collect(),
-        ),
-        Rows::Sel(s) => Rows::Sel(
-            s.into_iter()
-                .zip(mask)
-                .filter_map(|(i, &keep)| keep.then_some(i))
-                .collect(),
-        ),
+        Rows::Range(r) => keep.extend(r.zip(mask).filter_map(|(i, &k)| k.then_some(i))),
+        Rows::Sel(s) => keep.extend(s.into_iter().zip(mask).filter_map(|(i, &k)| k.then_some(i))),
     }
+    Rows::Sel(keep)
 }
 
 /// Maps local live-row positions back to batch row indices.
@@ -1661,79 +1420,75 @@ fn map_local(rows: &Rows, local: &[usize]) -> Vec<usize> {
     }
 }
 
-/// Keeps the live rows at the given local positions (semi/anti probes).
-fn select_local(rows: Rows, keep: &[usize]) -> Rows {
-    match rows {
-        Rows::Range(r) => Rows::Sel(keep.iter().map(|&i| r.start + i).collect()),
-        Rows::Sel(s) => Rows::Sel(keep.iter().map(|&i| s[i]).collect()),
-    }
-}
-
-/// Materializes a chunk's live rows.
-fn chunk_gather(batch: &Batch, rows: &Rows) -> Batch {
-    match rows {
-        Rows::Range(r) => Batch {
-            cols: batch
-                .cols
-                .iter()
-                .map(|c| Arc::new(c.slice(r.start, r.end)))
-                .collect(),
-        },
-        Rows::Sel(s) => batch.gather(s),
-    }
-}
-
-/// Charges a stage's freshly materialized chunk columns against the memory
-/// budget (no-op without an armed budget, matching
-/// [`Executor::charge_batch`]'s accounting policy).
+/// Charges freshly materialized columns against the memory budget. Only
+/// sole-owner columns count: shared `Arc`s (zero-copy scans, bare-column
+/// projections) are views of existing storage, not new allocations. No-op
+/// without an armed budget.
 fn charge_cols(cancel: &CancelToken, cols: &[Arc<Column>]) -> Result<()> {
     if cancel.budget_bytes().is_some() {
-        cancel.charge(cols.iter().map(|c| c.heap_bytes()).sum())?;
+        let fresh = cols.iter().filter(|c| Arc::strong_count(c) == 1);
+        cancel.charge(fresh.map(|c| c.heap_bytes()).sum())?;
     }
     Ok(())
 }
 
 /// Applies one stage to a chunk. Every stage boundary polls the token, so
-/// lifecycle limits trip within one morsel even mid-pipeline.
+/// lifecycle limits trip within one chunk even mid-pipeline.
 fn apply_stage(st: &PStage<'_>, chunk: Chunk, cx: ChunkCx<'_>) -> Result<Chunk> {
     cx.cancel.check()?;
     match st {
         PStage::Filter(pred) => {
             let mask = cx.mask(pred, &chunk.batch, &chunk.rows)?;
-            let Chunk { batch, rows, owned } = chunk;
             Ok(Chunk {
-                batch,
-                rows: shrink(rows, &mask),
-                owned,
+                rows: shrink(chunk.rows, &mask),
+                ..chunk
             })
         }
         PStage::Project(exprs) => {
-            let n = chunk.rows.len();
+            let bare = |e: &BExpr| match e {
+                BExpr::Col(i) => Some(chunk.batch.cols[*i].clone()),
+                _ => None,
+            };
+            // Bare columns only: a re-listing of the chunk's columns, which
+            // stay shared — and the chunk a view, if it was one.
+            if let Some(cols) = exprs.iter().map(bare).collect() {
+                return Ok(Chunk {
+                    batch: Batch { cols },
+                    ..chunk
+                });
+            }
+            // Over all rows of its input, a bare column is the input's.
+            let whole = matches!(&chunk.rows, Rows::Range(r) if r.start == 0 && r.end == chunk.batch.num_rows());
             let cols: Vec<Arc<Column>> = exprs
                 .iter()
-                .map(|e| cx.eval(e, &chunk.batch, &chunk.rows).map(Arc::new))
+                .map(|e| match bare(e).filter(|_| whole) {
+                    Some(col) => Ok(col),
+                    None => cx.eval(e, &chunk.batch, &chunk.rows).map(Arc::new),
+                })
                 .collect::<Result<_>>()?;
             charge_cols(cx.cancel, &cols)?;
             Ok(Chunk {
                 batch: Batch { cols },
-                rows: Rows::Range(0..n),
-                owned: true,
+                rows: Rows::Range(0..chunk.rows.len()),
+                build_rows: Vec::new(),
             })
         }
         PStage::Probe(p) => apply_probe(p, chunk, cx),
     }
 }
 
-/// Probes one chunk through a fused join. Semi/anti joins only narrow the
-/// selection (no columns move); inner/left joins materialize the joined
-/// morsel (left columns gathered, right columns gathered-with-nulls), in
-/// exactly the left-major, right-ascending order the materializing join
-/// emits.
+/// Probes one chunk through a join's index. Semi/anti joins only narrow the
+/// selection (no columns move); a build-left probe re-lists the selection
+/// once per match and notes the build row beside it, for the regroup sink;
+/// every other join materializes the joined chunk (probe columns gathered,
+/// build columns gathered — with NULLs for a left/full join's unmatched
+/// rows), each probe row's matches in ascending build-row order.
 fn apply_probe(p: &PProbe<'_>, chunk: Chunk, cx: ChunkCx<'_>) -> Result<Chunk> {
-    let kcols: Vec<Column> = p
-        .left_keys
+    let st = p.stage;
+    let kcols: Vec<Column> = st
+        .probe_keys
         .iter()
-        .zip(&p.build_dicts)
+        .zip(&p.side.dicts)
         .map(|(e, bd)| {
             let c = cx.eval(e, &chunk.batch, &chunk.rows)?;
             Ok(match bd {
@@ -1748,66 +1503,211 @@ fn apply_probe(p: &PProbe<'_>, chunk: Chunk, cx: ChunkCx<'_>) -> Result<Chunk> {
     let krefs: Vec<&Column> = kcols.iter().collect();
     let n = chunk.rows.len();
     p.probed.fetch_add(n as u64, Relaxed);
+    // A build-left probe lists every match pair whatever the kind: the sink
+    // counts them per build row.
+    let kind = if st.build_left { JKind::Inner } else { st.kind };
     let hits = match &p.index {
-        ProbeIndex::U64(idx) => {
-            let (keys, nulls) = p.spec.pack_u64(&krefs);
-            probe_rows(&keys, nulls.as_deref(), 0..n, idx, p.kind)
+        ProbeIndex::U64(spec, idx) => {
+            let (keys, nulls) = spec.pack_u64(&krefs);
+            probe_rows(&keys, nulls.as_deref(), 0..n, idx, kind)
         }
-        ProbeIndex::U128(idx) => {
-            let (keys, nulls) = p.spec.pack_u128(&krefs);
-            probe_rows(&keys, nulls.as_deref(), 0..n, idx, p.kind)
+        ProbeIndex::U128(spec, idx) => {
+            let (keys, nulls) = spec.pack_u128(&krefs);
+            probe_rows(&keys, nulls.as_deref(), 0..n, idx, kind)
+        }
+        ProbeIndex::Bytes(enc, idx) => {
+            let arena = KeyArena::encode(&krefs, enc, true);
+            let (keys, nulls) = arena.keys_and_nulls();
+            probe_rows(&keys, nulls.as_deref(), 0..n, idx, kind)
         }
     };
-    let joined = if matches!(p.kind, JKind::Semi | JKind::Anti) {
-        let Chunk { batch, rows, owned } = chunk;
+    if let Some(matched) = &p.matched {
+        for &r in hits.ri.iter().filter(|&&r| r != NO_ROW) {
+            matched[r].store(true, Relaxed);
+        }
+    }
+    let joined = if st.build_left || matches!(kind, JKind::Semi | JKind::Anti) {
+        // No columns move: the selection narrows (semi/anti, no pairs), or
+        // re-lists itself once per match beside the matched build rows.
         Chunk {
-            batch,
-            rows: select_local(rows, &hits.li),
-            owned,
+            rows: Rows::Sel(map_local(&chunk.rows, &hits.li)),
+            build_rows: hits.ri,
+            ..chunk
         }
     } else {
         let bi = map_local(&chunk.rows, &hits.li);
         let mut cols = chunk.batch.gather(&bi).cols;
-        cols.extend(match p.kind {
-            JKind::Inner => p.right.gather(&hits.ri).cols,
-            _ => p.right.gather_opt(&opt_rows(&hits.ri)).cols,
+        cols.extend(match kind {
+            JKind::Left | JKind::Full => p.side.batch.gather_opt(&opt_rows(&hits.ri)).cols,
+            _ => p.side.batch.gather(&hits.ri).cols,
         });
         charge_cols(cx.cancel, &cols)?;
-        let n = cols.first().map_or(0, |c| c.len());
         Chunk {
             batch: Batch { cols },
-            rows: Rows::Range(0..n),
-            owned: true,
+            rows: Rows::Range(0..hits.li.len()),
+            build_rows: Vec::new(),
         }
     };
-    match p.residual {
+    // A build-left join's residual reads both sides' columns: the sink
+    // applies it, after the regroup.
+    match st.residual.filter(|_| !st.build_left) {
         None => Ok(joined),
         Some(res) => {
             let mask = cx.mask(res, &joined.batch, &joined.rows)?;
-            let Chunk { batch, rows, owned } = joined;
             Ok(Chunk {
-                batch,
-                rows: shrink(rows, &mask),
-                owned,
+                rows: shrink(joined.rows, &mask),
+                ..joined
             })
         }
     }
 }
 
-/// Concatenates per-morsel outputs in morsel order, growing the first in
+/// The regroup sink of a build-left join: match pairs arrive in probe
+/// (right-row) order — `build_rows[k]` matched row `sel[k]` of `base` — and
+/// a counting sort regroups them left-major (for each left row, its matching
+/// right rows in right-row order), which is exactly the order a build-right
+/// join emits, so the planned build side is invisible to results.
+fn regroup_pairs(p: &PProbe<'_>, base: &Batch, sel: &[usize], build_rows: &[usize]) -> Batch {
+    let left = &p.side.batch;
+    let ln = left.num_rows();
+    // Matches per left row, then (exclusive prefix sum) where each left
+    // row's run starts in the left-major output.
+    let mut at = vec![0u32; ln + 1];
+    for &l in build_rows {
+        at[l + 1] += 1;
+    }
+    if matches!(p.stage.kind, JKind::Semi | JKind::Anti) {
+        let want = p.stage.kind == JKind::Semi;
+        let keep: Vec<usize> = (0..ln).filter(|&l| (at[l + 1] > 0) == want).collect();
+        return left.gather(&keep);
+    }
+    for l in 0..ln {
+        at[l + 1] += at[l];
+    }
+    let total = at[ln] as usize;
+    let (mut li, mut ri) = (vec![0usize; total], vec![0usize; total]);
+    for (&l, &r) in build_rows.iter().zip(sel) {
+        let slot = &mut at[l];
+        li[*slot as usize] = l;
+        ri[*slot as usize] = r;
+        *slot += 1;
+    }
+    let mut cols = left.gather(&li).cols;
+    cols.extend(base.gather(&ri).cols);
+    Batch { cols }
+}
+
+/// A join without keys: semi/anti keep all of `left` or none of it
+/// (uncorrelated EXISTS), everything else is the cross product, left-major.
+/// A one-row side broadcasts; the other side's columns are shared.
+fn keyless_join(left: &Batch, right: &Batch, kind: JKind) -> Batch {
+    let (ln, rn) = (left.num_rows(), right.num_rows());
+    if matches!(kind, JKind::Semi | JKind::Anti) {
+        return if (rn > 0) == (kind == JKind::Semi) {
+            left.clone()
+        } else {
+            left.gather(&[])
+        };
+    }
+    let mut cols = match rn {
+        1 => left.cols.clone(),
+        _ => {
+            let li: Vec<usize> = (0..ln)
+                .flat_map(|i| std::iter::repeat(i).take(rn))
+                .collect();
+            left.gather(&li).cols
+        }
+    };
+    cols.extend(match ln {
+        1 => right.cols.clone(),
+        _ => {
+            let ri: Vec<usize> = (0..ln).flat_map(|_| 0..rn).collect();
+            right.gather(&ri).cols
+        }
+    });
+    Batch { cols }
+}
+
+/// One ORDER BY key, typed once so comparisons read slices and never box a
+/// [`pytond_common::Value`]. The order is `Value::total_cmp`'s: NULL first,
+/// then by value — floats by `f64::total_cmp`, strings bytewise.
+struct SortKey<'a> {
+    data: SortData<'a>,
+    valid: Option<&'a [bool]>,
+    asc: bool,
+}
+
+enum SortData<'a> {
+    Int(&'a [i64]),
+    Float(&'a [f64]),
+    Bool(&'a [bool]),
+    Date(&'a [i32]),
+    Str(&'a [String]),
+    /// Dictionary codes with each dictionary entry's rank in string order.
+    Dict(&'a [u32], Vec<u32>),
+}
+
+impl<'a> SortKey<'a> {
+    fn new(col: &'a Column, asc: bool) -> SortKey<'a> {
+        let data = match col {
+            Column::Int(d, _) => SortData::Int(d),
+            Column::Float(d, _) => SortData::Float(d),
+            Column::Bool(d, _) => SortData::Bool(d),
+            Column::Date(d, _) => SortData::Date(d),
+            Column::Str(d, _) => SortData::Str(d),
+            Column::DictStr { codes, dict, .. } => {
+                let strs = dict.strs();
+                let mut by_str: Vec<u32> = (0..strs.len() as u32).collect();
+                by_str.sort_unstable_by_key(|&c| &strs[c as usize]);
+                let mut rank = vec![0u32; strs.len()];
+                for (r, &c) in by_str.iter().enumerate() {
+                    rank[c as usize] = r as u32;
+                }
+                SortData::Dict(codes, rank)
+            }
+        };
+        SortKey {
+            data,
+            valid: col.validity(),
+            asc,
+        }
+    }
+
+    fn cmp(&self, a: usize, b: usize) -> std::cmp::Ordering {
+        let ord = match self.valid.map_or((true, true), |v| (v[a], v[b])) {
+            (true, true) => match &self.data {
+                SortData::Int(d) => d[a].cmp(&d[b]),
+                SortData::Float(d) => d[a].total_cmp(&d[b]),
+                SortData::Bool(d) => d[a].cmp(&d[b]),
+                SortData::Date(d) => d[a].cmp(&d[b]),
+                SortData::Str(d) => d[a].cmp(&d[b]),
+                SortData::Dict(codes, rank) => {
+                    rank[codes[a] as usize].cmp(&rank[codes[b] as usize])
+                }
+            },
+            // NULL sorts first; two NULLs tie.
+            (va, vb) => va.cmp(&vb),
+        };
+        if self.asc {
+            ord
+        } else {
+            ord.reverse()
+        }
+    }
+}
+
+/// Concatenates per-chunk outputs in chunk order, growing the first in
 /// place (a serial run's single chunk moves through untouched).
 fn stitch<T>(chunks: Vec<Vec<T>>) -> Vec<T> {
+    let total: usize = chunks.iter().map(Vec::len).sum();
     let mut chunks = chunks.into_iter();
     let mut out = chunks.next().unwrap_or_default();
+    out.reserve(total - out.len());
     chunks.for_each(|c| out.extend(c));
     out
 }
 
-/// Per-row keys of one join side: packed words or arena slices, plus the
-/// mask of rows whose key contains a NULL (`None` = no such row).
-type JoinKeys<K> = (Vec<K>, Option<Vec<bool>>);
-
-/// "No build row": the right index of an unmatched row of a left/full join.
+/// "No build row": the build index of an unmatched row of a left/full join.
 const NO_ROW: usize = usize::MAX;
 
 /// Build-row indices with [`NO_ROW`] as `None` (outer-join gathers).
@@ -1825,10 +1725,8 @@ struct ProbeHits {
     ri: Vec<usize>,
 }
 
-/// The probe loop, generic over the key type; shared by the materializing
-/// join and the fused probe stage, so their match semantics cannot drift:
-/// NULL keys never match, semi keeps rows with a match, anti keeps NULL-key
-/// and matchless rows.
+/// The probe loop, generic over the key type: NULL keys never match, semi
+/// keeps rows with a match, anti keeps NULL-key and matchless rows.
 fn probe_rows<K: Hash + Eq + Copy + Send + Sync>(
     keys: &[K],
     nulls: Option<&[bool]>,
@@ -1863,43 +1761,53 @@ fn probe_rows<K: Hash + Eq + Copy + Send + Sync>(
     ProbeHits { li, ri }
 }
 
-/// Terminates a chunk at the pipeline's sink: its surviving rows (and how
-/// many), restricted to the columns `only` names when the sink reads just
-/// those (an aggregate sink's key and argument inputs).
-fn finish_chunk(chunk: Chunk, only: Option<&[usize]>) -> (usize, Batch) {
-    let n = chunk.rows.len();
+/// Compacts a chunk some stage materialized to its surviving rows,
+/// restricted to the columns `only` names when the sink reads just those
+/// (an aggregate sink's key and argument inputs).
+fn compact_chunk(chunk: Chunk, only: Option<&[usize]>) -> Chunk {
     let batch = match only {
         None => chunk.batch,
         Some(used) => Batch {
             cols: used.iter().map(|&i| chunk.batch.cols[i].clone()).collect(),
         },
     };
-    // A stage-owned batch whose rows all survive needs no copy.
-    let whole = matches!(&chunk.rows, Rows::Range(r) if r.start == 0 && r.end == batch.num_rows());
-    if chunk.owned && whole {
-        return (n, batch);
+    let batch = match &chunk.rows {
+        // Every row survives: no copy.
+        Rows::Range(r) if r.start == 0 && r.end == batch.num_rows() => batch,
+        Rows::Range(r) => Batch {
+            cols: batch
+                .cols
+                .iter()
+                .map(|c| Arc::new(c.slice(r.start, r.end)))
+                .collect(),
+        },
+        Rows::Sel(s) => batch.gather(s),
+    };
+    Chunk {
+        rows: Rows::Range(0..chunk.rows.len()),
+        batch,
+        ..chunk
     }
-    (n, chunk_gather(&batch, &chunk.rows))
 }
 
-/// An empty batch with the schema's dtypes (a pipeline whose every chunk
+/// An empty batch with the fields' dtypes (a pipeline whose every chunk
 /// was pruned or filtered away still reports typed columns).
-fn empty_batch(schema: &Schema) -> Batch {
+fn empty_batch(fields: &[crate::table::Field]) -> Batch {
     Batch {
-        cols: schema
-            .fields
+        cols: fields
             .iter()
             .map(|f| Arc::new(Column::new(f.dtype)))
             .collect(),
     }
 }
 
-/// The key layout the executor chooses for the given key-column sets:
+/// The key layout the engine chooses for the given key-column sets:
 /// `Some(width)` = fixed-width packed fast path, `None` = byte-encoded
-/// fallback. This is the exact decision `join` (two column sets,
-/// `nulls_matter = false`), `aggregate` and `distinct` (one set,
-/// `nulls_matter = true`) make internally — exposed so tests and diagnostics
-/// can assert which path a query takes.
+/// fallback. This is the exact decision joins (two column sets,
+/// `nulls_matter = false`; planned from static dtypes in
+/// [`crate::pipeline`]), aggregation and DISTINCT (one set,
+/// `nulls_matter = true`) make — exposed so tests and diagnostics can assert
+/// which path a query takes.
 pub fn planned_key_width(col_sets: &[&[&Column]], nulls_matter: bool) -> Option<KeyWidth> {
     FixedKeySpec::plan(col_sets, nulls_matter).map(|s| s.width())
 }

@@ -70,8 +70,8 @@
 //! the two sides). See `docs/VIEWS.md`.
 
 use crate::db::{
-    default_mem_budget_mb, default_timeout_ms, no_fuse, no_ivm, panic_payload_message, Database,
-    EngineConfig, PreparedQuery, Profile, Snapshot,
+    default_mem_budget_mb, default_timeout_ms, no_ivm, panic_payload_message, Database,
+    EngineConfig, PreparedQuery, Snapshot,
 };
 use crate::exec::{execute_with_temps, ExecOptions};
 use crate::plan::{BoundQuery, JKind, LogicalPlan};
@@ -524,7 +524,7 @@ fn run_plan(
     }
     let opts = ExecOptions {
         threads: pool::resolve_threads(config.threads),
-        fused: matches!(config.profile, Profile::Fused | Profile::Lingo) && !no_fuse(),
+        fused: config.profile.fuses(),
         morsel: config.morsel,
         zone_prune: config.zone_prune,
         cancel: cancel.clone(),

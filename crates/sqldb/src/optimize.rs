@@ -1,6 +1,6 @@
 //! Logical-plan rewrites: filter pushdown, cross→inner join promotion,
-//! scan-predicate sinking, statistics-driven join ordering, and projection
-//! (scan-column) pruning.
+//! scan-predicate sinking, statistics-driven join ordering, projection
+//! (scan-column) pruning, and the hash-join build side.
 //!
 //! The statistics-aware passes consume a [`StatsCatalog`] snapshot of the
 //! database's [`crate::stats::TableStats`]: [`estimate`] predicts operator
@@ -26,14 +26,38 @@ pub fn optimize(plan: LogicalPlan) -> LogicalPlan {
 }
 
 /// Runs all rewrite passes with a statistics catalog: filter pushdown,
-/// scan-predicate sinking, cost-based join ordering, projection pruning.
+/// scan-predicate sinking, cost-based join ordering, projection pruning,
+/// and — last, on the final tree — the build side of every hash join.
 pub fn optimize_with(plan: LogicalPlan, ctx: &StatsCatalog<'_>) -> LogicalPlan {
     let plan = push_filters(plan);
     let plan = sink_scan_filters(plan);
     let plan = reorder_joins(plan, ctx);
     let all: Vec<usize> = (0..plan.schema().len()).collect();
     let (plan, _map) = prune(plan, &all);
-    plan
+    choose_build_sides(plan, ctx)
+}
+
+/// Decides, for every keyed join, which input the hash index is built over:
+/// the left one when the join kind can stream its right input (`Inner`,
+/// `Semi`, `Anti` — outer joins keep the binder's build-right) and the left
+/// input is estimated strictly smaller. The only writer of
+/// [`LogicalPlan::Join`]'s `build_left`; the executor never second-guesses
+/// it, so [`plan_cost`]'s `min(l, r)` build term is what runs.
+fn choose_build_sides(plan: LogicalPlan, ctx: &StatsCatalog<'_>) -> LogicalPlan {
+    map_inputs(plan, &|mut p| {
+        if let LogicalPlan::Join {
+            left,
+            right,
+            kind: JKind::Inner | JKind::Semi | JKind::Anti,
+            left_keys,
+            build_left,
+            ..
+        } = &mut p
+        {
+            *build_left = !left_keys.is_empty() && estimate(left, ctx) < estimate(right, ctx);
+        }
+        p
+    })
 }
 
 // ---------------- filter pushdown ----------------
@@ -94,6 +118,7 @@ pub fn push_filters(plan: LogicalPlan) -> LogicalPlan {
             left_keys,
             right_keys,
             residual,
+            build_left,
             schema,
         } => LogicalPlan::Join {
             left: Box::new(push_filters(*left)),
@@ -102,6 +127,7 @@ pub fn push_filters(plan: LogicalPlan) -> LogicalPlan {
             left_keys,
             right_keys,
             residual,
+            build_left,
             schema,
         },
         LogicalPlan::Aggregate {
@@ -172,6 +198,7 @@ fn push_conjuncts(plan: LogicalPlan, conjs: Vec<BExpr>) -> LogicalPlan {
             mut left_keys,
             mut right_keys,
             residual,
+            build_left,
             schema,
         } => {
             let lw = left.schema().len();
@@ -239,6 +266,7 @@ fn push_conjuncts(plan: LogicalPlan, conjs: Vec<BExpr>) -> LogicalPlan {
                 left_keys,
                 right_keys,
                 residual,
+                build_left,
                 schema,
             };
             wrap_filter(new_join, keep)
@@ -433,6 +461,7 @@ fn prune(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, Vec<(usize, usi
             left_keys,
             right_keys,
             residual,
+            build_left,
             schema,
         } => {
             let lw = left.schema().len();
@@ -525,6 +554,7 @@ fn prune(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, Vec<(usize, usi
                     left_keys,
                     right_keys,
                     residual,
+                    build_left,
                     schema: new_schema,
                 },
                 mapping,
@@ -713,71 +743,7 @@ pub fn sink_scan_filters(plan: LogicalPlan) -> LogicalPlan {
 
 /// Rebuilds `plan` with `f` applied bottom-up to every node.
 fn map_inputs(plan: LogicalPlan, f: &impl Fn(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
-    let mapped = match plan {
-        LogicalPlan::Filter { input, pred } => LogicalPlan::Filter {
-            input: Box::new(map_inputs(*input, f)),
-            pred,
-        },
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input: Box::new(map_inputs(*input, f)),
-            exprs,
-            schema,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            left_keys,
-            right_keys,
-            residual,
-            schema,
-        } => LogicalPlan::Join {
-            left: Box::new(map_inputs(*left, f)),
-            right: Box::new(map_inputs(*right, f)),
-            kind,
-            left_keys,
-            right_keys,
-            residual,
-            schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group,
-            aggs,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(map_inputs(*input, f)),
-            group,
-            aggs,
-            schema,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(map_inputs(*input, f)),
-            keys,
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(map_inputs(*input, f)),
-            n,
-        },
-        LogicalPlan::Window {
-            input,
-            order,
-            schema,
-        } => LogicalPlan::Window {
-            input: Box::new(map_inputs(*input, f)),
-            order,
-            schema,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(map_inputs(*input, f)),
-        },
-        leaf => leaf,
-    };
-    f(mapped)
+    f(map_inputs_shallow(plan, &|c| map_inputs(c, f)))
 }
 
 // ---------------- statistics catalog & cardinality estimation ----------------
@@ -960,11 +926,29 @@ pub fn selectivity(pred: &BExpr, stats: Option<&TableStats>) -> f64 {
                 0.0
             }
         }
-        BExpr::Bin {
-            op: BinOp::And,
-            l,
-            r,
-        } => selectivity(l, stats) * selectivity(r, stats),
+        BExpr::Bin { op: BinOp::And, .. } => {
+            // Conjuncts are taken as independent, except the two bounds of an
+            // interval: `a <= c AND c < b` keeps P(c < b) − P(c < a) of the
+            // column's span, not the product of two halves.
+            let mut conjs = Vec::new();
+            conjuncts(pred, &mut conjs);
+            let mut s = 1.0;
+            // Per column: the tightest lower-bound and upper-bound shares.
+            let mut bounds: FxHashMap<usize, (f64, f64)> = FxHashMap::default();
+            for c in conjs {
+                match range_bound(c, stats) {
+                    Some((col, lower, sel)) => {
+                        let b = bounds.entry(col).or_insert((1.0, 1.0));
+                        let side = if lower { &mut b.0 } else { &mut b.1 };
+                        *side = side.min(sel);
+                    }
+                    None => s *= selectivity(c, stats),
+                }
+            }
+            bounds
+                .values()
+                .fold(s, |s, (lo, hi)| s * (lo + hi - 1.0).max(0.0))
+        }
         BExpr::Bin {
             op: BinOp::Or,
             l,
@@ -1017,6 +1001,20 @@ pub fn selectivity(pred: &BExpr, stats: Option<&TableStats>) -> f64 {
     s.clamp(0.0, 1.0)
 }
 
+fn conjuncts<'e>(e: &'e BExpr, out: &mut Vec<&'e BExpr>) {
+    match e {
+        BExpr::Bin {
+            op: BinOp::And,
+            l,
+            r,
+        } => {
+            conjuncts(l, out);
+            conjuncts(r, out);
+        }
+        other => out.push(other),
+    }
+}
+
 fn col_of(e: &BExpr) -> Option<usize> {
     match e {
         BExpr::Col(i) => Some(*i),
@@ -1043,25 +1041,49 @@ fn cmp_selectivity(op: BinOp, col: usize, lit: &Value, stats: Option<&TableStats
         BinOp::Eq => eq_selectivity(col, stats),
         BinOp::Ne => 1.0 - eq_selectivity(col, stats),
         BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            let Some(st) = stats else { return SEL_RANGE };
-            let Some(cs) = st.columns.get(col) else {
-                return SEL_RANGE;
-            };
-            let (Some(min), Some(max), Some(v)) = (cs.min.as_f64(), cs.max.as_f64(), lit.as_f64())
-            else {
-                return SEL_RANGE;
-            };
-            if max <= min {
-                return SEL_RANGE;
-            }
-            let frac = ((v - min) / (max - min)).clamp(0.0, 1.0);
-            match op {
-                BinOp::Lt | BinOp::Le => frac,
-                _ => 1.0 - frac,
-            }
+            range_selectivity(op, col, lit, stats).unwrap_or(SEL_RANGE)
         }
         _ => SEL_OTHER,
     }
+}
+
+/// Share of the column's `[min, max]` span a one-sided range keeps, when
+/// the statistics can place the literal in it.
+fn range_selectivity(
+    op: BinOp,
+    col: usize,
+    lit: &Value,
+    stats: Option<&TableStats>,
+) -> Option<f64> {
+    let cs = stats?.columns.get(col)?;
+    let (min, max, v) = (cs.min.as_f64()?, cs.max.as_f64()?, lit.as_f64()?);
+    if max <= min {
+        return None;
+    }
+    let frac = ((v - min) / (max - min)).clamp(0.0, 1.0);
+    Some(match op {
+        BinOp::Lt | BinOp::Le => frac,
+        _ => 1.0 - frac,
+    })
+}
+
+/// A column-vs-literal range conjunct the statistics can interpolate:
+/// `(column, is a lower bound, selectivity)`.
+fn range_bound(pred: &BExpr, stats: Option<&TableStats>) -> Option<(usize, bool, f64)> {
+    let BExpr::Bin { op, l, r } = pred else {
+        return None;
+    };
+    let (op, col, lit) = match (col_of(l), lit_of(r), col_of(r), lit_of(l)) {
+        (Some(c), Some(v), _, _) => (*op, c, v),
+        (_, _, Some(c), Some(v)) => (op.mirrored(), c, v),
+        _ => return None,
+    };
+    let lower = match op {
+        BinOp::Gt | BinOp::Ge => true,
+        BinOp::Lt | BinOp::Le => false,
+        _ => return None,
+    };
+    Some((col, lower, range_selectivity(op, col, lit, stats)?))
 }
 
 // ---------------- cost-based join ordering ----------------
@@ -1148,6 +1170,7 @@ fn map_inputs_shallow(plan: LogicalPlan, f: &impl Fn(LogicalPlan) -> LogicalPlan
             left_keys,
             right_keys,
             residual,
+            build_left,
             schema,
         } => LogicalPlan::Join {
             left: Box::new(f(*left)),
@@ -1156,6 +1179,7 @@ fn map_inputs_shallow(plan: LogicalPlan, f: &impl Fn(LogicalPlan) -> LogicalPlan
             left_keys,
             right_keys,
             residual,
+            build_left,
             schema,
         },
         LogicalPlan::Aggregate {
@@ -1207,8 +1231,9 @@ struct Edge {
     r: BExpr,
 }
 
-/// Estimated cost of every join in a subtree: hash build (smaller side, since
-/// the executor picks build/probe by actual size) plus output cardinality.
+/// Estimated cost of every join in a subtree: hash build (the side estimated
+/// smaller — [`choose_build_sides`] plans exactly that side for the kinds a
+/// region holds) plus output cardinality.
 fn plan_cost(plan: &LogicalPlan, ctx: &StatsCatalog<'_>) -> f64 {
     let own = match plan {
         LogicalPlan::Join { left, right, .. } => {
@@ -1554,6 +1579,7 @@ fn build_region(
             left_keys,
             right_keys,
             residual: conjoin(residual_conjs),
+            build_left: false,
             schema,
         };
         for g in 0..cand.width {
@@ -1641,6 +1667,7 @@ mod tests {
             left_keys: vec![BExpr::Col(0)],
             right_keys: vec![BExpr::Col(0)],
             residual: None,
+            build_left: false,
             schema: scan(2).schema().concat(scan(2).schema()),
         };
         let filtered = LogicalPlan::Filter {
@@ -1671,6 +1698,7 @@ mod tests {
             left_keys: vec![],
             right_keys: vec![],
             residual: None,
+            build_left: false,
             schema: scan(1).schema().concat(scan(1).schema()),
         };
         let filtered = LogicalPlan::Filter {
@@ -1784,6 +1812,7 @@ mod tests {
             left_keys: vec![BExpr::Col(0)],
             right_keys: vec![BExpr::Col(0)],
             residual: None,
+            build_left: false,
             schema: scan(2).schema().concat(scan(2).schema()),
         };
         let out = reorder_joins(join, &StatsCatalog::empty());

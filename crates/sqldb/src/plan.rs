@@ -88,6 +88,13 @@ pub enum LogicalPlan {
         right_keys: Vec<BExpr>,
         /// Residual predicate over the concatenated schema.
         residual: Option<BExpr>,
+        /// Which input the hash index is built over: `false` (what the
+        /// binder emits) builds the right input and streams the left through
+        /// the probe, `true` the reverse. Decided once, by
+        /// [`crate::optimize::optimize_with`] from its cardinality
+        /// estimates; every profile honours it and the output order (left
+        /// row major, right rows ascending) is the same either way.
+        build_left: bool,
         /// Output schema (left ++ right; left only for semi/anti).
         schema: Schema,
     },
@@ -200,6 +207,7 @@ impl LogicalPlan {
                     kind,
                     left_keys,
                     right_keys,
+                    build_left,
                     ..
                 } => {
                     let keys: Vec<String> = left_keys
@@ -207,10 +215,11 @@ impl LogicalPlan {
                         .zip(right_keys)
                         .map(|(l, r)| format!("{l}={r}"))
                         .collect();
+                    let build = if *build_left { " build=left" } else { "" };
                     if keys.is_empty() {
                         out.push_str(&format!("Join {kind:?}\n"));
                     } else {
-                        out.push_str(&format!("Join {kind:?} on [{}]\n", keys.join(", ")));
+                        out.push_str(&format!("Join {kind:?}{build} on [{}]\n", keys.join(", ")));
                     }
                 }
                 LogicalPlan::Aggregate { group, aggs, .. } => {

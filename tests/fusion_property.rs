@@ -1,21 +1,24 @@
-//! Differential property tests for fused single-pass pipelines: under the
-//! fused profile every query must be **bit-identical** — `Value::total_cmp`
-//! per cell, so NaN payloads and `-0.0` count — to the materializing
-//! operator-at-a-time path, at every thread count. The fused analogue of
-//! `tests/parallel_property.rs`.
+//! Differential property tests for the two pipeline-extraction policies:
+//! under the fused profile (maximal chains) every query must be
+//! **bit-identical** — `Value::total_cmp` per cell, so NaN payloads and
+//! `-0.0` count — to the vectorized profile (one operator per pipeline), at
+//! every thread count. The policy analogue of `tests/parallel_property.rs`.
 //!
-//! Why this holds by construction (and what this suite pins): fused scans
-//! drive the same zone-aligned morsel grid as materializing scans, chunks
-//! merge in ascending morsel order, and aggregate sinks rebuild the narrow
-//! key/argument columns in that order before running the *same* fixed-grid
-//! accumulation tree (`docs/EXECUTION.md` § Fusion). Running the whole
-//! suite under `PYTOND_NO_FUSE=1` (CI does) re-checks the corpus with
-//! fusion globally disabled — both sides then take the materializing path
-//! and the comparison is the identity, proving the kill switch works.
+//! Why this holds by construction (and what this suite pins): both policies
+//! run the same kernels through the same driver; filters, projections and
+//! probes are elementwise, chunks merge in ascending order, and aggregate
+//! sinks rebuild the narrow key/argument columns in that order before
+//! running the *same* fixed-grid accumulation tree (`docs/EXECUTION.md`
+//! § Fusion). Under `PYTOND_NO_FUSE=1` (CI runs this suite that way too)
+//! both sides extract one operator per pipeline and the comparison is the
+//! identity, proving the kill switch only changes the policy.
 //!
 //! Coverage: all 22 TPC-H queries, every hybrid workload, the
 //! stats-property corpus (dtypes × clustering × NULL patterns), NULL-heavy
-//! and empty-table joins, at threads 1 / 2 / 7 / hardware.
+//! and empty-table joins, at threads 1 / 2 / 7 / hardware — and the one
+//! hash join against a nested-loop reference written here (kind × planned
+//! build side × key layout × NULLs/duplicates/empty sides, row order
+//! included), which shares nothing with either policy.
 
 use pytond::{Backend, EngineConfig, OptLevel, Profile, Pytond};
 use pytond_common::{pool, Column, DType, Relation, Value};
@@ -379,18 +382,246 @@ fn fused_traces_report_pipelines_and_scan_zones_once() {
 }
 
 #[test]
-fn fused_join_pipeline_probes_without_flipping() {
+fn planned_build_side_shows_in_explain_and_pipelines() {
+    let db = null_heavy_db(30_000);
+    // `r` (15 000 rows) is the left input and the smaller one: the plan
+    // builds on it and streams `l` (30 000 rows) through the probe.
+    let sql = "SELECT r.k, SUM(r.b) AS s FROM r, l WHERE r.k = l.k GROUP BY r.k";
+    let plan = db.explain_sql(sql).unwrap();
+    assert!(plan.contains("Join Inner build=left on ["), "{plan}");
+    for profile in [Profile::Vectorized, Profile::Fused] {
+        let (_, trace) = db.execute_sql_traced(sql, &config(profile, 1)).unwrap();
+        let m = &trace.metrics;
+        assert_eq!(m.joins_flipped, 1, "{profile:?}: {m:?}");
+        assert_eq!(
+            (m.join_build_rows, m.join_probe_rows),
+            (15_000, 30_000),
+            "{profile:?}: {m:?}"
+        );
+    }
     if fusion_disabled() {
-        eprintln!("PYTOND_NO_FUSE set: skipping fused-probe trace assertions");
+        eprintln!("PYTOND_NO_FUSE set: skipping the pipeline listing");
         return;
     }
-    let db = null_heavy_db(30_000);
+    let (_, fused) = db
+        .execute_sql_traced(sql, &config(Profile::Fused, 1))
+        .unwrap();
+    assert!(
+        fused
+            .plan
+            .lines()
+            .any(|l| l.contains("scan l → probe(inner, build=left) → regroup")),
+        "{}",
+        fused.plan
+    );
+    // The other way round the binder's default stands and the probe fuses
+    // with the aggregation above it.
     let sql = "SELECT l.k, SUM(r.b) AS s FROM l, r WHERE l.k = r.k GROUP BY l.k";
     let (_, fused) = db
         .execute_sql_traced(sql, &config(Profile::Fused, 1))
         .unwrap();
-    // A fused probe always builds on the plan's right side: no flips.
     assert_eq!(fused.metrics.joins_flipped, 0, "{:?}", fused.metrics);
-    assert!(fused.metrics.pipelines >= 1);
-    assert!(fused.plan.contains("probe(inner)"), "{}", fused.plan);
+    assert!(!fused.plan.contains("build=left"), "{}", fused.plan);
+    assert!(
+        fused.plan.contains("scan l → probe(inner) → aggregate"),
+        "{}",
+        fused.plan
+    );
+}
+
+// ---------------- the one join, against a nested-loop reference ----------
+
+/// A join input `(id, k1, k2, ks, kf)`: keys from tiny domains (duplicates
+/// everywhere), NULLs in `k1`/`ks`/`kf`, `salt` shifting the two sides
+/// against each other so every key has matches, misses and NULLs.
+fn join_side(n: usize, salt: usize) -> Relation {
+    let mut cols: Vec<Column> = [DType::Int, DType::Int, DType::Int, DType::Str, DType::Float]
+        .into_iter()
+        .map(Column::new)
+        .collect();
+    for i in 0..n {
+        let cell = |null: bool, v: Value| if null { Value::Null } else { v };
+        let row = [
+            Value::Int(i as i64),
+            cell((i + salt) % 5 == 0, Value::Int(((i * 3 + salt) % 7) as i64)),
+            Value::Int(((i + salt) % 3) as i64),
+            cell(i % 7 == 3, Value::Str(format!("s{}", (i * 2 + salt) % 6))),
+            cell(i % 6 == 1, Value::Float(((i + 2 * salt) % 7) as f64)),
+        ];
+        for (c, v) in cols.iter_mut().zip(row) {
+            c.push(v).unwrap();
+        }
+    }
+    let names = ["id", "k1", "k2", "ks", "kf"];
+    Relation::new(names.iter().map(|n| n.to_string()).zip(cols).collect()).unwrap()
+}
+
+fn rows_of(rel: &Relation) -> Vec<Vec<Value>> {
+    (0..rel.num_rows())
+        .map(|i| {
+            (0..rel.num_cols())
+                .map(|c| rel.column_at(c).get(i))
+                .collect()
+        })
+        .collect()
+}
+
+/// The reference: nested loops over `Value` rows. `lk`/`rk` are key column
+/// positions; the output is `(a.id, b.id, b.ks)` — `(a.id, a.ks)` for
+/// semi/anti — in the engine's documented order: left rows in order, each
+/// one's matches in right-row order, a right/full join's unmatched right
+/// rows last. NULL keys never match; anti keeps NULL-key rows.
+fn nested_loop_join(
+    kind: &str,
+    a: &[Vec<Value>],
+    b: &[Vec<Value>],
+    lk: &[usize],
+    rk: &[usize],
+) -> Vec<Vec<Value>> {
+    let eq = |l: &[Value], r: &[Value]| {
+        lk.iter()
+            .zip(rk)
+            .all(|(&i, &j)| l[i].sql_cmp(&r[j]) == Some(std::cmp::Ordering::Equal))
+    };
+    let mut out = Vec::new();
+    let mut matched = vec![false; b.len()];
+    for l in a {
+        let hits: Vec<usize> = (0..b.len()).filter(|&j| eq(l, &b[j])).collect();
+        match kind {
+            "semi" | "anti" => {
+                if hits.is_empty() == (kind == "anti") {
+                    out.push(vec![l[0].clone(), l[3].clone()]);
+                }
+            }
+            _ => {
+                for &j in &hits {
+                    matched[j] = true;
+                    out.push(vec![l[0].clone(), b[j][0].clone(), b[j][3].clone()]);
+                }
+                if hits.is_empty() && matches!(kind, "left" | "full") {
+                    out.push(vec![l[0].clone(), Value::Null, Value::Null]);
+                }
+            }
+        }
+    }
+    if matches!(kind, "right" | "full") {
+        for j in (0..b.len()).filter(|&j| !matched[j]) {
+            out.push(vec![Value::Null, b[j][0].clone(), b[j][3].clone()]);
+        }
+    }
+    out
+}
+
+#[test]
+fn one_join_matches_nested_loop_reference() {
+    // Key column pairs: a `u64` key, a `u128` key, a string key (dictionary
+    // codes; byte-encoded under `PYTOND_NO_DICT=1`) and a float-vs-int key
+    // (always byte-encoded).
+    let layouts: [&[(&str, &str)]; 4] = [
+        &[("k1", "k1")],
+        &[("k1", "k1"), ("k2", "k2")],
+        &[("ks", "ks")],
+        &[("kf", "k1")],
+    ];
+    let pos = |name: &str| {
+        ["id", "k1", "k2", "ks", "kf"]
+            .iter()
+            .position(|n| *n == name)
+            .unwrap()
+    };
+    // Left smaller (the estimate plans build=left where the kind allows),
+    // right smaller, an empty left, an empty right.
+    for (na, nb) in [(60, 300), (300, 60), (0, 50), (50, 0)] {
+        let (ra, rb) = (join_side(na, 0), join_side(nb, 2));
+        let (a, b) = (rows_of(&ra), rows_of(&rb));
+        let db = Database::new();
+        db.register("a", ra);
+        db.register("b", rb);
+        for keys in layouts {
+            let lk: Vec<usize> = keys.iter().map(|(l, _)| pos(l)).collect();
+            let rk: Vec<usize> = keys.iter().map(|(_, r)| pos(r)).collect();
+            for kind in ["inner", "left", "right", "full", "semi", "anti"] {
+                let on: Vec<String> = keys.iter().map(|(l, r)| format!("a.{l} = b.{r}")).collect();
+                let sql = match (kind, keys) {
+                    ("semi", [(l, r)]) => {
+                        format!("SELECT a.id, a.ks FROM a WHERE a.{l} IN (SELECT {r} FROM b)")
+                    }
+                    ("anti", [(l, r)]) => format!(
+                        "SELECT a.id, a.ks FROM a WHERE a.{l} NOT IN \
+                         (SELECT {r} FROM b WHERE {r} IS NOT NULL)"
+                    ),
+                    // An IN subquery carries one key column.
+                    ("semi" | "anti", _) => continue,
+                    ("full", _) => format!(
+                        "SELECT a.id, b.id, b.ks FROM a FULL OUTER JOIN b ON {}",
+                        on.join(" AND ")
+                    ),
+                    _ => format!(
+                        "SELECT a.id, b.id, b.ks FROM a {kind} JOIN b ON {}",
+                        on.join(" AND ")
+                    ),
+                };
+                let name = format!("{na}x{nb}/{kind}/{}", on.join("&"));
+                let planned_left = db.explain_sql(&sql).unwrap().contains("build=left");
+                let may_flip = matches!(kind, "inner" | "semi" | "anti");
+                assert_eq!(
+                    planned_left,
+                    may_flip && na < nb,
+                    "{name}: planned build side"
+                );
+                let want = nested_loop_join(kind, &a, &b, &lk, &rk);
+                for profile in [Profile::Vectorized, Profile::Fused] {
+                    for threads in [1usize, 2, 7] {
+                        let cfg = EngineConfig {
+                            morsel: 16,
+                            ..config(profile, threads)
+                        };
+                        let got = db
+                            .execute_sql(&sql, &cfg)
+                            .unwrap_or_else(|e| panic!("{name}/{profile:?}@{threads}t: {e}"));
+                        let got = rows_of(&got);
+                        assert_eq!(got.len(), want.len(), "{name}/{profile:?}@{threads}t: rows");
+                        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                            assert!(
+                                g.iter().zip(w).all(|(x, y)| x.total_cmp(y).is_eq()),
+                                "{name}/{profile:?}@{threads}t: row {i}: {g:?} vs {w:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn keyless_joins_broadcast_a_one_row_side() {
+    let db = Database::new();
+    let ints = |v: Vec<i64>| Relation::new(vec![("x".into(), Column::from_i64(v))]).unwrap();
+    db.register("one", ints(vec![7]));
+    db.register("none", ints(vec![]));
+    db.register("three", ints(vec![1, 2, 3]));
+    db.register("many", ints((0..100).collect()));
+    let pairs = |l: &[i64], r: &[i64]| -> Vec<Vec<Value>> {
+        l.iter()
+            .flat_map(|&x| r.iter().map(move |&y| vec![Value::Int(x), Value::Int(y)]))
+            .collect()
+    };
+    let many: Vec<i64> = (0..100).collect();
+    for (sql, want) in [
+        ("SELECT one.x, many.x FROM one, many", pairs(&[7], &many)),
+        ("SELECT many.x, one.x FROM many, one", pairs(&many, &[7])),
+        ("SELECT one.x, o.x FROM one, one o", pairs(&[7], &[7])),
+        ("SELECT none.x, many.x FROM none, many", pairs(&[], &many)),
+        ("SELECT one.x, none.x FROM one, none", pairs(&[7], &[])),
+        (
+            "SELECT three.x, many.x FROM three, many",
+            pairs(&[1, 2, 3], &many),
+        ),
+    ] {
+        for profile in [Profile::Vectorized, Profile::Fused] {
+            let got = rows_of(&db.execute_sql(sql, &config(profile, 1)).unwrap());
+            assert_eq!(got, want, "{sql} under {profile:?}");
+        }
+    }
 }

@@ -1,8 +1,9 @@
-//! Seeded random-plan fuzzer for the fused pipeline driver: random
+//! Seeded random-plan fuzzer for the pipeline driver: random
 //! filter → project → join → aggregate chains over small typed tables
 //! (NULL-heavy, empty, single-row) run **differentially** — the fused
-//! profile at several thread counts against the materializing
-//! operator-at-a-time oracle — and must agree bit for bit
+//! profile (maximal pipelines) at several thread counts against the
+//! vectorized one (one operator per pipeline, serial) — and must agree bit
+//! for bit
 //! (`Value::total_cmp` per cell). The sliced kernel entry points the fused
 //! scan uses (`eval_range` / `eval_mask_range`) are additionally checked
 //! against selection-vector evaluation and the row-at-a-time
@@ -115,26 +116,39 @@ fn chain_sql(ops: &[Op]) -> String {
                     p % 6
                 ),
             },
-            // Joins against r: inner/left fused probes, semi/anti via
-            // IN / NOT IN subqueries.
-            2 => match p % 4 {
-                0 => format!(
-                    "SELECT {prev}.c0 AS c0, {prev}.c1 AS c1, r.w AS c2 \
-                     FROM {prev} JOIN r ON {prev}.c0 = r.k"
-                ),
-                1 => format!(
-                    "SELECT {prev}.c0 AS c0, {prev}.c1 AS c1, r.w AS c2 \
-                     FROM {prev} LEFT JOIN r ON {prev}.c0 = r.k"
-                ),
-                2 => format!(
-                    "SELECT c0 AS c0, c1 AS c1, c2 AS c2 FROM {prev} \
-                     WHERE c0 IN (SELECT k FROM r)"
-                ),
-                _ => format!(
-                    "SELECT c0 AS c0, c1 AS c1, c2 AS c2 FROM {prev} \
-                     WHERE c0 NOT IN (SELECT k FROM r WHERE k IS NOT NULL)"
-                ),
-            },
+            // Joins against r: inner/left probes, semi/anti via IN / NOT IN
+            // subqueries, right/full joins (the sink appends the unmatched
+            // build rows), a float-vs-int key (byte-encoded), and r as the
+            // left input — so either side may be the smaller, planned build
+            // side.
+            2 => {
+                let join = |how: &str, on: &str| {
+                    format!(
+                        "SELECT {prev}.c0 AS c0, {prev}.c1 AS c1, r.w AS c2 \
+                         FROM {prev} {how} r ON {on}"
+                    )
+                };
+                let on_key = format!("{prev}.c0 = r.k");
+                match p % 8 {
+                    0 => join("JOIN", &on_key),
+                    1 => join("LEFT JOIN", &on_key),
+                    2 => format!(
+                        "SELECT c0 AS c0, c1 AS c1, c2 AS c2 FROM {prev} \
+                         WHERE c0 IN (SELECT k FROM r)"
+                    ),
+                    3 => format!(
+                        "SELECT c0 AS c0, c1 AS c1, c2 AS c2 FROM {prev} \
+                         WHERE c0 NOT IN (SELECT k FROM r WHERE k IS NOT NULL)"
+                    ),
+                    4 => join("RIGHT JOIN", &on_key),
+                    5 => join("FULL OUTER JOIN", &on_key),
+                    6 => join("JOIN", &format!("{prev}.c1 = r.w")),
+                    _ => format!(
+                        "SELECT r.k AS c0, {prev}.c1 AS c1, r.w AS c2 \
+                         FROM r JOIN {prev} ON r.k = {prev}.c0"
+                    ),
+                }
+            }
             // Aggregations (pipeline breakers mid-chain; sinks at the end):
             // grouped float SUM (merge-order sensitive) or scalar aggs.
             _ => match p % 2 {
@@ -246,7 +260,7 @@ proptest! {
     #[test]
     fn random_plans_fused_matches_materializing(
         trows in prop::collection::vec((0u8..3, 0i64..8, -100.0f64..100.0, -20i64..20), 0..40),
-        rrows in prop::collection::vec((0u8..4, 0i64..8, 0i64..50), 0..12),
+        rrows in prop::collection::vec((0u8..4, 0i64..8, 0i64..50), 0..60),
         ops in prop::collection::vec((0u8..4, 0i64..40), 0..6),
     ) {
         let db = Database::new();
@@ -271,7 +285,7 @@ fn edge_tables_every_operator() {
         db.register("t", table_t(&trows));
         db.register("r", table_r(&[(0, 1, 10), (1, 2, 20), (1, 3, 30)]));
         for kind in 0u8..4 {
-            for p in 0i64..4 {
+            for p in 0i64..8 {
                 if let Some(why) = fails(&db, &[(kind, p)]) {
                     panic!("single op ({kind},{p}) over {} rows: {why}", trows.len());
                 }
@@ -284,7 +298,7 @@ fn edge_tables_every_operator() {
         let db2 = Database::new();
         db2.register("t", table_t(&trows));
         db2.register("r", table_r(&[]));
-        for p in 0i64..4 {
+        for p in 0i64..8 {
             if let Some(why) = fails(&db2, &[(2, p)]) {
                 panic!(
                     "probe vs empty build ({p}) over {} rows: {why}",
