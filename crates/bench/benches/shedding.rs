@@ -39,7 +39,7 @@ const AGG_SQL: &str =
     "SELECT o_custkey, SUM(o_totalprice) AS s, COUNT(*) AS n FROM orders GROUP BY o_custkey";
 
 fn smoke() -> bool {
-    std::env::var("PYTOND_BENCH_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty())
+    pytond_common::env::flag("PYTOND_BENCH_SMOKE")
 }
 
 /// Outcome of one oversubscribed round at a fixed admission capacity.

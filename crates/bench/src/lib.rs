@@ -1,6 +1,5 @@
-//! Measurement harness shared by the `figures` binary and the Criterion
-//! benches: system setup, the six evaluated alternatives, and timing
-//! helpers following the paper's protocol (warm-up rounds, then the mean of
+//! Measurement helpers of the `figures` binary: system setup, the six
+//! evaluated alternatives, and timing helpers following the paper's protocol (warm-up rounds, then the mean of
 //! measured rounds — Section V-A).
 
 #![warn(missing_docs)]

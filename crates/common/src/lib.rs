@@ -18,6 +18,7 @@
 pub mod cancel;
 pub mod column;
 pub mod date;
+pub mod env;
 pub mod error;
 pub mod fault;
 pub mod hash;

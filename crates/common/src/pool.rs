@@ -28,6 +28,7 @@
 //! and measuring the time each one queued (`PYTOND_ADMIT` sets the
 //! capacity; the wait surfaces in `QueryTrace`).
 
+use crate::env;
 use crate::error::Error;
 use crate::fault::{self, FaultSite};
 use crate::Result;
@@ -52,14 +53,8 @@ pub fn hardware_threads() -> usize {
 /// the variable before the first query, not between queries.
 pub fn default_threads() -> usize {
     static CACHED: OnceLock<usize> = OnceLock::new();
-    *CACHED.get_or_init(|| match std::env::var("PYTOND_THREADS") {
-        Ok(v) => v
-            .trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .unwrap_or_else(hardware_threads),
-        Err(_) => hardware_threads(),
+    *CACHED.get_or_init(|| {
+        env::positive_u64("PYTOND_THREADS").map_or_else(hardware_threads, |n| n as usize)
     })
 }
 
@@ -377,13 +372,7 @@ impl Drop for AdmitTicket<'_> {
 pub fn admission() -> &'static Admission {
     static GATE: OnceLock<Admission> = OnceLock::new();
     GATE.get_or_init(|| {
-        let capacity = match std::env::var("PYTOND_ADMIT") {
-            Ok(v) => v
-                .trim()
-                .parse::<usize>()
-                .unwrap_or_else(|_| 2 * hardware_threads()),
-            Err(_) => 2 * hardware_threads(),
-        };
+        let capacity = env::integer("PYTOND_ADMIT").map_or(2 * hardware_threads(), |n| n as usize);
         Admission::with_capacity(capacity)
     })
 }
@@ -395,12 +384,7 @@ pub fn admission() -> &'static Admission {
 /// [`default_threads`].
 pub fn default_admit_timeout() -> Option<Duration> {
     static CACHED: OnceLock<Option<Duration>> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::env::var("PYTOND_ADMIT_TIMEOUT_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .map(Duration::from_millis)
-    })
+    *CACHED.get_or_init(|| env::integer("PYTOND_ADMIT_TIMEOUT_MS").map(Duration::from_millis))
 }
 
 /// The result of one [`par_morsels`] run: per-morsel outputs in morsel order

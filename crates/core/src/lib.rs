@@ -9,14 +9,16 @@
 //! ```text
 //! compile (once):
 //! @pytond source ──pyparse──► AST ──translate──► TondIR ──optimizer──► TondIR
-//!                                                              │
-//!                              sqldb::lower ◄─────────────────┤
-//!                                    │                         └────► sqlgen
-//!                              PreparedQuery                     (SQL export:
-//!                           (bound + optimized plan)              dialects +
-//!                                    │                            differential
-//! execute (many):                    ▼                            oracle)
-//!                        sqldb::execute_prepared ──► Relation
+//!                                                                        │
+//!                                                                   sqldb::lower
+//!                                                                        ▼
+//!                                                                      Query
+//!                                                    ┌───────────────────┴──────────────┐
+//!                                               bind + plan                  sqlgen::render(dialect)
+//!                                                    ▼                                  ▼
+//!                                              PreparedQuery                  SQL text (export for
+//! execute (many):                                    ▼                        DuckDB/Hyper/LingoDB)
+//!                                    sqldb::execute_prepared ──► Relation
 //! ```
 //!
 //! Prepared plans are cached per `(source, opt level, profile, stats
@@ -74,6 +76,8 @@ pub use pytond_sqlgen::Dialect;
 use pytond_common::hash::{FxHashMap, FxHasher};
 use pytond_common::version::Versioned;
 use pytond_common::{Error, Relation, Result};
+use pytond_sqldb::ast::Query;
+use pytond_sqldb::lower::lower_program;
 use pytond_tondir::{Catalog, Program, TableSchema};
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
@@ -207,14 +211,15 @@ pub struct Compiled {
     /// TondIR after optimization.
     pub optimized_ir: Program,
     /// Generated SQL text — the *export* rendering for the dialect's real
-    /// backend (and the differential oracle); the in-process engine runs
-    /// [`Compiled::prepared`] instead of re-parsing this.
+    /// backend, printed from the same lowered query the plan was bound
+    /// from; the in-process engine runs [`Compiled::prepared`] instead of
+    /// re-parsing this.
     pub sql: String,
     /// The optimization level used.
     pub level: OptLevel,
     /// The dialect used for the SQL export.
     pub dialect: Dialect,
-    /// The bound + cost-optimized plan, lowered directly from
+    /// The bound + cost-optimized plan of the query lowered from
     /// [`Compiled::optimized_ir`] (no SQL round-trip). [`Pytond::execute`]
     /// runs it as-is while the database statistics have not moved.
     pub prepared: Arc<PreparedQuery>,
@@ -448,44 +453,21 @@ impl Pytond {
     }
 
     /// Compiles at an explicit optimization level (Figure 10's ablation):
-    /// runs the front-end, lowers the optimized IR directly into a prepared
-    /// plan, and renders the dialect's SQL export.
+    /// runs the front-end and the lowering once, then hands the one lowered
+    /// query to both consumers — the planner (prepared plan) and the dialect
+    /// printer (SQL export).
     pub fn compile_at(&self, source: &str, dialect: Dialect, level: OptLevel) -> Result<Compiled> {
-        let catalog = self.catalog.load();
-        let raw_ir = pytond_translate::translate_source(source, &catalog)?;
-        pytond_tondir::analysis::validate(&raw_ir, &catalog)?;
-        let optimized_ir = pytond_optimizer::optimize(raw_ir.clone(), &catalog, level);
-        pytond_tondir::analysis::validate(&optimized_ir, &catalog)?;
-        let sql = pytond_sqlgen::generate_sql(&optimized_ir, &catalog, dialect)?;
-        let profile = Backend::profile_for(dialect);
-        let prepared = match pytond_sqldb::lower::prepare_program(
-            &self.db,
-            &optimized_ir,
-            &catalog,
-            profile,
-        ) {
-            Ok(p) => Arc::new(p),
-            // Profile-gated queries (e.g. window functions on the LingoDB
-            // profile) must still *compile*: the SQL export targets the
-            // paper's real backend, and the gate historically fired at
-            // execute time. Carry a plan validated under the ungated
-            // profile instead; `execute` re-validates for the requested
-            // backend because the profiles then differ.
-            Err(Error::Unsupported(_)) => Arc::new(pytond_sqldb::lower::prepare_program(
-                &self.db,
-                &optimized_ir,
-                &catalog,
-                Profile::Vectorized,
-            )?),
-            Err(e) => return Err(e),
+        let (raw_ir, optimized_ir, query) = self.lower(source, level, Program::clone)?;
+        let sql = pytond_sqlgen::render(&query, dialect);
+        // Profile-gated queries (e.g. window functions on the LingoDB
+        // profile) must still *compile*: the SQL export targets the paper's
+        // real backend. Carry a plan validated (and cached) under the
+        // ungated profile instead; `execute` re-validates for the requested
+        // backend because the profiles then differ.
+        let prepared = match self.plan(source, level, Backend::profile_for(dialect), &query) {
+            Err(Error::Unsupported(_)) => self.plan(source, level, Profile::Vectorized, &query)?,
+            planned => planned?,
         };
-        // Cache under the profile the plan was actually validated for — a
-        // gate-skipping plan must never satisfy a Lingo-profile lookup —
-        // and under the stats version it was planned at.
-        self.plan_cache.insert(
-            plan_key(source, level, prepared.profile(), prepared.stats_version()),
-            prepared.clone(),
-        );
         Ok(Compiled {
             source: source.to_string(),
             raw_ir,
@@ -497,9 +479,49 @@ impl Pytond {
         })
     }
 
+    /// The front half of every compile, source to lowered query: translate →
+    /// validate → optimize → validate → lower. Returns what `keep` takes of
+    /// the raw IR before the optimizer consumes it (a clone for
+    /// `compile_at`, nothing on the serving paths), the optimized IR and the
+    /// query lowered from it.
+    fn lower<R>(
+        &self,
+        source: &str,
+        level: OptLevel,
+        keep: impl FnOnce(&Program) -> R,
+    ) -> Result<(R, Program, Query)> {
+        let catalog = self.catalog.load();
+        let raw_ir = pytond_translate::translate_source(source, &catalog)?;
+        pytond_tondir::analysis::validate(&raw_ir, &catalog)?;
+        let kept = keep(&raw_ir);
+        let optimized_ir = pytond_optimizer::optimize(raw_ir, &catalog, level);
+        pytond_tondir::analysis::validate(&optimized_ir, &catalog)?;
+        let query = lower_program(&optimized_ir, &catalog)?;
+        Ok((kept, optimized_ir, query))
+    }
+
+    /// The back half: binds and plans a lowered query for `profile` and
+    /// caches the plan under the stats version it was planned at (so a
+    /// gate-skipping plan never satisfies a Lingo-profile lookup, and a
+    /// lookup at the current version never returns a stale plan).
+    fn plan(
+        &self,
+        source: &str,
+        level: OptLevel,
+        profile: Profile,
+        query: &Query,
+    ) -> Result<Arc<PreparedQuery>> {
+        let prepared = Arc::new(self.db.prepare_query(query, profile)?);
+        let key = plan_key(source, level, profile, prepared.stats_version());
+        self.plan_cache.insert(key, prepared.clone());
+        Ok(prepared)
+    }
+
     /// Returns the cached prepared plan for a source, compiling and caching
     /// it if absent or planned under stale statistics. On a cache hit this
-    /// performs zero lexing, parsing, binding or planning.
+    /// performs zero lexing, parsing, binding or planning; a miss never
+    /// touches SQL text either — that is an export format, not the wire
+    /// format.
     pub fn prepare(
         &self,
         source: &str,
@@ -510,27 +532,8 @@ impl Pytond {
         if let Some(p) = self.plan_cache.lookup(&key) {
             return Ok(p);
         }
-        // Miss (or the stats version moved, making this a fresh key): run
-        // the compile pipeline (translate → validate → optimize → lower →
-        // bind/plan) and cache under the version the plan was planned at.
-        // sqlgen is not involved — SQL text is an export format, not the
-        // wire format.
-        let catalog = self.catalog.load();
-        let raw_ir = pytond_translate::translate_source(source, &catalog)?;
-        pytond_tondir::analysis::validate(&raw_ir, &catalog)?;
-        let optimized_ir = pytond_optimizer::optimize(raw_ir, &catalog, level);
-        pytond_tondir::analysis::validate(&optimized_ir, &catalog)?;
-        let prepared = Arc::new(pytond_sqldb::lower::prepare_program(
-            &self.db,
-            &optimized_ir,
-            &catalog,
-            backend.profile,
-        )?);
-        self.plan_cache.insert(
-            plan_key(source, level, backend.profile, prepared.stats_version()),
-            prepared.clone(),
-        );
-        Ok(prepared)
+        let (_, _, query) = self.lower(source, level, |_| ())?;
+        self.plan(source, level, backend.profile, &query)
     }
 
     /// Executes a previously compiled function. While the database
@@ -540,37 +543,21 @@ impl Pytond {
     /// already-optimized IR — through the plan cache, so even a stale
     /// `Compiled` pays the re-plan once, not on every call.
     pub fn execute(&self, compiled: &Compiled, backend: &Backend) -> Result<Relation> {
+        let Compiled { source, level, .. } = compiled;
         if compiled.prepared.profile() == backend.profile && compiled.prepared.is_current(&self.db)
         {
             return self
                 .db
                 .execute_prepared(&compiled.prepared, &backend.config());
         }
-        let key = plan_key(
-            &compiled.source,
-            compiled.level,
-            backend.profile,
-            self.db.stats_version(),
-        );
-        if let Some(p) = self.plan_cache.lookup(&key) {
-            return self.db.execute_prepared(&p, &backend.config());
-        }
-        let catalog = self.catalog.load();
-        let prepared = Arc::new(pytond_sqldb::lower::prepare_program(
-            &self.db,
-            &compiled.optimized_ir,
-            &catalog,
-            backend.profile,
-        )?);
-        self.plan_cache.insert(
-            plan_key(
-                &compiled.source,
-                compiled.level,
-                backend.profile,
-                prepared.stats_version(),
-            ),
-            prepared.clone(),
-        );
+        let key = plan_key(source, *level, backend.profile, self.db.stats_version());
+        let prepared = match self.plan_cache.lookup(&key) {
+            Some(p) => p,
+            None => {
+                let query = lower_program(&compiled.optimized_ir, &self.catalog.load())?;
+                self.plan(source, *level, backend.profile, &query)?
+            }
+        };
         self.db.execute_prepared(&prepared, &backend.config())
     }
 
@@ -593,16 +580,16 @@ impl Pytond {
     }
 
     /// Registers a `@pytond` program as a standing materialized view: the
-    /// source is compiled once (through the full translate → optimize →
-    /// SQL pipeline), the result is materialized, and every subsequent
-    /// [`Pytond::append`] refreshes it — incrementally where the plan
-    /// shape allows, by traced full recompute otherwise. See
+    /// source is compiled once (translate → optimize → lower; the view
+    /// keeps the lowered query and plans it itself, so nothing is printed,
+    /// re-parsed or left in the plan cache), the result is materialized,
+    /// and every subsequent [`Pytond::append`] refreshes it — incrementally
+    /// where the plan shape allows, by traced full recompute otherwise. See
     /// [`Database::register_view_with`] and the `pytond_sqldb::mv` module
     /// docs for the delta rules and the consistency contract.
     pub fn register_view(&self, name: &str, source: &str, backend: &Backend) -> Result<()> {
-        let compiled = self.compile(source, backend.dialect())?;
-        self.db
-            .register_view_with(name, &compiled.sql, &backend.config())
+        let (_, _, query) = self.lower(source, OptLevel::O4, |_| ())?;
+        self.db.register_view_query(name, query, &backend.config())
     }
 
     /// The current published state of a standing view registered with
@@ -864,5 +851,53 @@ mod tests {
             .unwrap();
         assert!(c.sql.starts_with("WITH"), "{}", c.sql);
         assert!(c.ir_text().contains(":-"), "{}", c.ir_text());
+    }
+
+    /// A view registered from `@pytond` source is planned exactly once, by
+    /// the view: nothing lands in the plan cache, and under every backend
+    /// (so with the Hyper/LingoDB spellings of `substr`/`year` on the
+    /// export path too) its content is what `run` of the source returns.
+    #[test]
+    fn register_view_plans_once_and_matches_run() {
+        let py = instance();
+        py.register_table(
+            "ev",
+            Relation::new(vec![
+                ("code".into(), Column::from_strs(&["ab1", "ab2", "cd3"])),
+                ("day".into(), Column::from_dates(vec![8766, 9131, 9200])),
+                ("n".into(), Column::from_i64(vec![1, 2, 3])),
+            ])
+            .unwrap(),
+            &[],
+        );
+        let sources = [
+            "@pytond\ndef q(t):\n    return t[t.v > 1]\n",
+            "@pytond\ndef q(ev):\n    ev['p'] = ev.code.str.slice(0, 2)\n    ev['y'] = ev.day.dt.year\n    \
+             g = ev.groupby(['p', 'y']).agg(total=('n', 'sum'))\n    \
+             return g.sort_values(by=['p', 'y'])\n",
+        ];
+        for source in sources {
+            for backend in [
+                Backend::duckdb_sim(1),
+                Backend::hyper_sim(1),
+                Backend::lingodb_sim(1),
+            ] {
+                let before = py.cached_plans();
+                py.register_view("v", source, &backend).unwrap();
+                assert_eq!(py.cached_plans(), before, "{}", backend.name());
+                let expected = py.run(source, &backend).unwrap();
+                let view = py.view("v").unwrap();
+                assert!(
+                    expected.approx_eq(view.relation(), 0.0),
+                    "{}: {:?}",
+                    backend.name(),
+                    expected.diff(view.relation(), 0.0)
+                );
+                // The exported text of the same program runs to the same rows.
+                let sql = py.compile(source, backend.dialect()).unwrap().sql;
+                let via_sql = py.database().execute_sql(&sql, &backend.config()).unwrap();
+                assert!(expected.approx_eq(&via_sql, 0.0), "{}", backend.name());
+            }
+        }
     }
 }

@@ -122,6 +122,19 @@ pub enum JoinKind {
     Cross,
 }
 
+impl JoinKind {
+    /// The SQL spelling of the join keyword.
+    pub fn keyword(self) -> &'static str {
+        match self {
+            JoinKind::Inner => "INNER JOIN",
+            JoinKind::Left => "LEFT JOIN",
+            JoinKind::Right => "RIGHT JOIN",
+            JoinKind::Full => "FULL OUTER JOIN",
+            JoinKind::Cross => "CROSS JOIN",
+        }
+    }
+}
+
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinOp {
@@ -164,6 +177,26 @@ impl BinOp {
         )
     }
 
+    /// The SQL spelling of the operator.
+    pub fn symbol(self) -> &'static str {
+        match self {
+            BinOp::Add => "+",
+            BinOp::Sub => "-",
+            BinOp::Mul => "*",
+            BinOp::Div => "/",
+            BinOp::Mod => "%",
+            BinOp::Eq => "=",
+            BinOp::Ne => "<>",
+            BinOp::Lt => "<",
+            BinOp::Le => "<=",
+            BinOp::Gt => ">",
+            BinOp::Ge => ">=",
+            BinOp::And => "AND",
+            BinOp::Or => "OR",
+            BinOp::Concat => "||",
+        }
+    }
+
     /// The operator with its operands swapped (`5 < x` ⇒ `x > 5`);
     /// symmetric operators return themselves.
     pub fn mirrored(self) -> BinOp {
@@ -190,6 +223,19 @@ pub enum AggName {
     Avg,
     /// COUNT (`COUNT(*)` when the argument is `None`)
     Count,
+}
+
+impl AggName {
+    /// The SQL spelling of the function name.
+    pub fn name(self) -> &'static str {
+        match self {
+            AggName::Sum => "SUM",
+            AggName::Min => "MIN",
+            AggName::Max => "MAX",
+            AggName::Avg => "AVG",
+            AggName::Count => "COUNT",
+        }
+    }
 }
 
 /// A SQL scalar expression.

@@ -35,21 +35,21 @@ use pytond_common::cancel::CancelToken;
 use pytond_common::fault::{self, FaultSite};
 use pytond_common::hash::FxHashMap;
 use pytond_common::version::Versioned;
-use pytond_common::{pool, Error, Relation, Result};
+use pytond_common::{env, pool, Error, Relation, Result};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// Execution profile emulating the paper's three backends (see crate docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Profile {
-    /// DuckDB-like: vectorized operator-at-a-time with materialized
-    /// intermediates.
+    /// DuckDB-like: one operator per pipeline, materialized intermediates.
     #[default]
     Vectorized,
-    /// Hyper-like: fused pipelines with late materialization.
+    /// Hyper-like: maximal fused pipelines.
     Fused,
-    /// LingoDB-like: the fused engine minus the research prototype's gaps
-    /// (no window functions; no aggregates over disjunctive CASE conditions).
+    /// LingoDB-like: the fusing policy plus a bind-time gate for the research
+    /// prototype's gaps (no window functions; no aggregates over disjunctive
+    /// CASE conditions).
     Lingo,
 }
 
@@ -120,36 +120,21 @@ impl Default for EngineConfig {
 /// set to a positive integer (read once, like `PYTOND_THREADS`).
 pub(crate) fn default_timeout_ms() -> Option<u64> {
     static CACHED: OnceLock<Option<u64>> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::env::var("PYTOND_QUERY_TIMEOUT_MS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-    })
+    *CACHED.get_or_init(|| env::positive_u64("PYTOND_QUERY_TIMEOUT_MS"))
 }
 
 /// Process-wide default per-query memory budget: `PYTOND_QUERY_MEM_MB` when
 /// set to a positive integer (read once).
 pub(crate) fn default_mem_budget_mb() -> Option<u64> {
     static CACHED: OnceLock<Option<u64>> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::env::var("PYTOND_QUERY_MEM_MB")
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&mb| mb > 0)
-    })
+    *CACHED.get_or_init(|| env::positive_u64("PYTOND_QUERY_MEM_MB"))
 }
 
 /// `PYTOND_NO_FUSE=1` switches every profile to the one-operator-per-pipeline
 /// extraction policy — same driver, same kernels, no fusion (read once).
 pub(crate) fn no_fuse() -> bool {
     static CACHED: OnceLock<bool> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::env::var("PYTOND_NO_FUSE").is_ok_and(|v| {
-            let v = v.trim();
-            !v.is_empty() && v != "0"
-        })
-    })
+    *CACHED.get_or_init(|| env::flag("PYTOND_NO_FUSE"))
 }
 
 /// `PYTOND_NO_DICT=1` disables dictionary encoding of string columns at
@@ -158,12 +143,7 @@ pub(crate) fn no_fuse() -> bool {
 /// the dictionary property suite runs the whole corpus against (read once).
 pub(crate) fn no_dict() -> bool {
     static CACHED: OnceLock<bool> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::env::var("PYTOND_NO_DICT").is_ok_and(|v| {
-            let v = v.trim();
-            !v.is_empty() && v != "0"
-        })
-    })
+    *CACHED.get_or_init(|| env::flag("PYTOND_NO_DICT"))
 }
 
 /// `PYTOND_NO_IVM=1` disables incremental maintenance of registered views —
@@ -173,12 +153,7 @@ pub(crate) fn no_dict() -> bool {
 /// against (read once).
 pub(crate) fn no_ivm() -> bool {
     static CACHED: OnceLock<bool> = OnceLock::new();
-    *CACHED.get_or_init(|| {
-        std::env::var("PYTOND_NO_IVM").is_ok_and(|v| {
-            let v = v.trim();
-            !v.is_empty() && v != "0"
-        })
-    })
+    *CACHED.get_or_init(|| env::flag("PYTOND_NO_IVM"))
 }
 
 impl EngineConfig {
@@ -574,11 +549,10 @@ impl Database {
     }
 
     /// Prepares an already-built SQL AST (no text involved): the entry point
-    /// for [`crate::lower`]'s direct TondIR lowering, and the tail of
-    /// [`Database::prepare`]. Binding and optimization are shared with the
-    /// text path, so both produce identical plans by construction. The
-    /// whole pipeline runs against one pinned snapshot — a concurrent
-    /// append cannot feed binding one version and costing another.
+    /// for the tree [`crate::lower`] lowers TondIR to, and the tail of
+    /// [`Database::prepare`]. The whole pipeline runs against one pinned
+    /// snapshot — a concurrent append cannot feed binding one version and
+    /// costing another.
     pub fn prepare_query(&self, query: &Query, profile: Profile) -> Result<PreparedQuery> {
         if profile == Profile::Lingo {
             lingo_check(query)?;
@@ -689,8 +663,9 @@ impl Database {
 /// A bound + cost-optimized query plan, detached from the SQL (or TondIR)
 /// source that produced it: the compile-once/execute-many unit.
 ///
-/// Created by [`Database::prepare`] / [`Database::prepare_query`] /
-/// [`crate::lower::lower_program`]; executed by
+/// Created by [`Database::prepare`] (from SQL text) or
+/// [`Database::prepare_query`] (from a tree, e.g. the [`ast::Query`](Query)
+/// that [`crate::lower::lower_program`] lowers TondIR to); executed by
 /// [`Database::execute_prepared`]. Carries the [`Database::stats_version`]
 /// observed at planning time so callers can detect when the cost model's
 /// inputs have moved and transparently re-plan.

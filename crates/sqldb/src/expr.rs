@@ -57,7 +57,8 @@ pub enum SFunc {
 }
 
 impl SFunc {
-    /// Parses the upper-cased SQL name.
+    /// Parses the canonical upper-cased name (the parser folds the dialect
+    /// spellings — `SUBSTR`, `CHAR_LENGTH`, `POW`, … — onto these).
     pub fn parse(name: &str) -> Option<SFunc> {
         Some(match name {
             "ABS" => SFunc::Abs,
@@ -65,8 +66,8 @@ impl SFunc {
             "YEAR" => SFunc::Year,
             "MONTH" => SFunc::Month,
             "DAY" => SFunc::Day,
-            "SUBSTRING" | "SUBSTR" => SFunc::Substring,
-            "LENGTH" | "LEN" | "CHAR_LENGTH" => SFunc::Length,
+            "SUBSTRING" => SFunc::Substring,
+            "LENGTH" => SFunc::Length,
             "UPPER" => SFunc::Upper,
             "LOWER" => SFunc::Lower,
             "COALESCE" => SFunc::Coalesce,
@@ -74,10 +75,10 @@ impl SFunc {
             "ADD_YEARS" => SFunc::AddYears,
             "ADD_DAYS" => SFunc::AddDays,
             "FLOOR" => SFunc::Floor,
-            "CEIL" | "CEILING" => SFunc::Ceil,
+            "CEIL" => SFunc::Ceil,
             "SQRT" => SFunc::Sqrt,
-            "POWER" | "POW" => SFunc::Power,
-            "STRPOS" | "POSITION" | "INSTR" => SFunc::StrPos,
+            "POWER" => SFunc::Power,
+            "STRPOS" => SFunc::StrPos,
             _ => return None,
         })
     }
@@ -238,25 +239,7 @@ impl std::fmt::Display for BExpr {
         match self {
             BExpr::Col(i) => write!(f, "#{i}"),
             BExpr::Lit(v) => write!(f, "{v:?}"),
-            BExpr::Bin { op, l, r } => {
-                let sym = match op {
-                    BinOp::Add => "+",
-                    BinOp::Sub => "-",
-                    BinOp::Mul => "*",
-                    BinOp::Div => "/",
-                    BinOp::Mod => "%",
-                    BinOp::Eq => "=",
-                    BinOp::Ne => "<>",
-                    BinOp::Lt => "<",
-                    BinOp::Le => "<=",
-                    BinOp::Gt => ">",
-                    BinOp::Ge => ">=",
-                    BinOp::And => "AND",
-                    BinOp::Or => "OR",
-                    BinOp::Concat => "||",
-                };
-                write!(f, "({l} {sym} {r})")
-            }
+            BExpr::Bin { op, l, r } => write!(f, "({l} {} {r})", op.symbol()),
             BExpr::Not(e) => write!(f, "NOT {e}"),
             BExpr::Neg(e) => write!(f, "-{e}"),
             BExpr::IsNull { e, negated } => {

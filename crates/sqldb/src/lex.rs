@@ -39,6 +39,30 @@ const OPERATORS: &[&str] = &[
     "<>", "!=", "<=", ">=", "||", "(", ")", ",", ";", "+", "-", "*", "/", "%", "<", ">", "=", ".",
 ];
 
+/// Reads a `quote`-delimited run whose opening quote sits just before
+/// `start`; a doubled quote inside it is one literal quote. Returns the
+/// unescaped content and the position after the closing quote.
+fn quoted(src: &str, start: usize, quote: u8, what: &str) -> Result<(String, usize)> {
+    let b = src.as_bytes();
+    let mut out = String::new();
+    let (mut seg, mut pos) = (start, start);
+    loop {
+        match b.get(pos) {
+            None => return Err(Error::Sql(format!("unterminated {what}"))),
+            Some(&c) if c == quote => {
+                out.push_str(&src[seg..pos]);
+                if b.get(pos + 1) != Some(&quote) {
+                    return Ok((out, pos + 1));
+                }
+                out.push(quote as char);
+                pos += 2;
+                seg = pos;
+            }
+            Some(_) => pos += 1,
+        }
+    }
+}
+
 /// Tokenizes SQL text.
 pub fn tokenize(src: &str) -> Result<Vec<Tok>> {
     let b = src.as_bytes();
@@ -54,38 +78,13 @@ pub fn tokenize(src: &str) -> Result<Vec<Tok>> {
                 }
             }
             b'\'' => {
-                pos += 1;
-                let mut s = String::new();
-                loop {
-                    if pos >= b.len() {
-                        return Err(Error::Sql("unterminated string literal".into()));
-                    }
-                    if b[pos] == b'\'' {
-                        if b.get(pos + 1) == Some(&b'\'') {
-                            s.push('\'');
-                            pos += 2;
-                        } else {
-                            pos += 1;
-                            break;
-                        }
-                    } else {
-                        s.push(b[pos] as char);
-                        pos += 1;
-                    }
-                }
+                let (s, end) = quoted(src, pos + 1, b'\'', "string literal")?;
+                pos = end;
                 toks.push(Tok::Str(s));
             }
             b'"' => {
-                pos += 1;
-                let start = pos;
-                while pos < b.len() && b[pos] != b'"' {
-                    pos += 1;
-                }
-                if pos >= b.len() {
-                    return Err(Error::Sql("unterminated quoted identifier".into()));
-                }
-                let original = std::str::from_utf8(&b[start..pos]).unwrap().to_string();
-                pos += 1;
+                let (original, end) = quoted(src, pos + 1, b'"', "quoted identifier")?;
+                pos = end;
                 toks.push(Tok::Word {
                     upper: original.to_uppercase(),
                     original,
@@ -174,8 +173,11 @@ mod tests {
 
     #[test]
     fn string_escaping() {
-        let t = tokenize("'o''brien'").unwrap();
+        let t = tokenize("'o''brien' 'caf\u{e9}' \"a\"\"b\"").unwrap();
         assert_eq!(t[0], Tok::Str("o'brien".into()));
+        assert_eq!(t[1], Tok::Str("caf\u{e9}".into()));
+        assert!(matches!(&t[2], Tok::Word { original, quoted: true, .. } if original == "a\"b"));
+        assert!(tokenize("'open").is_err());
     }
 
     #[test]

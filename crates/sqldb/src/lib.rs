@@ -3,16 +3,19 @@
 //!
 //! The paper executes its generated SQL on DuckDB (vectorized), Hyper
 //! (compiled/pipeline-fused) and LingoDB (research prototype). This crate is
-//! a from-scratch engine whose execution profiles emulate those paradigms:
+//! a from-scratch engine with **one** executor — a morsel-parallel pipeline
+//! driver every streaming operator runs through — whose execution profiles
+//! emulate those paradigms as (pipeline-extraction policy, bind-time gate)
+//! pairs:
 //!
-//! * [`Profile::Vectorized`] ("DuckDB-like") — operator-at-a-time execution
-//!   with full intermediate materialization between operators and columnar
-//!   kernels inside them;
-//! * [`Profile::Fused`] ("Hyper-like") — the physical planner collapses
-//!   scan→filter→project chains into single-pass fused operators with late
-//!   materialization, emulating data-centric compiled pipelines;
-//! * [`Profile::Lingo`] ("LingoDB-like") — the fused engine with the
-//!   prototype's documented gaps: no window functions (which is why the
+//! * [`Profile::Vectorized`] ("DuckDB-like") — one operator per pipeline:
+//!   every intermediate is materialized between operators, columnar kernels
+//!   run inside them;
+//! * [`Profile::Fused`] ("Hyper-like") — maximal pipelines: a morsel flows
+//!   scan → filter → project → probe → aggregate in one pass, broken only at
+//!   pipeline breakers, emulating data-centric compiled pipelines;
+//! * [`Profile::Lingo`] ("LingoDB-like") — the fusing policy plus a gate for
+//!   the prototype's documented gaps: no window functions (which is why the
 //!   paper's Grizzly/LingoDB pairing is impossible) and no aggregates over
 //!   disjunctive CASE conditions (the shape of PyTond's Q12 SQL, reproducing
 //!   the paper's "join processing could not process our generated SQL for
@@ -20,16 +23,19 @@
 //!
 //! All profiles share one SQL front-end (lexer → parser → binder), one
 //! logical optimizer (predicate pushdown, projection pruning, join-key
-//! extraction, IN-subquery to semi/anti join) and one morsel-parallel
-//! runtime driven by `std::thread::scope`.
+//! extraction, IN-subquery to semi/anti join, cost-based join order and
+//! build side) and the same kernels, so they return the same rows in the
+//! same order.
 //!
 //! Compilation and execution are split: [`Database::prepare`] runs the
 //! front-end + optimizer once and returns a [`PreparedQuery`] that
 //! [`Database::execute_prepared`] runs any number of times with zero
-//! per-call planning. TondIR programs enter without any SQL text through
-//! [`lower::prepare_program`] (the same binder/optimizer, so the direct and
-//! text paths produce identical plans); `register`/`append` bump a stats
-//! version that tells plan caches when cost-based join orders went stale.
+//! per-call planning. TondIR programs enter without any SQL text:
+//! [`lower::lower_program`] — the one TondIR → SQL lowering — builds the
+//! [`ast::Query`] that [`Database::prepare_query`] binds and plans (and that
+//! `pytond-sqlgen` prints for external engines); `register`/`append` bump a
+//! stats version that tells plan caches when cost-based join orders went
+//! stale.
 //!
 //! ```
 //! use pytond_sqldb::{Database, EngineConfig};

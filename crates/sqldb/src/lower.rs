@@ -1,33 +1,24 @@
-//! Direct TondIR → logical-plan lowering: the in-process fast path of the
-//! paper's Figure 1 pipeline.
+//! The TondIR → SQL lowering (paper, Section III-E): the one walk over
+//! TondIR rules, shared by the in-process engine and the SQL export.
 //!
-//! Historically the engine consumed TondIR through SQL *text*: `sqlgen`
-//! rendered the program, and every execution re-lexed, re-parsed, re-bound
-//! and re-optimized that string. This module lowers an optimized TondIR
-//! [`Program`] straight into the engine's structured [`crate::ast`] — one
-//! CTE per rule, exactly the shape `sqlgen` renders — and hands it to the
-//! shared binder/optimizer ([`Database::prepare_query`]) to produce a
-//! [`PreparedQuery`]. No SQL text, lexer or parser is involved.
+//! [`lower_program`] turns an optimized TondIR [`Program`] into the engine's
+//! structured [`crate::ast::Query`] — one CTE per rule, constant relations
+//! hoisted as `VALUES` CTEs, implicit joins as `WHERE` equalities, outer-join
+//! markers as explicit `JOIN ... ON`, `exists` atoms as `[NOT] IN (SELECT
+//! ...)`, `uid()` as `row_number() OVER (...)`. From there the two consumers
+//! part ways: [`crate::Database::prepare_query`] binds and plans the tree
+//! directly (no SQL text, lexer or parser on the product path), and
+//! `pytond-sqlgen` prints the same tree as DuckDB / Hyper / LingoDB text for
+//! an external engine. The printed text parses back to the tree it came from
+//! (`tests/differential_prepare.rs`), so text and tree cannot disagree.
 //!
-//! Funneling through the same binder and optimizer as the text path is a
-//! deliberate design decision: the binder stays the single source of
-//! plan-construction truth, so the direct path cannot drift from the parsed
-//! path. The lowering mirrors `pytond-sqlgen` atom-for-atom (FROM-item
-//! order, implicit-join equality order, predicate order), which makes the
-//! two paths produce **identical** bound plans — results and EXPLAIN join
-//! orders are bit-equal, a property the differential suite
-//! (`tests/differential_prepare.rs`) asserts over every TPC-H query and
-//! hybrid workload. `sqlgen` itself remains the dialect *exporter* (DuckDB /
-//! Hyper / LingoDB SQL for external engines) and the differential oracle.
-//!
-//! Dialect independence: external functions lower to canonical spellings
-//! (`SUBSTRING`, `LENGTH`, `YEAR`, ...) that bind to the same engine
-//! functions every dialect's rendering parses back to, so one lowered plan
-//! serves all three backend profiles (profile-specific *semantic* gates,
-//! e.g. LingoDB's window-function rejection, still run at prepare time).
+//! The tree is dialect-independent: external functions lower to one
+//! canonical name each (`SUBSTRING`, `LENGTH`, `YEAR`, ...), the names the
+//! parser folds every dialect's spelling onto, so one lowered query serves
+//! all three backend profiles (profile-specific *semantic* gates, e.g.
+//! LingoDB's window-function rejection, run at prepare time).
 
 use crate::ast::{AggName, BinOp, Cte, JoinKind, Query, Select, SelectItem, SqlExpr, TableRef};
-use crate::db::{Database, PreparedQuery, Profile};
 use pytond_common::{Error, Result};
 use pytond_tondir::analysis::SchemaEnv;
 use pytond_tondir::{
@@ -35,319 +26,205 @@ use pytond_tondir::{
 };
 use std::collections::HashMap;
 
-/// One pending outer-join marker: `(kind, left alias, right alias, ON pairs)`.
-type OuterMarker<'a> = (
-    &'a OuterKind,
-    &'a String,
-    &'a String,
-    &'a Vec<(String, String)>,
-);
-
-/// Lowers an optimized TondIR program and prepares it against `db` in one
-/// step: the compile-side entry point for the in-process engine.
-pub fn prepare_program(
-    db: &Database,
-    program: &Program,
-    catalog: &Catalog,
-    profile: Profile,
-) -> Result<PreparedQuery> {
-    let query = lower_program(program, catalog)?;
-    db.prepare_query(&query, profile)
-}
-
 /// Lowers a TondIR program into the engine's SQL AST (no text): each rule
 /// becomes one CTE (constant relations hoisted as `VALUES` CTEs), and the
 /// program's last rule feeds a final `SELECT *`.
 pub fn lower_program(program: &Program, catalog: &Catalog) -> Result<Query> {
-    if program.rules.is_empty() {
+    let Some(last) = program.rules.last() else {
         return Err(Error::CodeGen("empty program".into()));
-    }
-    let mut env = SchemaEnv::from_catalog(catalog);
-    let mut ctes: Vec<Cte> = Vec::new();
-    let mut seen_names: Vec<String> = Vec::new();
-    let mut const_counter = 0usize;
+    };
+    let mut lowerer = RuleLower {
+        env: SchemaEnv::from_catalog(catalog),
+        ctes: Vec::new(),
+        const_counter: 0,
+    };
     for rule in &program.rules {
-        if seen_names.contains(&rule.head.rel) {
+        if lowerer.ctes.iter().any(|c| c.name == rule.head.rel) {
             return Err(Error::CodeGen(format!(
                 "relation '{}' defined twice; the translator must uniquify rule names",
                 rule.head.rel
             )));
         }
-        let lowerer = RuleLower {
-            env: &env,
-            const_counter: &mut const_counter,
-        };
-        let (select, extra_ctes) = lowerer.lower_rule(rule)?;
-        ctes.extend(extra_ctes);
-        ctes.push(Cte {
+        let select = lowerer.lower_rule(rule).map_err(|e| match e {
+            Error::CodeGen(m) => Error::CodeGen(format!("rule '{}': {m}", rule.head.rel)),
+            other => other,
+        })?;
+        lowerer.ctes.push(Cte {
             name: rule.head.rel.clone(),
             columns: Some(rule.head.cols.iter().map(|(n, _)| n.clone()).collect()),
             select,
         });
-        seen_names.push(rule.head.rel.clone());
-        env.define(&rule.head);
+        lowerer.env.define(&rule.head);
     }
-    let last = program.rules.last().expect("non-empty");
     let mut body = Select::empty();
     body.items.push(SelectItem::Wildcard);
-    body.from.push(TableRef::Table {
-        name: last.head.rel.clone(),
-        alias: None,
-    });
-    Ok(Query { ctes, body })
+    body.from.push(table(&last.head.rel, &last.head.rel));
+    Ok(Query {
+        ctes: lowerer.ctes,
+        body,
+    })
 }
 
 /// Folds conjuncts into one left-associative AND chain (the same tree the
 /// parser builds from `c1 AND c2 AND c3`).
-fn and_join(mut conds: Vec<SqlExpr>) -> Option<SqlExpr> {
-    let mut iter = conds.drain(..);
-    let first = iter.next()?;
-    Some(iter.fold(first, |acc, c| SqlExpr::bin(BinOp::And, acc, c)))
+fn and_join(conds: Vec<SqlExpr>) -> Option<SqlExpr> {
+    conds
+        .into_iter()
+        .reduce(|acc, c| SqlExpr::bin(BinOp::And, acc, c))
 }
 
-struct RuleLower<'a> {
-    env: &'a SchemaEnv,
-    const_counter: &'a mut usize,
+/// `name [AS alias]` (no alias when it would repeat the name).
+fn table(name: &str, alias: &str) -> TableRef {
+    TableRef::Table {
+        name: name.to_string(),
+        alias: (alias != name).then(|| alias.to_string()),
+    }
 }
 
-impl<'a> RuleLower<'a> {
-    /// Lowers one rule body + head into a [`Select`], returning any hoisted
-    /// constant-relation CTEs.
-    fn lower_rule(self, rule: &Rule) -> Result<(Select, Vec<Cte>)> {
-        let mut extra_ctes = Vec::new();
-        // Pure constant rule: R(c0) :- (c0 = [...]) becomes a VALUES body.
-        if rule.body.atoms.len() == 1 {
-            if let Atom::ConstRel { rows, .. } = &rule.body.atoms[0] {
-                let mut s = Select::empty();
-                s.values = Some(
-                    rows.iter()
-                        .map(|r| r.iter().map(lower_const).collect())
-                        .collect(),
-                );
-                return Ok((s, extra_ctes));
+/// A `VALUES` body over constant rows.
+fn values(rows: &[Vec<Const>]) -> Select {
+    let mut s = Select::empty();
+    let row = |r: &Vec<Const>| r.iter().map(lower_const).collect();
+    s.values = Some(rows.iter().map(row).collect());
+    s
+}
+
+/// What one rule body (or `exists` body) accumulates: its FROM items in
+/// atom order, the expression each variable stands for, and its conjuncts.
+#[derive(Default)]
+struct Scope {
+    from: Vec<TableRef>,
+    bindings: HashMap<String, SqlExpr>,
+    conditions: Vec<SqlExpr>,
+}
+
+impl Scope {
+    /// The expression `var` stands for; `role` names the variable in the
+    /// error when it has none.
+    fn get(&self, role: &str, var: &str) -> Result<SqlExpr> {
+        let bound = self.bindings.get(var).cloned();
+        bound.ok_or_else(|| Error::CodeGen(format!("{role} '{var}' unbound")))
+    }
+
+    /// A relation access: one FROM item whose columns bind `vars` in order.
+    /// A variable bound before is an implicit join — it adds an equality
+    /// with its first binding instead.
+    fn access(&mut self, rel: &str, alias: &str, cols: &[String], vars: &[String]) -> Result<()> {
+        if cols.len() != vars.len() {
+            return Err(Error::CodeGen(format!(
+                "relation '{rel}' has {} columns, access binds {}",
+                cols.len(),
+                vars.len()
+            )));
+        }
+        self.from.push(table(rel, alias));
+        for (col, var) in cols.iter().zip(vars) {
+            let expr = SqlExpr::qcol(alias, col);
+            match self.bindings.get(var) {
+                Some(prev) => {
+                    let join = SqlExpr::bin(BinOp::Eq, prev.clone(), expr);
+                    self.conditions.push(join);
+                }
+                None => {
+                    self.bindings.insert(var.clone(), expr);
+                }
             }
         }
+        Ok(())
+    }
 
-        // Variable bindings: var → lowered SQL expression.
-        let mut bindings: HashMap<String, SqlExpr> = HashMap::new();
-        // Extra equality conditions from repeated variables (implicit joins).
-        let mut conditions: Vec<SqlExpr> = Vec::new();
-        // FROM items in atom order.
-        let mut from_items: Vec<TableRef> = Vec::new();
-        // Alias of each relation access for outer-join wiring.
-        let mut alias_of: HashMap<String, usize> = HashMap::new(); // alias → from_items idx
-        let mut outer_markers: Vec<OuterMarker<'_>> = Vec::new();
+    /// Index in `from` of the relation accessed under `alias`.
+    fn position(&self, alias: &str) -> Result<usize> {
+        let named = |t: &TableRef| matches!(t, TableRef::Table { name, alias: a } if a.as_deref().unwrap_or(name) == alias);
+        let found = self.from.iter().position(named);
+        found.ok_or_else(|| Error::CodeGen(format!("outer join alias '{alias}' unknown")))
+    }
+}
 
+struct RuleLower {
+    env: SchemaEnv,
+    /// The CTEs lowered so far, hoisted constant relations included.
+    ctes: Vec<Cte>,
+    const_counter: usize,
+}
+
+impl RuleLower {
+    /// Lowers one rule body + head into a [`Select`], pushing any hoisted
+    /// constant-relation CTEs.
+    fn lower_rule(&mut self, rule: &Rule) -> Result<Select> {
+        // Pure constant rule: R(c0) :- (c0 = [...]) becomes a VALUES body.
+        if let [Atom::ConstRel { rows, .. }] = rule.body.atoms.as_slice() {
+            return Ok(values(rows));
+        }
+        let mut scope = Scope::default();
         for atom in &rule.body.atoms {
             match atom {
-                Atom::Rel { rel, alias, vars } => {
-                    let cols = self.env.columns(rel).map_err(|e| {
-                        Error::CodeGen(format!("rule '{}': {}", rule.head.rel, e.message()))
-                    })?;
-                    if cols.len() != vars.len() {
-                        return Err(Error::CodeGen(format!(
-                            "rule '{}': relation '{rel}' has {} columns, access binds {}",
-                            rule.head.rel,
-                            cols.len(),
-                            vars.len()
-                        )));
-                    }
-                    alias_of.insert(alias.clone(), from_items.len());
-                    from_items.push(TableRef::Table {
-                        name: rel.clone(),
-                        alias: (alias != rel).then(|| alias.clone()),
-                    });
-                    for (col, var) in cols.iter().zip(vars) {
-                        let expr = SqlExpr::qcol(alias, col);
-                        match bindings.get(var) {
-                            Some(prev) => {
-                                conditions.push(SqlExpr::bin(BinOp::Eq, prev.clone(), expr));
-                            }
-                            None => {
-                                bindings.insert(var.clone(), expr);
-                            }
-                        }
-                    }
-                }
                 Atom::ConstRel { vars, rows } => {
-                    *self.const_counter += 1;
+                    self.const_counter += 1;
                     let name = format!("const_rel_{}", self.const_counter);
-                    let mut values = Select::empty();
-                    values.values = Some(
-                        rows.iter()
-                            .map(|r| r.iter().map(lower_const).collect())
-                            .collect(),
-                    );
-                    extra_ctes.push(Cte {
-                        name: name.clone(),
+                    scope.access(&name, &name, vars, vars)?;
+                    self.ctes.push(Cte {
+                        name,
                         columns: Some(vars.clone()),
-                        select: values,
+                        select: values(rows),
                     });
-                    alias_of.insert(name.clone(), from_items.len());
-                    from_items.push(TableRef::Table {
-                        name: name.clone(),
-                        alias: None,
-                    });
-                    for var in vars {
-                        let expr = SqlExpr::qcol(&name, var);
-                        match bindings.get(var) {
-                            Some(prev) => {
-                                conditions.push(SqlExpr::bin(BinOp::Eq, prev.clone(), expr));
-                            }
-                            None => {
-                                bindings.insert(var.clone(), expr);
-                            }
-                        }
-                    }
-                }
-                Atom::Assign { var, term } => {
-                    let lowered = self.lower_term(term, &bindings)?;
-                    bindings.insert(var.clone(), lowered);
-                }
-                Atom::Pred(term) => {
-                    conditions.push(self.lower_term(term, &bindings)?);
                 }
                 Atom::Exists {
                     body,
                     keys,
                     negated,
                 } => {
-                    conditions.push(self.lower_exists(body, keys, *negated, &bindings)?);
+                    let test = self.lower_exists(body, keys, *negated, &scope)?;
+                    scope.conditions.push(test);
                 }
-                Atom::OuterJoin {
-                    kind,
-                    left,
-                    right,
-                    on,
-                } => {
-                    outer_markers.push((kind, left, right, on));
-                }
+                // Spliced into the FROM clause below.
+                Atom::OuterJoin { .. } => {}
+                other => self.lower_atom(&mut scope, other)?,
             }
-        }
-
-        // FROM clause: outer-join markers splice explicit JOIN nodes.
-        let from = if outer_markers.is_empty() {
-            from_items
-        } else {
-            self.lower_outer_from(from_items, &alias_of, &outer_markers, &bindings)?
-        };
-
-        // SELECT list.
-        let mut items = Vec::new();
-        for (name, var) in &rule.head.cols {
-            let expr = bindings.get(var).ok_or_else(|| {
-                Error::CodeGen(format!(
-                    "rule '{}': head variable '{var}' is unbound",
-                    rule.head.rel
-                ))
-            })?;
-            items.push(SelectItem::Expr {
-                expr: expr.clone(),
-                alias: Some(name.clone()),
-            });
         }
         let mut s = Select::empty();
         s.distinct = rule.head.distinct;
-        s.items = items;
-        s.from = from;
-        s.where_clause = and_join(conditions);
-        if let Some(group) = &rule.head.group {
-            s.group_by = group
-                .iter()
-                .map(|v| {
-                    bindings
-                        .get(v)
-                        .cloned()
-                        .ok_or_else(|| Error::CodeGen(format!("group variable '{v}' unbound")))
-                })
-                .collect::<Result<_>>()?;
+        for (name, var) in &rule.head.cols {
+            s.items.push(SelectItem::Expr {
+                expr: scope.get("head variable", var)?,
+                alias: Some(name.clone()),
+            });
         }
-        if let Some(sort) = &rule.head.sort {
-            s.order_by =
-                sort.iter()
-                    .map(|(v, asc)| {
-                        let expr = bindings.get(v).cloned().ok_or_else(|| {
-                            Error::CodeGen(format!("sort variable '{v}' unbound"))
-                        })?;
-                        Ok((expr, *asc))
-                    })
-                    .collect::<Result<_>>()?;
+        for v in rule.head.group.iter().flatten() {
+            s.group_by.push(scope.get("group variable", v)?);
+        }
+        for (v, asc) in rule.head.sort.iter().flatten() {
+            s.order_by.push((scope.get("sort variable", v)?, *asc));
         }
         s.limit = rule.head.limit;
-        Ok((s, extra_ctes))
+        s.from = outer_from(&rule.body, &scope)?;
+        s.where_clause = and_join(scope.conditions);
+        Ok(s)
     }
 
-    /// Splices outer-join markers into a JOIN chain; relations untouched by
-    /// markers stay as separate (comma-join) FROM items, in original order.
-    fn lower_outer_from(
-        &self,
-        from_items: Vec<TableRef>,
-        alias_of: &HashMap<String, usize>,
-        markers: &[OuterMarker<'_>],
-        bindings: &HashMap<String, SqlExpr>,
-    ) -> Result<Vec<TableRef>> {
-        let mut joined: Vec<bool> = vec![false; from_items.len()];
-        let mut chain: Option<TableRef> = None;
-        for (kind, left, right, on) in markers {
-            let li = *alias_of
-                .get(*left)
-                .ok_or_else(|| Error::CodeGen(format!("outer join alias '{left}' unknown")))?;
-            let ri = *alias_of
-                .get(*right)
-                .ok_or_else(|| Error::CodeGen(format!("outer join alias '{right}' unknown")))?;
-            let jkind = match kind {
-                OuterKind::Left => JoinKind::Left,
-                OuterKind::Right => JoinKind::Right,
-                OuterKind::Full => JoinKind::Full,
-            };
-            let conds: Vec<SqlExpr> =
-                on.iter()
-                    .map(|(l, r)| {
-                        let le = bindings.get(l).cloned().ok_or_else(|| {
-                            Error::CodeGen(format!("join variable '{l}' unbound"))
-                        })?;
-                        let re = bindings.get(r).cloned().ok_or_else(|| {
-                            Error::CodeGen(format!("join variable '{r}' unbound"))
-                        })?;
-                        Ok(SqlExpr::bin(BinOp::Eq, le, re))
-                    })
-                    .collect::<Result<_>>()?;
-            let on_expr = and_join(conds);
-            let base = match chain.take() {
-                None => from_items[li].clone(),
-                Some(c) => {
-                    // Later markers extend the one chain; a left side that
-                    // is not already part of it would silently drop a
-                    // relation, so reject disjoint outer-join groups (same
-                    // check as sqlgen, keeping the paths identical).
-                    if !joined[li] {
-                        return Err(Error::CodeGen(format!(
-                            "disjoint outer-join chains are not supported \
-                             (alias '{left}' is not part of the join chain)"
-                        )));
-                    }
-                    c
-                }
-            };
-            chain = Some(TableRef::Join {
-                left: Box::new(base),
-                right: Box::new(from_items[ri].clone()),
-                kind: jkind,
-                on: on_expr,
-            });
-            joined[li] = true;
-            joined[ri] = true;
-        }
-        let mut parts = Vec::new();
-        if let Some(c) = chain {
-            parts.push(c);
-        }
-        for (i, item) in from_items.into_iter().enumerate() {
-            if !joined[i] {
-                parts.push(item);
+    /// The atoms any body may hold: relation accesses, assignments and
+    /// predicates.
+    fn lower_atom(&self, scope: &mut Scope, atom: &Atom) -> Result<()> {
+        match atom {
+            Atom::Rel { rel, alias, vars } => {
+                let cols = self.env.columns(rel);
+                let cols = cols.map_err(|e| Error::CodeGen(e.message().to_string()))?;
+                scope.access(rel, alias, cols, vars)
             }
+            Atom::Assign { var, term } => {
+                let lowered = self.lower_term(term, scope)?;
+                scope.bindings.insert(var.clone(), lowered);
+                Ok(())
+            }
+            Atom::Pred(term) => {
+                let lowered = self.lower_term(term, scope)?;
+                scope.conditions.push(lowered);
+                Ok(())
+            }
+            other => Err(Error::CodeGen(format!(
+                "unsupported atom inside exists: {other:?}"
+            ))),
         }
-        Ok(parts)
     }
 
     /// `exists(B)` / `not exists(B)` → `key [NOT] IN (SELECT inner ...)`.
@@ -356,71 +233,26 @@ impl<'a> RuleLower<'a> {
         body: &Body,
         keys: &[(String, String)],
         negated: bool,
-        outer_bindings: &HashMap<String, SqlExpr>,
+        outer: &Scope,
     ) -> Result<SqlExpr> {
-        if keys.len() != 1 {
+        let [(outer_var, inner_var)] = keys else {
             return Err(Error::CodeGen(
                 "exists atoms must correlate on exactly one key (isin)".into(),
             ));
-        }
-        let mut inner_bindings: HashMap<String, SqlExpr> = HashMap::new();
-        let mut inner_from: Vec<TableRef> = Vec::new();
-        let mut inner_conds: Vec<SqlExpr> = Vec::new();
+        };
+        let mut inner = Scope::default();
         for atom in &body.atoms {
-            match atom {
-                Atom::Rel { rel, alias, vars } => {
-                    let cols = self
-                        .env
-                        .columns(rel)
-                        .map_err(|e| Error::CodeGen(e.message().to_string()))?;
-                    inner_from.push(TableRef::Table {
-                        name: rel.clone(),
-                        alias: (alias != rel).then(|| alias.clone()),
-                    });
-                    for (col, var) in cols.iter().zip(vars) {
-                        let expr = SqlExpr::qcol(alias, col);
-                        match inner_bindings.get(var) {
-                            Some(prev) => {
-                                inner_conds.push(SqlExpr::bin(BinOp::Eq, prev.clone(), expr));
-                            }
-                            None => {
-                                inner_bindings.insert(var.clone(), expr);
-                            }
-                        }
-                    }
-                }
-                Atom::Pred(t) => {
-                    inner_conds.push(self.lower_term(t, &inner_bindings)?);
-                }
-                Atom::Assign { var, term } => {
-                    let lowered = self.lower_term(term, &inner_bindings)?;
-                    inner_bindings.insert(var.clone(), lowered);
-                }
-                other => {
-                    return Err(Error::CodeGen(format!(
-                        "unsupported atom inside exists: {other:?}"
-                    )))
-                }
-            }
+            self.lower_atom(&mut inner, atom)?;
         }
-        let (outer_var, inner_var) = &keys[0];
-        let outer_expr = outer_bindings
-            .get(outer_var)
-            .cloned()
-            .ok_or_else(|| Error::CodeGen(format!("exists outer key '{outer_var}' unbound")))?;
-        let inner_expr = inner_bindings
-            .get(inner_var)
-            .cloned()
-            .ok_or_else(|| Error::CodeGen(format!("exists inner key '{inner_var}' unbound")))?;
         let mut sub = Select::empty();
         sub.items.push(SelectItem::Expr {
-            expr: inner_expr,
+            expr: inner.get("exists inner key", inner_var)?,
             alias: None,
         });
-        sub.from = inner_from;
-        sub.where_clause = and_join(inner_conds);
+        sub.from = inner.from;
+        sub.where_clause = and_join(inner.conditions);
         Ok(SqlExpr::InSubquery {
-            expr: Box::new(outer_expr),
+            expr: Box::new(outer.get("exists outer key", outer_var)?),
             query: Box::new(sub),
             negated,
         })
@@ -428,49 +260,33 @@ impl<'a> RuleLower<'a> {
 
     // ---------------- terms ----------------
 
-    fn lower_term(&self, t: &Term, bindings: &HashMap<String, SqlExpr>) -> Result<SqlExpr> {
+    fn lower_term(&self, t: &Term, scope: &Scope) -> Result<SqlExpr> {
         Ok(match t {
-            Term::Var(v) => bindings
-                .get(v)
-                .cloned()
-                .ok_or_else(|| Error::CodeGen(format!("variable '{v}' unbound")))?,
+            Term::Var(v) => scope.get("variable", v)?,
             Term::Const(c) => lower_const(c),
             Term::Agg { func, arg } => {
-                let (name, lowered_arg) = match func {
-                    AggFunc::Sum => (AggName::Sum, Some(self.lower_term(arg, bindings)?)),
-                    AggFunc::Min => (AggName::Min, Some(self.lower_term(arg, bindings)?)),
-                    AggFunc::Max => (AggName::Max, Some(self.lower_term(arg, bindings)?)),
-                    AggFunc::Avg => (AggName::Avg, Some(self.lower_term(arg, bindings)?)),
-                    AggFunc::Count => {
-                        // count over a bare "1" constant means COUNT(*).
-                        if matches!(**arg, Term::Const(Const::Int(1))) {
-                            (AggName::Count, None)
-                        } else {
-                            (AggName::Count, Some(self.lower_term(arg, bindings)?))
-                        }
-                    }
-                    AggFunc::CountDistinct => {
-                        let inner = self.lower_term(arg, bindings)?;
-                        return Ok(SqlExpr::Agg {
-                            func: AggName::Count,
-                            arg: Some(Box::new(inner)),
-                            distinct: true,
-                        });
-                    }
-                };
+                // count over a bare "1" constant means COUNT(*).
+                let star = *func == AggFunc::Count && matches!(**arg, Term::Const(Const::Int(1)));
                 SqlExpr::Agg {
-                    func: name,
-                    arg: lowered_arg.map(Box::new),
-                    distinct: false,
+                    func: match func {
+                        AggFunc::Sum => AggName::Sum,
+                        AggFunc::Min => AggName::Min,
+                        AggFunc::Max => AggName::Max,
+                        AggFunc::Avg => AggName::Avg,
+                        AggFunc::Count | AggFunc::CountDistinct => AggName::Count,
+                    },
+                    arg: if star {
+                        None
+                    } else {
+                        Some(Box::new(self.lower_term(arg, scope)?))
+                    },
+                    distinct: *func == AggFunc::CountDistinct,
                 }
             }
-            Term::Ext { func, args } => self.lower_ext(func, args, bindings)?,
+            Term::Ext { func, args } => self.lower_ext(func, args, scope)?,
             Term::If { cond, then, els } => SqlExpr::Case {
-                arms: vec![(
-                    self.lower_term(cond, bindings)?,
-                    self.lower_term(then, bindings)?,
-                )],
-                else_value: Some(Box::new(self.lower_term(els, bindings)?)),
+                arms: vec![(self.lower_term(cond, scope)?, self.lower_term(then, scope)?)],
+                else_value: Some(Box::new(self.lower_term(els, scope)?)),
             },
             Term::Bin { op, lhs, rhs } => {
                 if matches!(op, ScalarOp::Like | ScalarOp::NotLike) {
@@ -480,62 +296,41 @@ impl<'a> RuleLower<'a> {
                         ));
                     };
                     return Ok(SqlExpr::Like {
-                        expr: Box::new(self.lower_term(lhs, bindings)?),
+                        expr: Box::new(self.lower_term(lhs, scope)?),
                         pattern: pattern.clone(),
                         negated: matches!(op, ScalarOp::NotLike),
                     });
                 }
                 SqlExpr::bin(
                     lower_op(*op),
-                    self.lower_term(lhs, bindings)?,
-                    self.lower_term(rhs, bindings)?,
+                    self.lower_term(lhs, scope)?,
+                    self.lower_term(rhs, scope)?,
                 )
             }
-            Term::Not(inner) => SqlExpr::Not(Box::new(self.lower_term(inner, bindings)?)),
+            Term::Not(inner) => SqlExpr::Not(Box::new(self.lower_term(inner, scope)?)),
             Term::IsNull(inner) => SqlExpr::IsNull {
-                expr: Box::new(self.lower_term(inner, bindings)?),
+                expr: Box::new(self.lower_term(inner, scope)?),
                 negated: false,
             },
         })
     }
 
-    /// External functions lower to the canonical spellings every dialect's
-    /// rendering binds back to (see module docs).
-    fn lower_ext(
-        &self,
-        func: &str,
-        args: &[Term],
-        bindings: &HashMap<String, SqlExpr>,
-    ) -> Result<SqlExpr> {
+    /// External functions lower to their canonical names (see module docs).
+    fn lower_ext(&self, func: &str, args: &[Term], scope: &Scope) -> Result<SqlExpr> {
         let lowered: Vec<SqlExpr> = args
             .iter()
-            .map(|a| self.lower_term(a, bindings))
+            .map(|a| self.lower_term(a, scope))
             .collect::<Result<_>>()?;
-        if func == "uid" {
-            let order_by = lowered.first().map(|e| (e.clone(), true)).into_iter();
-            return Ok(SqlExpr::RowNumber {
-                order_by: order_by.collect(),
-            });
-        }
         let name = match func {
-            "year" => "YEAR",
-            "month" => "MONTH",
-            "day" => "DAY",
-            "substr" => "SUBSTRING",
-            "strlen" => "LENGTH",
-            "round" => "ROUND",
-            "abs" => "ABS",
-            "floor" => "FLOOR",
-            "ceil" => "CEIL",
-            "sqrt" => "SQRT",
-            "power" => "POWER",
-            "upper" => "UPPER",
-            "lower" => "LOWER",
-            "coalesce" => "COALESCE",
-            "add_months" => "ADD_MONTHS",
-            "add_years" => "ADD_YEARS",
-            "add_days" => "ADD_DAYS",
-            "strpos" => "STRPOS",
+            "uid" => {
+                let order_by = lowered.into_iter().take(1).map(|e| (e, true)).collect();
+                return Ok(SqlExpr::RowNumber { order_by });
+            }
+            "substr" => "SUBSTRING".to_string(),
+            "strlen" => "LENGTH".to_string(),
+            "year" | "month" | "day" | "round" | "abs" | "floor" | "ceil" | "sqrt" | "power"
+            | "upper" | "lower" | "coalesce" | "add_months" | "add_years" | "add_days"
+            | "strpos" => func.to_uppercase(),
             other => {
                 return Err(Error::CodeGen(format!(
                     "unknown external function '{other}'"
@@ -543,10 +338,64 @@ impl<'a> RuleLower<'a> {
             }
         };
         Ok(SqlExpr::Func {
-            name: name.to_string(),
+            name,
             args: lowered,
         })
     }
+}
+
+/// The FROM clause of a body: its outer-join marker atoms splice the
+/// relations they name into one JOIN chain; relations no marker touches
+/// stay separate (comma-join) FROM items, in atom order.
+fn outer_from(body: &Body, scope: &Scope) -> Result<Vec<TableRef>> {
+    let mut joined = vec![false; scope.from.len()];
+    let mut chain: Option<TableRef> = None;
+    for atom in &body.atoms {
+        let Atom::OuterJoin {
+            kind,
+            left,
+            right,
+            on,
+        } = atom
+        else {
+            continue;
+        };
+        let (li, ri) = (scope.position(left)?, scope.position(right)?);
+        let mut conds = Vec::with_capacity(on.len());
+        for (l, r) in on {
+            let (l, r) = (
+                scope.get("join variable", l)?,
+                scope.get("join variable", r)?,
+            );
+            conds.push(SqlExpr::bin(BinOp::Eq, l, r));
+        }
+        // Later markers extend the one chain; a left side that is not
+        // already part of it would silently drop a relation, so reject
+        // disjoint outer-join groups.
+        if chain.is_some() && !joined[li] {
+            return Err(Error::CodeGen(format!(
+                "disjoint outer-join chains are not supported \
+                 (alias '{left}' is not part of the join chain)"
+            )));
+        }
+        chain = Some(TableRef::Join {
+            left: Box::new(chain.unwrap_or_else(|| scope.from[li].clone())),
+            right: Box::new(scope.from[ri].clone()),
+            kind: match kind {
+                OuterKind::Left => JoinKind::Left,
+                OuterKind::Right => JoinKind::Right,
+                OuterKind::Full => JoinKind::Full,
+            },
+            on: and_join(conds),
+        });
+        joined[li] = true;
+        joined[ri] = true;
+    }
+    let unjoined = scope.from.iter().zip(&joined).filter(|(_, j)| !**j);
+    Ok(chain
+        .into_iter()
+        .chain(unjoined.map(|(t, _)| t.clone()))
+        .collect())
 }
 
 fn lower_op(op: ScalarOp) -> BinOp {
@@ -584,7 +433,7 @@ fn lower_const(c: &Const) -> SqlExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::db::EngineConfig;
+    use crate::db::{Database, EngineConfig, Profile};
     use pytond_common::{Column, DType, Relation, Value};
     use pytond_tondir::builder::{assign, cmp, head, rel, rule};
     use pytond_tondir::{Head, TableSchema};
@@ -633,7 +482,8 @@ mod tests {
             )],
         };
         let db = db();
-        let prepared = prepare_program(&db, &p, &catalog(), Profile::Vectorized).unwrap();
+        let query = lower_program(&p, &catalog()).unwrap();
+        let prepared = db.prepare_query(&query, Profile::Vectorized).unwrap();
         let out = db
             .execute_prepared(&prepared, &EngineConfig::default())
             .unwrap();
@@ -643,10 +493,9 @@ mod tests {
     }
 
     #[test]
-    fn lowered_ast_matches_parsed_sqlgen_output() {
-        // The structural guarantee underpinning the differential suite: the
-        // lowered AST for a filter + sort rule is exactly what parsing the
-        // sqlgen text yields.
+    fn lowered_ast_matches_parsed_sql() {
+        // The lowered AST for a filter + sort rule is exactly what parsing
+        // the equivalent hand-written SQL yields.
         let p = Program {
             rules: vec![rule(
                 Head {
@@ -731,7 +580,8 @@ mod tests {
         assert_eq!(lowered.ctes.len(), 2);
         assert_eq!(lowered.ctes[0].name, "const_rel_1");
         let db = db();
-        let prepared = prepare_program(&db, &p, &catalog(), Profile::Vectorized).unwrap();
+        let query = lower_program(&p, &catalog()).unwrap();
+        let prepared = db.prepare_query(&query, Profile::Vectorized).unwrap();
         let out = db
             .execute_prepared(&prepared, &EngineConfig::default())
             .unwrap();

@@ -69,11 +69,13 @@
 //! view's own prepared plan, so cost-based join orders cannot drift between
 //! the two sides). See `docs/VIEWS.md`.
 
+use crate::ast::Query;
 use crate::db::{
     default_mem_budget_mb, default_timeout_ms, no_ivm, panic_payload_message, Database,
     EngineConfig, PreparedQuery, Snapshot,
 };
 use crate::exec::{execute_with_temps, ExecOptions};
+use crate::parser::parse_sql;
 use crate::plan::{BoundQuery, JKind, LogicalPlan};
 use crate::table::{Batch, Schema, StoredTable};
 use pytond_common::cancel::CancelToken;
@@ -269,7 +271,9 @@ struct ViewInner {
 /// published state, and the lock-guarded maintenance internals.
 pub(crate) struct ViewEntry {
     name: String,
-    sql: String,
+    /// The standing query, kept as the tree it was registered as (parsed
+    /// SQL or a lowered `@pytond` program) so re-planning never re-parses.
+    query: Query,
     config: EngineConfig,
     published: Versioned<ViewState>,
     inner: Mutex<ViewInner>,
@@ -279,7 +283,6 @@ impl std::fmt::Debug for ViewEntry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ViewEntry")
             .field("name", &self.name)
-            .field("sql", &self.sql)
             .finish_non_exhaustive()
     }
 }
@@ -716,17 +719,8 @@ impl ViewEntry {
             return Ok(());
         }
         if inner.plan_stale {
-            // The stored plan binds the schema of a since-replaced table and
-            // must never execute (a positionally-compatible replacement
-            // would silently produce wrong rows stamped as fresh). Retry
-            // prepare from source; the view stays stale until it compiles.
-            let prepared = db.prepare(&self.sql, self.config.profile).map_err(|e| {
-                Error::Plan(format!("view '{}' still does not prepare: {e}", self.name))
-            })?;
-            inner.plan = build_plan(prepared);
-            inner.plan_stale = false;
-            inner.content = None;
-            inner.agg_input = None;
+            // Stays stale (and unexecuted) until the view compiles again.
+            self.replan(db, inner)?;
             if no_ivm() {
                 return Ok(());
             }
@@ -738,27 +732,14 @@ impl ViewEntry {
                     return self.refresh_unreferenced(inner, snap, t, started);
                 }
                 // Referenced table replaced: the stored plan may bind dead
-                // column indices — re-prepare from source, re-classify, and
-                // recompute.
-                match db.prepare(&self.sql, self.config.profile) {
-                    Ok(prepared) => {
-                        inner.plan = build_plan(prepared);
-                        inner.content = None;
-                        inner.agg_input = None;
-                        if no_ivm() {
-                            inner.parent_version = snap.version();
-                            return Ok(());
-                        }
-                        self.refresh_full(inner, snap, "table replaced", started)
-                    }
-                    Err(e) => {
-                        inner.plan_stale = true;
-                        Err(Error::Plan(format!(
-                            "view '{}' no longer prepares after replacing '{t}': {e}",
-                            self.name
-                        )))
-                    }
+                // column indices — re-plan, re-classify, and recompute.
+                inner.plan_stale = true;
+                self.replan(db, inner)?;
+                if no_ivm() {
+                    inner.parent_version = snap.version();
+                    return Ok(());
                 }
+                self.refresh_full(inner, snap, "table replaced", started)
             }
             Event::Append(t) => self.refresh_append(inner, snap, t, started),
         }
@@ -946,23 +927,34 @@ impl ViewEntry {
         Ok(())
     }
 
-    /// The prepared plan reads execute (the oracle and `PYTOND_NO_IVM`
-    /// recompute-on-read paths). When a referenced-table replacement
-    /// invalidated the stored plan, re-prepares from source first — a stale
-    /// plan must never run, it could silently bind a
-    /// positionally-compatible replacement schema — and errors (leaving the
-    /// view stale) if the view still does not compile.
-    fn read_prepared(&self, db: &Database) -> Result<PreparedQuery> {
-        let mut inner = self.inner.lock().expect("view entry poisoned");
-        if inner.plan_stale {
-            let prepared = db.prepare(&self.sql, self.config.profile).map_err(|e| {
+    /// Re-plans the standing query against the current schema and installs
+    /// the fresh maintenance plan. Called when a referenced-table
+    /// replacement invalidated the stored plan: that one binds column
+    /// positions of the *replaced* schema, so it must never execute again
+    /// (a positionally-compatible replacement would silently produce wrong
+    /// rows stamped as fresh). On error the view stays `plan_stale`.
+    fn replan(&self, db: &Database, inner: &mut ViewInner) -> Result<()> {
+        let prepared = db
+            .prepare_query(&self.query, self.config.profile)
+            .map_err(|e| {
                 Error::Plan(format!(
                     "view '{}' does not prepare against the current schema: {e}",
                     self.name
                 ))
             })?;
-            inner.plan = build_plan(prepared);
-            inner.plan_stale = false;
+        inner.plan = build_plan(prepared);
+        inner.plan_stale = false;
+        inner.content = None;
+        inner.agg_input = None;
+        Ok(())
+    }
+
+    /// The prepared plan reads execute (the oracle and `PYTOND_NO_IVM`
+    /// recompute-on-read paths), re-planned first if it went stale.
+    fn read_prepared(&self, db: &Database) -> Result<PreparedQuery> {
+        let mut inner = self.inner.lock().expect("view entry poisoned");
+        if inner.plan_stale {
+            self.replan(db, &mut inner)?;
         }
         Ok(inner.plan.prepared.clone())
     }
@@ -987,6 +979,12 @@ impl Database {
     /// Like [`Database::register_view`] with an explicit [`EngineConfig`]
     /// (profile, threads, morsel size, deadline and memory budget) applied
     /// to the initial materialization and to every refresh.
+    pub fn register_view_with(&self, name: &str, sql: &str, config: &EngineConfig) -> Result<()> {
+        self.register_view_query(name, parse_sql(sql)?, config)
+    }
+
+    /// [`Database::register_view_with`] for a standing query that is already
+    /// a tree — what `Pytond::register_view` lowers a `@pytond` program to.
     ///
     /// The initial materialization runs the full standing query, which can
     /// be arbitrarily expensive, so it does **not** hold the database
@@ -996,11 +994,16 @@ impl Database {
     /// new snapshot; after two contended rounds it falls back to
     /// materializing under the lock (guaranteed progress under a hot write
     /// stream, at the cost of stalling writers for that one attempt).
-    pub fn register_view_with(&self, name: &str, sql: &str, config: &EngineConfig) -> Result<()> {
+    pub fn register_view_query(
+        &self,
+        name: &str,
+        query: Query,
+        config: &EngineConfig,
+    ) -> Result<()> {
         let key = name.to_lowercase();
         for _ in 0..2 {
             let snap = self.shared.current.load();
-            let Some(entry) = self.materialize_view(&key, sql, config, &snap)? else {
+            let Some(entry) = self.materialize_view(&key, &query, config, &snap)? else {
                 // A register landed between the snapshot pin and prepare.
                 continue;
             };
@@ -1020,7 +1023,7 @@ impl Database {
         let _writer = self.shared.write.lock().expect("database writer poisoned");
         let snap = self.shared.current.load();
         let entry = self
-            .materialize_view(&key, sql, config, &snap)?
+            .materialize_view(&key, &query, config, &snap)?
             .expect("no writer can intervene while the writer lock is held");
         self.shared
             .views
@@ -1030,7 +1033,7 @@ impl Database {
         Ok(())
     }
 
-    /// Builds a fully-materialized [`ViewEntry`] for `sql` against the
+    /// Builds a fully-materialized [`ViewEntry`] for `query` against the
     /// pinned `snap` (the caller inserts it into the registry). Returns
     /// `Ok(None)` when a concurrent register moved the current snapshot
     /// between the caller's pin and the prepare — the plan would be bound
@@ -1038,12 +1041,12 @@ impl Database {
     fn materialize_view(
         &self,
         key: &str,
-        sql: &str,
+        query: &Query,
         config: &EngineConfig,
         snap: &Arc<Snapshot>,
     ) -> Result<Option<ViewEntry>> {
         let started = Instant::now();
-        let prepared = self.prepare(sql, config.profile)?;
+        let prepared = self.prepare_query(query, config.profile)?;
         if prepared.stats_version() != snap.version() {
             return Ok(None);
         }
@@ -1051,7 +1054,7 @@ impl Database {
         let label = format!("mv:{key}@v{}", snap.version());
         let entry = ViewEntry {
             name: key.to_string(),
-            sql: sql.to_string(),
+            query: query.clone(),
             config: *config,
             // Placeholder published state, replaced below before the entry
             // becomes visible in the registry.

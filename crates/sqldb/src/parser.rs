@@ -635,8 +635,8 @@ impl P {
                     self.expect_op(")")?;
                     return Ok(SqlExpr::RowNumber { order_by });
                 }
-                "SUBSTRING" => {
-                    // SUBSTRING(s FROM a FOR b) or SUBSTRING(s, a, b)
+                "SUBSTRING" | "SUBSTR" => {
+                    // SUBSTRING(s FROM a FOR b) or SUBSTR[ING](s, a, b)
                     let s = self.expr()?;
                     let mut args = vec![s];
                     if self.eat_kw("FROM") {
@@ -666,7 +666,16 @@ impl P {
                         }
                         self.expect_op(")")?;
                     }
-                    return Ok(SqlExpr::Func { name: upper, args });
+                    // Dialect spellings converge here, so the AST (and the
+                    // binder's function table) carries one name per function.
+                    let name = match upper.as_str() {
+                        "LEN" | "CHAR_LENGTH" => "LENGTH".into(),
+                        "CEILING" => "CEIL".into(),
+                        "POW" => "POWER".into(),
+                        "POSITION" | "INSTR" => "STRPOS".into(),
+                        _ => upper,
+                    };
+                    return Ok(SqlExpr::Func { name, args });
                 }
             }
         }

@@ -1,51 +1,30 @@
-//! SQL code generation from TondIR (paper, Section III-E).
+//! SQL text for the paper's real backends: a dialect printer over the
+//! engine's SQL AST (paper, Section III-E and "Backend Adaptation").
 //!
-//! Each rule becomes one CTE in a `WITH` chain; the program's last rule feeds
-//! the final `SELECT * FROM <last>`. Constant relations are hoisted into
-//! `name(cols) AS (VALUES ...)` CTEs (exactly the paper's Figure 2 shape).
-//! Implicit inner joins (shared variables between relation accesses) become
-//! equality conjuncts in `WHERE`; outer-join marker atoms become explicit
-//! `LEFT/RIGHT/FULL JOIN ... ON` syntax; `exists` atoms become
-//! `[NOT] IN (SELECT ...)` predicates; `uid()` becomes
-//! `row_number() OVER (...)`.
+//! There is one TondIR → SQL lowering, `pytond_sqldb::lower::lower_program`
+//! (one CTE per rule, `VALUES` CTEs for constant relations, `WHERE`
+//! equalities for implicit joins, `[NOT] IN (SELECT ...)` for `exists`,
+//! `row_number() OVER (...)` for `uid()`). The in-process engine binds that
+//! [`Query`]; this crate prints the same [`Query`] for an external engine
+//! ([`render`], or [`generate_sql`] straight from TondIR).
 //!
-//! # Backend adaptation: the three dialect profiles
-//!
-//! The [`Dialect`] controls the spelling of external functions, mirroring the
+//! The [`Dialect`] decides only how five external functions are spelled (the
 //! paper's "minor details, mostly in the interface of their external
-//! functions". The three profiles pair 1:1 with the engine's execution
-//! profiles in `pytond-sqldb` (`duckdb-sim` / `hyper-sim` / `lingodb-sim`):
-//!
-//! | Rendering | [`Dialect::DuckDb`] | [`Dialect::Hyper`] | [`Dialect::LingoDb`] |
-//! |---|---|---|---|
-//! | substring | `substr(s, start, len)` | `SUBSTRING(s FROM start FOR len)` | as Hyper |
-//! | date parts | `year(d)`, `month(d)`, `day(d)` | `EXTRACT(YEAR FROM d)`, … | as Hyper |
-//! | string length | `length(s)` | `CHAR_LENGTH(s)` | as Hyper |
-//! | everything else | shared standard spellings (`ROUND`, `ABS`, `COALESCE`, `ADD_MONTHS`, `POWER`, `STRPOS`, …) | — | — |
-//!
-//! Shared across all dialects: identifiers quote with `"double quotes"` when
-//! they are reserved words or not plain lower-case identifiers
-//! ([`quote_ident`]); date constants render as `DATE 'YYYY-MM-DD'`; `uid()`
-//! renders as `row_number() OVER (...)`. The LingoDB profile's *semantic*
-//! gaps — no window functions, no aggregates over disjunctive CASE
-//! conditions — are enforced by the engine (`pytond-sqldb`'s `lingodb-sim`
-//! checks), not by changing the generated text: LingoDB SQL is otherwise the
-//! standard-leaning Hyper spelling. The README's "SQL dialects" section
-//! carries the same table for quick reference.
+//! functions"): [`Dialect::DuckDb`] writes `substr(s, start, len)`,
+//! `year(d)`/`month(d)`/`day(d)` and `length(s)`; [`Dialect::Hyper`] and
+//! [`Dialect::LingoDb`] write `SUBSTRING(s FROM start FOR len)`,
+//! `EXTRACT(YEAR FROM d)` and `CHAR_LENGTH(s)`. Everything else is shared,
+//! and chosen so that `parse_sql(&render(&q, d)) == q` for every tree the
+//! engine's parser can produce: parentheses follow the parser's precedence
+//! levels, identifiers are quoted unless plain ([`quote_ident`]), strings
+//! double their `'`, floats keep a `.` or an exponent. LingoDB's *semantic*
+//! gaps (window functions, aggregates over disjunctive CASE conditions) are
+//! the engine's bind-time gate, not text.
 
-use pytond_common::{Error, Result};
-use pytond_tondir::analysis::SchemaEnv;
-use pytond_tondir::{Atom, Body, Catalog, Const, OuterKind, Program, Rule, ScalarOp, Term};
-use std::collections::HashMap;
-use std::fmt::Write;
-
-/// One pending outer-join marker: `(kind, left alias, right alias, ON pairs)`.
-type OuterMarker<'a> = (
-    &'a OuterKind,
-    &'a String,
-    &'a String,
-    &'a Vec<(String, String)>,
-);
+use pytond_common::{date, Result};
+use pytond_sqldb::ast::{BinOp, Query, Select, SelectItem, SqlExpr, TableRef};
+use pytond_tondir::{Catalog, Program};
+use std::fmt::{self, Display, Formatter, Write};
 
 /// Target SQL dialect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -59,574 +38,263 @@ pub enum Dialect {
     LingoDb,
 }
 
-/// Generates the full SQL statement for a TondIR program.
+/// The SQL statement for a TondIR program: the lowered [`Query`], printed.
 pub fn generate_sql(program: &Program, catalog: &Catalog, dialect: Dialect) -> Result<String> {
-    if program.rules.is_empty() {
-        return Err(Error::CodeGen("empty program".into()));
-    }
-    let mut env = SchemaEnv::from_catalog(catalog);
-    let mut ctes: Vec<String> = Vec::new();
-    let mut seen_names: Vec<String> = Vec::new();
-    let mut const_counter = 0usize;
-    for rule in &program.rules {
-        if seen_names.contains(&rule.head.rel) {
-            return Err(Error::CodeGen(format!(
-                "relation '{}' defined twice; the translator must uniquify rule names",
-                rule.head.rel
-            )));
-        }
-        let gen = RuleGen {
-            env: &env,
-            dialect,
-            const_counter: &mut const_counter,
-        };
-        let (sql, extra_ctes) = gen.rule_to_sql(rule)?;
-        ctes.extend(extra_ctes);
-        let col_list: Vec<String> = rule.head.cols.iter().map(|(n, _)| quote_ident(n)).collect();
-        ctes.push(format!(
-            "{}({}) AS (\n{}\n)",
-            quote_ident(&rule.head.rel),
-            col_list.join(", "),
-            indent(&sql)
-        ));
-        seen_names.push(rule.head.rel.clone());
-        env.define(&rule.head);
-    }
-    let last = program.rules.last().expect("non-empty");
-    let mut out = String::new();
-    write!(
-        out,
-        "WITH {}\nSELECT * FROM {}",
-        ctes.join(",\n"),
-        quote_ident(&last.head.rel)
-    )
-    .unwrap();
-    Ok(out)
+    Ok(render(
+        &pytond_sqldb::lower::lower_program(program, catalog)?,
+        dialect,
+    ))
 }
 
-fn indent(s: &str) -> String {
-    s.lines()
-        .map(|l| format!("  {l}"))
-        .collect::<Vec<_>>()
-        .join("\n")
+/// Prints a query: a clause per line inside each CTE, the final select on one.
+pub fn render(query: &Query, dialect: Dialect) -> String {
+    let mut out = String::new();
+    for (i, cte) in query.ctes.iter().enumerate() {
+        out.push_str(if i == 0 { "WITH " } else { ",\n" });
+        out.push_str(&quote_ident(&cte.name));
+        if let Some(cols) = &cte.columns {
+            write!(out, "({})", List(cols, |f, c| f.write_str(&quote_ident(c)))).unwrap();
+        }
+        write!(out, " AS (\n  {}\n)", Sql(&cte.select, dialect, "\n  ")).unwrap();
+    }
+    let gap = if query.ctes.is_empty() { "" } else { "\n" };
+    write!(out, "{gap}{}", Sql(&query.body, dialect, " ")).unwrap();
+    out
 }
 
 const RESERVED: &[&str] = &[
     "select", "from", "where", "group", "by", "having", "order", "limit", "join", "inner", "left",
     "right", "full", "cross", "on", "and", "or", "not", "in", "is", "between", "like", "exists",
     "union", "as", "asc", "desc", "distinct", "with", "when", "then", "else", "end", "values",
-    "case", "null", "true", "false", "date", "cast", "interval", "sum", "min", "max", "avg",
-    "count",
+    "case", "null", "true", "false", "date", "cast", "interval", "extract", "sum", "min", "max",
+    "avg", "count",
 ];
 
-/// Quotes an identifier when it is not a plain lower-case word.
+/// Quotes an identifier when it is not a plain non-reserved word.
 pub fn quote_ident(name: &str) -> String {
-    let plain = !name.is_empty()
-        && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-        && !name.chars().next().unwrap().is_ascii_digit()
-        && !RESERVED.contains(&name.to_lowercase().as_str());
-    if plain {
+    let word = name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
+    let plain = word && !name.is_empty() && !name.starts_with(|c: char| c.is_ascii_digit());
+    if plain && !RESERVED.contains(&name.to_lowercase().as_str()) {
         name.to_string()
     } else {
         format!("\"{}\"", name.replace('"', "\"\""))
     }
 }
 
-struct RuleGen<'a> {
-    env: &'a SchemaEnv,
-    dialect: Dialect,
-    const_counter: &'a mut usize,
+/// `items` comma-separated, each printed by `each`.
+struct List<'a, T, F: Fn(&mut Formatter<'_>, &T) -> fmt::Result>(&'a [T], F);
+
+impl<T, F: Fn(&mut Formatter<'_>, &T) -> fmt::Result> Display for List<'_, T, F> {
+    fn fmt(&self, f: &mut Formatter<'_>) -> fmt::Result {
+        for (i, item) in self.0.iter().enumerate() {
+            f.write_str(if i == 0 { "" } else { ", " })?;
+            (self.1)(f, item)?;
+        }
+        Ok(())
+    }
 }
 
-impl<'a> RuleGen<'a> {
-    /// Renders a rule body + head into a SELECT, returning any hoisted
-    /// VALUES CTEs.
-    fn rule_to_sql(self, rule: &Rule) -> Result<(String, Vec<String>)> {
-        let mut extra_ctes = Vec::new();
-        // Pure constant rule: R(c0) :- (c0 = [...]).
-        if rule.body.atoms.len() == 1 {
-            if let Atom::ConstRel { rows, .. } = &rule.body.atoms[0] {
-                let rendered: Vec<String> = rows
-                    .iter()
-                    .map(|r| {
-                        let vals: Vec<String> = r.iter().map(render_const).collect();
-                        format!("({})", vals.join(", "))
-                    })
-                    .collect();
-                return Ok((format!("VALUES {}", rendered.join(", ")), extra_ctes));
-            }
-        }
+fn exprs(items: &[SqlExpr], d: Dialect) -> impl Display + '_ {
+    List(items, move |f, e| Sql(e, d, OR).fmt(f))
+}
 
-        // Variable bindings: var → rendered SQL expression.
-        let mut bindings: HashMap<String, String> = HashMap::new();
-        // Extra equality conditions from repeated variables (implicit joins).
-        let mut conditions: Vec<String> = Vec::new();
-        // FROM items in order: (rendered item, alias).
-        let mut from_items: Vec<String> = Vec::new();
-        // Alias of each relation access for outer-join wiring.
-        let mut alias_of: HashMap<String, usize> = HashMap::new(); // alias → from_items idx
-        let mut outer_markers: Vec<OuterMarker<'_>> = Vec::new();
+fn order_keys(keys: &[(SqlExpr, bool)], d: Dialect) -> impl Display + '_ {
+    let direction = |asc: bool| if asc { "ASC" } else { "DESC" };
+    List(keys, move |f, (e, asc)| {
+        write!(f, "{} {}", Sql(e, d, OR), direction(*asc))
+    })
+}
 
-        for atom in &rule.body.atoms {
-            match atom {
-                Atom::Rel { rel, alias, vars } => {
-                    let cols = self.env.columns(rel).map_err(|e| {
-                        Error::CodeGen(format!("rule '{}': {}", rule.head.rel, e.message()))
-                    })?;
-                    if cols.len() != vars.len() {
-                        return Err(Error::CodeGen(format!(
-                            "rule '{}': relation '{rel}' has {} columns, access binds {}",
-                            rule.head.rel,
-                            cols.len(),
-                            vars.len()
-                        )));
-                    }
-                    let item = if alias == rel {
-                        quote_ident(rel)
-                    } else {
-                        format!("{} AS {}", quote_ident(rel), quote_ident(alias))
-                    };
-                    alias_of.insert(alias.clone(), from_items.len());
-                    from_items.push(item);
-                    for (col, var) in cols.iter().zip(vars) {
-                        let expr = format!("{}.{}", quote_ident(alias), quote_ident(col));
-                        match bindings.get(var) {
-                            Some(prev) => conditions.push(format!("{prev} = {expr}")),
-                            None => {
-                                bindings.insert(var.clone(), expr);
-                            }
-                        }
-                    }
-                }
-                Atom::ConstRel { vars, rows } => {
-                    *self.const_counter += 1;
-                    let name = format!("const_rel_{}", self.const_counter);
-                    let rendered: Vec<String> = rows
-                        .iter()
-                        .map(|r| {
-                            let vals: Vec<String> = r.iter().map(render_const).collect();
-                            format!("({})", vals.join(", "))
-                        })
-                        .collect();
-                    let col_list: Vec<String> = vars.iter().map(|v| quote_ident(v)).collect();
-                    extra_ctes.push(format!(
-                        "{}({}) AS (\n  VALUES {}\n)",
-                        quote_ident(&name),
-                        col_list.join(", "),
-                        rendered.join(", ")
-                    ));
-                    alias_of.insert(name.clone(), from_items.len());
-                    from_items.push(quote_ident(&name));
-                    for var in vars {
-                        let expr = format!("{}.{}", quote_ident(&name), quote_ident(var));
-                        match bindings.get(var) {
-                            Some(prev) => conditions.push(format!("{prev} = {expr}")),
-                            None => {
-                                bindings.insert(var.clone(), expr);
-                            }
-                        }
-                    }
-                }
-                Atom::Assign { var, term } => {
-                    let rendered = self.render_term(term, &bindings)?;
-                    let stored = if matches!(term, Term::Bin { .. } | Term::Not(_)) {
-                        format!("({rendered})")
-                    } else {
-                        rendered
-                    };
-                    bindings.insert(var.clone(), stored);
-                }
-                Atom::Pred(term) => {
-                    let rendered = self.render_term(term, &bindings)?;
-                    // Disjunctions must not leak into the AND chain unparenthesized.
-                    let rendered = if matches!(
-                        term,
-                        Term::Bin {
-                            op: ScalarOp::Or,
-                            ..
-                        }
-                    ) {
-                        format!("({rendered})")
-                    } else {
-                        rendered
-                    };
-                    conditions.push(rendered);
-                }
-                Atom::Exists {
-                    body,
-                    keys,
-                    negated,
-                } => {
-                    conditions.push(self.render_exists(body, keys, *negated, &bindings)?);
-                }
-                Atom::OuterJoin {
-                    kind,
-                    left,
-                    right,
-                    on,
-                } => {
-                    outer_markers.push((kind, left, right, on));
-                }
-            }
-        }
+/// ` AS alias`, when there is one.
+fn alias(alias: &Option<String>) -> String {
+    let quoted = alias.as_deref().map(quote_ident);
+    quoted.map_or(String::new(), |a| format!(" AS {a}"))
+}
 
-        // FROM clause: outer-join markers splice explicit JOIN syntax.
-        let from_clause = if outer_markers.is_empty() {
-            from_items.join(", ")
-        } else {
-            self.render_outer_from(&from_items, &alias_of, &outer_markers, &bindings)?
-        };
+// Binding strength, in the parser's grammar levels: an operand prints bare
+// where its level is at least what its position needs.
+const OR: u8 = 1;
+const AND: u8 = 2;
+const NOT: u8 = 3;
+const CMP: u8 = 4;
+const ADD: u8 = 5;
+const MUL: u8 = 6;
+const NEG: u8 = 7;
+const ATOM: u8 = 8;
 
-        // SELECT list.
-        let mut select_items = Vec::new();
-        for (name, var) in &rule.head.cols {
-            let expr = bindings.get(var).ok_or_else(|| {
-                Error::CodeGen(format!(
-                    "rule '{}': head variable '{var}' is unbound",
-                    rule.head.rel
-                ))
-            })?;
-            select_items.push(format!("{expr} AS {}", quote_ident(name)));
-        }
-        let mut sql = String::new();
-        write!(
-            sql,
-            "SELECT {}{}",
-            if rule.head.distinct { "DISTINCT " } else { "" },
-            select_items.join(", ")
-        )
-        .unwrap();
-        write!(sql, "\nFROM {from_clause}").unwrap();
-        if !conditions.is_empty() {
-            write!(sql, "\nWHERE {}", conditions.join(" AND ")).unwrap();
-        }
-        if let Some(group) = &rule.head.group {
-            let keys: Vec<String> = group
-                .iter()
-                .map(|v| {
-                    bindings
-                        .get(v)
-                        .cloned()
-                        .ok_or_else(|| Error::CodeGen(format!("group variable '{v}' unbound")))
-                })
-                .collect::<Result<_>>()?;
-            write!(sql, "\nGROUP BY {}", keys.join(", ")).unwrap();
-        }
-        if let Some(sort) = &rule.head.sort {
-            let keys: Vec<String> =
-                sort.iter()
-                    .map(|(v, asc)| {
-                        let expr = bindings.get(v).cloned().ok_or_else(|| {
-                            Error::CodeGen(format!("sort variable '{v}' unbound"))
-                        })?;
-                        Ok(format!("{expr}{}", if *asc { " ASC" } else { " DESC" }))
-                    })
-                    .collect::<Result<_>>()?;
-            write!(sql, "\nORDER BY {}", keys.join(", ")).unwrap();
-        }
-        if let Some(n) = rule.head.limit {
-            write!(sql, "\nLIMIT {n}").unwrap();
-        }
-        Ok((sql, extra_ctes))
+fn level(e: &SqlExpr) -> u8 {
+    use SqlExpr::*;
+    match e {
+        Bin { op, .. } => match op {
+            BinOp::Or => OR,
+            BinOp::And => AND,
+            BinOp::Add | BinOp::Sub | BinOp::Concat => ADD,
+            BinOp::Mul | BinOp::Div | BinOp::Mod => MUL,
+            _ => CMP,
+        },
+        Not(_) | Exists { negated: true, .. } => NOT,
+        IsNull { .. } | Like { .. } | InList { .. } | InSubquery { .. } | Between { .. } => CMP,
+        // A negative literal reads back through the unary-minus rule.
+        Neg(_) => NEG,
+        Int(i) if *i < 0 => NEG,
+        Float(x) if x.is_sign_negative() => NEG,
+        _ => ATOM,
     }
+}
 
-    fn render_outer_from(
-        &self,
-        from_items: &[String],
-        alias_of: &HashMap<String, usize>,
-        markers: &[OuterMarker<'_>],
-        bindings: &HashMap<String, String>,
-    ) -> Result<String> {
-        // Relations joined by markers are chained with JOIN syntax; all other
-        // items stay comma-separated.
-        let mut joined: Vec<bool> = vec![false; from_items.len()];
-        let mut chain = String::new();
-        for (ki, (kind, left, right, on)) in markers.iter().enumerate() {
-            let li = *alias_of
-                .get(*left)
-                .ok_or_else(|| Error::CodeGen(format!("outer join alias '{left}' unknown")))?;
-            let ri = *alias_of
-                .get(*right)
-                .ok_or_else(|| Error::CodeGen(format!("outer join alias '{right}' unknown")))?;
-            let kw = match kind {
-                OuterKind::Left => "LEFT JOIN",
-                OuterKind::Right => "RIGHT JOIN",
-                OuterKind::Full => "FULL OUTER JOIN",
-            };
-            let conds: Vec<String> =
+/// An AST node as it prints in a dialect, with what its position adds: the
+/// clause separator of a [`Select`], the level an [`SqlExpr`] must bind at
+/// (it is parenthesised when it binds looser). Join chains print left-deep,
+/// as the parser builds them.
+struct Sql<'a, T, C = ()>(&'a T, Dialect, C);
+
+impl Display for Sql<'_, Select, &str> {
+    fn fmt(&self, f: &mut Formatter<'_>) -> fmt::Result {
+        let Sql(s, d, sep) = *self;
+        if let Some(rows) = &s.values {
+            let rows = List(rows, |f, row| write!(f, "({})", exprs(row, d)));
+            return write!(f, "VALUES {rows}");
+        }
+        let items = List(&s.items, |f, item| match item {
+            SelectItem::Wildcard => f.write_str("*"),
+            SelectItem::QualifiedWildcard(q) => write!(f, "{}.*", quote_ident(q)),
+            SelectItem::Expr { expr, alias: a } => write!(f, "{}{}", Sql(expr, d, OR), alias(a)),
+        });
+        let distinct = if s.distinct { "DISTINCT " } else { "" };
+        write!(f, "SELECT {distinct}{items}")?;
+        if !s.from.is_empty() {
+            let from = List(&s.from, |f, t| Sql(t, d, ()).fmt(f));
+            write!(f, "{sep}FROM {from}")?;
+        }
+        if let Some(e) = &s.where_clause {
+            write!(f, "{sep}WHERE {}", Sql(e, d, OR))?;
+        }
+        if !s.group_by.is_empty() {
+            write!(f, "{sep}GROUP BY {}", exprs(&s.group_by, d))?;
+        }
+        if let Some(e) = &s.having {
+            write!(f, "{sep}HAVING {}", Sql(e, d, OR))?;
+        }
+        if !s.order_by.is_empty() {
+            write!(f, "{sep}ORDER BY {}", order_keys(&s.order_by, d))?;
+        }
+        s.limit.iter().try_for_each(|n| write!(f, "{sep}LIMIT {n}"))
+    }
+}
+
+impl Display for Sql<'_, TableRef> {
+    fn fmt(&self, f: &mut Formatter<'_>) -> fmt::Result {
+        let Sql(t, d, ()) = *self;
+        match t {
+            TableRef::Table { name, alias: a } => write!(f, "{}{}", quote_ident(name), alias(a)),
+            TableRef::Subquery { query, alias } => {
+                write!(f, "({}) AS {}", Sql(&**query, d, " "), quote_ident(alias))
+            }
+            TableRef::Join {
+                left,
+                right,
+                kind,
+                on,
+            } => {
+                let (left, right) = (Sql(&**left, d, ()), Sql(&**right, d, ()));
+                write!(f, "{left} {} {right}", kind.keyword())?;
                 on.iter()
-                    .map(|(l, r)| {
-                        let le = bindings.get(l).cloned().ok_or_else(|| {
-                            Error::CodeGen(format!("join variable '{l}' unbound"))
-                        })?;
-                        let re = bindings.get(r).cloned().ok_or_else(|| {
-                            Error::CodeGen(format!("join variable '{r}' unbound"))
-                        })?;
-                        Ok(format!("{le} = {re}"))
-                    })
-                    .collect::<Result<_>>()?;
-            if ki == 0 {
-                write!(
-                    chain,
-                    "{} {kw} {} ON {}",
-                    from_items[li],
-                    from_items[ri],
-                    conds.join(" AND ")
-                )
-                .unwrap();
-            } else {
-                // Later markers extend the one chain; a left side that is
-                // not already part of it would silently drop a relation, so
-                // reject disjoint outer-join groups outright.
-                if !joined[li] {
-                    return Err(Error::CodeGen(format!(
-                        "disjoint outer-join chains are not supported \
-                         (alias '{left}' is not part of the join chain)"
-                    )));
-                }
-                write!(chain, " {kw} {} ON {}", from_items[ri], conds.join(" AND ")).unwrap();
-            }
-            joined[li] = true;
-            joined[ri] = true;
-        }
-        let mut parts = vec![chain];
-        for (i, item) in from_items.iter().enumerate() {
-            if !joined[i] {
-                parts.push(item.clone());
+                    .try_for_each(|cond| write!(f, " ON {}", Sql(cond, d, OR)))
             }
         }
-        Ok(parts.join(", "))
-    }
-
-    fn render_exists(
-        &self,
-        body: &Body,
-        keys: &[(String, String)],
-        negated: bool,
-        outer_bindings: &HashMap<String, String>,
-    ) -> Result<String> {
-        if keys.len() != 1 {
-            return Err(Error::CodeGen(
-                "exists atoms must correlate on exactly one key (isin)".into(),
-            ));
-        }
-        // Render the inner body as a one-column subselect.
-        let mut inner_bindings: HashMap<String, String> = HashMap::new();
-        let mut inner_from: Vec<String> = Vec::new();
-        let mut inner_conds: Vec<String> = Vec::new();
-        for atom in &body.atoms {
-            match atom {
-                Atom::Rel { rel, alias, vars } => {
-                    let cols = self
-                        .env
-                        .columns(rel)
-                        .map_err(|e| Error::CodeGen(e.message().to_string()))?;
-                    let item = if alias == rel {
-                        quote_ident(rel)
-                    } else {
-                        format!("{} AS {}", quote_ident(rel), quote_ident(alias))
-                    };
-                    inner_from.push(item);
-                    for (col, var) in cols.iter().zip(vars) {
-                        let expr = format!("{}.{}", quote_ident(alias), quote_ident(col));
-                        match inner_bindings.get(var) {
-                            Some(prev) => inner_conds.push(format!("{prev} = {expr}")),
-                            None => {
-                                inner_bindings.insert(var.clone(), expr);
-                            }
-                        }
-                    }
-                }
-                Atom::Pred(t) => {
-                    let rendered = self.render_term(t, &inner_bindings)?;
-                    let rendered = if matches!(
-                        t,
-                        Term::Bin {
-                            op: ScalarOp::Or,
-                            ..
-                        }
-                    ) {
-                        format!("({rendered})")
-                    } else {
-                        rendered
-                    };
-                    inner_conds.push(rendered);
-                }
-                Atom::Assign { var, term } => {
-                    let rendered = self.render_term(term, &inner_bindings)?;
-                    let stored = if matches!(term, Term::Bin { .. } | Term::Not(_)) {
-                        format!("({rendered})")
-                    } else {
-                        rendered
-                    };
-                    inner_bindings.insert(var.clone(), stored);
-                }
-                other => {
-                    return Err(Error::CodeGen(format!(
-                        "unsupported atom inside exists: {other:?}"
-                    )))
-                }
-            }
-        }
-        let (outer_var, inner_var) = &keys[0];
-        let outer_expr = outer_bindings
-            .get(outer_var)
-            .ok_or_else(|| Error::CodeGen(format!("exists outer key '{outer_var}' unbound")))?;
-        let inner_expr = inner_bindings
-            .get(inner_var)
-            .ok_or_else(|| Error::CodeGen(format!("exists inner key '{inner_var}' unbound")))?;
-        let mut sub = format!("SELECT {inner_expr} FROM {}", inner_from.join(", "));
-        if !inner_conds.is_empty() {
-            write!(sub, " WHERE {}", inner_conds.join(" AND ")).unwrap();
-        }
-        Ok(format!(
-            "{outer_expr} {}IN ({sub})",
-            if negated { "NOT " } else { "" }
-        ))
-    }
-
-    // ---------------- terms ----------------
-
-    fn render_term(&self, t: &Term, bindings: &HashMap<String, String>) -> Result<String> {
-        Ok(match t {
-            Term::Var(v) => bindings
-                .get(v)
-                .cloned()
-                .ok_or_else(|| Error::CodeGen(format!("variable '{v}' unbound")))?,
-            Term::Const(c) => render_const(c),
-            Term::Agg { func, arg } => {
-                use pytond_tondir::AggFunc;
-                let inner = self.render_term(arg, bindings)?;
-                match func {
-                    AggFunc::Sum => format!("SUM({inner})"),
-                    AggFunc::Min => format!("MIN({inner})"),
-                    AggFunc::Max => format!("MAX({inner})"),
-                    AggFunc::Avg => format!("AVG({inner})"),
-                    AggFunc::Count => {
-                        // count over a bare "1" constant means COUNT(*)
-                        if matches!(**arg, Term::Const(Const::Int(1))) {
-                            "COUNT(*)".to_string()
-                        } else {
-                            format!("COUNT({inner})")
-                        }
-                    }
-                    AggFunc::CountDistinct => format!("COUNT(DISTINCT {inner})"),
-                }
-            }
-            Term::Ext { func, args } => self.render_ext(func, args, bindings)?,
-            Term::If { cond, then, els } => format!(
-                "CASE WHEN {} THEN {} ELSE {} END",
-                self.render_term(cond, bindings)?,
-                self.render_term(then, bindings)?,
-                self.render_term(els, bindings)?
-            ),
-            Term::Bin { op, lhs, rhs } => {
-                let l = self.paren(lhs, bindings)?;
-                let r = self.paren(rhs, bindings)?;
-                match op {
-                    ScalarOp::Like => format!("{l} LIKE {r}"),
-                    ScalarOp::NotLike => format!("{l} NOT LIKE {r}"),
-                    other => format!("{l} {} {r}", other.sql()),
-                }
-            }
-            Term::Not(inner) => format!("NOT ({})", self.render_term(inner, bindings)?),
-            Term::IsNull(inner) => {
-                format!("{} IS NULL", self.paren(inner, bindings)?)
-            }
-        })
-    }
-
-    fn paren(&self, t: &Term, bindings: &HashMap<String, String>) -> Result<String> {
-        let s = self.render_term(t, bindings)?;
-        Ok(match t {
-            Term::Bin { .. } => format!("({s})"),
-            _ => s,
-        })
-    }
-
-    /// Dialect-specific external functions (paper: "Backend Adaptation").
-    fn render_ext(
-        &self,
-        func: &str,
-        args: &[Term],
-        bindings: &HashMap<String, String>,
-    ) -> Result<String> {
-        let rendered: Vec<String> = args
-            .iter()
-            .map(|a| self.render_term(a, bindings))
-            .collect::<Result<_>>()?;
-        let arg = |i: usize| -> Result<&String> {
-            rendered
-                .get(i)
-                .ok_or_else(|| Error::CodeGen(format!("{func} missing argument {i}")))
-        };
-        Ok(match func {
-            "uid" => match rendered.first() {
-                Some(col) => format!("row_number() OVER (ORDER BY {col})"),
-                None => "row_number() OVER ()".to_string(),
-            },
-            "year" => match self.dialect {
-                Dialect::DuckDb => format!("year({})", arg(0)?),
-                _ => format!("EXTRACT(YEAR FROM {})", arg(0)?),
-            },
-            "month" => match self.dialect {
-                Dialect::DuckDb => format!("month({})", arg(0)?),
-                _ => format!("EXTRACT(MONTH FROM {})", arg(0)?),
-            },
-            "day" => match self.dialect {
-                Dialect::DuckDb => format!("day({})", arg(0)?),
-                _ => format!("EXTRACT(DAY FROM {})", arg(0)?),
-            },
-            "substr" => match self.dialect {
-                Dialect::DuckDb => format!("substr({}, {}, {})", arg(0)?, arg(1)?, arg(2)?),
-                _ => format!("SUBSTRING({} FROM {} FOR {})", arg(0)?, arg(1)?, arg(2)?),
-            },
-            "strlen" => match self.dialect {
-                Dialect::DuckDb => format!("length({})", arg(0)?),
-                _ => format!("CHAR_LENGTH({})", arg(0)?),
-            },
-            "round" => {
-                if rendered.len() > 1 {
-                    format!("ROUND({}, {})", arg(0)?, arg(1)?)
-                } else {
-                    format!("ROUND({})", arg(0)?)
-                }
-            }
-            "abs" => format!("ABS({})", arg(0)?),
-            "floor" => format!("FLOOR({})", arg(0)?),
-            "ceil" => format!("CEIL({})", arg(0)?),
-            "sqrt" => format!("SQRT({})", arg(0)?),
-            "power" => format!("POWER({}, {})", arg(0)?, arg(1)?),
-            "upper" => format!("UPPER({})", arg(0)?),
-            "lower" => format!("LOWER({})", arg(0)?),
-            "coalesce" => format!("COALESCE({})", rendered.join(", ")),
-            "add_months" => format!("ADD_MONTHS({}, {})", arg(0)?, arg(1)?),
-            "add_years" => format!("ADD_YEARS({}, {})", arg(0)?, arg(1)?),
-            "add_days" => format!("ADD_DAYS({}, {})", arg(0)?, arg(1)?),
-            "strpos" => format!("STRPOS({}, {})", arg(0)?, arg(1)?),
-            other => {
-                return Err(Error::CodeGen(format!(
-                    "unknown external function '{other}'"
-                )))
-            }
-        })
     }
 }
 
-fn render_const(c: &Const) -> String {
-    match c {
-        Const::Int(i) => i.to_string(),
-        Const::Float(f) => {
-            if f.fract() == 0.0 && f.abs() < 1e15 {
-                format!("{f:.1}")
-            } else {
-                format!("{f}")
-            }
+/// Backend adaptation: the five functions whose spelling is the dialect.
+fn func(f: &mut Formatter<'_>, d: Dialect, name: &str, args: &[SqlExpr]) -> fmt::Result {
+    let all = exprs(args, d);
+    match (d == Dialect::DuckDb, name, args) {
+        (true, "SUBSTRING", _) => write!(f, "substr({all})"),
+        (true, "LENGTH", _) => write!(f, "length({all})"),
+        (true, "YEAR" | "MONTH" | "DAY", _) => write!(f, "{}({all})", name.to_lowercase()),
+        (false, "SUBSTRING", [s, start, len]) => {
+            let (s, start, len) = (Sql(s, d, OR), Sql(start, d, OR), Sql(len, d, OR));
+            write!(f, "SUBSTRING({s} FROM {start} FOR {len})")
         }
-        Const::Bool(b) => b.to_string().to_uppercase(),
-        Const::Str(s) => format!("'{}'", s.replace('\'', "''")),
-        Const::Date(d) => format!("DATE '{}'", pytond_common::date::format(*d)),
-        Const::Null => "NULL".to_string(),
+        (false, "LENGTH", _) => write!(f, "CHAR_LENGTH({all})"),
+        (false, "YEAR" | "MONTH" | "DAY", [_]) => write!(f, "EXTRACT({name} FROM {all})"),
+        _ => write!(f, "{name}({all})"),
+    }
+}
+
+impl<'a> Display for Sql<'a, SqlExpr, u8> {
+    fn fmt(&self, f: &mut Formatter<'_>) -> fmt::Result {
+        use SqlExpr::*;
+        let Sql(e, d, min) = *self;
+        let at = |e: &'a SqlExpr, min| Sql(e, d, min);
+        let sub = |s: &'a Select| Sql(s, d, " ");
+        let not = |negated: &bool| if *negated { "NOT " } else { "" };
+        if level(e) < min {
+            return write!(f, "({})", at(e, OR));
+        }
+        // The negatable predicates share their head, `operand [NOT] `.
+        if let Like { expr, negated, .. }
+        | InList { expr, negated, .. }
+        | InSubquery { expr, negated, .. }
+        | Between { expr, negated, .. } = e
+        {
+            write!(f, "{} {}", at(expr, ADD), not(negated))?;
+        }
+        match e {
+            Column { qualifier, name } => {
+                let qualifier = qualifier.iter().map(|q| quote_ident(q) + ".");
+                write!(f, "{}{}", qualifier.collect::<String>(), quote_ident(name))
+            }
+            Int(i) => write!(f, "{i}"),
+            // `{:?}` keeps a `.0` or an exponent, so a float reads back as one.
+            Float(x) => write!(f, "{x:?}"),
+            Str(s) => write!(f, "'{}'", s.replace('\'', "''")),
+            Bool(b) => f.write_str(if *b { "TRUE" } else { "FALSE" }),
+            Null => f.write_str("NULL"),
+            DateLit(days) => write!(f, "DATE '{}'", date::format(*days)),
+            Bin { op, left, right } => {
+                // Left-associative chains; comparisons do not chain at all.
+                let lvl = level(e);
+                let left = at(left, lvl + u8::from(op.is_comparison()));
+                write!(f, "{left} {} {}", op.symbol(), at(right, lvl + 1))
+            }
+            Neg(x) => write!(f, "-{}", at(x, ATOM)),
+            Not(x) => write!(f, "NOT {}", at(x, NOT)),
+            IsNull { expr, negated } => write!(f, "{} IS {}NULL", at(expr, ADD), not(negated)),
+            Like { pattern, .. } => write!(f, "LIKE '{}'", pattern.replace('\'', "''")),
+            InList { list, .. } => write!(f, "IN ({})", exprs(list, d)),
+            InSubquery { query, .. } => write!(f, "IN ({})", sub(query)),
+            Between { low, high, .. } => {
+                write!(f, "BETWEEN {} AND {}", at(low, ADD), at(high, ADD))
+            }
+            Exists { query, negated } => write!(f, "{}EXISTS ({})", not(negated), sub(query)),
+            ScalarSubquery(query) => write!(f, "({})", sub(query)),
+            Case { arms, else_value } => {
+                f.write_str("CASE")?;
+                for (cond, value) in arms {
+                    write!(f, " WHEN {} THEN {}", at(cond, OR), at(value, OR))?;
+                }
+                if let Some(e) = else_value {
+                    write!(f, " ELSE {}", at(e, OR))?;
+                }
+                f.write_str(" END")
+            }
+            Agg {
+                func,
+                arg,
+                distinct,
+            } => {
+                let distinct = if *distinct { "DISTINCT " } else { "" };
+                let arg = arg.as_ref().map_or("*".into(), |a| at(a, OR).to_string());
+                write!(f, "{}({distinct}{arg})", func.name())
+            }
+            Func { name, args } => func(f, d, name, args),
+            RowNumber { order_by } => {
+                let by = if order_by.is_empty() { "" } else { "ORDER BY " };
+                write!(f, "row_number() OVER ({by}{})", order_keys(order_by, d))
+            }
+            Cast { expr, ty } => write!(f, "CAST({} AS {ty})", at(expr, OR)),
+        }
     }
 }
 
@@ -634,8 +302,9 @@ fn render_const(c: &Const) -> String {
 mod tests {
     use super::*;
     use pytond_common::DType;
+    use pytond_sqldb::ast::AggName;
     use pytond_tondir::builder::*;
-    use pytond_tondir::{AggFunc, Head, TableSchema};
+    use pytond_tondir::{AggFunc, Atom, Const, Head, OuterKind, ScalarOp, TableSchema, Term};
 
     fn catalog() -> Catalog {
         Catalog::new().with(TableSchema::new(
@@ -868,6 +537,241 @@ mod tests {
         assert!(
             sql.contains("CASE WHEN r.a = 1 THEN r.b ELSE 0 END"),
             "{sql}"
+        );
+    }
+
+    // ---------------- round trip: parse_sql(render(q, d)) == q ----------------
+
+    use proptest::prelude::*;
+    use pytond_sqldb::parser::parse_sql;
+
+    const DIALECTS: [Dialect; 3] = [Dialect::DuckDb, Dialect::Hyper, Dialect::LingoDb];
+
+    /// `SELECT <expr> AS x FROM t`.
+    fn select_of(expr: SqlExpr) -> Select {
+        let mut s = Select::empty();
+        s.items.push(SelectItem::Expr {
+            expr,
+            alias: Some("x".into()),
+        });
+        s.from.push(TableRef::Table {
+            name: "t".into(),
+            alias: None,
+        });
+        s
+    }
+
+    fn assert_round_trips(expr: SqlExpr) -> String {
+        let query = Query {
+            ctes: vec![],
+            body: select_of(expr),
+        };
+        for d in DIALECTS {
+            let text = render(&query, d);
+            let back = parse_sql(&text).unwrap_or_else(|e| panic!("{d:?}: {e}\n{text}"));
+            assert_eq!(back, query, "{d:?} printed\n{text}");
+        }
+        render(&query, Dialect::Hyper)
+    }
+
+    /// Builds expression trees the parser can produce from a byte stream
+    /// (an exhausted stream yields leaves, so every tree is finite).
+    struct Gen<'a>(std::slice::Iter<'a, u8>);
+
+    impl Gen<'_> {
+        fn next(&mut self) -> usize {
+            self.0.next().copied().unwrap_or(0) as usize
+        }
+
+        fn pick<T: Clone>(&mut self, from: &[T]) -> T {
+            from[self.next() % from.len()].clone()
+        }
+
+        fn ident(&mut self) -> String {
+            self.pick(&[
+                "a",
+                "B_2",
+                "my col",
+                "select",
+                "7",
+                "it\"s",
+                "exists",
+                "caf\u{e9}",
+            ])
+            .to_string()
+        }
+
+        fn boxed(&mut self, depth: u32) -> Box<SqlExpr> {
+            Box::new(self.expr(depth))
+        }
+
+        fn exprs(&mut self, depth: u32, n: usize) -> Vec<SqlExpr> {
+            (0..n).map(|_| self.expr(depth)).collect()
+        }
+
+        fn keys(&mut self, depth: u32) -> Vec<(SqlExpr, bool)> {
+            let n = self.next() % 3;
+            (0..n)
+                .map(|_| (self.expr(depth), self.next() % 2 == 0))
+                .collect()
+        }
+
+        fn subquery(&mut self, depth: u32) -> Box<Select> {
+            let mut s = select_of(self.expr(depth));
+            if self.next() % 2 == 0 {
+                s.where_clause = Some(self.expr(depth));
+            }
+            Box::new(s)
+        }
+
+        fn leaf(&mut self) -> SqlExpr {
+            match self.next() % 8 {
+                0 => SqlExpr::col(&self.ident()),
+                1 => SqlExpr::qcol(&self.ident(), &self.ident()),
+                2 => SqlExpr::Int(self.pick(&[0, 1, 42, -1, -7, i64::MAX])),
+                3 => SqlExpr::Float(self.pick(&[5.0, 0.05, -2.5, 1e21, 1.5e-7, -0.0])),
+                4 => SqlExpr::Str(self.pick(&["it's", "", "%", "caf\u{e9}", "a\"b"]).into()),
+                5 => SqlExpr::DateLit(self.pick(&[0, 8766, 10_000, 19_999])),
+                6 => self.pick(&[SqlExpr::Null, SqlExpr::Bool(true), SqlExpr::Bool(false)]),
+                _ => SqlExpr::Agg {
+                    func: AggName::Count,
+                    arg: None,
+                    distinct: false,
+                },
+            }
+        }
+
+        fn expr(&mut self, depth: u32) -> SqlExpr {
+            use BinOp::*;
+            if depth == 0 {
+                return self.leaf();
+            }
+            let d = depth - 1;
+            let negated = self.next() % 2 == 0;
+            match self.next() % 18 {
+                0..=3 => {
+                    let op = self.pick(&[
+                        Add, Sub, Mul, Div, Mod, Eq, Ne, Lt, Le, Gt, Ge, And, Or, Concat,
+                    ]);
+                    SqlExpr::bin(op, self.expr(d), self.expr(d))
+                }
+                // The parser folds a minus into a numeric literal.
+                4 => match self.expr(d) {
+                    SqlExpr::Int(_) | SqlExpr::Float(_) => {
+                        SqlExpr::Neg(Box::new(SqlExpr::col("a")))
+                    }
+                    other => SqlExpr::Neg(Box::new(other)),
+                },
+                5 => SqlExpr::Not(self.boxed(d)),
+                6 => SqlExpr::IsNull {
+                    expr: self.boxed(d),
+                    negated,
+                },
+                7 => SqlExpr::Like {
+                    expr: self.boxed(d),
+                    pattern: self.pick(&["%it's_%", "x%", ""]).into(),
+                    negated,
+                },
+                8 => SqlExpr::InList {
+                    expr: self.boxed(d),
+                    list: {
+                        let n = 1 + self.next() % 3;
+                        self.exprs(d, n)
+                    },
+                    negated,
+                },
+                9 => SqlExpr::InSubquery {
+                    expr: self.boxed(d),
+                    query: self.subquery(d),
+                    negated,
+                },
+                10 => SqlExpr::Exists {
+                    query: self.subquery(d),
+                    negated: false,
+                },
+                11 => SqlExpr::ScalarSubquery(self.subquery(d)),
+                12 => SqlExpr::Between {
+                    expr: self.boxed(d),
+                    low: self.boxed(d),
+                    high: self.boxed(d),
+                    negated,
+                },
+                13 => SqlExpr::Case {
+                    arms: (0..1 + self.next() % 2)
+                        .map(|_| (self.expr(d), self.expr(d)))
+                        .collect(),
+                    else_value: negated.then(|| self.boxed(d)),
+                },
+                14 => SqlExpr::Agg {
+                    func: self.pick(&[AggName::Sum, AggName::Min, AggName::Avg, AggName::Count]),
+                    arg: Some(self.boxed(d)),
+                    distinct: negated,
+                },
+                15 => {
+                    let (name, arity) = self.pick(&[
+                        ("YEAR", 1),
+                        ("DAY", 1),
+                        ("LENGTH", 1),
+                        ("SUBSTRING", 3),
+                        ("SUBSTRING", 2),
+                        ("ROUND", 2),
+                        ("COALESCE", 3),
+                    ]);
+                    SqlExpr::Func {
+                        name: name.into(),
+                        args: self.exprs(d, arity),
+                    }
+                }
+                16 => SqlExpr::RowNumber {
+                    order_by: self.keys(d),
+                },
+                _ => SqlExpr::Cast {
+                    expr: self.boxed(d),
+                    ty: self.pick(&["INT", "DOUBLE"]).into(),
+                },
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn random_expressions_round_trip(bytes in prop::collection::vec(0u8..255, 0..160)) {
+            assert_round_trips(Gen(bytes.iter()).expr(4));
+        }
+    }
+
+    #[test]
+    fn parentheses_follow_the_parser_levels() {
+        use BinOp::*;
+        let [a, b, c] = ["a", "b", "c"].map(SqlExpr::col);
+        let bin = SqlExpr::bin;
+        let printed = |e: SqlExpr| {
+            let text = assert_round_trips(e);
+            text["SELECT ".len()..text.len() - " AS x FROM t".len()].to_string()
+        };
+        // Right-nested `-` and `/` keep their parentheses, left-nested need none.
+        let right = bin(Sub, a.clone(), bin(Sub, b.clone(), c.clone()));
+        assert_eq!(printed(right), "a - (b - c)");
+        let left = bin(Div, bin(Div, a.clone(), b.clone()), c.clone());
+        assert_eq!(printed(left), "a / b / c");
+        let mixed = bin(Mul, bin(Add, a.clone(), b.clone()), SqlExpr::Float(5.0));
+        assert_eq!(printed(mixed), "(a + b) * 5.0");
+        // NOT binds tighter than AND/OR, looser than a comparison.
+        let not_and = SqlExpr::Not(Box::new(bin(And, a.clone(), b.clone())));
+        assert_eq!(printed(not_and), "NOT (a AND b)");
+        let not_cmp = SqlExpr::Not(Box::new(bin(Eq, a.clone(), SqlExpr::Int(-1))));
+        assert_eq!(printed(bin(Or, not_cmp, c.clone())), "NOT a = -1 OR c");
+        // Unary minus over a minus must not become a `--` comment.
+        let neg = SqlExpr::Neg(Box::new(SqlExpr::Neg(Box::new(a.clone()))));
+        assert_eq!(printed(bin(Sub, b, neg)), "b - -(-a)");
+        let date = bin(Lt, a, SqlExpr::DateLit(8766));
+        assert_eq!(printed(date), "a < DATE '1994-01-01'");
+        assert_eq!(printed(SqlExpr::Str("it's".into())), "'it''s'");
+        assert_eq!(
+            printed(SqlExpr::qcol("my t", "select")),
+            "\"my t\".\"select\""
         );
     }
 }

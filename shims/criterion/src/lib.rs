@@ -1,6 +1,6 @@
 //! Offline stand-in for the `criterion` crate (see `shims/README.md`).
 //!
-//! Implements the subset the `paper_figures` bench uses: benchmark
+//! Implements the subset the `pytond-bench` micro-benches use: benchmark
 //! groups with `sample_size`/`warm_up_time`/`measurement_time`,
 //! `bench_function`/`bench_with_input`, `BenchmarkId`, and the
 //! `criterion_group!`/`criterion_main!` macros. Each benchmark runs one

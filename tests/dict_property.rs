@@ -41,10 +41,7 @@ fn config(profile: Profile, threads: usize) -> EngineConfig {
 /// (`PYTOND_NO_DICT=1`): differential checks hold trivially, but assertions
 /// about dictionary metrics must be skipped.
 fn dict_disabled() -> bool {
-    std::env::var("PYTOND_NO_DICT").is_ok_and(|v| {
-        let v = v.trim();
-        !v.is_empty() && v != "0"
-    })
+    pytond_common::env::flag("PYTOND_NO_DICT")
 }
 
 /// Exact equality under `Value::total_cmp` — see
@@ -386,10 +383,7 @@ fn string_keyed_join_fuses_with_dict_probe() {
     let (_, trace) = encoded
         .execute_sql_traced(sql, &config(Profile::Fused, 2))
         .unwrap();
-    let no_fuse = std::env::var("PYTOND_NO_FUSE").is_ok_and(|v| {
-        let v = v.trim();
-        !v.is_empty() && v != "0"
-    });
+    let no_fuse = pytond_common::env::flag("PYTOND_NO_FUSE");
     if dict_disabled() || no_fuse {
         return;
     }

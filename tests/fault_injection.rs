@@ -260,10 +260,7 @@ fn faulted_appends_publish_nothing() {
 /// `true` when the process runs with `PYTOND_NO_IVM=1`: maintenance is
 /// disabled, so refresh-path fault tests have nothing to exercise.
 fn ivm_disabled() -> bool {
-    std::env::var("PYTOND_NO_IVM").is_ok_and(|v| {
-        let v = v.trim();
-        !v.is_empty() && v != "0"
-    })
+    pytond_common::env::flag("PYTOND_NO_IVM")
 }
 
 /// View refresh under the fault sweeps: the `view-publish` site (plus

@@ -46,10 +46,7 @@ fn config(profile: Profile, threads: usize) -> EngineConfig {
 /// differential checks still hold trivially, but assertions about pipeline
 /// counters must be skipped.
 fn fusion_disabled() -> bool {
-    std::env::var("PYTOND_NO_FUSE").is_ok_and(|v| {
-        let v = v.trim();
-        !v.is_empty() && v != "0"
-    })
+    pytond_common::env::flag("PYTOND_NO_FUSE")
 }
 
 /// Exact equality under `Value::total_cmp` — see

@@ -724,10 +724,7 @@ impl Pred {
 /// `true` under `PYTOND_NO_DICT=1`: results still have to agree, but no
 /// column is encoded, so no predicate table can exist.
 fn dict_disabled() -> bool {
-    std::env::var("PYTOND_NO_DICT").is_ok_and(|v| {
-        let v = v.trim();
-        !v.is_empty() && v != "0"
-    })
+    pytond_common::env::flag("PYTOND_NO_DICT")
 }
 
 /// A dictionary larger than the morsel: the same rows come back at morsel

@@ -40,10 +40,7 @@ fn config(profile: Profile, threads: usize) -> EngineConfig {
 /// (`PYTOND_NO_IVM=1`): differential checks still hold (both sides
 /// recompute), but assertions about refresh modes must be skipped.
 fn ivm_disabled() -> bool {
-    std::env::var("PYTOND_NO_IVM").is_ok_and(|v| {
-        let v = v.trim();
-        !v.is_empty() && v != "0"
-    })
+    pytond_common::env::flag("PYTOND_NO_IVM")
 }
 
 /// Exact equality under `Value::total_cmp` — see
