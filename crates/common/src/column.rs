@@ -49,10 +49,17 @@ impl DType {
 /// A deduplicated, order-preserving string dictionary: code `i` maps to the
 /// `i`-th distinct string in first-occurrence order. Shared across columns
 /// via `Arc` so gathers, slices and snapshots never copy the string payload.
+///
+/// Each entry's text is allocated once and shared — between the code-order
+/// list and the lookup index, and between a dictionary and its clones. A
+/// stored column whose append brings new strings copies its dictionary (the
+/// published one is immutable), and that copy is two pointers per entry, not
+/// two fresh strings: versions of a table alive at once (a reader on one, a
+/// writer building the next) share every string they have in common.
 #[derive(Debug, Clone, Default)]
 pub struct Dictionary {
-    strs: Vec<String>,
-    index: crate::hash::FxHashMap<String, u32>,
+    strs: Vec<Arc<str>>,
+    index: crate::hash::FxHashMap<Arc<str>, u32>,
 }
 
 impl Dictionary {
@@ -90,31 +97,29 @@ impl Dictionary {
             return c;
         }
         let c = self.strs.len() as u32;
-        self.strs.push(s.to_string());
-        self.index.insert(s.to_string(), c);
+        let s: Arc<str> = Arc::from(s);
+        self.strs.push(s.clone());
+        self.index.insert(s, c);
         c
     }
 
     /// All entries in code order.
-    pub fn strs(&self) -> &[String] {
-        &self.strs
+    pub fn strs(&self) -> impl ExactSizeIterator<Item = &str> {
+        self.strs.iter().map(|s| &**s)
     }
 
     /// Per-code translation table into `target`'s code space; `None` marks
     /// entries absent from `target`.
     pub fn translate_to(&self, target: &Dictionary) -> Vec<Option<u32>> {
-        self.strs.iter().map(|s| target.code_of(s)).collect()
+        self.strs().map(|s| target.code_of(s)).collect()
     }
 
     /// Estimated heap footprint of the string payload and lookup index.
     pub fn heap_bytes(&self) -> u64 {
-        let payload: u64 = self
-            .strs
-            .iter()
-            .map(|s| (std::mem::size_of::<String>() + s.capacity()) as u64)
-            .sum();
-        // The index holds one owned key copy plus a u32 per entry.
-        2 * payload + 4 * self.strs.len() as u64
+        // Two reference counts beside each text, a fat pointer to it from
+        // the list and another, plus the code, from the index.
+        let payload: u64 = self.strs().map(|s| (16 + s.len()) as u64).sum();
+        payload + (16 + 16 + 4) * self.strs.len() as u64
     }
 }
 
@@ -592,7 +597,7 @@ impl Column {
                     // interning unseen entries (existing codes never move, so
                     // rows already stored keep their meaning).
                     let d = Arc::make_mut(dict);
-                    let remap: Vec<u32> = od.strs().iter().map(|s| d.intern(s)).collect();
+                    let remap: Vec<u32> = od.strs().map(|s| d.intern(s)).collect();
                     extend_rows(
                         codes,
                         valid,
@@ -606,15 +611,17 @@ impl Column {
             }
             (Column::DictStr { codes, dict, valid }, Column::Str(od, ov)) => {
                 // Plain strings appended to an encoded column re-encode
-                // against the existing dictionary, extending it in place.
-                let d = Arc::make_mut(dict);
-                extend_rows(
-                    codes,
-                    valid,
-                    od.iter()
-                        .enumerate()
-                        .map(|(i, s)| ov.as_ref().map_or(true, |v| v[i]).then(|| d.intern(s))),
-                );
+                // against the existing dictionary. Only a string it does not
+                // hold yet extends it (copying it first if it is shared): a
+                // batch of known strings leaves the `Arc` — and every
+                // code-space fast path keyed on dictionary identity — alone.
+                let coded = od.iter().enumerate().map(|(i, s)| {
+                    ov.as_ref().map_or(true, |v| v[i]).then(|| {
+                        let known = dict.code_of(s);
+                        known.unwrap_or_else(|| Arc::make_mut(dict).intern(s))
+                    })
+                });
+                extend_rows(codes, valid, coded);
             }
             (
                 Column::Str(d, v),

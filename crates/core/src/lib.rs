@@ -21,10 +21,13 @@
 //!                                    sqldb::execute_prepared ──► Relation
 //! ```
 //!
-//! Prepared plans are cached per `(source, opt level, profile, stats
-//! version)` across 16 lock shards: a `register_table`/`append` bumps the
-//! statistics version and the next execution transparently re-plans, so
-//! cost-based join orders stay fresh as data grows. Generated SQL text is
+//! Prepared plans are cached per `(source, opt level, profile)` across 16
+//! lock shards, and a hit is validated against the tables the plan scans
+//! ([`PreparedQuery::is_current`]): the next execution transparently
+//! re-plans once one of them was re-registered or has outgrown the plan's
+//! statistics by a quarter, so cost-based join orders stay fresh as data
+//! grows while an append elsewhere — or a small one — costs readers
+//! nothing. Generated SQL text is
 //! still available on [`Compiled::sql`] as an *export format* for the
 //! paper's real backends (DuckDB/Hyper/LingoDB dialects) — the in-process
 //! engine never re-parses it.
@@ -81,6 +84,7 @@ use pytond_sqldb::lower::lower_program;
 use pytond_tondir::{Catalog, Program, TableSchema};
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A named backend: engine profile + thread count (the paper's
@@ -234,11 +238,10 @@ impl Compiled {
 
 /// Key of one cached prepared plan: the full source text (not a hash — a
 /// 64-bit digest could collide and silently serve the wrong plan) × opt
-/// level × profile × the statistics version the plan was optimized under.
-/// Putting the stats version in the key means a lookup at the *current*
-/// version can never return a stale plan — after an append, old entries
-/// simply stop being found and age out of their shard's FIFO.
-type PlanKey = (String, OptLevel, Profile, u64);
+/// level × profile. Whether a found plan is still the one to run is not the
+/// key's business: a hit is validated ([`Pytond::cached`]) and a re-plan
+/// overwrites the entry in place.
+type PlanKey = (String, OptLevel, Profile);
 
 /// Lock shards in the plan cache: concurrent clients compiling or looking
 /// up different sources contend on different mutexes.
@@ -258,6 +261,9 @@ const SHARD_CAP: usize = PLAN_CACHE_CAP / PLAN_CACHE_SHARDS;
 #[derive(Debug)]
 struct CacheEntry {
     plan: Arc<PreparedQuery>,
+    /// The catalog-facts version the plan was compiled under
+    /// ([`Pytond::facts`]).
+    facts: u64,
     stamp: u64,
 }
 
@@ -279,18 +285,15 @@ struct CacheShard {
 }
 
 impl CacheShard {
-    fn lookup(&self, key: &PlanKey) -> Option<Arc<PreparedQuery>> {
-        self.map.get(key).map(|e| e.plan.clone())
+    fn lookup(&self, key: &PlanKey) -> Option<(u64, Arc<PreparedQuery>)> {
+        self.map.get(key).map(|e| (e.facts, e.plan.clone()))
     }
 
-    fn insert(&mut self, key: PlanKey, plan: Arc<PreparedQuery>) {
+    fn insert(&mut self, key: PlanKey, facts: u64, plan: Arc<PreparedQuery>) {
         let stamp = self.next_stamp;
         self.next_stamp += 1;
-        if self
-            .map
-            .insert(key.clone(), CacheEntry { plan, stamp })
-            .is_none()
-        {
+        let entry = CacheEntry { plan, facts, stamp };
+        if self.map.insert(key.clone(), entry).is_none() {
             // A genuinely new key: make room by retiring oldest-inserted
             // entries. FIFO records whose stamp no longer matches the map
             // are leftovers of a key that was re-inserted later — drop
@@ -333,18 +336,18 @@ impl PlanCache {
         &self.shards[(h.finish() as usize) % PLAN_CACHE_SHARDS]
     }
 
-    fn lookup(&self, key: &PlanKey) -> Option<Arc<PreparedQuery>> {
+    fn lookup(&self, key: &PlanKey) -> Option<(u64, Arc<PreparedQuery>)> {
         self.shard(key)
             .lock()
             .expect("plan cache shard poisoned")
             .lookup(key)
     }
 
-    fn insert(&self, key: PlanKey, plan: Arc<PreparedQuery>) {
+    fn insert(&self, key: PlanKey, facts: u64, plan: Arc<PreparedQuery>) {
         self.shard(&key)
             .lock()
             .expect("plan cache shard poisoned")
-            .insert(key, plan);
+            .insert(key, facts, plan);
     }
 
     fn len(&self) -> usize {
@@ -375,11 +378,15 @@ pub struct Pytond {
     /// the catalog one version ahead of or behind the database — both are
     /// internally consistent, see `docs/SERVING.md`).
     write: Mutex<()>,
-    /// Sharded prepared-plan cache for [`Pytond::run`]/[`Pytond::run_at`]:
-    /// keys carry the stats version, so entries planned under older
-    /// statistics are never returned for current-version lookups and age
-    /// out FIFO per shard.
+    /// Sharded prepared-plan cache for [`Pytond::run`]/[`Pytond::run_at`].
     plan_cache: PlanCache,
+    /// Version of the catalog *facts* a compile may have relied on — table
+    /// schemas, declared keys, NULL-freeness. Bumped by every
+    /// `register_table`, and by an `append` only when it brings the first
+    /// NULL into a column (the optimizer's uniqueness reasoning reads
+    /// `not_null`). Cached plans record it: one compiled under older facts
+    /// is compiled again, an ordinary append leaves it alone.
+    facts: AtomicU64,
 }
 
 impl Pytond {
@@ -391,9 +398,10 @@ impl Pytond {
     /// Registers a table, inferring its schema; `unique` lists single- or
     /// multi-column unique keys (the catalog constraints of Section III-A).
     /// Columns holding no NULL are recorded as such — declared keys are
-    /// trusted, not validated, and may hold one. Publishes a new database + catalog version, so cached prepared plans
-    /// re-plan on their next use; in-flight queries keep the snapshot they
-    /// pinned.
+    /// trusted, not validated, and may hold one. Publishes a new database +
+    /// catalog version and a new facts version, so every cached prepared
+    /// plan re-compiles on its next use; in-flight queries keep the snapshot
+    /// they pinned.
     pub fn register_table(&self, name: &str, rel: Relation, unique: &[&[&str]]) {
         let _writer = self.write.lock().expect("facade writer poisoned");
         let mut schema = TableSchema::new(name, rel.schema());
@@ -406,13 +414,18 @@ impl Pytond {
         catalog.add(schema);
         self.db.register(name, rel);
         self.catalog.publish(Arc::new(catalog));
+        // After the catalog: a compile that read the facts version before
+        // this bump may have read either catalog, one that reads it after
+        // sees the new one (`Pytond::facts`).
+        self.facts.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Appends rows to a registered table (schema must match). Statistics
-    /// update incrementally and a new version publishes: cached prepared
-    /// plans re-plan on their next use, so cost-based join orders track the
-    /// new row counts. In-flight queries keep the version they pinned. A
-    /// failed append changes nothing.
+    /// update incrementally and a new version publishes: a cached prepared
+    /// plan that scans the table re-plans once the table has outgrown it
+    /// ([`PreparedQuery::is_current`]), so cost-based join orders track the
+    /// row counts. In-flight queries keep the version they pinned. A failed
+    /// append changes nothing.
     pub fn append(&self, name: &str, rel: &Relation) -> Result<()> {
         let _writer = self.write.lock().expect("facade writer poisoned");
         self.db.append(name, rel)?;
@@ -427,10 +440,15 @@ impl Pytond {
         if let Some(mut schema) = entry {
             let rows = self.db.table(name).map_or(0, |t| t.num_rows() as u64);
             let still = null_free_columns(rel);
+            let before = schema.not_null.len();
             schema.not_null.retain(|c| still.contains(c));
+            let lost_fact = schema.not_null.len() < before;
             let mut catalog = (*cur).clone();
             catalog.add(schema.with_rows(rows));
             self.catalog.publish(Arc::new(catalog));
+            if lost_fact {
+                self.facts.fetch_add(1, Ordering::SeqCst);
+            }
         }
         Ok(())
     }
@@ -457,6 +475,7 @@ impl Pytond {
     /// query to both consumers — the planner (prepared plan) and the dialect
     /// printer (SQL export).
     pub fn compile_at(&self, source: &str, dialect: Dialect, level: OptLevel) -> Result<Compiled> {
+        let facts = self.facts();
         let (raw_ir, optimized_ir, query) = self.lower(source, level, Program::clone)?;
         let sql = pytond_sqlgen::render(&query, dialect);
         // Profile-gated queries (e.g. window functions on the LingoDB
@@ -464,8 +483,9 @@ impl Pytond {
         // real backend. Carry a plan validated (and cached) under the
         // ungated profile instead; `execute` re-validates for the requested
         // backend because the profiles then differ.
-        let prepared = match self.plan(source, level, Backend::profile_for(dialect), &query) {
-            Err(Error::Unsupported(_)) => self.plan(source, level, Profile::Vectorized, &query)?,
+        let key = |profile| plan_key(source, level, profile);
+        let prepared = match self.plan(key(Backend::profile_for(dialect)), facts, &query) {
+            Err(Error::Unsupported(_)) => self.plan(key(Profile::Vectorized), facts, &query)?,
             planned => planned?,
         };
         Ok(Compiled {
@@ -500,48 +520,55 @@ impl Pytond {
         Ok((kept, optimized_ir, query))
     }
 
-    /// The back half: binds and plans a lowered query for `profile` and
-    /// caches the plan under the stats version it was planned at (so a
-    /// gate-skipping plan never satisfies a Lingo-profile lookup, and a
-    /// lookup at the current version never returns a stale plan).
-    fn plan(
-        &self,
-        source: &str,
-        level: OptLevel,
-        profile: Profile,
-        query: &Query,
-    ) -> Result<Arc<PreparedQuery>> {
-        let prepared = Arc::new(self.db.prepare_query(query, profile)?);
-        let key = plan_key(source, level, profile, prepared.stats_version());
-        self.plan_cache.insert(key, prepared.clone());
+    /// The catalog-facts version to record with a compile. Read it
+    /// **before** the compile loads the catalog: writers bump it after
+    /// publishing, so a plan compiled from an older catalog is only ever
+    /// recorded under an older facts version, and compiled again.
+    fn facts(&self) -> u64 {
+        self.facts.load(Ordering::SeqCst)
+    }
+
+    /// The back half: binds and plans a lowered query for the key's profile
+    /// and caches the plan under it, replacing the one the data outgrew (a
+    /// gate-skipping plan never satisfies a Lingo-profile lookup: the
+    /// profile is in the key).
+    fn plan(&self, key: PlanKey, facts: u64, query: &Query) -> Result<Arc<PreparedQuery>> {
+        let prepared = Arc::new(self.db.prepare_query(query, key.2)?);
+        self.plan_cache.insert(key, facts, prepared.clone());
         Ok(prepared)
     }
 
+    /// The cached plan under `key`, if it was compiled under the current
+    /// catalog facts and the data has not moved under it.
+    fn cached(&self, key: &PlanKey, facts: u64) -> Option<Arc<PreparedQuery>> {
+        let (compiled_under, plan) = self.plan_cache.lookup(key)?;
+        (compiled_under == facts && plan.is_current(&self.db)).then_some(plan)
+    }
+
     /// Returns the cached prepared plan for a source, compiling and caching
-    /// it if absent or planned under stale statistics. On a cache hit this
-    /// performs zero lexing, parsing, binding or planning; a miss never
-    /// touches SQL text either — that is an export format, not the wire
-    /// format.
+    /// it if absent, compiled under older catalog facts, or outgrown by the
+    /// tables it scans. On a cache hit this performs zero lexing, parsing,
+    /// binding or planning; a miss never touches SQL text either — that is
+    /// an export format, not the wire format.
     pub fn prepare(
         &self,
         source: &str,
         backend: &Backend,
         level: OptLevel,
     ) -> Result<Arc<PreparedQuery>> {
-        let key = plan_key(source, level, backend.profile, self.db.stats_version());
-        if let Some(p) = self.plan_cache.lookup(&key) {
+        let (key, facts) = (plan_key(source, level, backend.profile), self.facts());
+        if let Some(p) = self.cached(&key, facts) {
             return Ok(p);
         }
         let (_, _, query) = self.lower(source, level, |_| ())?;
-        self.plan(source, level, backend.profile, &query)
+        self.plan(key, facts, &query)
     }
 
-    /// Executes a previously compiled function. While the database
-    /// statistics have not moved (and the backend matches the compiled
-    /// profile) this runs the carried prepared plan with no per-call
-    /// compilation work; otherwise it transparently re-plans from the
-    /// already-optimized IR — through the plan cache, so even a stale
-    /// `Compiled` pays the re-plan once, not on every call.
+    /// Executes a previously compiled function. While the carried plan is
+    /// current (and the backend matches the compiled profile) this runs it
+    /// with no per-call compilation work; otherwise it transparently
+    /// re-plans from the already-optimized IR — through the plan cache, so
+    /// even a stale `Compiled` pays the re-plan once, not on every call.
     pub fn execute(&self, compiled: &Compiled, backend: &Backend) -> Result<Relation> {
         let Compiled { source, level, .. } = compiled;
         if compiled.prepared.profile() == backend.profile && compiled.prepared.is_current(&self.db)
@@ -550,12 +577,12 @@ impl Pytond {
                 .db
                 .execute_prepared(&compiled.prepared, &backend.config());
         }
-        let key = plan_key(source, *level, backend.profile, self.db.stats_version());
-        let prepared = match self.plan_cache.lookup(&key) {
+        let (key, facts) = (plan_key(source, *level, backend.profile), self.facts());
+        let prepared = match self.cached(&key, facts) {
             Some(p) => p,
             None => {
                 let query = lower_program(&compiled.optimized_ir, &self.catalog.load())?;
-                self.plan(source, *level, backend.profile, &query)?
+                self.plan(key, facts, &query)?
             }
         };
         self.db.execute_prepared(&prepared, &backend.config())
@@ -588,8 +615,20 @@ impl Pytond {
     /// [`Database::register_view_with`] and the `pytond_sqldb::mv` module
     /// docs for the delta rules and the consistency contract.
     pub fn register_view(&self, name: &str, source: &str, backend: &Backend) -> Result<()> {
+        self.register_view_with(name, source, &backend.config())
+    }
+
+    /// [`Pytond::register_view`] with an explicit [`EngineConfig`] (morsel
+    /// size, zone pruning — what a [`Backend`] does not carry) applied to
+    /// the initial materialization and to every refresh.
+    pub fn register_view_with(
+        &self,
+        name: &str,
+        source: &str,
+        config: &EngineConfig,
+    ) -> Result<()> {
         let (_, _, query) = self.lower(source, OptLevel::O4, |_| ())?;
-        self.db.register_view_query(name, query, &backend.config())
+        self.db.register_view_query(name, query, config)
     }
 
     /// The current published state of a standing view registered with
@@ -621,9 +660,9 @@ impl Pytond {
     }
 }
 
-/// Cache key for one (source, level, profile, stats version) combination.
-fn plan_key(source: &str, level: OptLevel, profile: Profile, stats_version: u64) -> PlanKey {
-    (source.to_string(), level, profile, stats_version)
+/// Cache key for one (source, level, profile) combination.
+fn plan_key(source: &str, level: OptLevel, profile: Profile) -> PlanKey {
+    (source.to_string(), level, profile)
 }
 
 /// Names of `rel`'s columns that hold no NULL.
@@ -744,30 +783,87 @@ mod tests {
         assert_eq!(out.num_rows(), 2);
     }
 
+    /// The plan-cache rule: a hit is validated against the tables the plan
+    /// scans. Unrelated append → hit; 0.3 % growth → hit; 2× growth → miss;
+    /// re-register → miss.
     #[test]
     fn append_invalidates_cached_plans() {
-        let py = instance();
-        let src = "@pytond\ndef q(t):\n    return t[t.v > 2]\n";
+        let rows = |lo: i64, n: i64| {
+            Relation::new(vec![
+                ("k".into(), Column::from_strs(&vec!["a"; n as usize])),
+                ("v".into(), Column::from_i64((lo..lo + n).collect())),
+                ("w".into(), Column::from_f64(vec![0.5; n as usize])),
+            ])
+            .unwrap()
+        };
+        let py = Pytond::new();
+        py.register_table("t", rows(0, 1_000), &[]);
+        py.register_table("u", rows(0, 10), &[]);
+        let src = "@pytond\ndef q(t):\n    return t[t.v >= 998]\n";
         let backend = Backend::duckdb_sim(1);
         let before = py.prepare(src, &backend, OptLevel::O4).unwrap();
-        py.append(
-            "t",
-            &Relation::new(vec![
-                ("k".into(), Column::from_strs(&["d"])),
-                ("v".into(), Column::from_i64(vec![9])),
-                ("w".into(), Column::from_f64(vec![4.5])),
-            ])
-            .unwrap(),
-        )
-        .unwrap();
+        let hit =
+            |py: &Pytond| Arc::ptr_eq(&before, &py.prepare(src, &backend, OptLevel::O4).unwrap());
+        // An append to a table the plan does not scan: still current.
+        py.append("u", &rows(10, 10)).unwrap();
+        assert!(before.is_current(py.database()));
+        assert!(hit(&py), "an unrelated append evicted the plan");
+        // 0.3 % growth of the scanned table: still current, and the cached
+        // plan sees the new rows (plans execute against the live snapshot).
+        py.append("t", &rows(1_000, 3)).unwrap();
+        assert!(hit(&py), "0.3 % growth evicted the plan");
+        assert_eq!(py.run(src, &backend).unwrap().num_rows(), 5);
+        assert_eq!(py.catalog().table("t").unwrap().row_count, Some(1_003));
+        // Past `REPLAN_GROWTH`: the join orders were costed for other sizes.
+        py.append("t", &rows(1_003, 1_000)).unwrap();
         assert!(!before.is_current(py.database()));
         let after = py.prepare(src, &backend, OptLevel::O4).unwrap();
         assert!(!Arc::ptr_eq(&before, &after), "stale plan must be replaced");
         assert!(after.is_current(py.database()));
-        let out = py.run(src, &backend).unwrap();
-        assert_eq!(out.num_rows(), 3);
-        // Catalog row count tracked the append.
-        assert_eq!(py.catalog().table("t").unwrap().row_count, Some(5));
+        assert_eq!(py.run(src, &backend).unwrap().num_rows(), 1_005);
+        assert_eq!(py.cached_plans(), 1, "the re-plan replaces its entry");
+        // A re-registered table may have another schema: never current.
+        py.register_table("t", rows(0, 1_000), &[]);
+        assert!(!after.is_current(py.database()));
+        let again = py.prepare(src, &backend, OptLevel::O4).unwrap();
+        assert!(!Arc::ptr_eq(&after, &again));
+        assert_eq!(py.run(src, &backend).unwrap().num_rows(), 2);
+    }
+
+    /// An append that brings the first NULL into a column takes a fact away
+    /// the optimizer may have compiled with: cached plans compile again.
+    #[test]
+    fn append_that_loses_a_catalog_fact_recompiles() {
+        let py = Pytond::new();
+        let base = Relation::new(vec![
+            ("k".into(), Column::from_strs(&["a"; 100])),
+            ("v".into(), Column::from_i64((0..100).collect())),
+            ("w".into(), Column::from_f64(vec![0.5; 100])),
+        ]);
+        py.register_table("t", base.unwrap(), &[]);
+        let src = "@pytond\ndef q(t):\n    return t[t.v > 2]\n";
+        let backend = Backend::duckdb_sim(1);
+        let before = py.prepare(src, &backend, OptLevel::O4).unwrap();
+        let batch = |valid: bool| {
+            Relation::new(vec![
+                ("k".into(), Column::from_strs(&["d"])),
+                ("v".into(), Column::Int(vec![9], Some(vec![valid]))),
+                ("w".into(), Column::from_f64(vec![4.5])),
+            ])
+            .unwrap()
+        };
+        py.append("t", &batch(true)).unwrap();
+        let same = py.prepare(src, &backend, OptLevel::O4).unwrap();
+        assert!(Arc::ptr_eq(&before, &same));
+        py.append("t", &batch(false)).unwrap();
+        assert!(!py
+            .catalog()
+            .table("t")
+            .unwrap()
+            .not_null
+            .contains(&"v".to_string()));
+        let after = py.prepare(src, &backend, OptLevel::O4).unwrap();
+        assert!(!Arc::ptr_eq(&before, &after));
     }
 
     #[test]
@@ -778,14 +874,14 @@ mod tests {
         let backend = Backend::duckdb_sim(1);
         let fresh = py.execute(&compiled, &backend).unwrap();
         assert_eq!(fresh.num_rows(), 3);
-        // Mutate the data: the carried plan goes stale but execute re-plans
-        // transparently and sees the new rows.
+        // Mutate the data past `REPLAN_GROWTH`: the carried plan goes stale
+        // but execute re-plans transparently and sees the new rows.
         py.append(
             "t",
             &Relation::new(vec![
-                ("k".into(), Column::from_strs(&["e"])),
-                ("v".into(), Column::from_i64(vec![7])),
-                ("w".into(), Column::from_f64(vec![9.5])),
+                ("k".into(), Column::from_strs(&["e", "f"])),
+                ("v".into(), Column::from_i64(vec![7, 1])),
+                ("w".into(), Column::from_f64(vec![9.5, 0.5])),
             ])
             .unwrap(),
         )

@@ -9,8 +9,12 @@
 //! folded straight from the two input slices. [`AggState::merge`] combines
 //! partials (the executor calls it in ascending morsel order, which is what
 //! keeps float results independent of the thread count), and
-//! [`AggState::finalize`] writes typed output columns. See
-//! `docs/EXECUTION.md` § Aggregation.
+//! [`AggState::finalize`] writes typed output columns.
+//!
+//! [`Fold`] is what one aggregation has merged so far. A query drives a fold
+//! of its own to completion; a standing view keeps its fold and resumes it
+//! with every appended batch ([`crate::mv`]). See `docs/EXECUTION.md`
+//! § Aggregation.
 
 use crate::ast::{AggName, BinOp};
 use crate::expr::{BExpr, DictTables, RowsRef};
@@ -125,7 +129,7 @@ impl<'q> AggLayout<'q> {
     /// An empty state (no groups yet).
     pub(crate) fn empty(&self) -> AggState {
         AggState {
-            first_row: Vec::new(),
+            groups: 0,
             accs: (0..self.len()).map(|ai| self.acc(ai)).collect(),
         }
     }
@@ -145,20 +149,18 @@ impl<'q> AggLayout<'q> {
         std::mem::size_of::<usize>() + accs
     }
 
-    /// Folds input rows `[start, end)` into a fresh state. `gids[k]` is the
-    /// morsel-local group of row `start + k` and `first_row[g]` the first
-    /// input row of local group `g`; `gids = None` is scalar aggregation
-    /// (one group, no per-row ids).
+    /// Folds input rows `[start, end)` into a fresh state of `groups`
+    /// morsel-local groups. `gids[k]` is the local group of row `start + k`;
+    /// `gids = None` is scalar aggregation (one group, no per-row ids).
     pub(crate) fn partial(
         &self,
         input: &Batch,
         (start, end): (usize, usize),
         gids: Option<&[u32]>,
-        first_row: Vec<usize>,
+        groups: usize,
         tables: &DictTables,
     ) -> Result<AggState> {
         let len = end - start;
-        let groups = first_row.len();
         // Rows per local group: what every aggregate over a non-null
         // argument counts, computed once.
         let mut sizes = vec![0i64; groups];
@@ -177,7 +179,7 @@ impl<'q> AggLayout<'q> {
             acc.accumulate(self.arg_of[ai].map(|u| &vals[u]), gids, &sizes, len, is_min);
             accs.push(acc);
         }
-        Ok(AggState { first_row, accs })
+        Ok(AggState { groups, accs })
     }
 
     /// Argument `u` over input rows `[start, end)`.
@@ -237,15 +239,43 @@ impl ArgVals<'_> {
 }
 
 /// Per-group accumulators of one morsel, or of everything merged so far.
+#[derive(Debug, Clone)]
 pub(crate) struct AggState {
-    /// First input row of each group, in group order.
-    pub(crate) first_row: Vec<usize>,
+    groups: usize,
     accs: Vec<AccCol>,
+}
+
+/// An aggregation in progress: everything folded so far, resumable with more
+/// rows of the same input stream.
+///
+/// The fold tree is fixed by the stream alone: rows are cut into morsels at
+/// multiples of the morsel size counted from the stream's first row, each
+/// morsel folds into a partial, and partials merge in ascending order. A
+/// fold therefore stops between two calls exactly where a longer single call
+/// would have been anyway — after the last *closed* (full) morsel — and
+/// keeps the rows of the open trailing morsel raw, because their partial is
+/// not final until the morsel fills. Resuming with more rows closes whatever
+/// fills and yields the same bits as folding the whole stream at once.
+/// Memory is O(groups + morsel), never O(input).
+#[derive(Debug, Default)]
+pub(crate) struct Fold {
+    /// Group-key values of the closed morsels' groups, one row per group in
+    /// global first-occurrence order.
+    pub(crate) keys: Vec<Column>,
+    /// The closed morsels' partials, merged in ascending order (`None`
+    /// before the first rows arrive).
+    pub(crate) closed: Option<AggState>,
+    /// The open trailing morsel: its input rows (only the columns that keys
+    /// and arguments read are populated) and how many they are.
+    pub(crate) tail: Option<(Batch, usize)>,
+    /// Input rows the latest resumption brought.
+    pub(crate) fed: usize,
 }
 
 /// One aggregate's accumulators, indexed by group id. `cnt` counts the
 /// non-null values folded in: it is `AVG`'s divisor and what makes a `SUM`
 /// over no values NULL.
+#[derive(Debug, Clone)]
 enum AccCol {
     Count(Vec<i64>),
     SumI {
@@ -279,7 +309,7 @@ enum AccCol {
 /// group ids, inserts them into the one `(group, value)` set — so each input
 /// row is hashed once, and sets being order-insensitive, the result cannot
 /// depend on the grid.
-#[derive(Default)]
+#[derive(Debug, Clone, Default)]
 struct Distinct<V> {
     pairs: Vec<(u32, V)>,
     seen: FxHashSet<(u32, V)>,
@@ -588,13 +618,13 @@ fn masked<T>(data: Vec<T>, ok: Vec<bool>, wrap: fn(Vec<T>, Option<Vec<bool>>) ->
 impl AggState {
     /// Number of groups.
     pub(crate) fn groups(&self) -> usize {
-        self.first_row.len()
+        self.groups
     }
 
-    /// Appends an empty group first seen at input row `row` (accumulator
-    /// arrays catch up at the next merge, or at finalization).
-    pub(crate) fn push_group(&mut self, row: usize) {
-        self.first_row.push(row);
+    /// Appends an empty group (accumulator arrays catch up at the next
+    /// merge, or at finalization).
+    pub(crate) fn push_group(&mut self) {
+        self.groups += 1;
     }
 
     /// Folds a morsel's partial in: its local group `g` is this state's

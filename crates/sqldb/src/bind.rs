@@ -20,14 +20,25 @@ use crate::expr::{BExpr, LikePattern, SFunc};
 use crate::plan::{BAgg, BoundQuery, JKind, LogicalPlan};
 use crate::table::{Field, Schema};
 use pytond_common::{date, DType, Error, Result, Value};
+use std::cell::RefCell;
 
 /// Binds a parsed query against the database catalog.
+///
+/// A CTE that is referenced exactly once is **inlined**: its bound plan is
+/// spliced into the reference site, re-qualified under the reference's alias
+/// exactly like a derived table, so the optimizer and the pipeline extractor
+/// see through it. [`BoundQuery::ctes`] keeps only the CTEs referenced more
+/// than once (materialized once, scanned by name); unreferenced ones are
+/// dropped. The executor resolves scans by name, so a query whose CTE names
+/// shadow a base table or one another keeps every CTE as a temporary — a
+/// spliced plan must never land where one of its names means something else.
 pub fn bind_query(db: &Snapshot, q: &Query) -> Result<BoundQuery> {
     let mut binder = Binder {
         db,
         ctes: Vec::new(),
     };
-    for cte in &q.ctes {
+    let uses = cte_uses(db, q);
+    for (cte, uses) in q.ctes.iter().zip(uses) {
         let mut plan = binder.bind_select(&cte.select)?;
         if let Some(cols) = &cte.columns {
             if cols.len() != plan.schema().len() {
@@ -40,13 +51,106 @@ pub fn bind_query(db: &Snapshot, q: &Query) -> Result<BoundQuery> {
             }
             plan = rename_output(plan, cols);
         }
-        binder.ctes.push((cte.name.clone(), plan));
+        binder.ctes.push(BoundCte {
+            name: cte.name.clone(),
+            schema: plan.schema().clone(),
+            uses,
+            plan: RefCell::new(Some(plan)),
+        });
     }
     let root = binder.bind_select(&q.body)?;
+    let ctes = binder.ctes.into_iter().filter(|c| c.uses > 1);
     Ok(BoundQuery {
-        ctes: binder.ctes,
+        ctes: ctes
+            .filter_map(|c| Some((c.name, c.plan.into_inner()?)))
+            .collect(),
         root,
     })
+}
+
+/// How many times each CTE of `q` is referenced — by a later CTE, a subquery
+/// or the body — with a name resolving to the latest earlier definition, as
+/// [`Binder::relation`] resolves it. When a CTE name shadows a base table or
+/// another CTE, every CTE counts as shared (see [`bind_query`]).
+fn cte_uses(db: &Snapshot, q: &Query) -> Vec<usize> {
+    let same = |a: &str, b: &str| a.eq_ignore_ascii_case(b);
+    let shadows = q.ctes.iter().enumerate().any(|(i, c)| {
+        db.table(&c.name).is_some() || q.ctes[..i].iter().any(|e| same(&e.name, &c.name))
+    });
+    if shadows {
+        return vec![usize::MAX; q.ctes.len()];
+    }
+    let mut uses = vec![0; q.ctes.len()];
+    let selects = q.ctes.iter().map(|c| &c.select).chain([&q.body]);
+    for (visible, select) in selects.enumerate() {
+        table_names(select, &mut |name| {
+            if let Some(i) = q.ctes[..visible].iter().position(|c| same(&c.name, name)) {
+                uses[i] += 1;
+            }
+        });
+    }
+    uses
+}
+
+/// Calls `f` with the name of every table reference in `s`, at any depth:
+/// FROM items, derived tables, join trees and subquery predicates.
+fn table_names(s: &Select, f: &mut impl FnMut(&str)) {
+    fn in_ref(tr: &TableRef, f: &mut impl FnMut(&str)) {
+        match tr {
+            TableRef::Table { name, .. } => f(name),
+            TableRef::Subquery { query, .. } => table_names(query, f),
+            TableRef::Join {
+                left, right, on, ..
+            } => {
+                in_ref(left, f);
+                in_ref(right, f);
+                if let Some(on) = on {
+                    in_expr(on, f);
+                }
+            }
+        }
+    }
+    fn in_expr(e: &SqlExpr, f: &mut impl FnMut(&str)) {
+        e.any(&mut |x| {
+            if let SqlExpr::InSubquery { query, .. }
+            | SqlExpr::Exists { query, .. }
+            | SqlExpr::ScalarSubquery(query) = x
+            {
+                table_names(query, f);
+            }
+            false
+        });
+    }
+    s.from.iter().for_each(|tr| in_ref(tr, f));
+    let items = s.items.iter().filter_map(|i| match i {
+        SelectItem::Expr { expr, .. } => Some(expr),
+        _ => None,
+    });
+    let exprs = items
+        .chain(&s.where_clause)
+        .chain(&s.group_by)
+        .chain(&s.having)
+        .chain(s.order_by.iter().map(|(e, _)| e));
+    exprs.for_each(|e| in_expr(e, f));
+}
+
+/// `plan` with its output columns qualified by `alias`: what a derived table
+/// or a spliced CTE looks like from the FROM clause that names it.
+fn requalified(plan: LogicalPlan, alias: &str) -> LogicalPlan {
+    let schema = plan.schema().requalify(alias);
+    match plan {
+        // Re-qualification only changes the schema.
+        LogicalPlan::Project { input, exprs, .. } => LogicalPlan::Project {
+            input,
+            exprs,
+            schema,
+        },
+        other => LogicalPlan::Project {
+            exprs: (0..schema.len()).map(BExpr::Col).collect(),
+            input: Box::new(other),
+            schema,
+        },
+    }
 }
 
 /// Wraps a plan so its output field names become `names` (unqualified).
@@ -68,7 +172,17 @@ fn rename_output(plan: LogicalPlan, names: &[String]) -> LogicalPlan {
 
 struct Binder<'a> {
     db: &'a Snapshot,
-    ctes: Vec<(String, LogicalPlan)>,
+    ctes: Vec<BoundCte>,
+}
+
+/// One CTE bound so far.
+struct BoundCte {
+    name: String,
+    schema: Schema,
+    /// References to it in the rest of the query ([`cte_uses`]).
+    uses: usize,
+    /// Its plan, until the single reference takes it.
+    plan: RefCell<Option<LogicalPlan>>,
 }
 
 /// Aggregate-binding context used while rewriting select items over the
@@ -83,16 +197,34 @@ struct AggCtx {
 }
 
 impl<'a> Binder<'a> {
-    fn relation_schema(&self, name: &str) -> Result<Schema> {
-        for (cte, plan) in self.ctes.iter().rev() {
-            if cte.eq_ignore_ascii_case(name) {
-                return Ok(plan.schema().clone());
+    /// Resolves a FROM name under `alias`: the latest CTE of that name —
+    /// spliced in when this is its only reference, scanned otherwise — or a
+    /// base table.
+    fn relation(&self, name: &str, alias: &str) -> Result<LogicalPlan> {
+        let cte = self
+            .ctes
+            .iter()
+            .rev()
+            .find(|c| c.name.eq_ignore_ascii_case(name));
+        let schema = match cte {
+            Some(cte) if cte.uses == 1 => {
+                let plan = cte.plan.borrow_mut().take().ok_or_else(|| {
+                    Error::Internal(format!("CTE '{name}' was counted as referenced once"))
+                })?;
+                return Ok(requalified(plan, alias));
             }
-        }
-        self.db
-            .table(name)
-            .map(|t| t.schema.clone())
-            .ok_or_else(|| Error::Plan(format!("unknown table '{name}'")))
+            Some(cte) => &cte.schema,
+            None => match self.db.table(name) {
+                Some(t) => &t.schema,
+                None => return Err(Error::Plan(format!("unknown table '{name}'"))),
+            },
+        };
+        Ok(LogicalPlan::Scan {
+            table: name.to_string(),
+            schema: schema.requalify(alias),
+            projection: None,
+            pred: None,
+        })
     }
 
     fn bind_select(&self, s: &Select) -> Result<LogicalPlan> {
@@ -328,36 +460,9 @@ impl<'a> Binder<'a> {
     fn bind_table_ref(&self, tr: &TableRef) -> Result<LogicalPlan> {
         match tr {
             TableRef::Table { name, alias } => {
-                let schema = self.relation_schema(name)?;
-                let alias = alias.clone().unwrap_or_else(|| name.clone());
-                Ok(LogicalPlan::Scan {
-                    table: name.clone(),
-                    schema: schema.requalify(&alias),
-                    projection: None,
-                    pred: None,
-                })
+                self.relation(name, alias.as_deref().unwrap_or(name))
             }
-            TableRef::Subquery { query, alias } => {
-                let plan = self.bind_select(query)?;
-                let schema = plan.schema().requalify(alias);
-                Ok(match plan {
-                    // Re-qualification only changes the schema.
-                    LogicalPlan::Project {
-                        input,
-                        exprs,
-                        schema: _,
-                    } => LogicalPlan::Project {
-                        input,
-                        exprs,
-                        schema,
-                    },
-                    other => LogicalPlan::Project {
-                        exprs: (0..schema.len()).map(BExpr::Col).collect(),
-                        input: Box::new(other),
-                        schema,
-                    },
-                })
-            }
+            TableRef::Subquery { query, alias } => Ok(requalified(self.bind_select(query)?, alias)),
             TableRef::Join {
                 left,
                 right,
@@ -1103,6 +1208,136 @@ mod tests {
         );
         let query = crate::parser::parse_sql(sql).unwrap();
         format!("{:?}", super::bind_query(&db.snapshot(), &query).unwrap())
+    }
+
+    /// A database with `t(k, f)` and `u(k, w)`, and what one statement binds
+    /// to: the names of the CTEs kept as temporaries, the EXPLAIN of the
+    /// prepared plan, and the result.
+    fn bound(sql: &str) -> (Vec<String>, String, Relation) {
+        let db = Database::new();
+        db.register(
+            "t",
+            Relation::new(vec![
+                ("k".into(), Column::from_i64(vec![1, 2, 2, 3])),
+                ("f".into(), Column::from_f64(vec![0.5, 1.5, 2.5, 3.5])),
+            ])
+            .unwrap(),
+        );
+        db.register(
+            "u",
+            Relation::new(vec![
+                ("k".into(), Column::from_i64(vec![2, 3, 4])),
+                ("w".into(), Column::from_i64(vec![20, 30, 40])),
+            ])
+            .unwrap(),
+        );
+        let query = crate::parser::parse_sql(sql).unwrap();
+        let q = super::bind_query(&db.snapshot(), &query).unwrap();
+        let kept = q.ctes.iter().map(|(n, _)| n.clone()).collect();
+        let explain = db.explain_sql(sql).unwrap();
+        let out = db
+            .execute_sql(sql, &crate::db::EngineConfig::default())
+            .unwrap();
+        (kept, explain, out)
+    }
+
+    fn ints(rel: &Relation, col: &str) -> Vec<i64> {
+        rel.column(col).unwrap().as_int().to_vec()
+    }
+
+    /// The rule-per-CTE chain PyTond emits: every CTE referenced once, so
+    /// none is left and the plan is one tree the optimizer sees through
+    /// (the filter of `v2` lands in the scan under `v1`).
+    #[test]
+    fn single_use_chain_is_spliced_into_one_tree() {
+        let (kept, explain, out) = bound(
+            "WITH v1 AS (SELECT k, f * 2.0 AS g FROM t), \
+                  v2 AS (SELECT k, g FROM v1 WHERE k >= 2), \
+                  v3 AS (SELECT k, SUM(g) AS sg FROM v2 GROUP BY k) \
+             SELECT * FROM v3 ORDER BY k",
+        );
+        assert!(kept.is_empty(), "{kept:?}");
+        assert!(!explain.contains("CTE "), "{explain}");
+        assert!(explain.contains("Scan t [2 cols] where"), "{explain}");
+        assert_eq!(ints(&out, "k"), [2, 3]);
+        assert_eq!(out.column("sg").unwrap().as_float(), &[8.0, 7.0]);
+    }
+
+    /// A CTE referenced twice is materialized once and scanned by name; one
+    /// referenced once *inside* it is spliced into it; one nobody references
+    /// is dropped.
+    #[test]
+    fn shared_ctes_stay_and_dead_ones_go() {
+        let (kept, explain, out) = bound(
+            "WITH a AS (SELECT k, f FROM t WHERE k >= 2), \
+                  b AS (SELECT k, SUM(f) AS sf FROM a GROUP BY k), \
+                  dead AS (SELECT k FROM u) \
+             SELECT x.k, x.sf + y.sf AS both FROM b AS x, b AS y WHERE x.k = y.k ORDER BY x.k",
+        );
+        assert_eq!(kept, ["b"]);
+        assert!(
+            explain.contains("CTE b:") && !explain.contains("CTE a:"),
+            "{explain}"
+        );
+        assert!(!explain.contains("Scan u"), "{explain}");
+        assert_eq!(explain.matches("Scan b").count(), 2, "{explain}");
+        assert_eq!(ints(&out, "k"), [2, 3]);
+        assert_eq!(out.column("both").unwrap().as_float(), &[8.0, 7.0]);
+    }
+
+    /// References are counted wherever a table name can stand: derived
+    /// tables, join trees and subquery predicates.
+    #[test]
+    fn references_inside_subqueries_count() {
+        let (kept, _, out) = bound(
+            "WITH a AS (SELECT k FROM u) \
+             SELECT k FROM t WHERE k IN (SELECT k FROM a) AND k NOT IN \
+               (SELECT d.k FROM (SELECT k FROM a WHERE k > 2) AS d) ORDER BY k",
+        );
+        assert_eq!(kept, ["a"]);
+        assert_eq!(ints(&out, "k"), [2, 2]);
+        let (kept, _, out) = bound(
+            "WITH a AS (SELECT k FROM u WHERE k < 4) \
+             SELECT t.k FROM t WHERE t.f > (SELECT AVG(w) / 20.0 FROM u) \
+               AND EXISTS (SELECT k FROM a) ORDER BY t.k",
+        );
+        assert!(kept.is_empty(), "{kept:?}");
+        assert_eq!(ints(&out, "k"), [2, 3]);
+    }
+
+    /// A declared column list renames the spliced plan's output, and the
+    /// reference's alias qualifies it.
+    #[test]
+    fn declared_columns_and_aliases_survive_splicing() {
+        let (kept, explain, out) = bound(
+            "WITH v(key, total) AS (SELECT k, SUM(f) FROM t GROUP BY k) \
+             SELECT s.key, s.total, u.w FROM v AS s, u WHERE s.key = u.k ORDER BY s.key",
+        );
+        assert!(kept.is_empty() && !explain.contains("CTE "), "{explain}");
+        assert_eq!(out.names(), ["key", "total", "w"]);
+        assert_eq!(ints(&out, "key"), [2, 3]);
+        assert_eq!(ints(&out, "w"), [20, 30]);
+    }
+
+    /// The executor resolves scans by name, so a spliced plan must never
+    /// land where one of its names means something else: a query whose CTE
+    /// names shadow a table (or each other) keeps every CTE a temporary.
+    #[test]
+    fn shadowing_names_keep_their_temporaries() {
+        // `y` reads the *table* `u`; the CTE `u` defined after it must not
+        // capture that scan when `y`'s only reference is the body's.
+        let (kept, _, out) = bound(
+            "WITH y AS (SELECT k FROM u WHERE k >= 3), \
+                  u AS (SELECT k FROM t WHERE k = 1) \
+             SELECT y.k AS yk, u.k AS uk FROM y, u ORDER BY y.k",
+        );
+        assert_eq!(kept, ["y", "u"]);
+        assert_eq!(ints(&out, "yk"), [3, 4]);
+        assert_eq!(ints(&out, "uk"), [1, 1]);
+        let (kept, _, out) =
+            bound("WITH t AS (SELECT k FROM t WHERE k > 1) SELECT k FROM t ORDER BY k");
+        assert_eq!(kept, ["t"]);
+        assert_eq!(ints(&out, "k"), [2, 2, 3]);
     }
 
     /// The literal typing table of [`super::coerce_literal`], through every

@@ -20,9 +20,10 @@
 //! and return a [`PreparedQuery`]; [`Database::execute_prepared`] then runs
 //! the stored plan as many times as desired with zero per-call lexing,
 //! parsing, binding or optimization. Every `register`/`append` publishes a
-//! new snapshot version ([`Database::stats_version`]) so callers caching
-//! prepared plans can detect when the statistics that drove cost-based
-//! planning moved.
+//! new snapshot version ([`Database::stats_version`]); a caller caching a
+//! prepared plan asks [`PreparedQuery::is_current`] whether the tables the
+//! plan scans have been replaced, or have outgrown the statistics that drove
+//! its cost-based decisions by more than [`REPLAN_GROWTH`].
 
 use crate::ast::{Query, Select, SelectItem, SqlExpr, TableRef};
 use crate::bind::bind_query;
@@ -193,6 +194,10 @@ impl EngineConfig {
 #[derive(Debug, Default)]
 pub struct Snapshot {
     tables: FxHashMap<String, Arc<StoredTable>>,
+    /// Per table, the version whose `register` created its current
+    /// incarnation (appends keep it): a cached plan that scans the table
+    /// must be re-planned once this moves, its schema may have changed.
+    registered: FxHashMap<String, u64>,
     /// The stats version this snapshot carries (0 = the empty database).
     version: u64,
 }
@@ -431,7 +436,8 @@ impl Database {
 
     /// Registers (or replaces) a table, computing column statistics and zone
     /// maps for the optimizer and the pruning scan path, and publishes a new
-    /// snapshot version — invalidating cached prepared plans. In-flight
+    /// snapshot version — invalidating the prepared plans that scan it
+    /// ([`PreparedQuery::is_current`]). In-flight
     /// queries keep the version they pinned; they never observe the new
     /// table.
     ///
@@ -459,8 +465,11 @@ impl Database {
             key.clone(),
             Arc::new(StoredTable::from_relation_encoded(&rel, encode)),
         );
+        let mut registered = cur.registered.clone();
+        registered.insert(key.clone(), cur.version + 1);
         let next = Arc::new(Snapshot {
             tables,
+            registered,
             version: cur.version + 1,
         });
         self.shared.current.publish(next.clone());
@@ -471,8 +480,10 @@ impl Database {
 
     /// Appends a batch of rows to an existing table (columns must match the
     /// stored schema in name, order and dtype) and publishes a new snapshot
-    /// version on success, invalidating cached prepared plans (their
-    /// cost-based join orders were chosen for the old row counts).
+    /// version on success. A prepared plan that scans the table stays
+    /// current until the table has outgrown what it was planned for by
+    /// [`REPLAN_GROWTH`] (its cost-based join orders were chosen for the old
+    /// row counts); plans over other tables are unaffected.
     ///
     /// Appends are **copy-on-append**: the appended table's columns are
     /// copied into the new version (readers may still hold the old one),
@@ -506,6 +517,7 @@ impl Database {
         tables.insert(key.clone(), Arc::new(grown));
         let next = Arc::new(Snapshot {
             tables,
+            registered: cur.registered.clone(),
             version: cur.version + 1,
         });
         self.shared.current.publish(next.clone());
@@ -519,11 +531,12 @@ impl Database {
     }
 
     /// Version counter of the table set + statistics: incremented by every
-    /// [`Database::register`] and successful [`Database::append`]. A
-    /// [`PreparedQuery`] whose [`PreparedQuery::stats_version`] differs was
-    /// planned against stale statistics and should be re-prepared — for
-    /// fresh join orders after appends, and for correctness if a `register`
-    /// replaced a table's schema (see [`Database::execute_prepared`]).
+    /// [`Database::register`] and successful [`Database::append`]. Whether a
+    /// [`PreparedQuery`] planned at an earlier version should be re-prepared
+    /// — for fresh join orders once a table it scans has grown, and for
+    /// correctness if a `register` replaced one (see
+    /// [`Database::execute_prepared`]) — is [`PreparedQuery::is_current`]'s
+    /// call, not this counter's.
     pub fn stats_version(&self) -> u64 {
         self.shared.current.load().version
     }
@@ -570,7 +583,21 @@ impl Database {
             })
             .collect();
         bound.root = optimize_with(bound.root, &ctx);
+        // What `is_current` validates: the base tables the plans scan, as
+        // they are now (a scan of a CTE temporary names no table).
+        let mut names = bound.root.scan_order();
+        for (_, plan) in &bound.ctes {
+            names.extend(plan.scan_order());
+        }
+        names.iter_mut().for_each(|t| *t = t.to_lowercase());
+        names.sort_unstable();
+        names.dedup();
+        let scans = names.into_iter().filter_map(|t| {
+            let rows = snap.tables.get(&t)?.num_rows();
+            Some((snap.registered[&t], rows, t))
+        });
         Ok(PreparedQuery {
+            scans: scans.collect(),
             bound,
             profile,
             stats_version: snap.version,
@@ -666,15 +693,26 @@ impl Database {
 /// Created by [`Database::prepare`] (from SQL text) or
 /// [`Database::prepare_query`] (from a tree, e.g. the [`ast::Query`](Query)
 /// that [`crate::lower::lower_program`] lowers TondIR to); executed by
-/// [`Database::execute_prepared`]. Carries the [`Database::stats_version`]
-/// observed at planning time so callers can detect when the cost model's
-/// inputs have moved and transparently re-plan.
+/// [`Database::execute_prepared`]. Carries what it was planned against —
+/// the [`Database::stats_version`] and, per scanned table, its incarnation
+/// and size — so callers can detect when the cost model's inputs have moved
+/// ([`PreparedQuery::is_current`]) and transparently re-plan.
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
     bound: BoundQuery,
     profile: Profile,
     stats_version: u64,
+    /// Per base table the plans scan: the version that registered it, its
+    /// row count at planning time, its (lower-cased) name.
+    scans: Vec<(u64, usize, String)>,
 }
+
+/// How far a table may outgrow the row count a plan was costed with before
+/// [`PreparedQuery::is_current`] asks for a re-plan. Join orders and build
+/// sides are chosen from ratios between inputs that differ by integer
+/// factors; a quarter more rows in one of them does not flip them, while
+/// re-planning after every append costs more than most small reads.
+pub const REPLAN_GROWTH: f64 = 1.25;
 
 impl PreparedQuery {
     /// The optimized plans (CTEs in materialization order + root).
@@ -693,11 +731,19 @@ impl PreparedQuery {
         self.stats_version
     }
 
-    /// `true` while the database's statistics have not moved since planning:
-    /// the cost-based join orders in this plan are still the ones the
-    /// optimizer would pick today.
+    /// `true` while this is still the plan to run against `db`: every table
+    /// it scans is the incarnation it was bound against (a `register` may
+    /// have changed the schema under the stored column positions) and holds
+    /// at most [`REPLAN_GROWTH`] times the rows it was costed with. Appends
+    /// below that factor, and writes to tables the plan does not scan, leave
+    /// it current — [`PreparedQuery::stats_version`] says when it was
+    /// planned, not whether it must be planned again.
     pub fn is_current(&self, db: &Database) -> bool {
-        self.stats_version == db.stats_version()
+        let snap = db.snapshot();
+        self.scans.iter().all(|(registered, rows, t)| {
+            let now = snap.tables.get(t).map_or(usize::MAX, |s| s.num_rows());
+            snap.registered.get(t) == Some(registered) && now as f64 <= REPLAN_GROWTH * *rows as f64
+        })
     }
 
     /// EXPLAIN rendering of every plan in the query (CTEs + root).

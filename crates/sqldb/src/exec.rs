@@ -34,7 +34,7 @@
 //! (including 1) and both policies produce bit-identical results
 //! (`tests/fusion_property.rs`, `tests/plan_fuzz.rs`).
 
-use crate::agg::{AggLayout, AggState};
+use crate::agg::{AggLayout, AggState, Fold};
 use crate::db::Snapshot;
 use crate::expr::{BExpr, DictTables, RowsRef};
 use crate::pipeline::{self, KeyLayout, Pipeline, ProbeStage, Sink, Source, Stage};
@@ -210,21 +210,25 @@ pub fn execute_traced(
     q: &BoundQuery,
     opts: ExecOptions,
 ) -> Result<(Batch, Schema, ExecMetrics)> {
-    execute_with_temps(db, q, FxHashMap::default(), opts)
+    execute_with_temps(db, q, FxHashMap::default(), opts, None)
 }
 
-/// Like [`execute_traced`], but execution starts with `temps` pre-seeded.
+/// Like [`execute_traced`], but execution starts with `temps` pre-seeded
+/// and, optionally, one aggregate resuming a carried [`Fold`].
 ///
 /// Temporaries shadow same-named base tables (the executor resolves temps
 /// first), which is the delta-execution seam for incremental view
 /// maintenance: overlaying a base table with a [`StoredTable`] holding only
 /// its appended suffix makes every scan of that table see the delta rows
-/// while all other inputs still read the pinned snapshot.
+/// while all other inputs still read the pinned snapshot. With `resume`, the
+/// named `Aggregate` node folds its input into the view's carried state
+/// instead of a fresh one — after the rows that state has already seen.
 pub(crate) fn execute_with_temps(
     db: &Snapshot,
     q: &BoundQuery,
     temps: FxHashMap<String, StoredTable>,
     opts: ExecOptions,
+    resume: Option<Resume<'_>>,
 ) -> Result<(Batch, Schema, ExecMetrics)> {
     let threads = opts.threads.max(1);
     let mut exec = Executor {
@@ -236,6 +240,7 @@ pub(crate) fn execute_with_temps(
             ..ExecMetrics::default()
         }),
         dict_tables: DictTables::default(),
+        resume: std::cell::RefCell::new(resume),
     };
     for (name, plan) in &q.ctes {
         let batch = exec.exec(plan)?;
@@ -283,6 +288,50 @@ struct Executor<'a> {
     /// keys are node addresses inside the bound query, which outlives the
     /// executor.
     dict_tables: DictTables,
+    /// The aggregation a standing view carries across appends, if this
+    /// execution refreshes one. Touched by the operator driver only.
+    resume: std::cell::RefCell<Option<Resume<'a>>>,
+}
+
+/// A standing view's carried aggregation and the plan node that resumes it.
+pub(crate) struct Resume<'a> {
+    /// The `Aggregate` node of the executing plan the fold belongs to.
+    pub(crate) node: &'a LogicalPlan,
+    /// Everything that node has folded so far.
+    pub(crate) fold: &'a mut Fold,
+}
+
+impl Resume<'_> {
+    /// Whether `group` and `aggs` are `node`'s own, by address (the plan is
+    /// borrowed for the whole execution, and no two aggregates share both
+    /// vectors — an aggregate with neither keys nor aggregates cannot bind).
+    fn is(&self, group: &[BExpr], aggs: &[BAgg]) -> bool {
+        matches!(self.node, LogicalPlan::Aggregate { group: g, aggs: a, .. }
+            if std::ptr::eq(&g[..], group) && std::ptr::eq(&a[..], aggs))
+    }
+}
+
+/// The input columns an aggregation reads: those its keys and arguments
+/// reference, ascending.
+fn agg_columns(group: &[BExpr], aggs: &[BAgg]) -> Vec<usize> {
+    let mut used = Vec::new();
+    let args = aggs.iter().filter_map(|a| a.arg.as_ref());
+    group
+        .iter()
+        .chain(args)
+        .for_each(|e| e.columns_used(&mut used));
+    used.sort_unstable();
+    used
+}
+
+/// What [`Executor::fold_cells`] hands back.
+struct Folded {
+    /// Every cell merged: what the aggregate outputs now.
+    state: AggState,
+    /// First input row of each group these rows introduced, in group order.
+    first_row: Vec<usize>,
+    /// A resumable fold's state before the open trailing cell went in.
+    closed: Option<AggState>,
 }
 
 impl<'a> Executor<'a> {
@@ -584,12 +633,20 @@ impl<'a> Executor<'a> {
     /// fused pipeline sink: the `n` input rows in (only the columns that keys
     /// and arguments reference need to be populated), final batch out.
     /// Group keys are evaluated and packed once over all rows; aggregate
-    /// arguments are evaluated inside [`Executor::agg_states`], one grid
-    /// morsel at a time. The fixed morsel grid over `n` rows (and the
-    /// ascending merge of its partials) depends only on `(n, opts.morsel)`,
-    /// so any producer that delivers the same column *values* in the same
-    /// row order gets a bit-identical result — the keystone of the
-    /// fused/unfused equivalence.
+    /// arguments are evaluated inside [`Executor::fold_cells`], one grid
+    /// morsel at a time. The fixed morsel grid over the rows (and the
+    /// ascending merge of its partials) depends only on their count and
+    /// `opts.morsel`, so any producer that delivers the same column *values*
+    /// in the same row order gets a bit-identical result — the keystone of
+    /// the fused/unfused equivalence.
+    ///
+    /// Every aggregation runs on a [`Fold`]. A query's is fresh and driven to
+    /// completion here. The one aggregate a standing view resumes
+    /// ([`Resume`]) folds into the view's instead: the carried open morsel's
+    /// rows go first, whatever fills closes, and the fold is left where a
+    /// later resumption picks it up — so `n` appended rows cost
+    /// O(n + morsel + groups), and the output is the one a from-scratch run
+    /// over the whole stream computes, bit for bit.
     fn aggregate_from_cols(
         &self,
         input: &Batch,
@@ -597,53 +654,121 @@ impl<'a> Executor<'a> {
         group: &[BExpr],
         aggs: &[BAgg],
     ) -> Result<Batch> {
-        let layout = AggLayout::plan(aggs, input, &self.dict_tables)?;
+        let mut resume = self.resume.borrow_mut();
+        let carried = resume.as_mut().filter(|r| r.is(group, aggs));
+        let resumable = carried.is_some();
+        let mut own = Fold::default();
+        let fold = carried.map_or(&mut own, |r| &mut *r.fold);
+        fold.fed = n;
+        // What the open tail keeps of each row (a query's fold keeps none).
+        let used = if resumable {
+            agg_columns(group, aggs)
+        } else {
+            Vec::new()
+        };
+        let (input, n) = match fold.tail.take() {
+            Some((mut tail, tail_rows)) => {
+                for &i in &used {
+                    Arc::make_mut(&mut tail.cols[i]).append(&input.cols[i])?;
+                }
+                (Cow::Owned(tail), tail_rows + n)
+            }
+            None => (Cow::Borrowed(input), n),
+        };
+        let layout = AggLayout::plan(aggs, &input, &self.dict_tables)?;
         // A bare-column key is read in place.
         let key_cols: Vec<Cow<'_, Column>> = group
             .iter()
             .map(|e| match e {
                 BExpr::Col(i) if *i < input.cols.len() => Ok(Cow::Borrowed(&*input.cols[*i])),
-                e => self.eval_parallel(input, e, n).map(Cow::Owned),
+                e => self.eval_parallel(&input, e, n).map(Cow::Owned),
             })
             .collect::<Result<_>>()?;
         // Group keys take the packed fast path when every key column is
         // fixed-width (group semantics: NULL is a key value, so the layout
         // folds a validity bit in); strings/floats fall back to arena-encoded
-        // byte keys. Scalar aggregation has no keys at all.
+        // byte keys. Scalar aggregation has no keys at all. The keys of the
+        // groups a resumed fold already holds are packed under the same
+        // layout, planned jointly.
         let krefs: Vec<&Column> = key_cols.iter().map(|c| c.as_ref()).collect();
-        let state = if group.is_empty() {
-            self.agg_states::<u64>(input, n, None, &layout)?
+        let seen: Vec<&Column> = fold.keys.iter().collect();
+        let sides: Vec<&[&Column]> = match seen.is_empty() {
+            true => vec![&krefs],
+            false => vec![&seen, &krefs],
+        };
+        let closed = fold.closed.take().unwrap_or_else(|| layout.empty());
+        let folded = if group.is_empty() {
+            self.fold_cells::<u64>(closed, &[], &input, n, None, &layout, resumable)?
         } else {
-            match FixedKeySpec::plan(&[&krefs], true) {
+            match FixedKeySpec::plan(&sides, true) {
                 Some(spec) if spec.width() == KeyWidth::U64 => {
-                    self.agg_states(input, n, Some(&spec.pack_u64(&krefs).0), &layout)?
+                    let (seen, keys) = (spec.pack_u64(&seen).0, spec.pack_u64(&krefs).0);
+                    self.fold_cells(closed, &seen, &input, n, Some(&keys), &layout, resumable)?
                 }
                 Some(spec) => {
-                    self.agg_states(input, n, Some(&spec.pack_u128(&krefs).0), &layout)?
+                    let (seen, keys) = (spec.pack_u128(&seen).0, spec.pack_u128(&krefs).0);
+                    self.fold_cells(closed, &seen, &input, n, Some(&keys), &layout, resumable)?
                 }
                 None => {
-                    let enc = sql_key_encodings(&[&krefs]);
-                    let arena = KeyArena::encode(&krefs, &enc, false);
-                    self.agg_states(input, n, Some(&arena.dense_keys()), &layout)?
+                    let enc = sql_key_encodings(&sides);
+                    let seen = KeyArena::encode(&seen, &enc, false);
+                    let keys = KeyArena::encode(&krefs, &enc, false);
+                    let (seen, keys) = (seen.dense_keys(), keys.dense_keys());
+                    self.fold_cells(closed, &seen, &input, n, Some(&keys), &layout, resumable)?
                 }
             }
         };
+        let Folded {
+            state,
+            first_row,
+            closed,
+        } = folded;
         self.metrics.borrow_mut().agg_groups += state.groups() as u64;
-        // Assemble output: group keys (at each group's first row — groups are
-        // in global first-occurrence order) then aggregates.
-        let mut out_cols: Vec<Column> = key_cols
-            .iter()
-            .map(|k| k.gather(&state.first_row))
-            .collect();
-        out_cols.extend(state.finalize(&layout)?);
-        Ok(Batch::from_columns(out_cols))
+        // Assemble output: group keys (groups are in global first-occurrence
+        // order; the ones these rows introduced are read at their first row)
+        // then aggregates.
+        let mut keys = std::mem::take(&mut fold.keys);
+        for (k, col) in key_cols.iter().enumerate() {
+            let new = col.gather(&first_row);
+            match keys.get_mut(k) {
+                Some(key) => key.append(&new)?,
+                None => keys.push(new),
+            }
+        }
+        if let Some(closed) = closed {
+            // Leave the fold after its last full morsel, the rest kept raw.
+            let start = n - n % self.opts.morsel;
+            fold.keys = keys.iter().map(|k| k.slice(0, closed.groups())).collect();
+            fold.closed = Some(closed);
+            fold.tail = (start < n).then(|| {
+                let tail = match input {
+                    Cow::Owned(rows) if start == 0 => rows,
+                    rows => Batch {
+                        cols: (0..rows.cols.len())
+                            .map(|i| {
+                                let keep = if used.contains(&i) {
+                                    (start, n)
+                                } else {
+                                    (0, 0)
+                                };
+                                Arc::new(rows.cols[i].slice(keep.0, keep.1))
+                            })
+                            .collect(),
+                    },
+                };
+                (tail, n - start)
+            });
+        }
+        keys.extend(state.finalize(&layout)?);
+        Ok(Batch::from_columns(keys))
     }
 
-    /// Partial aggregation on the **fixed morsel grid**, merged by global
-    /// first occurrence. `keys` are the per-row group keys — a packed
-    /// `u64`/`u128` word or a borrowed byte slice, never cloned — or `None`
-    /// for scalar aggregation, which needs neither keys nor a hash map: every
-    /// morsel is one group.
+    /// Partial aggregation of input rows `[0, n)` on the **fixed morsel
+    /// grid**, merged into `state` by global first occurrence. `keys` are the
+    /// per-row group keys — a packed `u64`/`u128` word or a borrowed byte
+    /// slice, never cloned — or `None` for scalar aggregation, which needs
+    /// neither keys nor a hash map: every morsel is one group. `seen` are the
+    /// keys of the groups `state` already holds, in group order.
     ///
     /// Determinism: partials are computed per fixed-size morsel (the grid
     /// depends only on `n` and `opts.morsel`, never on the worker count) and
@@ -651,21 +776,28 @@ impl<'a> Executor<'a> {
     /// their local first-occurrence order. Float sums therefore fold over
     /// the *same tree* at every thread count — the engine's "fixed merge
     /// order" policy (`docs/EXECUTION.md`) — and the global group order is
-    /// exactly global first-occurrence order.
-    fn agg_states<K: Hash + Eq + Copy + Send + Sync>(
+    /// exactly global first-occurrence order. A `resumable` fold also hands
+    /// back the state as it was before the open trailing cell (fewer than
+    /// `opts.morsel` rows) went in: the point every longer stream's fold
+    /// passes through.
+    #[allow(clippy::too_many_arguments)]
+    fn fold_cells<K: Hash + Eq + Copy + Send + Sync>(
         &self,
+        mut state: AggState,
+        seen: &[K],
         input: &Batch,
         n: usize,
         keys: Option<&[K]>,
         layout: &AggLayout<'_>,
-    ) -> Result<AggState> {
+        resumable: bool,
+    ) -> Result<Folded> {
         let tables = &self.dict_tables;
         let (threads, morsel) = (self.op_threads(n), self.opts.morsel);
         let partials = self.par_grid("agg-partial", threads, n, morsel, |_, r| {
             let (start, end) = (r.start, r.end);
             let Some(keys) = keys else {
-                let part = layout.partial(input, (start, end), None, vec![start], tables)?;
-                return Ok((Vec::new(), part));
+                let part = layout.partial(input, (start, end), None, 1, tables)?;
+                return Ok((Vec::new(), Vec::new(), part));
             };
             // Assign a morsel-local group id per row, recording keys in
             // local first-occurrence order.
@@ -681,31 +813,37 @@ impl<'a> Executor<'a> {
                 }
                 gids.push(g);
             }
-            let part = layout.partial(input, (start, end), Some(&gids), first_row, tables)?;
-            Ok((order, part))
+            let part = layout.partial(input, (start, end), Some(&gids), order.len(), tables)?;
+            Ok((order, first_row, part))
         })?;
         // Merge partials in ascending morsel order — the explicit merge
         // order every thread count shares. Each merge step polls the token
         // and charges newly retained groups against the budget: their slots
         // in every accumulator array plus the key → group map entry.
         let group_bytes = layout.group_bytes() + std::mem::size_of::<(K, u32)>();
-        let mut global: FxHashMap<K, u32> = FxHashMap::default();
-        let mut state = layout.empty();
+        let mut global: FxHashMap<K, u32> = (0u32..).zip(seen).map(|(g, k)| (*k, g)).collect();
+        let mut first_row: Vec<usize> = Vec::new();
         let mut to_global: Vec<u32> = Vec::new();
-        for (order, part) in partials {
+        let open = (n % morsel != 0).then_some(n / morsel);
+        let mut closed = None;
+        for (cell, (order, rows, part)) in partials.into_iter().enumerate() {
+            if resumable && open == Some(cell) {
+                closed = Some(state.clone());
+            }
             self.opts.cancel.check()?;
             let before = state.groups();
             to_global.clear();
             if keys.is_none() {
                 to_global.push(0);
                 if before == 0 {
-                    state.push_group(part.first_row[0]);
+                    state.push_group();
                 }
             }
-            for (key, &row) in order.iter().zip(&part.first_row) {
+            for (key, row) in order.iter().zip(rows) {
                 let g = *global.entry(*key).or_insert(state.groups() as u32);
                 if g as usize == state.groups() {
-                    state.push_group(row);
+                    state.push_group();
+                    first_row.push(row);
                 }
                 to_global.push(g);
             }
@@ -714,11 +852,18 @@ impl<'a> Executor<'a> {
                 .charge(((state.groups() - before) * group_bytes) as u64)?;
             state.merge(part, &to_global, layout);
         }
+        if resumable && closed.is_none() {
+            closed = Some(state.clone());
+        }
         // Scalar aggregation over empty input still yields one row.
         if keys.is_none() && state.groups() == 0 {
-            state.push_group(0);
+            state.push_group();
         }
-        Ok(state)
+        Ok(Folded {
+            state,
+            first_row,
+            closed,
+        })
     }
 
     /// Evaluates a group-key expression over all `n` rows of `batch`.
@@ -1042,16 +1187,7 @@ impl<'a> Executor<'a> {
         // An aggregate sink streams only the input columns its keys and
         // arguments reference; the other sinks stream all of them.
         let only: Option<Vec<usize>> = match sink {
-            Sink::Aggregate { group, aggs } => {
-                let mut used = Vec::new();
-                let args = aggs.iter().filter_map(|a| a.arg.as_ref());
-                group
-                    .iter()
-                    .chain(args)
-                    .for_each(|e| e.columns_used(&mut used));
-                used.sort_unstable();
-                Some(used)
-            }
+            Sink::Aggregate { group, aggs } => Some(agg_columns(group, aggs)),
             _ => None,
         };
         let regroup = matches!(sink, Sink::Regroup);
@@ -1656,10 +1792,9 @@ impl<'a> SortKey<'a> {
             Column::Date(d, _) => SortData::Date(d),
             Column::Str(d, _) => SortData::Str(d),
             Column::DictStr { codes, dict, .. } => {
-                let strs = dict.strs();
-                let mut by_str: Vec<u32> = (0..strs.len() as u32).collect();
-                by_str.sort_unstable_by_key(|&c| &strs[c as usize]);
-                let mut rank = vec![0u32; strs.len()];
+                let mut by_str: Vec<u32> = (0..dict.len() as u32).collect();
+                by_str.sort_unstable_by_key(|&c| dict.get(c));
+                let mut rank = vec![0u32; dict.len()];
                 for (r, &c) in by_str.iter().enumerate() {
                     rank[c as usize] = r as u32;
                 }

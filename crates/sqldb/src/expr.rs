@@ -1561,11 +1561,7 @@ fn eval_func(f: SFunc, cols: &[Column], n: usize) -> Result<Column> {
             )),
             Column::DictStr { codes, dict, valid } => {
                 // Length runs once per dictionary entry, then maps codes.
-                let table: Vec<i64> = dict
-                    .strs()
-                    .iter()
-                    .map(|s| s.chars().count() as i64)
-                    .collect();
+                let table: Vec<i64> = dict.strs().map(|s| s.chars().count() as i64).collect();
                 Ok(Column::Int(
                     codes
                         .iter()
@@ -1599,11 +1595,7 @@ fn eval_func(f: SFunc, cols: &[Column], n: usize) -> Result<Column> {
                     // Case-folding stays encoded: fold each dictionary entry
                     // once into a fresh dictionary, codes carry over verbatim.
                     let mut folded = Dictionary::default();
-                    let remap: Vec<u32> = dict
-                        .strs()
-                        .iter()
-                        .map(|s| folded.intern(&cased(s)))
-                        .collect();
+                    let remap: Vec<u32> = dict.strs().map(|s| folded.intern(&cased(s))).collect();
                     Ok(Column::DictStr {
                         codes: codes
                             .iter()

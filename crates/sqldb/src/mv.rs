@@ -1,6 +1,6 @@
 //! Incremental view maintenance (IVM) for standing queries.
 //!
-//! [`Database::register_view`] compiles a SQL statement once, materializes
+//! [`Database::register_view`] compiles a standing query once, materializes
 //! its initial result, and keeps the result up to date on every subsequent
 //! [`Database::append`] — propagating only the appended rows (a **delta**)
 //! where the plan shape allows it, and falling back to a full, explicitly
@@ -23,19 +23,23 @@
 //!   the old result plus a suffix: re-running the plan with the table's
 //!   scan overlaid by just the appended rows (a delta-join against the
 //!   pinned base snapshot) yields precisely that suffix, bit-identically.
-//! * **delta-agg** — the chain reaches a single `Aggregate` barrier; the
-//!   subtree feeding the aggregate is maintained as a materialized input
-//!   batch, the delta chain appends to it, and publication re-runs the
-//!   aggregation (and everything above it) over the maintained input via an
-//!   internal `Scan` substitution. Re-aggregating the maintained input —
-//!   rather than merging old and new aggregate outputs — is what keeps
-//!   float `SUM`/`AVG` **bit-identical** to a from-scratch recompute: the
-//!   engine folds floats over the fixed morsel grid of the aggregate's
-//!   input, so only an identical input row stream reproduces identical
-//!   bits. The delta still skips the expensive part (the scan / filter /
-//!   join chain below the aggregate runs over the appended rows only).
-//! * **recompute** — everything else: plans with CTEs, tables scanned more
-//!   than once, deltas feeding a join build side or a non-monotone
+//! * **delta-agg** — the chain reaches a single `Aggregate` barrier. The
+//!   view carries that aggregate's `Fold` (`crate::agg`) across appends: the merged
+//!   partials of every closed (full) morsel of its input so far, plus the
+//!   raw rows of the open trailing morsel. A refresh runs the plan over the
+//!   overlay as above; the barrier resumes the fold with the rows that
+//!   reach it — on the same fixed morsel grid, closing whatever fills —
+//!   and hands `finalize(closed ⊕ partial(open))` to the plan above it.
+//!   That is the fold tree a from-scratch run over the whole input walks,
+//!   so float `SUM`/`AVG` come out **bit-identical**, at O(batch + morsel +
+//!   groups) per append and O(groups + morsel) memory. (Merging finished
+//!   aggregates would change the summation order; keeping and
+//!   re-aggregating the whole input — what this module did before — costs
+//!   O(input).)
+//! * **recompute** — everything else: tables scanned inside a CTE that
+//!   survived binding (one referenced more than once; single-use CTEs are
+//!   spliced into the tree and classify like any subtree), tables scanned
+//!   more than once, deltas feeding a join build side or a non-monotone
 //!   (`Right`/`Full`) join, and order-sensitive operators (`Sort`,
 //!   `Distinct`, `Window`, `Limit`) between the scan and the root (above
 //!   the aggregate barrier they are fine — they re-run from the small
@@ -69,12 +73,13 @@
 //! view's own prepared plan, so cost-based join orders cannot drift between
 //! the two sides). See `docs/VIEWS.md`.
 
+use crate::agg::Fold;
 use crate::ast::Query;
 use crate::db::{
     default_mem_budget_mb, default_timeout_ms, no_ivm, panic_payload_message, Database,
     EngineConfig, PreparedQuery, Snapshot,
 };
-use crate::exec::{execute_with_temps, ExecOptions};
+use crate::exec::{execute_with_temps, ExecOptions, Resume};
 use crate::parser::parse_sql;
 use crate::plan::{BoundQuery, JKind, LogicalPlan};
 use crate::table::{Batch, Schema, StoredTable};
@@ -86,10 +91,6 @@ use pytond_common::{pool, Error, Relation, Result};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Name of the internal scan substituted for the aggregate's input subtree
-/// when a delta-agg view publishes from its maintained input batch.
-const MV_INPUT: &str = "__mv_input__";
 
 /// How the most recent refresh produced the published result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,13 +194,12 @@ impl ViewState {
 }
 
 /// Per-referenced-table maintenance decision, fixed at prepare time.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TableClass {
     /// Appends propagate as a suffix through the chain to the root.
     Chain,
-    /// Appends propagate into the maintained aggregate input at this
-    /// child-index path (root → aggregate node).
-    Agg(Vec<usize>),
+    /// Appends propagate into the carried fold of the barrier aggregate.
+    Agg,
     /// Appends force a full recompute, for the recorded reason.
     Recompute(&'static str),
 }
@@ -208,36 +208,36 @@ impl TableClass {
     fn render(&self) -> String {
         match self {
             TableClass::Chain => "delta (chain)".to_string(),
-            TableClass::Agg(_) => "delta (agg)".to_string(),
+            TableClass::Agg => "delta (agg)".to_string(),
             TableClass::Recompute(r) => format!("recompute ({r})"),
         }
     }
 }
 
-/// Pre-built artifacts for delta-agg maintenance.
-#[derive(Debug)]
-struct AggMaint {
-    /// The aggregate's input subtree as a standalone query (run with the
-    /// appended table overlaid to produce the delta input rows).
-    input_query: BoundQuery,
-    /// The full plan with the aggregate's input replaced by a scan of the
-    /// maintained input batch (run to publish).
-    rewritten_query: BoundQuery,
-    /// Schema of the maintained input batch.
-    input_schema: Schema,
-}
-
 /// The compiled maintenance plan of a view: prepared query + per-table
-/// classification (+ the agg-rewrite artifacts when any table is
+/// classification (+ where the barrier aggregate sits when any table is
 /// agg-eligible).
 #[derive(Debug)]
 struct ViewPlan {
     prepared: PreparedQuery,
-    /// Lower-cased referenced table name → decision. Tables absent from
+    /// Lower-cased referenced base table → decision. Tables absent from
     /// this map are unreferenced: events on them only bump the stamp (and
     /// only while the view is currently consistent).
     classes: FxHashMap<String, TableClass>,
-    agg: Option<AggMaint>,
+    /// Child-index path from the root to the aggregate whose fold the view
+    /// carries across appends.
+    agg: Option<Vec<usize>>,
+}
+
+impl ViewPlan {
+    /// The executor hook that makes the barrier aggregate fold into `fold`.
+    fn resume<'a>(&'a self, fold: Option<&'a mut Fold>) -> Option<Resume<'a>> {
+        let mut node = &self.prepared.plan().root;
+        for &i in self.agg.as_ref()? {
+            node = node.children()[i];
+        }
+        Some(Resume { node, fold: fold? })
+    }
 }
 
 /// Mutable maintenance state, guarded by the entry mutex (all mutations run
@@ -261,8 +261,8 @@ struct ViewInner {
     /// in place by chain deltas. `None` = state lost to a failed refresh;
     /// the next refresh recomputes.
     content: Option<Batch>,
-    /// The maintained aggregate input batch (delta-agg views only).
-    agg_input: Option<Batch>,
+    /// What the barrier aggregate has folded so far (delta-agg views only).
+    fold: Option<Fold>,
     /// Most recent refresh failure, for diagnostics.
     last_error: Option<String>,
 }
@@ -291,12 +291,20 @@ impl std::fmt::Debug for ViewEntry {
 // Plan classification
 // ---------------------------------------------------------------------------
 
-fn collect_scan_tables(plan: &LogicalPlan, out: &mut BTreeSet<String>) {
+/// Collects the base tables `plan` scans: a name one of the `ctes` visible
+/// to it defines is that CTE's temporary, not a table.
+fn collect_scan_tables(
+    plan: &LogicalPlan,
+    ctes: &[(String, LogicalPlan)],
+    out: &mut BTreeSet<String>,
+) {
     if let LogicalPlan::Scan { table, .. } = plan {
-        out.insert(table.to_lowercase());
+        if !ctes.iter().any(|(c, _)| c.eq_ignore_ascii_case(table)) {
+            out.insert(table.to_lowercase());
+        }
     }
     for child in plan.children() {
-        collect_scan_tables(child, out);
+        collect_scan_tables(child, ctes, out);
     }
 }
 
@@ -379,107 +387,37 @@ fn roll(plan: &LogicalPlan, table: &str, path: &mut Vec<usize>) -> Roll {
     Roll::NotHere
 }
 
-fn node_at<'p>(mut plan: &'p LogicalPlan, path: &[usize]) -> &'p LogicalPlan {
-    for &i in path {
-        plan = plan.children()[i];
-    }
-    plan
-}
-
-fn child_mut(plan: &mut LogicalPlan, i: usize) -> &mut LogicalPlan {
-    match plan {
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Project { input, .. }
-        | LogicalPlan::Aggregate { input, .. }
-        | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. }
-        | LogicalPlan::Window { input, .. }
-        | LogicalPlan::Distinct { input } => input,
-        LogicalPlan::Join { left, right, .. } => {
-            if i == 0 {
-                left
-            } else {
-                right
-            }
-        }
-        LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => {
-            unreachable!("leaf on a maintenance path")
-        }
-    }
-}
-
-/// Clones `root` with the input of the aggregate at `path` replaced by a
-/// scan of [`MV_INPUT`]; returns the rewritten plan and the input schema.
-fn rewrite_agg_input(root: &LogicalPlan, path: &[usize]) -> (LogicalPlan, Schema) {
-    let mut rewritten = root.clone();
-    let mut node = &mut rewritten;
-    for &i in path {
-        node = child_mut(node, i);
-    }
-    let LogicalPlan::Aggregate { input, .. } = node else {
-        unreachable!("classification recorded a non-aggregate barrier");
-    };
-    let schema = input.schema().clone();
-    **input = LogicalPlan::Scan {
-        table: MV_INPUT.to_string(),
-        schema: schema.clone(),
-        projection: None,
-        pred: None,
-    };
-    (rewritten, schema)
-}
-
 fn build_plan(prepared: PreparedQuery) -> ViewPlan {
     let bound = prepared.plan();
-    let mut tables = BTreeSet::new();
-    for (_, p) in &bound.ctes {
-        collect_scan_tables(p, &mut tables);
+    // The binder splices single-use CTEs into the tree; a CTE that survives
+    // is shared, re-materialized by every refresh, and opaque to deltas.
+    let mut shared = BTreeSet::new();
+    for (i, (_, p)) in bound.ctes.iter().enumerate() {
+        collect_scan_tables(p, &bound.ctes[..i], &mut shared);
     }
-    collect_scan_tables(&bound.root, &mut tables);
-    let has_ctes = !bound.ctes.is_empty();
+    let mut tables = shared.clone();
+    collect_scan_tables(&bound.root, &bound.ctes, &mut tables);
     let mut classes = FxHashMap::default();
-    let mut agg_path: Option<Vec<usize>> = None;
+    let mut agg: Option<Vec<usize>> = None;
     for t in tables {
-        let class = if has_ctes {
-            // CTE temporaries shadow base tables inside the executor, so a
-            // delta overlay could be masked; recompute keeps it simple and
-            // correct.
-            TableClass::Recompute("plan has CTEs")
+        let class = if shared.contains(&t) {
+            TableClass::Recompute("scanned inside a shared CTE")
         } else if scan_count(&bound.root, &t) > 1 {
             TableClass::Recompute("table scanned more than once")
         } else {
-            let mut path = Vec::new();
-            match roll(&bound.root, &t, &mut path) {
+            match roll(&bound.root, &t, &mut Vec::new()) {
                 Roll::Chain => TableClass::Chain,
-                Roll::Agg(p) => match &agg_path {
-                    None => {
-                        agg_path = Some(p.clone());
-                        TableClass::Agg(p)
-                    }
-                    Some(q) if *q == p => TableClass::Agg(p),
-                    Some(_) => TableClass::Recompute("second aggregate barrier"),
-                },
+                Roll::Agg(p) if agg.as_ref().map_or(true, |q| *q == p) => {
+                    agg = Some(p);
+                    TableClass::Agg
+                }
+                Roll::Agg(_) => TableClass::Recompute("second aggregate barrier"),
                 Roll::Stop(reason) => TableClass::Recompute(reason),
                 Roll::NotHere => unreachable!("table was collected from a scan"),
             }
         };
         classes.insert(t, class);
     }
-    let agg = agg_path.map(|p| {
-        let (rewritten_root, input_schema) = rewrite_agg_input(&bound.root, &p);
-        let input_root = node_at(&bound.root, &p).children()[0].clone();
-        AggMaint {
-            input_query: BoundQuery {
-                ctes: Vec::new(),
-                root: input_root,
-            },
-            rewritten_query: BoundQuery {
-                ctes: Vec::new(),
-                root: rewritten_root,
-            },
-            input_schema,
-        }
-    });
     ViewPlan {
         prepared,
         classes,
@@ -491,8 +429,8 @@ fn build_plan(prepared: PreparedQuery) -> ViewPlan {
 // Execution helpers
 // ---------------------------------------------------------------------------
 
-/// Runs a (sub)plan against a pinned snapshot with pre-seeded temporaries,
-/// under the full query lifecycle: armed [`CancelToken`] (deadline + memory
+/// Runs a plan against a pinned snapshot with pre-seeded temporaries (and
+/// the view's carried fold, if it has one), under the full query lifecycle: armed [`CancelToken`] (deadline + memory
 /// budget from `config`/environment, label naming the view and version) and
 /// worker-panic containment. The admission gate is deliberately skipped —
 /// maintenance refresh runs inside the writer critical section and must not
@@ -504,6 +442,7 @@ fn run_plan(
     temps: FxHashMap<String, StoredTable>,
     config: &EngineConfig,
     label: &str,
+    resume: Option<Resume<'_>>,
 ) -> Result<(Batch, Schema)> {
     let timeout_ms = config
         .timeout_ms
@@ -533,7 +472,7 @@ fn run_plan(
         cancel: cancel.clone(),
     };
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        execute_with_temps(snap, q, temps, opts)
+        execute_with_temps(snap, q, temps, opts, resume)
     }));
     match run {
         Ok(r) => r.map(|(batch, schema, _)| (batch, schema)),
@@ -549,10 +488,11 @@ fn run_plan(
 /// Statistics are dropped (no zone pruning over the delta), dictionary
 /// columns keep sharing their `Arc`ed dictionaries.
 fn suffix_overlay(stored: &StoredTable, from: usize) -> StoredTable {
-    let idx: Vec<usize> = (from..stored.batch.num_rows()).collect();
+    let n = stored.batch.num_rows();
+    let cols = stored.batch.cols.iter();
     StoredTable {
         schema: stored.schema.clone(),
-        batch: stored.batch.gather(&idx),
+        batch: Batch::from_columns(cols.map(|c| c.slice(from, n)).collect()),
         stats: None,
     }
 }
@@ -565,25 +505,6 @@ fn append_batch(dst: &mut Batch, delta: &Batch) -> Result<()> {
         Arc::make_mut(d).append(s)?;
     }
     Ok(())
-}
-
-fn mv_input_temp(aggm: &AggMaint, input: Batch) -> FxHashMap<String, StoredTable> {
-    let mut temps = FxHashMap::default();
-    temps.insert(
-        MV_INPUT.to_string(),
-        StoredTable {
-            schema: Schema::new(
-                aggm.input_schema
-                    .fields
-                    .iter()
-                    .map(|f| crate::table::Field::new(f.name.clone(), f.dtype))
-                    .collect(),
-            ),
-            batch: input,
-            stats: None,
-        },
-    );
-    temps
 }
 
 // ---------------------------------------------------------------------------
@@ -638,37 +559,25 @@ impl ViewEntry {
             .collect()
     }
 
-    /// Full recompute of content (and the maintained aggregate input, when
-    /// the plan is agg-eligible). Returns `(content, agg_input, schema)`
-    /// without touching `inner` — the caller commits on success.
+    /// Full recompute of content (and, when the plan is agg-eligible, of the
+    /// fold its barrier aggregate leaves behind). Returns `(content, fold,
+    /// schema)` without touching `inner` — the caller commits on success.
     fn recompute(
         &self,
         plan: &ViewPlan,
         snap: &Snapshot,
         label: &str,
-    ) -> Result<(Batch, Option<Batch>, Schema)> {
-        if let Some(aggm) = &plan.agg {
-            let (input, _) = run_plan(
-                snap,
-                &aggm.input_query,
-                FxHashMap::default(),
-                &self.config,
-                label,
-            )?;
-            let temps = mv_input_temp(aggm, input.clone());
-            let (content, schema) =
-                run_plan(snap, &aggm.rewritten_query, temps, &self.config, label)?;
-            Ok((content, Some(input), schema))
-        } else {
-            let (content, schema) = run_plan(
-                snap,
-                plan.prepared.plan(),
-                FxHashMap::default(),
-                &self.config,
-                label,
-            )?;
-            Ok((content, None, schema))
-        }
+    ) -> Result<(Batch, Option<Fold>, Schema)> {
+        let mut fold = plan.agg.as_ref().map(|_| Fold::default());
+        let (content, schema) = run_plan(
+            snap,
+            plan.prepared.plan(),
+            FxHashMap::default(),
+            &self.config,
+            label,
+            plan.resume(fold.as_mut()),
+        )?;
+        Ok((content, fold, schema))
     }
 
     fn publish(
@@ -702,7 +611,7 @@ impl ViewEntry {
         if let Err(e) = self.refresh_event(db, inner, snap, event, started) {
             // Keep the prior consistent version; heal by recompute next time.
             inner.content = None;
-            inner.agg_input = None;
+            inner.fold = None;
             inner.last_error = Some(e.to_string());
         }
     }
@@ -793,12 +702,12 @@ impl ViewEntry {
         started: Instant,
     ) -> Result<()> {
         let label = format!("mv:{}@v{}", self.name, snap.version());
-        let (content, agg_input, schema) = self.recompute(&inner.plan, snap, &label)?;
+        let (content, fold, schema) = self.recompute(&inner.plan, snap, &label)?;
         self.fault_gate(snap)?;
         let rel = Arc::new(content.to_relation(&schema));
         let rows = content.num_rows() as u64;
         inner.content = Some(content);
-        inner.agg_input = agg_input;
+        inner.fold = fold;
         inner.parent_version = snap.version();
         inner.base_rows = Self::base_rows(&inner.plan, snap);
         inner.last_error = None;
@@ -835,7 +744,7 @@ impl ViewEntry {
         started: Instant,
     ) -> Result<()> {
         let key = t.to_lowercase();
-        let Some(class) = inner.plan.classes.get(&key).cloned() else {
+        let Some(&class) = inner.plan.classes.get(&key) else {
             return self.refresh_unreferenced(inner, snap, t, started);
         };
         let reason = match class {
@@ -843,20 +752,25 @@ impl ViewEntry {
             _ if inner.content.is_none() => "maintenance state lost",
             _ if inner.parent_version + 1 != snap.version() => "stale maintenance state",
             _ if !inner.base_rows.contains_key(&key) => "untracked base rows",
-            TableClass::Chain => return self.delta_chain(inner, snap, &key, started),
-            TableClass::Agg(_) => return self.delta_agg(inner, snap, &key, started),
+            TableClass::Chain | TableClass::Agg => {
+                return self.refresh_delta(inner, snap, &key, class == TableClass::Agg, started)
+            }
         };
         self.refresh_full(inner, snap, reason, started)
     }
 
-    /// Chain delta: run the whole plan with the appended table overlaid by
-    /// its new suffix; the output is exactly the rows to append to the
-    /// maintained content.
-    fn delta_chain(
+    /// Delta refresh: run the whole plan with the appended table overlaid by
+    /// its new suffix. A chain's output is exactly the rows to append to the
+    /// maintained content. Under an aggregate barrier (`agg`) the suffix's
+    /// rows reach the barrier, which resumes the carried fold with them and
+    /// hands the plan above it the aggregate of everything folded so far —
+    /// the output is the new content.
+    fn refresh_delta(
         &self,
         inner: &mut ViewInner,
         snap: &Snapshot,
         key: &str,
+        agg: bool,
         started: Instant,
     ) -> Result<()> {
         let label = format!("mv:{}@v{}", self.name, snap.version());
@@ -866,60 +780,28 @@ impl ViewEntry {
             .ok_or_else(|| Error::Exec(format!("view base table '{key}' disappeared")))?;
         let mut temps = FxHashMap::default();
         temps.insert(key.to_string(), suffix_overlay(stored, old_n));
-        let (delta, schema) = run_plan(
+        let mut fold = None;
+        if agg {
+            let carried = inner.fold.as_mut();
+            fold = Some(carried.ok_or_else(|| Error::Internal("view lost its fold".into()))?);
+        }
+        let (out, schema) = run_plan(
             snap,
             inner.plan.prepared.plan(),
             temps,
             &self.config,
             &label,
+            inner.plan.resume(fold.as_deref_mut()),
         )?;
         self.fault_gate(snap)?;
-        let rows = delta.num_rows() as u64;
+        let rows = fold.map_or(out.num_rows(), |f| f.fed) as u64;
         let content = inner.content.as_mut().expect("checked by caller");
-        append_batch(content, &delta)?;
+        if agg {
+            *content = out;
+        } else {
+            append_batch(content, &out)?;
+        }
         let rel = Arc::new(content.to_relation(&schema));
-        inner.parent_version = snap.version();
-        inner.base_rows.insert(key.to_string(), stored.num_rows());
-        inner.last_error = None;
-        self.publish(snap, rel, RefreshMode::Delta, rows, String::new(), started);
-        Ok(())
-    }
-
-    /// Aggregate delta: run only the aggregate's input subtree over the
-    /// appended suffix, extend the maintained input, then publish by
-    /// re-running the aggregation (and the tail above it) over the
-    /// maintained input.
-    fn delta_agg(
-        &self,
-        inner: &mut ViewInner,
-        snap: &Snapshot,
-        key: &str,
-        started: Instant,
-    ) -> Result<()> {
-        let label = format!("mv:{}@v{}", self.name, snap.version());
-        let aggm = inner
-            .plan
-            .agg
-            .as_ref()
-            .expect("agg class implies artifacts");
-        let old_n = inner.base_rows[key];
-        let stored = snap
-            .table(key)
-            .ok_or_else(|| Error::Exec(format!("view base table '{key}' disappeared")))?;
-        let mut temps = FxHashMap::default();
-        temps.insert(key.to_string(), suffix_overlay(stored, old_n));
-        let (delta_in, _) = run_plan(snap, &aggm.input_query, temps, &self.config, &label)?;
-        let rows = delta_in.num_rows() as u64;
-        let input = inner
-            .agg_input
-            .as_mut()
-            .ok_or_else(|| Error::Internal("agg maintenance state lost".into()))?;
-        append_batch(input, &delta_in)?;
-        let temps = mv_input_temp(aggm, input.clone());
-        let (content, schema) = run_plan(snap, &aggm.rewritten_query, temps, &self.config, &label)?;
-        self.fault_gate(snap)?;
-        let rel = Arc::new(content.to_relation(&schema));
-        inner.content = Some(content);
         inner.parent_version = snap.version();
         inner.base_rows.insert(key.to_string(), stored.num_rows());
         inner.last_error = None;
@@ -945,7 +827,7 @@ impl ViewEntry {
         inner.plan = build_plan(prepared);
         inner.plan_stale = false;
         inner.content = None;
-        inner.agg_input = None;
+        inner.fold = None;
         Ok(())
     }
 
@@ -1073,18 +955,18 @@ impl Database {
                 parent_version: snap.version(),
                 base_rows: FxHashMap::default(),
                 content: None,
-                agg_input: None,
+                fold: None,
                 last_error: None,
             }),
         };
         {
             let mut inner = entry.inner.lock().expect("fresh entry");
             let inner = &mut *inner;
-            let (content, agg_input, schema) = entry.recompute(&inner.plan, snap, &label)?;
+            let (content, fold, schema) = entry.recompute(&inner.plan, snap, &label)?;
             let rel = Arc::new(content.to_relation(&schema));
             let rows = content.num_rows() as u64;
             inner.content = Some(content);
-            inner.agg_input = agg_input;
+            inner.fold = fold;
             inner.base_rows = ViewEntry::base_rows(&inner.plan, snap);
             entry.publish(
                 snap,
@@ -1129,6 +1011,7 @@ impl Database {
             FxHashMap::default(),
             &entry.config,
             &label,
+            None,
         )?;
         let rows = batch.num_rows() as u64;
         Ok(Arc::new(ViewState {
@@ -1164,6 +1047,7 @@ impl Database {
             FxHashMap::default(),
             &entry.config,
             &label,
+            None,
         )?;
         Ok(batch.to_relation(&schema))
     }
@@ -1307,6 +1191,50 @@ mod tests {
         if !no_ivm() {
             assert_eq!(s.mode(), RefreshMode::Delta);
             assert!(trace.contains("mode=delta"), "{trace}");
+        }
+    }
+
+    /// CTEs: one referenced once is spliced into the tree at bind time and
+    /// classifies like hand-written SQL; one referenced twice survives as a
+    /// temporary, the tables scanned inside it recompute for that reason, and
+    /// its name is not listed as a table.
+    #[test]
+    fn cte_views_classify_by_what_survives_binding() {
+        let db = db();
+        db.register_view(
+            "spliced",
+            "WITH c AS (SELECT s, b FROM t WHERE a >= 2), \
+                  g AS (SELECT s, SUM(b) AS sb FROM c GROUP BY s) \
+             SELECT * FROM g",
+        )
+        .unwrap();
+        db.register_view(
+            "shared",
+            "WITH c AS (SELECT a, SUM(b) AS sb FROM t GROUP BY a) \
+             SELECT u.w, x.sb + y.sb AS twice FROM u, c AS x, c AS y \
+             WHERE u.a = x.a AND u.a = y.a",
+        )
+        .unwrap();
+        db.append("t", &delta_rows()).unwrap();
+        let trace = db.view_trace("spliced").unwrap();
+        assert!(trace.contains("t: delta (agg)"), "{trace}");
+        let shared = db.view_trace("shared").unwrap();
+        assert!(
+            shared.contains("t: recompute (scanned inside a shared CTE)"),
+            "{shared}"
+        );
+        assert!(shared.contains("\n  u: "), "{shared}");
+        assert!(!shared.contains("\n  c: "), "{shared}");
+        if !no_ivm() {
+            assert_eq!(db.view("spliced").unwrap().mode(), RefreshMode::Delta);
+            assert_eq!(db.view("shared").unwrap().mode(), RefreshMode::Recompute);
+        }
+        for v in ["spliced", "shared"] {
+            assert_bits(
+                v,
+                &db.view_oracle(v).unwrap(),
+                db.view(v).unwrap().relation(),
+            );
         }
     }
 

@@ -433,7 +433,7 @@ fn prune(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, Vec<(usize, usi
             }
             let (new_input, mapping) = prune(*input, &need);
             let remap = to_remap(&mapping);
-            let kept_exprs = kept_exprs
+            let mut kept_exprs: Vec<BExpr> = kept_exprs
                 .into_iter()
                 .map(|mut e| {
                     e.remap_columns(&remap);
@@ -445,9 +445,22 @@ fn prune(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, Vec<(usize, usi
                 .enumerate()
                 .map(|(new, &old)| (old, new))
                 .collect();
+            // A projection over a projection is one projection when either
+            // only renames or reorders (nothing is evaluated twice): the
+            // rule-per-CTE chains the binder splices in stack several.
+            let bare = |es: &[BExpr]| es.iter().all(|e| matches!(e, BExpr::Col(_)));
+            let new_input = match new_input {
+                LogicalPlan::Project { input, exprs, .. } if bare(&kept_exprs) || bare(&exprs) => {
+                    for e in &mut kept_exprs {
+                        substitute_cols(e, &exprs);
+                    }
+                    input
+                }
+                other => Box::new(other),
+            };
             (
                 LogicalPlan::Project {
-                    input: Box::new(new_input),
+                    input: new_input,
                     exprs: kept_exprs,
                     schema: Schema::new(kept_fields),
                 },

@@ -1,6 +1,7 @@
 //! A standing query absorbing appends through incremental view maintenance:
-//! registers a 200 K-row fact table, stands three views over it (a selective
-//! filter, a filtered group-by, and a sorted top-N that is *not*
+//! registers a 200 K-row fact table, stands four views over it (a selective
+//! filter, a filtered group-by, the same group-by as a `@pytond` program
+//! registered through the front door, and a sorted top-N that is *not*
 //! delta-eligible), streams a few appends, and prints each view's
 //! `view_trace` — the `view:` summary line with the refresh mode
 //! (`delta` vs `recompute`), rows propagated and refresh time, plus the
@@ -14,7 +15,18 @@
 //! recompute-on-read — the differential oracle for the delta rules.
 
 use pytond_repro::common::{Column, Relation};
-use pytond_repro::sqldb::{Database, EngineConfig, Profile};
+use pytond_repro::pytond::{Backend, Pytond};
+use pytond_repro::sqldb::{EngineConfig, Profile};
+
+/// The `rollup` view below, written the way a PyTond user writes it. It
+/// lowers to one CTE per rule; the binder splices the chain into one tree,
+/// so it classifies — and refreshes — like the hand-written SQL.
+const BY_KEY: &str = r#"
+@pytond
+def by_key(fact):
+    low = fact[fact.k < 25]
+    return low.groupby(['k']).agg(n=('v', 'count'), sv=('v', 'sum'))
+"#;
 
 /// `rows` fact rows starting at row id `start`: a group key over 500
 /// distinct values and a float measure.
@@ -33,24 +45,26 @@ fn fact(start: usize, rows: usize) -> Relation {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let db = Database::new();
-    db.register("fact", fact(0, 200_000));
+    let py = Pytond::new();
+    py.register_table("fact", fact(0, 200_000), &[]);
+    let db = py.database();
 
     let cfg = EngineConfig {
         profile: Profile::Fused,
         ..EngineConfig::default()
     };
     // A chain view (filter/project only → delta = run the plan over the
-    // appended rows and splice the survivors on), an aggregate view (delta
-    // = maintain the aggregate's input, re-aggregate the maintained rows),
-    // and a sorted view (ORDER BY ... LIMIT is order-sensitive, so every
-    // append falls back to a full recompute — visibly, in the trace).
+    // appended rows and splice the survivors on), two aggregate views (delta
+    // = resume the aggregate's fold with the appended rows), and a sorted
+    // view (ORDER BY ... LIMIT is order-sensitive, so every append falls
+    // back to a full recompute — visibly, in the trace).
     db.register_view_with("hot_rows", "SELECT k, v FROM fact WHERE k = 123", &cfg)?;
     db.register_view_with(
         "rollup",
         "SELECT k, COUNT(*) AS n, SUM(v) AS sv FROM fact WHERE k < 25 GROUP BY k",
         &cfg,
     )?;
+    py.register_view("by_key", BY_KEY, &Backend::hyper_sim(0))?;
     db.register_view_with(
         "top5",
         "SELECT k, v FROM fact WHERE k < 25 ORDER BY v DESC, k LIMIT 5",
@@ -64,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut start = 200_000usize;
     for batch in [4_096usize, 0, 1_024] {
-        db.append("fact", &fact(start, batch))?;
+        py.append("fact", &fact(start, batch))?;
         start += batch;
         println!("--- after appending {batch} rows ---");
         for name in db.view_names() {

@@ -336,7 +336,7 @@ fn append_extends_dictionary() {
         let (codes, dict, _) = stored.batch.cols[0]
             .dict_parts()
             .expect("string column stays dictionary-encoded across appends");
-        let strs: Vec<&str> = dict.strs().iter().map(String::as_str).collect();
+        let strs: Vec<&str> = dict.strs().collect();
         assert_eq!(strs, ["a", "b", "c", "d", "e"]);
         assert_eq!(codes, [0u32, 1, 0, 2, 1, 3, 0, 4]);
     }
@@ -366,7 +366,7 @@ fn failed_append_publishes_nothing() {
     assert_eq!(stored.num_rows(), 2);
     if !dict_disabled() {
         let (_, dict, _) = stored.batch.cols[0].dict_parts().expect("encoded");
-        let strs: Vec<&str> = dict.strs().iter().map(String::as_str).collect();
+        let strs: Vec<&str> = dict.strs().collect();
         assert_eq!(strs, ["a", "b"], "rejected rows extended the dictionary");
     }
 }

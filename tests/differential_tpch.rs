@@ -103,3 +103,28 @@ fn lingodb_profile_rejects_q12_but_runs_q6() {
     let q6 = pytond_tpch::query(6);
     assert!(py.run(q6.source, &Backend::lingodb_sim(1)).is_ok());
 }
+
+/// The binder splices every CTE that is referenced once into its reference
+/// site: the rule-per-CTE chains of Q1, Q3, Q6 and Q13 bind to one tree with
+/// no `CTE` section, while the rules two later rules read — Q14's `v4`,
+/// Q21's `v2` — stay temporaries, materialized once.
+#[test]
+fn single_use_ctes_are_spliced_and_shared_ones_stay() {
+    let (py, _) = instance();
+    let backend = Backend::hyper_sim(1);
+    let explain = |id: usize| {
+        py.explain(pytond_tpch::query(id).source, &backend, OptLevel::O4)
+            .unwrap()
+    };
+    for id in [1, 3, 6, 13] {
+        let plan = explain(id);
+        assert!(!plan.contains("CTE "), "Q{id}:\n{plan}");
+    }
+    for (id, shared) in [(14, "v4"), (21, "v2")] {
+        let plan = explain(id);
+        assert_eq!(plan.matches("CTE ").count(), 1, "Q{id}:\n{plan}");
+        assert!(plan.contains(&format!("CTE {shared}:")), "Q{id}:\n{plan}");
+        let scans = plan.matches(&format!("Scan {shared} ")).count();
+        assert!(scans >= 2, "Q{id}: {shared} scanned {scans}x\n{plan}");
+    }
+}

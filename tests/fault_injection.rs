@@ -349,6 +349,76 @@ fn faulted_view_refreshes_keep_a_consistent_prior_version_and_heal() {
     fault::clear();
 }
 
+/// An aggregate view carries its fold across appends; a refresh that dies
+/// drops it. The heal is a full recompute that leaves a fresh fold behind,
+/// and the append after that resumes it by delta again — bit-identical to
+/// the from-scratch oracle at both steps.
+#[test]
+fn healed_aggregate_view_recomputes_then_resumes_delta() {
+    let _guard = FAULT_LOCK.lock().unwrap();
+    fault::clear();
+    if ivm_disabled() {
+        return;
+    }
+    let db = Database::new();
+    db.register("t", rel(0, BASE_ROWS));
+    let config = EngineConfig {
+        morsel: 1000,
+        ..EngineConfig::default()
+    };
+    let sql = "SELECT a, SUM(id * 0.1) AS s, COUNT(*) AS n FROM t GROUP BY a";
+    db.register_view_with("standing", sql, &config).unwrap();
+    let mut rows = BASE_ROWS;
+    let mut append = |db: &Database| {
+        if db.append("t", &rel(rows, BATCH_ROWS)).is_ok() {
+            rows += BATCH_ROWS;
+        }
+    };
+    let same_bits = |db: &Database| {
+        let (state, oracle) = (
+            db.view("standing").unwrap(),
+            db.view_oracle("standing").unwrap(),
+        );
+        assert_eq!(state.snapshot_version(), db.stats_version());
+        assert!(
+            oracle.diff(state.relation(), 0.0).is_none(),
+            "{:?}",
+            oracle.diff(state.relation(), 0.0)
+        );
+        state.mode()
+    };
+    for (seed, rate) in sweep() {
+        append(&db);
+        assert_eq!(
+            same_bits(&db),
+            pytond_sqldb::RefreshMode::Delta,
+            "seed {seed}"
+        );
+        // Fault refreshes until one dies and the view is left stale.
+        fault::set(seed, rate.max(0.2));
+        for _ in 0..400 {
+            append(&db);
+            if db.view("standing").unwrap().snapshot_version() < db.stats_version() {
+                break;
+            }
+        }
+        fault::clear();
+        let stale = db.view("standing").unwrap().snapshot_version() < db.stats_version();
+        assert!(stale, "seed {seed}: no refresh fault landed in 400 appends");
+        append(&db);
+        let trace = db.view_trace("standing").unwrap();
+        assert_eq!(
+            same_bits(&db),
+            pytond_sqldb::RefreshMode::Recompute,
+            "{trace}"
+        );
+        append(&db);
+        let trace = db.view_trace("standing").unwrap();
+        assert_eq!(same_bits(&db), pytond_sqldb::RefreshMode::Delta, "{trace}");
+        assert!(trace.contains("t: delta (agg)"), "{trace}");
+    }
+}
+
 /// Appends to a table the view does not reference, racing injected refresh
 /// faults: a stale view (a prior refresh died at the `view-publish` site)
 /// must never be re-stamped as fresh by an unreferenced-table append — it

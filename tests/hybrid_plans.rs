@@ -80,8 +80,11 @@ fn hybrid_covariance_runs_join_and_einsum_as_one_pipeline() {
         assert!(o4.optimized_ir.rules.len() < o3.optimized_ir.rules.len());
         let (plan3, out3) = traced(&py, source, OptLevel::O3);
         let (plan4, out4) = traced(&py, source, OptLevel::O4);
+        // Every rule is referenced once, so the binder splices the whole
+        // chain into one tree: no CTE temporaries at either level.
         for plan in [&plan3, &plan4] {
             assert!(!plan.contains("Window"), "{plan}");
+            assert!(!plan.contains("CTE "), "{plan}");
         }
         // The trace lists pipelines only when fusion is on (the
         // `PYTOND_NO_FUSE=1` pass runs the same plan operator-at-a-time).
@@ -93,9 +96,6 @@ fn hybrid_covariance_runs_join_and_einsum_as_one_pipeline() {
             };
             assert!(plan4.contains(shape), "{plan4}");
         }
-        // Cheaper: fewer materialized CTEs than the rule-per-CTE O3 plan.
-        let ctes = |plan: &str| plan.matches("CTE ").count();
-        assert!(ctes(&plan4) < ctes(&plan3), "{plan4}");
         assert_close(&out3, &out4);
     }
 }

@@ -8,9 +8,12 @@
 //! Coverage: all 22 TPC-H queries and every hybrid workload registered as
 //! standing views (thread counts and profiles rotated across the corpus),
 //! synthetic tables with dict-string keys, NULL densities and empty appends
-//! at threads 1 / 2 / 7 / hardware under both profiles, and trace pinning
-//! that incremental-eligible plan shapes actually report `delta` — not
-//! `recompute` — after an append. CI re-runs the whole file under
+//! at threads 1 / 2 / 7 / hardware under both profiles, `@pytond` programs
+//! registered through the front door taking the delta path, a resumable-fold
+//! matrix (delta sizes around the morsel boundary, new groups, NULL keys,
+//! dictionary growth, every accumulator kind, an empty prefix), and trace
+//! pinning that incremental-eligible plan shapes actually report `delta` —
+//! not `recompute` — after an append. CI re-runs the whole file under
 //! `PYTOND_NO_IVM=1` (recompute-on-read oracle) and `PYTOND_NO_DICT=1`;
 //! the differential checks must hold identically in every mode.
 
@@ -385,4 +388,177 @@ fn eligible_shapes_report_delta_in_trace() {
         );
     }
     check_views(&db, "trace-pinning");
+}
+
+// ---------------- the front door takes the delta path --------------------
+
+/// Rows `[from, from + k)` of `rel`, wrapping around its end.
+fn rows_from(rel: &Relation, from: usize, k: usize) -> Relation {
+    let idx: Vec<usize> = (from..from + k).map(|i| i % rel.num_rows()).collect();
+    let cols = rel.columns().iter();
+    Relation::new(cols.map(|(n, c)| (n.clone(), c.gather(&idx))).collect()).unwrap()
+}
+
+/// Asserts that the last refresh of every view of `db` was a delta, and —
+/// for the views that read `table` — one that resumed the aggregate's fold.
+fn assert_all_delta(db: &Database, table: &str, context: &str) {
+    if ivm_disabled() {
+        return;
+    }
+    for name in db.view_names() {
+        let trace = db.view_trace(&name).unwrap();
+        let mode = db.view(&name).unwrap().mode();
+        assert_eq!(mode, RefreshMode::Delta, "{context}/{name}: {trace}");
+        if trace.contains(&format!("\n  {table}: ")) {
+            let class = format!("{table}: delta (agg)");
+            assert!(trace.contains(&class), "{context}/{name}: {trace}");
+        }
+    }
+}
+
+/// TPC-H Q1 and Q6 and the N3 notebook (a dictionary-string group-by with
+/// rounding-sensitive float sums and means) registered through
+/// `Pytond::register_view_with`: the binder splices their single-use CTE
+/// chains, so each classifies `delta (agg)` and every append — empty, tiny,
+/// and large enough to close several morsels of the carried fold — refreshes
+/// by delta, bit-identical to recompute, at every thread count under both
+/// profiles.
+#[test]
+fn front_door_views_refresh_by_delta() {
+    let data = pytond_tpch::generate(0.002);
+    let more = pytond_tpch::generate_seeded(0.002, 99).lineitem;
+    let n3 = pytond_workloads::all_workloads(1)
+        .into_iter()
+        .find(|w| w.name == "N3")
+        .expect("the N3 notebook");
+    let flights = &n3.tables[0].1;
+    for threads in [1, 2, 7] {
+        for profile in [Profile::Vectorized, Profile::Fused] {
+            let py = Pytond::new();
+            for (name, rel, unique) in data
+                .tables()
+                .into_iter()
+                .chain(n3.tables.iter().map(|(n, r, u)| (*n, r, u.clone())))
+            {
+                let keys: Vec<&[&str]> = unique.iter().map(|k| k.as_slice()).collect();
+                py.register_table(name, rel.clone(), &keys);
+            }
+            let cfg = config(profile, threads);
+            for (name, source) in [
+                ("v_q1", pytond_tpch::query(1).source),
+                ("v_q6", pytond_tpch::query(6).source),
+                ("v_n3", n3.source),
+            ] {
+                py.register_view_with(name, source, &cfg)
+                    .unwrap_or_else(|e| panic!("{name}: register_view failed: {e}"));
+            }
+            let label = format!("{profile:?}@{threads}t");
+            check_views(py.database(), &format!("{label}/initial"));
+            let mut at = 0;
+            for k in [1usize, 300, 0, 2 * TEST_MORSEL + 77, 777] {
+                py.append("lineitem", &rows_from(&more, at, k)).unwrap();
+                check_views(py.database(), &format!("{label}/lineitem+{k}"));
+                assert_all_delta(py.database(), "lineitem", &format!("{label}/lineitem+{k}"));
+                py.append("flights", &rows_from(flights, at, k)).unwrap();
+                check_views(py.database(), &format!("{label}/flights+{k}"));
+                assert_all_delta(py.database(), "flights", &format!("{label}/flights+{k}"));
+                at += k;
+            }
+        }
+    }
+}
+
+// ---------------- the resumable fold ------------------------------------
+
+/// A batch for the fold matrix: like [`synth_rel`], with city names drawn
+/// from `cities` so a batch can bring strings the stored dictionary (and the
+/// view's carried group keys) have never seen.
+fn fold_rel(start: usize, rows: usize, null_every: usize, cities: &[&str]) -> Relation {
+    let s: Vec<&str> = (start..start + rows)
+        .map(|i| cities[i % cities.len()])
+        .collect();
+    let rel = synth_rel(start, rows, null_every, 5);
+    let cols = rel.columns().iter().map(|(n, c)| match n.as_str() {
+        "s" => (n.clone(), Column::from_strs(&s)),
+        _ => (n.clone(), c.clone()),
+    });
+    Relation::new(cols.collect()).unwrap()
+}
+
+/// Aggregate views resume their fold instead of re-aggregating: the carried
+/// state is the merged partials of the closed morsels plus the raw rows of
+/// the open trailing one, and an append folds on the same fixed grid a
+/// recompute walks. Delta sizes 0, 1, morsel − 1, morsel, morsel + 1 and
+/// 3·morsel + 5 follow one another (so the open tail closes mid-append, at a
+/// different offset each time), over every accumulator kind: float `SUM` /
+/// `AVG` over rounding-sensitive values, `MIN` / `MAX` over floats, ints and
+/// strings, `COUNT(DISTINCT)`, NULL group keys, groups and dictionary
+/// entries first seen in a delta, a filter below the barrier (so the
+/// aggregate's input is not the batch), and scalar aggregation over a table
+/// that starts empty.
+#[test]
+fn aggregate_views_resume_their_fold() {
+    const M: usize = TEST_MORSEL;
+    let old = ["tokyo", "lima", "oslo"];
+    let new = ["tokyo", "lagos", "oslo", "delhi", "lima"];
+    for threads in [1, 2, 7] {
+        for profile in [Profile::Vectorized, Profile::Fused] {
+            let db = Database::new();
+            // A prefix that ends mid-morsel, and an empty one.
+            db.register("t", fold_rel(0, 2 * M + 300, 7, &old));
+            db.register("e", fold_rel(0, 0, 0, &old));
+            let cfg = config(profile, threads);
+            for (name, sql) in [
+                (
+                    "f_sums",
+                    "SELECT s, SUM(f) AS sf, AVG(f) AS af, COUNT(*) AS n, SUM(k) AS sk \
+                     FROM t GROUP BY s",
+                ),
+                (
+                    "f_extrema",
+                    "SELECT k, MIN(f) AS lo, MAX(f) AS hi, MIN(s) AS first, MAX(s) AS last, \
+                     COUNT(k) AS n FROM t GROUP BY k",
+                ),
+                (
+                    "f_distinct",
+                    "SELECT s, COUNT(DISTINCT k) AS dk, COUNT(DISTINCT f) AS df FROM t GROUP BY s",
+                ),
+                (
+                    "f_filtered",
+                    "SELECT s, k, SUM(f * 1.1) AS sf FROM t WHERE k >= 40 GROUP BY s, k",
+                ),
+                (
+                    "f_having_sorted",
+                    "SELECT s, SUM(f) AS sf FROM t GROUP BY s HAVING COUNT(*) > 10 ORDER BY sf DESC",
+                ),
+                ("f_scalar", "SELECT SUM(f) AS sf, AVG(f) AS af, MAX(s) AS last FROM t"),
+                (
+                    "f_empty",
+                    "SELECT SUM(f) AS sf, COUNT(*) AS n, MIN(s) AS first, COUNT(DISTINCT k) AS dk \
+                     FROM e",
+                ),
+                ("f_empty_groups", "SELECT s, SUM(f) AS sf FROM e GROUP BY s"),
+            ] {
+                db.register_view_with(name, sql, &cfg)
+                    .unwrap_or_else(|e| panic!("{name}@{threads}t: register failed: {e}"));
+            }
+            let label = format!("{profile:?}@{threads}t");
+            check_views(&db, &format!("{label}/initial"));
+            let mut start = 2 * M + 300;
+            for (step, rows) in [0, 1, M - 1, M, M + 1, 3 * M + 5].into_iter().enumerate() {
+                // Later batches bring new cities (new groups, a grown
+                // dictionary) and a different NULL density.
+                let cities: &[&str] = if step < 3 { &old } else { &new };
+                let null_every = [0, 1, 5, 3, 0, 11][step];
+                for table in ["t", "e"] {
+                    db.append(table, &fold_rel(start, rows, null_every, cities))
+                        .unwrap();
+                    let context = format!("{label}/{table}+{rows}");
+                    check_views(&db, &context);
+                    assert_all_delta(&db, table, &context);
+                }
+                start += rows;
+            }
+        }
+    }
 }

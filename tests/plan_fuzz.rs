@@ -9,6 +9,13 @@
 //! against selection-vector evaluation and the row-at-a-time
 //! `expr::reference` evaluator.
 //!
+//! The chains are `WITH` pipelines, one CTE per operator: the binder splices
+//! every CTE that is referenced once into its reference site and keeps the
+//! ones referenced twice as temporaries. A second property writes the same
+//! chains with each CTE body spelled out as a derived table at every
+//! reference and checks both spellings — single-use chains, and chains whose
+//! last step is read twice — return the same rows.
+//!
 //! The proptest shim (`shims/proptest`) has no shrinking, so failures
 //! shrink by hand: ops are greedily dropped from the chain while the
 //! divergence persists, and the panic reports the **minimal** failing plan
@@ -85,86 +92,129 @@ fn table_r(rows: &[(u8, i64, i64)]) -> Relation {
 /// `(c0 int, c1 float, c2 int)` so every op composes with every other.
 type Op = (u8, i64);
 
-/// Renders an op chain as a CTE pipeline over `t` (joins hit `r`).
-fn chain_sql(ops: &[Op]) -> String {
-    let mut ctes = vec!["s0 AS (SELECT k AS c0, f AS c1, v AS c2 FROM t)".to_string()];
-    for (i, &(kind, p)) in ops.iter().enumerate() {
-        let prev = format!("s{i}");
-        let cur = format!("s{}", i + 1);
-        let body = match kind {
-            // Filters: comparisons, NULL tests, conjunction/disjunction.
-            0 => {
-                let pred = match p % 4 {
-                    0 => format!("c0 > {}", p % 5),
-                    1 => format!("c1 < {}.5", p % 7),
-                    2 => format!("c0 IS NOT NULL AND c2 > {}", p % 9 - 4),
-                    _ => format!("c0 IS NULL OR c2 < {}", p % 11 - 5),
-                };
-                format!("SELECT c0 AS c0, c1 AS c1, c2 AS c2 FROM {prev} WHERE {pred}")
-            }
-            // Projections: arithmetic, mixed-type widening, CASE.
-            1 => match p % 4 {
-                0 => format!("SELECT c0 + 1 AS c0, c1 * 2.0 AS c1, c2 AS c2 FROM {prev}"),
-                1 => format!(
-                    "SELECT c0 AS c0, c1 + c2 AS c1, c2 - {} AS c2 FROM {prev}",
-                    p % 5
+/// The SELECT of step `i + 1`: op `(kind, p)` over step `i`, which stands in
+/// FROM as `src` — the CTE's name, or its body as a derived table aliased
+/// to that name.
+fn step_sql(i: usize, (kind, p): Op, src: &str) -> String {
+    let prev = format!("s{i}");
+    match kind {
+        // Filters: comparisons, NULL tests, conjunction/disjunction.
+        0 => {
+            let pred = match p % 4 {
+                0 => format!("c0 > {}", p % 5),
+                1 => format!("c1 < {}.5", p % 7),
+                2 => format!("c0 IS NOT NULL AND c2 > {}", p % 9 - 4),
+                _ => format!("c0 IS NULL OR c2 < {}", p % 11 - 5),
+            };
+            format!("SELECT c0 AS c0, c1 AS c1, c2 AS c2 FROM {src} WHERE {pred}")
+        }
+        // Projections: arithmetic, mixed-type widening, CASE.
+        1 => match p % 4 {
+            0 => format!("SELECT c0 + 1 AS c0, c1 * 2.0 AS c1, c2 AS c2 FROM {src}"),
+            1 => format!(
+                "SELECT c0 AS c0, c1 + c2 AS c1, c2 - {} AS c2 FROM {src}",
+                p % 5
+            ),
+            2 => format!("SELECT 0 - c0 AS c0, c1 AS c1, c2 + c2 AS c2 FROM {src}"),
+            _ => format!(
+                "SELECT c0 AS c0, CASE WHEN c2 > {} THEN c1 ELSE 0.0 - c1 END AS c1, \
+                 c2 AS c2 FROM {src}",
+                p % 6
+            ),
+        },
+        // Joins against r: inner/left probes, semi/anti via IN / NOT IN
+        // subqueries, right/full joins (the sink appends the unmatched
+        // build rows), a float-vs-int key (byte-encoded), and r as the
+        // left input — so either side may be the smaller, planned build
+        // side.
+        2 => {
+            let join = |how: &str, on: &str| {
+                format!(
+                    "SELECT {prev}.c0 AS c0, {prev}.c1 AS c1, r.w AS c2 \
+                     FROM {src} {how} r ON {on}"
+                )
+            };
+            let on_key = format!("{prev}.c0 = r.k");
+            match p % 8 {
+                0 => join("JOIN", &on_key),
+                1 => join("LEFT JOIN", &on_key),
+                2 => format!(
+                    "SELECT c0 AS c0, c1 AS c1, c2 AS c2 FROM {src} \
+                     WHERE c0 IN (SELECT k FROM r)"
                 ),
-                2 => format!("SELECT 0 - c0 AS c0, c1 AS c1, c2 + c2 AS c2 FROM {prev}"),
+                3 => format!(
+                    "SELECT c0 AS c0, c1 AS c1, c2 AS c2 FROM {src} \
+                     WHERE c0 NOT IN (SELECT k FROM r WHERE k IS NOT NULL)"
+                ),
+                4 => join("RIGHT JOIN", &on_key),
+                5 => join("FULL OUTER JOIN", &on_key),
+                6 => join("JOIN", &format!("{prev}.c1 = r.w")),
                 _ => format!(
-                    "SELECT c0 AS c0, CASE WHEN c2 > {} THEN c1 ELSE 0.0 - c1 END AS c1, \
-                     c2 AS c2 FROM {prev}",
-                    p % 6
+                    "SELECT r.k AS c0, {prev}.c1 AS c1, r.w AS c2 \
+                     FROM r JOIN {src} ON r.k = {prev}.c0"
                 ),
-            },
-            // Joins against r: inner/left probes, semi/anti via IN / NOT IN
-            // subqueries, right/full joins (the sink appends the unmatched
-            // build rows), a float-vs-int key (byte-encoded), and r as the
-            // left input — so either side may be the smaller, planned build
-            // side.
-            2 => {
-                let join = |how: &str, on: &str| {
-                    format!(
-                        "SELECT {prev}.c0 AS c0, {prev}.c1 AS c1, r.w AS c2 \
-                         FROM {prev} {how} r ON {on}"
-                    )
-                };
-                let on_key = format!("{prev}.c0 = r.k");
-                match p % 8 {
-                    0 => join("JOIN", &on_key),
-                    1 => join("LEFT JOIN", &on_key),
-                    2 => format!(
-                        "SELECT c0 AS c0, c1 AS c1, c2 AS c2 FROM {prev} \
-                         WHERE c0 IN (SELECT k FROM r)"
-                    ),
-                    3 => format!(
-                        "SELECT c0 AS c0, c1 AS c1, c2 AS c2 FROM {prev} \
-                         WHERE c0 NOT IN (SELECT k FROM r WHERE k IS NOT NULL)"
-                    ),
-                    4 => join("RIGHT JOIN", &on_key),
-                    5 => join("FULL OUTER JOIN", &on_key),
-                    6 => join("JOIN", &format!("{prev}.c1 = r.w")),
-                    _ => format!(
-                        "SELECT r.k AS c0, {prev}.c1 AS c1, r.w AS c2 \
-                         FROM r JOIN {prev} ON r.k = {prev}.c0"
-                    ),
-                }
             }
-            // Aggregations (pipeline breakers mid-chain; sinks at the end):
-            // grouped float SUM (merge-order sensitive) or scalar aggs.
-            _ => match p % 2 {
-                0 => format!(
-                    "SELECT c0 AS c0, SUM(c1) AS c1, COUNT(*) AS c2 FROM {prev} GROUP BY c0"
-                ),
-                _ => format!("SELECT MIN(c0) AS c0, AVG(c1) AS c1, COUNT(c2) AS c2 FROM {prev}"),
-            },
-        };
-        ctes.push(format!("{cur} AS ({body})"));
+        }
+        // Aggregations (pipeline breakers mid-chain; sinks at the end):
+        // grouped float SUM (merge-order sensitive) or scalar aggs.
+        _ => match p % 2 {
+            0 => format!("SELECT c0 AS c0, SUM(c1) AS c1, COUNT(*) AS c2 FROM {src} GROUP BY c0"),
+            _ => format!("SELECT MIN(c0) AS c0, AVG(c1) AS c1, COUNT(c2) AS c2 FROM {src}"),
+        },
     }
-    format!(
-        "WITH {} SELECT c0 AS c0, c1 AS c1, c2 AS c2 FROM s{}",
-        ctes.join(", "),
-        ops.len()
-    )
+}
+
+const STEP0: &str = "SELECT k AS c0, f AS c1, v AS c2 FROM t";
+
+/// The statement over the last step. `tail = 0` reads it once; the others
+/// read it twice — joined to its own group counts, or filtered by its own
+/// keys — so as a CTE it stays a shared temporary. `last(alias)` renders
+/// one reference to the last step.
+fn tail_sql(tail: u8, last: impl Fn(&str) -> String) -> String {
+    match tail {
+        0 => format!("SELECT c0 AS c0, c1 AS c1, c2 AS c2 FROM {}", last("a")),
+        1 => format!(
+            "SELECT a.c0 AS c0, a.c1 AS c1, b.n AS c2 FROM {} JOIN \
+             (SELECT c0 AS c0, COUNT(*) AS n FROM {} GROUP BY c0) AS b ON a.c0 = b.c0",
+            last("a"),
+            last("g")
+        ),
+        _ => format!(
+            "SELECT c0 AS c0, c1 AS c1, c2 AS c2 FROM {} WHERE c0 IN (SELECT c0 FROM {})",
+            last("a"),
+            last("g")
+        ),
+    }
+}
+
+/// Renders an op chain as a CTE pipeline over `t` (joins hit `r`), one CTE
+/// per op.
+fn chain_sql(ops: &[Op]) -> String {
+    with_sql(ops, 0)
+}
+
+/// [`chain_sql`] with a choice of tail (see [`tail_sql`]).
+fn with_sql(ops: &[Op], tail: u8) -> String {
+    let mut ctes = vec![format!("s0 AS ({STEP0})")];
+    for (i, &op) in ops.iter().enumerate() {
+        ctes.push(format!(
+            "s{} AS ({})",
+            i + 1,
+            step_sql(i, op, &format!("s{i}"))
+        ));
+    }
+    let last = |alias: &str| format!("s{} AS {alias}", ops.len());
+    format!("WITH {} {}", ctes.join(", "), tail_sql(tail, last))
+}
+
+/// The statement of [`with_sql`] with no CTE: every reference to a step is
+/// that step's body, spelled out as a derived table.
+fn derived_sql(ops: &[Op], tail: u8) -> String {
+    let mut body = STEP0.to_string();
+    for (i, &op) in ops.iter().enumerate() {
+        body = step_sql(i, op, &format!("({body}) AS s{i}"));
+    }
+    tail_sql(tail, |alias| format!("({body}) AS {alias}"))
 }
 
 fn diff_cells(name: &str, a: &Relation, b: &Relation) -> Option<String> {
@@ -269,6 +319,71 @@ proptest! {
         if let Some(why) = fails(&db, &ops) {
             shrink_and_report(&db, &ops, why);
         }
+    }
+}
+
+/// `Some(why)` when the chain written with CTEs and written with derived
+/// tables disagree. The two spellings plan differently (a shared CTE is a
+/// barrier to join reordering, a derived table is not), so rows are compared
+/// as a multiset and float sums to rounding.
+fn spellings_differ(db: &Database, ops: &[Op], tail: u8) -> Option<String> {
+    let (with, derived) = (with_sql(ops, tail), derived_sql(ops, tail));
+    for cfg in [config(Profile::Vectorized, 1), config(Profile::Fused, 2)] {
+        let run = |sql: &str| {
+            db.execute_sql(sql, &cfg)
+                .map(|r| r.canonicalized())
+                .map_err(|e| format!("{e}\n{sql}"))
+        };
+        match (run(&with), run(&derived)) {
+            (Ok(a), Ok(b)) => {
+                if let Some(d) = a.diff(&b, 1e-9) {
+                    return Some(format!("{:?}: {d}\n{with}\n{derived}", cfg.profile));
+                }
+            }
+            (Err(e), _) | (_, Err(e)) => return Some(e),
+        }
+    }
+    None
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A `WITH` chain — read once (every CTE spliced) or with its last step
+    /// read twice (that one kept, the rest spliced into it) — returns what
+    /// the same statement returns with every CTE body written out in place.
+    #[test]
+    fn with_chains_match_their_derived_table_spelling(
+        trows in prop::collection::vec((0u8..3, 0i64..8, -100.0f64..100.0, -20i64..20), 0..30),
+        rrows in prop::collection::vec((0u8..4, 0i64..8, 0i64..50), 0..20),
+        ops in prop::collection::vec((0u8..4, 0i64..40), 0..4),
+        tail in 0u8..3,
+    ) {
+        let db = Database::new();
+        db.register("t", table_t(&trows));
+        db.register("r", table_r(&rrows));
+        if let Some(why) = spellings_differ(&db, &ops, tail) {
+            panic!("CTE and derived-table spellings diverge: {why}");
+        }
+    }
+}
+
+/// What the fuzzed spellings bind to: a chain read once has no CTE left, a
+/// chain whose last step is read twice keeps exactly that one.
+#[test]
+fn fuzzed_chains_exercise_both_cte_fates() {
+    let db = Database::new();
+    db.register("t", table_t(&[(1, 3, 0.5, 7)]));
+    db.register("r", table_r(&[(1, 3, 30)]));
+    let ops = [(0, 1), (2, 0), (3, 0)];
+    let once = db.explain_sql(&with_sql(&ops, 0)).unwrap();
+    assert!(!once.contains("CTE "), "{once}");
+    for tail in [1, 2] {
+        let twice = db.explain_sql(&with_sql(&ops, tail)).unwrap();
+        assert_eq!(twice.matches("CTE ").count(), 1, "{twice}");
+        assert!(twice.contains("CTE s3:"), "{twice}");
+        let flat = db.explain_sql(&derived_sql(&ops, tail)).unwrap();
+        assert!(!flat.contains("CTE "), "{flat}");
     }
 }
 
