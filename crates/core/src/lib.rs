@@ -82,6 +82,7 @@ use pytond_common::{Error, Relation, Result};
 use pytond_sqldb::ast::Query;
 use pytond_sqldb::lower::lower_program;
 use pytond_tondir::{Catalog, Program, TableSchema};
+use pytond_translate::RowCounts;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -227,6 +228,11 @@ pub struct Compiled {
     /// [`Compiled::optimized_ir`] (no SQL round-trip). [`Pytond::execute`]
     /// runs it as-is while the database statistics have not moved.
     pub prepared: Arc<PreparedQuery>,
+    /// Tables whose row count the program's shape was translated for
+    /// ([`pytond_translate::Translation::row_counts`]): once one holds
+    /// another count, [`Pytond::execute`] translates [`Compiled::source`]
+    /// again.
+    pub row_counts: RowCounts,
 }
 
 impl Compiled {
@@ -264,6 +270,8 @@ struct CacheEntry {
     /// The catalog-facts version the plan was compiled under
     /// ([`Pytond::facts`]).
     facts: u64,
+    /// The row counts the program's shape was translated for.
+    rows: RowCounts,
     stamp: u64,
 }
 
@@ -285,14 +293,21 @@ struct CacheShard {
 }
 
 impl CacheShard {
-    fn lookup(&self, key: &PlanKey) -> Option<(u64, Arc<PreparedQuery>)> {
-        self.map.get(key).map(|e| (e.facts, e.plan.clone()))
+    fn lookup(&self, key: &PlanKey) -> Option<(u64, RowCounts, Arc<PreparedQuery>)> {
+        self.map
+            .get(key)
+            .map(|e| (e.facts, e.rows.clone(), e.plan.clone()))
     }
 
-    fn insert(&mut self, key: PlanKey, facts: u64, plan: Arc<PreparedQuery>) {
+    fn insert(&mut self, key: PlanKey, facts: u64, rows: RowCounts, plan: Arc<PreparedQuery>) {
         let stamp = self.next_stamp;
         self.next_stamp += 1;
-        let entry = CacheEntry { plan, facts, stamp };
+        let entry = CacheEntry {
+            plan,
+            facts,
+            rows,
+            stamp,
+        };
         if self.map.insert(key.clone(), entry).is_none() {
             // A genuinely new key: make room by retiring oldest-inserted
             // entries. FIFO records whose stamp no longer matches the map
@@ -336,18 +351,18 @@ impl PlanCache {
         &self.shards[(h.finish() as usize) % PLAN_CACHE_SHARDS]
     }
 
-    fn lookup(&self, key: &PlanKey) -> Option<(u64, Arc<PreparedQuery>)> {
+    fn lookup(&self, key: &PlanKey) -> Option<(u64, RowCounts, Arc<PreparedQuery>)> {
         self.shard(key)
             .lock()
             .expect("plan cache shard poisoned")
             .lookup(key)
     }
 
-    fn insert(&self, key: PlanKey, facts: u64, plan: Arc<PreparedQuery>) {
+    fn insert(&self, key: PlanKey, facts: u64, rows: RowCounts, plan: Arc<PreparedQuery>) {
         self.shard(&key)
             .lock()
             .expect("plan cache shard poisoned")
-            .insert(key, facts, plan);
+            .insert(key, facts, rows, plan);
     }
 
     fn len(&self) -> usize {
@@ -476,7 +491,7 @@ impl Pytond {
     /// printer (SQL export).
     pub fn compile_at(&self, source: &str, dialect: Dialect, level: OptLevel) -> Result<Compiled> {
         let facts = self.facts();
-        let (raw_ir, optimized_ir, query) = self.lower(source, level, Program::clone)?;
+        let (raw_ir, optimized_ir, query, rows) = self.lower(source, level, Program::clone)?;
         let sql = pytond_sqlgen::render(&query, dialect);
         // Profile-gated queries (e.g. window functions on the LingoDB
         // profile) must still *compile*: the SQL export targets the paper's
@@ -484,8 +499,9 @@ impl Pytond {
         // ungated profile instead; `execute` re-validates for the requested
         // backend because the profiles then differ.
         let key = |profile| plan_key(source, level, profile);
-        let prepared = match self.plan(key(Backend::profile_for(dialect)), facts, &query) {
-            Err(Error::Unsupported(_)) => self.plan(key(Profile::Vectorized), facts, &query)?,
+        let plan = |profile| self.plan(key(profile), facts, rows.clone(), &query);
+        let prepared = match plan(Backend::profile_for(dialect)) {
+            Err(Error::Unsupported(_)) => plan(Profile::Vectorized)?,
             planned => planned?,
         };
         Ok(Compiled {
@@ -496,28 +512,36 @@ impl Pytond {
             level,
             dialect,
             prepared,
+            row_counts: rows,
         })
     }
 
     /// The front half of every compile, source to lowered query: translate →
     /// validate → optimize → validate → lower. Returns what `keep` takes of
     /// the raw IR before the optimizer consumes it (a clone for
-    /// `compile_at`, nothing on the serving paths), the optimized IR and the
-    /// query lowered from it.
+    /// `compile_at`, nothing on the serving paths), the optimized IR, the
+    /// query lowered from it and the row counts translation shaped it by.
     fn lower<R>(
         &self,
         source: &str,
         level: OptLevel,
         keep: impl FnOnce(&Program) -> R,
-    ) -> Result<(R, Program, Query)> {
+    ) -> Result<(R, Program, Query, RowCounts)> {
         let catalog = self.catalog.load();
-        let raw_ir = pytond_translate::translate_source(source, &catalog)?;
+        let translated = pytond_translate::translate_source(source, &catalog)?;
+        let raw_ir = translated.program;
         pytond_tondir::analysis::validate(&raw_ir, &catalog)?;
         let kept = keep(&raw_ir);
         let optimized_ir = pytond_optimizer::optimize(raw_ir, &catalog, level);
         pytond_tondir::analysis::validate(&optimized_ir, &catalog)?;
         let query = lower_program(&optimized_ir, &catalog)?;
-        Ok((kept, optimized_ir, query))
+        Ok((kept, optimized_ir, query, translated.row_counts))
+    }
+
+    /// `true` while every table in `rows` holds the count recorded for it.
+    fn rows_unchanged(&self, rows: &RowCounts) -> bool {
+        rows.iter()
+            .all(|(t, &n)| self.db.table(t).is_some_and(|s| s.num_rows() as u64 == n))
     }
 
     /// The catalog-facts version to record with a compile. Read it
@@ -532,17 +556,25 @@ impl Pytond {
     /// and caches the plan under it, replacing the one the data outgrew (a
     /// gate-skipping plan never satisfies a Lingo-profile lookup: the
     /// profile is in the key).
-    fn plan(&self, key: PlanKey, facts: u64, query: &Query) -> Result<Arc<PreparedQuery>> {
+    fn plan(
+        &self,
+        key: PlanKey,
+        facts: u64,
+        rows: RowCounts,
+        query: &Query,
+    ) -> Result<Arc<PreparedQuery>> {
         let prepared = Arc::new(self.db.prepare_query(query, key.2)?);
-        self.plan_cache.insert(key, facts, prepared.clone());
+        self.plan_cache.insert(key, facts, rows, prepared.clone());
         Ok(prepared)
     }
 
     /// The cached plan under `key`, if it was compiled under the current
-    /// catalog facts and the data has not moved under it.
+    /// catalog facts, for the row counts the tables hold now, and the data
+    /// has not moved under it.
     fn cached(&self, key: &PlanKey, facts: u64) -> Option<Arc<PreparedQuery>> {
-        let (compiled_under, plan) = self.plan_cache.lookup(key)?;
-        (compiled_under == facts && plan.is_current(&self.db)).then_some(plan)
+        let (compiled_under, rows, plan) = self.plan_cache.lookup(key)?;
+        (compiled_under == facts && self.rows_unchanged(&rows) && plan.is_current(&self.db))
+            .then_some(plan)
     }
 
     /// Returns the cached prepared plan for a source, compiling and caching
@@ -560,17 +592,22 @@ impl Pytond {
         if let Some(p) = self.cached(&key, facts) {
             return Ok(p);
         }
-        let (_, _, query) = self.lower(source, level, |_| ())?;
-        self.plan(key, facts, &query)
+        let (_, _, query, rows) = self.lower(source, level, |_| ())?;
+        self.plan(key, facts, rows, &query)
     }
 
     /// Executes a previously compiled function. While the carried plan is
     /// current (and the backend matches the compiled profile) this runs it
     /// with no per-call compilation work; otherwise it transparently
     /// re-plans from the already-optimized IR — through the plan cache, so
-    /// even a stale `Compiled` pays the re-plan once, not on every call.
+    /// even a stale `Compiled` pays the re-plan once, not on every call. A
+    /// program whose shape was translated for row counts the tables no
+    /// longer hold is translated again from its source.
     pub fn execute(&self, compiled: &Compiled, backend: &Backend) -> Result<Relation> {
         let Compiled { source, level, .. } = compiled;
+        if !self.rows_unchanged(&compiled.row_counts) {
+            return self.run_at(source, backend, *level);
+        }
         if compiled.prepared.profile() == backend.profile && compiled.prepared.is_current(&self.db)
         {
             return self
@@ -582,7 +619,7 @@ impl Pytond {
             Some(p) => p,
             None => {
                 let query = lower_program(&compiled.optimized_ir, &self.catalog.load())?;
-                self.plan(key, facts, &query)?
+                self.plan(key, facts, compiled.row_counts.clone(), &query)?
             }
         };
         self.db.execute_prepared(&prepared, &backend.config())
@@ -621,20 +658,29 @@ impl Pytond {
     /// [`Pytond::register_view`] with an explicit [`EngineConfig`] (morsel
     /// size, zone pruning — what a [`Backend`] does not carry) applied to
     /// the initial materialization and to every refresh.
+    ///
+    /// A program whose shape depends on a table's row count (a dense
+    /// transpose, matmul or outer product pivots by it) is refused with
+    /// [`Error::Unsupported`]: an append would change the shape, which no
+    /// refresh of the registered plan can follow.
     pub fn register_view_with(
         &self,
         name: &str,
         source: &str,
         config: &EngineConfig,
     ) -> Result<()> {
-        let (_, _, query) = self.lower(source, OptLevel::O4, |_| ())?;
+        let (_, _, query, rows) = self.lower(source, OptLevel::O4, |_| ())?;
+        if let Some(table) = rows.keys().next() {
+            return Err(Error::Unsupported(format!(
+                "view '{name}': the program's shape depends on the row count of '{table}'"
+            )));
+        }
         self.db.register_view_query(name, query, config)
     }
 
     /// The current published state of a standing view registered with
     /// [`Pytond::register_view`]: the materialized result plus the snapshot
-    /// version it is consistent with. Never torn; under `PYTOND_NO_IVM=1`
-    /// it recomputes from scratch on every call (the differential oracle).
+    /// version it is consistent with. Never torn.
     pub fn view(&self, name: &str) -> Result<Arc<ViewState>> {
         self.db.view(name)
     }
@@ -828,6 +874,54 @@ mod tests {
         let again = py.prepare(src, &backend, OptLevel::O4).unwrap();
         assert!(!Arc::ptr_eq(&after, &again));
         assert_eq!(py.run(src, &backend).unwrap().num_rows(), 2);
+        // A dense transpose pivots by the catalog row count, so its plan is
+        // the shape of that count: growth below `REPLAN_GROWTH` (8 → 9 rows)
+        // still compiles again, through `run` and through a carried
+        // `Compiled` alike, and agrees with a fresh instance.
+        let tsrc = "@pytond\ndef q(m):\n    return m.transpose()\n";
+        let hyper = Backend::hyper_sim(1);
+        py.register_table("m", dense(0, 8), &[]);
+        let compiled = py.compile(tsrc, Dialect::Hyper).unwrap();
+        assert_eq!(py.run(tsrc, &hyper).unwrap().num_cols(), 9);
+        py.append("m", &dense(8, 1)).unwrap();
+        let fresh = Pytond::new();
+        fresh.register_table("m", dense(0, 9), &[]);
+        let want = fresh.run(tsrc, &hyper).unwrap();
+        assert_eq!(want.num_cols(), 10);
+        for got in [
+            py.run(tsrc, &hyper).unwrap(),
+            py.execute(&compiled, &hyper).unwrap(),
+        ] {
+            assert!(want.approx_eq(&got, 0.0), "{:?}", want.diff(&got, 0.0));
+        }
+    }
+
+    /// A dense matrix `(__id, c0, c1)` of rows `[lo, lo + n)`.
+    fn dense(lo: i64, n: i64) -> Relation {
+        let vals = |k: f64| Column::from_f64((lo..lo + n).map(|i| i as f64 * k).collect());
+        Relation::new(vec![
+            ("__id".into(), Column::from_i64((lo..lo + n).collect())),
+            ("c0".into(), vals(1.0)),
+            ("c1".into(), vals(0.5)),
+        ])
+        .unwrap()
+    }
+
+    /// A view's plan cannot follow a shape change, so a program shaped by a
+    /// row count is refused as a view.
+    #[test]
+    fn register_view_refuses_row_count_shaped_programs() {
+        let py = Pytond::new();
+        py.register_table("m", dense(0, 8), &[]);
+        let err = py
+            .register_view(
+                "t",
+                "@pytond\ndef q(m):\n    return m.transpose()\n",
+                &Backend::hyper_sim(1),
+            )
+            .unwrap_err();
+        assert!(matches!(err, Error::Unsupported(_)), "{err}");
+        assert!(py.database().view_names().is_empty());
     }
 
     /// An append that brings the first NULL into a column takes a fact away

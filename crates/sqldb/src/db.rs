@@ -65,10 +65,10 @@ impl Profile {
     }
 
     /// The profile's pipeline-extraction policy: `true` fuses streaming
-    /// operators into maximal chains, `false` runs one operator per
-    /// pipeline (`Vectorized`; every profile under `PYTOND_NO_FUSE=1`).
+    /// operators into maximal chains, `false` (`Vectorized`, the fusion
+    /// oracle) runs one operator per pipeline.
     pub(crate) fn fuses(self) -> bool {
-        self != Profile::Vectorized && !no_fuse()
+        self != Profile::Vectorized
     }
 }
 
@@ -129,32 +129,6 @@ pub(crate) fn default_timeout_ms() -> Option<u64> {
 pub(crate) fn default_mem_budget_mb() -> Option<u64> {
     static CACHED: OnceLock<Option<u64>> = OnceLock::new();
     *CACHED.get_or_init(|| env::positive_u64("PYTOND_QUERY_MEM_MB"))
-}
-
-/// `PYTOND_NO_FUSE=1` switches every profile to the one-operator-per-pipeline
-/// extraction policy — same driver, same kernels, no fusion (read once).
-pub(crate) fn no_fuse() -> bool {
-    static CACHED: OnceLock<bool> = OnceLock::new();
-    *CACHED.get_or_init(|| env::flag("PYTOND_NO_FUSE"))
-}
-
-/// `PYTOND_NO_DICT=1` disables dictionary encoding of string columns at
-/// `register`/`append` — tables store plain `Vec<String>` and every string
-/// kernel takes the byte path. This is the in-process differential oracle
-/// the dictionary property suite runs the whole corpus against (read once).
-pub(crate) fn no_dict() -> bool {
-    static CACHED: OnceLock<bool> = OnceLock::new();
-    *CACHED.get_or_init(|| env::flag("PYTOND_NO_DICT"))
-}
-
-/// `PYTOND_NO_IVM=1` disables incremental maintenance of registered views —
-/// [`Database::view`] recomputes the standing query from scratch on every
-/// read instead of serving the maintained result. This is the in-process
-/// differential oracle the view maintenance suite runs the whole corpus
-/// against (read once).
-pub(crate) fn no_ivm() -> bool {
-    static CACHED: OnceLock<bool> = OnceLock::new();
-    *CACHED.get_or_init(|| env::flag("PYTOND_NO_IVM"))
 }
 
 impl EngineConfig {
@@ -442,16 +416,15 @@ impl Database {
     /// table.
     ///
     /// String columns are dictionary-encoded on the way in (dedup on build,
-    /// first-occurrence code order) unless `PYTOND_NO_DICT=1`; results decode
-    /// back to plain strings at materialization, so callers never observe
-    /// codes.
+    /// first-occurrence code order); results decode back to plain strings at
+    /// materialization, so callers never observe codes.
     pub fn register(&self, name: &str, rel: Relation) {
-        self.register_table(name, rel, !no_dict());
+        self.register_table(name, rel, true);
     }
 
-    /// Like [`Database::register`] but never dictionary-encodes, regardless
-    /// of environment — the explicit plain-string path benchmarks and the
-    /// differential dictionary suite compare against.
+    /// Like [`Database::register`] but never dictionary-encodes — the
+    /// plain-string path: the dictionary oracle the differential suites
+    /// compare against.
     pub fn register_plain(&self, name: &str, rel: Relation) {
         self.register_table(name, rel, false);
     }

@@ -15,9 +15,9 @@
 //!   cache, with no intermediate relation between the fused operators — the
 //!   observable effect of Hyper-style pipeline compilation at this engine's
 //!   abstraction level;
-//! * **vectorized** (or `PYTOND_NO_FUSE=1` under any profile) — one operator
-//!   per pipeline, each materializing its full output before the next starts
-//!   (DuckDB-style operator-at-a-time with intermediate vectors).
+//! * **vectorized** (the `Vectorized` profile, and the fusion oracle) — one
+//!   operator per pipeline, each materializing its full output before the
+//!   next starts (DuckDB-style operator-at-a-time with intermediate vectors).
 //!
 //! Parallelism is morsel-driven (see `docs/EXECUTION.md` for the full
 //! threading model): pipelines and partial aggregations claim morsels from
@@ -130,8 +130,7 @@ pub struct ExecMetrics {
     /// Zones skipped because zone-map bounds proved the predicate false.
     pub morsels_pruned: u64,
     /// Pipelines driven under the fusing extraction policy (0 when every
-    /// pipeline is one operator: the `Vectorized` profile, or
-    /// `PYTOND_NO_FUSE=1`).
+    /// pipeline is one operator: the `Vectorized` profile).
     pub pipelines: u64,
     /// Operators fused into each pipeline (source + streaming stages + an
     /// aggregation sink), in pipeline completion order.

@@ -65,19 +65,17 @@
 //!
 //! # Differential oracle
 //!
-//! `PYTOND_NO_IVM=1` disables maintenance: [`Database::view`] recomputes the
-//! standing query from scratch on every read, mirroring `PYTOND_NO_FUSE` /
-//! `PYTOND_NO_DICT`. The maintenance property suite runs the whole corpus
-//! both ways and additionally compares every maintained state against
-//! [`Database::view_oracle`] (an in-process from-scratch recompute using the
-//! view's own prepared plan, so cost-based join orders cannot drift between
-//! the two sides). See `docs/VIEWS.md`.
+//! [`Database::view_oracle_at`] recomputes a view from scratch against a
+//! pinned snapshot with the view's own prepared plan (so cost-based join
+//! orders cannot drift between the two sides); [`Database::view_oracle`]
+//! does so against the current one. The maintenance suites compare every
+//! maintained state with it after every append. See `docs/VIEWS.md`.
 
 use crate::agg::Fold;
 use crate::ast::Query;
 use crate::db::{
-    default_mem_budget_mb, default_timeout_ms, no_ivm, panic_payload_message, Database,
-    EngineConfig, PreparedQuery, Snapshot,
+    default_mem_budget_mb, default_timeout_ms, panic_payload_message, Database, EngineConfig,
+    PreparedQuery, Snapshot,
 };
 use crate::exec::{execute_with_temps, ExecOptions, Resume};
 use crate::parser::parse_sql;
@@ -101,7 +99,7 @@ pub enum RefreshMode {
     /// delta-agg; a no-op append publishes `Delta` with zero rows).
     Delta,
     /// Full re-execution of the prepared plan (ineligible shape, stale
-    /// maintenance state, a replaced base table, or `PYTOND_NO_IVM=1`).
+    /// maintenance state, or a replaced base table).
     Recompute,
 }
 
@@ -624,15 +622,9 @@ impl ViewEntry {
         event: Event<'_>,
         started: Instant,
     ) -> Result<()> {
-        if matches!(event, Event::Append(_)) && no_ivm() {
-            return Ok(());
-        }
         if inner.plan_stale {
             // Stays stale (and unexecuted) until the view compiles again.
             self.replan(db, inner)?;
-            if no_ivm() {
-                return Ok(());
-            }
             return self.refresh_full(inner, snap, "plan re-prepared", started);
         }
         match event {
@@ -644,10 +636,6 @@ impl ViewEntry {
                 // column indices — re-plan, re-classify, and recompute.
                 inner.plan_stale = true;
                 self.replan(db, inner)?;
-                if no_ivm() {
-                    inner.parent_version = snap.version();
-                    return Ok(());
-                }
                 self.refresh_full(inner, snap, "table replaced", started)
             }
             Event::Append(t) => self.refresh_append(inner, snap, t, started),
@@ -671,12 +659,6 @@ impl ViewEntry {
         started: Instant,
     ) -> Result<()> {
         let consistent = inner.content.is_some() && inner.parent_version + 1 == snap.version();
-        if no_ivm() {
-            if consistent {
-                inner.parent_version = snap.version();
-            }
-            return Ok(());
-        }
         if !consistent {
             return self.refresh_full(inner, snap, "healing stale view", started);
         }
@@ -831,8 +813,8 @@ impl ViewEntry {
         Ok(())
     }
 
-    /// The prepared plan reads execute (the oracle and `PYTOND_NO_IVM`
-    /// recompute-on-read paths), re-planned first if it went stale.
+    /// The prepared plan the oracle executes, re-planned first if it went
+    /// stale.
     fn read_prepared(&self, db: &Database) -> Result<PreparedQuery> {
         let mut inner = self.inner.lock().expect("view entry poisoned");
         if inner.plan_stale {
@@ -993,36 +975,9 @@ impl Database {
     /// The current published state of a view: the materialized result plus
     /// the snapshot version it is consistent with. Lock-free against
     /// concurrent refreshes — the returned state is immutable and never
-    /// torn. Under `PYTOND_NO_IVM=1` the standing query is instead
-    /// recomputed from scratch against the current snapshot on every call
-    /// (the differential oracle mode).
+    /// torn.
     pub fn view(&self, name: &str) -> Result<Arc<ViewState>> {
-        let entry = self.view_entry(name)?;
-        if !no_ivm() {
-            return Ok(entry.published.load());
-        }
-        let started = Instant::now();
-        let snap = self.shared.current.load();
-        let prepared = entry.read_prepared(self)?;
-        let label = format!("mv:{}@v{} (no-ivm)", entry.name, snap.version());
-        let (batch, schema) = run_plan(
-            &snap,
-            prepared.plan(),
-            FxHashMap::default(),
-            &entry.config,
-            &label,
-            None,
-        )?;
-        let rows = batch.num_rows() as u64;
-        Ok(Arc::new(ViewState {
-            name: entry.name.clone(),
-            rel: Arc::new(batch.to_relation(&schema)),
-            snapshot_version: snap.version(),
-            mode: RefreshMode::Recompute,
-            rows_propagated: rows,
-            reason: "PYTOND_NO_IVM recompute-on-read".to_string(),
-            refresh_ns: started.elapsed().as_nanos() as u64,
-        }))
+        Ok(self.view_entry(name)?.published.load())
     }
 
     /// From-scratch recompute of a view against the **current** snapshot,
@@ -1164,15 +1119,10 @@ mod tests {
         let s1 = db.view("v").unwrap();
         assert_eq!(s1.snapshot_version(), db.stats_version());
         assert_bits("filter", &db.view_oracle("v").unwrap(), s1.relation());
-        if no_ivm() {
-            assert_eq!(s1.mode(), RefreshMode::Recompute);
-            assert!(s1.reason().contains("PYTOND_NO_IVM"), "{}", s1.reason());
-        } else {
-            assert_eq!(s0.mode(), RefreshMode::Initial);
-            assert_eq!(s1.mode(), RefreshMode::Delta);
-            assert_eq!(s1.rows_propagated(), 2);
-            assert!(db.view_trace("v").unwrap().contains("mode=delta"));
-        }
+        assert_eq!(s0.mode(), RefreshMode::Initial);
+        assert_eq!(s1.mode(), RefreshMode::Delta);
+        assert_eq!(s1.rows_propagated(), 2);
+        assert!(db.view_trace("v").unwrap().contains("mode=delta"));
     }
 
     #[test]
@@ -1188,10 +1138,8 @@ mod tests {
         assert_bits("agg", &db.view_oracle("v").unwrap(), s.relation());
         let trace = db.view_trace("v").unwrap();
         assert!(trace.contains("t: delta (agg)"), "{trace}");
-        if !no_ivm() {
-            assert_eq!(s.mode(), RefreshMode::Delta);
-            assert!(trace.contains("mode=delta"), "{trace}");
-        }
+        assert_eq!(s.mode(), RefreshMode::Delta);
+        assert!(trace.contains("mode=delta"), "{trace}");
     }
 
     /// CTEs: one referenced once is spliced into the tree at bind time and
@@ -1225,10 +1173,8 @@ mod tests {
         );
         assert!(shared.contains("\n  u: "), "{shared}");
         assert!(!shared.contains("\n  c: "), "{shared}");
-        if !no_ivm() {
-            assert_eq!(db.view("spliced").unwrap().mode(), RefreshMode::Delta);
-            assert_eq!(db.view("shared").unwrap().mode(), RefreshMode::Recompute);
-        }
+        assert_eq!(db.view("spliced").unwrap().mode(), RefreshMode::Delta);
+        assert_eq!(db.view("shared").unwrap().mode(), RefreshMode::Recompute);
         for v in ["spliced", "shared"] {
             assert_bits(
                 v,
@@ -1287,19 +1233,17 @@ mod tests {
         let after = db.view("v").unwrap();
         assert_eq!(after.snapshot_version(), db.stats_version());
         assert_bits("unref", before.relation(), after.relation());
-        if !no_ivm() {
-            assert_eq!(after.rows_propagated(), 0);
-            assert!(
-                after.reason().contains("not referenced"),
-                "{}",
-                after.reason()
-            );
-            // The relation is literally shared, not copied.
-            assert!(Arc::ptr_eq(
-                &before.shared_relation(),
-                &after.shared_relation()
-            ));
-        }
+        assert_eq!(after.rows_propagated(), 0);
+        assert!(
+            after.reason().contains("not referenced"),
+            "{}",
+            after.reason()
+        );
+        // The relation is literally shared, not copied.
+        assert!(Arc::ptr_eq(
+            &before.shared_relation(),
+            &after.shared_relation()
+        ));
     }
 
     #[test]
@@ -1323,9 +1267,7 @@ mod tests {
         // And deltas work again on the replacement table.
         db.append("t", &delta_rows()).unwrap();
         let s = db.view("v").unwrap();
-        if !no_ivm() {
-            assert_eq!(s.mode(), RefreshMode::Delta);
-        }
+        assert_eq!(s.mode(), RefreshMode::Delta);
         assert_bits("replace+delta", &db.view_oracle("v").unwrap(), s.relation());
     }
 
@@ -1366,21 +1308,17 @@ mod tests {
         };
         db.register("t", renamed(7));
         db.append("t", &renamed(9)).unwrap();
-        if no_ivm() {
-            // Recompute-on-read must not run the stale plan either.
-            assert!(db.view("v").is_err());
-        } else {
-            let s = db.view("v").unwrap();
-            assert_eq!(
-                s.snapshot_version(),
-                fresh_version,
-                "an append after a failed re-prepare ran the stale plan"
-            );
-            assert!(s.snapshot_version() < db.stats_version());
-            let trace = db.view_trace("v").unwrap();
-            assert!(trace.contains("plan: stale"), "{trace}");
-            assert!(trace.contains("last-error"), "{trace}");
-        }
+        let s = db.view("v").unwrap();
+        assert_eq!(
+            s.snapshot_version(),
+            fresh_version,
+            "an append after a failed re-prepare ran the stale plan"
+        );
+        assert!(s.snapshot_version() < db.stats_version());
+        let trace = db.view_trace("v").unwrap();
+        assert!(trace.contains("plan: stale"), "{trace}");
+        assert!(trace.contains("last-error"), "{trace}");
+        // The oracle must not run the stale plan either.
         assert!(db.view_oracle("v").is_err());
         // Restoring a compatible schema heals: the next event re-prepares
         // from source and recomputes.
@@ -1400,10 +1338,6 @@ mod tests {
 
     #[test]
     fn unreferenced_events_never_freshen_a_stale_view() {
-        if no_ivm() {
-            // No refresh path exists to go stale.
-            return;
-        }
         let db = Database::new();
         db.register(
             "t",
@@ -1529,11 +1463,6 @@ mod tests {
             "t",
             Relation::new(vec![("z".into(), Column::from_i64(vec![1]))]).unwrap(),
         );
-        if no_ivm() {
-            // Recompute-on-read surfaces the broken plan as an error.
-            assert!(db.view("v").is_err());
-            return;
-        }
         let stale = db.view("v").unwrap();
         assert!(stale.snapshot_version() < db.stats_version());
         let trace = db.view_trace("v").unwrap();

@@ -49,7 +49,7 @@ pub enum KeyLayout {
         /// String key positions packed as 32-bit dictionary codes.
         dict_keys: usize,
     },
-    /// Anything else (floats, plain strings under `PYTOND_NO_DICT=1`, keys
+    /// Anything else (floats, keys mixing strings with other types, keys
     /// wider than 128 bits): keys byte-encode into a
     /// [`pytond_common::hash::KeyArena`], one encoding per position.
     Bytes(Vec<KeyEncoding>),
@@ -231,21 +231,20 @@ pub fn extract(plan: &LogicalPlan, fuse: bool) -> Option<Pipeline<'_>> {
 ///
 /// String keys plan as zero-row dictionary-encoded placeholders sharing one
 /// dictionary `Arc`, so they pack as 32-bit code slots — a promise the
-/// runtime keeps by encoding the build keys and re-encoding every probe
-/// chunk into the build side's dictionary. Under `PYTOND_NO_DICT=1` the
-/// placeholders stay plain strings and string keys byte-encode.
+/// runtime keeps whatever the stored representation: build keys are encoded
+/// at build (a plain column gets a fresh dictionary) and every probe chunk
+/// is re-encoded into the build side's dictionary.
 fn key_layout(
     stream: &LogicalPlan,
     build: &LogicalPlan,
     probe_keys: &[BExpr],
     build_keys: &[BExpr],
 ) -> KeyLayout {
-    let dict = !crate::db::no_dict();
     let typed = |plan: &LogicalPlan, keys: &[BExpr]| -> Vec<Column> {
         let dtypes: Vec<DType> = plan.schema().fields.iter().map(|f| f.dtype).collect();
         keys.iter()
             .map(|e| match e.dtype(&dtypes) {
-                DType::Str if dict => Column::DictStr {
+                DType::Str => Column::DictStr {
                     codes: Vec::new(),
                     dict: pytond_common::empty_dict(),
                     valid: None,

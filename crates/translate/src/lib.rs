@@ -23,7 +23,7 @@ pub mod value;
 use pytond_common::{Error, Result};
 use pytond_pyparse::{ast as py, parse_module};
 use pytond_tondir::{Catalog, Program};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use value::PyVal;
 
 /// Tensor storage layout for linear-algebra translation (paper, Section II).
@@ -86,18 +86,39 @@ impl CompileOptions {
     }
 }
 
+/// Base table → the catalog row count a translation baked into the
+/// program's shape.
+pub type RowCounts = BTreeMap<String, u64>;
+
+/// A translated program and what its shape read from the catalog besides
+/// schemas.
+#[derive(Debug, Clone)]
+pub struct Translation {
+    /// The TondIR program.
+    pub program: Program,
+    /// Base tables whose catalog `row_count` a dense kernel (transpose,
+    /// matmul, outer product) pivoted by, with the count used: the program
+    /// is only correct while each table holds exactly that many rows.
+    pub row_counts: RowCounts,
+}
+
 /// Translates the first `@pytond`-decorated function in `source`.
-pub fn translate_source(source: &str, catalog: &Catalog) -> Result<Program> {
+pub fn translate_source(source: &str, catalog: &Catalog) -> Result<Translation> {
     let module = parse_module(source)?;
     let funcs = module.decorated_functions("pytond");
     let func = funcs
         .first()
         .ok_or_else(|| Error::Translate("no @pytond-decorated function found".into()))?;
-    translate_function(func, catalog)
+    translate_decorated(func, catalog)
 }
 
-/// Translates one decorated function.
+/// Translates one decorated function (the program alone; see
+/// [`translate_source`] for what it read of the catalog).
 pub fn translate_function(func: &py::FuncDef, catalog: &Catalog) -> Result<Program> {
+    translate_decorated(func, catalog).map(|t| t.program)
+}
+
+fn translate_decorated(func: &py::FuncDef, catalog: &Catalog) -> Result<Translation> {
     let deco = func
         .decorators
         .iter()
@@ -112,7 +133,7 @@ pub fn translate_with_options(
     func: &py::FuncDef,
     catalog: &Catalog,
     options: &CompileOptions,
-) -> Result<Program> {
+) -> Result<Translation> {
     let body = anf::normalize(&func.body)?;
     let mut tr = Translator {
         catalog,
@@ -120,6 +141,7 @@ pub fn translate_with_options(
         env: HashMap::new(),
         rules: Vec::new(),
         fresh: 0,
+        row_counts: RowCounts::new(),
     };
     // Bind parameters to base tables (paper: data already resides in the DB).
     for param in &func.params {
@@ -153,7 +175,10 @@ pub fn translate_with_options(
     let out =
         returned.ok_or_else(|| Error::Translate("@pytond function must return a value".into()))?;
     tr.finalize(out)?;
-    Ok(Program { rules: tr.rules })
+    Ok(Translation {
+        program: Program { rules: tr.rules },
+        row_counts: tr.row_counts,
+    })
 }
 
 /// Shared translation state. The per-domain rules live in `pandas.rs`
@@ -164,6 +189,7 @@ pub struct Translator<'a> {
     pub(crate) env: HashMap<String, PyVal>,
     pub(crate) rules: Vec<pytond_tondir::Rule>,
     pub(crate) fresh: usize,
+    pub(crate) row_counts: RowCounts,
 }
 
 impl<'a> Translator<'a> {

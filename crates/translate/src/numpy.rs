@@ -174,7 +174,7 @@ impl<'a> Translator<'a> {
             ndim: 2,
             id_col: "__id".into(),
             val_cols: (0..ncols).map(|j| format!("c{j}")).collect(),
-            static_rows: Some(nrows),
+            static_rows: Some(StaticRows::fixed(nrows)),
         })
     }
 
@@ -402,7 +402,7 @@ impl<'a> Translator<'a> {
         body: Vec<Atom>,
         id_var: Option<String>,
         val_vars: Vec<String>,
-        static_rows: Option<usize>,
+        static_rows: Option<StaticRows>,
         ndim: usize,
     ) -> ArrayVal {
         let rel = self.fresh_rel();
@@ -428,6 +428,17 @@ impl<'a> Translator<'a> {
         }
     }
 
+    /// `a`'s statically-known row count, for a kernel that bakes it into the
+    /// program's shape: a count read from the catalog is recorded with its
+    /// table ([`crate::Translation::row_counts`]).
+    fn consume_rows(&mut self, a: &ArrayVal) -> Option<usize> {
+        let rows = a.static_rows.as_ref()?;
+        if let Some(t) = &rows.table {
+            self.row_counts.insert(t.clone(), rows.n as u64);
+        }
+        Some(rows.n)
+    }
+
     /// `'ij->i'`: horizontal sum across the value columns.
     fn emit_rowsum(&mut self, a: &ArrayVal) -> Result<ArrayVal> {
         let mut b = BodyBuilder::new();
@@ -444,7 +455,7 @@ impl<'a> Translator<'a> {
         });
         Ok(ArrayVal {
             ndim: 1,
-            ..self.push_array_rule(b.atoms, Some(id), vec![out], a.static_rows, 1)
+            ..self.push_array_rule(b.atoms, Some(id), vec![out], a.static_rows.clone(), 1)
         })
     }
 
@@ -508,7 +519,7 @@ impl<'a> Translator<'a> {
             var: out.clone(),
             term,
         });
-        Ok(self.push_array_rule(b.atoms, Some(id), vec![out], a.static_rows, 1))
+        Ok(self.push_array_rule(b.atoms, Some(id), vec![out], a.static_rows.clone(), 1))
     }
 
     /// Transposes via full pivot + transposed unpivot (requires static rows).
@@ -516,7 +527,7 @@ impl<'a> Translator<'a> {
         if a.ndim == 1 {
             return Ok(a.clone()); // vector transpose is identity here
         }
-        let rows = a.static_rows.ok_or_else(|| {
+        let rows = self.consume_rows(a).ok_or_else(|| {
             Error::Translate("dense transpose requires a statically-known row count".into())
         })?;
         let one_row = self.emit_pivot_matrix(a, rows)?;
@@ -628,7 +639,7 @@ impl<'a> Translator<'a> {
             });
             outs.push(o);
         }
-        Ok(self.push_array_rule(b.atoms, Some(id1), outs, x.static_rows, x.ndim))
+        Ok(self.push_array_rule(b.atoms, Some(id1), outs, x.static_rows.clone(), x.ndim))
     }
 
     /// `',ij->ij'`: cross join the 1-row scalar (ES5/ES6).
@@ -656,7 +667,7 @@ impl<'a> Translator<'a> {
             });
             outs.push(o);
         }
-        Ok(self.push_array_rule(b.atoms, Some(id), outs, m.static_rows, m.ndim))
+        Ok(self.push_array_rule(b.atoms, Some(id), outs, m.static_rows.clone(), m.ndim))
     }
 
     /// `'ij,ik->jk'` (ES8): self-join on id, J×K sums into one row, unpivot.
@@ -699,7 +710,7 @@ impl<'a> Translator<'a> {
     /// `'ij,jk->ik'`: pivot B into one wide row, horizontal dot per row of A.
     fn emit_matmul(&mut self, x: &ArrayVal, y: &ArrayVal) -> Result<ArrayVal> {
         let j = x.ncols();
-        let rows_b = y.static_rows.ok_or_else(|| {
+        let rows_b = self.consume_rows(y).ok_or_else(|| {
             Error::Translate("dense matmul requires the right operand's row count".into())
         })?;
         if rows_b != j {
@@ -731,7 +742,7 @@ impl<'a> Translator<'a> {
             });
             outs.push(o);
         }
-        Ok(self.push_array_rule(b.atoms, Some(id), outs, x.static_rows, 2))
+        Ok(self.push_array_rule(b.atoms, Some(id), outs, x.static_rows.clone(), 2))
     }
 
     /// `'ij,j->i'` (ES9 family): pivot v into one row, horizontal dot.
@@ -756,12 +767,12 @@ impl<'a> Translator<'a> {
             var: o.clone(),
             term,
         });
-        Ok(self.push_array_rule(b.atoms, Some(id), vec![o], m.static_rows, 1))
+        Ok(self.push_array_rule(b.atoms, Some(id), vec![o], m.static_rows.clone(), 1))
     }
 
     /// `'i,j->ij'`: pivot v into one row, scale by each u entry.
     fn emit_outer(&mut self, u: &ArrayVal, v: &ArrayVal) -> Result<ArrayVal> {
-        let k = v.static_rows.ok_or_else(|| {
+        let k = self.consume_rows(v).ok_or_else(|| {
             Error::Translate("dense outer product requires the right operand's length".into())
         })?;
         let vrow = self.emit_pivot_vector(v, k)?;
@@ -781,7 +792,7 @@ impl<'a> Translator<'a> {
             });
             outs.push(o);
         }
-        Ok(self.push_array_rule(b.atoms, Some(id), outs, u.static_rows, 2))
+        Ok(self.push_array_rule(b.atoms, Some(id), outs, u.static_rows.clone(), 2))
     }
 
     // ---- reshape helpers (the paper's Figure 2 v4_2/v4_3 constructions) ----
@@ -922,7 +933,7 @@ impl<'a> Translator<'a> {
             b.atoms,
             Some(idx_var),
             outs,
-            Some(groups.len()),
+            Some(StaticRows::fixed(groups.len())),
             if width == 1 { 1 } else { 2 },
         ))
     }
@@ -1141,7 +1152,7 @@ impl<'a> Translator<'a> {
                     b.atoms,
                     Some(id),
                     outs,
-                    a.static_rows,
+                    a.static_rows.clone(),
                     if keep.len() == 1 { 1 } else { 2 },
                 )))
             }
@@ -1192,7 +1203,7 @@ impl<'a> Translator<'a> {
             });
             outs.push(o);
         }
-        Ok(self.push_array_rule(b.atoms, Some(id), outs, a.static_rows, a.ndim))
+        Ok(self.push_array_rule(b.atoms, Some(id), outs, a.static_rows.clone(), a.ndim))
     }
 
     /// Combines two 1-row scalars into a new 1-row scalar.
@@ -1259,7 +1270,7 @@ impl<'a> Translator<'a> {
                     b.atoms,
                     Some(id),
                     vec![col],
-                    a.static_rows,
+                    a.static_rows.clone(),
                     1,
                 )))
             }

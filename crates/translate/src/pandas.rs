@@ -195,6 +195,12 @@ impl<'a> Translator<'a> {
     pub fn bind_parameter(&mut self, name: &str) -> Result<PyVal> {
         let schema = self.catalog.expect_table(name)?;
         let col_names: Vec<&str> = schema.cols.iter().map(|(c, _)| c.as_str()).collect();
+        // A kernel that pivots by this count ties the program's shape to the
+        // table's size, so the count remembers its table.
+        let rows = schema.row_count.map(|n| StaticRows {
+            n: n as usize,
+            table: Some(name.to_string()),
+        });
         if col_names.first() == Some(&"__id")
             && col_names[1..].iter().all(|c| c.starts_with('c'))
             && col_names.len() > 1
@@ -205,7 +211,7 @@ impl<'a> Translator<'a> {
                 ndim: if col_names.len() == 2 { 1 } else { 2 },
                 id_col: "__id".into(),
                 val_cols: col_names[1..].iter().map(|c| c.to_string()).collect(),
-                static_rows: schema.row_count.map(|n| n as usize),
+                static_rows: rows,
             }));
         }
         if col_names == ["row_id", "col_id", "val"] {
@@ -215,7 +221,7 @@ impl<'a> Translator<'a> {
                 ndim: 2,
                 id_col: "row_id".into(),
                 val_cols: vec!["val".into()],
-                static_rows: schema.row_count.map(|n| n as usize),
+                static_rows: rows,
             }));
         }
         Ok(PyVal::Frame(FrameVal::base(

@@ -186,7 +186,24 @@ pub struct ArrayVal {
     /// Dense layout: value column names in order.
     pub val_cols: Vec<String>,
     /// Statically-known row count, when available (needed for pivots).
-    pub static_rows: Option<usize>,
+    pub static_rows: Option<StaticRows>,
+}
+
+/// A row count known at translation time, and where it came from.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StaticRows {
+    /// The count.
+    pub n: usize,
+    /// The base table whose catalog `row_count` this is; `None` when the
+    /// program fixes it itself (a literal, an unpivot over known columns).
+    pub table: Option<String>,
+}
+
+impl StaticRows {
+    /// A count the program itself fixes.
+    pub fn fixed(n: usize) -> StaticRows {
+        StaticRows { n, table: None }
+    }
 }
 
 impl ArrayVal {

@@ -40,8 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ])?;
 
     // `register` dictionary-encodes the string columns at the storage
-    // boundary (set PYTOND_NO_DICT=1 to watch the same query fall back to
-    // the byte-key probe and lose the dict: counters).
+    // boundary (`register_plain` keeps them plain — the dictionary oracle,
+    // whose scans report no encoded columns).
     let db = Database::new();
     db.register("fact", fact);
     db.register("dim", dim);

@@ -11,8 +11,8 @@
 //! cargo run --release --example mv_trace
 //! ```
 //!
-//! Set `PYTOND_NO_IVM=1` to watch every view fall back to
-//! recompute-on-read — the differential oracle for the delta rules.
+//! `Database::view_oracle` recomputes any of them from scratch with the
+//! view's own plan — the differential oracle for the delta rules.
 
 use pytond_repro::common::{Column, Relation};
 use pytond_repro::pytond::{Backend, Pytond};

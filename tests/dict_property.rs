@@ -6,10 +6,9 @@
 //! packed dictionary join keys, fused byte-key probes and zone-map pruning
 //! over codes are all implementation detail the result must never betray.
 //!
-//! Running the whole test suite under `PYTOND_NO_DICT=1` (CI does) is the
-//! complementary check: encoding is then disabled process-wide, both sides
-//! of this suite take the plain path, and the comparison is the identity —
-//! proving the kill switch restores pre-dictionary behavior exactly.
+//! The oracle is chosen per table, by registering it plain, so this suite
+//! runs in the default process and every dictionary-metric assertion holds
+//! unconditionally.
 //!
 //! Coverage: all 22 TPC-H queries, every hybrid workload, a generated
 //! corpus crossing string cardinality (2 … 30 000 distinct) × NULL density ×
@@ -35,13 +34,6 @@ fn config(profile: Profile, threads: usize) -> EngineConfig {
         zone_prune: true,
         ..EngineConfig::default()
     }
-}
-
-/// `true` when the process runs with dictionary encoding disabled
-/// (`PYTOND_NO_DICT=1`): differential checks hold trivially, but assertions
-/// about dictionary metrics must be skipped.
-fn dict_disabled() -> bool {
-    pytond_common::env::flag("PYTOND_NO_DICT")
 }
 
 /// Exact equality under `Value::total_cmp` — see
@@ -328,18 +320,16 @@ fn append_extends_dictionary() {
     ] {
         check_sql(sql, &plain, &encoded, sql);
     }
-    if !dict_disabled() {
-        // The appended rows re-encoded against the existing dictionary,
-        // extending it in place: one dictionary, first-occurrence order,
-        // old codes untouched.
-        let stored = encoded.table("t").expect("registered");
-        let (codes, dict, _) = stored.batch.cols[0]
-            .dict_parts()
-            .expect("string column stays dictionary-encoded across appends");
-        let strs: Vec<&str> = dict.strs().collect();
-        assert_eq!(strs, ["a", "b", "c", "d", "e"]);
-        assert_eq!(codes, [0u32, 1, 0, 2, 1, 3, 0, 4]);
-    }
+    // The appended rows re-encoded against the existing dictionary,
+    // extending it in place: one dictionary, first-occurrence order, old
+    // codes untouched.
+    let stored = encoded.table("t").expect("registered");
+    let (codes, dict, _) = stored.batch.cols[0]
+        .dict_parts()
+        .expect("string column stays dictionary-encoded across appends");
+    let strs: Vec<&str> = dict.strs().collect();
+    assert_eq!(strs, ["a", "b", "c", "d", "e"]);
+    assert_eq!(codes, [0u32, 1, 0, 2, 1, 3, 0, 4]);
 }
 
 #[test]
@@ -364,11 +354,9 @@ fn failed_append_publishes_nothing() {
     assert_eq!(db.stats_version(), version, "failed append published");
     let stored = db.table("t").expect("registered");
     assert_eq!(stored.num_rows(), 2);
-    if !dict_disabled() {
-        let (_, dict, _) = stored.batch.cols[0].dict_parts().expect("encoded");
-        let strs: Vec<&str> = dict.strs().collect();
-        assert_eq!(strs, ["a", "b"], "rejected rows extended the dictionary");
-    }
+    let (_, dict, _) = stored.batch.cols[0].dict_parts().expect("encoded");
+    let strs: Vec<&str> = dict.strs().collect();
+    assert_eq!(strs, ["a", "b"], "rejected rows extended the dictionary");
 }
 
 // ---------------- metrics and EXPLAIN pin ----------------
@@ -383,10 +371,6 @@ fn string_keyed_join_fuses_with_dict_probe() {
     let (_, trace) = encoded
         .execute_sql_traced(sql, &config(Profile::Fused, 2))
         .unwrap();
-    let no_fuse = pytond_common::env::flag("PYTOND_NO_FUSE");
-    if dict_disabled() || no_fuse {
-        return;
-    }
     assert!(
         trace.metrics.dict_probe_pipelines >= 1,
         "expected a fused dict-code probe, got metrics {:?}",

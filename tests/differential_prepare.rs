@@ -31,7 +31,7 @@ fn tpch_instance() -> Pytond {
 fn assert_round_trips(py: &Pytond, name: &str, source: &str, level: OptLevel) {
     let catalog = py.catalog();
     let raw = pytond_translate::translate_source(source, &catalog).expect("translate");
-    let ir = pytond_optimizer::optimize(raw, &catalog, level);
+    let ir = pytond_optimizer::optimize(raw.program, &catalog, level);
     let query = lower_program(&ir, &catalog).unwrap_or_else(|e| panic!("{name}: lower: {e}"));
     for dialect in DIALECTS {
         let text = pytond_sqlgen::render(&query, dialect);

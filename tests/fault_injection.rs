@@ -257,12 +257,6 @@ fn faulted_appends_publish_nothing() {
 
 // ---------------- materialized views under faults (ISSUE 10) -------------
 
-/// `true` when the process runs with `PYTOND_NO_IVM=1`: maintenance is
-/// disabled, so refresh-path fault tests have nothing to exercise.
-fn ivm_disabled() -> bool {
-    pytond_common::env::flag("PYTOND_NO_IVM")
-}
-
 /// View refresh under the fault sweeps: the `view-publish` site (plus
 /// morsel and pool faults inside the refresh's own execution) can kill any
 /// refresh, and every surviving observation must still hold **exactly** the
@@ -296,16 +290,9 @@ fn faulted_view_refreshes_keep_a_consistent_prior_version_and_heal() {
                     continue;
                 }
             }
-            // The read side: under injected faults the read itself may be
-            // killed (recompute-on-read oracle mode), but a state that IS
-            // observed must match its stamp exactly.
-            let state = match db.view("standing") {
-                Ok(s) => s,
-                Err(e) => {
-                    assert!(e.is_transient(), "seed {seed}: {e}");
-                    continue;
-                }
-            };
+            // The read side never fails (a lock-free load of the published
+            // state), and what it observes must match its stamp exactly.
+            let state = db.view("standing").unwrap();
             let stamp = state.snapshot_version();
             let rows = *rows_at
                 .get(&stamp)
@@ -320,12 +307,10 @@ fn faulted_view_refreshes_keep_a_consistent_prior_version_and_heal() {
             }
         }
         fault::clear();
-        if !ivm_disabled() {
-            assert!(
-                stale_observed || fault::fired() == 0 || rate < 0.1,
-                "seed {seed}: refresh faults fired but the view never went stale"
-            );
-        }
+        assert!(
+            stale_observed || fault::fired() == 0 || rate < 0.1,
+            "seed {seed}: refresh faults fired but the view never went stale"
+        );
         // Healing: with the harness off, the next append refreshes the view
         // back onto the live version, bit-exact.
         let before_rows = *rows_at.values().last().unwrap();
@@ -357,9 +342,6 @@ fn faulted_view_refreshes_keep_a_consistent_prior_version_and_heal() {
 fn healed_aggregate_view_recomputes_then_resumes_delta() {
     let _guard = FAULT_LOCK.lock().unwrap();
     fault::clear();
-    if ivm_disabled() {
-        return;
-    }
     let db = Database::new();
     db.register("t", rel(0, BASE_ROWS));
     let config = EngineConfig {
@@ -462,13 +444,7 @@ fn unreferenced_appends_heal_or_keep_stale_views() {
                     Err(e) => assert!(e.is_transient(), "seed {seed}: {e}"),
                 }
             }
-            let state = match db.view("standing") {
-                Ok(s) => s,
-                Err(e) => {
-                    assert!(e.is_transient(), "seed {seed}: {e}");
-                    continue;
-                }
-            };
+            let state = db.view("standing").unwrap();
             let stamp = state.snapshot_version();
             let rows = *rows_at
                 .get(&stamp)
@@ -508,10 +484,6 @@ fn unreferenced_appends_heal_or_keep_stale_views() {
 fn cancelled_view_refresh_leaves_prior_version() {
     let _guard = FAULT_LOCK.lock().unwrap();
     fault::clear();
-    if ivm_disabled() {
-        eprintln!("PYTOND_NO_IVM set: no refresh path to cancel");
-        return;
-    }
     let db = Database::new();
     // Start tiny so the initial materialization beats the deadline easily;
     // the append then grows the cross join past any 50ms budget.

@@ -9,9 +9,9 @@
 //! probes are elementwise, chunks merge in ascending order, and aggregate
 //! sinks rebuild the narrow key/argument columns in that order before
 //! running the *same* fixed-grid accumulation tree (`docs/EXECUTION.md`
-//! § Fusion). Under `PYTOND_NO_FUSE=1` (CI runs this suite that way too)
-//! both sides extract one operator per pipeline and the comparison is the
-//! identity, proving the kill switch only changes the policy.
+//! § Fusion). The oracle is chosen per call: `Profile::Vectorized` is the
+//! one-operator policy, so every pipeline assertion below runs in the
+//! default process.
 //!
 //! Coverage: all 22 TPC-H queries, every hybrid workload, the
 //! stats-property corpus (dtypes × clustering × NULL patterns), NULL-heavy
@@ -40,13 +40,6 @@ fn config(profile: Profile, threads: usize) -> EngineConfig {
         zone_prune: true,
         ..EngineConfig::default()
     }
-}
-
-/// `true` when the process runs with fusion disabled (`PYTOND_NO_FUSE=1`):
-/// differential checks still hold trivially, but assertions about pipeline
-/// counters must be skipped.
-fn fusion_disabled() -> bool {
-    pytond_common::env::flag("PYTOND_NO_FUSE")
 }
 
 /// Exact equality under `Value::total_cmp` — see
@@ -338,10 +331,6 @@ fn fused_traces_report_pipelines_and_scan_zones_once() {
     );
     assert_eq!(vec_trace.metrics.pipelines, 0);
     assert!(vec_trace.metrics.pipeline_ops.is_empty());
-    if fusion_disabled() {
-        eprintln!("PYTOND_NO_FUSE set: skipping fused-side pipeline assertions");
-        return;
-    }
     for threads in [1usize, 7] {
         let (_, fused) = db
             .execute_sql_traced(sql, &config(Profile::Fused, threads))
@@ -395,10 +384,6 @@ fn planned_build_side_shows_in_explain_and_pipelines() {
             (15_000, 30_000),
             "{profile:?}: {m:?}"
         );
-    }
-    if fusion_disabled() {
-        eprintln!("PYTOND_NO_FUSE set: skipping the pipeline listing");
-        return;
     }
     let (_, fused) = db
         .execute_sql_traced(sql, &config(Profile::Fused, 1))
@@ -512,7 +497,7 @@ fn nested_loop_join(
 #[test]
 fn one_join_matches_nested_loop_reference() {
     // Key column pairs: a `u64` key, a `u128` key, a string key (dictionary
-    // codes; byte-encoded under `PYTOND_NO_DICT=1`) and a float-vs-int key
+    // codes — also over plain stored strings, below) and a float-vs-int key
     // (always byte-encoded).
     let layouts: [&[(&str, &str)]; 4] = [
         &[("k1", "k1")],
@@ -532,9 +517,19 @@ fn one_join_matches_nested_loop_reference() {
         let (ra, rb) = (join_side(na, 0), join_side(nb, 2));
         let (a, b) = (rows_of(&ra), rows_of(&rb));
         let db = Database::new();
-        db.register("a", ra);
-        db.register("b", rb);
-        for keys in layouts {
+        db.register("a", ra.clone());
+        db.register("b", rb.clone());
+        // The string key once more with both sides stored plain: whichever
+        // side the plan builds on, its keys are plain strings encoded at
+        // build, and the probe re-encodes plain chunks into that dictionary.
+        let plain = Database::new();
+        plain.register_plain("a", ra);
+        plain.register_plain("b", rb);
+        let runs = layouts
+            .iter()
+            .map(|keys| (&db, *keys, ""))
+            .chain([(&plain, layouts[2], "plain/")]);
+        for (db, keys, stored) in runs {
             let lk: Vec<usize> = keys.iter().map(|(l, _)| pos(l)).collect();
             let rk: Vec<usize> = keys.iter().map(|(_, r)| pos(r)).collect();
             for kind in ["inner", "left", "right", "full", "semi", "anti"] {
@@ -558,7 +553,7 @@ fn one_join_matches_nested_loop_reference() {
                         on.join(" AND ")
                     ),
                 };
-                let name = format!("{na}x{nb}/{kind}/{}", on.join("&"));
+                let name = format!("{stored}{na}x{nb}/{kind}/{}", on.join("&"));
                 let planned_left = db.explain_sql(&sql).unwrap().contains("build=left");
                 let may_flip = matches!(kind, "inner" | "semi" | "anti");
                 assert_eq!(

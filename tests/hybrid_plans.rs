@@ -86,16 +86,13 @@ fn hybrid_covariance_runs_join_and_einsum_as_one_pipeline() {
             assert!(!plan.contains("Window"), "{plan}");
             assert!(!plan.contains("CTE "), "{plan}");
         }
-        // The trace lists pipelines only when fusion is on (the
-        // `PYTOND_NO_FUSE=1` pass runs the same plan operator-at-a-time).
-        if plan4.contains("pipelines:") {
-            let shape = if source == HYBRID_COVAR_NF {
-                "scan tx → probe(inner) → aggregate"
-            } else {
-                "scan tx → probe(inner) → filter → aggregate"
-            };
-            assert!(plan4.contains(shape), "{plan4}");
-        }
+        // The fused trace lists its pipelines: join and einsum are one.
+        let shape = if source == HYBRID_COVAR_NF {
+            "scan tx → probe(inner) → aggregate"
+        } else {
+            "scan tx → probe(inner) → filter → aggregate"
+        };
+        assert!(plan4.contains(shape), "{plan4}");
         assert_close(&out3, &out4);
     }
 }

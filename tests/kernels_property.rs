@@ -398,7 +398,9 @@ proptest! {
     /// Bind-time literal typing is invisible: comparisons, `IN` and
     /// `BETWEEN` written with string dates / integer constants select exactly
     /// the rows `Value::sql_cmp` selects with the literals as written, under
-    /// both executors.
+    /// both executors. The string predicates — `LIKE`, string `IN`, literal
+    /// comparisons — run over the same strings stored dictionary-encoded and
+    /// plain, against the row-at-a-time meaning.
     #[test]
     fn typed_literals_keep_sql_cmp_semantics(
         rows in prop::collection::vec((0u8..5, 0i64..120, 0u8..8, -3.0f64..9.0), 1..60),
@@ -407,15 +409,26 @@ proptest! {
     ) {
         let d = date_col(&rows.iter().map(|r| (r.0, r.1)).collect::<Vec<_>>());
         let f = float_col(&rows.iter().map(|r| (r.2, r.3)).collect::<Vec<_>>());
+        let mut s = Column::new(DType::Str);
+        for r in &rows {
+            match r.2 {
+                0 => s.push_null(),
+                _ => s.push(Value::Str(format!("k{:03}", r.1))).unwrap(),
+            }
+        }
         let n = rows.len();
-        let db = Database::new();
-        db.register("t", Relation::new(vec![
+        let rel = Relation::new(vec![
             ("d".into(), d.clone()),
             ("f".into(), f.clone()),
+            ("s".into(), s.clone()),
             ("v".into(), Column::from_i64((0..n as i64).collect())),
-        ]).unwrap());
+        ]).unwrap();
+        let (encoded, plain) = (Database::new(), Database::new());
+        encoded.register("t", rel.clone());
+        plain.register_plain("t", rel);
         let day = |x: i64| Value::Str(date::format(x as i32));
         let junk = || Value::Str("soon".into());
+        let key = |x: i64| Value::Str(format!("k{x:03}"));
         let (lo, hi) = (a.min(b), a.max(b));
         let preds = [
             Pred::Cmp("d", BinOp::Ge, day(a), false),
@@ -434,18 +447,34 @@ proptest! {
             Pred::Between("f", Value::Int(lo % 9 - 3), Value::Int(hi % 9), false),
             Pred::In("f", vec![Value::Int(0), Value::Float(2.5), Value::Int(a % 9)], false),
             Pred::In("f", vec![Value::Int(0), Value::Int(b % 9)], true),
+            Pred::Like("s", format!("k{}%", a / 100), false),
+            Pred::Like("s", format!("%{}", b % 10), true),
+            Pred::Like("s", format!("k_{}%", a % 10), false),
+            Pred::Like("s", "%1%".into(), false),
+            Pred::In("s", vec![key(a), key(b), Value::Str("nope".into())], false),
+            Pred::In("s", vec![key(a), key(b)], true),
+            Pred::Cmp("s", BinOp::Ge, key(a), false),
+            Pred::Cmp("s", BinOp::Lt, key(b), true),
+            Pred::Cmp("s", BinOp::Eq, key(a), false),
+            Pred::Cmp("s", BinOp::Ne, key(b), false),
         ];
         for p in &preds {
-            let col = if p.column() == "d" { &d } else { &f };
+            let col = match p.column() {
+                "d" => &d,
+                "f" => &f,
+                _ => &s,
+            };
             let want: Vec<i64> = (0..n).filter(|&i| p.holds(&col.get(i))).map(|i| i as i64).collect();
             let sql = format!("SELECT v FROM t WHERE {}", p.sql());
-            for profile in [Profile::Vectorized, Profile::Fused] {
-                let cfg = EngineConfig { profile, threads: 1, ..EngineConfig::default() };
-                let got = db.execute_sql(&sql, &cfg).unwrap();
-                prop_assert!(
-                    got.column("v").unwrap().as_int() == want.as_slice(),
-                    "{sql} under {profile:?}: {:?} vs {want:?}", got.column("v").unwrap()
-                );
+            for (db, what) in [(&encoded, "encoded"), (&plain, "plain")] {
+                for profile in [Profile::Vectorized, Profile::Fused] {
+                    let cfg = EngineConfig { profile, threads: 1, ..EngineConfig::default() };
+                    let got = db.execute_sql(&sql, &cfg).unwrap();
+                    prop_assert!(
+                        got.column("v").unwrap().as_int() == want.as_slice(),
+                        "{sql} under {profile:?} ({what}): {:?} vs {want:?}", got.column("v").unwrap()
+                    );
+                }
             }
         }
     }
@@ -652,6 +681,19 @@ enum Pred {
     Between(&'static str, Value, Value, bool),
     /// `col [NOT] IN (list)`.
     In(&'static str, Vec<Value>, bool),
+    /// `col [NOT] LIKE 'pattern'`.
+    Like(&'static str, String, bool),
+}
+
+/// SQL `LIKE` by backtracking over characters: `%` matches any run, `_`
+/// exactly one character.
+fn like(p: &[char], s: &[char]) -> bool {
+    match p.split_first() {
+        None => s.is_empty(),
+        Some(('%', rest)) => (0..=s.len()).any(|i| like(rest, &s[i..])),
+        Some(('_', rest)) => !s.is_empty() && like(rest, &s[1..]),
+        Some((c, rest)) => s.first() == Some(c) && like(rest, &s[1..]),
+    }
 }
 
 fn sql_lit(v: &Value) -> String {
@@ -664,7 +706,7 @@ fn sql_lit(v: &Value) -> String {
 impl Pred {
     fn column(&self) -> &'static str {
         match self {
-            Pred::Cmp(c, ..) | Pred::Between(c, ..) | Pred::In(c, ..) => c,
+            Pred::Cmp(c, ..) | Pred::Between(c, ..) | Pred::In(c, ..) | Pred::Like(c, ..) => c,
         }
     }
 
@@ -691,6 +733,9 @@ impl Pred {
                 if *neg { "NOT " } else { "" },
                 list.iter().map(sql_lit).collect::<Vec<_>>().join(", ")
             ),
+            Pred::Like(c, pat, neg) => {
+                format!("{c} {}LIKE '{pat}'", if *neg { "NOT " } else { "" })
+            }
         }
     }
 
@@ -717,14 +762,17 @@ impl Pred {
             Pred::In(_, list, neg) => {
                 !x.is_null() && list.iter().any(|v| x.sql_cmp(v) == Some(Equal)) != *neg
             }
+            // NULL rows fail LIKE and NOT LIKE alike.
+            Pred::Like(_, pat, neg) => match x {
+                Value::Str(s) => {
+                    let (p, s): (Vec<char>, Vec<char>) =
+                        (pat.chars().collect(), s.chars().collect());
+                    like(&p, &s) != *neg
+                }
+                _ => false,
+            },
         }
     }
-}
-
-/// `true` under `PYTOND_NO_DICT=1`: results still have to agree, but no
-/// column is encoded, so no predicate table can exist.
-fn dict_disabled() -> bool {
-    pytond_common::env::flag("PYTOND_NO_DICT")
 }
 
 /// A dictionary larger than the morsel: the same rows come back at morsel
@@ -785,8 +833,7 @@ fn dictionary_tables_span_morsels() {
                         want.column("v").unwrap().as_int(),
                         "{what}"
                     );
-                    let expect = if dict_disabled() { 0 } else { tables };
-                    assert_eq!(trace.metrics.dict_pred_tables, expect, "{what}");
+                    assert_eq!(trace.metrics.dict_pred_tables, tables, "{what}");
                 }
             }
         }
@@ -825,10 +872,9 @@ fn q13_builds_one_dictionary_table() {
                 .execute_prepared_traced(&prepared, &cfg)
                 .unwrap();
             assert!(trace.metrics.morsels_scanned >= 4, "{}", trace.summary());
-            let expect = if dict_disabled() { 0 } else { 1 };
             assert_eq!(
                 trace.metrics.dict_pred_tables,
-                expect,
+                1,
                 "{profile:?}@{threads}t: {}",
                 trace.summary()
             );

@@ -11,11 +11,11 @@
 //! at threads 1 / 2 / 7 / hardware under both profiles, `@pytond` programs
 //! registered through the front door taking the delta path, a resumable-fold
 //! matrix (delta sizes around the morsel boundary, new groups, NULL keys,
-//! dictionary growth, every accumulator kind, an empty prefix), and trace
-//! pinning that incremental-eligible plan shapes actually report `delta` —
-//! not `recompute` — after an append. CI re-runs the whole file under
-//! `PYTOND_NO_IVM=1` (recompute-on-read oracle) and `PYTOND_NO_DICT=1`;
-//! the differential checks must hold identically in every mode.
+//! dictionary growth, every accumulator kind, an empty prefix, a table of
+//! plain strings), and trace pinning that incremental-eligible plan shapes
+//! actually report `delta` — not `recompute` — after an append. The oracle
+//! is an argument, not a mode: `Database::view_oracle_at` recomputes on the
+//! pinned snapshot, so every refresh-mode assertion runs unconditionally.
 
 use pytond::{Backend, Profile, Pytond};
 use pytond_common::{pool, Column, DType, Relation, Value};
@@ -37,13 +37,6 @@ fn config(profile: Profile, threads: usize) -> EngineConfig {
         zone_prune: true,
         ..EngineConfig::default()
     }
-}
-
-/// `true` when the process runs with maintenance disabled
-/// (`PYTOND_NO_IVM=1`): differential checks still hold (both sides
-/// recompute), but assertions about refresh modes must be skipped.
-fn ivm_disabled() -> bool {
-    pytond_common::env::flag("PYTOND_NO_IVM")
 }
 
 /// Exact equality under `Value::total_cmp` — see
@@ -304,10 +297,6 @@ fn synthetic_views_bit_identical_at_all_thread_counts() {
 /// operator named in the maintenance matrix.
 #[test]
 fn eligible_shapes_report_delta_in_trace() {
-    if ivm_disabled() {
-        eprintln!("PYTOND_NO_IVM set: skipping refresh-mode pinning");
-        return;
-    }
     let db = Database::new();
     db.register("t", synth_rel(0, 4_000, 7, 3));
     db.register(
@@ -402,9 +391,6 @@ fn rows_from(rel: &Relation, from: usize, k: usize) -> Relation {
 /// Asserts that the last refresh of every view of `db` was a delta, and —
 /// for the views that read `table` — one that resumed the aggregate's fold.
 fn assert_all_delta(db: &Database, table: &str, context: &str) {
-    if ivm_disabled() {
-        return;
-    }
     for name in db.view_names() {
         let trace = db.view_trace(&name).unwrap();
         let mode = db.view(&name).unwrap().mode();
@@ -494,8 +480,9 @@ fn fold_rel(start: usize, rows: usize, null_every: usize, cities: &[&str]) -> Re
 /// `AVG` over rounding-sensitive values, `MIN` / `MAX` over floats, ints and
 /// strings, `COUNT(DISTINCT)`, NULL group keys, groups and dictionary
 /// entries first seen in a delta, a filter below the barrier (so the
-/// aggregate's input is not the batch), and scalar aggregation over a table
-/// that starts empty.
+/// aggregate's input is not the batch), scalar aggregation over a table
+/// that starts empty, and string group keys over a table registered plain
+/// (plain `Column::append`, plain keys in the resumed fold).
 #[test]
 fn aggregate_views_resume_their_fold() {
     const M: usize = TEST_MORSEL;
@@ -507,6 +494,7 @@ fn aggregate_views_resume_their_fold() {
             // A prefix that ends mid-morsel, and an empty one.
             db.register("t", fold_rel(0, 2 * M + 300, 7, &old));
             db.register("e", fold_rel(0, 0, 0, &old));
+            db.register_plain("p", fold_rel(0, 2 * M + 300, 7, &old));
             let cfg = config(profile, threads);
             for (name, sql) in [
                 (
@@ -538,6 +526,10 @@ fn aggregate_views_resume_their_fold() {
                      FROM e",
                 ),
                 ("f_empty_groups", "SELECT s, SUM(f) AS sf FROM e GROUP BY s"),
+                (
+                    "f_plain",
+                    "SELECT s, SUM(f) AS sf, COUNT(*) AS n, MIN(s) AS first FROM p GROUP BY s",
+                ),
             ] {
                 db.register_view_with(name, sql, &cfg)
                     .unwrap_or_else(|e| panic!("{name}@{threads}t: register failed: {e}"));
@@ -550,7 +542,7 @@ fn aggregate_views_resume_their_fold() {
                 // dictionary) and a different NULL density.
                 let cities: &[&str] = if step < 3 { &old } else { &new };
                 let null_every = [0, 1, 5, 3, 0, 11][step];
-                for table in ["t", "e"] {
+                for table in ["t", "e", "p"] {
                     db.append(table, &fold_rel(start, rows, null_every, cities))
                         .unwrap();
                     let context = format!("{label}/{table}+{rows}");
