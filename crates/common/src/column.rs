@@ -7,8 +7,11 @@
 //! branch-light.
 
 use crate::error::{Error, Result};
+use crate::hash::FxHashMap;
 use crate::value::Value;
 use std::fmt;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// Static column type.
@@ -46,71 +49,176 @@ impl DType {
     }
 }
 
+/// Entries per frozen block of a [`Dictionary`]: the unit its versions share.
+const DICT_BLOCK: usize = 1024;
+
+/// Issues [`Dictionary`] lineage ids.
+static LINEAGES: AtomicU64 = AtomicU64::new(1);
+
 /// A deduplicated, order-preserving string dictionary: code `i` maps to the
-/// `i`-th distinct string in first-occurrence order. Shared across columns
-/// via `Arc` so gathers, slices and snapshots never copy the string payload.
+/// `i`-th distinct string in first-occurrence order, and codes never move.
 ///
-/// Each entry's text is allocated once and shared — between the code-order
-/// list and the lookup index, and between a dictionary and its clones. A
-/// stored column whose append brings new strings copies its dictionary (the
-/// published one is immutable), and that copy is two pointers per entry, not
-/// two fresh strings: versions of a table alive at once (a reader on one, a
-/// writer building the next) share every string they have in common.
-#[derive(Debug, Clone, Default)]
+/// A dictionary is one *version* of an append-only code list, its
+/// **lineage**. Growing it yields a longer version whose first codes mean
+/// what they meant before, so two versions of one lineage compare codes
+/// directly and the longer one decodes both ([`Dictionary::same_lineage`]).
+/// Entries live in frozen blocks of 1024 strings, `Arc`-shared by
+/// every version holding them, plus a short open block each version owns;
+/// the string → code index is likewise a few shared runs (merged
+/// geometrically as blocks freeze) plus the open block's. Cloning a version
+/// therefore costs O(open block + blocks), and a stored column grows its
+/// dictionary by an append's new strings without copying what the snapshots
+/// before it hold.
+///
+/// Only the newest version of a lineage may grow in place
+/// ([`Dictionary::intern`]); [`Column::append`] and [`Column::push`] fork a
+/// lineage of their own before their first new entry, and a column stored
+/// to grow in place starts one ([`Column::into_own_lineage`]), so no two
+/// versions sharing a lineage id ever disagree on a code.
+#[derive(Debug, Clone)]
 pub struct Dictionary {
-    strs: Vec<Arc<str>>,
-    index: crate::hash::FxHashMap<Arc<str>, u32>,
+    lineage: u64,
+    /// Frozen entries, exactly `DICT_BLOCK` per block.
+    blocks: Vec<Arc<[Arc<str>]>>,
+    /// Index runs over the frozen entries, largest (oldest) first.
+    runs: Vec<Arc<FxHashMap<Arc<str>, u32>>>,
+    /// Entries after the last frozen block.
+    open: Vec<Arc<str>>,
+    /// Index over `open`.
+    open_index: FxHashMap<Arc<str>, u32>,
+}
+
+impl Default for Dictionary {
+    fn default() -> Dictionary {
+        Dictionary::new()
+    }
 }
 
 impl Dictionary {
-    /// An empty dictionary.
+    /// An empty dictionary: the first version of a new lineage.
     pub fn new() -> Dictionary {
-        Dictionary::default()
+        Dictionary {
+            lineage: LINEAGES.fetch_add(1, Relaxed),
+            blocks: Vec::new(),
+            runs: Vec::new(),
+            open: Vec::new(),
+            open_index: FxHashMap::default(),
+        }
+    }
+
+    /// A new lineage over distinct entries in code order and their index
+    /// (`index[s]` is the position of `s` in `strs`).
+    fn from_parts(strs: Vec<Arc<str>>, mut index: FxHashMap<Arc<str>, u32>) -> Dictionary {
+        let frozen = strs.len() - strs.len() % DICT_BLOCK;
+        let mut dict = Dictionary::new();
+        dict.blocks = strs[..frozen].chunks(DICT_BLOCK).map(Arc::from).collect();
+        dict.open = strs[frozen..].to_vec();
+        for s in &dict.open {
+            let code = index.remove(s).expect("every entry is indexed");
+            dict.open_index.insert(s.clone(), code);
+        }
+        if !index.is_empty() {
+            dict.runs.push(Arc::new(index));
+        }
+        dict
+    }
+
+    /// Whether `other` is a version of the same code list: codes below both
+    /// lengths mean the same string in each.
+    pub fn same_lineage(&self, other: &Dictionary) -> bool {
+        self.lineage == other.lineage
+    }
+
+    /// The lineage id (see [`Dictionary::same_lineage`]).
+    pub fn lineage(&self) -> u64 {
+        self.lineage
+    }
+
+    /// Leaves this version's lineage for a new one with the same entries:
+    /// what any holder of a version that may not be its lineage's newest
+    /// does before growing it.
+    fn fork(&mut self) {
+        self.lineage = LINEAGES.fetch_add(1, Relaxed);
     }
 
     /// Number of distinct entries.
     pub fn len(&self) -> usize {
-        self.strs.len()
+        self.blocks.len() * DICT_BLOCK + self.open.len()
     }
 
     /// `true` when the dictionary has no entries.
     pub fn is_empty(&self) -> bool {
-        self.strs.is_empty()
+        self.len() == 0
     }
 
     /// The string for `code` (panics when out of range).
     #[inline]
     pub fn get(&self, code: u32) -> &str {
-        &self.strs[code as usize]
+        let c = code as usize;
+        match self.blocks.get(c / DICT_BLOCK) {
+            Some(block) => &block[c % DICT_BLOCK],
+            None => &self.open[c - self.blocks.len() * DICT_BLOCK],
+        }
     }
 
     /// The code for `s`, when present.
     #[inline]
     pub fn code_of(&self, s: &str) -> Option<u32> {
-        self.index.get(s).copied()
+        let frozen = self.runs.iter().find_map(|run| run.get(s));
+        frozen.or_else(|| self.open_index.get(s)).copied()
     }
 
-    /// The code for `s`, interning it if absent. Existing codes never move,
-    /// so extending a dictionary keeps every previously issued code valid.
+    /// The code for `s`, interning it if absent — in this dictionary's own
+    /// lineage, so the caller must hold its newest version: one it built,
+    /// or a stored column's under the database writer lock. Existing codes
+    /// never move.
     pub fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&c) = self.index.get(s) {
+        if let Some(c) = self.code_of(s) {
             return c;
         }
-        let c = self.strs.len() as u32;
+        let c = self.len() as u32;
         let s: Arc<str> = Arc::from(s);
-        self.strs.push(s.clone());
-        self.index.insert(s, c);
+        self.open.push(s.clone());
+        self.open_index.insert(s, c);
+        if self.open.len() == DICT_BLOCK {
+            self.freeze();
+        }
         c
+    }
+
+    /// Freezes the full open block into a shared block and index run,
+    /// merged with every older run no larger than it (a binary counter:
+    /// each entry is re-indexed O(log len) times overall).
+    fn freeze(&mut self) {
+        self.blocks.push(std::mem::take(&mut self.open).into());
+        let mut run = std::mem::take(&mut self.open_index);
+        while self
+            .runs
+            .last()
+            .is_some_and(|older| older.len() <= run.len())
+        {
+            let older = self.runs.pop().expect("checked above");
+            let mut older = Arc::try_unwrap(older).unwrap_or_else(|shared| (*shared).clone());
+            older.extend(run);
+            run = older;
+        }
+        self.runs.push(Arc::new(run));
     }
 
     /// All entries in code order.
     pub fn strs(&self) -> impl ExactSizeIterator<Item = &str> {
-        self.strs.iter().map(|s| &**s)
+        (0..self.len() as u32).map(|c| self.get(c))
     }
 
     /// Per-code translation table into `target`'s code space; `None` marks
     /// entries absent from `target`.
     pub fn translate_to(&self, target: &Dictionary) -> Vec<Option<u32>> {
+        if self.same_lineage(target) {
+            let shared = target.len() as u32;
+            return (0..self.len() as u32)
+                .map(|c| (c < shared).then_some(c))
+                .collect();
+        }
         self.strs().map(|s| target.code_of(s)).collect()
     }
 
@@ -119,24 +227,28 @@ impl Dictionary {
         // Two reference counts beside each text, a fat pointer to it from
         // the list and another, plus the code, from the index.
         let payload: u64 = self.strs().map(|s| (16 + s.len()) as u64).sum();
-        payload + (16 + 16 + 4) * self.strs.len() as u64
+        payload + (16 + 16 + 4) * self.len() as u64
     }
 }
 
 impl PartialEq for Dictionary {
     fn eq(&self, other: &Dictionary) -> bool {
-        self.strs == other.strs
+        self.len() == other.len() && (self.same_lineage(other) || self.strs().eq(other.strs()))
     }
 }
 
-/// Capacity class for a buffer that must hold `need` elements: `need`
-/// rounded up to a multiple of one eighth of the enclosing power of two
-/// (never more than 25 % above `need`).
-fn size_class(need: usize) -> usize {
-    match need.next_power_of_two() / 8 {
-        0 => need,
-        step => need.div_ceil(step) * step,
+/// The code of `s` in `dict`, interning it if absent — into a fork of the
+/// lineage when `fork` is set (and then cleared), into the lineage itself
+/// otherwise.
+fn intern_into(dict: &mut Arc<Dictionary>, s: &str, fork: &mut bool) -> u32 {
+    if let Some(c) = dict.code_of(s) {
+        return c;
     }
+    let d = Arc::make_mut(dict);
+    if std::mem::take(fork) {
+        d.fork();
+    }
+    d.intern(s)
 }
 
 /// Borrowed view of a [`Column::DictStr`]: `(codes, dict, validity)`.
@@ -329,7 +441,7 @@ impl Column {
             (Column::Bool(d, val), Value::Bool(x)) => push_valid(d, val, x),
             (Column::Str(d, val), Value::Str(x)) => push_valid(d, val, x),
             (Column::DictStr { codes, dict, valid }, Value::Str(x)) => {
-                let c = Arc::make_mut(dict).intern(&x);
+                let c = intern_into(dict, &x, &mut true);
                 push_valid(codes, valid, c)
             }
             (Column::Date(d, val), Value::Date(x)) => push_valid(d, val, x),
@@ -507,8 +619,27 @@ impl Column {
         }
     }
 
-    /// Appends all rows of `other`; types must match.
+    /// Appends all rows of `other`; types must match. A dictionary-encoded
+    /// column that must take strings its dictionary lacks grows a fork of
+    /// it (see [`Dictionary`]); another version of its own lineage appends
+    /// by code and leaves it holding the longer version.
     pub fn append(&mut self, other: &Column) -> Result<()> {
+        self.extend_from(other, 0..other.len(), true)
+    }
+
+    /// [`Column::append`] of rows `rows` of `other` only.
+    pub fn append_range(&mut self, other: &Column, rows: Range<usize>) -> Result<()> {
+        self.extend_from(other, rows, true)
+    }
+
+    /// [`Column::append`] growing a dictionary in its own lineage: only for
+    /// the newest version of a stored column, under the database writer
+    /// lock, so every chunk and snapshot of a table shares one code space.
+    pub fn append_in_lineage(&mut self, other: &Column) -> Result<()> {
+        self.extend_from(other, 0..other.len(), false)
+    }
+
+    fn extend_from(&mut self, other: &Column, rows: Range<usize>, mut fork: bool) -> Result<()> {
         if self.dtype() != other.dtype() {
             return Err(Error::Data(format!(
                 "cannot append {} column to {} column",
@@ -516,71 +647,14 @@ impl Column {
                 self.dtype()
             )));
         }
-        // Typed bulk extend (the push-per-row path boxes every cell as a
-        // `Value`; appends on the morsel-merge path are hot). Semantics
-        // match push exactly: data at null slots normalizes to the type's
-        // default, and a validity mask appears only when `other` actually
-        // contains a null.
-        fn app<T: Clone + Default>(
-            d: &mut Vec<T>,
-            v: &mut Option<Vec<bool>>,
-            od: &[T],
-            ov: Option<&[bool]>,
-        ) {
-            let all_valid = ov.map_or(true, |o| o.iter().all(|&b| b));
-            if all_valid {
-                if let Some(v) = v {
-                    v.resize(v.len() + od.len(), true);
-                }
-                d.extend(od.iter().cloned());
-            } else {
-                let o = ov.expect("invalid rows imply a mask");
-                if v.is_none() {
-                    *v = Some(vec![true; d.len()]);
-                }
-                v.as_mut().expect("just filled").extend_from_slice(o);
-                d.extend(
-                    od.iter()
-                        .zip(o)
-                        .map(|(x, &ok)| if ok { x.clone() } else { T::default() }),
-                );
-            }
-        }
-        // Row-at-a-time extend matching push/push_null semantics, for the
-        // cross-representation string cases (`None` item = null row).
-        fn extend_rows<T: Default>(
-            d: &mut Vec<T>,
-            v: &mut Option<Vec<bool>>,
-            it: impl Iterator<Item = Option<T>>,
-        ) {
-            for x in it {
-                match x {
-                    Some(x) => {
-                        d.push(x);
-                        if let Some(v) = v {
-                            v.push(true);
-                        }
-                    }
-                    None => {
-                        let n = d.len();
-                        d.push(T::default());
-                        match v {
-                            Some(v) => v.push(false),
-                            None => {
-                                let mut m = vec![true; n];
-                                m.push(false);
-                                *v = Some(m);
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let valid_at = |ov: &Option<Vec<bool>>, i: usize| ov.as_ref().map_or(true, |v| v[i]);
+        let (r, mask) = (rows.clone(), |ov| mask_part(ov, &rows));
         match (self, other) {
-            (Column::Int(d, v), Column::Int(od, ov)) => app(d, v, od, ov.as_deref()),
-            (Column::Float(d, v), Column::Float(od, ov)) => app(d, v, od, ov.as_deref()),
-            (Column::Bool(d, v), Column::Bool(od, ov)) => app(d, v, od, ov.as_deref()),
-            (Column::Str(d, v), Column::Str(od, ov)) => app(d, v, od, ov.as_deref()),
+            (Column::Int(d, v), Column::Int(od, ov)) => extend_typed(d, v, &od[r], mask(ov)),
+            (Column::Float(d, v), Column::Float(od, ov)) => extend_typed(d, v, &od[r], mask(ov)),
+            (Column::Bool(d, v), Column::Bool(od, ov)) => extend_typed(d, v, &od[r], mask(ov)),
+            (Column::Str(d, v), Column::Str(od, ov)) => extend_typed(d, v, &od[r], mask(ov)),
+            (Column::Date(d, v), Column::Date(od, ov)) => extend_typed(d, v, &od[r], mask(ov)),
             (
                 Column::DictStr { codes, dict, valid },
                 Column::DictStr {
@@ -589,38 +663,35 @@ impl Column {
                     valid: ov,
                 },
             ) => {
-                if Arc::ptr_eq(dict, od) {
-                    // Same dictionary: codes are directly comparable.
-                    app(codes, valid, oc, ov.as_deref());
+                if dict.same_lineage(od) {
+                    // One code list: codes carry over, and the longer
+                    // version decodes both sides' rows.
+                    if od.len() > dict.len() {
+                        *dict = od.clone();
+                    }
+                    extend_typed(codes, valid, &oc[r], mask(ov));
                 } else {
-                    // Remap the incoming codes into this column's dictionary,
-                    // interning unseen entries (existing codes never move, so
-                    // rows already stored keep their meaning).
-                    let d = Arc::make_mut(dict);
-                    let remap: Vec<u32> = od.strs().map(|s| d.intern(s)).collect();
-                    extend_rows(
-                        codes,
-                        valid,
-                        oc.iter().enumerate().map(|(i, &c)| {
-                            ov.as_ref()
-                                .map_or(true, |v| v[i])
-                                .then(|| remap[c as usize])
-                        }),
-                    );
+                    // Remap into this column's dictionary, interning each
+                    // entry the rows reference on first use — in row order,
+                    // as a bulk encode of the same rows would.
+                    let mut remap = vec![u32::MAX; od.len()];
+                    let coded = rows.map(|i| {
+                        valid_at(ov, i).then(|| {
+                            let slot = &mut remap[oc[i] as usize];
+                            if *slot == u32::MAX {
+                                *slot = intern_into(dict, od.get(oc[i]), &mut fork);
+                            }
+                            *slot
+                        })
+                    });
+                    extend_rows(codes, valid, coded);
                 }
             }
             (Column::DictStr { codes, dict, valid }, Column::Str(od, ov)) => {
-                // Plain strings appended to an encoded column re-encode
-                // against the existing dictionary. Only a string it does not
-                // hold yet extends it (copying it first if it is shared): a
-                // batch of known strings leaves the `Arc` — and every
-                // code-space fast path keyed on dictionary identity — alone.
-                let coded = od.iter().enumerate().map(|(i, s)| {
-                    ov.as_ref().map_or(true, |v| v[i]).then(|| {
-                        let known = dict.code_of(s);
-                        known.unwrap_or_else(|| Arc::make_mut(dict).intern(s))
-                    })
-                });
+                // Plain strings re-encode against the existing dictionary;
+                // only a string it does not hold yet grows it.
+                let coded =
+                    rows.map(|i| valid_at(ov, i).then(|| intern_into(dict, &od[i], &mut fork)));
                 extend_rows(codes, valid, coded);
             }
             (
@@ -631,66 +702,12 @@ impl Column {
                     valid: ov,
                 },
             ) => {
-                extend_rows(
-                    d,
-                    v,
-                    oc.iter().enumerate().map(|(i, &c)| {
-                        ov.as_ref()
-                            .map_or(true, |v| v[i])
-                            .then(|| od.get(c).to_string())
-                    }),
-                );
+                let decoded = rows.map(|i| valid_at(ov, i).then(|| od.get(oc[i]).to_string()));
+                extend_rows(d, v, decoded);
             }
-            (Column::Date(d, v), Column::Date(od, ov)) => app(d, v, od, ov.as_deref()),
             _ => unreachable!("dtype equality checked above"),
         }
         Ok(())
-    }
-
-    /// Returns `self` followed by the rows of `other` as a fresh column —
-    /// the copy-on-append step of a stored table, whose columns are shared
-    /// with published snapshots and so can never grow in place.
-    ///
-    /// Each buffer is allocated **once**, at a capacity rounded up to a size
-    /// class (eighth-of-an-octave steps, ≤ 25 % slack), and old and new rows
-    /// are copied in. Cloning at the exact length and then extending would
-    /// reallocate to a slightly different size on every append; a table that
-    /// grows by 0.3 % per append then frees buffers no later copy fits, and
-    /// the allocator's holes — not the data — set the process's peak memory.
-    /// With size classes, consecutive generations of a column request the
-    /// same few sizes and reuse each other's freed buffers exactly.
-    pub fn grown(&self, other: &Column) -> Result<Column> {
-        let cap = size_class(self.len() + other.len());
-        fn sized<T: Clone>(d: &[T], cap: usize) -> Vec<T> {
-            let mut v = Vec::with_capacity(cap);
-            v.extend_from_slice(d);
-            v
-        }
-        // A mask that `other`'s first NULL would otherwise create at the
-        // exact old length (and then reallocate) is created sized up front.
-        let mask = |valid: &Option<Vec<bool>>| match valid {
-            Some(v) => Some(sized(v, cap)),
-            None if other.null_count() > 0 => {
-                let mut v = Vec::with_capacity(cap);
-                v.resize(self.len(), true);
-                Some(v)
-            }
-            None => None,
-        };
-        let mut out = match self {
-            Column::Int(d, v) => Column::Int(sized(d, cap), mask(v)),
-            Column::Float(d, v) => Column::Float(sized(d, cap), mask(v)),
-            Column::Bool(d, v) => Column::Bool(sized(d, cap), mask(v)),
-            Column::Str(d, v) => Column::Str(sized(d, cap), mask(v)),
-            Column::DictStr { codes, dict, valid } => Column::DictStr {
-                codes: sized(codes, cap),
-                dict: dict.clone(),
-                valid: mask(valid),
-            },
-            Column::Date(d, v) => Column::Date(sized(d, cap), mask(v)),
-        };
-        out.append(other)?;
-        Ok(out)
     }
 
     /// Casts to `target`, converting row by row (int↔float, anything→str,
@@ -868,23 +885,40 @@ impl Column {
         let Column::Str(d, v) = self else {
             return self.clone();
         };
-        let mut dict = Dictionary::new();
+        let mut strs: Vec<Arc<str>> = Vec::new();
+        let mut index: FxHashMap<Arc<str>, u32> = FxHashMap::default();
         let codes: Vec<u32> = d
             .iter()
             .enumerate()
             .map(|(i, s)| {
-                if v.as_ref().map_or(true, |v| v[i]) {
-                    dict.intern(s)
-                } else {
-                    0
+                if !v.as_ref().map_or(true, |v| v[i]) {
+                    return 0;
                 }
+                if let Some(&c) = index.get(s.as_str()) {
+                    return c;
+                }
+                let s: Arc<str> = Arc::from(s.as_str());
+                strs.push(s.clone());
+                index.insert(s, strs.len() as u32 - 1);
+                strs.len() as u32 - 1
             })
             .collect();
         Column::DictStr {
             codes,
-            dict: Arc::new(dict),
+            dict: Arc::new(Dictionary::from_parts(strs, index)),
             valid: v.clone(),
         }
+    }
+
+    /// The column with its dictionary, if any, leaving for a lineage of its
+    /// own (same entries and codes): what a column that will grow in place
+    /// ([`Column::append_in_lineage`]) starts as, so no other holder of the
+    /// dictionary shares the code list it grows.
+    pub fn into_own_lineage(mut self) -> Column {
+        if let Column::DictStr { dict, .. } = &mut self {
+            Arc::make_mut(dict).fork();
+        }
+        self
     }
 
     /// Decodes a dictionary-encoded column back to plain strings (the result
@@ -913,7 +947,9 @@ impl Column {
     /// invalid. That sentinel is exactly join no-match semantics (NULL keys
     /// never match), which is what fused probes use it for — the build side's
     /// dictionary defines the code space, and probe rows outside it cannot
-    /// have a partner.
+    /// have a partner. A column encoded in another version of `dict`'s
+    /// lineage is already in that code space and comes back unchanged (a
+    /// code past `dict`'s end equals none of `dict`'s codes).
     pub fn project_into_dict(&self, dict: &Arc<Dictionary>) -> Column {
         match self {
             Column::DictStr {
@@ -921,7 +957,7 @@ impl Column {
                 dict: own,
                 valid,
             } => {
-                if Arc::ptr_eq(own, dict) {
+                if own.same_lineage(dict) {
                     return self.clone();
                 }
                 let table = own.translate_to(dict);
@@ -978,11 +1014,59 @@ impl Column {
 }
 
 /// The process-wide empty dictionary: zero-row placeholder columns that must
-/// share one `Arc` (key-layout planning compares dictionary identity) all
-/// point here.
+/// share one lineage (key-layout planning compares code spaces) all point
+/// here.
 pub fn empty_dict() -> Arc<Dictionary> {
     static EMPTY: std::sync::OnceLock<Arc<Dictionary>> = std::sync::OnceLock::new();
     EMPTY.get_or_init(|| Arc::new(Dictionary::new())).clone()
+}
+
+/// Rows `rows` of a validity mask.
+fn mask_part<'a>(valid: &'a Option<Vec<bool>>, rows: &Range<usize>) -> Option<&'a [bool]> {
+    valid.as_ref().map(|v| &v[rows.clone()])
+}
+
+/// Typed bulk extend (the push-per-row path boxes every cell as a `Value`;
+/// appends on the morsel-merge path are hot). Semantics match push exactly:
+/// data at null slots normalizes to the type's default, and a validity mask
+/// appears only when the appended rows actually contain a null.
+fn extend_typed<T: Clone + Default>(
+    d: &mut Vec<T>,
+    v: &mut Option<Vec<bool>>,
+    od: &[T],
+    ov: Option<&[bool]>,
+) {
+    let Some(o) = ov.filter(|o| o.contains(&false)) else {
+        if let Some(v) = v {
+            v.resize(v.len() + od.len(), true);
+        }
+        return d.extend_from_slice(od);
+    };
+    v.get_or_insert_with(|| vec![true; d.len()])
+        .extend_from_slice(o);
+    let cells = od
+        .iter()
+        .zip(o)
+        .map(|(x, &ok)| if ok { x.clone() } else { T::default() });
+    d.extend(cells);
+}
+
+/// Row-at-a-time extend matching push/push_null semantics, for the
+/// cross-representation string cases (`None` item = null row).
+fn extend_rows<T: Default>(
+    d: &mut Vec<T>,
+    v: &mut Option<Vec<bool>>,
+    it: impl Iterator<Item = Option<T>>,
+) {
+    for x in it {
+        if x.is_none() && v.is_none() {
+            *v = Some(vec![true; d.len()]);
+        }
+        if let Some(v) = v {
+            v.push(x.is_some());
+        }
+        d.push(x.unwrap_or_default());
+    }
 }
 
 #[inline]
@@ -1106,5 +1190,101 @@ mod tests {
         let s = c.slice(1, 10);
         assert_eq!(s.len(), 2);
         assert_eq!(s.get(0), Value::Int(2));
+    }
+
+    fn dict_of(c: &Column) -> &Arc<Dictionary> {
+        c.dict_parts().expect("dictionary-encoded").1
+    }
+
+    /// Versions of one lineage share every frozen block and index run; a
+    /// clone copies the open block only, and growing the clone leaves the
+    /// original's entries and length alone.
+    #[test]
+    fn dictionary_versions_share_frozen_blocks() {
+        let words: Vec<String> = (0..2 * DICT_BLOCK + 300).map(|i| format!("w{i}")).collect();
+        let mut dict = Dictionary::new();
+        for w in &words {
+            dict.intern(w);
+        }
+        assert_eq!((dict.blocks.len(), dict.open.len()), (2, 300));
+        let mut next = dict.clone();
+        for i in 0..DICT_BLOCK {
+            next.intern(&format!("new{i}"));
+        }
+        assert!(next.same_lineage(&dict));
+        assert_eq!(
+            (dict.len(), next.len()),
+            (words.len(), words.len() + DICT_BLOCK)
+        );
+        assert!(dict
+            .blocks
+            .iter()
+            .zip(&next.blocks)
+            .all(|(a, b)| Arc::ptr_eq(a, b)));
+        for (c, w) in words.iter().enumerate() {
+            assert_eq!(
+                (dict.get(c as u32), next.get(c as u32)),
+                (w.as_str(), w.as_str())
+            );
+            assert_eq!(
+                (dict.code_of(w), next.code_of(w)),
+                (Some(c as u32), Some(c as u32))
+            );
+        }
+        assert_eq!(dict.code_of("new0"), None);
+        assert_eq!(next.code_of("new7"), Some((words.len() + 7) as u32));
+        // Index runs merge geometrically: a handful, not one per block.
+        assert!(next.runs.len() <= 2, "{} runs", next.runs.len());
+        // A bulk encode builds the same code list in one run.
+        let bulk = Column::from_str_vec(words.clone()).encode_str();
+        assert!(dict_of(&bulk).strs().eq(dict.strs()));
+        assert_eq!(dict_of(&bulk).code_of("w1500"), Some(1500));
+    }
+
+    /// Only the newest version of a lineage grows in it: `append` and `push`
+    /// fork before their first new string, `append_in_lineage` does not,
+    /// and a batch of known strings leaves the dictionary `Arc` alone.
+    #[test]
+    fn appends_grow_a_lineage_or_fork_it() {
+        let stored = Column::from_strs(&["a", "b", "a"]).encode_str();
+        let lineage = dict_of(&stored).lineage();
+        let mut known = stored.clone();
+        known.append(&Column::from_strs(&["b", "a"])).unwrap();
+        assert!(Arc::ptr_eq(dict_of(&known), dict_of(&stored)));
+        let mut local = stored.clone();
+        local.append(&Column::from_strs(&["c"])).unwrap();
+        assert_ne!(dict_of(&local).lineage(), lineage);
+        let mut pushed = stored.clone();
+        pushed.push(Value::Str("z".into())).unwrap();
+        assert_ne!(dict_of(&pushed).lineage(), lineage);
+        let mut grown = stored.clone();
+        grown
+            .append_in_lineage(&Column::from_strs(&["d", "a"]))
+            .unwrap();
+        assert_eq!(dict_of(&grown).lineage(), lineage);
+        assert_eq!(dict_of(&stored).len(), 2, "the older version grew");
+        // Same lineage: codes carry over and the longer version decodes.
+        let mut older = stored.clone();
+        older.append(&grown).unwrap();
+        assert!(Arc::ptr_eq(dict_of(&older), dict_of(&grown)));
+        let (codes, _, _) = older.dict_parts().unwrap();
+        assert_eq!(codes, [0, 1, 0, 0, 1, 0, 2, 0]);
+        assert_eq!(older.get(6), Value::Str("d".into()));
+    }
+
+    /// Codes from another lineage remap lazily, in row order: entries no
+    /// row references are not interned, and NULL rows intern nothing.
+    #[test]
+    fn remapped_appends_intern_in_row_order() {
+        let mut other = Column::from_strs(&["x", "unused", "y", "q"]).encode_str();
+        other = other.gather(&[2, 0, 3]);
+        if let Column::DictStr { valid, .. } = &mut other {
+            *valid = Some(vec![true, true, false]);
+        }
+        let mut col = Column::from_strs(&["a"]).encode_str();
+        col.append(&other).unwrap();
+        let strs: Vec<&str> = dict_of(&col).strs().collect();
+        assert_eq!(strs, ["a", "y", "x"]);
+        assert_eq!(col.get(3), Value::Null);
     }
 }

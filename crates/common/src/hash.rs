@@ -162,8 +162,8 @@ fn fixed_bits(c: &Column) -> Option<u32> {
         Column::Date(..) => Some(32),
         Column::Bool(..) => Some(1),
         // Dictionary codes are dense u32s — but only comparable when every
-        // participating column shares one dictionary; `plan` checks identity
-        // per position before trusting this width.
+        // participating column shares one lineage; `plan` checks that per
+        // position before trusting this width.
         Column::DictStr { .. } => Some(32),
         Column::Float(..) | Column::Str(..) => None,
     }
@@ -171,16 +171,17 @@ fn fixed_bits(c: &Column) -> Option<u32> {
 
 /// `true` when position `i`'s columns can compare by dictionary code: either
 /// no side is dictionary-encoded, or *every* side is and they share one
-/// `Arc`'d dictionary (same pointer ⇒ same code space). A mix of encoded and
-/// plain strings, or distinct dictionaries, must fall back to byte keys.
+/// lineage (versions of one append-only code list: a code means the same
+/// string in each, whichever is longer). A mix of encoded and plain strings,
+/// or unrelated dictionaries, must fall back to byte keys.
 fn dict_codes_comparable(col_sets: &[&[&Column]], i: usize) -> bool {
-    let mut shared: Option<&std::sync::Arc<crate::column::Dictionary>> = None;
+    let mut shared: Option<&crate::column::Dictionary> = None;
     for set in col_sets {
         match set[i].dict_parts() {
             Some((_, dict, _)) => match shared {
                 None => shared = Some(dict),
                 Some(d) => {
-                    if !std::sync::Arc::ptr_eq(d, dict) {
+                    if !d.same_lineage(dict) {
                         return false;
                     }
                 }

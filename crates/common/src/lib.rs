@@ -8,7 +8,8 @@
 //! [`hash`] used for join/group keys, the morsel-driven worker [`pool`]
 //! shared by the SQL executor and the DataFrame baseline, the
 //! epoch-style snapshot-publication cell ([`version`]) under the serving
-//! layer's copy-on-append table versioning, and the query-lifecycle
+//! layer's table versioning (versions share storage chunks and dictionary
+//! blocks), and the query-lifecycle
 //! resilience primitives: cooperative cancellation tokens ([`cancel`]),
 //! jittered retry for transient errors ([`retry`]) and the deterministic
 //! fault-injection harness ([`fault`]).

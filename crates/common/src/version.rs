@@ -1,5 +1,6 @@
 //! Epoch-style snapshot publication: the primitive under the engine's
-//! copy-on-append table versioning (see `docs/SERVING.md`).
+//! table versioning, where each version shares every unchanged table and
+//! storage chunk with the one before it (see `docs/SERVING.md`).
 //!
 //! A [`Versioned<T>`] cell holds one immutable, `Arc`-shared value — the
 //! *current version*. Readers [`Versioned::load`] the current `Arc` (a

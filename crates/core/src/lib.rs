@@ -445,8 +445,9 @@ impl Pytond {
         let _writer = self.write.lock().expect("facade writer poisoned");
         self.db.append(name, rel)?;
         // The catalog keys by the name as registered while the database
-        // lowercases; match case-insensitively so the row count never
-        // silently goes stale.
+        // lowercases; match table and column names case-insensitively (as
+        // the database does) so neither the row count nor a NULL-freeness
+        // fact silently goes stale.
         let cur = self.catalog.load();
         let entry = cur
             .tables()
@@ -456,7 +457,9 @@ impl Pytond {
             let rows = self.db.table(name).map_or(0, |t| t.num_rows() as u64);
             let still = null_free_columns(rel);
             let before = schema.not_null.len();
-            schema.not_null.retain(|c| still.contains(c));
+            schema
+                .not_null
+                .retain(|c| still.iter().any(|s| s.eq_ignore_ascii_case(c)));
             let lost_fact = schema.not_null.len() < before;
             let mut catalog = (*cur).clone();
             catalog.add(schema.with_rows(rows));
@@ -956,6 +959,45 @@ mod tests {
             .unwrap()
             .not_null
             .contains(&"v".to_string()));
+        let after = py.prepare(src, &backend, OptLevel::O4).unwrap();
+        assert!(!Arc::ptr_eq(&before, &after));
+    }
+
+    /// Column names in an appended batch match the registered ones
+    /// case-insensitively — for the facts as for the data: an upper-cased
+    /// batch without NULLs keeps `not_null` and the cached plan, one with a
+    /// real NULL still drops the fact.
+    #[test]
+    fn append_matches_fact_columns_case_insensitively() {
+        let py = Pytond::new();
+        let rows = |q: Column| {
+            Relation::new(vec![
+                ("L_QUANTITY".into(), q),
+                ("L_TAX".into(), Column::from_f64(vec![0.5; 3])),
+            ])
+            .unwrap()
+        };
+        let base = Relation::new(vec![
+            ("l_quantity".into(), Column::from_i64((0..100).collect())),
+            ("l_tax".into(), Column::from_f64(vec![0.5; 100])),
+        ]);
+        py.register_table("lineitem", base.unwrap(), &[]);
+        let src = "@pytond\ndef q(lineitem):\n    return lineitem[lineitem.l_quantity > 2]\n";
+        let backend = Backend::duckdb_sim(1);
+        let before = py.prepare(src, &backend, OptLevel::O4).unwrap();
+        let facts = |py: &Pytond| py.catalog().table("lineitem").unwrap().not_null.clone();
+        py.append("lineitem", &rows(Column::from_i64(vec![7, 8, 9])))
+            .unwrap();
+        assert!(facts(&py).contains(&"l_quantity".to_string()));
+        let same = py.prepare(src, &backend, OptLevel::O4).unwrap();
+        assert!(Arc::ptr_eq(&before, &same), "a NULL-free append recompiled");
+        py.append(
+            "lineitem",
+            &rows(Column::Int(vec![1, 2, 3], Some(vec![true, false, true]))),
+        )
+        .unwrap();
+        assert!(!facts(&py).contains(&"l_quantity".to_string()));
+        assert!(facts(&py).contains(&"l_tax".to_string()));
         let after = py.prepare(src, &backend, OptLevel::O4).unwrap();
         assert!(!Arc::ptr_eq(&before, &after));
     }

@@ -10,8 +10,11 @@
 //! [`pytond_common::version::Versioned`]; every query pins exactly one
 //! snapshot for its whole execution, so concurrent `register`/`append`
 //! calls never tear, block, or become partially visible to an in-flight
-//! read. Writers serialize among themselves and publish a new version by
-//! copy-on-append — readers of older versions keep them alive via `Arc`.
+//! read. Writers serialize among themselves and publish a new version that
+//! shares everything unchanged with the one before: other tables by pointer,
+//! and the appended table's closed storage chunks too (an append copies only
+//! the open zone and the batch) — readers of older versions keep theirs
+//! alive via `Arc`.
 //!
 //! Planning (parse → bind → optimize) and execution are separate phases:
 //! [`Database::prepare`] (from SQL text) and [`Database::prepare_query`]
@@ -163,8 +166,9 @@ impl EngineConfig {
 /// statistics and zone maps are frozen at [`Snapshot::version`] — so a
 /// query's result is bit-identical to a serial run against that version
 /// regardless of concurrent writes. Stored tables are `Arc`-shared between
-/// versions; publishing version *v+1* clones only the table that changed
-/// (copy-on-append), the rest are pointer bumps.
+/// versions; publishing version *v+1* builds a new version of the table that
+/// changed — sharing its closed chunks with *v*, and its dictionaries'
+/// frozen blocks — and the rest are pointer bumps.
 #[derive(Debug, Default)]
 pub struct Snapshot {
     tables: FxHashMap<String, Arc<StoredTable>>,
@@ -458,11 +462,15 @@ impl Database {
     /// [`REPLAN_GROWTH`] (its cost-based join orders were chosen for the old
     /// row counts); plans over other tables are unaffected.
     ///
-    /// Appends are **copy-on-append**: the appended table's columns are
-    /// copied into the new version (readers may still hold the old one),
-    /// all other tables are shared by pointer, and statistics update
-    /// incrementally (only the trailing partial zone is recomputed). A
-    /// failed append publishes nothing — the current version is untouched.
+    /// An append is a **push**: the new version shares every closed chunk
+    /// of the table with the current one and copies only the open zone —
+    /// the rows past the last [`crate::stats::ZONE_ROWS`] boundary — with
+    /// the batch into a new last chunk, so it costs O(batch + zone) however
+    /// large the table. String columns grow the table's dictionary lineage
+    /// without copying it, statistics absorb the new chunk incrementally,
+    /// and all other tables are shared by pointer. A failed append
+    /// publishes nothing — the current version, dictionaries included, is
+    /// untouched.
     pub fn append(&self, name: &str, rel: &Relation) -> Result<()> {
         let _writer = self.shared.write.lock().expect("database writer poisoned");
         let cur = self.shared.current.load();
@@ -471,15 +479,13 @@ impl Database {
             .tables
             .get(&key)
             .ok_or_else(|| Error::Data(format!("unknown table '{name}'")))?;
-        // Copy-on-append: clone the one table being appended — a shallow
-        // clone, its columns stay Arc-shared with the published snapshot
-        // until `append_relation` replaces each with a grown copy — and
-        // leave every other table Arc-shared.
-        let mut grown = (**stored).clone();
-        grown.append_relation(rel)?;
-        // Fault-injection site: fail *after* the copy is built but *before*
-        // publication — the resilience suite proves a failed append leaves
-        // the current version untouched (nothing is published).
+        // The next version of the one table being appended, sharing its
+        // closed chunks; every other table stays Arc-shared.
+        let grown = stored.appended(rel)?;
+        // Fault-injection site: fail *after* the next version — its new last
+        // chunk and grown dictionaries — is built but *before* publication:
+        // the resilience suite proves a failed append leaves the current
+        // version untouched (nothing is published).
         if fault::injected(FaultSite::AppendPublish) {
             return Err(Error::Internal(format!(
                 "injected fault: append-publish ('{name}' at v{})",
@@ -751,15 +757,16 @@ pub struct QueryTrace {
     /// The table-set version the query executed against (pinned for the
     /// whole run — see `docs/SERVING.md`).
     pub snapshot_version: u64,
-    /// Executor counters (zones pruned/scanned, joins flipped, dispenser
-    /// claims per worker, join-build partitions, snapshot version and
-    /// admission queue wait).
+    /// Executor counters (zones pruned/scanned, storage chunks
+    /// concatenated, joins flipped, dispenser claims per worker, join-build
+    /// partitions, snapshot version and admission queue wait).
     pub metrics: ExecMetrics,
 }
 
 impl QueryTrace {
     /// Human-readable runtime summary: parallelism, snapshot version,
-    /// admission queue wait, per-worker morsel claims, scan pruning, join
+    /// admission queue wait, per-worker morsel claims, scan pruning and
+    /// storage chunks concatenated, join
     /// counters and the rows the query spent in build / probe / aggregate —
     /// the numbers the `docs/EXECUTION.md`,
     /// `docs/SERVING.md` and ARCHITECTURE.md walk-throughs quote.
@@ -780,7 +787,7 @@ impl QueryTrace {
              limits: deadline {}, mem budget {}\n\
              cancel checks: {}, mem charged: {} bytes\n\
              morsels claimed per worker: {:?}\n\
-             scan zones: {} evaluated, {} pruned\n\
+             scan zones: {} evaluated, {} pruned; storage chunks concatenated: {}\n\
              joins flipped: {}, build partitions: {}\n\
              rows: {} join build, {} join probe; {} aggregate group(s)\n\
              pipelines: {}, fused ops per pipeline: {:?}, intermediates avoided: {}\n\
@@ -795,6 +802,7 @@ impl QueryTrace {
             self.metrics.morsels_claimed_per_worker,
             self.metrics.morsels_scanned,
             self.metrics.morsels_pruned,
+            self.metrics.chunks_concatenated,
             self.metrics.joins_flipped,
             self.metrics.partitions_built,
             self.metrics.join_build_rows,
@@ -1279,7 +1287,11 @@ mod tests {
         .unwrap();
         assert!(db.append("events", &bad).is_err());
         let stored = db.table("events").unwrap();
-        assert!(stored.batch.cols.iter().all(|c| c.len() == 100));
+        assert_eq!(stored.num_rows(), 100);
+        assert!(stored
+            .chunks
+            .iter()
+            .all(|c| c.batch.cols.iter().all(|c| c.len() == 100)));
         let r = db
             .execute_sql("SELECT COUNT(*) AS n FROM events", &EngineConfig::default())
             .unwrap();

@@ -40,7 +40,7 @@ use crate::expr::{BExpr, DictTables, RowsRef};
 use crate::pipeline::{self, KeyLayout, Pipeline, ProbeStage, Sink, Source, Stage};
 use crate::plan::{BAgg, BoundQuery, JKind, LogicalPlan};
 use crate::stats::ZONE_ROWS;
-use crate::table::{Batch, Schema, StoredTable};
+use crate::table::{self, Batch, Schema, StoredTable};
 use pytond_common::cancel::CancelToken;
 use pytond_common::fault::{self, FaultSite};
 use pytond_common::hash::{
@@ -122,6 +122,15 @@ const SPAWN_MIN_MORSELS: usize = 4;
 pub struct ExecMetrics {
     /// Resolved degree of parallelism the query ran with.
     pub threads: usize,
+    /// Storage chunks concatenated into whole columns: a table that appends
+    /// left in several chunks, read whole — an unpredicated scan read by an
+    /// operator that needs its rows contiguous (a sort, a join build side,
+    /// a keyless join, an aggregate under the one-operator policy), or a
+    /// pipeline every row of whose scan survives. A table version does this
+    /// at most once per column (see [`StoredTable::whole`]); scans whose
+    /// pipelines keep fewer rows stream chunk by chunk and glue nothing, so
+    /// reads whose base-table scans all do report 0.
+    pub chunks_concatenated: u64,
     /// Zones whose rows a predicated scan actually evaluated, as
     /// **per-pipeline totals**: each pipeline counts every zone it evaluates
     /// exactly once, no matter how many stages consume the scan's rows.
@@ -244,22 +253,13 @@ pub(crate) fn execute_with_temps(
     for (name, plan) in &q.ctes {
         let batch = exec.exec(plan)?;
         let schema = plan.schema().clone();
-        exec.temps.insert(
-            name.to_lowercase(),
-            StoredTable {
-                schema: Schema::new(
-                    schema
-                        .fields
-                        .iter()
-                        .map(|f| crate::table::Field::new(f.name.clone(), f.dtype))
-                        .collect(),
-                ),
-                batch,
-                // CTE temporaries skip the stats pass: their scans filter
-                // row-by-row without zone pruning.
-                stats: None,
-            },
-        );
+        let fields = schema.fields.iter();
+        let fields = fields.map(|f| table::Field::new(f.name.clone(), f.dtype));
+        // CTE temporaries skip the stats pass: their scans filter
+        // row-by-row without zone pruning.
+        let chunks = vec![table::Chunk::whole(batch)];
+        let temp = StoredTable::new(Schema::new(fields.collect()), chunks, None);
+        exec.temps.insert(name.to_lowercase(), temp);
     }
     let batch = exec.exec(&q.root)?;
     let mut metrics = exec.metrics.into_inner();
@@ -363,7 +363,7 @@ impl<'a> Executor<'a> {
                 projection,
                 pred: None,
                 ..
-            } => Ok(self.scan(table, projection.as_deref())?.1),
+            } => self.scan(table, projection.as_deref()),
             LogicalPlan::Values { schema, rows } => {
                 let mut cols: Vec<Column> = schema
                     .fields
@@ -458,7 +458,10 @@ impl<'a> Executor<'a> {
     /// `None` = nothing prunable (pruning off, or a stats-less CTE temp) and
     /// every zone survives. Counts the verdicts into the scan metrics.
     fn zone_survivors(&self, stored: &StoredTable, pred: &BExpr) -> Option<Vec<bool>> {
-        let n = stored.batch.num_rows();
+        let n = stored.num_rows();
+        // The newest chunk holds the newest version of each column's
+        // dictionary lineage: every zone's codes are codes of it.
+        let newest = &stored.chunks.last().expect("tables keep a chunk").batch;
         let total_zones = n.div_ceil(ZONE_ROWS).max(1);
         // A zone survives only if every prunable conjunct may match it.
         let zone_ok: Option<Vec<bool>> = if self.opts.zone_prune {
@@ -474,7 +477,7 @@ impl<'a> Executor<'a> {
                     // A dictionary-encoded column keeps its zone bounds in
                     // code space: translate string literals to codes, or drop
                     // the test (keeping its zones) when that's impossible.
-                    let t = &match stored.batch.cols.get(col).and_then(|c| c.dict_parts()) {
+                    let t = &match newest.cols.get(col).and_then(|c| c.dict_parts()) {
                         Some((_, dict, _)) => match crate::stats::dict_zone_test(t, dict) {
                             Some(t) => t,
                             None => continue,
@@ -504,18 +507,79 @@ impl<'a> Executor<'a> {
         zone_ok
     }
 
-    /// Resolves a scan: the stored table and its projected columns,
-    /// `Arc`-shared with storage.
-    fn scan(&self, table: &str, projection: Option<&[usize]>) -> Result<(&StoredTable, Batch)> {
+    /// An unpredicated scan read whole by a breaker: the projected columns
+    /// over every row (see [`StoredTable::whole`]).
+    fn scan(&self, table: &str, projection: Option<&[usize]>) -> Result<Batch> {
         let stored = self.stored(table)?;
-        let batch = match projection {
-            None => stored.batch.clone(),
-            Some(cols) => Batch {
-                cols: cols.iter().map(|&i| stored.batch.cols[i].clone()).collect(),
-            },
-        };
+        let batch = self.whole(stored, projection);
         self.metrics.borrow_mut().dict_encoded_cols += batch.dict_cols() as u64;
-        Ok((stored, batch))
+        Ok(batch)
+    }
+
+    /// [`StoredTable::whole`], counting the chunks it concatenated.
+    fn whole(&self, stored: &StoredTable, projection: Option<&[usize]>) -> Batch {
+        let (batch, glued) = stored.whole(projection);
+        if glued {
+            self.metrics.borrow_mut().chunks_concatenated += stored.chunks.len() as u64;
+        }
+        batch
+    }
+
+    /// The rows a pipeline of views over a table scan hands its sink when
+    /// every row survived: the table's whole columns, re-listed as the
+    /// stages' bare projections re-list them, narrowed to `only`.
+    fn whole_rows(
+        &self,
+        stored: &StoredTable,
+        projection: Option<&[usize]>,
+        stages: &[PStage<'_>],
+        only: Option<&[usize]>,
+    ) -> Batch {
+        let all = || (0..stored.schema.len()).collect();
+        let mut cols: Vec<usize> = projection.map_or_else(all, <[usize]>::to_vec);
+        for st in stages {
+            if let PStage::Project(exprs) = st {
+                let bare = |e: &BExpr| match e {
+                    BExpr::Col(i) => cols[*i],
+                    _ => unreachable!("a view's projections are bare columns"),
+                };
+                cols = exprs.iter().map(bare).collect();
+            }
+        }
+        if let Some(used) = only {
+            cols = used.iter().map(|&i| cols[i]).collect();
+        }
+        self.whole(stored, Some(&cols))
+    }
+
+    /// A scan feeding a pipeline: the projected columns of each storage
+    /// chunk, `Arc`-shared, plus — for a predicated scan — the stored
+    /// columns the predicate addresses and the zone-map verdicts.
+    fn scan_source<'q>(
+        &'q self,
+        table: &str,
+        projection: Option<&'q [usize]>,
+        pred: Option<&'q BExpr>,
+    ) -> Result<PSource<'q>> {
+        let stored = self.stored(table)?;
+        let parts: Vec<table::Chunk> = stored
+            .chunks
+            .iter()
+            .map(|c| c.project(projection))
+            .collect();
+        let newest = parts.last().map_or(0, |c| c.batch.dict_cols());
+        self.metrics.borrow_mut().dict_encoded_cols += newest as u64;
+        let scan = pred.map(|pred| PScan {
+            full: stored.chunks.iter().map(|c| c.batch.clone()).collect(),
+            pred,
+            zone_ok: self.zone_survivors(stored, pred),
+        });
+        Ok(PSource {
+            n: stored.num_rows(),
+            parts,
+            scan,
+            table: Some((stored, projection)),
+        })
     }
 
     /// The worker count an operator over `n` rows should spawn: the
@@ -991,37 +1055,23 @@ impl<'a> Executor<'a> {
     /// (recursively — pipelines of their own), then drives every claimed
     /// chunk source → stages → sink.
     fn run_pipeline(&self, plan: &LogicalPlan, pl: &Pipeline<'_>) -> Result<Batch> {
-        // Source: a predicated scan streams (zone-aligned grid, claim-time
-        // zone-map skip); anything else materializes once, then chunks.
+        // Source: a predicated scan streams chunk by chunk on the zone grid
+        // (claim-time zone-map skip), an unpredicated scan chunk by chunk on
+        // the morsel grid; anything else materializes once, then chunks.
         let source = match pl.source {
             Source::Scan(LogicalPlan::Scan {
                 table,
                 projection,
                 pred: Some(pred),
                 ..
-            }) => {
-                let (stored, batch) = self.scan(table, projection.as_deref())?;
-                PSource {
-                    n: stored.batch.num_rows(),
-                    batch,
-                    scan: Some(PScan {
-                        // Scan predicates address stored column indices.
-                        full: Batch {
-                            cols: stored.batch.cols.clone(),
-                        },
-                        pred,
-                        zone_ok: self.zone_survivors(stored, pred),
-                    }),
-                }
-            }
-            Source::Scan(src) | Source::Breaker(src) => {
-                let batch = self.exec(src)?;
-                PSource {
-                    n: batch.num_rows(),
-                    batch,
-                    scan: None,
-                }
-            }
+            }) => self.scan_source(table, projection.as_deref(), Some(pred))?,
+            Source::Breaker(LogicalPlan::Scan {
+                table,
+                projection,
+                pred: None,
+                ..
+            }) => self.scan_source(table, projection.as_deref(), None)?,
+            Source::Scan(src) | Source::Breaker(src) => PSource::whole(self.exec(src)?),
         };
         // Join build sides execute here, before chunks start flowing: first
         // the rows and key material, then the indexes that borrow them.
@@ -1060,11 +1110,7 @@ impl<'a> Executor<'a> {
     /// Keeps the rows of `batch` that satisfy `pred`: a one-stage pipeline
     /// over a materialized source. `schema` is the batch's.
     fn filter(&self, batch: Batch, pred: &BExpr, schema: &Schema) -> Result<Batch> {
-        let source = PSource {
-            n: batch.num_rows(),
-            batch,
-            scan: None,
-        };
+        let source = PSource::whole(batch);
         self.drive(source, &[PStage::Filter(pred)], &Sink::Materialize, schema)
     }
 
@@ -1151,9 +1197,11 @@ impl<'a> Executor<'a> {
 
     /// Drives prepared stages over a source and finishes at the sink.
     ///
-    /// Determinism: the chunk grid is zone-aligned for streamed scans and
-    /// `opts.morsel`-aligned for materialized sources (one chunk spanning
-    /// the input when a single operator runs inline); filters, projections
+    /// Determinism: the chunk grid cuts every source part (a storage chunk,
+    /// or a breaker's whole output) into zone-sized pieces for predicated
+    /// scans — storage chunks start on zone boundaries, so that is the
+    /// table's zone grid — and `opts.morsel`-sized ones otherwise (one piece
+    /// per part when a single operator runs inline); filters, projections
     /// and probes are elementwise, so their concatenated output does not
     /// depend on the grid, and chunks merge in ascending order. An
     /// aggregate sink hands the concatenated key and argument columns to
@@ -1183,6 +1231,14 @@ impl<'a> Executor<'a> {
                 && fault::active().is_none();
             (if whole { n } else { self.opts.morsel }, threads)
         };
+        let grid: Vec<(usize, std::ops::Range<usize>)> = (source.parts.iter().enumerate())
+            .flat_map(|(p, c)| {
+                let r = c.rows.clone();
+                (r.start..r.end)
+                    .step_by(step.max(1))
+                    .map(move |at| (p, at..(at + step.max(1)).min(r.end)))
+            })
+            .collect();
         // An aggregate sink streams only the input columns its keys and
         // arguments reference; the other sinks stream all of them.
         let only: Option<Vec<usize>> = match sink {
@@ -1191,10 +1247,14 @@ impl<'a> Executor<'a> {
         };
         let regroup = matches!(sink, Sink::Regroup);
         // Chunks that reach the sink as views of the source are gathered
-        // once, after the last one; chunks a stage materialized are
-        // compacted where they are hot, except under a regroup sink, whose
-        // one gather follows the counting sort.
-        let views = !stages.iter().any(PStage::materializes);
+        // after the last one, once per source part (or, when every row of
+        // a table survived, not at all: the table's whole columns stand
+        // in). Chunks a stage materialized are compacted where they are
+        // hot, except under a regroup sink, whose one gather follows the
+        // counting sort over one base — so there, views of a several-part
+        // source are compacted too.
+        let shared = !stages.iter().any(PStage::materializes);
+        let views = shared && (source.parts.len() == 1 || !regroup);
         // Drive. Each claim passes the morsel guard; each stage boundary
         // polls again, so deadlines, budgets and explicit cancels trip
         // within one chunk even mid-pipeline.
@@ -1202,14 +1262,14 @@ impl<'a> Executor<'a> {
             cancel: &self.opts.cancel,
             tables: &self.dict_tables,
         };
-        let done = self.par_grid("pipeline", threads, n, step, |z, r| {
-            let Some(mut chunk) = source_chunk(&source, z, r, cx)? else {
+        let done = self.par_grid("pipeline", threads, grid.len(), 1, |z, _| {
+            let Some(mut chunk) = source_chunk(&source, z, &grid[z], cx)? else {
                 return Ok(None);
             };
             for st in stages {
                 chunk = apply_stage(st, chunk, cx)?;
             }
-            Ok(Some(if views || regroup {
+            Ok(Some(if views || (regroup && !shared) {
                 chunk
             } else {
                 compact_chunk(chunk, only.as_deref())
@@ -1220,31 +1280,50 @@ impl<'a> Executor<'a> {
                 self.metrics.borrow_mut().join_probe_rows += p.probed.load(Relaxed);
             }
         }
-        // Merge in chunk order into `base` — the source's columns for view
-        // chunks, the stitched chunk batches otherwise — plus, for views and
-        // regroups, the selection of `base` rows that survive (`sel`). The
-        // stitched row count is known before the merge starts, so the
-        // accumulating columns reserve once instead of repeatedly doubling.
+        // Merge in chunk order into `base` — a view source's columns, or the
+        // stitched chunk batches — plus the selection of `base` rows that
+        // survive (`sel`), for one-part views and regroups. The stitched
+        // row count is known before the merge starts, so the accumulating
+        // columns reserve once instead of repeatedly doubling.
         let chunks: Vec<Chunk> = done.into_iter().flatten().collect();
         let owned_rows: usize = chunks.iter().map(|c| c.batch.num_rows()).sum();
+        let total: usize = chunks.iter().map(|c| c.rows.len()).sum();
+        // Every row of a stored table survived stages that only filter and
+        // re-list columns: the sink reads the table's whole columns.
+        let whole = match source.table {
+            Some((table, projection)) if views && !regroup && total == n => {
+                Some(self.whole_rows(table, projection, stages, only.as_deref()))
+            }
+            _ => None,
+        };
         let narrow = |b: &Batch| match &only {
             Some(used) => Batch {
                 cols: used.iter().map(|&i| b.cols[i].clone()).collect(),
             },
             None => b.clone(),
         };
-        // Every view chunk lists the same shared columns.
-        let view_base = chunks.first().filter(|_| views).map(|c| narrow(&c.batch));
+        // View chunks by source part, in order: the part's shared columns
+        // and the chunks' selections of its rows.
+        let mut parts: Vec<(usize, Batch, Vec<Vec<usize>>)> = Vec::new();
         let mut merged: Option<Vec<Column>> = None;
         let (mut sels, mut build_rows) = (Vec::new(), Vec::new());
         let mut offset = 0;
         for c in chunks {
             if views || regroup {
-                sels.push(c.rows.into_vec(offset));
                 build_rows.push(c.build_rows);
             }
             if views {
+                if whole.is_some() {
+                    continue;
+                }
+                if parts.last().map_or(true, |(p, ..)| *p != c.part) {
+                    parts.push((c.part, narrow(&c.batch), Vec::new()));
+                }
+                parts.last_mut().expect("pushed").2.push(c.rows.into_vec(0));
                 continue;
+            }
+            if regroup {
+                sels.push(c.rows.into_vec(offset));
             }
             offset += c.batch.num_rows();
             match &mut merged {
@@ -1268,7 +1347,18 @@ impl<'a> Executor<'a> {
                 }
             }
         }
-        let sel = (views || regroup).then(|| stitch(sels));
+        let (base, sel) = match parts.len() {
+            _ if whole.is_some() => (whole, None),
+            _ if !views => (
+                merged.map(Batch::from_columns),
+                regroup.then(|| stitch(sels)),
+            ),
+            0 | 1 => match parts.pop() {
+                Some((_, batch, sels)) => (Some(batch), Some(stitch(sels))),
+                None => (None, Some(Vec::new())),
+            },
+            _ => (Some(gather_parts(parts)?), None),
+        };
         // The columns chunks carry into the sink: the node's output, except
         // that an inner regroup's chunks hold the streamed (right) input
         // only — the build side's columns lead the join's schema.
@@ -1279,9 +1369,7 @@ impl<'a> Executor<'a> {
             _ => &schema.fields[..],
         };
         // Every chunk pruned or filtered away: typed, empty columns.
-        let base = view_base
-            .or(merged.map(Batch::from_columns))
-            .unwrap_or_else(|| narrow(&empty_batch(streamed)));
+        let base = base.unwrap_or_else(|| narrow(&empty_batch(streamed)));
         if regroup {
             let Some(PStage::Probe(p)) = stages.last() else {
                 unreachable!("a regroup sink follows a build-left probe");
@@ -1293,11 +1381,11 @@ impl<'a> Executor<'a> {
             };
         }
         // The surviving rows. A view selection is ascending and duplicate
-        // free, so one as long as the source is the identity: share.
+        // free, so one as long as its base is the identity: share.
         let (total, rows) = match sel {
-            Some(sel) if sel.len() != n => (sel.len(), base.gather(&sel)),
-            Some(sel) => (sel.len(), base),
-            None => (owned_rows, base),
+            Some(sel) if sel.len() == base.num_rows() => (sel.len(), base),
+            Some(sel) => (sel.len(), base.gather(&sel)),
+            None => (total, base),
         };
         match (sink, only) {
             (Sink::Aggregate { group, aggs }, Some(used)) => {
@@ -1416,24 +1504,43 @@ impl ChunkCx<'_> {
 struct Chunk {
     batch: Batch,
     rows: Rows,
+    /// The source part the chunk's rows came from.
+    part: usize,
     /// After a build-left probe, the build row each live row matched (live
     /// rows then repeat, once per match); empty otherwise.
     build_rows: Vec<usize>,
 }
 
-/// A pipeline's prepared source: `n` rows of `batch` (the projected table
-/// or a breaker's output), chunked on the `opts.morsel` grid — or, for a
-/// predicated scan, on the zone grid through `scan`.
+/// A pipeline's prepared source: `n` rows arriving in parts — one for a
+/// breaker's output, one per storage chunk (projected) for a table scan —
+/// chunked by [`Executor::drive`]'s grid; a predicated scan also carries
+/// its predicate through `scan`.
 struct PSource<'a> {
     n: usize,
-    batch: Batch,
+    parts: Vec<table::Chunk>,
     scan: Option<PScan<'a>>,
+    /// For a table scan, the table and the projection of its columns the
+    /// parts hold.
+    table: Option<(&'a StoredTable, Option<&'a [usize]>)>,
 }
 
-/// A streamed predicated scan: the full stored batch the predicate
-/// addresses and the zone-map verdicts.
+impl PSource<'_> {
+    /// A materialized batch as a one-part source.
+    fn whole(batch: Batch) -> PSource<'static> {
+        PSource {
+            n: batch.num_rows(),
+            parts: vec![table::Chunk::whole(batch)],
+            scan: None,
+            table: None,
+        }
+    }
+}
+
+/// A streamed predicated scan: per source part, the stored columns the
+/// predicate addresses; and the zone-map verdicts, one per grid piece (the
+/// pieces of a stored table's chunks are its zones).
 struct PScan<'a> {
-    full: Batch,
+    full: Vec<Arc<Batch>>,
     pred: &'a BExpr,
     zone_ok: Option<Vec<bool>>,
 }
@@ -1504,21 +1611,22 @@ enum ProbeIndex<'a> {
     Bytes(&'a [KeyEncoding], PartitionedIndex<&'a [u8]>),
 }
 
-/// Produces the chunk for one claimed morsel, or `None` when the zone is
-/// pruned or no row survives the scan predicate.
+/// Produces the chunk for grid piece `z` — rows `r` of source part `part` —
+/// or `None` when the zone is pruned or no row survives the scan predicate.
 fn source_chunk(
     src: &PSource<'_>,
     z: usize,
-    r: std::ops::Range<usize>,
+    (part, r): &(usize, std::ops::Range<usize>),
     cx: ChunkCx<'_>,
 ) -> Result<Option<Chunk>> {
+    let r = r.clone();
     let rows = match &src.scan {
         None => Rows::Range(r),
         Some(scan) => {
             if scan.zone_ok.as_ref().is_some_and(|ok| !ok[z]) {
                 return Ok(None);
             }
-            let mask = cx.mask(scan.pred, &scan.full, &Rows::Range(r.clone()))?;
+            let mask = cx.mask(scan.pred, &scan.full[*part], &Rows::Range(r.clone()))?;
             let rows = if mask.iter().all(|&k| k) {
                 Rows::Range(r)
             } else {
@@ -1531,8 +1639,9 @@ fn source_chunk(
         }
     };
     Ok(Some(Chunk {
-        batch: src.batch.clone(),
+        batch: (*src.parts[*part].batch).clone(),
         rows,
+        part: *part,
         build_rows: Vec::new(),
     }))
 }
@@ -1606,6 +1715,7 @@ fn apply_stage(st: &PStage<'_>, chunk: Chunk, cx: ChunkCx<'_>) -> Result<Chunk> 
                 batch: Batch { cols },
                 rows: Rows::Range(0..chunk.rows.len()),
                 build_rows: Vec::new(),
+                ..chunk
             })
         }
         PStage::Probe(p) => apply_probe(p, chunk, cx),
@@ -1681,6 +1791,7 @@ fn apply_probe(p: &PProbe<'_>, chunk: Chunk, cx: ChunkCx<'_>) -> Result<Chunk> {
             batch: Batch { cols },
             rows: Rows::Range(0..hits.li.len()),
             build_rows: Vec::new(),
+            ..chunk
         }
     };
     // A build-left join's residual reads both sides' columns: the sink
@@ -1922,6 +2033,25 @@ fn compact_chunk(chunk: Chunk, only: Option<&[usize]>) -> Chunk {
         batch,
         ..chunk
     }
+}
+
+/// The rows the selections keep of each view part, in order, as one batch:
+/// each part's rows gathered, then appended (parts of one dictionary
+/// lineage append by code, see [`Column::append`]).
+fn gather_parts(parts: Vec<(usize, Batch, Vec<Vec<usize>>)>) -> Result<Batch> {
+    let parts: Vec<(Batch, Vec<usize>)> =
+        parts.into_iter().map(|(_, b, s)| (b, stitch(s))).collect();
+    let total = parts.iter().map(|(_, s)| s.len()).sum::<usize>();
+    let cols = (0..parts[0].0.cols.len()).map(|i| {
+        let (first, sel) = &parts[0];
+        let mut out = first.cols[i].gather(sel);
+        out.reserve(total - sel.len());
+        for (b, s) in &parts[1..] {
+            out.append(&b.cols[i].gather(s))?;
+        }
+        Ok(out)
+    });
+    Ok(Batch::from_columns(cols.collect::<Result<_>>()?))
 }
 
 /// An empty batch with the fields' dtypes (a pipeline whose every chunk

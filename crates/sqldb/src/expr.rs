@@ -613,9 +613,10 @@ struct Cx<'a> {
 
 impl<'a> Cx<'a> {
     /// The memo slot for predicate `node` over operand `operand`. Only a
-    /// bare column operand memoizes: its dictionary is the batch's own, the
-    /// same `Arc` in every morsel, whereas a computed operand (`UPPER(c)`)
-    /// yields a fresh dictionary per call that no later morsel could hit.
+    /// bare column operand memoizes: its dictionary is a version of the
+    /// stored column's one lineage in every morsel, whereas a computed
+    /// operand (`UPPER(c)`) yields a fresh lineage per call that no later
+    /// morsel could hit.
     fn memo(&self, node: &'a BExpr, operand: &BExpr) -> Option<Memo<'a>> {
         match operand {
             BExpr::Col(_) => self.tables.map(|tables| (tables, node)),
@@ -652,12 +653,19 @@ impl EntryTable {
         }
     }
 
-    /// Settles every entry still open, so lookups can go through
-    /// [`EntryTable::settled`].
-    fn fill(&self, test: impl Fn(u32) -> bool) {
-        for code in 0..self.0.len() as u32 {
+    /// Settles the first `entries` entries, so lookups of their codes can
+    /// go through [`EntryTable::settled`].
+    fn fill(&self, entries: usize, test: impl Fn(u32) -> bool) {
+        for code in 0..entries as u32 {
             self.get(code, || test(code));
         }
+    }
+
+    /// A table over `entries` entries holding this one's verdicts so far.
+    fn grown(&self, entries: usize) -> EntryTable {
+        let settled = self.0.iter().map(|v| AtomicU8::new(v.load(Relaxed)));
+        let open = (self.0.len()..entries).map(|_| AtomicU8::new(0));
+        EntryTable(settled.chain(open).collect())
     }
 
     /// The verdict for a `code` already settled by [`EntryTable::fill`].
@@ -677,29 +685,27 @@ impl EntryTable {
 /// entries up front, or only those its rows reference — is the
 /// rows-vs-entries rule of `str_mask`.
 ///
-/// Keys are addresses: the predicate node inside the bound plan, which the
-/// execution borrows immutably for its whole lifetime, and the dictionary
-/// `Arc`, which each slot pins so the address cannot be recycled.
+/// Keys are the predicate node's address inside the bound plan, which the
+/// execution borrows immutably for its whole lifetime, and the dictionary's
+/// lineage: the chunks of an appended table hold different versions of one
+/// lineage, and a code's verdict is the same in each, so they share one
+/// table — grown, verdicts kept, when a longer version arrives.
 #[derive(Default)]
 pub struct DictTables {
-    slots: Mutex<FxHashMap<(usize, usize), Slot>>,
-}
-
-/// One memoized table, with the dictionary it was built over kept alive.
-struct Slot {
-    _dict: Arc<Dictionary>,
-    table: Arc<EntryTable>,
+    slots: Mutex<FxHashMap<(usize, u64), Arc<EntryTable>>>,
 }
 
 impl DictTables {
-    fn table(&self, node: &BExpr, dict: &Arc<Dictionary>) -> Arc<EntryTable> {
-        let key = (node as *const BExpr as usize, Arc::as_ptr(dict) as usize);
+    fn table(&self, node: &BExpr, dict: &Dictionary) -> Arc<EntryTable> {
+        let key = (node as *const BExpr as usize, dict.lineage());
         let mut slots = self.slots.lock().expect("dictionary tables poisoned");
-        let slot = slots.entry(key).or_insert_with(|| Slot {
-            _dict: dict.clone(),
-            table: Arc::new(EntryTable::new(dict.len())),
-        });
-        slot.table.clone()
+        let table = slots
+            .entry(key)
+            .or_insert_with(|| Arc::new(EntryTable::new(dict.len())));
+        if table.0.len() < dict.len() {
+            *table = Arc::new(table.grown(dict.len()));
+        }
+        table.clone()
     }
 
     /// Tables created so far — one per (predicate node, dictionary) pair the
@@ -745,7 +751,7 @@ fn str_mask(c: &Column, memo: Option<Memo<'_>>, test: impl Fn(&str) -> bool) -> 
             };
             Some(match table {
                 Some(t) if small => {
-                    t.fill(|c| test(dict.get(c)));
+                    t.fill(dict.len(), |c| test(dict.get(c)));
                     rows(codes, valid, |&c| t.settled(c))
                 }
                 Some(t) => rows(codes, valid, |&c| t.get(c, || test(dict.get(c)))),
@@ -1223,7 +1229,8 @@ fn eval_cmp(op: BinOp, l: &Column, r: &Column) -> Result<Column> {
         (Str(a, av), Str(b, bv)) => {
             czip!(a, av, b, bv, |x: &String, y: &String| Some(x.cmp(y)))
         }
-        // Same-dictionary equality compares codes directly — no byte access.
+        // Equality within one dictionary lineage compares codes directly —
+        // no byte access.
         (
             Column::DictStr {
                 codes: a,
@@ -1235,7 +1242,7 @@ fn eval_cmp(op: BinOp, l: &Column, r: &Column) -> Result<Column> {
                 dict: db,
                 valid: bv,
             },
-        ) if matches!(op, Eq | Ne) && Arc::ptr_eq(da, db) => {
+        ) if matches!(op, Eq | Ne) && da.same_lineage(db) => {
             czip!(a, av, b, bv, |x: &u32, y: &u32| Some(x.cmp(y)))
         }
         (Bool(a, av), Bool(b, bv)) => czip!(a, av, b, bv, |x: &bool, y: &bool| Some(x.cmp(y))),
@@ -1958,11 +1965,56 @@ mod tests {
             .lock()
             .unwrap()
             .values()
-            .map(|slot| slot.table.clone())
             .find(|t| t.0.iter().filter(|s| s.load(Relaxed) != 0).count() == 2)
+            .cloned()
             .expect("the equality table saw exactly the two referenced entries");
         assert_eq!(table.0[42].load(Relaxed), 2);
         assert_eq!(table.0[7].load(Relaxed), 1);
+    }
+
+    /// The chunks of an appended table hold versions of one dictionary
+    /// lineage: a predicate over them builds one table, grown (verdicts
+    /// kept) when the longer version arrives, and compares codes in place.
+    #[test]
+    fn dictionary_versions_of_one_lineage_share_a_table() {
+        let old = Column::from_strs(&["a", "b", "a"]).encode_str();
+        let mut new = old.slice(3, 3);
+        new.append_in_lineage(&Column::from_strs(&["c", "b", "d"]))
+            .unwrap();
+        let (_, d_old, _) = old.dict_parts().unwrap();
+        let (_, d_new, _) = new.dict_parts().unwrap();
+        assert!(d_old.same_lineage(d_new) && d_new.len() == 4 && d_old.len() == 2);
+        let like = BExpr::Like {
+            e: Box::new(BExpr::Col(0)),
+            pattern: LikePattern::compile("%"),
+            negated: true,
+        };
+        let ne_b = bin(BinOp::Ne, BExpr::Col(0), BExpr::Lit(Value::Str("b".into())));
+        let tables = DictTables::default();
+        for (batch, want) in [
+            (
+                Batch::from_columns(vec![old.clone()]),
+                vec![true, false, true],
+            ),
+            (
+                Batch::from_columns(vec![new.clone()]),
+                vec![true, false, true],
+            ),
+        ] {
+            let got = ne_b.mask_rows(&batch, RowsRef::Range(0, 3), Some(&tables));
+            assert_eq!(got.unwrap(), want);
+            let none = like.mask_rows(&batch, RowsRef::Range(0, 3), Some(&tables));
+            assert_eq!(none.unwrap(), vec![false; 3]);
+        }
+        assert_eq!(
+            tables.built(),
+            2,
+            "one table per predicate, not per version"
+        );
+        // Codes of the two versions compare directly.
+        let pair = Batch::from_columns(vec![old.clone(), new.clone()]);
+        let eq = bin(BinOp::Eq, BExpr::Col(0), BExpr::Col(1));
+        assert_eq!(eq.eval_mask(&pair, None).unwrap(), vec![false, true, false]);
     }
 
     #[test]

@@ -80,7 +80,7 @@ use crate::db::{
 use crate::exec::{execute_with_temps, ExecOptions, Resume};
 use crate::parser::parse_sql;
 use crate::plan::{BoundQuery, JKind, LogicalPlan};
-use crate::table::{Batch, Schema, StoredTable};
+use crate::table::{Batch, Chunk, Schema, StoredTable};
 use pytond_common::cancel::CancelToken;
 use pytond_common::fault::{self, FaultSite};
 use pytond_common::hash::FxHashMap;
@@ -482,17 +482,21 @@ fn run_plan(
 }
 
 /// A [`StoredTable`] overlay holding only rows `[from, len)` of `stored` —
-/// the appended suffix a delta execution scans instead of the full table.
-/// Statistics are dropped (no zone pruning over the delta), dictionary
-/// columns keep sharing their `Arc`ed dictionaries.
+/// the appended suffix a delta execution scans instead of the full table:
+/// the chunks pushed since the view's stamp, shared (the first one trimmed
+/// to the suffix; the last one kept, empty, when nothing was pushed).
+/// Statistics are dropped: no zone pruning over the delta.
 fn suffix_overlay(stored: &StoredTable, from: usize) -> StoredTable {
-    let n = stored.batch.num_rows();
-    let cols = stored.batch.cols.iter();
-    StoredTable {
-        schema: stored.schema.clone(),
-        batch: Batch::from_columns(cols.map(|c| c.slice(from, n)).collect()),
-        stats: None,
+    let (mut start, mut chunks) = (0, Vec::new());
+    for c in &stored.chunks {
+        let skip = from.saturating_sub(start).min(c.rows.len());
+        start += c.rows.len();
+        if skip < c.rows.len() || (start == stored.num_rows() && chunks.is_empty()) {
+            let rows = c.rows.start + skip..c.rows.end;
+            chunks.push(Chunk { rows, ..c.clone() });
+        }
     }
+    StoredTable::new(stored.schema.clone(), chunks, None)
 }
 
 /// Appends `delta`'s rows onto `dst` column by column (copy-on-write: a
@@ -1105,6 +1109,35 @@ mod tests {
                     a.name_at(ci)
                 );
             }
+        }
+    }
+
+    /// The overlay is the chunks holding the suffix, shared with the table
+    /// (the first trimmed); an empty suffix keeps one empty chunk.
+    #[test]
+    fn suffix_overlay_shares_the_chunks_since_the_stamp() {
+        use crate::stats::ZONE_ROWS;
+        let rows = |lo: i64, n: i64| {
+            Relation::new(vec![("a".into(), Column::from_i64((lo..lo + n).collect()))]).unwrap()
+        };
+        let z = ZONE_ROWS as i64;
+        let db = Database::new();
+        db.register("t", rows(0, z + 5));
+        for (lo, n) in [(z + 5, z), (2 * z + 5, 3), (2 * z + 8, 2 * z)] {
+            db.append("t", &rows(lo, n)).unwrap();
+        }
+        let t = db.table("t").unwrap();
+        let n = t.num_rows();
+        assert!(t.chunks.len() > 2);
+        for from in [0, 3, ZONE_ROWS, ZONE_ROWS + 7, n - 1, n] {
+            let tail = suffix_overlay(&t, from);
+            let want: Vec<i64> = (from as i64..n as i64).collect();
+            assert_eq!(tail.num_rows(), n - from);
+            let got = Batch::concat_rows(&tail.chunks).unwrap().cols[0].clone();
+            assert_eq!(got.as_int(), want, "from {from}");
+            assert!(!tail.chunks.is_empty() && tail.stats.is_none());
+            let shared = |c: &Chunk| t.chunks.iter().any(|o| Arc::ptr_eq(&o.batch, &c.batch));
+            assert!(tail.chunks.iter().all(shared), "from {from}");
         }
     }
 

@@ -2,11 +2,12 @@
 //! executor's one driver runs.
 //!
 //! A *pipeline* is a chain of streaming operators between two pipeline
-//! breakers. Its **source** is either a predicated base-table scan (driven
-//! zone-at-a-time so zone-map pruning stays a claim-time skip) or the
-//! materialized output of a breaker (join build, aggregation merge, sort,
-//! DISTINCT, limit, window — or, under the one-operator policy, simply the
-//! operator below). Its **stages** — filters, projections and hash-join
+//! breakers. Its **source** is either a base-table scan, streamed storage
+//! chunk by storage chunk (a predicated one zone-at-a-time, so zone-map
+//! pruning stays a claim-time skip), or the materialized output of a
+//! breaker (join build, aggregation merge, sort, DISTINCT, limit, window —
+//! or, under the one-operator policy, simply the operator below). Its
+//! **stages** — filters, projections and hash-join
 //! probes — consume one claimed chunk at a time. Its **sink** stitches the
 //! surviving chunks back into a batch (`Materialize`), feeds them to the
 //! fixed-grid aggregation tail (`Aggregate`), or regroups the match pairs of
@@ -77,9 +78,10 @@ pub struct ProbeStage<'p> {
 
 /// Where a pipeline's chunks come from.
 pub enum Source<'p> {
-    /// A predicated `Scan`, streamed zone by zone.
+    /// A predicated `Scan`, streamed zone by zone over the table's chunks.
     Scan(&'p LogicalPlan),
-    /// Any other node: executed to a batch first, then chunked.
+    /// Any other node: executed to a batch first, then chunked — except an
+    /// unpredicated `Scan`, which streams its table's chunks as they are.
     Breaker(&'p LogicalPlan),
 }
 

@@ -69,6 +69,10 @@ struct KmvSketch {
 
 impl KmvSketch {
     fn insert(&mut self, h: u64) {
+        // Full and above the largest kept hash: nothing to do.
+        if self.mins.len() == KMV_K && self.mins.last().is_some_and(|&max| h >= max) {
+            return;
+        }
         match self.mins.binary_search(&h) {
             Ok(_) => {}
             Err(pos) => {
@@ -164,20 +168,24 @@ impl TableStats {
         stats
     }
 
-    /// Absorbs rows appended to the columns since the last call: `cols` are
-    /// the **full** post-append columns; rows `[self.row_count, len)` are new.
-    /// The trailing partial zone is recomputed; all other state merges
-    /// incrementally (no full rescan).
-    pub fn extend<C: std::borrow::Borrow<Column>>(&mut self, cols: &[C]) {
-        let start = self.row_count;
-        let n = cols.first().map_or(0, |c| c.borrow().len());
-        if n <= start {
+    /// Absorbs an append. `tail` are the columns of the table's new last
+    /// chunk: the open zone's rows — rows `[row_count / ZONE_ROWS *
+    /// ZONE_ROWS, row_count)`, whose zone map this already holds — followed
+    /// by the appended rows. The open zone's map grows by the appended rows
+    /// and new zones follow; null counts, global bounds and sketches merge
+    /// in the appended rows. Nothing older is rescanned, and the result is
+    /// what [`TableStats::compute`] over all rows yields, zone for zone.
+    pub fn extend<C: std::borrow::Borrow<Column>>(&mut self, tail: &[C]) {
+        let zone_start = self.row_count / ZONE_ROWS * ZONE_ROWS;
+        let from = self.row_count - zone_start;
+        let n = tail.first().map_or(0, |c| c.borrow().len());
+        if n <= from {
             return;
         }
-        for (cs, col) in self.columns.iter_mut().zip(cols) {
-            extend_column(cs, col.borrow(), start);
+        for (cs, col) in self.columns.iter_mut().zip(tail) {
+            extend_column(cs, col.borrow(), from);
         }
-        self.row_count = n;
+        self.row_count = zone_start + n;
     }
 }
 
@@ -186,7 +194,8 @@ fn zone_mapped(c: &Column) -> bool {
     !matches!(c, Column::Str(..))
 }
 
-/// Extends one column's stats with rows `[start, len)`.
+/// Extends one column's stats with rows `[start, len)` of `col`, which
+/// starts on a zone boundary.
 fn extend_column(cs: &mut ColumnStats, col: &Column, start: usize) {
     match col {
         Column::Int(d, v) => extend_typed(cs, d, v.as_deref(), start, Value::Int, |x| {
@@ -209,18 +218,17 @@ fn extend_column(cs: &mut ColumnStats, col: &Column, start: usize) {
                     cs.null_count += 1;
                     continue;
                 }
-                let val = Value::Str(s.clone());
-                update_minmax(&mut cs.min, &mut cs.max, &val);
+                widen_str(&mut cs.min, &mut cs.max, s);
                 cs.sketch.insert(hash_bytes(s.as_bytes()));
             }
         }
         Column::DictStr { codes, dict, valid } => {
-            // Global bounds decode (the planner compares them against string
-            // literals) and the sketch hashes string bytes, so estimates are
-            // identical to the plain path. Zone maps run over the **codes**
-            // as ints: codes are stable under dictionary-extending appends,
-            // and scans translate string equality/IN literals to codes
-            // before consulting them.
+            // Global bounds are strings (the planner compares them against
+            // string literals) and the sketch hashes string bytes, so
+            // estimates are identical to the plain path. Zone maps run over
+            // the **codes** as ints: codes are stable under
+            // dictionary-extending appends, and scans translate string
+            // equality/IN literals to codes before consulting them.
             let valid = valid.as_deref();
             for (i, &c) in codes.iter().enumerate().skip(start) {
                 if !valid.map_or(true, |v| v[i]) {
@@ -228,7 +236,7 @@ fn extend_column(cs: &mut ColumnStats, col: &Column, start: usize) {
                     continue;
                 }
                 let s = dict.get(c);
-                update_minmax(&mut cs.min, &mut cs.max, &Value::Str(s.to_string()));
+                widen_str(&mut cs.min, &mut cs.max, s);
                 cs.sketch.insert(hash_bytes(s.as_bytes()));
             }
             extend_zones(cs, codes, valid, start, |x| Value::Int(i64::from(x)));
@@ -237,9 +245,8 @@ fn extend_column(cs: &mut ColumnStats, col: &Column, start: usize) {
 }
 
 /// Monomorphic stats loop for fixed-width data: updates global min/max, null
-/// count and the sketch over `[start, len)`, and rebuilds zone maps from the
-/// last zone boundary at or below `start`.
-fn extend_typed<T: Copy>(
+/// count and the sketch over `[start, len)`, and the zone maps.
+fn extend_typed<T: Copy + PartialOrd>(
     cs: &mut ColumnStats,
     data: &[T],
     valid: Option<&[bool]>,
@@ -248,20 +255,55 @@ fn extend_typed<T: Copy>(
     hash: impl Fn(T) -> u64,
 ) {
     // Global stats over the strictly-new rows.
+    let mut bounds = Bounds::default();
     for (i, &x) in data.iter().enumerate().skip(start) {
         if !valid.map_or(true, |v| v[i]) {
             cs.null_count += 1;
             continue;
         }
-        let val = to_value(x);
-        update_minmax(&mut cs.min, &mut cs.max, &val);
+        bounds.widen(x);
         cs.sketch.insert(hash(x));
     }
+    bounds.merge(&mut cs.min, &mut cs.max, &to_value);
     extend_zones(cs, data, valid, start, to_value);
 }
 
-/// Rebuilds zone maps from the last zone boundary at or below `start`.
-fn extend_zones<T: Copy>(
+/// Running min/max of a run of values in their own type — `update_minmax`
+/// over the run without a [`Value`] per row: NaN is skipped, and of equal
+/// values the first seen is kept.
+struct Bounds<T>(Option<(T, T)>);
+
+impl<T> Default for Bounds<T> {
+    fn default() -> Self {
+        Bounds(None)
+    }
+}
+
+impl<T: Copy + PartialOrd> Bounds<T> {
+    #[inline]
+    fn widen(&mut self, x: T) {
+        if x.partial_cmp(&x).is_none() {
+            return;
+        }
+        self.0 = Some(match self.0 {
+            None => (x, x),
+            Some((lo, hi)) => (if x < lo { x } else { lo }, if x > hi { x } else { hi }),
+        });
+    }
+
+    /// Widens `[min, max]` by the run, as if its values came after theirs.
+    fn merge(self, min: &mut Value, max: &mut Value, to_value: impl Fn(T) -> Value) {
+        if let Some((lo, hi)) = self.0 {
+            update_minmax(min, max, &to_value(lo));
+            update_minmax(min, max, &to_value(hi));
+        }
+    }
+}
+
+/// Extends the zone maps by rows `[start, len)` of `data`, which starts on
+/// a zone boundary: rows before the next boundary grow the open (last)
+/// zone, the rest start new zones.
+fn extend_zones<T: Copy + PartialOrd>(
     cs: &mut ColumnStats,
     data: &[T],
     valid: Option<&[bool]>,
@@ -271,23 +313,36 @@ fn extend_zones<T: Copy>(
     let Some(zones) = cs.zones.as_mut() else {
         return;
     };
-    let zone_floor = start / ZONE_ROWS;
-    zones.truncate(zone_floor);
-    let mut i = zone_floor * ZONE_ROWS;
+    let mut i = start;
     while i < data.len() {
-        let end = (i + ZONE_ROWS).min(data.len());
-        let mut z = ZoneStat::empty();
-        z.rows = (end - i) as u32;
+        if i % ZONE_ROWS == 0 {
+            zones.push(ZoneStat::empty());
+        }
+        let z = zones.last_mut().expect("the open zone exists");
+        let end = (i / ZONE_ROWS + 1) * ZONE_ROWS;
+        let end = end.min(data.len());
+        z.rows += (end - i) as u32;
+        let mut bounds = Bounds::default();
         for (j, &x) in data[i..end].iter().enumerate() {
             if !valid.map_or(true, |v| v[i + j]) {
                 z.null_count += 1;
                 continue;
             }
-            let val = to_value(x);
-            update_minmax(&mut z.min, &mut z.max, &val);
+            bounds.widen(x);
         }
-        zones.push(z);
+        bounds.merge(&mut z.min, &mut z.max, &to_value);
         i = end;
+    }
+}
+
+/// Widens string bounds to cover `s` — `update_minmax` for strings,
+/// allocating only when a bound moves.
+fn widen_str(min: &mut Value, max: &mut Value, s: &str) {
+    if !matches!(min, Value::Str(m) if m.as_str() <= s) {
+        *min = Value::Str(s.to_string());
+    }
+    if !matches!(max, Value::Str(m) if m.as_str() >= s) {
+        *max = Value::Str(s.to_string());
     }
 }
 
@@ -535,16 +590,16 @@ mod tests {
 
     #[test]
     fn extend_matches_recompute() {
-        // Append in three uneven batches; stats must equal a from-scratch
-        // computation over the concatenation.
+        // Append in three uneven batches, each handed over as the table's
+        // new last chunk (open zone + batch); stats must equal a
+        // from-scratch computation over the concatenation.
         let all: Vec<i64> = (0..11_000).map(|i| (i * 7) % 1000).collect();
-        let mut col = Column::from_i64(all[..3000].to_vec());
-        let mut stats = TableStats::compute(&[&col]);
-        for chunk in [&all[3000..9000], &all[9000..]] {
-            col.append(&Column::from_i64(chunk.to_vec())).unwrap();
-            stats.extend(&[&col]);
+        let mut stats = TableStats::compute(&[&Column::from_i64(all[..3000].to_vec())]);
+        for end in [9000, 11_000] {
+            let open = stats.row_count / ZONE_ROWS * ZONE_ROWS;
+            stats.extend(&[&Column::from_i64(all[open..end].to_vec())]);
         }
-        let fresh = TableStats::compute(&[&col]);
+        let fresh = TableStats::compute(&[&Column::from_i64(all)]);
         assert_eq!(stats.row_count, fresh.row_count);
         let (a, b) = (&stats.columns[0], &fresh.columns[0]);
         assert_eq!(a.null_count, b.null_count);

@@ -1,7 +1,15 @@
 //! Columnar storage: schemas, shared-ownership batches, stored tables.
+//!
+//! A [`StoredTable`] is a list of immutable [`Chunk`]s: registered as one,
+//! grown by [`StoredTable::appended`] in O(batch + zone), every chunk but
+//! the last whole zones — so scans and zone maps see a bulk load's grid.
+//! A read that needs a table's columns whole concatenates them at most
+//! once per version ([`StoredTable::whole`]).
 
-use pytond_common::{Column, DType, Error, Relation, Result, Value};
-use std::sync::Arc;
+use crate::stats::{TableStats, ZONE_ROWS};
+use pytond_common::{Column, DType, Error, Relation, Result};
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// One output/input field: optional table qualifier, name, type.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,9 +131,12 @@ pub struct Batch {
 impl Batch {
     /// Builds from owned columns.
     pub fn from_columns(cols: Vec<Column>) -> Batch {
-        Batch {
-            cols: cols.into_iter().map(Arc::new).collect(),
-        }
+        Batch::from_arcs(cols.into_iter().map(Arc::new))
+    }
+
+    fn from_arcs(cols: impl Iterator<Item = Arc<Column>>) -> Batch {
+        let cols = cols.collect();
+        Batch { cols }
     }
 
     /// Number of rows.
@@ -140,41 +151,32 @@ impl Batch {
 
     /// Row-gathers every column.
     pub fn gather(&self, indices: &[usize]) -> Batch {
-        Batch {
-            cols: self
-                .cols
-                .iter()
-                .map(|c| Arc::new(c.gather(indices)))
-                .collect(),
-        }
+        let cols = self.cols.iter().map(|c| Arc::new(c.gather(indices)));
+        Batch::from_arcs(cols)
     }
 
     /// Like [`Batch::gather`] with optional (null-producing) indices.
     pub fn gather_opt(&self, indices: &[Option<usize>]) -> Batch {
-        Batch {
-            cols: self
-                .cols
-                .iter()
-                .map(|c| Arc::new(c.gather_opt(indices)))
-                .collect(),
-        }
+        let cols = self.cols.iter().map(|c| Arc::new(c.gather_opt(indices)));
+        Batch::from_arcs(cols)
     }
 
-    /// Concatenates batches row-wise (schemas must match).
-    pub fn concat_rows(batches: &[Batch]) -> Result<Batch> {
-        let Some(first) = batches.first() else {
-            return Ok(Batch::default());
-        };
-        let ncols = first.num_cols();
-        let mut out: Vec<Column> = (0..ncols)
-            .map(|i| Column::with_capacity(first.cols[i].dtype(), 0))
-            .collect();
-        for b in batches {
-            if b.num_cols() != ncols {
-                return Err(Error::Exec("batch column-count mismatch".into()));
-            }
-            for (o, c) in out.iter_mut().zip(&b.cols) {
-                o.append(c)?;
+    /// Concatenates the rows of chunks (schemas must match) into one batch:
+    /// the one concatenation of storage chunks, for reads that need a
+    /// table's rows contiguous ([`StoredTable::whole`]). Encoded columns
+    /// stay encoded, in the newest version of their dictionary lineage,
+    /// codes unchanged.
+    pub fn concat_rows(parts: &[Chunk]) -> Result<Batch> {
+        let first = parts.first().map_or(&[][..], |c| &c.batch.cols[..]);
+        if parts.iter().any(|c| c.batch.num_cols() != first.len()) {
+            return Err(Error::Exec("batch column-count mismatch".into()));
+        }
+        let total = parts.iter().map(|c| c.rows.len()).sum();
+        let mut out: Vec<Column> = first.iter().map(|c| c.slice(0, 0)).collect();
+        for (i, col) in out.iter_mut().enumerate() {
+            col.reserve(total);
+            for c in parts {
+                col.append_range(&c.batch.cols[i], c.rows.clone())?;
             }
         }
         Ok(Batch::from_columns(out))
@@ -216,60 +218,127 @@ impl Batch {
     }
 }
 
-/// A stored table: schema + batch + optional statistics.
+/// One immutable piece of a stored table: rows `rows` of a shared batch
+/// (which may hold more rows past them, re-held by a later chunk).
+#[derive(Debug, Clone)]
+pub struct Chunk {
+    /// The columns, shared by every table version holding the chunk.
+    pub batch: Arc<Batch>,
+    /// The chunk's rows of `batch`.
+    pub rows: Range<usize>,
+}
+
+impl Chunk {
+    /// Every row of `batch`.
+    pub fn whole(batch: Batch) -> Chunk {
+        let rows = 0..batch.num_rows();
+        let batch = Arc::new(batch);
+        Chunk { batch, rows }
+    }
+
+    /// The same rows of the columns at `projection` (all when `None`).
+    pub fn project(&self, projection: Option<&[usize]>) -> Chunk {
+        let batch = match projection {
+            None => self.batch.clone(),
+            Some(cols) => Arc::new(Batch {
+                cols: cols.iter().map(|&i| self.batch.cols[i].clone()).collect(),
+            }),
+        };
+        let rows = self.rows.clone();
+        Chunk { batch, rows }
+    }
+}
+
+/// A stored table: schema + immutable chunks + optional statistics.
 #[derive(Debug, Clone)]
 pub struct StoredTable {
     /// Schema (unqualified field names).
     pub schema: Schema,
-    /// The data.
-    pub batch: Batch,
+    /// The rows, in order: at least one chunk (an empty table's carries its
+    /// columns' representation), every chunk but the last a whole number of
+    /// [`ZONE_ROWS`] zones on a registered table.
+    pub chunks: Vec<Chunk>,
     /// Column statistics and zone maps. Present on registered base tables;
-    /// `None` on CTE temporaries (not worth a stats pass per query).
-    pub stats: Option<crate::stats::TableStats>,
+    /// `None` on CTE temporaries (not worth a stats pass per query) and on
+    /// view-maintenance overlays.
+    pub stats: Option<TableStats>,
+    /// A read cache, not storage: per column, its rows as one column, once
+    /// a read needed them so (see [`StoredTable::whole`]).
+    whole: Vec<OnceLock<Arc<Column>>>,
 }
 
 impl StoredTable {
-    /// Builds from a relation, computing full column statistics.
-    pub fn from_relation(rel: &Relation) -> StoredTable {
-        StoredTable::from_relation_encoded(rel, false)
-    }
-
-    /// Like [`StoredTable::from_relation`]; with `encode` set, string
-    /// columns are dictionary-encoded on the way in (the stored dtype stays
-    /// `Str` — encoding is a representation, not a schema change).
-    pub fn from_relation_encoded(rel: &Relation, encode: bool) -> StoredTable {
-        let schema = Schema::new(
-            rel.columns()
-                .iter()
-                .map(|(n, c)| Field::new(n.clone(), c.dtype()))
-                .collect(),
-        );
-        let batch = Batch::from_columns(
-            rel.columns()
-                .iter()
-                .map(|(_, c)| if encode { c.encode_str() } else { c.clone() })
-                .collect(),
-        );
-        let stats = Some(crate::stats::TableStats::compute(&batch.cols));
+    /// A table of `chunks` (at least one) under `schema`.
+    pub fn new(schema: Schema, chunks: Vec<Chunk>, stats: Option<TableStats>) -> StoredTable {
+        let whole = schema.fields.iter().map(|_| OnceLock::new()).collect();
         StoredTable {
             schema,
-            batch,
+            chunks,
             stats,
+            whole,
         }
     }
 
-    /// Appends the rows of `rel` (same column names and dtypes, in order),
-    /// updating statistics incrementally.
-    pub fn append_relation(&mut self, rel: &Relation) -> Result<()> {
-        if rel.columns().len() != self.batch.num_cols() {
+    /// The columns at `projection` (all when `None`) over every row, as one
+    /// batch, and whether this call concatenated chunks to build it. A
+    /// one-chunk table shares its stored columns. A several-chunk table
+    /// concatenates a column at most once per version — for the first read
+    /// that needs it whole — and shares it with every later read of the
+    /// version, which holds it until the version is dropped.
+    pub fn whole(&self, projection: Option<&[usize]>) -> (Batch, bool) {
+        let all: Vec<usize> = (0..self.schema.len()).collect();
+        let mut glued = false;
+        let mut column = |i: usize| match &self.chunks[..] {
+            [c] if c.rows == (0..c.batch.num_rows()) => c.batch.cols[i].clone(),
+            chunks => (self.whole[i].get_or_init(|| {
+                glued |= chunks.len() > 1;
+                let parts: Vec<Chunk> = chunks.iter().map(|c| c.project(Some(&[i]))).collect();
+                let col = Batch::concat_rows(&parts).expect("a table's chunks share its schema");
+                col.cols[0].clone()
+            }))
+            .clone(),
+        };
+        let cols = projection
+            .unwrap_or(&all)
+            .iter()
+            .map(|&i| column(i))
+            .collect();
+        (Batch { cols }, glued)
+    }
+
+    /// Builds one chunk from a relation, computing full column statistics;
+    /// with `encode` set, string columns are dictionary-encoded on the way
+    /// in (the stored dtype stays `Str` — encoding is a representation, not
+    /// a schema change). A column that arrives encoded is stored in a
+    /// dictionary lineage of its own, which appends then grow in place.
+    pub fn from_relation_encoded(rel: &Relation, encode: bool) -> StoredTable {
+        let cols = rel.columns().iter();
+        let fields = cols.clone().map(|(n, c)| Field::new(n.clone(), c.dtype()));
+        let stored = |c: &Column| if encode { c.encode_str() } else { c.clone() };
+        let batch = Batch::from_columns(cols.map(|(_, c)| stored(c).into_own_lineage()).collect());
+        let stats = Some(TableStats::compute(&batch.cols));
+        StoredTable::new(
+            Schema::new(fields.collect()),
+            vec![Chunk::whole(batch)],
+            stats,
+        )
+    }
+
+    /// The next version of this table: its rows followed by those of `rel`
+    /// (same column names and dtypes, in order). Every chunk up to the last
+    /// zone boundary is shared; the open zone's rows (fewer than
+    /// [`ZONE_ROWS`]) and the batch are copied into one new last chunk,
+    /// growing the table's dictionary lineages in place, and the statistics
+    /// absorb that chunk.
+    pub fn appended(&self, rel: &Relation) -> Result<StoredTable> {
+        if rel.columns().len() != self.schema.len() {
             return Err(Error::Data(format!(
                 "append: expected {} columns, got {}",
-                self.batch.num_cols(),
+                self.schema.len(),
                 rel.columns().len()
             )));
         }
-        // Validate every column before mutating anything: a mid-append error
-        // must not leave the table with unequal column lengths.
+        // Validate every column before building anything.
         for ((name, col), field) in rel.columns().iter().zip(&self.schema.fields) {
             if !field.name.eq_ignore_ascii_case(name) || field.dtype != col.dtype() {
                 return Err(Error::Data(format!(
@@ -280,32 +349,45 @@ impl StoredTable {
                 )));
             }
         }
-        // Stored columns are shared with the published snapshot, so an
-        // append always copies; `grown` builds the copy in one size-classed
-        // allocation instead of an exact-length clone plus a reallocation.
-        for ((_, col), stored) in rel.columns().iter().zip(&mut self.batch.cols) {
-            *stored = Arc::new(stored.grown(col)?);
+        if rel.num_rows() == 0 {
+            return Ok(self.clone());
         }
-        if let Some(stats) = &mut self.stats {
-            stats.extend(&self.batch.cols);
+        // The last chunk starts on a zone boundary, so its rows past the
+        // last boundary are the table's final `rows % ZONE_ROWS`: the open
+        // zone. The rows before it stay, as a shared chunk of their own.
+        let mut chunks = self.chunks.clone();
+        let mut last = chunks.pop().expect("a stored table keeps a chunk");
+        let end = last.rows.end;
+        last.rows.end -= self.num_rows() % ZONE_ROWS;
+        let mut cols = Vec::with_capacity(rel.columns().len());
+        for (old, (_, new)) in last.batch.cols.iter().zip(rel.columns()) {
+            let mut col = old.slice(last.rows.end, end);
+            col.reserve(new.len());
+            col.append_in_lineage(new)?;
+            cols.push(col);
         }
-        Ok(())
+        if !last.rows.is_empty() {
+            chunks.push(last);
+        }
+        let tail = Chunk::whole(Batch::from_columns(cols));
+        let mut stats = self.stats.clone();
+        if let Some(stats) = &mut stats {
+            stats.extend(&tail.batch.cols);
+        }
+        chunks.push(tail);
+        Ok(StoredTable::new(self.schema.clone(), chunks, stats))
     }
 
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
-        self.batch.num_rows()
+        self.chunks.iter().map(|c| c.rows.len()).sum()
     }
-}
-
-/// Builds a single-value batch (used for scalar subquery results).
-pub fn scalar_batch(v: Value) -> Result<Batch> {
-    Ok(Batch::from_columns(vec![Column::from_values(&[v])?]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pytond_common::Value;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -340,8 +422,98 @@ mod tests {
         let g = b.gather(&[2, 0]);
         assert_eq!(g.num_rows(), 2);
         assert_eq!(g.cols[0].get(0), Value::Int(3));
-        let c = Batch::concat_rows(&[b.clone(), g]).unwrap();
+        let c = Batch::concat_rows(&[Chunk::whole(b.clone()), Chunk::whole(g)]).unwrap();
         assert_eq!(c.num_rows(), 5);
+    }
+
+    /// Concatenated chunks of an encoded table stay encoded, in the newest
+    /// version of the dictionary lineage, with their codes unchanged.
+    #[test]
+    fn concat_rows_keeps_dictionary_codes() {
+        let rel = |s: &[&str]| Relation::new(vec![("s".into(), Column::from_strs(s))]).unwrap();
+        let t0 = StoredTable::from_relation_encoded(&rel(&["a", "b", "a"]), true);
+        let t1 = t0.appended(&rel(&["c", "a"])).unwrap();
+        let t2 = t1.appended(&rel(&["b", "d"])).unwrap();
+        // Rows 0..5 under the version [a b c], rows 5..7 under [a b c d].
+        let older = t1.chunks[0].clone();
+        let newer = Chunk {
+            rows: 5..7,
+            ..t2.chunks[0].clone()
+        };
+        assert_eq!(older.batch.cols[0].dict_parts().unwrap().1.len(), 3);
+        let all = Batch::concat_rows(&[older, newer]).unwrap();
+        let (codes, dict, _) = all.cols[0].dict_parts().expect("stays encoded");
+        assert_eq!(codes, [0, 1, 0, 2, 0, 1, 3]);
+        assert!(dict.strs().eq(["a", "b", "c", "d"]));
+    }
+
+    /// Two tables registered from one encoded relation grow dictionary
+    /// lineages of their own: rows of both concatenated decode as put in.
+    #[test]
+    fn tables_from_one_encoded_relation_grow_apart() {
+        let rel = |s: &[&str]| Relation::new(vec![("s".into(), Column::from_strs(s))]).unwrap();
+        let encoded = Relation::new(vec![(
+            "s".into(),
+            rel(&["a", "b"]).columns()[0].1.encode_str(),
+        )]);
+        let encoded = encoded.unwrap();
+        let a = StoredTable::from_relation_encoded(&encoded, true);
+        let b = StoredTable::from_relation_encoded(&encoded, false);
+        let (a, b) = (
+            a.appended(&rel(&["x"])).unwrap(),
+            b.appended(&rel(&["y"])).unwrap(),
+        );
+        let lineage = |t: &StoredTable| t.chunks[0].batch.cols[0].dict_parts().unwrap().1.lineage();
+        assert_ne!(lineage(&a), lineage(&b));
+        let both = Batch::concat_rows(&[a.chunks[0].clone(), b.chunks[0].clone()]).unwrap();
+        let strs = both.cols[0].decode_str();
+        assert_eq!(strs.as_str_col(), ["a", "b", "x", "a", "b", "y"]);
+    }
+
+    /// Rows `[lo, lo + n)` of a two-column table (an int and a string).
+    fn rows(lo: usize, n: usize) -> Relation {
+        let ids: Vec<i64> = (lo..lo + n).map(|i| i as i64).collect();
+        let words: Vec<String> = (lo..lo + n).map(|i| format!("w{}", i % 5000)).collect();
+        Relation::new(vec![
+            ("id".into(), Column::from_i64(ids)),
+            ("s".into(), Column::from_str_vec(words)),
+        ])
+        .unwrap()
+    }
+
+    /// An append shares every closed chunk with the version before it and
+    /// copies at most the open zone plus the batch; every chunk but the
+    /// last holds whole zones; the rows read back are the rows put in.
+    #[test]
+    fn appends_share_closed_chunks_and_copy_one_zone() {
+        let z = ZONE_ROWS;
+        let mut t = StoredTable::from_relation_encoded(&rows(0, 2 * z + 7), true);
+        let mut n = 2 * z + 7;
+        for k in [0, 1, z - 1, z, z + 1, 3 * z + 5, 100] {
+            let next = t.appended(&rows(n, k)).unwrap();
+            let old: Vec<&Arc<Batch>> = t.chunks.iter().map(|c| &c.batch).collect();
+            let copied: usize = (next.chunks.iter())
+                .filter(|c| !old.iter().any(|b| Arc::ptr_eq(b, &c.batch)))
+                .map(|c| c.rows.len())
+                .sum();
+            assert!(copied <= z - 1 + k, "+{k}: {copied} rows copied");
+            let closed = &next.chunks[..next.chunks.len() - 1];
+            let zoned = |c: &Chunk| c.rows.len() % z == 0 && !c.rows.is_empty();
+            assert!(closed.iter().all(zoned), "+{k}");
+            for c in closed.iter().take(t.chunks.len() - 1) {
+                let shared = old.iter().any(|b| Arc::ptr_eq(b, &c.batch));
+                assert!(shared, "+{k}: closed chunk copied");
+            }
+            n += k;
+            assert_eq!(next.num_rows(), n);
+            let ids = Batch::concat_rows(&next.chunks).unwrap().cols[0].clone();
+            assert_eq!(ids.as_int(), (0..n as i64).collect::<Vec<_>>());
+            t = next;
+        }
+        let strs = Batch::concat_rows(&t.chunks).unwrap().cols[1].decode_str();
+        assert_eq!(strs, *rows(0, n).column("s").unwrap());
+        let lineage = |c: &Chunk| c.batch.cols[1].dict_parts().unwrap().1.lineage();
+        assert!(t.chunks.iter().all(|c| lineage(c) == lineage(&t.chunks[0])));
     }
 
     #[test]

@@ -17,6 +17,7 @@
 
 use pytond::{Backend, EngineConfig, OptLevel, Profile, Pytond};
 use pytond_common::{pool, Column, DType, Relation, Value};
+use pytond_sqldb::table::Batch;
 use pytond_sqldb::Database;
 
 fn thread_counts() -> Vec<usize> {
@@ -324,12 +325,104 @@ fn append_extends_dictionary() {
     // extending it in place: one dictionary, first-occurrence order, old
     // codes untouched.
     let stored = encoded.table("t").expect("registered");
-    let (codes, dict, _) = stored.batch.cols[0]
+    let column = Batch::concat_rows(&stored.chunks).unwrap().cols[0].clone();
+    let (codes, dict, _) = column
         .dict_parts()
         .expect("string column stays dictionary-encoded across appends");
     let strs: Vec<&str> = dict.strs().collect();
     assert_eq!(strs, ["a", "b", "c", "d", "e"]);
     assert_eq!(codes, [0u32, 1, 0, 2, 1, 3, 0, 4]);
+}
+
+/// The chunks of an appended table hold different versions of one
+/// dictionary lineage: a string predicate over them builds one predicate
+/// table, and a self-join on the string column packs codes from every chunk
+/// without translating any — both ≡ the plain-string oracle.
+#[test]
+fn appended_chunks_share_one_code_space() {
+    let words = |start: usize, rows: usize, vocab: usize| {
+        let s: Vec<String> = (start..start + rows)
+            .map(|i| format!("w{}", i % vocab))
+            .collect();
+        let v: Vec<i64> = (start..start + rows).map(|i| i as i64).collect();
+        Relation::new(vec![
+            ("s".into(), Column::from_str_vec(s)),
+            ("v".into(), Column::from_i64(v)),
+        ])
+        .unwrap()
+    };
+    let (encoded, plain) = (Database::new(), Database::new());
+    encoded.register("t", words(0, 5_000, 40));
+    plain.register_plain("t", words(0, 5_000, 40));
+    // Each batch brings strings the dictionary has not seen.
+    let mut at = 5_000;
+    for (rows, vocab) in [(4_000, 60), (3, 70), (6_000, 90)] {
+        encoded.append("t", &words(at, rows, vocab)).unwrap();
+        plain.append("t", &words(at, rows, vocab)).unwrap();
+        at += rows;
+    }
+    let chunks = &encoded.table("t").unwrap().chunks;
+    let len = |c: &pytond_sqldb::table::Chunk| c.batch.cols[0].dict_parts().unwrap().1.len();
+    assert!(chunks.len() > 2 && len(&chunks[0]) < len(chunks.last().unwrap()));
+    let like = "SELECT v FROM t WHERE s LIKE 'w7%'";
+    let (_, trace) = encoded
+        .execute_sql_traced(like, &config(Profile::Fused, 2))
+        .unwrap();
+    assert_eq!(trace.metrics.dict_pred_tables, 1, "{}", trace.summary());
+    let join = "SELECT a.v, b.v AS w FROM t AS a, t AS b WHERE a.s = b.s AND b.v < 40";
+    let (_, trace) = encoded
+        .execute_sql_traced(join, &config(Profile::Fused, 2))
+        .unwrap();
+    assert_eq!(trace.metrics.dict_probe_pipelines, 1, "{}", trace.summary());
+    // Predicated scans gather each chunk's survivors into one column under
+    // the newest version; unpredicated ones reach the aggregate whole.
+    for sql in [
+        like,
+        join,
+        "SELECT s, COUNT(*) AS n FROM t GROUP BY s",
+        "SELECT s, COUNT(*) AS n FROM t WHERE v >= 0 GROUP BY s",
+        "SELECT s, v FROM t WHERE v % 3 = 0",
+    ] {
+        check_sql(sql, &plain, &encoded, sql);
+    }
+}
+
+/// One already-encoded relation registered as two tables: each table grows
+/// a dictionary lineage of its own, so strings the two first see in
+/// different appends never share a code. Joins, a semi-join and a
+/// code-space comparison across the tables ≡ the plain-string oracle.
+#[test]
+fn tables_registered_from_one_encoded_relation_grow_apart() {
+    let rel = |s: &[&str], v: &[i64]| {
+        Relation::new(vec![
+            ("s".into(), Column::from_strs(s)),
+            ("v".into(), Column::from_i64(v.to_vec())),
+        ])
+        .unwrap()
+    };
+    let base = rel(&["a", "b", "a"], &[1, 2, 3]);
+    let cols = base.columns().iter();
+    let encoded_base = Relation::new(cols.map(|(n, c)| (n.clone(), c.encode_str())).collect());
+    let (encoded, plain) = (Database::new(), Database::new());
+    for t in ["a", "b"] {
+        encoded.register(t, encoded_base.clone().unwrap());
+        plain.register_plain(t, base.clone());
+    }
+    // 'x' takes code 2 in `a` and 'y' code 2 in `b`; then each table takes
+    // the other's string, so real matches exist too.
+    for (t, s, v) in [("a", "x", 4), ("b", "y", 5), ("b", "x", 6), ("a", "y", 7)] {
+        let batch = rel(&[s, "a"], &[v, v + 10]);
+        encoded.append(t, &batch).unwrap();
+        plain.append(t, &batch).unwrap();
+    }
+    for sql in [
+        "SELECT a.v, b.v AS w FROM a, b WHERE a.s = b.s ORDER BY a.v, w",
+        "SELECT v FROM a WHERE s IN (SELECT s FROM b WHERE v > 3) ORDER BY v",
+        "SELECT a.v, b.v AS w, CASE WHEN a.s = b.s THEN 1 ELSE 0 END AS same \
+         FROM a, b WHERE a.v > 3 AND b.v > 3 ORDER BY a.v, w",
+    ] {
+        check_sql(sql, &plain, &encoded, sql);
+    }
 }
 
 #[test]
@@ -354,7 +447,8 @@ fn failed_append_publishes_nothing() {
     assert_eq!(db.stats_version(), version, "failed append published");
     let stored = db.table("t").expect("registered");
     assert_eq!(stored.num_rows(), 2);
-    let (_, dict, _) = stored.batch.cols[0].dict_parts().expect("encoded");
+    let column = Batch::concat_rows(&stored.chunks).unwrap().cols[0].clone();
+    let (_, dict, _) = column.dict_parts().expect("encoded");
     let strs: Vec<&str> = dict.strs().collect();
     assert_eq!(strs, ["a", "b"], "rejected rows extended the dictionary");
 }

@@ -19,8 +19,9 @@
 //! variable is set it *replaces* the built-in seed sweep below.
 
 use pytond_common::{fault, Column, Relation, Value};
+use pytond_sqldb::table::{Batch, StoredTable};
 use pytond_sqldb::{Database, EngineConfig, Profile};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Serializes tests in this binary: the fault harness is process-global.
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
@@ -252,6 +253,93 @@ fn faulted_appends_publish_nothing() {
         assert_eq!(ids, n * (n - 1) / 2, "seed {seed}");
         assert_eq!(torn, 0, "seed {seed}");
         assert_eq!(db.stats_version(), start_version + appended as u64);
+    }
+}
+
+/// `rows` rows from `start` with two string columns: `s` drawn from 37
+/// strings tagged `tag` (a new tag brings strings the dictionary lacks), `t`
+/// from five shared ones.
+fn tagged(start: usize, rows: usize, tag: &str) -> Relation {
+    let range = start..start + rows;
+    let s: Vec<String> = range.clone().map(|i| format!("{tag}{}", i % 37)).collect();
+    let t: Vec<String> = range.clone().map(|i| format!("t{}", i % 5)).collect();
+    Relation::new(vec![
+        (
+            "id".into(),
+            Column::from_i64(range.map(|i| i as i64).collect()),
+        ),
+        ("s".into(), Column::from_str_vec(s)),
+        ("t".into(), Column::from_str_vec(t)),
+    ])
+    .unwrap()
+}
+
+/// A rejected append leaves the current version's storage exactly as it
+/// was — the same chunks, and dictionaries holding the same entries — both
+/// when validation refuses it (a schema mismatch) and when publication
+/// fails after the next version, dictionary growth included, was built (an
+/// injected `append-publish` fault). The next successful append, bringing
+/// other new strings, is bit-identical to a bulk load of the same rows.
+#[test]
+fn rejected_appends_leave_dictionaries_untouched() {
+    let _guard = FAULT_LOCK.lock().unwrap();
+    fault::clear();
+    let db = Database::new();
+    db.register("t", tagged(0, 5_000, "a"));
+    db.append("t", &tagged(5_000, 4_000, "b")).unwrap();
+    let before = db.table("t").unwrap();
+    assert!(before.chunks.len() > 1, "a multi-chunk table");
+    let entries = |table: &StoredTable| -> Vec<Vec<String>> {
+        let newest = &table.chunks.last().unwrap().batch;
+        let dicts = [1, 2].map(|c| newest.cols[c].dict_parts().expect("encoded").1.clone());
+        dicts
+            .iter()
+            .map(|d| d.strs().map(str::to_string).collect())
+            .collect()
+    };
+    let known = entries(&before);
+    let version = db.stats_version();
+    let mismatch = Relation::new(vec![
+        ("id".into(), Column::from_i64(vec![9_000])),
+        ("s".into(), Column::from_strs(&["c0"])),
+        ("t".into(), Column::from_i64(vec![1])),
+    ])
+    .unwrap();
+    assert!(db.append("t", &mismatch).is_err());
+    fault::set(11, 1.0);
+    let err = db.append("t", &tagged(9_000, 3_000, "c")).unwrap_err();
+    fault::clear();
+    assert!(err.is_transient(), "{err}");
+    assert_eq!(db.stats_version(), version, "a rejected append published");
+    let after = db.table("t").unwrap();
+    assert!(Arc::ptr_eq(&before, &after));
+    assert_eq!(
+        entries(&after),
+        known,
+        "a rejected append grew a dictionary"
+    );
+    // The next append grows the lineage from the published version as if
+    // the rejected ones had never run.
+    db.append("t", &tagged(9_000, 3_000, "d")).unwrap();
+    let bulk = Database::new();
+    let mut all = tagged(0, 5_000, "a").columns().to_vec();
+    for more in [tagged(5_000, 4_000, "b"), tagged(9_000, 3_000, "d")] {
+        for ((_, col), (_, add)) in all.iter_mut().zip(more.columns()) {
+            col.append(add).unwrap();
+        }
+    }
+    bulk.register("t", Relation::new(all).unwrap());
+    let (got, want) = (db.table("t").unwrap(), bulk.table("t").unwrap());
+    let whole = |t: &StoredTable| Batch::concat_rows(&t.chunks).unwrap().cols;
+    assert_eq!(whole(&got), whole(&want));
+    for sql in [
+        "SELECT s, t, COUNT(*) AS n, SUM(id) AS ids FROM t GROUP BY s, t ORDER BY s, t",
+        "SELECT id FROM t WHERE s = 'd3' AND t = 't1'",
+        "SELECT COUNT(*) AS n FROM t WHERE s = 'c3'",
+    ] {
+        let cfg = EngineConfig::default();
+        let (a, b) = (db.execute_sql(sql, &cfg), bulk.execute_sql(sql, &cfg));
+        assert_eq!(a.unwrap(), b.unwrap(), "{sql}");
     }
 }
 

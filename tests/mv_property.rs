@@ -16,9 +16,17 @@
 //! actually report `delta` — not `recompute` — after an append. The oracle
 //! is an argument, not a mode: `Database::view_oracle_at` recomputes on the
 //! pinned snapshot, so every refresh-mode assertion runs unconditionally.
+//!
+//! The storage the views read is checked against a second, independent
+//! oracle: a bulk load. All 22 TPC-H queries over a `lineitem` grown by
+//! appends across chunk boundaries return what they return over the same
+//! rows registered at once; a snapshot pinned before an append keeps its
+//! answers; and reads over appended tables never concatenate chunks.
 
-use pytond::{Backend, Profile, Pytond};
+use pytond::{Backend, OptLevel, Profile, Pytond};
 use pytond_common::{pool, Column, DType, Relation, Value};
+use pytond_sqldb::stats::ZONE_ROWS;
+use pytond_sqldb::table::Batch;
 use pytond_sqldb::{Database, EngineConfig, RefreshMode};
 
 /// The thread counts view refresh runs at.
@@ -550,6 +558,236 @@ fn aggregate_views_resume_their_fold() {
                     assert_all_delta(&db, table, &context);
                 }
                 start += rows;
+            }
+        }
+    }
+}
+
+// ---------------- chunked storage against a bulk load -------------------
+
+/// `rel` with `more`'s rows appended, as one relation.
+fn concat(rel: &Relation, more: &[Relation]) -> Relation {
+    let mut cols = rel.columns().to_vec();
+    for batch in more {
+        for ((_, col), (_, add)) in cols.iter_mut().zip(batch.columns()) {
+            col.append(add).unwrap();
+        }
+    }
+    Relation::new(cols).unwrap()
+}
+
+/// A `Pytond` over the TPC-H tables of `data`, `lineitem` replaced.
+fn tpch_instance(data: &pytond_tpch::TpchData, lineitem: Option<Relation>) -> Pytond {
+    let py = Pytond::new();
+    for (name, rel, unique) in data.tables() {
+        let keys: Vec<&[&str]> = unique.iter().map(|k| k.as_slice()).collect();
+        let rel = match (name, &lineitem) {
+            ("lineitem", Some(li)) => li.clone(),
+            _ => rel.clone(),
+        };
+        py.register_table(name, rel, &keys);
+    }
+    py
+}
+
+/// All 22 TPC-H queries over a `lineitem` grown across storage-chunk
+/// boundaries — appends of 0, 1, Z − 1, Z, Z + 1 and 3Z + 5 rows in
+/// sequence (Z = `ZONE_ROWS`) — are bit-identical to the same queries over
+/// one bulk load of the same rows, at threads 1 / 2 / 7 under both
+/// profiles. The chunked table's zone grid is the bulk load's, and its
+/// dictionary codes are too.
+#[test]
+fn tpch_over_appended_lineitem_matches_a_bulk_load() {
+    const Z: usize = ZONE_ROWS;
+    let data = pytond_tpch::generate(0.002);
+    let more = pytond_tpch::generate_seeded(0.005, 7).lineitem;
+    let appended = tpch_instance(&data, None);
+    let mut batches = Vec::new();
+    let mut at = 0;
+    for k in [0, 1, Z - 1, Z, Z + 1, 3 * Z + 5] {
+        let batch = rows_from(&more, at, k);
+        appended.append("lineitem", &batch).unwrap();
+        batches.push(batch);
+        at += k;
+    }
+    let bulk = tpch_instance(&data, Some(concat(&data.lineitem, &batches)));
+    let (a, b) = (
+        appended.database().table("lineitem").unwrap(),
+        bulk.database().table("lineitem").unwrap(),
+    );
+    assert!(a.chunks.len() > 2, "{} chunks", a.chunks.len());
+    let (a, b) = (Batch::concat_rows(&a.chunks), Batch::concat_rows(&b.chunks));
+    for (i, (x, y)) in a.unwrap().cols.iter().zip(&b.unwrap().cols).enumerate() {
+        assert_eq!(x, y, "stored column {i} differs");
+    }
+    for threads in [1, 2, 7] {
+        for profile in [Profile::Vectorized, Profile::Fused] {
+            let backend = Backend {
+                profile,
+                threads,
+                timeout_ms: None,
+                mem_budget_mb: None,
+            };
+            for q in pytond_tpch::all_queries() {
+                let want = bulk.run(q.source, &backend).unwrap();
+                let got = appended.run(q.source, &backend).unwrap();
+                let context = format!("{}/{profile:?}@{threads}t", q.name);
+                assert_bit_identical(&context, &want, &got);
+            }
+        }
+    }
+}
+
+/// A snapshot pinned before appends that bring new strings keeps its
+/// answers: the strings its dictionary version never held match nothing
+/// on it, and every other answer is unchanged — while the live version
+/// sees the new rows.
+#[test]
+fn pinned_snapshot_keeps_its_answers_across_dictionary_growth() {
+    let old = ["tokyo", "lima", "oslo"];
+    let db = Database::new();
+    db.register("t", fold_rel(0, ZONE_ROWS + 300, 7, &old));
+    let pinned = db.snapshot();
+    let queries = [
+        "SELECT COUNT(*) AS n FROM t WHERE s = 'lagos'",
+        "SELECT s, COUNT(*) AS n, SUM(f) AS sf FROM t GROUP BY s ORDER BY s",
+        "SELECT k, s FROM t WHERE s IN ('lagos', 'lima') AND k < 20",
+    ];
+    let cfg = config(Profile::Fused, 2);
+    let prepared: Vec<_> = queries
+        .iter()
+        .map(|q| db.prepare(q, Profile::Fused).unwrap())
+        .collect();
+    let before: Vec<Relation> = prepared
+        .iter()
+        .map(|p| pinned.execute_prepared(p, &cfg).unwrap())
+        .collect();
+    let mut start = ZONE_ROWS + 300;
+    for rows in [1, ZONE_ROWS, 2 * ZONE_ROWS + 9] {
+        db.append("t", &fold_rel(start, rows, 5, &["lagos", "delhi", "lima"]))
+            .unwrap();
+        start += rows;
+    }
+    assert!(db.table("t").unwrap().chunks.len() > 2);
+    for ((q, p), want) in queries.iter().zip(&prepared).zip(&before) {
+        let got = pinned.execute_prepared(p, &cfg).unwrap();
+        assert_bit_identical(&format!("pinned/{q}"), want, &got);
+    }
+    let lagos = |r: Relation| r.column("n").unwrap().get(0);
+    assert_eq!(lagos(before[0].clone()), Value::Int(0));
+    let live = db.execute_prepared(&prepared[0], &cfg).unwrap();
+    assert!(matches!(lagos(live), Value::Int(n) if n > 0));
+}
+
+/// Reads over tables grown by 50 appends stream their scans chunk by
+/// chunk: Q6, Q14 and Q22 over `lineitem` / `customer` and Crime Index over
+/// `cities` glue no storage chunks together under either profile — while a
+/// breaker reading a multi-chunk table whole does, and says so.
+#[test]
+fn reads_after_appends_concatenate_no_chunks() {
+    let data = pytond_tpch::generate(0.002);
+    let more = pytond_tpch::generate_seeded(0.002, 3);
+    let crime = pytond_workloads::all_workloads(1)
+        .into_iter()
+        .find(|w| w.name == "Crime Index")
+        .expect("the Crime Index notebook");
+    let py = tpch_instance(&data, None);
+    for (name, rel, unique) in &crime.tables {
+        let keys: Vec<&[&str]> = unique.iter().map(|k| k.as_slice()).collect();
+        py.register_table(name, rel.clone(), &keys);
+    }
+    let cities = &crime.tables[0].1;
+    for i in 0..50 {
+        py.append("lineitem", &rows_from(&more.lineitem, i * 200, 200))
+            .unwrap();
+        py.append("customer", &rows_from(&more.customer, i * 100, 100))
+            .unwrap();
+        py.append("cities", &rows_from(cities, i * 100, 100))
+            .unwrap();
+    }
+    let db = py.database();
+    for table in ["lineitem", "customer", "cities"] {
+        let chunks = db.table(table).unwrap().chunks.len();
+        assert!(chunks > 1, "{table}: {chunks} chunk(s)");
+    }
+    let reads = [
+        ("Q6", pytond_tpch::query(6).source),
+        ("Q14", pytond_tpch::query(14).source),
+        ("Q22", pytond_tpch::query(22).source),
+        ("Crime Index", crime.source),
+    ];
+    for profile in [Profile::Vectorized, Profile::Fused] {
+        let backend = Backend {
+            profile,
+            threads: 2,
+            timeout_ms: None,
+            mem_budget_mb: None,
+        };
+        for (name, source) in reads {
+            let prepared = py.prepare(source, &backend, OptLevel::O4).unwrap();
+            let (_, trace) = db
+                .execute_prepared_traced(&prepared, &backend.config())
+                .unwrap();
+            assert_eq!(
+                trace.metrics.chunks_concatenated,
+                0,
+                "{name}/{profile:?}:\n{}",
+                trace.summary()
+            );
+        }
+    }
+    let (_, trace) = db
+        .execute_sql_traced(
+            "SELECT c_custkey FROM customer ORDER BY c_acctbal",
+            &config(Profile::Fused, 1),
+        )
+        .unwrap();
+    let chunks = db.table("customer").unwrap().chunks.len() as u64;
+    assert_eq!(
+        trace.metrics.chunks_concatenated,
+        chunks,
+        "{}",
+        trace.summary()
+    );
+    assert!(trace
+        .summary()
+        .contains(&format!("storage chunks concatenated: {chunks}")));
+}
+
+/// A read that needs a several-chunk table whole — a breaker over an
+/// unpredicated scan, or a pipeline whose scan keeps every row —
+/// concatenates the columns it reads once per table version: the next read
+/// of that version shares them, the next version concatenates afresh, and
+/// every answer equals a bulk load's.
+#[test]
+fn whole_table_reads_concatenate_once_per_version() {
+    let data = pytond_tpch::generate(0.002);
+    let more = pytond_tpch::generate_seeded(0.002, 3).lineitem;
+    let py = tpch_instance(&data, None);
+    let reads = [
+        "SELECT l_orderkey, l_comment FROM lineitem \
+         ORDER BY l_extendedprice, l_orderkey, l_linenumber",
+        "SELECT l_quantity, l_comment FROM lineitem WHERE l_quantity > 0",
+        "SELECT l_returnflag, SUM(l_quantity) AS q FROM lineitem \
+         WHERE l_quantity > 0 GROUP BY l_returnflag ORDER BY l_returnflag",
+    ];
+    let mut batches = Vec::new();
+    for profile in [Profile::Vectorized, Profile::Fused] {
+        for sql in reads {
+            // A new version: nothing of it is concatenated yet.
+            let batch = rows_from(&more, batches.len() * 700, 700);
+            py.append("lineitem", &batch).unwrap();
+            batches.push(batch);
+            let bulk = tpch_instance(&data, Some(concat(&data.lineitem, &batches)));
+            let want = (bulk.database().execute_sql(sql, &config(profile, 2))).unwrap();
+            let db = py.database();
+            let chunks = db.table("lineitem").unwrap().chunks.len() as u64;
+            assert!(chunks > 1);
+            for (read, glued) in [("first", chunks), ("second", 0)] {
+                let (got, trace) = db.execute_sql_traced(sql, &config(profile, 2)).unwrap();
+                let context = format!("{sql}/{profile:?}/{read} read");
+                assert_eq!(trace.metrics.chunks_concatenated, glued, "{context}");
+                assert_bit_identical(&context, &want, &got);
             }
         }
     }

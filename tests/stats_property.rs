@@ -1,10 +1,12 @@
 //! Property tests for the statistics subsystem: zone-map scan pruning must be
 //! **result-identical** to unpruned scans across dtypes, data distributions
 //! and NULL patterns, and incrementally-maintained statistics (multi-batch
-//! loads through `Database::append`) must equal a from-scratch computation.
+//! loads through `Database::append`) must equal a from-scratch computation —
+//! zone for zone across storage-chunk boundaries.
 
 use proptest::prelude::*;
 use pytond_common::{Column, DType, Relation, Value};
+use pytond_sqldb::stats::{TableStats, ZONE_ROWS};
 use pytond_sqldb::{Database, EngineConfig};
 
 /// Deterministic value stream: clustered (sorted, tight zone bounds) or
@@ -194,15 +196,7 @@ proptest! {
         batched.append("t", &slice_rel(&rel, c1.max(c2), n)).unwrap();
 
         let (ta, tb) = (whole.table("t").unwrap(), batched.table("t").unwrap());
-        let (sa, sb) = (ta.stats.as_ref().unwrap(), tb.stats.as_ref().unwrap());
-        prop_assert!(sa.row_count == sb.row_count);
-        for (ca, cb) in sa.columns.iter().zip(&sb.columns) {
-            prop_assert!(ca.null_count == cb.null_count);
-            prop_assert!(ca.min == cb.min);
-            prop_assert!(ca.max == cb.max);
-            prop_assert!(ca.zones == cb.zones);
-            prop_assert!(ca.distinct_estimate() == cb.distinct_estimate());
-        }
+        assert_same_stats(ta.stats.as_ref().unwrap(), tb.stats.as_ref().unwrap(), "batched");
         let sql = if dtype == 3 {
             "SELECT v FROM t WHERE k = TRUE".to_string()
         } else {
@@ -211,6 +205,133 @@ proptest! {
         let ra = whole.execute_sql(&sql, &EngineConfig::default()).unwrap();
         let rb = batched.execute_sql(&sql, &EngineConfig::default()).unwrap();
         prop_assert!(ra.approx_eq(&rb, 0.0));
+    }
+}
+
+/// Row count, and per column null count, global bounds, zone maps (zone for
+/// zone) and distinct estimate, equal.
+fn assert_same_stats(bulk: &TableStats, got: &TableStats, context: &str) {
+    assert_eq!(bulk.row_count, got.row_count, "{context}: row count");
+    for (i, (a, b)) in bulk.columns.iter().zip(&got.columns).enumerate() {
+        assert_eq!(a.null_count, b.null_count, "{context}: column {i} nulls");
+        assert_eq!(a.min, b.min, "{context}: column {i} min");
+        assert_eq!(a.max, b.max, "{context}: column {i} max");
+        assert_eq!(a.zones, b.zones, "{context}: column {i} zones");
+        assert_eq!(
+            a.distinct_estimate(),
+            b.distinct_estimate(),
+            "{context}: column {i} distinct estimate"
+        );
+    }
+}
+
+/// `n` rows from `start` of a table with an int key, a float holding NaNs,
+/// a date, and a string column whose vocabulary grows with the row number
+/// (so later appends bring strings earlier rows never had); every column
+/// has NULLs.
+fn chunk_rows(start: usize, n: usize) -> Relation {
+    let (mut k, mut f, mut d, mut s) = (
+        Column::new(DType::Int),
+        Column::new(DType::Float),
+        Column::new(DType::Date),
+        Column::new(DType::Str),
+    );
+    for i in start..start + n {
+        let null = |every: usize| i % every == every - 1;
+        let key = ((i as i64).wrapping_mul(7_919)).rem_euclid(1_000);
+        let cells = [
+            (&mut k, 13, Value::Int(key)),
+            (&mut d, 23, Value::Date(key as i32 * 3)),
+            (
+                &mut s,
+                17,
+                Value::Str(format!("s{}", (i * 31) % (50 + i / 100))),
+            ),
+        ];
+        for (col, every, v) in cells {
+            if null(every) {
+                col.push_null();
+            } else {
+                col.push(v).unwrap();
+            }
+        }
+        let x = if i % 97 == 5 {
+            f64::NAN
+        } else {
+            i as f64 * 0.37 - 900.0
+        };
+        if null(19) {
+            f.push_null()
+        } else {
+            f.push(Value::Float(x)).unwrap()
+        }
+    }
+    Relation::new(vec![
+        ("k".into(), k),
+        ("f".into(), f),
+        ("d".into(), d),
+        ("s".into(), s),
+    ])
+    .unwrap()
+}
+
+/// Appends across storage-chunk boundaries: base tables of k·Z − 1, k·Z and
+/// k·Z + 1 rows (Z = `ZONE_ROWS`, dictionary-encoded and plain) take appends
+/// of 0, 1, Z − 1, Z, Z + 1 and 3Z + 5 rows in sequence. After each, the
+/// statistics equal a bulk load of the same rows zone for zone, every chunk
+/// but the last holds whole zones, and pruned scans agree with the bulk
+/// load.
+#[test]
+fn chunked_appends_keep_bulk_statistics() {
+    const Z: usize = ZONE_ROWS;
+    for base in [2 * Z - 1, 2 * Z, 2 * Z + 1] {
+        for encode in [true, false] {
+            let register = |db: &Database, rel: Relation| match encode {
+                true => db.register("t", rel),
+                false => db.register_plain("t", rel),
+            };
+            let db = Database::new();
+            register(&db, chunk_rows(0, base));
+            let mut n = base;
+            for k in [0, 1, Z - 1, Z, Z + 1, 3 * Z + 5] {
+                db.append("t", &chunk_rows(n, k)).unwrap();
+                n += k;
+                let context = format!("base {base} encode {encode} +{k}");
+                let bulk = Database::new();
+                register(&bulk, chunk_rows(0, n));
+                let (want, got) = (bulk.table("t").unwrap(), db.table("t").unwrap());
+                assert_same_stats(
+                    want.stats.as_ref().unwrap(),
+                    got.stats.as_ref().unwrap(),
+                    &context,
+                );
+                let chunks = &got.chunks;
+                let closed = &chunks[..chunks.len() - 1];
+                assert!(closed.iter().all(|c| c.rows.len() % Z == 0), "{context}");
+                for sql in [
+                    "SELECT k, f, s FROM t WHERE k < 40",
+                    "SELECT s, COUNT(*) AS n FROM t WHERE s = 's7' GROUP BY s",
+                    "SELECT d FROM t WHERE d IS NULL",
+                ] {
+                    let cfg = EngineConfig::default();
+                    let a = bulk.execute_sql(sql, &cfg).unwrap();
+                    let b = db.execute_sql(sql, &cfg).unwrap();
+                    // `total_cmp` cell by cell: the float column holds NaNs.
+                    let cells = |r: &Relation| -> Vec<Vec<Value>> {
+                        let cols = 0..r.num_cols();
+                        cols.map(|c| r.column_at(c).iter_values().collect())
+                            .collect()
+                    };
+                    let (ca, cb) = (cells(&a), cells(&b));
+                    let same = ca.len() == cb.len()
+                        && ca.iter().zip(&cb).all(|(x, y)| {
+                            x.len() == y.len()
+                                && x.iter().zip(y).all(|(u, v)| u.total_cmp(v).is_eq())
+                        });
+                    assert!(same, "{context}: {sql}");
+                }
+            }
+        }
     }
 }
 
