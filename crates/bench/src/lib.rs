@@ -118,11 +118,8 @@ pub fn measure_system(
     match system.config(threads) {
         None => {
             // The `threads` knob does not reach the interpreted baseline:
-            // the paper's Pandas "does not support parallelization", and
-            // this baseline has no per-call thread config either. It *does*
-            // reuse the engine's morsel pool on large merges/group-bys (the
-            // fairness rule — see docs/EXECUTION.md); pin the whole process
-            // with PYTOND_THREADS=1 to reproduce the paper's flat bar.
+            // like the paper's Pandas, which "does not support
+            // parallelization", it runs on one thread — the flat bar.
             time_ms(warmups, rounds, || baseline().map(|_| ()))
         }
         Some((level, backend)) => {

@@ -728,12 +728,15 @@ impl<K: std::hash::Hash + Eq + Copy + Send + Sync> PartitionedIndex<K> {
         )
         .expect("partition pass is infallible")
         .results;
-        // Phase 2: one worker per partition builds its CSR part from its
+        // Phase 2: one task per partition builds its CSR part from its
         // buckets in morsel order (ascending row ids) — O(n) total.
-        let parts = crate::pool::par_indexed(threads, p, "index-build", |pi| {
+        let parts = crate::pool::par_morsels(threads, p, 1, "index-build", |pi, _| {
             let mine = buckets.iter().flat_map(|m| m[pi].iter().copied());
-            CsrPart::build(keys, mine, buckets.iter().map(|m| m[pi].len()).sum())
-        });
+            let len = buckets.iter().map(|m| m[pi].len()).sum();
+            Ok(CsrPart::build(keys, mine, len))
+        })
+        .expect("partition build is infallible")
+        .results;
         PartitionedIndex { parts, bits }
     }
 
@@ -793,6 +796,17 @@ pub fn distinct_keep<K: std::hash::Hash + Eq + Copy>(keys: &[K]) -> Vec<usize> {
         }
     }
     keep
+}
+
+/// First-occurrence indices of the distinct rows over `cols` (NULL is a
+/// value, as in `DISTINCT` and `drop_duplicates`): packed words when every
+/// column is fixed-width, raw arena bytes otherwise.
+pub fn distinct_rows(cols: &[&Column]) -> Vec<usize> {
+    match FixedKeySpec::plan(&[cols], true) {
+        Some(spec) if spec.width() == KeyWidth::U64 => distinct_keep(&spec.pack_u64(cols).0),
+        Some(spec) => distinct_keep(&spec.pack_u128(cols).0),
+        None => distinct_keep(&KeyArena::encode_raw(cols, false).dense_keys()),
+    }
 }
 
 #[cfg(test)]

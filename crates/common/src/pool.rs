@@ -21,7 +21,9 @@
 //! request, not by the number of in-flight queries (see `docs/SERVING.md`
 //! for the serving-level scheduling model). At `threads <= 1` (or a
 //! single-morsel grid) no job is ever enqueued and the closure runs inline
-//! on the caller's stack — the serial path.
+//! on the caller's stack — the serial path. [`par_morsels`] is the one work
+//! primitive: a fixed task list (the P partitions of a hash-join build) is
+//! a grid of one-row morsels.
 //!
 //! The [`Admission`] gate sits above the pool: a serving layer admits each
 //! query before execution, bounding how many queries compute simultaneously
@@ -99,8 +101,9 @@ struct Job {
 }
 
 /// Best-effort extraction of a panic payload's message (covers the `&str`
-/// and `String` payloads produced by `panic!`).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// and `String` payloads produced by `panic!`). Also renders the payloads
+/// the serving layer catches when it contains a query's panic.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -492,47 +495,6 @@ where
     })
 }
 
-/// Runs `f(0), f(1), ..., f(count - 1)` on up to `threads` participants
-/// (the calling thread + shared-pool helpers, atomic task cursor),
-/// returning the outputs in task order. Used for fixed task lists —
-/// building the P partitions of a hash join, sorting the chunks of a
-/// parallel sort. Inline (no pool job) when `threads <= 1` or `count <= 1`.
-/// `label` names the operator for panic diagnostics, as in [`par_morsels`].
-pub fn par_indexed<T, F>(threads: usize, count: usize, label: &str, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if threads <= 1 || count <= 1 {
-        return (0..count).map(f).collect();
-    }
-    let workers = threads.min(count);
-    let cursor = AtomicUsize::new(0);
-    let collected: Mutex<Vec<Vec<(usize, T)>>> = Mutex::new(Vec::new());
-    let work = || {
-        let mut local: Vec<(usize, T)> = Vec::new();
-        loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= count {
-                break;
-            }
-            local.push((i, f(i)));
-        }
-        collected.lock().expect(POISON).push(local);
-    };
-    shared().run_job(workers - 1, label, &work);
-    let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
-    for local in collected.into_inner().expect(POISON) {
-        for (i, t) in local {
-            slots[i] = Some(t);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every task claimed"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,14 +543,6 @@ mod tests {
         })
         .unwrap_err();
         assert!(matches!(err, Error::Exec(_)));
-    }
-
-    #[test]
-    fn indexed_tasks_return_in_task_order() {
-        let serial = par_indexed(1, 9, "test", |i| i * i);
-        let par = par_indexed(4, 9, "test", |i| i * i);
-        assert_eq!(serial, par);
-        assert_eq!(par[3], 9);
     }
 
     #[test]

@@ -195,17 +195,8 @@ impl DataFrame {
 
     /// `df.drop_duplicates()` over all columns, keeping first occurrences.
     pub fn drop_duplicates(&self) -> DataFrame {
-        use pytond_common::hash::{distinct_keep, FixedKeySpec, KeyArena, KeyWidth};
         let cols: Vec<&pytond_common::Column> = self.cols.iter().map(|s| &s.col).collect();
-        let keep = match FixedKeySpec::plan(&[&cols], true) {
-            Some(spec) if spec.width() == KeyWidth::U64 => distinct_keep(&spec.pack_u64(&cols).0),
-            Some(spec) => distinct_keep(&spec.pack_u128(&cols).0),
-            None => {
-                let arena = KeyArena::encode_raw(&cols, false);
-                distinct_keep(&arena.dense_keys())
-            }
-        };
-        self.take(&keep)
+        self.take(&pytond_common::hash::distinct_rows(&cols))
     }
 
     /// `df.merge(other, how, left_on, right_on, suffixes)` — see

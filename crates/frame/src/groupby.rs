@@ -3,18 +3,8 @@
 use crate::dataframe::DataFrame;
 use crate::series::Series;
 use pytond_common::hash::{FixedKeySpec, FxHashMap, KeyArena, KeyWidth};
-use pytond_common::{pool, Column, Error, Result, Value};
+use pytond_common::{Column, Error, Result, Value};
 use std::hash::Hash;
-
-/// Inputs below this many rows group serially: for small frames the pool's
-/// thread-spawn cost dominates any win.
-pub(crate) const PARALLEL_MIN_ROWS: usize = 32 * 1024;
-
-/// Rows per grouping morsel (matches the engine's default morsel).
-const GROUP_MORSEL: usize = 16 * 1024;
-
-/// Groups per aggregation morsel (each group's aggregate is independent).
-const AGG_GROUP_MORSEL: usize = 256;
 
 /// Aggregate functions available to `agg`, `aggregate` and `pivot_table`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -121,29 +111,11 @@ impl<'a> GroupBy<'a> {
         }
         for (input, op, output) in specs {
             let src = self.df.col(input)?;
-            // Each group's aggregate is computed independently from its own
-            // gathered rows, so groups fan out over pool workers with no
-            // cross-group float merging — values are bit-identical at every
-            // thread count.
-            let threads = if self.df.num_rows() >= PARALLEL_MIN_ROWS {
-                pool::default_threads()
-            } else {
-                1
-            };
-            let chunks = pool::par_morsels(
-                threads,
-                self.groups.len(),
-                AGG_GROUP_MORSEL,
-                "frame-agg",
-                |_, r| {
-                    Ok(r.map(|g| {
-                        let sub = Series::new("", src.col.gather(&self.groups[g].1));
-                        op.apply_series(&sub)
-                    })
-                    .collect::<Vec<Value>>())
-                },
-            )?;
-            let vals: Vec<Value> = chunks.results.concat();
+            let vals: Vec<Value> = self
+                .groups
+                .iter()
+                .map(|(_, rows)| op.apply_series(&Series::new("", src.col.gather(rows))))
+                .collect();
             out.insert(Series::new(*output, Column::from_values(&vals)?))?;
         }
         Ok(out)
@@ -180,68 +152,17 @@ impl<'a> GroupBy<'a> {
     }
 }
 
-/// Buckets row indices by key in first-appearance order.
-///
-/// Large inputs group in parallel through the shared morsel pool:
-/// morsel-local buckets merge in ascending morsel order, each partial's
-/// groups visited in local first-appearance order — so the global group
-/// order is global first-appearance order and every row list stays
-/// ascending, exactly the serial result. The merge order is explicit, not
-/// an accident of hash-map iteration.
-fn group_rows<K: Hash + Eq + Copy + Send + Sync>(keys: &[K]) -> Vec<(usize, Vec<usize>)> {
-    let threads = if keys.len() >= PARALLEL_MIN_ROWS {
-        pool::default_threads()
-    } else {
-        1
-    };
-    group_rows_with(keys, threads)
-}
-
-/// [`group_rows`] at an explicit worker count (the testable core).
-fn group_rows_with<K: Hash + Eq + Copy + Send + Sync>(
-    keys: &[K],
-    threads: usize,
-) -> Vec<(usize, Vec<usize>)> {
-    if threads <= 1 {
-        let mut map: FxHashMap<K, usize> = FxHashMap::default();
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (i, k) in keys.iter().enumerate() {
-            match map.get(k) {
-                Some(&g) => groups[g].1.push(i),
-                None => {
-                    map.insert(*k, groups.len());
-                    groups.push((i, vec![i]));
-                }
-            }
-        }
-        return groups;
-    }
-    let partials = pool::par_morsels(threads, keys.len(), GROUP_MORSEL, "frame-group", |_, r| {
-        let mut map: FxHashMap<K, usize> = FxHashMap::default();
-        // (key, first row, rows) in local first-appearance order.
-        let mut local: Vec<(K, usize, Vec<usize>)> = Vec::new();
-        for i in r {
-            match map.get(&keys[i]) {
-                Some(&g) => local[g].2.push(i),
-                None => {
-                    map.insert(keys[i], local.len());
-                    local.push((keys[i], i, vec![i]));
-                }
-            }
-        }
-        Ok(local)
-    })
-    .expect("grouping is infallible");
-    let mut global: FxHashMap<K, usize> = FxHashMap::default();
+/// Buckets row indices by key in first-appearance order; every row list
+/// is ascending.
+fn group_rows<K: Hash + Eq + Copy>(keys: &[K]) -> Vec<(usize, Vec<usize>)> {
+    let mut map: FxHashMap<K, usize> = FxHashMap::default();
     let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    for part in partials.results {
-        for (k, first, rows) in part {
-            match global.get(&k) {
-                Some(&g) => groups[g].1.extend(rows),
-                None => {
-                    global.insert(k, groups.len());
-                    groups.push((first, rows));
-                }
+    for (i, k) in keys.iter().enumerate() {
+        match map.get(k) {
+            Some(&g) => groups[g].1.push(i),
+            None => {
+                map.insert(*k, groups.len());
+                groups.push((i, vec![i]));
             }
         }
     }
@@ -326,26 +247,5 @@ mod tests {
         assert_eq!(AggOp::parse("sum").unwrap(), AggOp::Sum);
         assert_eq!(AggOp::parse("mean").unwrap(), AggOp::Mean);
         assert!(AggOp::parse("median").is_err());
-    }
-
-    /// The merge-order contract, stated explicitly: parallel grouping must
-    /// produce groups in **global first-appearance order** with **ascending
-    /// row lists** — exactly the serial result — for any worker count,
-    /// including counts that do not divide the morsel grid evenly.
-    #[test]
-    fn parallel_grouping_preserves_first_appearance_order() {
-        let n = 100_000usize;
-        let keys: Vec<u64> = (0..n).map(|i| ((i * 7919) % 613) as u64).collect();
-        let serial = group_rows_with(&keys, 1);
-        for threads in [2, 3, 7, 16] {
-            let par = group_rows_with(&keys, threads);
-            assert_eq!(serial, par, "threads = {threads}");
-        }
-        // First-appearance order and ascending rows, asserted directly.
-        let firsts: Vec<usize> = serial.iter().map(|(f, _)| *f).collect();
-        assert!(firsts.windows(2).all(|w| w[0] < w[1]));
-        assert!(serial
-            .iter()
-            .all(|(f, rows)| rows[0] == *f && rows.windows(2).all(|w| w[0] < w[1])));
     }
 }

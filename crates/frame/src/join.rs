@@ -4,11 +4,8 @@
 use crate::dataframe::DataFrame;
 use crate::series::Series;
 use pytond_common::hash::{FixedKeySpec, FxHashMap, KeyArena, KeyWidth};
-use pytond_common::{pool, Column, Error, Result};
+use pytond_common::{Column, Error, Result};
 use std::hash::Hash;
-
-/// Rows per probe morsel (matches the engine's default morsel).
-const PROBE_MORSEL: usize = 16 * 1024;
 
 /// Join kinds accepted by the `how` argument.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,118 +140,42 @@ fn build_table<K: Hash + Eq + Copy>(keys: &[Option<K>]) -> FxHashMap<K, Vec<u32>
 
 /// Hash build (right) + ordered probe (left) over precomputed per-row keys;
 /// `None` keys never match.
-///
-/// On large inputs the probe side claims morsels from the shared pool and
-/// match lists stitch in morsel order — the output pairing is byte-for-byte
-/// the serial one at every thread count.
 #[allow(clippy::type_complexity)]
-fn probe_indices<K: Hash + Eq + Copy + Send + Sync>(
+fn probe_indices<K: Hash + Eq + Copy>(
     lkeys: &[Option<K>],
     rkeys: &[Option<K>],
     how: JoinHow,
-) -> (Vec<Option<usize>>, Vec<Option<usize>>) {
-    let threads = if lkeys.len().max(rkeys.len()) >= crate::groupby::PARALLEL_MIN_ROWS {
-        pool::default_threads()
-    } else {
-        1
-    };
-    probe_indices_with(lkeys, rkeys, how, threads)
-}
-
-/// [`probe_indices`] at an explicit worker count (the testable core).
-#[allow(clippy::type_complexity)]
-fn probe_indices_with<K: Hash + Eq + Copy + Send + Sync>(
-    lkeys: &[Option<K>],
-    rkeys: &[Option<K>],
-    how: JoinHow,
-    threads: usize,
 ) -> (Vec<Option<usize>>, Vec<Option<usize>>) {
     let table = build_table(rkeys);
     let keep_unmatched_left = matches!(how, JoinHow::Left | JoinHow::Outer);
-    if threads <= 1 {
-        // Serial probe: push straight into the output vectors.
-        let mut left_idx: Vec<Option<usize>> = Vec::new();
-        let mut right_idx: Vec<Option<usize>> = Vec::new();
-        let mut right_matched = vec![false; rkeys.len()];
-        for (i, k) in lkeys.iter().enumerate() {
-            match k.as_ref().and_then(|k| table.get(k)) {
-                Some(rows) => {
-                    for &r in rows {
-                        left_idx.push(Some(i));
-                        right_idx.push(Some(r as usize));
-                        right_matched[r as usize] = true;
-                    }
-                }
-                None => {
-                    if keep_unmatched_left {
-                        left_idx.push(Some(i));
-                        right_idx.push(None);
-                    }
-                }
-            }
-        }
-        append_unmatched_right(&mut left_idx, &mut right_idx, &right_matched, how);
-        return (left_idx, right_idx);
-    }
-    let chunks = pool::par_morsels(
-        threads,
-        lkeys.len(),
-        PROBE_MORSEL,
-        "frame-join-probe",
-        |_, range| {
-            let mut li: Vec<Option<usize>> = Vec::new();
-            let mut ri: Vec<Option<usize>> = Vec::new();
-            let mut matched: Vec<u32> = Vec::new();
-            for i in range {
-                match lkeys[i].as_ref().and_then(|k| table.get(k)) {
-                    Some(rows) => {
-                        for &r in rows {
-                            li.push(Some(i));
-                            ri.push(Some(r as usize));
-                            matched.push(r);
-                        }
-                    }
-                    None => {
-                        if keep_unmatched_left {
-                            li.push(Some(i));
-                            ri.push(None);
-                        }
-                    }
-                }
-            }
-            Ok((li, ri, matched))
-        },
-    )
-    .expect("probe is infallible");
     let mut left_idx: Vec<Option<usize>> = Vec::new();
     let mut right_idx: Vec<Option<usize>> = Vec::new();
     let mut right_matched = vec![false; rkeys.len()];
-    for (li, ri, matched) in chunks.results {
-        left_idx.extend(li);
-        right_idx.extend(ri);
-        for r in matched {
-            right_matched[r as usize] = true;
-        }
-    }
-    append_unmatched_right(&mut left_idx, &mut right_idx, &right_matched, how);
-    (left_idx, right_idx)
-}
-
-/// RIGHT/OUTER tail: unmatched right rows appended in right-row order.
-fn append_unmatched_right(
-    left_idx: &mut Vec<Option<usize>>,
-    right_idx: &mut Vec<Option<usize>>,
-    right_matched: &[bool],
-    how: JoinHow,
-) {
-    if matches!(how, JoinHow::Right | JoinHow::Outer) {
-        for (r, matched) in right_matched.iter().enumerate() {
-            if !matched {
-                left_idx.push(None);
-                right_idx.push(Some(r));
+    for (i, k) in lkeys.iter().enumerate() {
+        match k.as_ref().and_then(|k| table.get(k)) {
+            Some(rows) => {
+                for &r in rows {
+                    left_idx.push(Some(i));
+                    right_idx.push(Some(r as usize));
+                    right_matched[r as usize] = true;
+                }
+            }
+            None => {
+                if keep_unmatched_left {
+                    left_idx.push(Some(i));
+                    right_idx.push(None);
+                }
             }
         }
     }
+    // RIGHT/OUTER tail: unmatched right rows, in right-row order.
+    if matches!(how, JoinHow::Right | JoinHow::Outer) {
+        for (r, _) in right_matched.iter().enumerate().filter(|(_, m)| !**m) {
+            left_idx.push(None);
+            right_idx.push(Some(r));
+        }
+    }
+    (left_idx, right_idx)
 }
 
 fn cross_join(left: &DataFrame, right: &DataFrame, suffixes: (&str, &str)) -> Result<DataFrame> {
@@ -479,32 +400,6 @@ mod tests {
         let df3 = DataFrame::from_cols(vec![("k", Column::from_i64(vec![5, 9]))]).unwrap();
         let j2 = merge(&df1, &df3, JoinHow::Inner, &["k"], &["k"], ("_x", "_y")).unwrap();
         assert_eq!(j2.num_rows(), 1);
-    }
-
-    /// The parallel probe must reproduce the serial pairing
-    /// byte-for-byte — for every join kind, at worker counts that do not
-    /// divide the morsel grid, with NULL keys in the mix.
-    #[test]
-    fn parallel_probe_matches_serial_for_all_join_kinds() {
-        let n = 70_000usize;
-        let lkeys: Vec<Option<u64>> = (0..n)
-            .map(|i| (i % 89 != 0).then_some((i % 3001) as u64))
-            .collect();
-        let rkeys: Vec<Option<u64>> = (0..n / 2)
-            .map(|i| (i % 97 != 0).then_some((i % 4001) as u64))
-            .collect();
-        for how in [
-            JoinHow::Inner,
-            JoinHow::Left,
-            JoinHow::Right,
-            JoinHow::Outer,
-        ] {
-            let serial = probe_indices_with(&lkeys, &rkeys, how, 1);
-            for threads in [2, 7] {
-                let par = probe_indices_with(&lkeys, &rkeys, how, threads);
-                assert_eq!(serial, par, "{how:?} at {threads} threads");
-            }
-        }
     }
 
     #[test]

@@ -4,13 +4,11 @@
 //! Faithful to the performance profile the paper attributes to Pandas:
 //! every operation **eagerly materializes** its result (no fusion), boolean
 //! filtering copies, and joins and group-bys build full intermediate tables.
-//! One deliberate departure from the original's "Pandas library does not
-//! support parallelization" (Section V-C): `merge` and `groupby` reuse the
-//! engine's morsel pool ([`pytond_common::pool`]) on large inputs, so
-//! engine-vs-baseline comparisons measure query processing, not a
-//! parallelism handicap — the fairness rule. `PYTOND_THREADS=1` restores
-//! the fully serial baseline. Results are bit-identical at every thread
-//! count (morsel-ordered merges; see `docs/EXECUTION.md`). The API mirrors
+//! Like Pandas, which "does not support parallelization" (Section V-C), it
+//! runs on the calling thread only. The fairness rule: the baseline shares
+//! the engine's key machinery ([`pytond_common::hash`]'s packed and
+//! arena-encoded keys) but not its worker pool, so engine-vs-baseline
+//! comparisons at one engine thread measure query processing. The API mirrors
 //! Table II of the paper: column selection, row filtering, `head`,
 //! `unique`, `sort_values`, `apply`, `aggregate`, `groupby`, `merge`,
 //! `isin`, and `pivot_table`.

@@ -251,16 +251,6 @@ impl Snapshot {
         config: &EngineConfig,
     ) -> Result<(Relation, QueryTrace)> {
         let (rel, metrics) = self.run_bound(&prepared.bound, config, None)?;
-        let deadline = if metrics.deadline_ms == 0 {
-            "none".to_string()
-        } else {
-            format!("{}ms", metrics.deadline_ms)
-        };
-        let budget = if metrics.mem_budget_bytes == 0 {
-            "none".to_string()
-        } else {
-            format!("{} bytes", metrics.mem_budget_bytes)
-        };
         // Under the fusing policy the trace also shows the pipeline
         // decomposition the driver executed (one operator per pipeline needs
         // no listing: it is the plan).
@@ -271,15 +261,10 @@ impl Snapshot {
         };
         let trace = QueryTrace {
             plan: format!(
-                "parallelism: {} worker thread(s)\nsnapshot: v{} (queue wait {} ns)\nlimits: deadline {deadline}, mem budget {budget}\n{}{}",
-                metrics.threads,
-                metrics.snapshot_version,
-                metrics.queue_wait_ns,
-                render_plans(&prepared.bound),
-                pipelines
+                "{}\n{}{pipelines}",
+                trace_header(&metrics),
+                render_plans(&prepared.bound)
             ),
-            threads: metrics.threads,
-            snapshot_version: metrics.snapshot_version,
             metrics,
         };
         Ok((rel, trace))
@@ -348,7 +333,7 @@ impl Snapshot {
                 return Err(Error::Internal(format!(
                     "query '{}' aborted by worker panic: {}",
                     cancel.label(),
-                    panic_payload_message(payload.as_ref())
+                    pool::panic_message(payload.as_ref())
                 )))
             }
         };
@@ -357,18 +342,6 @@ impl Snapshot {
         metrics.dict_decoded_cols = batch.dict_cols() as u64;
         drop(ticket);
         Ok((batch.to_relation(&schema), metrics))
-    }
-}
-
-/// Best-effort rendering of a caught panic payload (mirrors the pool's
-/// re-raise formatting: `&str` and `String` payloads pass through).
-pub(crate) fn panic_payload_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
     }
 }
 
@@ -743,6 +716,24 @@ fn render_plans(bound: &BoundQuery) -> String {
     out
 }
 
+/// The three lines that head both a [`QueryTrace`]'s plan and its
+/// summary: parallelism, snapshot version with queue wait, and the
+/// lifecycle limits in force (`none` where unset).
+fn trace_header(m: &ExecMetrics) -> String {
+    let limit = |v: u64, unit: &str| match v {
+        0 => "none".to_string(),
+        v => format!("{v}{unit}"),
+    };
+    format!(
+        "parallelism: {} worker thread(s)\nsnapshot: v{} (queue wait {} ns)\nlimits: deadline {}, mem budget {}",
+        m.threads,
+        m.snapshot_version,
+        m.queue_wait_ns,
+        limit(m.deadline_ms, "ms"),
+        limit(m.mem_budget_bytes, " bytes"),
+    )
+}
+
 /// Planner + executor report for one traced query: the EXPLAIN rendering of
 /// the optimized plans (join order included, headed by the resolved degree
 /// of parallelism) plus runtime counters.
@@ -752,11 +743,6 @@ pub struct QueryTrace {
     /// `parallelism: N worker thread(s)` line and a
     /// `snapshot: vN (queue wait N ns)` line.
     pub plan: String,
-    /// Resolved degree of parallelism the query executed with.
-    pub threads: usize,
-    /// The table-set version the query executed against (pinned for the
-    /// whole run — see `docs/SERVING.md`).
-    pub snapshot_version: u64,
     /// Executor counters (zones pruned/scanned, storage chunks
     /// concatenated, joins flipped, dispenser claims per worker, join-build
     /// partitions, snapshot version and admission queue wait).
@@ -771,20 +757,8 @@ impl QueryTrace {
     /// the numbers the `docs/EXECUTION.md`,
     /// `docs/SERVING.md` and ARCHITECTURE.md walk-throughs quote.
     pub fn summary(&self) -> String {
-        let deadline = if self.metrics.deadline_ms == 0 {
-            "none".to_string()
-        } else {
-            format!("{}ms", self.metrics.deadline_ms)
-        };
-        let budget = if self.metrics.mem_budget_bytes == 0 {
-            "none".to_string()
-        } else {
-            format!("{} bytes", self.metrics.mem_budget_bytes)
-        };
         format!(
-            "parallelism: {} worker thread(s)\n\
-             snapshot: v{} (queue wait {} ns)\n\
-             limits: deadline {}, mem budget {}\n\
+            "{}\n\
              cancel checks: {}, mem charged: {} bytes\n\
              morsels claimed per worker: {:?}\n\
              scan zones: {} evaluated, {} pruned; storage chunks concatenated: {}\n\
@@ -792,11 +766,7 @@ impl QueryTrace {
              rows: {} join build, {} join probe; {} aggregate group(s)\n\
              pipelines: {}, fused ops per pipeline: {:?}, intermediates avoided: {}\n\
              dict: {} encoded col(s) scanned, {} dict-probe pipeline(s), {} predicate table(s), {} col(s) decoded",
-            self.threads,
-            self.metrics.snapshot_version,
-            self.metrics.queue_wait_ns,
-            deadline,
-            budget,
+            trace_header(&self.metrics),
             self.metrics.cancel_checks,
             self.metrics.mem_peak_bytes,
             self.metrics.morsels_claimed_per_worker,

@@ -20,16 +20,17 @@
 //!   next starts (DuckDB-style operator-at-a-time with intermediate vectors).
 //!
 //! Parallelism is morsel-driven (see `docs/EXECUTION.md` for the full
-//! threading model): pipelines and partial aggregations claim morsels from
-//! [`pytond_common::pool`]'s shared atomic cursor, then merge
-//! deterministically — morsel order for row streams, global first-occurrence
-//! order for groups (matching the Pandas baseline's group order, which keeps
-//! differential tests exact). Hash-join build sides above
-//! [`pytond_common::hash::MIN_PARTITIONED_BUILD`] rows are split by key hash
-//! into partitions built concurrently
-//! ([`pytond_common::hash::PartitionedIndex`]); which input is the build side
-//! is the plan's decision ([`LogicalPlan::Join`]'s `build_left`), never the
-//! executor's. Order-sensitive float accumulation always folds over the
+//! threading model) and lives in three places only: pipelines and partial
+//! aggregations claim morsels from [`pytond_common::pool`]'s shared atomic
+//! cursor, then merge deterministically — morsel order for row streams,
+//! global first-occurrence order for groups (matching the Pandas baseline's
+//! group order, which keeps differential tests exact); and hash-join build
+//! sides above [`pytond_common::hash::MIN_PARTITIONED_BUILD`] rows are split
+//! by key hash into partitions built concurrently
+//! ([`pytond_common::hash::PartitionedIndex`]). Sorts, `DISTINCT` and
+//! group-key evaluation run on the driver thread. Which input is the build
+//! side is the plan's decision ([`LogicalPlan::Join`]'s `build_left`), never
+//! the executor's. Order-sensitive float accumulation always folds over the
 //! fixed morsel grid — never over per-thread chunks — so every thread count
 //! (including 1) and both policies produce bit-identical results
 //! (`tests/fusion_property.rs`, `tests/plan_fuzz.rs`).
@@ -44,8 +45,8 @@ use crate::table::{self, Batch, Schema, StoredTable};
 use pytond_common::cancel::CancelToken;
 use pytond_common::fault::{self, FaultSite};
 use pytond_common::hash::{
-    distinct_keep, sql_key_encodings, FixedKeySpec, FxHashMap, FxHashSet, KeyArena, KeyEncoding,
-    KeyWidth, PartitionedIndex,
+    distinct_rows, sql_key_encodings, FixedKeySpec, FxHashMap, KeyArena, KeyEncoding, KeyWidth,
+    PartitionedIndex,
 };
 use pytond_common::pool;
 use pytond_common::{Column, DType, Error, Result};
@@ -104,10 +105,10 @@ fn morsel_guard(cancel: &CancelToken) -> Result<()> {
     cancel.check()
 }
 
-/// Minimum number of morsels' worth of input before an operator spawns
-/// workers: below this, scoped-thread startup costs more than parallelism
-/// recovers (sub-millisecond operators). Purely a scheduling gate — the
-/// morsel grid, and therefore every result bit, is identical either way.
+/// Minimum number of grid cells before an operator hands its grid to the
+/// pool: a smaller grid runs inline, since waking helpers costs more than
+/// they recover (sub-millisecond operators). Purely a scheduling gate — the
+/// grid, and therefore every result bit, is identical either way.
 const SPAWN_MIN_MORSELS: usize = 4;
 
 /// Executor counters for one query, reported through
@@ -116,8 +117,8 @@ const SPAWN_MIN_MORSELS: usize = 4;
 /// Scan "morsels" are statistics zones ([`crate::stats::ZONE_ROWS`] rows):
 /// the granularity at which predicated scans either evaluate or skip input.
 /// [`ExecMetrics::morsels_claimed_per_worker`] counts dispenser claims of
-/// *any* parallel work (pipelines, aggregation partials, distinct),
-/// accumulated per worker id across the whole query.
+/// *any* parallel work (pipelines, aggregation partials), accumulated per
+/// worker id across the whole query.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecMetrics {
     /// Resolved degree of parallelism the query ran with.
@@ -427,17 +428,7 @@ impl<'a> Executor<'a> {
             LogicalPlan::Distinct { input } => {
                 let batch = self.exec(input)?;
                 let cols: Vec<&Column> = batch.cols.iter().map(|c| c.as_ref()).collect();
-                let keep = match FixedKeySpec::plan(&[&cols], true) {
-                    Some(spec) if spec.width() == KeyWidth::U64 => {
-                        self.distinct_rows(&spec.pack_u64(&cols).0)?
-                    }
-                    Some(spec) => self.distinct_rows(&spec.pack_u128(&cols).0)?,
-                    None => {
-                        let arena = KeyArena::encode_raw(&cols, false);
-                        self.distinct_rows(&arena.dense_keys())?
-                    }
-                };
-                Ok(batch.gather(&keep))
+                Ok(batch.gather(&distinct_rows(&cols)))
             }
             streaming => Err(Error::Internal(format!(
                 "{} was not extracted into a pipeline",
@@ -582,14 +573,13 @@ impl<'a> Executor<'a> {
         })
     }
 
-    /// The worker count an operator over `n` rows should spawn: the
-    /// configured count, or 1 (inline, no threads) when the input spans
-    /// fewer than [`SPAWN_MIN_MORSELS`] morsels — sub-millisecond operators
-    /// lose more to thread spawns than workers can win back. This gates only
-    /// *who executes*; the morsel grid (and thus every result bit) is
-    /// unaffected.
-    fn op_threads(&self, n: usize) -> usize {
-        if n <= self.opts.morsel * (SPAWN_MIN_MORSELS - 1) {
+    /// The participants a grid of `cells` cells runs on: the configured
+    /// worker count, or 1 (inline, no pool job) for a grid of fewer than
+    /// [`SPAWN_MIN_MORSELS`] cells — sub-millisecond operators lose more to
+    /// dispatch than workers can win back. This gates only *who executes*;
+    /// the grid (and thus every result bit) is unaffected.
+    fn grid_threads(&self, cells: usize) -> usize {
+        if cells < SPAWN_MIN_MORSELS {
             1
         } else {
             self.opts.threads
@@ -608,21 +598,21 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Runs `f` over the grid of `[0, n)` with `step` rows per cell on up to
-    /// `threads` participants; `f` receives `(cell index, row range)` and
-    /// results come back in grid order. Every cell passes the morsel guard
-    /// (cancellation poll + fault point). Order-sensitive partials (float
-    /// aggregation) pass the **fixed** `opts.morsel` step at every thread
-    /// count, so the merge tree never depends on the worker count — see
-    /// `docs/EXECUTION.md` § determinism.
+    /// Runs `f` over the grid of `[0, n)` with `step` rows per cell, on
+    /// [`Executor::grid_threads`] participants; `f` receives `(cell index,
+    /// row range)` and results come back in grid order. Every cell passes
+    /// the morsel guard (cancellation poll + fault point). Order-sensitive
+    /// partials (float aggregation) pass the **fixed** `opts.morsel` step at
+    /// every thread count, so the merge tree never depends on the worker
+    /// count — see `docs/EXECUTION.md` § determinism.
     fn par_grid<T: Send>(
         &self,
         op: &str,
-        threads: usize,
         n: usize,
         step: usize,
         f: impl Fn(usize, std::ops::Range<usize>) -> Result<T> + Sync,
     ) -> Result<Vec<T>> {
+        let threads = self.grid_threads(n.div_ceil(step.max(1)));
         let cancel = &self.opts.cancel;
         let outcome = pool::par_morsels(threads, n, step, &self.job_label(op), |z, r| {
             morsel_guard(cancel)?;
@@ -657,37 +647,6 @@ impl<'a> Executor<'a> {
             m.partitions_built += idx.num_partitions() as u64;
         }
         Ok(idx)
-    }
-
-    /// First-occurrence distinct over per-row keys. Serial: one hash-set
-    /// scan. Parallel: morsel-local first occurrences, merged through one
-    /// global set in morsel order — the keep list is identical to the serial
-    /// one by construction.
-    fn distinct_rows<K: Hash + Eq + Copy + Send + Sync>(&self, keys: &[K]) -> Result<Vec<usize>> {
-        let threads = self.op_threads(keys.len());
-        if threads <= 1 {
-            return Ok(distinct_keep(keys));
-        }
-        let locals = self.par_grid("distinct", threads, keys.len(), self.opts.morsel, |_, r| {
-            let mut seen: FxHashSet<K> = FxHashSet::default();
-            let mut keep = Vec::new();
-            for i in r {
-                if seen.insert(keys[i]) {
-                    keep.push(i);
-                }
-            }
-            Ok(keep)
-        })?;
-        let mut global: FxHashSet<K> = FxHashSet::default();
-        let mut keep = Vec::new();
-        for local in locals {
-            for i in local {
-                if global.insert(keys[i]) {
-                    keep.push(i);
-                }
-            }
-        }
-        Ok(keep)
     }
 
     // ---------------- aggregate ----------------
@@ -744,7 +703,7 @@ impl<'a> Executor<'a> {
             .iter()
             .map(|e| match e {
                 BExpr::Col(i) if *i < input.cols.len() => Ok(Cow::Borrowed(&*input.cols[*i])),
-                e => self.eval_parallel(&input, e, n).map(Cow::Owned),
+                e => self.eval_key(&input, e, n).map(Cow::Owned),
             })
             .collect::<Result<_>>()?;
         // Group keys take the packed fast path when every key column is
@@ -855,8 +814,8 @@ impl<'a> Executor<'a> {
         resumable: bool,
     ) -> Result<Folded> {
         let tables = &self.dict_tables;
-        let (threads, morsel) = (self.op_threads(n), self.opts.morsel);
-        let partials = self.par_grid("agg-partial", threads, n, morsel, |_, r| {
+        let morsel = self.opts.morsel;
+        let partials = self.par_grid("agg-partial", n, morsel, |_, r| {
             let (start, end) = (r.start, r.end);
             let Some(keys) = keys else {
                 let part = layout.partial(input, (start, end), None, 1, tables)?;
@@ -929,30 +888,31 @@ impl<'a> Executor<'a> {
         })
     }
 
-    /// Evaluates a group-key expression over all `n` rows of `batch`.
-    /// Elementwise work, whose per-row outputs are independent of the chunk
-    /// grid: a serial run evaluates one range spanning the input — unless the
-    /// query's token is armed (or faults are injected), in which case it
-    /// iterates the morsel grid so a deadline or cancel trips within one
-    /// morsel; parallel runs claim morsel-grid ranges from the shared
-    /// dispenser. Chunks concatenate in morsel order either way.
-    fn eval_parallel(&self, batch: &Batch, e: &BExpr, n: usize) -> Result<Column> {
-        let threads = self.op_threads(n);
-        let inline = threads <= 1 && !self.opts.cancel.is_armed() && fault::active().is_none();
-        let step = if inline { n } else { self.opts.morsel };
-        let tables = Some(&self.dict_tables);
-        let chunks = self.par_grid("eval", threads, n, step, |_, r| {
-            e.eval_rows(batch, RowsRef::Range(r.start, r.end), tables)
-        })?;
-        let mut it = chunks.into_iter();
-        let Some(mut col) = it.next() else {
-            // No rows, no morsels: the empty range still types the column.
-            return e.eval_rows(batch, RowsRef::Range(0, 0), tables);
+    /// Evaluates a group-key expression over all `n` rows of `batch` on the
+    /// calling thread: one range spanning the input — unless the query's
+    /// token is armed (or faults are injected), in which case it walks the
+    /// morsel grid, passing the morsel guard per cell, so a deadline or
+    /// cancel trips within one morsel. The per-row outputs are independent
+    /// of the grid.
+    fn eval_key(&self, batch: &Batch, e: &BExpr, n: usize) -> Result<Column> {
+        let polled = self.opts.cancel.is_armed() || fault::active().is_some();
+        let step = if polled {
+            self.opts.morsel.max(1)
+        } else {
+            n.max(1)
         };
-        for c in it {
-            col.append(&c)?;
+        let tables = Some(&self.dict_tables);
+        let mut col: Option<Column> = None;
+        for start in (0..n).step_by(step) {
+            morsel_guard(&self.opts.cancel)?;
+            let c = e.eval_rows(batch, RowsRef::Range(start, (start + step).min(n)), tables)?;
+            match &mut col {
+                Some(col) => col.append(&c)?,
+                None => col = Some(c),
+            }
         }
-        Ok(col)
+        // No rows, no morsels: the empty range still types the column.
+        col.map_or_else(|| e.eval_rows(batch, RowsRef::Range(0, 0), tables), Ok)
     }
 
     // ---------------- sort / window ----------------
@@ -987,45 +947,8 @@ impl<'a> Executor<'a> {
             return Ok(None);
         }
         let mut idx: Vec<usize> = (0..n).collect();
-        if self.opts.threads <= 1 || n <= 4 * self.opts.morsel {
-            idx.sort_unstable_by(cmp);
-            return Ok(Some(idx));
-        }
-        // Parallel chunk sort (pool tasks) + k-way merge. The comparator
-        // totally orders rows, so the merged output is the serial sort's,
-        // independent of chunking.
-        let chunk = n.div_ceil(self.opts.threads);
-        let bounds: Vec<&[usize]> = idx.chunks(chunk).collect();
-        let chunks: Vec<Vec<usize>> = pool::par_indexed(
-            self.opts.threads,
-            bounds.len(),
-            &self.job_label("sort"),
-            |ci| {
-                let mut c = bounds[ci].to_vec();
-                c.sort_unstable_by(cmp);
-                c
-            },
-        );
-        let mut heads = vec![0usize; chunks.len()];
-        let mut out = Vec::with_capacity(n);
-        loop {
-            let best = chunks
-                .iter()
-                .enumerate()
-                .filter(|(ci, c)| heads[*ci] < c.len())
-                .map(|(ci, c)| (ci, c[heads[ci]]))
-                .reduce(|best, cand| {
-                    if cmp(&cand.1, &best.1).is_lt() {
-                        cand
-                    } else {
-                        best
-                    }
-                });
-            let Some((ci, v)) = best else { break };
-            out.push(v);
-            heads[ci] += 1;
-        }
-        Ok(Some(out))
+        idx.sort_unstable_by(cmp);
+        Ok(Some(idx))
     }
 
     fn window(&self, batch: &Batch, order: &[(BExpr, bool)]) -> Result<Batch> {
@@ -1216,20 +1139,22 @@ impl<'a> Executor<'a> {
         schema: &Schema,
     ) -> Result<Batch> {
         let n = source.n;
-        let (step, threads) = if source.scan.is_some() {
-            let inline = n <= ZONE_ROWS * (SPAWN_MIN_MORSELS - 1);
-            (ZONE_ROWS, if inline { 1 } else { self.opts.threads })
+        let step = if source.scan.is_some() {
+            ZONE_ROWS
         } else {
-            let threads = self.op_threads(n);
             // A single operator run inline with nothing to poll for takes
             // its input as one chunk: each kernel and each gather runs once.
             // (Two operators — a stage under an aggregate sink — keep the
             // grid: that is what holds the chunk in cache between them.)
             let whole = stages.len() + usize::from(matches!(sink, Sink::Aggregate { .. })) <= 1
-                && threads <= 1
+                && self.grid_threads(n.div_ceil(self.opts.morsel.max(1))) <= 1
                 && !self.opts.cancel.is_armed()
                 && fault::active().is_none();
-            (if whole { n } else { self.opts.morsel }, threads)
+            if whole {
+                n
+            } else {
+                self.opts.morsel
+            }
         };
         let grid: Vec<(usize, std::ops::Range<usize>)> = (source.parts.iter().enumerate())
             .flat_map(|(p, c)| {
@@ -1262,7 +1187,7 @@ impl<'a> Executor<'a> {
             cancel: &self.opts.cancel,
             tables: &self.dict_tables,
         };
-        let done = self.par_grid("pipeline", threads, grid.len(), 1, |z, _| {
+        let done = self.par_grid("pipeline", grid.len(), 1, |z, _| {
             let Some(mut chunk) = source_chunk(&source, z, &grid[z], cx)? else {
                 return Ok(None);
             };

@@ -74,8 +74,7 @@
 use crate::agg::Fold;
 use crate::ast::Query;
 use crate::db::{
-    default_mem_budget_mb, default_timeout_ms, panic_payload_message, Database, EngineConfig,
-    PreparedQuery, Snapshot,
+    default_mem_budget_mb, default_timeout_ms, Database, EngineConfig, PreparedQuery, Snapshot,
 };
 use crate::exec::{execute_with_temps, ExecOptions, Resume};
 use crate::parser::parse_sql;
@@ -476,7 +475,7 @@ fn run_plan(
         Ok(r) => r.map(|(batch, schema, _)| (batch, schema)),
         Err(payload) => Err(Error::Internal(format!(
             "view refresh '{label}' aborted by worker panic: {}",
-            panic_payload_message(payload.as_ref())
+            pool::panic_message(payload.as_ref())
         ))),
     }
 }

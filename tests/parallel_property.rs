@@ -6,13 +6,16 @@
 //!
 //! Coverage: all 22 TPC-H queries, every hybrid workload, the
 //! stats-property corpus (dtypes × clustering × NULL patterns ×
-//! predicates), NULL-heavy joins and empty-table joins. Thread counts
+//! predicates), the operators that stay on the driver thread (sort,
+//! `DISTINCT`, computed group keys), NULL-heavy joins and empty-table
+//! joins. Thread counts
 //! include 1 (the serial path), 2, 7 (odd counts catch partition-skew and
 //! uneven-grid bugs) and the machine's hardware parallelism.
 
 use pytond::{Backend, EngineConfig, OptLevel, Profile, Pytond};
-use pytond_common::{pool, Column, DType, Relation, Value};
+use pytond_common::{pool, CancelToken, Column, DType, Error, Relation, Value};
 use pytond_sqldb::Database;
+use std::time::Duration;
 
 /// The thread counts every case runs at; index 0 is the serial reference.
 fn thread_counts() -> Vec<usize> {
@@ -223,6 +226,46 @@ fn stats_corpus_bit_identical_across_thread_counts() {
     }
 }
 
+/// The shapes whose work stays on the driver thread at every thread count —
+/// a sort, a `DISTINCT`, a computed group key — over many-morsel inputs, so
+/// a parallel fork reappearing in any of them would have to match the
+/// serial bits to pass.
+#[test]
+fn serial_operators_bit_identical_across_thread_counts() {
+    let db = corpus_db(0, 12_000, 400, false, 5);
+    let computed_key = "SELECT v % 7 AS g, SUM(f) AS s, COUNT(*) AS n FROM t GROUP BY v % 7";
+    for sql in [
+        // 12 morsels of shuffled keys, ties broken on row position.
+        "SELECT v, k, f FROM t ORDER BY k DESC, f",
+        "SELECT DISTINCT k % 97 AS d FROM t",
+        computed_key,
+    ] {
+        check_sql(sql, &db, sql);
+    }
+    // Under an armed token the key evaluation polls once per morsel: the
+    // computed key adds one poll per morsel over the bare-column key.
+    let armed = config(Profile::Vectorized, 1).with_timeout(Some(60_000));
+    let checks = |sql: &str| {
+        let (_, trace) = db.execute_sql_traced(sql, &armed).unwrap();
+        trace.metrics.cancel_checks
+    };
+    let bare = checks("SELECT v AS g, SUM(f) AS s, COUNT(*) AS n FROM t GROUP BY v");
+    assert!(
+        checks(computed_key) >= bare + 12_000 / TEST_MORSEL as u64,
+        "key evaluation stopped polling per morsel"
+    );
+    // A deadline that has already passed trips the computed-key query.
+    let prepared = db.prepare(computed_key, Profile::Vectorized).unwrap();
+    let expired = CancelToken::new();
+    expired.set_deadline(Duration::from_nanos(1));
+    std::thread::sleep(Duration::from_millis(1));
+    let err = db
+        .snapshot()
+        .execute_prepared_with(&prepared, &config(Profile::Vectorized, 2), expired)
+        .unwrap_err();
+    assert!(matches!(err, Error::Timeout(_)), "{err}");
+}
+
 // ---------------- NULL-heavy and empty-table joins ----------------
 
 /// Two tables whose join keys are NULL on every third / fourth row — the
@@ -302,7 +345,7 @@ fn traces_report_parallelism_and_partitions() {
     let (_, serial) = db
         .execute_sql_traced(join_agg, &config(Profile::Vectorized, 1))
         .unwrap();
-    assert_eq!(serial.threads, 1);
+    assert_eq!(serial.metrics.threads, 1);
     assert!(
         serial.metrics.morsels_claimed_per_worker.is_empty(),
         "serial runs never touch the dispenser: {:?}",
@@ -315,7 +358,7 @@ fn traces_report_parallelism_and_partitions() {
     let (_, par) = db
         .execute_sql_traced(join_agg, &config(Profile::Vectorized, 7))
         .unwrap();
-    assert_eq!(par.threads, 7);
+    assert_eq!(par.metrics.threads, 7);
     assert!(
         par.metrics.morsels_claimed_per_worker.len() > 1,
         "expected multi-worker claims: {:?}",

@@ -434,7 +434,6 @@ fn traces_report_snapshot_version_and_queue_wait() {
     let (_, trace) = db
         .execute_prepared_traced(&prepared, &EngineConfig::default())
         .unwrap();
-    assert_eq!(trace.snapshot_version, 1);
     assert_eq!(trace.metrics.snapshot_version, 1);
     assert!(
         trace.plan.contains("snapshot: v1 (queue wait"),
@@ -450,7 +449,10 @@ fn traces_report_snapshot_version_and_queue_wait() {
     let (_, trace) = db
         .execute_prepared_traced(&prepared, &EngineConfig::default())
         .unwrap();
-    assert_eq!(trace.snapshot_version, 2, "append publishes a new version");
+    assert_eq!(
+        trace.metrics.snapshot_version, 2,
+        "append publishes a new version"
+    );
     // An explicitly pinned old snapshot reports its own version.
     let old = db.snapshot();
     db.append("t", &serve_rel(BASE_ROWS + BATCH_ROWS, BATCH_ROWS))
@@ -458,7 +460,7 @@ fn traces_report_snapshot_version_and_queue_wait() {
     let (_, trace) = old
         .execute_prepared_traced(&prepared, &EngineConfig::default())
         .unwrap();
-    assert_eq!(trace.snapshot_version, 2);
+    assert_eq!(trace.metrics.snapshot_version, 2);
 }
 
 // ---------------- materialized views under races (ISSUE 10) --------------
