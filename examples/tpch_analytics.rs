@@ -1,5 +1,6 @@
 //! TPC-H end to end: generate the dataset, compile a Pandas-style query,
 //! compare against the interpreted baseline, and show the engine backends.
+//! Exits with an error when any backend's result differs from the baseline.
 //!
 //! ```text
 //! cargo run --release --example tpch_analytics [-- <query number>]
@@ -37,6 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let expected = q.run_baseline(&data)?;
     println!("interpreted baseline: {:?}", t.elapsed());
 
+    let mut diverged = Vec::new();
     for backend in [
         Backend::duckdb_sim(1),
         Backend::duckdb_sim(4),
@@ -57,8 +59,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             out.num_rows(),
             matches
         );
+        if !matches {
+            diverged.push(backend.name());
+        }
     }
 
     println!("\n--- first rows ---\n{}", expected.to_table_string(5));
+    if !diverged.is_empty() {
+        return Err(format!("{}: {diverged:?} differ from the baseline", q.name).into());
+    }
     Ok(())
 }

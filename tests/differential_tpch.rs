@@ -52,9 +52,7 @@ fn all_queries_match_baseline_at_o4() {
 fn optimization_levels_preserve_semantics() {
     let (py, data) = instance();
     let backend = Backend::duckdb_sim(1);
-    // A representative subset (Fig. 10's Q9/Q15 + isin/outer-join/scalar).
-    for id in [1, 4, 9, 13, 14, 15] {
-        let q = pytond_tpch::query(id);
+    for q in all_queries() {
         let expected = q.run_baseline(&data).expect(q.name);
         for level in OptLevel::all() {
             let actual = py
@@ -126,5 +124,70 @@ fn single_use_ctes_are_spliced_and_shared_ones_stay() {
         assert!(plan.contains(&format!("CTE {shared}:")), "Q{id}:\n{plan}");
         let scans = plan.matches(&format!("Scan {shared} ")).count();
         assert!(scans >= 2, "Q{id}: {shared} scanned {scans}x\n{plan}");
+    }
+}
+
+/// Indentation depth of an EXPLAIN line.
+fn depth(line: &str) -> usize {
+    line.len() - line.trim_start().len()
+}
+
+/// The plans the semi-join sinking and the derived disjunctions shape:
+/// Q18's `IN` semi join probes the `orders` scan itself, not the
+/// `orders ⋈ customer ⋈ lineitem` stream; Q21's two semis stay above the
+/// inner joins that shrink their input; Q7's two `nation` scans each carry
+/// `n_name = 'FRANCE' OR n_name = 'GERMANY'`, derived from the cross-nation
+/// disjunction.
+#[test]
+fn tpch_plans_pin_the_rewrites() {
+    let (py, _) = instance();
+    let backend = Backend::hyper_sim(1);
+    let explain = |id: usize| {
+        py.explain(pytond_tpch::query(id).source, &backend, OptLevel::O4)
+            .unwrap()
+    };
+
+    let q18 = explain(18);
+    let lines: Vec<&str> = q18.lines().collect();
+    let semi = lines
+        .iter()
+        .position(|l| l.trim_start().starts_with("Join Semi"))
+        .unwrap_or_else(|| panic!("Q18 has no semi join:\n{q18}"));
+    assert!(
+        lines[semi + 1].trim_start().starts_with("Scan orders ")
+            && depth(lines[semi + 1]) == depth(lines[semi]) + 2,
+        "Q18's semi join is not directly over the orders scan:\n{q18}"
+    );
+
+    let q21 = explain(21);
+    let lines: Vec<&str> = q21.lines().collect();
+    let semis: Vec<usize> = (0..lines.len())
+        .filter(|&i| lines[i].trim_start().starts_with("Join Semi"))
+        .collect();
+    let inners: Vec<usize> = (0..lines.len())
+        .filter(|&i| lines[i].trim_start().starts_with("Join Inner"))
+        .collect();
+    assert_eq!(semis.len(), 2, "Q21:\n{q21}");
+    assert!(!inners.is_empty(), "Q21:\n{q21}");
+    for &s in &semis {
+        for &i in &inners {
+            assert!(
+                s < i && depth(lines[s]) < depth(lines[i]),
+                "Q21's semi joins moved below an inner join:\n{q21}"
+            );
+        }
+    }
+
+    let q7 = explain(7);
+    let nations: Vec<&str> = q7
+        .lines()
+        .filter(|l| l.trim_start().starts_with("Scan nation "))
+        .collect();
+    assert_eq!(nations.len(), 2, "Q7:\n{q7}");
+    for scan in nations {
+        assert!(
+            scan.contains(" OR ") && scan.contains("\"FRANCE\"") && scan.contains("\"GERMANY\""),
+            "Q7's nation scan lacks the derived n_name disjunction:\n{q7}"
+        );
     }
 }

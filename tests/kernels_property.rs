@@ -19,7 +19,7 @@ use pytond_common::hash::{encode_value, sql_key_encodings, FixedKeySpec, KeyAren
 use pytond_common::{date, Column, DType, Relation, Value};
 use pytond_sqldb::ast::BinOp;
 use pytond_sqldb::exec::planned_key_width;
-use pytond_sqldb::expr::{eval_bin, reference, BExpr};
+use pytond_sqldb::expr::{eval_bin, reference, BExpr, LikePattern};
 use pytond_sqldb::table::Batch;
 use pytond_sqldb::{Database, EngineConfig, Profile};
 
@@ -693,6 +693,59 @@ fn like(p: &[char], s: &[char]) -> bool {
         Some(('%', rest)) => (0..=s.len()).any(|i| like(rest, &s[i..])),
         Some(('_', rest)) => !s.is_empty() && like(rest, &s[1..]),
         Some((c, rest)) => s.first() == Some(c) && like(rest, &s[1..]),
+    }
+}
+
+/// The LIKE alphabet: two ASCII letters, a two-byte and a three-byte
+/// character, and the two wildcards (literal characters in strings).
+const LIKE_SYMBOLS: [char; 6] = ['a', 'b', 'é', '日', '%', '_'];
+
+fn like_text(symbols: &[u8]) -> String {
+    symbols.iter().map(|&i| LIKE_SYMBOLS[i as usize]).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every `LikePattern` kernel (equality, anchored substrings, two-pointer
+    /// wildcard) ≡ the backtracking reference, per string and through the
+    /// `LIKE` / `NOT LIKE` mask over a plain and a dictionary-encoded column
+    /// (NULL rows are `false` either way).
+    #[test]
+    fn like_kernels_match_backtracking_reference(
+        pat in prop::collection::vec(0u8..6, 0..9),
+        rows in prop::collection::vec((0u8..5, prop::collection::vec(0u8..6, 0..13)), 1..24),
+        negated in 0u8..2,
+    ) {
+        let pattern = like_text(&pat);
+        let compiled = LikePattern::compile(&pattern);
+        let p: Vec<char> = pattern.chars().collect();
+        let mut col = Column::new(DType::Str);
+        let mut want = Vec::new();
+        for (null, text) in &rows {
+            let text = like_text(text);
+            let s: Vec<char> = text.chars().collect();
+            prop_assert!(
+                compiled.matches(&text) == like(&p, &s),
+                "{text:?} LIKE {pattern:?}"
+            );
+            if *null == 0 {
+                col.push_null();
+                want.push(false);
+            } else {
+                want.push(like(&p, &s) != (negated == 1));
+                col.push(Value::Str(text)).unwrap();
+            }
+        }
+        let expr = BExpr::Like {
+            e: Box::new(BExpr::Col(0)),
+            pattern: compiled,
+            negated: negated == 1,
+        };
+        for c in [col.clone(), col.encode_str()] {
+            let got = expr.eval_mask(&Batch::from_columns(vec![c]), None).unwrap();
+            prop_assert!(got == want, "LIKE {pattern:?}: {got:?} vs {want:?}");
+        }
     }
 }
 

@@ -526,3 +526,246 @@ proptest! {
         prop_assert!(ranged == masked, "[{s},{e}): {ranged:?} vs {masked:?}");
     }
 }
+
+// ---------------- rewrites vs the un-rewritten plan ----------------
+
+/// Render of one input column: `t.v` over the joined tables, `j.t_v` over
+/// the join hidden behind a derived table.
+type ColRef<'a> = &'a dyn Fn(&str, &str) -> String;
+
+/// One WHERE conjunct the two optimizer rewrites act on: a subquery
+/// predicate on one input's key (`IN`, `NOT IN` over a build side that
+/// holds NULL keys, uncorrelated `EXISTS`) — a semi/anti join that may
+/// sink — or an `OR` of `AND`s across inputs, whose per-input consequences
+/// may be derived.
+fn rewrite_conjunct(kind: u8, p: i64, c: ColRef<'_>) -> String {
+    let input = ["t", "r", "u"][(p % 3) as usize];
+    let key = c(input, "k");
+    match kind % 6 {
+        0 => format!("{key} IN (SELECT k FROM r WHERE w < {})", 10 + p),
+        1 => format!("{key} NOT IN (SELECT k FROM r WHERE w < {})", 10 + p),
+        2 => format!("{key} NOT IN (SELECT k FROM r WHERE k IS NOT NULL AND w > {p})"),
+        3 => format!("EXISTS (SELECT k FROM r WHERE w > {})", 30 + p),
+        // Every disjunct reads `t` and one other input.
+        4 => format!(
+            "({} > {} AND {} < {}) OR ({} < {} AND {} > {})",
+            c("t", "v"),
+            p % 7 - 3,
+            c("r", "w"),
+            20 + p,
+            c("t", "f"),
+            p - 20,
+            c("u", "w"),
+            p % 30
+        ),
+        // One disjunct reads `u` alone, one mixes an equality across inputs.
+        _ => format!(
+            "({} = {} AND {} >= {}) OR {} = {} OR ({} IS NULL AND {} < {})",
+            c("t", "k"),
+            c("u", "k"),
+            c("r", "w"),
+            p,
+            c("u", "w"),
+            p % 50,
+            c("r", "k"),
+            c("t", "v"),
+            p % 11
+        ),
+    }
+}
+
+/// The three-table join: its FROM clause and the join conditions it
+/// leaves to the WHERE clause (the last shape cross-joins `u`).
+fn rewrite_join(shape: u8) -> (&'static str, Vec<&'static str>) {
+    match shape % 3 {
+        0 => ("t JOIN r ON t.k = r.k JOIN u ON r.k = u.k", vec![]),
+        1 => ("t, r, u", vec!["t.k = r.k", "t.k = u.k"]),
+        _ => ("t JOIN r ON t.k = r.k, u", vec![]),
+    }
+}
+
+const REWRITE_COLS: [(&str, &str); 7] = [
+    ("t", "k"),
+    ("t", "f"),
+    ("t", "v"),
+    ("r", "k"),
+    ("r", "w"),
+    ("u", "k"),
+    ("u", "w"),
+];
+
+/// The statement, written so the rewrites can fire: the conjuncts sit in
+/// the WHERE clause of the join itself.
+fn rewritable_sql(shape: u8, conjs: &[(u8, i64)]) -> String {
+    let direct = |t: &str, col: &str| format!("{t}.{col}");
+    let (from, on) = rewrite_join(shape);
+    let mut preds: Vec<String> = on.into_iter().map(str::to_string).collect();
+    preds.extend(
+        conjs
+            .iter()
+            .map(|&(k, p)| format!("({})", rewrite_conjunct(k, p, &direct))),
+    );
+    let cols: Vec<String> = REWRITE_COLS
+        .iter()
+        .map(|(t, col)| format!("{t}.{col} AS {t}_{col}"))
+        .collect();
+    let filter = if preds.is_empty() {
+        String::new()
+    } else {
+        format!(" WHERE {}", preds.join(" AND "))
+    };
+    format!("SELECT {} FROM {from}{filter}", cols.join(", "))
+}
+
+/// The same statement with the join behind a `LIMIT` derived table: no
+/// filter passes a LIMIT and no semi join sinks into one, so neither
+/// rewrite can fire.
+fn unrewritten_sql(shape: u8, conjs: &[(u8, i64)]) -> String {
+    let (from, on) = rewrite_join(shape);
+    let cols: Vec<String> = REWRITE_COLS
+        .iter()
+        .map(|(t, col)| format!("{t}.{col} AS {t}_{col}"))
+        .collect();
+    let on = if on.is_empty() {
+        String::new()
+    } else {
+        format!(" WHERE {}", on.join(" AND "))
+    };
+    let hidden = |t: &str, col: &str| format!("j.{t}_{col}");
+    let preds: Vec<String> = conjs
+        .iter()
+        .map(|&(k, p)| format!("({})", rewrite_conjunct(k, p, &hidden)))
+        .collect();
+    let filter = if preds.is_empty() {
+        String::new()
+    } else {
+        format!(" WHERE {}", preds.join(" AND "))
+    };
+    let outer: Vec<String> = REWRITE_COLS
+        .iter()
+        .map(|(t, col)| format!("j.{t}_{col} AS {t}_{col}"))
+        .collect();
+    format!(
+        "SELECT {} FROM (SELECT {} FROM {from}{on} LIMIT 1000000000) AS j{filter}",
+        outer.join(", "),
+        cols.join(", ")
+    )
+}
+
+fn rewrite_db(
+    trows: &[(u8, i64, f64, i64)],
+    rrows: &[(u8, i64, i64)],
+    urows: &[(u8, i64, i64)],
+) -> Database {
+    let db = Database::new();
+    db.register("t", table_t(trows));
+    db.register("r", table_r(rrows));
+    db.register("u", table_r(urows));
+    db
+}
+
+/// `Some(why)` when the rewritable statement and its un-rewritten spelling
+/// return different multisets of rows (floats to 1e-9), in either profile.
+fn rewrites_differ(db: &Database, shape: u8, conjs: &[(u8, i64)]) -> Option<String> {
+    let (sql, oracle) = (rewritable_sql(shape, conjs), unrewritten_sql(shape, conjs));
+    for cfg in [config(Profile::Vectorized, 1), config(Profile::Fused, 2)] {
+        let run = |sql: &str| {
+            db.execute_sql(sql, &cfg)
+                .map(|r| r.canonicalized())
+                .map_err(|e| format!("{e}\n{sql}"))
+        };
+        match (run(&sql), run(&oracle)) {
+            (Ok(a), Ok(b)) => {
+                if let Some(d) = a.diff(&b, 1e-9) {
+                    return Some(format!("{:?}: {d}\n{sql}\n{oracle}", cfg.profile));
+                }
+            }
+            (Err(e), _) | (_, Err(e)) => return Some(e),
+        }
+    }
+    None
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Semi/anti-join sinking and derived per-input disjunctions preserve
+    /// the rows: three joined tables with NULL-able keys, `IN` / `NOT IN` /
+    /// `EXISTS` on one input's key and cross-input `OR`s of `AND`s, against
+    /// the same statement with the join where neither rewrite can reach.
+    #[test]
+    fn rewrites_match_the_unrewritten_plan(
+        trows in prop::collection::vec((0u8..3, 0i64..8, -100.0f64..100.0, -20i64..20), 0..30),
+        rrows in prop::collection::vec((0u8..4, 0i64..8, 0i64..50), 0..20),
+        urows in prop::collection::vec((0u8..4, 0i64..8, 0i64..50), 0..20),
+        shape in 0u8..3,
+        conjs in prop::collection::vec((0u8..6, 0i64..40), 1..4),
+    ) {
+        let db = rewrite_db(&trows, &rrows, &urows);
+        if let Some(why) = rewrites_differ(&db, shape, &conjs) {
+            panic!("rewritten and un-rewritten plans diverge: {why}");
+        }
+    }
+}
+
+/// Whether a `Join Semi` / `Join Anti` line of `plan` has `Scan {table}` as
+/// its left (first) input.
+fn semi_over_scan(plan: &str, table: &str) -> bool {
+    let lines: Vec<&str> = plan.lines().collect();
+    let indent = |l: &str| l.len() - l.trim_start().len();
+    lines.windows(2).any(|w| {
+        let head = w[0].trim_start();
+        (head.starts_with("Join Semi") || head.starts_with("Join Anti"))
+            && indent(w[1]) == indent(w[0]) + 2
+            && w[1].trim_start().starts_with(&format!("Scan {table} "))
+    })
+}
+
+/// The fuzzer's statements do reach both rewrites: on a fixed instance, a
+/// key `IN` / `NOT IN` lands on its input's scan while the LIMIT spelling
+/// keeps it above the join, and a cross-input `OR` leaves a disjunction on
+/// the `t` and `u` scans — and every such statement still matches.
+#[test]
+fn fuzzed_rewrites_fire() {
+    let trows: Vec<(u8, i64, f64, i64)> = (0..24)
+        .map(|i| ((i % 4) as u8, i % 8, i as f64 * 1.5 - 10.0, i % 13 - 6))
+        .collect();
+    let rrows: Vec<(u8, i64, i64)> = (0..16).map(|i| ((i % 5) as u8, i % 8, i * 3)).collect();
+    let urows: Vec<(u8, i64, i64)> = (0..16)
+        .map(|i| ((i % 3) as u8, (i * 3) % 8, i * 2))
+        .collect();
+    let db = rewrite_db(&trows, &rrows, &urows);
+    let mut sunk = 0;
+    for shape in 0u8..3 {
+        for (kind, p) in [(0u8, 0i64), (1, 1), (2, 2)] {
+            let plan = db
+                .explain_sql(&rewritable_sql(shape, &[(kind, p)]))
+                .unwrap();
+            let table = ["t", "r", "u"][(p % 3) as usize];
+            sunk += usize::from(semi_over_scan(&plan, table));
+            let hidden = db
+                .explain_sql(&unrewritten_sql(shape, &[(kind, p)]))
+                .unwrap();
+            assert!(!semi_over_scan(&hidden, table), "{hidden}");
+            assert_eq!(rewrites_differ(&db, shape, &[(kind, p)]), None);
+        }
+        // Both disjuncts read `t`: it gets their `t` atoms; `r` and `u`
+        // are each missing from one disjunct and get nothing.
+        let or_on = |plan: &str, table: &str| {
+            plan.lines().any(|l| {
+                l.trim_start().starts_with(&format!("Scan {table} ")) && l.contains(" OR ")
+            })
+        };
+        let plan = db.explain_sql(&rewritable_sql(shape, &[(4, 5)])).unwrap();
+        assert!(or_on(&plan, "t"), "shape {shape}:\n{plan}");
+        assert!(
+            !or_on(&plan, "r") && !or_on(&plan, "u"),
+            "shape {shape}:\n{plan}"
+        );
+        assert_eq!(rewrites_differ(&db, shape, &[(4, 5)]), None);
+        // A disjunct that reads `u` alone leaves `t` nothing to derive.
+        let plan = db.explain_sql(&rewritable_sql(shape, &[(5, 3)])).unwrap();
+        assert!(!or_on(&plan, "t"), "shape {shape}:\n{plan}");
+    }
+    assert!(sunk >= 3, "no semi/anti join reached its scan");
+}
