@@ -10,9 +10,8 @@
 //! epoch-style snapshot-publication cell ([`version`]) under the serving
 //! layer's table versioning (versions share storage chunks and dictionary
 //! blocks), and the query-lifecycle
-//! resilience primitives: cooperative cancellation tokens ([`cancel`]),
-//! jittered retry for transient errors ([`retry`]) and the deterministic
-//! fault-injection harness ([`fault`]).
+//! resilience primitives: cooperative cancellation tokens ([`cancel`]) and
+//! the deterministic fault-injection harness ([`fault`]).
 
 #![warn(missing_docs)]
 
@@ -25,7 +24,6 @@ pub mod fault;
 pub mod hash;
 pub mod pool;
 pub mod relation;
-pub mod retry;
 pub mod value;
 pub mod version;
 

@@ -312,7 +312,7 @@ impl Admission {
     /// `None` waits unboundedly (identical to [`admit`](Self::admit)); a
     /// zero timeout rejects immediately when the gate is full. On rejection
     /// the call returns the transient [`Error::Overloaded`] — backpressure
-    /// the caller may retry with backoff (see [`crate::retry`]).
+    /// the caller may retry with backoff.
     pub fn admit_within(&self, timeout: Option<Duration>) -> Result<AdmitTicket<'_>> {
         if self.capacity == 0 {
             return Ok(AdmitTicket {

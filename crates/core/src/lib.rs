@@ -21,13 +21,15 @@
 //!                                    sqldb::execute_prepared ──► Relation
 //! ```
 //!
+//! A compile pins one database snapshot and reads the catalog it derives.
 //! Prepared plans are cached per `(source, opt level, profile)` across 16
-//! lock shards, and a hit is validated against the tables the plan scans
-//! ([`PreparedQuery::is_current`]): the next execution transparently
-//! re-plans once one of them was re-registered or has outgrown the plan's
-//! statistics by a quarter, so cost-based join orders stay fresh as data
-//! grows while an append elsewhere — or a small one — costs readers
-//! nothing. Generated SQL text is
+//! lock shards, and a hit is validated against the facts the plan was
+//! compiled under ([`PreparedQuery::is_current`]): the next execution
+//! transparently compiles again once a table it depends on was
+//! re-registered, lost a NULL-free column the optimizer relied on, or has
+//! outgrown the plan's statistics by a quarter, so cost-based join orders
+//! stay fresh as data grows while an append elsewhere — or a small one —
+//! costs readers nothing. Generated SQL text is
 //! still available on [`Compiled::sql`] as an *export format* for the
 //! paper's real backends (DuckDB/Hyper/LingoDB dialects) — the in-process
 //! engine never re-parses it.
@@ -72,20 +74,19 @@
 
 pub use pytond_optimizer::OptLevel;
 pub use pytond_sqldb::{
-    CancelToken, Database, EngineConfig, PreparedQuery, Profile, RefreshMode, ViewState,
+    CancelToken, Database, EngineConfig, PreparedQuery, Profile, RefreshMode, Snapshot, ViewState,
 };
 pub use pytond_sqlgen::Dialect;
 
 use pytond_common::hash::{FxHashMap, FxHasher};
-use pytond_common::version::Versioned;
 use pytond_common::{Error, Relation, Result};
 use pytond_sqldb::ast::Query;
 use pytond_sqldb::lower::lower_program;
-use pytond_tondir::{Catalog, Program, TableSchema};
-use pytond_translate::RowCounts;
+use pytond_sqldb::CatalogReads;
+use pytond_tondir::analysis::referenced_relations;
+use pytond_tondir::{Catalog, Program};
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A named backend: engine profile + thread count (the paper's
@@ -225,14 +226,10 @@ pub struct Compiled {
     /// The dialect used for the SQL export.
     pub dialect: Dialect,
     /// The bound + cost-optimized plan of the query lowered from
-    /// [`Compiled::optimized_ir`] (no SQL round-trip). [`Pytond::execute`]
-    /// runs it as-is while the database statistics have not moved.
+    /// [`Compiled::optimized_ir`] (no SQL round-trip), carrying the facts it
+    /// was compiled under. [`Pytond::execute`] runs it as-is while it
+    /// [is current](PreparedQuery::is_current).
     pub prepared: Arc<PreparedQuery>,
-    /// Tables whose row count the program's shape was translated for
-    /// ([`pytond_translate::Translation::row_counts`]): once one holds
-    /// another count, [`Pytond::execute`] translates [`Compiled::source`]
-    /// again.
-    pub row_counts: RowCounts,
 }
 
 impl Compiled {
@@ -267,11 +264,6 @@ const SHARD_CAP: usize = PLAN_CACHE_CAP / PLAN_CACHE_SHARDS;
 #[derive(Debug)]
 struct CacheEntry {
     plan: Arc<PreparedQuery>,
-    /// The catalog-facts version the plan was compiled under
-    /// ([`Pytond::facts`]).
-    facts: u64,
-    /// The row counts the program's shape was translated for.
-    rows: RowCounts,
     stamp: u64,
 }
 
@@ -293,22 +285,18 @@ struct CacheShard {
 }
 
 impl CacheShard {
-    fn lookup(&self, key: &PlanKey) -> Option<(u64, RowCounts, Arc<PreparedQuery>)> {
-        self.map
-            .get(key)
-            .map(|e| (e.facts, e.rows.clone(), e.plan.clone()))
+    fn lookup(&self, key: &PlanKey) -> Option<Arc<PreparedQuery>> {
+        self.map.get(key).map(|e| e.plan.clone())
     }
 
-    fn insert(&mut self, key: PlanKey, facts: u64, rows: RowCounts, plan: Arc<PreparedQuery>) {
+    fn insert(&mut self, key: PlanKey, plan: Arc<PreparedQuery>) {
         let stamp = self.next_stamp;
         self.next_stamp += 1;
-        let entry = CacheEntry {
-            plan,
-            facts,
-            rows,
-            stamp,
-        };
-        if self.map.insert(key.clone(), entry).is_none() {
+        if self
+            .map
+            .insert(key.clone(), CacheEntry { plan, stamp })
+            .is_none()
+        {
             // A genuinely new key: make room by retiring oldest-inserted
             // entries. FIFO records whose stamp no longer matches the map
             // are leftovers of a key that was re-inserted later — drop
@@ -351,18 +339,18 @@ impl PlanCache {
         &self.shards[(h.finish() as usize) % PLAN_CACHE_SHARDS]
     }
 
-    fn lookup(&self, key: &PlanKey) -> Option<(u64, RowCounts, Arc<PreparedQuery>)> {
+    fn lookup(&self, key: &PlanKey) -> Option<Arc<PreparedQuery>> {
         self.shard(key)
             .lock()
             .expect("plan cache shard poisoned")
             .lookup(key)
     }
 
-    fn insert(&self, key: PlanKey, facts: u64, rows: RowCounts, plan: Arc<PreparedQuery>) {
+    fn insert(&self, key: PlanKey, plan: Arc<PreparedQuery>) {
         self.shard(&key)
             .lock()
             .expect("plan cache shard poisoned")
-            .insert(key, facts, rows, plan);
+            .insert(key, plan);
     }
 
     fn len(&self) -> usize {
@@ -380,28 +368,14 @@ impl PlanCache {
 /// share one instance behind an `Arc` across any number of client threads.
 /// Reads pin an immutable database snapshot for the life of the query;
 /// writes publish a new version without blocking in-flight reads (see
-/// `docs/SERVING.md`).
+/// `docs/SERVING.md`). A compile reads the catalog of the snapshot it
+/// pinned ([`Snapshot::catalog`]) and prepares against that same snapshot,
+/// so the plan it yields records exactly the facts it was compiled under.
 #[derive(Debug, Default)]
 pub struct Pytond {
     db: Database,
-    /// Catalog versions publish in lockstep with database versions: readers
-    /// pin whichever version is current, writers replace it under
-    /// [`Pytond::write`].
-    catalog: Versioned<Catalog>,
-    /// Serializes [`Pytond::register_table`]/[`Pytond::append`] so the
-    /// catalog and the database move together (a reader may still observe
-    /// the catalog one version ahead of or behind the database — both are
-    /// internally consistent, see `docs/SERVING.md`).
-    write: Mutex<()>,
     /// Sharded prepared-plan cache for [`Pytond::run`]/[`Pytond::run_at`].
     plan_cache: PlanCache,
-    /// Version of the catalog *facts* a compile may have relied on — table
-    /// schemas, declared keys, NULL-freeness. Bumped by every
-    /// `register_table`, and by an `append` only when it brings the first
-    /// NULL into a column (the optimizer's uniqueness reasoning reads
-    /// `not_null`). Cached plans record it: one compiled under older facts
-    /// is compiled again, an ordinary append leaves it alone.
-    facts: AtomicU64,
 }
 
 impl Pytond {
@@ -413,69 +387,31 @@ impl Pytond {
     /// Registers a table, inferring its schema; `unique` lists single- or
     /// multi-column unique keys (the catalog constraints of Section III-A).
     /// Columns holding no NULL are recorded as such — declared keys are
-    /// trusted, not validated, and may hold one. Publishes a new database +
-    /// catalog version and a new facts version, so every cached prepared
-    /// plan re-compiles on its next use; in-flight queries keep the snapshot
+    /// trusted, not validated, and may hold one. Publishes a new database
+    /// version: every cached prepared plan that depends on the table
+    /// compiles again on its next use; in-flight queries keep the snapshot
     /// they pinned.
     pub fn register_table(&self, name: &str, rel: Relation, unique: &[&[&str]]) {
-        let _writer = self.write.lock().expect("facade writer poisoned");
-        let mut schema = TableSchema::new(name, rel.schema());
-        for key in unique {
-            schema = schema.with_unique(key);
-        }
-        schema = schema.with_rows(rel.num_rows() as u64);
-        schema.not_null = null_free_columns(&rel);
-        let mut catalog = (*self.catalog.load()).clone();
-        catalog.add(schema);
-        self.db.register(name, rel);
-        self.catalog.publish(Arc::new(catalog));
-        // After the catalog: a compile that read the facts version before
-        // this bump may have read either catalog, one that reads it after
-        // sees the new one (`Pytond::facts`).
-        self.facts.fetch_add(1, Ordering::SeqCst);
+        self.db.register_keyed(name, rel, unique);
     }
 
     /// Appends rows to a registered table (schema must match). Statistics
     /// update incrementally and a new version publishes: a cached prepared
-    /// plan that scans the table re-plans once the table has outgrown it
-    /// ([`PreparedQuery::is_current`]), so cost-based join orders track the
-    /// row counts. In-flight queries keep the version they pinned. A failed
-    /// append changes nothing.
+    /// plan that depends on the table re-plans once the table has outgrown
+    /// it, or once the append broke a fact its compile relied on — a NULL in
+    /// a column it saw NULL-free, another row count for a program shaped by
+    /// it ([`PreparedQuery::is_current`]). In-flight queries keep the
+    /// version they pinned. A failed append changes nothing.
     pub fn append(&self, name: &str, rel: &Relation) -> Result<()> {
-        let _writer = self.write.lock().expect("facade writer poisoned");
-        self.db.append(name, rel)?;
-        // The catalog keys by the name as registered while the database
-        // lowercases; match table and column names case-insensitively (as
-        // the database does) so neither the row count nor a NULL-freeness
-        // fact silently goes stale.
-        let cur = self.catalog.load();
-        let entry = cur
-            .tables()
-            .find(|t| t.name.eq_ignore_ascii_case(name))
-            .cloned();
-        if let Some(mut schema) = entry {
-            let rows = self.db.table(name).map_or(0, |t| t.num_rows() as u64);
-            let still = null_free_columns(rel);
-            let before = schema.not_null.len();
-            schema
-                .not_null
-                .retain(|c| still.iter().any(|s| s.eq_ignore_ascii_case(c)));
-            let lost_fact = schema.not_null.len() < before;
-            let mut catalog = (*cur).clone();
-            catalog.add(schema.with_rows(rows));
-            self.catalog.publish(Arc::new(catalog));
-            if lost_fact {
-                self.facts.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        Ok(())
+        self.db.append(name, rel)
     }
 
-    /// Pins the current catalog version (schemas + constraints). The
-    /// returned `Arc` is immutable; later `register_table`/`append` calls
-    /// publish new versions without disturbing it.
+    /// The catalog (schemas + constraints + row counts + NULL-freeness) of
+    /// the current database version. The returned `Arc` is immutable;
+    /// later `register_table`/`append` calls publish new versions without
+    /// disturbing it.
     pub fn catalog(&self) -> Arc<Catalog> {
-        self.catalog.load()
+        self.db.snapshot().catalog()
     }
 
     /// The embedded database.
@@ -489,20 +425,20 @@ impl Pytond {
     }
 
     /// Compiles at an explicit optimization level (Figure 10's ablation):
-    /// runs the front-end and the lowering once, then hands the one lowered
-    /// query to both consumers — the planner (prepared plan) and the dialect
+    /// runs the front-end and the lowering once against one pinned
+    /// snapshot, then hands the one lowered query to both consumers — the
+    /// planner (prepared plan, against the same snapshot) and the dialect
     /// printer (SQL export).
     pub fn compile_at(&self, source: &str, dialect: Dialect, level: OptLevel) -> Result<Compiled> {
-        let facts = self.facts();
-        let (raw_ir, optimized_ir, query, rows) = self.lower(source, level, Program::clone)?;
+        let snap = self.db.snapshot();
+        let (raw_ir, optimized_ir, query, reads) = lower(&snap, source, level, Program::clone)?;
         let sql = pytond_sqlgen::render(&query, dialect);
         // Profile-gated queries (e.g. window functions on the LingoDB
         // profile) must still *compile*: the SQL export targets the paper's
         // real backend. Carry a plan validated (and cached) under the
         // ungated profile instead; `execute` re-validates for the requested
         // backend because the profiles then differ.
-        let key = |profile| plan_key(source, level, profile);
-        let plan = |profile| self.plan(key(profile), facts, rows.clone(), &query);
+        let plan = |profile| self.plan(&snap, plan_key(source, level, profile), &query, &reads);
         let prepared = match plan(Backend::profile_for(dialect)) {
             Err(Error::Unsupported(_)) => plan(Profile::Vectorized)?,
             planned => planned?,
@@ -515,117 +451,69 @@ impl Pytond {
             level,
             dialect,
             prepared,
-            row_counts: rows,
         })
     }
 
-    /// The front half of every compile, source to lowered query: translate →
-    /// validate → optimize → validate → lower. Returns what `keep` takes of
-    /// the raw IR before the optimizer consumes it (a clone for
-    /// `compile_at`, nothing on the serving paths), the optimized IR, the
-    /// query lowered from it and the row counts translation shaped it by.
-    fn lower<R>(
-        &self,
-        source: &str,
-        level: OptLevel,
-        keep: impl FnOnce(&Program) -> R,
-    ) -> Result<(R, Program, Query, RowCounts)> {
-        let catalog = self.catalog.load();
-        let translated = pytond_translate::translate_source(source, &catalog)?;
-        let raw_ir = translated.program;
-        pytond_tondir::analysis::validate(&raw_ir, &catalog)?;
-        let kept = keep(&raw_ir);
-        let optimized_ir = pytond_optimizer::optimize(raw_ir, &catalog, level);
-        pytond_tondir::analysis::validate(&optimized_ir, &catalog)?;
-        let query = lower_program(&optimized_ir, &catalog)?;
-        Ok((kept, optimized_ir, query, translated.row_counts))
-    }
-
-    /// `true` while every table in `rows` holds the count recorded for it.
-    fn rows_unchanged(&self, rows: &RowCounts) -> bool {
-        rows.iter()
-            .all(|(t, &n)| self.db.table(t).is_some_and(|s| s.num_rows() as u64 == n))
-    }
-
-    /// The catalog-facts version to record with a compile. Read it
-    /// **before** the compile loads the catalog: writers bump it after
-    /// publishing, so a plan compiled from an older catalog is only ever
-    /// recorded under an older facts version, and compiled again.
-    fn facts(&self) -> u64 {
-        self.facts.load(Ordering::SeqCst)
-    }
-
-    /// The back half: binds and plans a lowered query for the key's profile
-    /// and caches the plan under it, replacing the one the data outgrew (a
-    /// gate-skipping plan never satisfies a Lingo-profile lookup: the
-    /// profile is in the key).
+    /// The back half: binds and plans a lowered query against `snap` for
+    /// the key's profile and caches the plan under it, replacing the one
+    /// that was no longer current (a gate-skipping plan never satisfies a
+    /// Lingo-profile lookup: the profile is in the key).
     fn plan(
         &self,
+        snap: &Snapshot,
         key: PlanKey,
-        facts: u64,
-        rows: RowCounts,
         query: &Query,
+        reads: &CatalogReads,
     ) -> Result<Arc<PreparedQuery>> {
-        let prepared = Arc::new(self.db.prepare_query(query, key.2)?);
-        self.plan_cache.insert(key, facts, rows, prepared.clone());
+        let prepared = Arc::new(snap.prepare_query(query, key.2, reads)?);
+        self.plan_cache.insert(key, prepared.clone());
         Ok(prepared)
     }
 
-    /// The cached plan under `key`, if it was compiled under the current
-    /// catalog facts, for the row counts the tables hold now, and the data
-    /// has not moved under it.
-    fn cached(&self, key: &PlanKey, facts: u64) -> Option<Arc<PreparedQuery>> {
-        let (compiled_under, rows, plan) = self.plan_cache.lookup(key)?;
-        (compiled_under == facts && self.rows_unchanged(&rows) && plan.is_current(&self.db))
-            .then_some(plan)
-    }
-
     /// Returns the cached prepared plan for a source, compiling and caching
-    /// it if absent, compiled under older catalog facts, or outgrown by the
-    /// tables it scans. On a cache hit this performs zero lexing, parsing,
-    /// binding or planning; a miss never touches SQL text either — that is
-    /// an export format, not the wire format.
+    /// it if absent or no longer current ([`PreparedQuery::is_current`]).
+    /// On a cache hit this performs zero lexing, parsing, binding or
+    /// planning; a miss never touches SQL text either — that is an export
+    /// format, not the wire format.
     pub fn prepare(
         &self,
         source: &str,
         backend: &Backend,
         level: OptLevel,
     ) -> Result<Arc<PreparedQuery>> {
-        let (key, facts) = (plan_key(source, level, backend.profile), self.facts());
-        if let Some(p) = self.cached(&key, facts) {
-            return Ok(p);
-        }
-        let (_, _, query, rows) = self.lower(source, level, |_| ())?;
-        self.plan(key, facts, rows, &query)
+        self.prepare_at(&self.db.snapshot(), source, backend.profile, level)
     }
 
-    /// Executes a previously compiled function. While the carried plan is
-    /// current (and the backend matches the compiled profile) this runs it
-    /// with no per-call compilation work; otherwise it transparently
-    /// re-plans from the already-optimized IR — through the plan cache, so
-    /// even a stale `Compiled` pays the re-plan once, not on every call. A
-    /// program whose shape was translated for row counts the tables no
-    /// longer hold is translated again from its source.
-    pub fn execute(&self, compiled: &Compiled, backend: &Backend) -> Result<Relation> {
-        let Compiled { source, level, .. } = compiled;
-        if !self.rows_unchanged(&compiled.row_counts) {
-            return self.run_at(source, backend, *level);
-        }
-        if compiled.prepared.profile() == backend.profile && compiled.prepared.is_current(&self.db)
-        {
-            return self
-                .db
-                .execute_prepared(&compiled.prepared, &backend.config());
-        }
-        let (key, facts) = (plan_key(source, *level, backend.profile), self.facts());
-        let prepared = match self.cached(&key, facts) {
-            Some(p) => p,
-            None => {
-                let query = lower_program(&compiled.optimized_ir, &self.catalog.load())?;
-                self.plan(key, facts, compiled.row_counts.clone(), &query)?
+    /// [`Pytond::prepare`] against a pinned snapshot: the cached plan if it
+    /// is current there, else one compiled and prepared against it.
+    fn prepare_at(
+        &self,
+        snap: &Snapshot,
+        source: &str,
+        profile: Profile,
+        level: OptLevel,
+    ) -> Result<Arc<PreparedQuery>> {
+        let key = plan_key(source, level, profile);
+        if let Some(plan) = self.plan_cache.lookup(&key) {
+            if plan.is_current_at(snap) {
+                return Ok(plan);
             }
-        };
-        self.db.execute_prepared(&prepared, &backend.config())
+        }
+        let (_, _, query, reads) = lower(snap, source, level, |_| ())?;
+        self.plan(snap, key, &query, &reads)
+    }
+
+    /// Executes a previously compiled function: runs the carried plan with
+    /// no per-call compilation work while it is current (and the backend
+    /// matches the compiled profile), and is [`Pytond::run_at`] of its
+    /// source otherwise.
+    pub fn execute(&self, compiled: &Compiled, backend: &Backend) -> Result<Relation> {
+        let snap = self.db.snapshot();
+        let prepared = &compiled.prepared;
+        if prepared.profile() == backend.profile && prepared.is_current_at(&snap) {
+            return snap.execute_prepared(prepared, &backend.config());
+        }
+        self.run_at(&compiled.source, backend, compiled.level)
     }
 
     /// Compile + execute in one call, through the prepared-plan cache:
@@ -637,8 +525,9 @@ impl Pytond {
     /// Compile at a level + execute (optimization ablations), through the
     /// prepared-plan cache.
     pub fn run_at(&self, source: &str, backend: &Backend, level: OptLevel) -> Result<Relation> {
-        let prepared = self.prepare(source, backend, level)?;
-        self.db.execute_prepared(&prepared, &backend.config())
+        let snap = self.db.snapshot();
+        let prepared = self.prepare_at(&snap, source, backend.profile, level)?;
+        snap.execute_prepared(&prepared, &backend.config())
     }
 
     /// EXPLAIN rendering of the (cached) prepared plan for a source.
@@ -647,11 +536,14 @@ impl Pytond {
     }
 
     /// Registers a `@pytond` program as a standing materialized view: the
-    /// source is compiled once (translate → optimize → lower; the view
-    /// keeps the lowered query and plans it itself, so nothing is printed,
-    /// re-parsed or left in the plan cache), the result is materialized,
-    /// and every subsequent [`Pytond::append`] refreshes it — incrementally
-    /// where the plan shape allows, by traced full recompute otherwise. See
+    /// source is compiled against the current snapshot (translate →
+    /// optimize → lower; the view plans the lowered query itself, so
+    /// nothing is printed, re-parsed or left in the plan cache), the result
+    /// is materialized, and every subsequent [`Pytond::append`] refreshes it
+    /// — incrementally where the plan shape allows, by traced full
+    /// recompute otherwise. The view compiles its source again whenever a
+    /// fact its plan was compiled under stops holding (a table re-registered,
+    /// a NULL in a column it saw NULL-free). See
     /// [`Database::register_view_with`] and the `pytond_sqldb::mv` module
     /// docs for the delta rules and the consistency contract.
     pub fn register_view(&self, name: &str, source: &str, backend: &Backend) -> Result<()> {
@@ -672,13 +564,18 @@ impl Pytond {
         source: &str,
         config: &EngineConfig,
     ) -> Result<()> {
-        let (_, _, query, rows) = self.lower(source, OptLevel::O4, |_| ())?;
-        if let Some(table) = rows.keys().next() {
-            return Err(Error::Unsupported(format!(
-                "view '{name}': the program's shape depends on the row count of '{table}'"
-            )));
-        }
-        self.db.register_view_query(name, query, config)
+        let (view, source) = (name.to_string(), source.to_string());
+        let compile = move |snap: &Snapshot| {
+            let (_, _, query, reads) = lower(snap, &source, OptLevel::O4, |_| ())?;
+            if let Some(table) = reads.exact_rows.first() {
+                return Err(Error::Unsupported(format!(
+                    "view '{view}': the program's shape depends on the row count of '{table}'"
+                )));
+            }
+            Ok((query, reads))
+        };
+        self.db
+            .register_view_compiled(name, Arc::new(compile), config)
     }
 
     /// The current published state of a standing view registered with
@@ -714,13 +611,40 @@ fn plan_key(source: &str, level: OptLevel, profile: Profile) -> PlanKey {
     (source.to_string(), level, profile)
 }
 
-/// Names of `rel`'s columns that hold no NULL.
-fn null_free_columns(rel: &Relation) -> Vec<String> {
-    rel.columns()
+/// The front half of every compile, source to lowered query against one
+/// pinned snapshot's catalog: translate → validate → optimize → validate →
+/// lower. Returns what `keep` takes of the raw IR before the optimizer
+/// consumes it (a clone for `compile_at`, nothing on the serving paths), the
+/// optimized IR, the query lowered from it and what the compile read of the
+/// catalog: the base tables the raw IR reads, and those whose row count
+/// translation shaped the program by.
+fn lower<R>(
+    snap: &Snapshot,
+    source: &str,
+    level: OptLevel,
+    keep: impl FnOnce(&Program) -> R,
+) -> Result<(R, Program, Query, CatalogReads)> {
+    let catalog = snap.catalog();
+    let translated = pytond_translate::translate_source(source, &catalog)?;
+    let raw_ir = translated.program;
+    pytond_tondir::analysis::validate(&raw_ir, &catalog)?;
+    let kept = keep(&raw_ir);
+    let mut tables: Vec<String> = raw_ir
+        .rules
         .iter()
-        .filter(|(_, col)| col.null_count() == 0)
-        .map(|(name, _)| name.clone())
-        .collect()
+        .flat_map(|r| referenced_relations(&r.body))
+        .filter(|t| catalog.table(t).is_some())
+        .collect();
+    tables.sort_unstable();
+    tables.dedup();
+    let reads = CatalogReads {
+        tables,
+        exact_rows: translated.row_counts.into_keys().collect(),
+    };
+    let optimized_ir = pytond_optimizer::optimize(raw_ir, &catalog, level);
+    pytond_tondir::analysis::validate(&optimized_ir, &catalog)?;
+    let query = lower_program(&optimized_ir, &catalog)?;
+    Ok((kept, optimized_ir, query, reads))
 }
 
 #[cfg(test)]

@@ -24,22 +24,27 @@
 //! the stored plan as many times as desired with zero per-call lexing,
 //! parsing, binding or optimization. Every `register`/`append` publishes a
 //! new snapshot version ([`Database::stats_version`]); a caller caching a
-//! prepared plan asks [`PreparedQuery::is_current`] whether the tables the
-//! plan scans have been replaced, or have outgrown the statistics that drove
-//! its cost-based decisions by more than [`REPLAN_GROWTH`].
+//! prepared plan asks [`PreparedQuery::is_current`] whether a fact it was
+//! compiled under broke — a table replaced, a column it saw NULL-free
+//! holding a NULL — or a table outgrew the statistics that drove its
+//! cost-based decisions by more than [`REPLAN_GROWTH`]. The compiler's
+//! catalog is derived from the snapshot too ([`Snapshot::catalog`]), so
+//! one pinned version is everything a compile reads.
 
 use crate::ast::{Query, Select, SelectItem, SqlExpr, TableRef};
 use crate::bind::bind_query;
-use crate::exec::{execute_traced, ExecMetrics, ExecOptions};
+use crate::exec::{execute_with_temps, ExecMetrics, ExecOptions, Resume};
 use crate::optimize::{estimate, optimize_with, StatsCatalog};
 use crate::parser::parse_sql;
 use crate::plan::BoundQuery;
-use crate::table::StoredTable;
+use crate::table::{Batch, Schema, StoredTable};
 use pytond_common::cancel::CancelToken;
 use pytond_common::fault::{self, FaultSite};
 use pytond_common::hash::FxHashMap;
 use pytond_common::version::Versioned;
 use pytond_common::{env, pool, Error, Relation, Result};
+use pytond_tondir::{Catalog, TableSchema};
+use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -122,14 +127,14 @@ impl Default for EngineConfig {
 
 /// Process-wide default per-query deadline: `PYTOND_QUERY_TIMEOUT_MS` when
 /// set to a positive integer (read once, like `PYTOND_THREADS`).
-pub(crate) fn default_timeout_ms() -> Option<u64> {
+fn default_timeout_ms() -> Option<u64> {
     static CACHED: OnceLock<Option<u64>> = OnceLock::new();
     *CACHED.get_or_init(|| env::positive_u64("PYTOND_QUERY_TIMEOUT_MS"))
 }
 
 /// Process-wide default per-query memory budget: `PYTOND_QUERY_MEM_MB` when
 /// set to a positive integer (read once).
-pub(crate) fn default_mem_budget_mb() -> Option<u64> {
+fn default_mem_budget_mb() -> Option<u64> {
     static CACHED: OnceLock<Option<u64>> = OnceLock::new();
     *CACHED.get_or_init(|| env::positive_u64("PYTOND_QUERY_MEM_MB"))
 }
@@ -172,12 +177,25 @@ impl EngineConfig {
 #[derive(Debug, Default)]
 pub struct Snapshot {
     tables: FxHashMap<String, Arc<StoredTable>>,
-    /// Per table, the version whose `register` created its current
-    /// incarnation (appends keep it): a cached plan that scans the table
-    /// must be re-planned once this moves, its schema may have changed.
-    registered: FxHashMap<String, u64>,
+    /// Per table, how its current incarnation was registered (appends keep
+    /// it).
+    registered: FxHashMap<String, Arc<Registration>>,
     /// The stats version this snapshot carries (0 = the empty database).
     version: u64,
+    /// [`Snapshot::catalog`], derived on first use.
+    catalog: OnceLock<Arc<Catalog>>,
+}
+
+/// What a `register` declared about the incarnation it created.
+#[derive(Debug)]
+struct Registration {
+    /// The version the `register` published: a plan bound against an
+    /// earlier incarnation may read dead column positions.
+    version: u64,
+    /// The table name as registered (the map key is lower-cased).
+    name: String,
+    /// Declared unique keys, trusted, not validated.
+    unique: Vec<Vec<String>>,
 }
 
 impl Snapshot {
@@ -199,6 +217,27 @@ impl Snapshot {
         names
     }
 
+    /// The compiler's view of this version — the contextual information of
+    /// the paper's Section III-A: per table its name as registered, schema,
+    /// declared unique keys, exact row count, and the columns that hold no
+    /// NULL (from the column statistics). Derived once per snapshot.
+    pub fn catalog(&self) -> Arc<Catalog> {
+        let derive = || {
+            let mut catalog = Catalog::new();
+            for (key, reg) in &self.registered {
+                let stored = &self.tables[key];
+                let fields = &stored.schema.fields;
+                let cols = fields.iter().map(|f| (f.name.clone(), f.dtype)).collect();
+                let mut schema = TableSchema::new(&reg.name, cols).with_rows(rows(stored) as u64);
+                schema.unique = reg.unique.clone();
+                schema.not_null = null_free(stored).map(|c| fields[c].name.clone()).collect();
+                catalog.add(schema);
+            }
+            Arc::new(catalog)
+        };
+        self.catalog.get_or_init(derive).clone()
+    }
+
     /// Statistics snapshot over every table in this version, for the
     /// optimizer.
     fn stats_catalog(&self) -> StatsCatalog<'_> {
@@ -211,6 +250,65 @@ impl Snapshot {
         ctx
     }
 
+    /// Prepares a query tree against this version: profile checks, binding
+    /// and the full optimizer pipeline run **once**, here. The plan records
+    /// the facts it may not outlive (see [`PreparedQuery::is_current`]): per
+    /// table it scans or `reads` names, the incarnation and row count; per
+    /// table `reads` names, the columns that hold no NULL now.
+    pub fn prepare_query(
+        &self,
+        query: &Query,
+        profile: Profile,
+        reads: &CatalogReads,
+    ) -> Result<PreparedQuery> {
+        if profile == Profile::Lingo {
+            lingo_check(query)?;
+        }
+        let mut bound = bind_query(self, query)?;
+        let mut ctx = self.stats_catalog();
+        bound.ctes = bound
+            .ctes
+            .into_iter()
+            .map(|(n, p)| {
+                let p = optimize_with(p, &ctx);
+                ctx.set_rows(&n, estimate(&p, &ctx));
+                (n, p)
+            })
+            .collect();
+        bound.root = optimize_with(bound.root, &ctx);
+        // The base tables the plans scan (a scan of a CTE temporary names
+        // no table) and the ones the source read.
+        let mut names = bound.root.scan_order();
+        for (_, plan) in &bound.ctes {
+            names.extend(plan.scan_order());
+        }
+        names.extend(reads.tables.iter().chain(&reads.exact_rows).cloned());
+        names.iter_mut().for_each(|t| *t = t.to_lowercase());
+        names.sort_unstable();
+        names.dedup();
+        let read = |list: &[String], t: &str| list.iter().any(|r| r.eq_ignore_ascii_case(t));
+        let facts = names.into_iter().filter_map(|t| {
+            let stored = self.tables.get(&t)?;
+            let not_null = match read(&reads.tables, &t) {
+                true => null_free(stored).collect(),
+                false => Vec::new(),
+            };
+            Some(TableFacts {
+                registered: self.registered[&t].version,
+                rows: rows(stored),
+                exact_rows: read(&reads.exact_rows, &t),
+                not_null,
+                table: t,
+            })
+        });
+        Ok(PreparedQuery {
+            facts: facts.collect(),
+            bound,
+            profile,
+            stats_version: self.version,
+        })
+    }
+
     /// Executes a prepared plan against **this** pinned version of the
     /// data, regardless of what has been appended since. This is the
     /// primitive the differential serving suite uses to prove snapshot
@@ -221,7 +319,7 @@ impl Snapshot {
         prepared: &PreparedQuery,
         config: &EngineConfig,
     ) -> Result<Relation> {
-        let (rel, _) = self.run_bound(&prepared.bound, config, None)?;
+        let (rel, _) = self.run_query(prepared, config, None)?;
         Ok(rel)
     }
 
@@ -237,7 +335,7 @@ impl Snapshot {
         config: &EngineConfig,
         cancel: CancelToken,
     ) -> Result<Relation> {
-        let (rel, _) = self.run_bound(&prepared.bound, config, Some(cancel))?;
+        let (rel, _) = self.run_query(prepared, config, Some(cancel))?;
         Ok(rel)
     }
 
@@ -250,7 +348,7 @@ impl Snapshot {
         prepared: &PreparedQuery,
         config: &EngineConfig,
     ) -> Result<(Relation, QueryTrace)> {
-        let (rel, metrics) = self.run_bound(&prepared.bound, config, None)?;
+        let (rel, metrics) = self.run_query(prepared, config, None)?;
         // Under the fusing policy the trace also shows the pipeline
         // decomposition the driver executed (one operator per pipeline needs
         // no listing: it is the plan).
@@ -270,27 +368,44 @@ impl Snapshot {
         Ok((rel, trace))
     }
 
-    /// Pure execution of a bound query against this snapshot (shared by the
-    /// prepared entry points). The full lifecycle runs here:
+    /// A query's run of a prepared plan: [`Snapshot::run_bound`], plus the
+    /// decode of the result.
+    fn run_query(
+        &self,
+        prepared: &PreparedQuery,
+        config: &EngineConfig,
+        cancel: Option<CancelToken>,
+    ) -> Result<(Relation, ExecMetrics)> {
+        let (batch, schema, mut metrics) = self.run_bound(&prepared.bound, config, cancel, None)?;
+        metrics.dict_decoded_cols = batch.dict_cols() as u64;
+        Ok((batch.to_relation(&schema), metrics))
+    }
+
+    /// Execution of a bound query against this snapshot, shared by queries
+    /// and view refreshes (`refresh`). The full lifecycle runs here:
     ///
     /// 1. A [`CancelToken`] is armed with the deadline/memory budget from
     ///    `config` (environment defaults `PYTOND_QUERY_TIMEOUT_MS` /
-    ///    `PYTOND_QUERY_MEM_MB` when unset). The deadline clock starts
-    ///    *before* admission, so queue wait counts against it.
-    /// 2. The query passes the process-wide [`pool::admission`] gate,
-    ///    bounded by `PYTOND_ADMIT_TIMEOUT_MS` — an overloaded gate rejects
-    ///    with the transient [`Error::Overloaded`] before any work is done.
+    ///    `PYTOND_QUERY_MEM_MB` when unset; the tightest wins against a
+    ///    caller's own token). The deadline clock starts *before*
+    ///    admission, so queue wait counts against it.
+    /// 2. A query passes the process-wide [`pool::admission`] gate, bounded
+    ///    by `PYTOND_ADMIT_TIMEOUT_MS` — an overloaded gate rejects with the
+    ///    transient [`Error::Overloaded`] before any work is done. A view
+    ///    refresh skips it: it runs inside the writer critical section and
+    ///    must not queue behind the read load it exists to serve.
     /// 3. Execution polls the token at every morsel claim, join build and
     ///    aggregation merge; worker panics (including injected dispatch
-    ///    faults) are contained to this query and surface as the transient
+    ///    faults) are contained to this run and surface as the transient
     ///    [`Error::Internal`]. The snapshot and plan cache are never
-    ///    poisoned by a failed query.
-    fn run_bound(
+    ///    poisoned by a failed run.
+    pub(crate) fn run_bound(
         &self,
         bound: &BoundQuery,
         config: &EngineConfig,
         cancel: Option<CancelToken>,
-    ) -> Result<(Relation, ExecMetrics)> {
+        refresh: Option<Refresh<'_>>,
+    ) -> Result<(Batch, Schema, ExecMetrics)> {
         let timeout_ms = config
             .timeout_ms
             .or_else(default_timeout_ms)
@@ -304,14 +419,23 @@ impl Snapshot {
             None if timeout_ms.is_some() || budget_mb.is_some() => CancelToken::new(),
             None => CancelToken::disarmed(),
         };
-        cancel.set_label(format!("q@v{}", self.version));
+        let admit = refresh.is_none();
+        let overlay = refresh.unwrap_or_else(|| Refresh {
+            label: format!("q@v{}", self.version),
+            temps: FxHashMap::default(),
+            resume: None,
+        });
+        cancel.set_label(overlay.label);
         if let Some(ms) = timeout_ms {
             cancel.set_deadline(Duration::from_millis(ms));
         }
         if let Some(mb) = budget_mb {
             cancel.set_budget_bytes(mb.saturating_mul(1024 * 1024));
         }
-        let ticket = pool::admission().admit_within(pool::default_admit_timeout())?;
+        let ticket = match admit {
+            true => Some(pool::admission().admit_within(pool::default_admit_timeout())?),
+            false => None,
+        };
         let opts = ExecOptions {
             threads: pool::resolve_threads(config.threads),
             fused: config.profile.fuses(),
@@ -325,7 +449,7 @@ impl Snapshot {
         // serviceable — map the payload to a transient error instead of
         // unwinding through the caller.
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_traced(self, bound, opts)
+            execute_with_temps(self, bound, overlay.temps, opts, overlay.resume)
         }));
         let (batch, schema, mut metrics) = match run {
             Ok(r) => r?,
@@ -338,11 +462,35 @@ impl Snapshot {
             }
         };
         metrics.snapshot_version = self.version;
-        metrics.queue_wait_ns = ticket.queue_wait_ns;
-        metrics.dict_decoded_cols = batch.dict_cols() as u64;
-        drop(ticket);
-        Ok((batch.to_relation(&schema), metrics))
+        metrics.queue_wait_ns = ticket.map_or(0, |t| t.queue_wait_ns);
+        Ok((batch, schema, metrics))
     }
+}
+
+/// What a view refresh hands [`Snapshot::run_bound`]: the label its token
+/// carries, temporaries that shadow base tables (the appended suffix), and
+/// the aggregate resuming its carried fold.
+pub(crate) struct Refresh<'a> {
+    pub(crate) label: String,
+    pub(crate) temps: FxHashMap<String, StoredTable>,
+    pub(crate) resume: Option<Resume<'a>>,
+}
+
+/// A stored table's row count.
+fn rows(stored: &StoredTable) -> usize {
+    stored
+        .stats
+        .as_ref()
+        .map_or_else(|| stored.num_rows(), |s| s.row_count)
+}
+
+/// Positions of a stored table's columns that hold no NULL.
+fn null_free(stored: &StoredTable) -> impl Iterator<Item = usize> + '_ {
+    let columns = stored.stats.iter().flat_map(|s| s.columns.iter());
+    columns
+        .enumerate()
+        .filter(|(_, c)| c.null_count == 0)
+        .map(|(i, _)| i)
 }
 
 /// Everything the `Database` handles share: the current snapshot plus the
@@ -396,17 +544,24 @@ impl Database {
     /// first-occurrence code order); results decode back to plain strings at
     /// materialization, so callers never observe codes.
     pub fn register(&self, name: &str, rel: Relation) {
-        self.register_table(name, rel, true);
+        self.register_table(name, rel, &[], true);
+    }
+
+    /// [`Database::register`] with declared unique keys — single- or
+    /// multi-column, trusted, not validated — for the catalog the compiler
+    /// reads ([`Snapshot::catalog`]).
+    pub fn register_keyed(&self, name: &str, rel: Relation, unique: &[&[&str]]) {
+        self.register_table(name, rel, unique, true);
     }
 
     /// Like [`Database::register`] but never dictionary-encodes — the
     /// plain-string path: the dictionary oracle the differential suites
     /// compare against.
     pub fn register_plain(&self, name: &str, rel: Relation) {
-        self.register_table(name, rel, false);
+        self.register_table(name, rel, &[], false);
     }
 
-    fn register_table(&self, name: &str, rel: Relation, encode: bool) {
+    fn register_table(&self, name: &str, rel: Relation, unique: &[&[&str]], encode: bool) {
         let _writer = self.shared.write.lock().expect("database writer poisoned");
         let cur = self.shared.current.load();
         let key = name.to_lowercase();
@@ -416,16 +571,25 @@ impl Database {
             Arc::new(StoredTable::from_relation_encoded(&rel, encode)),
         );
         let mut registered = cur.registered.clone();
-        registered.insert(key.clone(), cur.version + 1);
+        let registration = Registration {
+            version: cur.version + 1,
+            name: name.to_string(),
+            unique: unique
+                .iter()
+                .map(|k| k.iter().map(|c| c.to_string()).collect())
+                .collect(),
+        };
+        registered.insert(key.clone(), Arc::new(registration));
         let next = Arc::new(Snapshot {
             tables,
             registered,
             version: cur.version + 1,
+            catalog: OnceLock::new(),
         });
         self.shared.current.publish(next.clone());
         // Still under the writer lock: views referencing the replaced table
         // re-prepare and recompute against the version just published.
-        crate::mv::on_register(self, &next, &key);
+        crate::mv::on_publish(self, &next, &key);
     }
 
     /// Appends a batch of rows to an existing table (columns must match the
@@ -471,6 +635,7 @@ impl Database {
             tables,
             registered: cur.registered.clone(),
             version: cur.version + 1,
+            catalog: OnceLock::new(),
         });
         self.shared.current.publish(next.clone());
         // Still under the writer lock: registered views absorb the appended
@@ -478,7 +643,7 @@ impl Database {
         // before the next writer can publish another version. A failed view
         // refresh never fails the append — the view just stays at its prior
         // consistent version (see `crate::mv`).
-        crate::mv::on_append(self, &next, &key);
+        crate::mv::on_publish(self, &next, &key);
         Ok(())
     }
 
@@ -513,59 +678,28 @@ impl Database {
         self.prepare_query(&query, profile)
     }
 
-    /// Prepares an already-built SQL AST (no text involved): the entry point
-    /// for the tree [`crate::lower`] lowers TondIR to, and the tail of
+    /// Prepares an already-built SQL AST (no text involved) against the
+    /// current snapshot ([`Snapshot::prepare_query`], reading nothing of the
+    /// catalog beyond the tables the plan scans): the tail of
     /// [`Database::prepare`]. The whole pipeline runs against one pinned
     /// snapshot — a concurrent append cannot feed binding one version and
     /// costing another.
     pub fn prepare_query(&self, query: &Query, profile: Profile) -> Result<PreparedQuery> {
-        if profile == Profile::Lingo {
-            lingo_check(query)?;
-        }
-        let snap = self.snapshot();
-        let mut bound = bind_query(&snap, query)?;
-        let mut ctx = snap.stats_catalog();
-        bound.ctes = bound
-            .ctes
-            .into_iter()
-            .map(|(n, p)| {
-                let p = optimize_with(p, &ctx);
-                ctx.set_rows(&n, estimate(&p, &ctx));
-                (n, p)
-            })
-            .collect();
-        bound.root = optimize_with(bound.root, &ctx);
-        // What `is_current` validates: the base tables the plans scan, as
-        // they are now (a scan of a CTE temporary names no table).
-        let mut names = bound.root.scan_order();
-        for (_, plan) in &bound.ctes {
-            names.extend(plan.scan_order());
-        }
-        names.iter_mut().for_each(|t| *t = t.to_lowercase());
-        names.sort_unstable();
-        names.dedup();
-        let scans = names.into_iter().filter_map(|t| {
-            let rows = snap.tables.get(&t)?.num_rows();
-            Some((snap.registered[&t], rows, t))
-        });
-        Ok(PreparedQuery {
-            scans: scans.collect(),
-            bound,
-            profile,
-            stats_version: snap.version,
-        })
+        self.snapshot()
+            .prepare_query(query, profile, &CatalogReads::default())
     }
 
     /// Executes a prepared plan against the current snapshot, pinned for
     /// the whole run. No lexing, parsing, binding or planning happens here —
     /// only the physical execution options are derived from `config`. A
-    /// plan gone stale through [`Database::append`] still executes
-    /// correctly (appends never change a table's schema); it merely keeps
-    /// the join order chosen for the old statistics. A plan gone stale
-    /// through [`Database::register`] **replacing** a table must be
-    /// re-prepared instead — scans bind stored column indices, so a changed
-    /// schema invalidates the plan itself (the `Pytond` facade's cache never
-    /// executes stale plans for exactly this reason).
+    /// plan prepared from SQL and gone stale through [`Database::append`]
+    /// still executes correctly (appends never change a table's schema); it
+    /// merely keeps the join order chosen for the old statistics. A plan
+    /// gone stale through [`Database::register`] **replacing** a table, or
+    /// one whose compile relied on a catalog fact that no longer holds, must
+    /// be re-prepared instead ([`PreparedQuery::is_current`]) — scans bind
+    /// stored column indices, and a compiler rewrite may have assumed a key
+    /// or a NULL-free column.
     ///
     /// To execute against an explicitly pinned older version, use
     /// [`Database::snapshot`] + [`Snapshot::execute_prepared`].
@@ -639,24 +773,72 @@ impl Database {
     }
 }
 
+/// What a compile read of a snapshot's [`Snapshot::catalog`] beyond the
+/// tables its plan scans — the facts [`Snapshot::prepare_query`] records so
+/// that [`PreparedQuery::is_current`] can tell when they stop holding.
+#[derive(Debug, Clone, Default)]
+pub struct CatalogReads {
+    /// Tables the source program reads: a rewrite may have relied on their
+    /// declared keys and on which of their columns hold no NULL.
+    pub tables: Vec<String>,
+    /// Tables whose exact row count is part of the program's shape (a
+    /// dense transpose, matmul or outer product pivots by it).
+    pub exact_rows: Vec<String>,
+}
+
 /// A bound + cost-optimized query plan, detached from the SQL (or TondIR)
 /// source that produced it: the compile-once/execute-many unit.
 ///
-/// Created by [`Database::prepare`] (from SQL text) or
-/// [`Database::prepare_query`] (from a tree, e.g. the [`ast::Query`](Query)
+/// Created by [`Database::prepare`] (from SQL text), [`Database::prepare_query`]
+/// or [`Snapshot::prepare_query`] (from a tree, e.g. the [`ast::Query`](Query)
 /// that [`crate::lower::lower_program`] lowers TondIR to); executed by
-/// [`Database::execute_prepared`]. Carries what it was planned against —
-/// the [`Database::stats_version`] and, per scanned table, its incarnation
-/// and size — so callers can detect when the cost model's inputs have moved
+/// [`Database::execute_prepared`]. Carries what it was planned under — the
+/// [`Database::stats_version`] and, per table it depends on, the facts its
+/// compile relied on — so callers can detect when those have moved
 /// ([`PreparedQuery::is_current`]) and transparently re-plan.
 #[derive(Debug, Clone)]
 pub struct PreparedQuery {
     bound: BoundQuery,
     profile: Profile,
     stats_version: u64,
-    /// Per base table the plans scan: the version that registered it, its
-    /// row count at planning time, its (lower-cased) name.
-    scans: Vec<(u64, usize, String)>,
+    facts: Vec<TableFacts>,
+}
+
+/// What a plan was compiled under, for one table it scans or its source
+/// read.
+#[derive(Debug, Clone)]
+struct TableFacts {
+    /// Lower-cased table name.
+    table: String,
+    /// The version that registered the incarnation bound against.
+    registered: u64,
+    /// Rows when planned.
+    rows: usize,
+    /// The program's shape is that row count.
+    exact_rows: bool,
+    /// Positions of the columns the compile saw NULL-free.
+    not_null: Vec<usize>,
+}
+
+/// Why a plan's compile-time facts no longer hold at a snapshot.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum BrokenFact {
+    /// The table was re-registered (or dropped): another schema, other keys.
+    Replaced(String),
+    /// A table whose row count shaped the program holds another count.
+    Resized(String),
+    /// A column the compile saw NULL-free holds a NULL: `(table, column)`.
+    Null(String, String),
+}
+
+impl fmt::Display for BrokenFact {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            BrokenFact::Replaced(t) => write!(f, "'{t}' re-registered"),
+            BrokenFact::Resized(t) => write!(f, "'{t}' changed its row count"),
+            BrokenFact::Null(t, c) => write!(f, "'{t}.{c}' now holds a NULL"),
+        }
+    }
 }
 
 /// How far a table may outgrow the row count a plan was costed with before
@@ -683,18 +865,52 @@ impl PreparedQuery {
         self.stats_version
     }
 
-    /// `true` while this is still the plan to run against `db`: every table
-    /// it scans is the incarnation it was bound against (a `register` may
-    /// have changed the schema under the stored column positions) and holds
-    /// at most [`REPLAN_GROWTH`] times the rows it was costed with. Appends
-    /// below that factor, and writes to tables the plan does not scan, leave
-    /// it current — [`PreparedQuery::stats_version`] says when it was
-    /// planned, not whether it must be planned again.
+    /// `true` while this is still the plan to run against `db`'s current
+    /// snapshot (see [`PreparedQuery::is_current_at`]).
     pub fn is_current(&self, db: &Database) -> bool {
-        let snap = db.snapshot();
-        self.scans.iter().all(|(registered, rows, t)| {
-            let now = snap.tables.get(t).map_or(usize::MAX, |s| s.num_rows());
-            snap.registered.get(t) == Some(registered) && now as f64 <= REPLAN_GROWTH * *rows as f64
+        self.is_current_at(&db.snapshot())
+    }
+
+    /// `true` while this is still the plan to run against `snap`: the facts
+    /// it was compiled under hold — every table it depends on is the
+    /// incarnation it was bound against (a `register` may have changed the
+    /// schema under the stored column positions, or the declared keys),
+    /// holds the exact row count the program's shape was built for where
+    /// that count is part of the shape, and has no NULL in a column the
+    /// compile saw NULL-free — and no table holds more than
+    /// [`REPLAN_GROWTH`] times the rows the plan was costed with. Appends
+    /// below that factor that keep the facts, and writes to tables the plan
+    /// does not depend on, leave it current — [`PreparedQuery::stats_version`]
+    /// says when it was planned, not whether it must be planned again.
+    pub fn is_current_at(&self, snap: &Snapshot) -> bool {
+        self.broken_fact(snap).is_none()
+            && self.facts.iter().all(|f| {
+                let now = snap.tables.get(&f.table).map_or(usize::MAX, |s| rows(s));
+                now as f64 <= REPLAN_GROWTH * f.rows as f64
+            })
+    }
+
+    /// The first compile-time fact that no longer holds at `snap` — the
+    /// correctness half of [`PreparedQuery::is_current_at`], without the
+    /// growth test (a view keeps its plan while the data grows: re-planning
+    /// would throw its maintenance state away).
+    pub(crate) fn broken_fact(&self, snap: &Snapshot) -> Option<BrokenFact> {
+        self.facts.iter().find_map(|f| {
+            let t = || f.table.clone();
+            let (Some(stored), Some(reg)) =
+                (snap.tables.get(&f.table), snap.registered.get(&f.table))
+            else {
+                return Some(BrokenFact::Replaced(t()));
+            };
+            if reg.version != f.registered {
+                return Some(BrokenFact::Replaced(t()));
+            }
+            if f.exact_rows && rows(stored) != f.rows {
+                return Some(BrokenFact::Resized(t()));
+            }
+            let nulls = stored.stats.as_ref().map(|s| &s.columns)?;
+            let c = *f.not_null.iter().find(|&&c| nulls[c].null_count > 0)?;
+            Some(BrokenFact::Null(t(), stored.schema.fields[c].name.clone()))
         })
     }
 

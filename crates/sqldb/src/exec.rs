@@ -73,21 +73,9 @@ pub struct ExecOptions {
     pub zone_prune: bool,
     /// Per-query lifecycle token: deadline, explicit cancel and memory
     /// budget. Polled at every morsel claim, join-build step and
-    /// aggregation-merge step (see `docs/RESILIENCE.md`). The default is a
-    /// disarmed token that only meters check counts.
+    /// aggregation-merge step (see `docs/RESILIENCE.md`). A disarmed token
+    /// only meters check counts.
     pub cancel: CancelToken,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            threads: pool::default_threads(),
-            fused: false,
-            morsel: 16 * 1024,
-            zone_prune: true,
-            cancel: CancelToken::disarmed(),
-        }
-    }
 }
 
 /// Morsel-body guard: the fault-injection point plus the cooperative
@@ -207,23 +195,8 @@ pub struct ExecMetrics {
     pub dict_pred_tables: u64,
 }
 
-/// Executes a bound query, materializing CTEs in order.
-pub fn execute(db: &Snapshot, q: &BoundQuery, opts: ExecOptions) -> Result<(Batch, Schema)> {
-    let (batch, schema, _) = execute_traced(db, q, opts)?;
-    Ok((batch, schema))
-}
-
-/// Like [`execute`], also returning the run's [`ExecMetrics`].
-pub fn execute_traced(
-    db: &Snapshot,
-    q: &BoundQuery,
-    opts: ExecOptions,
-) -> Result<(Batch, Schema, ExecMetrics)> {
-    execute_with_temps(db, q, FxHashMap::default(), opts, None)
-}
-
-/// Like [`execute_traced`], but execution starts with `temps` pre-seeded
-/// and, optionally, one aggregate resuming a carried [`Fold`].
+/// Executes a bound query, materializing CTEs in order, with `temps`
+/// pre-seeded and, optionally, one aggregate resuming a carried [`Fold`].
 ///
 /// Temporaries shadow same-named base tables (the executor resolves temps
 /// first), which is the delta-execution seam for incremental view

@@ -74,7 +74,7 @@ pub mod plan;
 pub mod stats;
 pub mod table;
 
-pub use db::{Database, EngineConfig, PreparedQuery, Profile, QueryTrace, Snapshot};
-pub use mv::{RefreshMode, ViewState};
+pub use db::{CatalogReads, Database, EngineConfig, PreparedQuery, Profile, QueryTrace, Snapshot};
+pub use mv::{RefreshMode, ViewCompile, ViewState};
 pub use plan::LogicalPlan;
 pub use pytond_common::cancel::CancelToken;

@@ -50,9 +50,10 @@
 //! A published [`ViewState`] stamped with snapshot version *v* is
 //! bit-identical to executing the view's own prepared plan from scratch
 //! against the pinned snapshot *v* (`Value::total_cmp`-identical cells, same
-//! row order). Refresh runs under the same lifecycle machinery as queries —
-//! armed [`CancelToken`] (deadline + memory budget from the view's
-//! [`EngineConfig`] or environment), worker-panic containment, and the
+//! row order). Refresh runs under the same lifecycle machinery as queries
+//! (`Snapshot::run_bound`) — armed [`CancelToken`](pytond_common::CancelToken)
+//! (deadline + memory budget from the view's [`EngineConfig`] or
+//! environment), worker-panic containment, and the
 //! [`FaultSite::ViewPublish`] injection point — and publishes atomically via
 //! [`Versioned`]. A failed, cancelled, or fault-injected refresh publishes
 //! nothing: the view stays at its prior consistent version (staleness is
@@ -73,21 +74,23 @@
 
 use crate::agg::Fold;
 use crate::ast::Query;
-use crate::db::{
-    default_mem_budget_mb, default_timeout_ms, Database, EngineConfig, PreparedQuery, Snapshot,
-};
-use crate::exec::{execute_with_temps, ExecOptions, Resume};
+use crate::db::{CatalogReads, Database, EngineConfig, PreparedQuery, Refresh, Snapshot};
+use crate::exec::Resume;
 use crate::parser::parse_sql;
-use crate::plan::{BoundQuery, JKind, LogicalPlan};
+use crate::plan::{JKind, LogicalPlan};
 use crate::table::{Batch, Chunk, Schema, StoredTable};
-use pytond_common::cancel::CancelToken;
 use pytond_common::fault::{self, FaultSite};
 use pytond_common::hash::FxHashMap;
 use pytond_common::version::Versioned;
-use pytond_common::{pool, Error, Relation, Result};
+use pytond_common::{Error, Relation, Result};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
+
+/// A standing query's compile step: the query lowered against a snapshot,
+/// with what the lowering read of that snapshot's catalog. A SQL view's
+/// returns its parsed tree; a `@pytond` view's compiles its source.
+pub type ViewCompile = Arc<dyn Fn(&Snapshot) -> Result<(Query, CatalogReads)> + Send + Sync>;
 
 /// How the most recent refresh produced the published result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,7 +101,8 @@ pub enum RefreshMode {
     /// delta-agg; a no-op append publishes `Delta` with zero rows).
     Delta,
     /// Full re-execution of the prepared plan (ineligible shape, stale
-    /// maintenance state, or a replaced base table).
+    /// maintenance state, or a plan compiled again because a fact it was
+    /// compiled under no longer holds).
     Recompute,
 }
 
@@ -241,13 +245,10 @@ impl ViewPlan {
 /// inside the database writer critical section).
 #[derive(Debug)]
 struct ViewInner {
+    /// Never executed at a snapshot where a fact it was compiled under no
+    /// longer holds ([`PreparedQuery::broken_fact`]): every refresh or read
+    /// compiles the view again first, and stays stale while that fails.
     plan: ViewPlan,
-    /// Set when a referenced-table replacement invalidated `plan` and the
-    /// re-prepare at replacement time failed. The stored plan binds column
-    /// positions of the *replaced* schema, so nothing may ever execute it
-    /// again — every later refresh or read retries `prepare` from source
-    /// first and stays stale if the view still does not compile.
-    plan_stale: bool,
     /// Snapshot version of the last successful refresh; a refresh may apply
     /// a delta only when it extends exactly this version.
     parent_version: u64,
@@ -268,9 +269,8 @@ struct ViewInner {
 /// published state, and the lock-guarded maintenance internals.
 pub(crate) struct ViewEntry {
     name: String,
-    /// The standing query, kept as the tree it was registered as (parsed
-    /// SQL or a lowered `@pytond` program) so re-planning never re-parses.
-    query: Query,
+    /// The standing query, from source to the tree the plan binds.
+    compile: ViewCompile,
     config: EngineConfig,
     published: Versioned<ViewState>,
     inner: Mutex<ViewInner>,
@@ -426,60 +426,6 @@ fn build_plan(prepared: PreparedQuery) -> ViewPlan {
 // Execution helpers
 // ---------------------------------------------------------------------------
 
-/// Runs a plan against a pinned snapshot with pre-seeded temporaries (and
-/// the view's carried fold, if it has one), under the full query lifecycle: armed [`CancelToken`] (deadline + memory
-/// budget from `config`/environment, label naming the view and version) and
-/// worker-panic containment. The admission gate is deliberately skipped —
-/// maintenance refresh runs inside the writer critical section and must not
-/// queue behind the read load it exists to serve (the initial
-/// materialization runs outside the lock, but shares this path).
-fn run_plan(
-    snap: &Snapshot,
-    q: &BoundQuery,
-    temps: FxHashMap<String, StoredTable>,
-    config: &EngineConfig,
-    label: &str,
-    resume: Option<Resume<'_>>,
-) -> Result<(Batch, Schema)> {
-    let timeout_ms = config
-        .timeout_ms
-        .or_else(default_timeout_ms)
-        .filter(|&ms| ms > 0);
-    let budget_mb = config
-        .mem_budget_mb
-        .or_else(default_mem_budget_mb)
-        .filter(|&mb| mb > 0);
-    let cancel = if timeout_ms.is_some() || budget_mb.is_some() {
-        CancelToken::new()
-    } else {
-        CancelToken::disarmed()
-    };
-    cancel.set_label(label.to_string());
-    if let Some(ms) = timeout_ms {
-        cancel.set_deadline(Duration::from_millis(ms));
-    }
-    if let Some(mb) = budget_mb {
-        cancel.set_budget_bytes(mb.saturating_mul(1024 * 1024));
-    }
-    let opts = ExecOptions {
-        threads: pool::resolve_threads(config.threads),
-        fused: config.profile.fuses(),
-        morsel: config.morsel,
-        zone_prune: config.zone_prune,
-        cancel: cancel.clone(),
-    };
-    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        execute_with_temps(snap, q, temps, opts, resume)
-    }));
-    match run {
-        Ok(r) => r.map(|(batch, schema, _)| (batch, schema)),
-        Err(payload) => Err(Error::Internal(format!(
-            "view refresh '{label}' aborted by worker panic: {}",
-            pool::panic_message(payload.as_ref())
-        ))),
-    }
-}
-
 /// A [`StoredTable`] overlay holding only rows `[from, len)` of `stored` —
 /// the appended suffix a delta execution scans instead of the full table:
 /// the chunks pushed since the view's stamp, shared (the first one trimmed
@@ -512,29 +458,11 @@ fn append_batch(dst: &mut Batch, delta: &Batch) -> Result<()> {
 // Refresh
 // ---------------------------------------------------------------------------
 
-/// What the writer just published.
-#[derive(Clone, Copy)]
-enum Event<'a> {
-    /// `Database::append` grew this table by a suffix.
-    Append(&'a str),
-    /// `Database::register` created or replaced this table.
-    Register(&'a str),
-}
-
-/// Writer hook: refresh every registered view against the snapshot the
-/// append just published. Runs inside the writer critical section; view
-/// failures are contained per view and never fail the append.
-pub(crate) fn on_append(db: &Database, snap: &Arc<Snapshot>, table: &str) {
-    refresh_all(db, snap, Event::Append(table));
-}
-
-/// Writer hook for `register`: views referencing the (re)registered table
-/// re-prepare and recompute; others just advance their stamp.
-pub(crate) fn on_register(db: &Database, snap: &Arc<Snapshot>, table: &str) {
-    refresh_all(db, snap, Event::Register(table));
-}
-
-fn refresh_all(db: &Database, snap: &Arc<Snapshot>, event: Event<'_>) {
+/// Writer hook: refresh every registered view against the snapshot a
+/// `register` or `append` of `table` just published. Runs inside the writer
+/// critical section; view failures are contained per view and never fail
+/// the write.
+pub(crate) fn on_publish(db: &Database, snap: &Arc<Snapshot>, table: &str) {
     let mut entries: Vec<Arc<ViewEntry>> = {
         let views = db.shared.views.lock().expect("view registry poisoned");
         if views.is_empty() {
@@ -546,7 +474,7 @@ fn refresh_all(db: &Database, snap: &Arc<Snapshot>, event: Event<'_>) {
     // seeded fault schedules) must not depend on hash-map iteration order.
     entries.sort_by(|a, b| a.name.cmp(&b.name));
     for entry in entries {
-        entry.refresh(db, snap, event);
+        entry.refresh(snap, table);
     }
 }
 
@@ -560,25 +488,47 @@ impl ViewEntry {
             .collect()
     }
 
+    /// Runs a plan of the view against `snap` with `temps` shadowing base
+    /// tables and, with `resume`, the barrier aggregate resuming a carried
+    /// fold — under the query lifecycle minus admission
+    /// ([`Snapshot::run_bound`]).
+    fn run(
+        &self,
+        prepared: &PreparedQuery,
+        snap: &Snapshot,
+        temps: FxHashMap<String, StoredTable>,
+        resume: Option<Resume<'_>>,
+    ) -> Result<(Batch, Schema)> {
+        let label = format!("mv:{}@v{}", self.name, snap.version());
+        let refresh = Refresh {
+            label,
+            temps,
+            resume,
+        };
+        let run = snap.run_bound(prepared.plan(), &self.config, None, Some(refresh));
+        run.map(|(batch, schema, _)| (batch, schema))
+    }
+
     /// Full recompute of content (and, when the plan is agg-eligible, of the
     /// fold its barrier aggregate leaves behind). Returns `(content, fold,
     /// schema)` without touching `inner` — the caller commits on success.
-    fn recompute(
-        &self,
-        plan: &ViewPlan,
-        snap: &Snapshot,
-        label: &str,
-    ) -> Result<(Batch, Option<Fold>, Schema)> {
+    fn recompute(&self, plan: &ViewPlan, snap: &Snapshot) -> Result<(Batch, Option<Fold>, Schema)> {
         let mut fold = plan.agg.as_ref().map(|_| Fold::default());
-        let (content, schema) = run_plan(
-            snap,
-            plan.prepared.plan(),
-            FxHashMap::default(),
-            &self.config,
-            label,
-            plan.resume(fold.as_mut()),
-        )?;
+        let resume = plan.resume(fold.as_mut());
+        let (content, schema) = self.run(&plan.prepared, snap, FxHashMap::default(), resume)?;
         Ok((content, fold, schema))
+    }
+
+    /// The standing query compiled and prepared against `snap`.
+    fn prepare(&self, snap: &Snapshot) -> Result<PreparedQuery> {
+        let (query, reads) = (self.compile)(snap)?;
+        snap.prepare_query(&query, self.config.profile, &reads)
+            .map_err(|e| {
+                Error::Plan(format!(
+                    "view '{}' does not prepare against the current schema: {e}",
+                    self.name
+                ))
+            })
     }
 
     fn publish(
@@ -605,11 +555,11 @@ impl ViewEntry {
     /// (injected fault, cancellation, budget, panic) leaves the published
     /// state untouched at its prior consistent version and drops the
     /// maintenance state so the next refresh recomputes.
-    fn refresh(&self, db: &Database, snap: &Arc<Snapshot>, event: Event<'_>) {
+    fn refresh(&self, snap: &Arc<Snapshot>, table: &str) {
         let started = Instant::now();
         let mut inner = self.inner.lock().expect("view entry poisoned");
         let inner = &mut *inner;
-        if let Err(e) = self.refresh_event(db, inner, snap, event, started) {
+        if let Err(e) = self.refresh_event(inner, snap, table, started) {
             // Keep the prior consistent version; heal by recompute next time.
             inner.content = None;
             inner.fold = None;
@@ -619,30 +569,22 @@ impl ViewEntry {
 
     fn refresh_event(
         &self,
-        db: &Database,
         inner: &mut ViewInner,
         snap: &Arc<Snapshot>,
-        event: Event<'_>,
+        table: &str,
         started: Instant,
     ) -> Result<()> {
-        if inner.plan_stale {
-            // Stays stale (and unexecuted) until the view compiles again.
-            self.replan(db, inner)?;
-            return self.refresh_full(inner, snap, "plan re-prepared", started);
+        // A fact the plan was compiled under no longer holds (a table it
+        // depends on was replaced, or a column it saw NULL-free holds a
+        // NULL): the plan may bind dead column positions or rely on a
+        // rewrite that is now wrong — compile the view again and recompute.
+        // Stays stale (and unexecuted) until the view compiles again.
+        if let Some(broken) = inner.plan.prepared.broken_fact(snap) {
+            inner.plan = build_plan(self.prepare(snap)?);
+            let reason = format!("re-planned: {broken}");
+            return self.refresh_full(inner, snap, &reason, started);
         }
-        match event {
-            Event::Register(t) => {
-                if !inner.plan.classes.contains_key(&t.to_lowercase()) {
-                    return self.refresh_unreferenced(inner, snap, t, started);
-                }
-                // Referenced table replaced: the stored plan may bind dead
-                // column indices — re-plan, re-classify, and recompute.
-                inner.plan_stale = true;
-                self.replan(db, inner)?;
-                self.refresh_full(inner, snap, "table replaced", started)
-            }
-            Event::Append(t) => self.refresh_append(inner, snap, t, started),
-        }
+        self.refresh_append(inner, snap, table, started)
     }
 
     /// An event on a table the plan does not reference: the result cannot
@@ -678,7 +620,7 @@ impl ViewEntry {
         Ok(())
     }
 
-    /// Full recompute + publish (the fallback and initial path).
+    /// Full recompute + publish (the fallback path).
     fn refresh_full(
         &self,
         inner: &mut ViewInner,
@@ -686,8 +628,7 @@ impl ViewEntry {
         reason: &str,
         started: Instant,
     ) -> Result<()> {
-        let label = format!("mv:{}@v{}", self.name, snap.version());
-        let (content, fold, schema) = self.recompute(&inner.plan, snap, &label)?;
+        let (content, fold, schema) = self.recompute(&inner.plan, snap)?;
         self.fault_gate(snap)?;
         let rel = Arc::new(content.to_relation(&schema));
         let rows = content.num_rows() as u64;
@@ -720,7 +661,9 @@ impl ViewEntry {
         Ok(())
     }
 
-    /// Delta (or fallback) refresh after `append(t)` published `snap`.
+    /// Delta (or fallback) refresh after a write to `t` published `snap`
+    /// without breaking a fact the plan depends on — an append, or a
+    /// `register` of a table the plan does not depend on.
     fn refresh_append(
         &self,
         inner: &mut ViewInner,
@@ -758,7 +701,6 @@ impl ViewEntry {
         agg: bool,
         started: Instant,
     ) -> Result<()> {
-        let label = format!("mv:{}@v{}", self.name, snap.version());
         let old_n = inner.base_rows[key];
         let stored = snap
             .table(key)
@@ -770,14 +712,8 @@ impl ViewEntry {
             let carried = inner.fold.as_mut();
             fold = Some(carried.ok_or_else(|| Error::Internal("view lost its fold".into()))?);
         }
-        let (out, schema) = run_plan(
-            snap,
-            inner.plan.prepared.plan(),
-            temps,
-            &self.config,
-            &label,
-            inner.plan.resume(fold.as_deref_mut()),
-        )?;
+        let resume = inner.plan.resume(fold.as_deref_mut());
+        let (out, schema) = self.run(&inner.plan.prepared, snap, temps, resume)?;
         self.fault_gate(snap)?;
         let rows = fold.map_or(out.num_rows(), |f| f.fed) as u64;
         let content = inner.content.as_mut().expect("checked by caller");
@@ -794,37 +730,79 @@ impl ViewEntry {
         Ok(())
     }
 
-    /// Re-plans the standing query against the current schema and installs
-    /// the fresh maintenance plan. Called when a referenced-table
-    /// replacement invalidated the stored plan: that one binds column
-    /// positions of the *replaced* schema, so it must never execute again
-    /// (a positionally-compatible replacement would silently produce wrong
-    /// rows stamped as fresh). On error the view stays `plan_stale`.
-    fn replan(&self, db: &Database, inner: &mut ViewInner) -> Result<()> {
-        let prepared = db
-            .prepare_query(&self.query, self.config.profile)
-            .map_err(|e| {
-                Error::Plan(format!(
-                    "view '{}' does not prepare against the current schema: {e}",
-                    self.name
-                ))
-            })?;
-        inner.plan = build_plan(prepared);
-        inner.plan_stale = false;
-        inner.content = None;
-        inner.fold = None;
-        Ok(())
-    }
-
-    /// The prepared plan the oracle executes, re-planned first if it went
-    /// stale.
-    fn read_prepared(&self, db: &Database) -> Result<PreparedQuery> {
-        let mut inner = self.inner.lock().expect("view entry poisoned");
-        if inner.plan_stale {
-            self.replan(db, &mut inner)?;
+    /// The plan the oracle executes at `snap`: the view's own, or — where a
+    /// fact it was compiled under no longer holds there — the view compiled
+    /// against `snap`.
+    fn read_prepared(&self, snap: &Snapshot) -> Result<PreparedQuery> {
+        let prepared = self
+            .inner
+            .lock()
+            .expect("view entry poisoned")
+            .plan
+            .prepared
+            .clone();
+        match prepared.broken_fact(snap) {
+            None => Ok(prepared),
+            Some(_) => self.prepare(snap),
         }
-        Ok(inner.plan.prepared.clone())
     }
+}
+
+/// Builds a fully-materialized [`ViewEntry`] compiled, prepared and
+/// materialized against the pinned `snap` (the caller inserts it into the
+/// registry).
+fn materialize_view(
+    key: &str,
+    compile: &ViewCompile,
+    config: &EngineConfig,
+    snap: &Snapshot,
+) -> Result<ViewEntry> {
+    let started = Instant::now();
+    let (query, reads) = compile(snap)?;
+    let plan = build_plan(snap.prepare_query(&query, config.profile, &reads)?);
+    let entry = ViewEntry {
+        name: key.to_string(),
+        compile: compile.clone(),
+        config: *config,
+        // Placeholder published state, replaced below before the entry
+        // becomes visible in the registry.
+        published: Versioned::new(ViewState {
+            name: key.to_string(),
+            rel: Arc::new(Relation::empty()),
+            snapshot_version: snap.version(),
+            mode: RefreshMode::Initial,
+            rows_propagated: 0,
+            reason: String::new(),
+            refresh_ns: 0,
+        }),
+        inner: Mutex::new(ViewInner {
+            plan,
+            parent_version: snap.version(),
+            base_rows: FxHashMap::default(),
+            content: None,
+            fold: None,
+            last_error: None,
+        }),
+    };
+    {
+        let mut inner = entry.inner.lock().expect("fresh entry");
+        let inner = &mut *inner;
+        let (content, fold, schema) = entry.recompute(&inner.plan, snap)?;
+        let rel = Arc::new(content.to_relation(&schema));
+        let rows = content.num_rows() as u64;
+        inner.content = Some(content);
+        inner.fold = fold;
+        inner.base_rows = ViewEntry::base_rows(&inner.plan, snap);
+        entry.publish(
+            snap,
+            rel,
+            RefreshMode::Initial,
+            rows,
+            String::new(),
+            started,
+        );
+    }
+    Ok(entry)
 }
 
 // ---------------------------------------------------------------------------
@@ -847,11 +825,15 @@ impl Database {
     /// (profile, threads, morsel size, deadline and memory budget) applied
     /// to the initial materialization and to every refresh.
     pub fn register_view_with(&self, name: &str, sql: &str, config: &EngineConfig) -> Result<()> {
-        self.register_view_query(name, parse_sql(sql)?, config)
+        let query = parse_sql(sql)?;
+        let compile = move |_: &Snapshot| Ok((query.clone(), CatalogReads::default()));
+        self.register_view_compiled(name, Arc::new(compile), config)
     }
 
-    /// [`Database::register_view_with`] for a standing query that is already
-    /// a tree — what `Pytond::register_view` lowers a `@pytond` program to.
+    /// [`Database::register_view_with`] for a standing query given by its
+    /// compile step — what `Pytond::register_view` hands in for a
+    /// `@pytond` program. The view compiles through it at registration and
+    /// again whenever a fact its plan was compiled under stops holding.
     ///
     /// The initial materialization runs the full standing query, which can
     /// be arbitrarily expensive, so it does **not** hold the database
@@ -861,19 +843,16 @@ impl Database {
     /// new snapshot; after two contended rounds it falls back to
     /// materializing under the lock (guaranteed progress under a hot write
     /// stream, at the cost of stalling writers for that one attempt).
-    pub fn register_view_query(
+    pub fn register_view_compiled(
         &self,
         name: &str,
-        query: Query,
+        compile: ViewCompile,
         config: &EngineConfig,
     ) -> Result<()> {
         let key = name.to_lowercase();
         for _ in 0..2 {
             let snap = self.shared.current.load();
-            let Some(entry) = self.materialize_view(&key, &query, config, &snap)? else {
-                // A register landed between the snapshot pin and prepare.
-                continue;
-            };
+            let entry = materialize_view(&key, &compile, config, &snap)?;
             let writer = self.shared.write.lock().expect("database writer poisoned");
             if self.shared.current.load().version() == snap.version() {
                 self.shared
@@ -888,81 +867,13 @@ impl Database {
             drop(writer);
         }
         let _writer = self.shared.write.lock().expect("database writer poisoned");
-        let snap = self.shared.current.load();
-        let entry = self
-            .materialize_view(&key, &query, config, &snap)?
-            .expect("no writer can intervene while the writer lock is held");
+        let entry = materialize_view(&key, &compile, config, &self.shared.current.load())?;
         self.shared
             .views
             .lock()
             .expect("view registry poisoned")
             .insert(key, Arc::new(entry));
         Ok(())
-    }
-
-    /// Builds a fully-materialized [`ViewEntry`] for `query` against the
-    /// pinned `snap` (the caller inserts it into the registry). Returns
-    /// `Ok(None)` when a concurrent register moved the current snapshot
-    /// between the caller's pin and the prepare — the plan would be bound
-    /// against a different version than the materialization target.
-    fn materialize_view(
-        &self,
-        key: &str,
-        query: &Query,
-        config: &EngineConfig,
-        snap: &Arc<Snapshot>,
-    ) -> Result<Option<ViewEntry>> {
-        let started = Instant::now();
-        let prepared = self.prepare_query(query, config.profile)?;
-        if prepared.stats_version() != snap.version() {
-            return Ok(None);
-        }
-        let plan = build_plan(prepared);
-        let label = format!("mv:{key}@v{}", snap.version());
-        let entry = ViewEntry {
-            name: key.to_string(),
-            query: query.clone(),
-            config: *config,
-            // Placeholder published state, replaced below before the entry
-            // becomes visible in the registry.
-            published: Versioned::new(ViewState {
-                name: key.to_string(),
-                rel: Arc::new(Relation::empty()),
-                snapshot_version: snap.version(),
-                mode: RefreshMode::Initial,
-                rows_propagated: 0,
-                reason: String::new(),
-                refresh_ns: 0,
-            }),
-            inner: Mutex::new(ViewInner {
-                plan,
-                plan_stale: false,
-                parent_version: snap.version(),
-                base_rows: FxHashMap::default(),
-                content: None,
-                fold: None,
-                last_error: None,
-            }),
-        };
-        {
-            let mut inner = entry.inner.lock().expect("fresh entry");
-            let inner = &mut *inner;
-            let (content, fold, schema) = entry.recompute(&inner.plan, snap, &label)?;
-            let rel = Arc::new(content.to_relation(&schema));
-            let rows = content.num_rows() as u64;
-            inner.content = Some(content);
-            inner.fold = fold;
-            inner.base_rows = ViewEntry::base_rows(&inner.plan, snap);
-            entry.publish(
-                snap,
-                rel,
-                RefreshMode::Initial,
-                rows,
-                String::new(),
-                started,
-            );
-        }
-        Ok(Some(entry))
     }
 
     fn view_entry(&self, name: &str) -> Result<Arc<ViewEntry>> {
@@ -997,16 +908,8 @@ impl Database {
     /// recompute on snapshot *v*.
     pub fn view_oracle_at(&self, name: &str, snap: &Snapshot) -> Result<Relation> {
         let entry = self.view_entry(name)?;
-        let prepared = entry.read_prepared(self)?;
-        let label = format!("mv:{}@v{} (oracle)", entry.name, snap.version());
-        let (batch, schema) = run_plan(
-            snap,
-            prepared.plan(),
-            FxHashMap::default(),
-            &entry.config,
-            &label,
-            None,
-        )?;
+        let prepared = entry.read_prepared(snap)?;
+        let (batch, schema) = entry.run(&prepared, snap, FxHashMap::default(), None)?;
         Ok(batch.to_relation(&schema))
     }
 
@@ -1024,8 +927,8 @@ impl Database {
         for (t, class) in tables {
             out.push_str(&format!("\n  {t}: {}", class.render()));
         }
-        if inner.plan_stale {
-            out.push_str("\n  plan: stale (re-prepare pending)");
+        if let Some(broken) = inner.plan.prepared.broken_fact(&self.snapshot()) {
+            out.push_str(&format!("\n  plan: stale ({broken}; re-prepare pending)"));
         }
         if let Some(e) = &inner.last_error {
             out.push_str(&format!("\n  last-error: {e}"));

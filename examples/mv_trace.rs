@@ -7,6 +7,12 @@
 //! (`delta` vs `recompute`), rows propagated and refresh time, plus the
 //! per-table eligibility matrix (see `docs/VIEWS.md`).
 //!
+//! Then a `@pytond` self-join on a declared key, which the IR optimizer
+//! compiles to a single scan while the key holds no NULL: appending a NULL
+//! key breaks that fact, so the view compiles its source again and
+//! recomputes, saying why. The example exits non-zero if that view then
+//! differs from `Pytond::run` of its source.
+//!
 //! ```text
 //! cargo run --release --example mv_trace
 //! ```
@@ -14,7 +20,7 @@
 //! `Database::view_oracle` recomputes any of them from scratch with the
 //! view's own plan — the differential oracle for the delta rules.
 
-use pytond_repro::common::{Column, Relation};
+use pytond_repro::common::{Column, Relation, Value};
 use pytond_repro::pytond::{Backend, Pytond};
 use pytond_repro::sqldb::{EngineConfig, Profile};
 
@@ -27,6 +33,23 @@ def by_key(fact):
     low = fact[fact.k < 25]
     return low.groupby(['k']).agg(n=('v', 'count'), sv=('v', 'sum'))
 "#;
+
+/// A self-join on the declared key `k`: one scan of `keyed` while `k` holds
+/// no NULL, a join (which drops the NULL row) once it does.
+const SELF_JOIN: &str = r#"
+@pytond
+def self_join(keyed):
+    return keyed.merge(keyed, on='k')
+"#;
+
+/// A `(k, v)` table of the given keys.
+fn keyed(k: &[Value]) -> Relation {
+    Relation::new(vec![
+        ("k".into(), Column::from_values(k).expect("int keys")),
+        ("v".into(), Column::from_f64(vec![1.5; k.len()])),
+    ])
+    .expect("keyed relation")
+}
 
 /// `rows` fact rows starting at row id `start`: a group key over 500
 /// distinct values and a float measure.
@@ -99,5 +122,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             state.snapshot_version()
         );
     }
+
+    let keys: Vec<Value> = (0..1_000).map(Value::Int).collect();
+    py.register_table("keyed", keyed(&keys), &[&["k"]]);
+    py.register_view("self_join", SELF_JOIN, &Backend::hyper_sim(0))?;
+    py.append("keyed", &keyed(&[Value::Null, Value::Int(1_000)]))?;
+    println!("--- after appending a NULL key to keyed ---");
+    println!("{}", db.view_trace("self_join")?);
+    let view = db.view("self_join")?.relation().canonicalized();
+    let run = py.run(SELF_JOIN, &Backend::hyper_sim(0))?.canonicalized();
+    if !view.approx_eq(&run, 0.0) {
+        return Err(format!(
+            "self_join view holds {} rows, run of its source returns {}",
+            view.num_rows(),
+            run.num_rows()
+        )
+        .into());
+    }
+    println!(
+        "self_join: {} rows, equal to run of its source",
+        view.num_rows()
+    );
     Ok(())
 }

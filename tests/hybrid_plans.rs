@@ -99,7 +99,10 @@ fn hybrid_covariance_runs_join_and_einsum_as_one_pipeline() {
 
 /// Unique is not non-null: a self-join on a group key or on a declared key
 /// drops the NULL row, and the merged single access must keep dropping it —
-/// every level returns what O0 returns.
+/// every level returns what O0 returns, and so does every way of reaching a
+/// plan after the data moved under it: a carried `Compiled`, the plan cache
+/// and a standing `@pytond` view. Each of those is held against O0 on a
+/// fresh instance loaded with the same rows.
 #[test]
 fn self_join_merge_keeps_dropping_the_null_key() {
     let k = [Value::Int(1), Value::Int(2), Value::Null, Value::Int(3)];
@@ -110,12 +113,26 @@ fn self_join_merge_keeps_dropping_the_null_key() {
         ])
         .unwrap()
     };
+    let ints = |n: i64| (1..=n).map(Value::Int).collect::<Vec<_>>();
+    let backend = Backend::duckdb_sim(1);
+    let reference = |source: &str, keys: &[&[&str]], rows: &[Value]| {
+        let py = Pytond::new();
+        py.register_table("t", rel(rows), keys);
+        py.run_at(source, &backend, OptLevel::O0).unwrap()
+    };
+    let agrees = |want: &Relation, got: &Relation, case: &str| {
+        assert!(
+            want.canonicalized().approx_eq(&got.canonicalized(), 0.0),
+            "{case}: {} rows, O0 on fresh data returns {}",
+            got.num_rows(),
+            want.num_rows()
+        );
+    };
     let grouped = "@pytond\ndef q(t):\n    g = t.groupby(['k']).agg(s=('v', 'sum'))\n    return g.merge(g, on='k')\n";
     let declared = "@pytond\ndef q(t):\n    return t.merge(t, on='k')\n";
     for (source, keys) in [(grouped, &[][..]), (declared, &[&["k"][..]][..])] {
         let py = Pytond::new();
         py.register_table("t", rel(&k), keys);
-        let backend = Backend::duckdb_sim(1);
         let o0 = py.run_at(source, &backend, OptLevel::O0).unwrap();
         assert_eq!(o0.num_rows(), 3, "{source}");
         for level in OptLevel::all() {
@@ -133,6 +150,67 @@ fn self_join_merge_keeps_dropping_the_null_key() {
         let o0 = py.run_at(source, &backend, OptLevel::O0).unwrap();
         let o4 = py.run_at(source, &backend, OptLevel::O4).unwrap();
         assert_eq!((o0.num_rows(), o4.num_rows()), (3, 3), "{source}");
+
+        // 10 rows + [NULL, 11] stays within `REPLAN_GROWTH`: the carried
+        // plan and the standing view must still notice the lost fact.
+        let batch = [Value::Null, Value::Int(11)];
+        let want = reference(source, keys, &[ints(10), batch.to_vec()].concat());
+        let py = Pytond::new();
+        py.register_table("t", rel(&ints(10)), keys);
+        let compiled = py.compile(source, Dialect::DuckDb).unwrap();
+        py.register_view("v", source, &backend).unwrap();
+        py.append("t", &rel(&batch)).unwrap();
+        agrees(
+            &want,
+            &py.execute(&compiled, &backend).unwrap(),
+            "execute within growth",
+        );
+        agrees(
+            &want,
+            py.view("v").unwrap().relation(),
+            "view after a NULL append",
+        );
+        agrees(
+            &want,
+            &py.run(source, &backend).unwrap(),
+            "run within growth",
+        );
+        // Re-registered without the key, as [1, 1, 2]: the view compiles
+        // its source again instead of re-binding the program compiled
+        // under the key.
+        let dup = [Value::Int(1), Value::Int(1), Value::Int(2)];
+        py.register_table("t", rel(&dup), &[]);
+        let want = reference(source, &[], &dup);
+        agrees(
+            &want,
+            py.view("v").unwrap().relation(),
+            "view after re-register",
+        );
+        agrees(
+            &want,
+            &py.run(source, &backend).unwrap(),
+            "run after re-register",
+        );
+
+        // 2 rows + [NULL, 3] is past `REPLAN_GROWTH`: `execute` re-plans
+        // first, and must not leave a plan compiled under the old facts in
+        // the cache for `run` to find.
+        let batch = [Value::Null, Value::Int(3)];
+        let want = reference(source, keys, &[ints(2), batch.to_vec()].concat());
+        let py = Pytond::new();
+        py.register_table("t", rel(&ints(2)), keys);
+        let compiled = py.compile(source, Dialect::DuckDb).unwrap();
+        py.append("t", &rel(&batch)).unwrap();
+        agrees(
+            &want,
+            &py.execute(&compiled, &backend).unwrap(),
+            "execute past growth",
+        );
+        agrees(
+            &want,
+            &py.run(source, &backend).unwrap(),
+            "run after execute",
+        );
     }
 }
 

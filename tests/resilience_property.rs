@@ -11,7 +11,6 @@
 //! (their process-global harness must not race other tests).
 
 use pytond_common::pool::Admission;
-use pytond_common::retry::{retry, RetryPolicy};
 use pytond_common::{CancelToken, Column, Error, Relation};
 use pytond_sqldb::{Database, EngineConfig, Profile};
 use std::time::{Duration, Instant};
@@ -167,8 +166,8 @@ fn memory_budget_aborts_without_poisoning_the_snapshot() {
 }
 
 /// Bounded admission: a full gate rejects with the transient `Overloaded`
-/// instead of queueing forever, and the jittered-backoff `retry` helper
-/// recovers as soon as capacity frees up.
+/// instead of queueing forever, and a caller retrying it recovers as soon
+/// as capacity frees up.
 #[test]
 fn overloaded_admission_sheds_and_retry_recovers() {
     let gate = Admission::with_capacity(1);
@@ -185,29 +184,20 @@ fn overloaded_admission_sheds_and_retry_recovers() {
         .unwrap_err();
     assert!(matches!(err, Error::Overloaded(_)), "{err}");
 
-    // retry: the first attempt sheds, the slot frees, the second succeeds.
+    // Retry: the first attempt sheds, the slot frees, the second succeeds.
     let mut held = Some(held);
-    let admitted_at = retry(RetryPolicy::default(), |attempt| {
-        if attempt >= 1 {
-            held.take();
+    let mut attempt = 0;
+    let admitted_at = loop {
+        match gate.admit_within(Some(Duration::ZERO)) {
+            Ok(_ticket) => break attempt,
+            Err(e) if e.is_transient() && attempt < 3 => {
+                held.take();
+                attempt += 1;
+            }
+            Err(e) => panic!("admission did not recover: {e}"),
         }
-        gate.admit_within(Some(Duration::ZERO)).map(|t| {
-            drop(t);
-            attempt
-        })
-    })
-    .unwrap();
+    };
     assert_eq!(admitted_at, 1);
-
-    // Permanent errors are not retried.
-    let mut calls = 0u32;
-    let err = retry(RetryPolicy::default(), |_| -> Result<(), Error> {
-        calls += 1;
-        Err(Error::Data("schema mismatch".into()))
-    })
-    .unwrap_err();
-    assert!(matches!(err, Error::Data(_)));
-    assert_eq!(calls, 1);
 }
 
 /// The EXPLAIN/trace header reports the lifecycle limits in force, and the
