@@ -11,8 +11,3 @@ pub fn integer(name: &str) -> Option<u64> {
 pub fn positive_u64(name: &str) -> Option<u64> {
     integer(name).filter(|&n| n > 0)
 }
-
-/// `true` when `name` is set, non-empty and not `0`.
-pub fn flag(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| !matches!(v.trim(), "" | "0"))
-}

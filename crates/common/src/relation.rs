@@ -92,23 +92,6 @@ impl Relation {
         &self.cols
     }
 
-    /// Adds a column; its length must match.
-    pub fn push_column(&mut self, name: impl Into<String>, col: Column) -> Result<()> {
-        let name = name.into();
-        if !self.cols.is_empty() && col.len() != self.num_rows() {
-            return Err(Error::Data(format!(
-                "column '{name}' has {} rows, expected {}",
-                col.len(),
-                self.num_rows()
-            )));
-        }
-        if self.column(&name).is_some() {
-            return Err(Error::Data(format!("duplicate column '{name}'")));
-        }
-        self.cols.push((name, col));
-        Ok(())
-    }
-
     /// Reads a single cell.
     pub fn get(&self, row: usize, col: &str) -> Option<Value> {
         self.column(col).map(|c| c.get(row))

@@ -22,8 +22,8 @@
 //! ```
 //!
 //! A compile pins one database snapshot and reads the catalog it derives.
-//! Prepared plans are cached per `(source, opt level, profile)` across 16
-//! lock shards, and a hit is validated against the facts the plan was
+//! Prepared plans are cached per `(source, opt level, profile)` under one
+//! lock, and a hit is validated against the facts the plan was
 //! compiled under ([`PreparedQuery::is_current`]): the next execution
 //! transparently compiles again once a table it depends on was
 //! re-registered, lost a NULL-free column the optimizer relied on, or has
@@ -78,7 +78,7 @@ pub use pytond_sqldb::{
 };
 pub use pytond_sqlgen::Dialect;
 
-use pytond_common::hash::{FxHashMap, FxHasher};
+use pytond_common::hash::FxHashMap;
 use pytond_common::{Error, Relation, Result};
 use pytond_sqldb::ast::Query;
 use pytond_sqldb::lower::lower_program;
@@ -86,8 +86,7 @@ use pytond_sqldb::CatalogReads;
 use pytond_tondir::analysis::referenced_relations;
 use pytond_tondir::{Catalog, Program};
 use std::collections::VecDeque;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A named backend: engine profile + thread count (the paper's
 /// DuckDB/Hyper/LingoDB × 1–4 threads matrix).
@@ -242,122 +241,57 @@ impl Compiled {
 /// Key of one cached prepared plan: the full source text (not a hash — a
 /// 64-bit digest could collide and silently serve the wrong plan) × opt
 /// level × profile. Whether a found plan is still the one to run is not the
-/// key's business: a hit is validated ([`Pytond::cached`]) and a re-plan
-/// overwrites the entry in place.
+/// key's business: a hit is validated ([`PreparedQuery::is_current_at`])
+/// and a re-plan replaces the entry.
 type PlanKey = (String, OptLevel, Profile);
 
-/// Lock shards in the plan cache: concurrent clients compiling or looking
-/// up different sources contend on different mutexes.
-const PLAN_CACHE_SHARDS: usize = 16;
-
-/// Soft cap on cached plans across all shards (each shard holds at most
-/// `PLAN_CACHE_CAP / PLAN_CACHE_SHARDS`). When an insert finds its shard
-/// full, the shard evicts its oldest entries first — O(1) amortized, see
-/// [`CacheShard`].
+/// Cap on cached plans. Inserting a new key at the cap evicts the key
+/// inserted longest ago.
 const PLAN_CACHE_CAP: usize = 512;
 
-/// Per-shard entry cap.
-const SHARD_CAP: usize = PLAN_CACHE_CAP / PLAN_CACHE_SHARDS;
-
-/// One cached plan + the FIFO stamp of its most recent insert (used to
-/// recognize stale FIFO records, see [`CacheShard::insert`]).
-#[derive(Debug)]
-struct CacheEntry {
-    plan: Arc<PreparedQuery>,
-    stamp: u64,
-}
-
-/// One lock shard of the plan cache: a map plus an insertion-order queue
-/// that makes eviction O(1) amortized (the previous design scanned the
-/// whole map under the lock on every insert at the cap).
-///
-/// Every insert pushes `(key, stamp)` onto the FIFO and records the stamp
-/// in the map entry. Re-inserting an existing key refreshes the stamp, so
-/// the key's older FIFO records no longer match and are skipped (and
-/// discarded) when popped. Each FIFO record is pushed once and popped at
-/// most once — eviction work is constant per insert, regardless of map
-/// size.
+/// The prepared-plan cache: one lock over the map and the insertion order
+/// of its keys. The lock covers one lookup or one insert; compiles and
+/// [`PreparedQuery::is_current_at`] run outside it.
 #[derive(Debug, Default)]
-struct CacheShard {
-    map: FxHashMap<PlanKey, CacheEntry>,
-    fifo: VecDeque<(PlanKey, u64)>,
-    next_stamp: u64,
-}
-
-impl CacheShard {
-    fn lookup(&self, key: &PlanKey) -> Option<Arc<PreparedQuery>> {
-        self.map.get(key).map(|e| e.plan.clone())
-    }
-
-    fn insert(&mut self, key: PlanKey, plan: Arc<PreparedQuery>) {
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
-        if self
-            .map
-            .insert(key.clone(), CacheEntry { plan, stamp })
-            .is_none()
-        {
-            // A genuinely new key: make room by retiring oldest-inserted
-            // entries. FIFO records whose stamp no longer matches the map
-            // are leftovers of a key that was re-inserted later — drop
-            // them without evicting.
-            while self.map.len() > SHARD_CAP {
-                let (old_key, old_stamp) = self
-                    .fifo
-                    .pop_front()
-                    .expect("cache FIFO lost track of a live entry");
-                if self.map.get(&old_key).is_some_and(|e| e.stamp == old_stamp) {
-                    self.map.remove(&old_key);
-                }
-            }
-        }
-        self.fifo.push_back((key, stamp));
-    }
-}
-
-/// The sharded prepared-plan cache: `PLAN_CACHE_SHARDS` independent
-/// mutexes, selected by key hash.
-#[derive(Debug)]
 struct PlanCache {
-    shards: Vec<Mutex<CacheShard>>,
+    state: Mutex<CacheState>,
 }
 
-impl Default for PlanCache {
-    fn default() -> PlanCache {
-        PlanCache {
-            shards: (0..PLAN_CACHE_SHARDS)
-                .map(|_| Mutex::new(CacheShard::default()))
-                .collect(),
-        }
-    }
+#[derive(Debug, Default)]
+struct CacheState {
+    map: FxHashMap<PlanKey, Arc<PreparedQuery>>,
+    /// Every cached key once, oldest insert first.
+    order: VecDeque<PlanKey>,
 }
 
 impl PlanCache {
-    fn shard(&self, key: &PlanKey) -> &Mutex<CacheShard> {
-        let mut h = FxHasher::default();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % PLAN_CACHE_SHARDS]
+    fn state(&self) -> MutexGuard<'_, CacheState> {
+        self.state.lock().expect("plan cache poisoned")
     }
 
     fn lookup(&self, key: &PlanKey) -> Option<Arc<PreparedQuery>> {
-        self.shard(key)
-            .lock()
-            .expect("plan cache shard poisoned")
-            .lookup(key)
+        self.state().map.get(key).cloned()
     }
 
+    /// Caches `plan` under `key` and moves the key to the back of the
+    /// insertion order. A re-plan pays a scan of at most
+    /// [`PLAN_CACHE_CAP`] keys, after a full compile.
     fn insert(&self, key: PlanKey, plan: Arc<PreparedQuery>) {
-        self.shard(&key)
-            .lock()
-            .expect("plan cache shard poisoned")
-            .insert(key, plan);
+        let mut state = self.state();
+        if state.map.insert(key.clone(), plan).is_some() {
+            state.order.retain(|k| *k != key);
+        } else if state.map.len() > PLAN_CACHE_CAP {
+            let oldest = state
+                .order
+                .pop_front()
+                .expect("a full cache has an oldest key");
+            state.map.remove(&oldest);
+        }
+        state.order.push_back(key);
     }
 
     fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("plan cache shard poisoned").map.len())
-            .sum()
+        self.state().map.len()
     }
 }
 
@@ -374,7 +308,7 @@ impl PlanCache {
 #[derive(Debug, Default)]
 pub struct Pytond {
     db: Database,
-    /// Sharded prepared-plan cache for [`Pytond::run`]/[`Pytond::run_at`].
+    /// Prepared-plan cache for [`Pytond::run`]/[`Pytond::run_at`].
     plan_cache: PlanCache,
 }
 
@@ -592,17 +526,16 @@ impl Pytond {
         self.db.view_trace(name)
     }
 
-    /// Number of prepared plans currently cached, summed across the lock
-    /// shards. Bounded by [`Pytond::plan_cache_capacity`] — the cache-bound
-    /// regression suite asserts on this.
+    /// Number of prepared plans currently cached. Bounded by
+    /// [`Pytond::plan_cache_capacity`] — the cache-bound regression suite
+    /// asserts on this.
     pub fn cached_plans(&self) -> usize {
         self.plan_cache.len()
     }
 
-    /// Upper bound on [`Pytond::cached_plans`]: the per-shard FIFO cap
-    /// times the shard count.
+    /// Upper bound on [`Pytond::cached_plans`].
     pub fn plan_cache_capacity(&self) -> usize {
-        SHARD_CAP * PLAN_CACHE_SHARDS
+        PLAN_CACHE_CAP
     }
 }
 
@@ -961,9 +894,9 @@ mod tests {
         assert_send_sync::<Database>();
     }
 
-    /// The cache-bound regression for the O(1)-amortized sharded eviction:
-    /// feeding far more distinct sources than the capacity must (a) keep
-    /// the total entry count at or under the cap, (b) keep recently
+    /// The cache-bound regression through the facade: feeding far more
+    /// distinct sources than the capacity must (a) keep the total entry
+    /// count at or under the cap, (b) keep recently
     /// inserted plans cached (FIFO evicts oldest-first, not wholesale
     /// clears), and (c) keep re-inserted keys correct.
     #[test]
@@ -994,6 +927,38 @@ mod tests {
         assert_eq!(py.cached_plans(), before);
         let c = py.prepare(&last, &backend, OptLevel::O4).unwrap();
         assert!(Arc::ptr_eq(&a, &c));
+    }
+
+    /// The cache's eviction order: at the cap, a new key evicts the key
+    /// inserted longest ago, and re-inserting a key replaces its plan and
+    /// moves it to the back.
+    #[test]
+    fn plan_cache_evicts_in_insertion_order() {
+        let py = instance();
+        let backend = Backend::duckdb_sim(1);
+        let plan = |src: &str| py.prepare(src, &backend, OptLevel::O4).unwrap();
+        let old = plan("@pytond\ndef q(t):\n    return t[t.v > 1]\n");
+        let new = plan("@pytond\ndef q(t):\n    return t[t.v > 2]\n");
+        let key = |i: usize| (format!("source {i}"), OptLevel::O4, Profile::Vectorized);
+        let cache = PlanCache::default();
+        for i in 0..PLAN_CACHE_CAP {
+            cache.insert(key(i), old.clone());
+        }
+        assert_eq!(cache.len(), PLAN_CACHE_CAP);
+        // A re-plan of key 0: same count, new plan, key 1 is now the oldest.
+        cache.insert(key(0), new.clone());
+        assert_eq!(cache.len(), PLAN_CACHE_CAP);
+        assert!(Arc::ptr_eq(&cache.lookup(&key(0)).unwrap(), &new));
+        for (evicted, i) in (1..3).zip(PLAN_CACHE_CAP..) {
+            cache.insert(key(i), old.clone());
+            assert_eq!(cache.len(), PLAN_CACHE_CAP);
+            assert!(
+                cache.lookup(&key(evicted)).is_none(),
+                "key {evicted} outlived its turn"
+            );
+        }
+        assert!((3..PLAN_CACHE_CAP + 2).all(|i| cache.lookup(&key(i)).is_some()));
+        assert!(cache.lookup(&key(0)).is_some());
     }
 
     #[test]

@@ -17,123 +17,6 @@
 use pytond_common::hash::FxHashMap;
 use pytond_tondir::{Atom, Catalog, Program, Rule, Term};
 
-/// Unique column sets per relation name at each point of the program.
-#[derive(Debug, Clone, Default)]
-pub struct UniqueSets {
-    map: FxHashMap<String, Vec<Vec<String>>>,
-}
-
-impl UniqueSets {
-    /// Seeds from the catalog and walks the program, inferring per-rule keys.
-    pub fn infer(program: &Program, catalog: &Catalog) -> UniqueSets {
-        let mut u = UniqueSets::default();
-        for t in catalog.tables() {
-            u.map.insert(t.name.clone(), t.unique.clone());
-        }
-        for rule in &program.rules {
-            let keys = u.rule_keys(rule);
-            u.map.insert(rule.head.rel.clone(), keys);
-        }
-        u
-    }
-
-    /// Unique column sets of a relation.
-    pub fn of(&self, rel: &str) -> &[Vec<String>] {
-        self.map.get(rel).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// `true` when `cols` contains a unique key of `rel`.
-    pub fn is_unique_key(&self, rel: &str, cols: &[&str]) -> bool {
-        self.of(rel)
-            .iter()
-            .any(|key| !key.is_empty() && key.iter().all(|k| cols.contains(&k.as_str())))
-    }
-
-    fn rule_keys(&self, rule: &Rule) -> Vec<Vec<String>> {
-        let mut keys: Vec<Vec<String>> = Vec::new();
-        // group(...) head: the group keys are unique in the output.
-        if let Some(group) = &rule.head.group {
-            let cols: Vec<String> = rule
-                .head
-                .cols
-                .iter()
-                .filter(|(_, v)| group.contains(v))
-                .map(|(c, _)| c.clone())
-                .collect();
-            if cols.len() == group.len() {
-                keys.push(cols);
-            }
-        }
-        // distinct head: the full column set is unique.
-        if rule.head.distinct {
-            keys.push(rule.head.cols.iter().map(|(c, _)| c.clone()).collect());
-        }
-        // uid() assignment exported through the head.
-        for atom in &rule.body.atoms {
-            if let Atom::Assign { var, term } = atom {
-                if matches!(term, Term::Ext { func, .. } if func == "uid") {
-                    for (c, v) in &rule.head.cols {
-                        if v == var {
-                            keys.push(vec![c.clone()]);
-                        }
-                    }
-                }
-            }
-        }
-        // Single-access rules without grouping propagate source keys
-        // (filters/projections preserve uniqueness of surviving columns).
-        let accesses: Vec<&Atom> = rule
-            .body
-            .atoms
-            .iter()
-            .filter(|a| matches!(a, Atom::Rel { .. }))
-            .collect();
-        if accesses.len() == 1 && rule.head.group.is_none() {
-            if let Atom::Rel { rel, vars, .. } = accesses[0] {
-                // var → source column position → source column name needs the
-                // source schema; we only know positions, so map through the
-                // defining head/catalog by position index stored in var order.
-                for key in self.of(rel).to_vec() {
-                    // Translate source cols to this rule's head cols: source
-                    // col at position p binds vars[p]; find head col with that
-                    // var.
-                    let positions = self.key_positions(rel, &key);
-                    let mut mapped = Vec::new();
-                    let mut ok = !positions.is_empty();
-                    for p in positions {
-                        let Some(var) = vars.get(p) else {
-                            ok = false;
-                            break;
-                        };
-                        match rule.head.cols.iter().find(|(_, v)| v == var) {
-                            Some((c, _)) => mapped.push(c.clone()),
-                            None => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    if ok {
-                        keys.push(mapped);
-                    }
-                }
-            }
-        }
-        keys.sort();
-        keys.dedup();
-        keys
-    }
-
-    /// Positions of `key` columns inside `rel`'s schema. We reconstruct the
-    /// schema from whichever defining head or catalog entry registered it —
-    /// stored here as the order of the unique-set owner's columns.
-    fn key_positions(&self, _rel: &str, _key: &[String]) -> Vec<usize> {
-        // Positions require the relation schema; resolved by the caller in
-        // `infer_with_schemas`. This basic variant is overridden below.
-        Vec::new()
-    }
-}
-
 /// Schema-aware uniqueness inference (the entry point passes used by O2/O3).
 pub fn infer_with_schemas(program: &Program, catalog: &Catalog) -> SchemaUnique {
     let mut schemas: FxHashMap<String, Vec<String>> = FxHashMap::default();

@@ -11,15 +11,6 @@ pub fn rel(relname: &str, alias: &str, vars: &[&str]) -> Atom {
     }
 }
 
-/// Relation-access atom from owned variable names.
-pub fn rel_owned(relname: &str, alias: &str, vars: Vec<String>) -> Atom {
-    Atom::Rel {
-        rel: relname.to_string(),
-        alias: alias.to_string(),
-        vars,
-    }
-}
-
 /// Assignment atom.
 pub fn assign(var: &str, term: Term) -> Atom {
     Atom::Assign {

@@ -233,11 +233,6 @@ impl TpchData {
             ("lineitem", &self.lineitem, vec![]),
         ]
     }
-
-    /// Total row count across all tables.
-    pub fn total_rows(&self) -> usize {
-        self.tables().iter().map(|(_, r, _)| r.num_rows()).sum()
-    }
 }
 
 fn words(rng: &mut StdRng, n: usize) -> String {
