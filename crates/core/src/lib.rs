@@ -172,21 +172,6 @@ impl Backend {
         }
     }
 
-    /// A copy of this backend with a per-query deadline (overrides the
-    /// `PYTOND_QUERY_TIMEOUT_MS` default for queries run through it;
-    /// `0` disables the deadline entirely).
-    pub fn with_timeout_ms(mut self, ms: u64) -> Backend {
-        self.timeout_ms = Some(ms);
-        self
-    }
-
-    /// A copy of this backend with a per-query memory budget in MiB
-    /// (overrides the `PYTOND_QUERY_MEM_MB` default; `0` disables it).
-    pub fn with_mem_budget_mb(mut self, mb: u64) -> Backend {
-        self.mem_budget_mb = Some(mb);
-        self
-    }
-
     /// Engine configuration.
     pub fn config(&self) -> EngineConfig {
         EngineConfig::new(self.profile, self.threads)
@@ -211,8 +196,6 @@ pub struct Compiled {
     /// The `@pytond` source this was compiled from (the plan-cache key, so
     /// [`Pytond::execute`] can share re-planned entries with [`Pytond::run`]).
     pub source: String,
-    /// TondIR straight out of translation (the "Grizzly-simulated" program).
-    pub raw_ir: Program,
     /// TondIR after optimization.
     pub optimized_ir: Program,
     /// Generated SQL text — the *export* rendering for the dialect's real
@@ -365,7 +348,7 @@ impl Pytond {
     /// printer (SQL export).
     pub fn compile_at(&self, source: &str, dialect: Dialect, level: OptLevel) -> Result<Compiled> {
         let snap = self.db.snapshot();
-        let (raw_ir, optimized_ir, query, reads) = lower(&snap, source, level, Program::clone)?;
+        let (optimized_ir, query, reads) = lower(&snap, source, level)?;
         let sql = pytond_sqlgen::render(&query, dialect);
         // Profile-gated queries (e.g. window functions on the LingoDB
         // profile) must still *compile*: the SQL export targets the paper's
@@ -379,7 +362,6 @@ impl Pytond {
         };
         Ok(Compiled {
             source: source.to_string(),
-            raw_ir,
             optimized_ir,
             sql,
             level,
@@ -433,7 +415,7 @@ impl Pytond {
                 return Ok(plan);
             }
         }
-        let (_, _, query, reads) = lower(snap, source, level, |_| ())?;
+        let (_, query, reads) = lower(snap, source, level)?;
         self.plan(snap, key, &query, &reads)
     }
 
@@ -500,7 +482,7 @@ impl Pytond {
     ) -> Result<()> {
         let (view, source) = (name.to_string(), source.to_string());
         let compile = move |snap: &Snapshot| {
-            let (_, _, query, reads) = lower(snap, &source, OptLevel::O4, |_| ())?;
+            let (_, query, reads) = lower(snap, &source, OptLevel::O4)?;
             if let Some(table) = reads.exact_rows.first() {
                 return Err(Error::Unsupported(format!(
                     "view '{view}': the program's shape depends on the row count of '{table}'"
@@ -546,22 +528,14 @@ fn plan_key(source: &str, level: OptLevel, profile: Profile) -> PlanKey {
 
 /// The front half of every compile, source to lowered query against one
 /// pinned snapshot's catalog: translate → validate → optimize → validate →
-/// lower. Returns what `keep` takes of the raw IR before the optimizer
-/// consumes it (a clone for `compile_at`, nothing on the serving paths), the
-/// optimized IR, the query lowered from it and what the compile read of the
-/// catalog: the base tables the raw IR reads, and those whose row count
-/// translation shaped the program by.
-fn lower<R>(
-    snap: &Snapshot,
-    source: &str,
-    level: OptLevel,
-    keep: impl FnOnce(&Program) -> R,
-) -> Result<(R, Program, Query, CatalogReads)> {
+/// lower. Returns the optimized IR, the query lowered from it and what the
+/// compile read of the catalog: the base tables the raw IR reads, and those
+/// whose row count translation shaped the program by.
+fn lower(snap: &Snapshot, source: &str, level: OptLevel) -> Result<(Program, Query, CatalogReads)> {
     let catalog = snap.catalog();
     let translated = pytond_translate::translate_source(source, &catalog)?;
     let raw_ir = translated.program;
     pytond_tondir::analysis::validate(&raw_ir, &catalog)?;
-    let kept = keep(&raw_ir);
     let mut tables: Vec<String> = raw_ir
         .rules
         .iter()
@@ -577,7 +551,7 @@ fn lower<R>(
     let optimized_ir = pytond_optimizer::optimize(raw_ir, &catalog, level);
     pytond_tondir::analysis::validate(&optimized_ir, &catalog)?;
     let query = lower_program(&optimized_ir, &catalog)?;
-    Ok((kept, optimized_ir, query, reads))
+    Ok((optimized_ir, query, reads))
 }
 
 #[cfg(test)]

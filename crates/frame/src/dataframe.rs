@@ -211,18 +211,6 @@ impl DataFrame {
         merge(self, other, how, left_on, right_on, ("_x", "_y"))
     }
 
-    /// [`DataFrame::merge`] with custom suffixes.
-    pub fn merge_suffixes(
-        &self,
-        other: &DataFrame,
-        how: JoinHow,
-        left_on: &[&str],
-        right_on: &[&str],
-        suffixes: (&str, &str),
-    ) -> Result<DataFrame> {
-        merge(self, other, how, left_on, right_on, suffixes)
-    }
-
     /// `df.groupby(by)` — returns a lazy group-by handle.
     pub fn groupby<'a>(&'a self, by: &[&str]) -> Result<GroupBy<'a>> {
         GroupBy::new(self, by)

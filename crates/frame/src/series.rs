@@ -119,19 +119,9 @@ impl Series {
         self.map_numeric(|x| x + v)
     }
 
-    /// Subtracts a scalar.
-    pub fn sub_scalar(&self, v: f64) -> Result<Series> {
-        self.map_numeric(|x| x - v)
-    }
-
     /// Multiplies by a scalar.
     pub fn mul_scalar(&self, v: f64) -> Result<Series> {
         self.map_numeric(|x| x * v)
-    }
-
-    /// Divides by a scalar.
-    pub fn div_scalar(&self, v: f64) -> Result<Series> {
-        self.map_numeric(|x| x / v)
     }
 
     /// Applies a float function element-wise (preserving nulls).
@@ -222,18 +212,6 @@ impl Series {
         self.compare(|i| other.get(i), |o| o == std::cmp::Ordering::Equal)
     }
 
-    /// Element-wise `!=` against another series.
-    pub fn ne_series(&self, other: &Series) -> Series {
-        let mut out = Vec::with_capacity(self.len());
-        for i in 0..self.len() {
-            out.push(matches!(
-                self.get(i).sql_cmp(&other.get(i)),
-                Some(o) if o != std::cmp::Ordering::Equal
-            ));
-        }
-        Series::new(self.name.clone(), Column::from_bool(out))
-    }
-
     /// Element-wise `<` against another series.
     pub fn lt_series(&self, other: &Series) -> Series {
         self.compare(|i| other.get(i), |o| o == std::cmp::Ordering::Less)
@@ -242,16 +220,6 @@ impl Series {
     /// Element-wise `>` against another series.
     pub fn gt_series(&self, other: &Series) -> Series {
         self.compare(|i| other.get(i), |o| o == std::cmp::Ordering::Greater)
-    }
-
-    /// Element-wise `<=` against another series.
-    pub fn le_series(&self, other: &Series) -> Series {
-        self.compare(|i| other.get(i), |o| o != std::cmp::Ordering::Greater)
-    }
-
-    /// Element-wise `>=` against another series.
-    pub fn ge_series(&self, other: &Series) -> Series {
-        self.compare(|i| other.get(i), |o| o != std::cmp::Ordering::Less)
     }
 
     // ---------------- boolean masks ----------------

@@ -65,27 +65,14 @@ pub fn eliminate_group_aggregates(mut program: Program, catalog: &Catalog) -> Pr
 /// Replaces aggregates with their single-row equivalents:
 /// `sum/min/max/avg(x)` → `x`, `count(x)` → `1`, `count_distinct(x)` → `1`.
 fn strip_aggregates(term: &mut Term) {
-    match term {
-        Term::Agg { func, arg } => {
-            let replacement = match func {
-                AggFunc::Count | AggFunc::CountDistinct => Term::int(1),
-                _ => (**arg).clone(),
-            };
-            *term = replacement;
-            strip_aggregates(term);
-        }
-        Term::Ext { args, .. } => args.iter_mut().for_each(strip_aggregates),
-        Term::If { cond, then, els } => {
-            strip_aggregates(cond);
-            strip_aggregates(then);
-            strip_aggregates(els);
-        }
-        Term::Bin { lhs, rhs, .. } => {
-            strip_aggregates(lhs);
-            strip_aggregates(rhs);
-        }
-        Term::Not(t) | Term::IsNull(t) => strip_aggregates(t),
-        Term::Var(_) | Term::Const(_) => {}
+    if let Term::Agg { func, arg } = term {
+        *term = match func {
+            AggFunc::Count | AggFunc::CountDistinct => Term::int(1),
+            _ => (**arg).clone(),
+        };
+        strip_aggregates(term);
+    } else {
+        term.for_each_child_mut(strip_aggregates);
     }
 }
 

@@ -1045,30 +1045,15 @@ fn order_commutative(e: &mut BExpr, types: &[DType]) {
         BExpr::Col(i) => (0, *i),
         _ => (1, 0),
     };
-    match e {
-        BExpr::Bin { op, l, r } => {
-            order_commutative(l, types);
-            order_commutative(r, types);
-            if matches!(op, BinOp::Add | BinOp::Mul)
-                && rank(l) > rank(r)
-                && l.dtype(types).is_numeric()
-                && r.dtype(types).is_numeric()
-            {
-                std::mem::swap(l, r);
-            }
+    e.for_each_child_mut(|c| order_commutative(c, types));
+    if let BExpr::Bin { op, l, r } = e {
+        if matches!(op, BinOp::Add | BinOp::Mul)
+            && rank(l) > rank(r)
+            && l.dtype(types).is_numeric()
+            && r.dtype(types).is_numeric()
+        {
+            std::mem::swap(l, r);
         }
-        BExpr::Not(e) | BExpr::Neg(e) | BExpr::Cast { e, .. } => order_commutative(e, types),
-        BExpr::Func { args, .. } => args.iter_mut().for_each(|a| order_commutative(a, types)),
-        BExpr::Case { arms, else_value } => {
-            for (c, v) in arms {
-                order_commutative(c, types);
-                order_commutative(v, types);
-            }
-            if let Some(e) = else_value {
-                order_commutative(e, types);
-            }
-        }
-        _ => {}
     }
 }
 
@@ -1243,6 +1228,20 @@ mod tests {
 
     fn ints(rel: &Relation, col: &str) -> Vec<i64> {
         rel.column(col).unwrap().as_int().to_vec()
+    }
+
+    /// Commutative operands are ordered under every operator, `IS NULL` and
+    /// `IN` included, so the two spellings below are one aggregate.
+    #[test]
+    fn commuted_operands_under_any_operator_share_one_aggregate() {
+        for test in ["IS NULL", "IN (40, 90)"] {
+            let (_, explain, out) = bound(&format!(
+                "SELECT SUM(CASE WHEN (w * k) {test} THEN 0 ELSE 1 END) AS x, \
+                        SUM(CASE WHEN (k * w) {test} THEN 0 ELSE 1 END) AS y FROM u"
+            ));
+            assert!(explain.contains("1 aggs"), "{test}: {explain}");
+            assert_eq!(ints(&out, "x"), ints(&out, "y"), "{test}");
+        }
     }
 
     /// The rule-per-CTE chain PyTond emits: every CTE referenced once, so

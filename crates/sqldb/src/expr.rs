@@ -345,6 +345,62 @@ impl std::fmt::Display for BExpr {
 }
 
 impl BExpr {
+    /// Calls `f` on each direct sub-expression, in operand order (CASE:
+    /// each arm's condition then value, then ELSE). The one place that lists
+    /// an expression's children; every walk recurses through it.
+    pub fn for_each_child(&self, mut f: impl FnMut(&BExpr)) {
+        match self {
+            BExpr::Col(_) | BExpr::Lit(_) => {}
+            BExpr::Bin { l, r, .. } => {
+                f(l);
+                f(r);
+            }
+            BExpr::Not(e)
+            | BExpr::Neg(e)
+            | BExpr::IsNull { e, .. }
+            | BExpr::Like { e, .. }
+            | BExpr::InList { e, .. }
+            | BExpr::Cast { e, .. } => f(e),
+            BExpr::Case { arms, else_value } => {
+                for (c, v) in arms {
+                    f(c);
+                    f(v);
+                }
+                if let Some(e) = else_value {
+                    f(e);
+                }
+            }
+            BExpr::Func { args, .. } => args.iter().for_each(f),
+        }
+    }
+
+    /// [`BExpr::for_each_child`] with mutable access.
+    pub fn for_each_child_mut(&mut self, mut f: impl FnMut(&mut BExpr)) {
+        match self {
+            BExpr::Col(_) | BExpr::Lit(_) => {}
+            BExpr::Bin { l, r, .. } => {
+                f(l);
+                f(r);
+            }
+            BExpr::Not(e)
+            | BExpr::Neg(e)
+            | BExpr::IsNull { e, .. }
+            | BExpr::Like { e, .. }
+            | BExpr::InList { e, .. }
+            | BExpr::Cast { e, .. } => f(e),
+            BExpr::Case { arms, else_value } => {
+                for (c, v) in arms {
+                    f(c);
+                    f(v);
+                }
+                if let Some(e) = else_value {
+                    f(e);
+                }
+            }
+            BExpr::Func { args, .. } => args.iter_mut().for_each(f),
+        }
+    }
+
     /// Collects the input column indices the expression touches.
     pub fn columns_used(&self, out: &mut Vec<usize>) {
         match self {
@@ -353,26 +409,7 @@ impl BExpr {
                     out.push(*i);
                 }
             }
-            BExpr::Lit(_) => {}
-            BExpr::Bin { l, r, .. } => {
-                l.columns_used(out);
-                r.columns_used(out);
-            }
-            BExpr::Not(e) | BExpr::Neg(e) => e.columns_used(out),
-            BExpr::IsNull { e, .. } | BExpr::Like { e, .. } | BExpr::InList { e, .. } => {
-                e.columns_used(out)
-            }
-            BExpr::Case { arms, else_value } => {
-                for (c, v) in arms {
-                    c.columns_used(out);
-                    v.columns_used(out);
-                }
-                if let Some(e) = else_value {
-                    e.columns_used(out);
-                }
-            }
-            BExpr::Func { args, .. } => args.iter().for_each(|a| a.columns_used(out)),
-            BExpr::Cast { e, .. } => e.columns_used(out),
+            _ => self.for_each_child(|c| c.columns_used(out)),
         }
     }
 
@@ -380,26 +417,7 @@ impl BExpr {
     pub fn remap_columns(&mut self, map: &impl Fn(usize) -> usize) {
         match self {
             BExpr::Col(i) => *i = map(*i),
-            BExpr::Lit(_) => {}
-            BExpr::Bin { l, r, .. } => {
-                l.remap_columns(map);
-                r.remap_columns(map);
-            }
-            BExpr::Not(e) | BExpr::Neg(e) => e.remap_columns(map),
-            BExpr::IsNull { e, .. } | BExpr::Like { e, .. } | BExpr::InList { e, .. } => {
-                e.remap_columns(map)
-            }
-            BExpr::Case { arms, else_value } => {
-                for (c, v) in arms {
-                    c.remap_columns(map);
-                    v.remap_columns(map);
-                }
-                if let Some(e) = else_value {
-                    e.remap_columns(map);
-                }
-            }
-            BExpr::Func { args, .. } => args.iter_mut().for_each(|a| a.remap_columns(map)),
-            BExpr::Cast { e, .. } => e.remap_columns(map),
+            _ => self.for_each_child_mut(|c| c.remap_columns(map)),
         }
     }
 
@@ -2161,14 +2179,53 @@ mod tests {
             l: Box::new(BExpr::Col(2)),
             r: Box::new(BExpr::Col(0)),
         };
-        let mut used = Vec::new();
-        e.columns_used(&mut used);
-        assert_eq!(used, vec![2, 0]);
-        let mut e2 = e.clone();
-        e2.remap_columns(&|i| i + 10);
-        let mut used2 = Vec::new();
-        e2.columns_used(&mut used2);
-        assert_eq!(used2, vec![12, 10]);
+        // Every variant, a distinct column in every child slot.
+        let col = |i| Box::new(BExpr::Col(i));
+        let every_variant = BExpr::Func {
+            f: SFunc::Coalesce,
+            args: vec![
+                BExpr::Not(col(0)),
+                BExpr::Neg(col(1)),
+                BExpr::IsNull {
+                    e: col(2),
+                    negated: false,
+                },
+                BExpr::Like {
+                    e: col(3),
+                    pattern: LikePattern::compile("a%"),
+                    negated: false,
+                },
+                BExpr::InList {
+                    e: col(4),
+                    list: vec![Value::Int(1)],
+                    negated: true,
+                },
+                BExpr::Case {
+                    arms: vec![(BExpr::Col(5), BExpr::Col(6))],
+                    else_value: Some(col(7)),
+                },
+                BExpr::Cast {
+                    e: col(8),
+                    to: DType::Float,
+                },
+                BExpr::Bin {
+                    op: BinOp::Mul,
+                    l: col(9),
+                    r: col(10),
+                },
+                BExpr::Lit(Value::Int(0)),
+            ],
+        };
+        for (e, cols) in [(e, vec![2, 0]), (every_variant, (0..=10).collect())] {
+            let mut used = Vec::new();
+            e.columns_used(&mut used);
+            assert_eq!(used, cols);
+            let mut e2 = e.clone();
+            e2.remap_columns(&|i| i + 10);
+            let mut used2 = Vec::new();
+            e2.columns_used(&mut used2);
+            assert_eq!(used2, cols.iter().map(|i| i + 10).collect::<Vec<_>>());
+        }
     }
 
     #[test]

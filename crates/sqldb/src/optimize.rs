@@ -106,66 +106,7 @@ pub fn push_filters(plan: LogicalPlan) -> LogicalPlan {
             split_and(pred, &mut conjs);
             push_conjuncts(*input, conjs)
         }
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input: Box::new(push_filters(*input)),
-            exprs,
-            schema,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            left_keys,
-            right_keys,
-            residual,
-            build_left,
-            schema,
-        } => LogicalPlan::Join {
-            left: Box::new(push_filters(*left)),
-            right: Box::new(push_filters(*right)),
-            kind,
-            left_keys,
-            right_keys,
-            residual,
-            build_left,
-            schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group,
-            aggs,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(push_filters(*input)),
-            group,
-            aggs,
-            schema,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(push_filters(*input)),
-            keys,
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(push_filters(*input)),
-            n,
-        },
-        LogicalPlan::Window {
-            input,
-            order,
-            schema,
-        } => LogicalPlan::Window {
-            input: Box::new(push_filters(*input)),
-            order,
-            schema,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(push_filters(*input)),
-        },
-        leaf => leaf,
+        other => other.map_children(push_filters),
     }
 }
 
@@ -374,34 +315,35 @@ fn wrap_filter(plan: LogicalPlan, conjs: Vec<BExpr>) -> LogicalPlan {
 fn substitute_cols(e: &mut BExpr, exprs: &[BExpr]) {
     match e {
         BExpr::Col(i) => *e = exprs[*i].clone(),
-        BExpr::Lit(_) => {}
-        BExpr::Bin { l, r, .. } => {
-            substitute_cols(l, exprs);
-            substitute_cols(r, exprs);
-        }
-        BExpr::Not(x) | BExpr::Neg(x) => substitute_cols(x, exprs),
-        BExpr::IsNull { e: x, .. } | BExpr::Like { e: x, .. } | BExpr::InList { e: x, .. } => {
-            substitute_cols(x, exprs)
-        }
-        BExpr::Case { arms, else_value } => {
-            for (c, v) in arms {
-                substitute_cols(c, exprs);
-                substitute_cols(v, exprs);
-            }
-            if let Some(x) = else_value {
-                substitute_cols(x, exprs);
-            }
-        }
-        BExpr::Func { args, .. } => args.iter_mut().for_each(|a| substitute_cols(a, exprs)),
-        BExpr::Cast { e: x, .. } => substitute_cols(x, exprs),
+        _ => e.for_each_child_mut(|c| substitute_cols(c, exprs)),
     }
 }
 
 // ---------------- projection pruning ----------------
 
-/// Rewrites `plan` to produce only the columns in `required` (in ascending
-/// old-index order). Returns the new plan and the mapping old→new index.
-fn prune(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, Vec<(usize, usize)>) {
+/// Where each column of a plan went when it was pruned: `map[old]` is the
+/// column's new position, `None` when it was dropped. One entry per column
+/// of the plan before pruning.
+type ColMap = Vec<Option<usize>>;
+
+/// The [`ColMap`] of keeping the ascending positions `kept` of `width`
+/// columns.
+fn keep_map(width: usize, kept: &[usize]) -> ColMap {
+    let mut map = vec![None; width];
+    for (new, &old) in kept.iter().enumerate() {
+        map[old] = Some(new);
+    }
+    map
+}
+
+/// Rewrites `e`'s columns through `map`.
+fn remap(e: &mut BExpr, map: &ColMap) {
+    e.remap_columns(&|i| map[i].expect("pruning keeps every column read above it"));
+}
+
+/// Rewrites `plan` to produce only the columns in `required` (and those it
+/// cannot drop). Returns the new plan and where its old columns went.
+fn prune(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, ColMap) {
     let mut req: Vec<usize> = required.to_vec();
     req.sort_unstable();
     req.dedup();
@@ -414,6 +356,8 @@ fn prune(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, Vec<(usize, usi
     {
         req.push(0);
     }
+    let keep_fields =
+        |schema: &Schema| Schema::new(req.iter().map(|&i| schema.fields[i].clone()).collect());
     match plan {
         LogicalPlan::Scan {
             table,
@@ -421,92 +365,78 @@ fn prune(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, Vec<(usize, usi
             projection,
             pred,
         } => {
-            let base: Vec<usize> = match &projection {
-                Some(p) => p.clone(),
-                None => (0..schema.len()).collect(),
-            };
-            let kept: Vec<usize> = req.iter().map(|&i| base[i]).collect();
-            let fields = req.iter().map(|&i| schema.fields[i].clone()).collect();
-            let mapping = req
+            let kept = req
                 .iter()
-                .enumerate()
-                .map(|(new, &old)| (old, new))
+                .map(|&i| projection.as_ref().map_or(i, |p| p[i]))
                 .collect();
-            (
-                LogicalPlan::Scan {
-                    table,
-                    schema: Schema::new(fields),
-                    projection: Some(kept),
-                    // The scan predicate addresses the stored table directly,
-                    // so projection pruning never touches it.
-                    pred,
-                },
-                mapping,
-            )
+            let scan = LogicalPlan::Scan {
+                table,
+                schema: keep_fields(&schema),
+                projection: Some(kept),
+                // The scan predicate addresses the stored table directly,
+                // so projection pruning never touches it.
+                pred,
+            };
+            (scan, keep_map(schema.len(), &req))
         }
         LogicalPlan::Values { schema, rows } => {
-            let fields = req.iter().map(|&i| schema.fields[i].clone()).collect();
             let rows = rows
                 .into_iter()
                 .map(|r| req.iter().map(|&i| r[i].clone()).collect())
                 .collect();
-            let mapping = req
-                .iter()
-                .enumerate()
-                .map(|(new, &old)| (old, new))
-                .collect();
-            (
-                LogicalPlan::Values {
-                    schema: Schema::new(fields),
-                    rows,
-                },
-                mapping,
-            )
+            let values = LogicalPlan::Values {
+                schema: keep_fields(&schema),
+                rows,
+            };
+            (values, keep_map(schema.len(), &req))
         }
+        // Filter, Sort, Limit and Distinct pass their input's columns
+        // through: they keep what is required plus what they read, and
+        // report their input's map.
         LogicalPlan::Filter { input, mut pred } => {
-            let mut need = req.clone();
-            need.extend(cols_of(&pred));
-            let (new_input, mapping) = prune(*input, &need);
-            {
-                let remap = to_remap(&mapping);
-                pred.remap_columns(&remap);
+            pred.columns_used(&mut req);
+            let (input, map) = prune(*input, &req);
+            remap(&mut pred, &map);
+            let input = Box::new(input);
+            (LogicalPlan::Filter { input, pred }, map)
+        }
+        LogicalPlan::Sort { input, mut keys } => {
+            for (k, _) in &keys {
+                k.columns_used(&mut req);
             }
-            // Output schema is the input schema; caller's required indices map
-            // through `mapping` — but the Filter output now has the pruned
-            // width, so expose the full mapping.
-            (
-                LogicalPlan::Filter {
-                    input: Box::new(new_input),
-                    pred,
-                },
-                mapping,
-            )
+            let (input, map) = prune(*input, &req);
+            for (k, _) in &mut keys {
+                remap(k, &map);
+            }
+            let input = Box::new(input);
+            (LogicalPlan::Sort { input, keys }, map)
+        }
+        LogicalPlan::Limit { input, n } => {
+            let (input, map) = prune(*input, &req);
+            let input = Box::new(input);
+            (LogicalPlan::Limit { input, n }, map)
+        }
+        LogicalPlan::Distinct { input } => {
+            // Distinct semantics depend on every column: prune nothing.
+            let all: Vec<usize> = (0..input.schema().len()).collect();
+            let (input, map) = prune(*input, &all);
+            let input = Box::new(input);
+            (LogicalPlan::Distinct { input }, map)
         }
         LogicalPlan::Project {
             input,
             exprs,
             schema,
         } => {
-            let kept_exprs: Vec<BExpr> = req.iter().map(|&i| exprs[i].clone()).collect();
-            let kept_fields = req.iter().map(|&i| schema.fields[i].clone()).collect();
+            let mut kept_exprs: Vec<BExpr> = req.iter().map(|&i| exprs[i].clone()).collect();
             let mut need = Vec::new();
             for e in &kept_exprs {
-                need.extend(cols_of(e));
+                e.columns_used(&mut need);
             }
-            let (new_input, mapping) = prune(*input, &need);
-            let remap = to_remap(&mapping);
-            let mut kept_exprs: Vec<BExpr> = kept_exprs
-                .into_iter()
-                .map(|mut e| {
-                    e.remap_columns(&remap);
-                    e
-                })
-                .collect();
-            let out_map = req
-                .iter()
-                .enumerate()
-                .map(|(new, &old)| (old, new))
-                .collect();
+            let (new_input, map) = prune(*input, &need);
+            for e in &mut kept_exprs {
+                remap(e, &map);
+            }
             // A projection over a projection is one projection when either
             // only renames or reorders (nothing is evaluated twice): the
             // rule-per-CTE chains the binder splices in stack several.
@@ -520,30 +450,29 @@ fn prune(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, Vec<(usize, usi
                 }
                 other => Box::new(other),
             };
-            (
-                LogicalPlan::Project {
-                    input: new_input,
-                    exprs: kept_exprs,
-                    schema: Schema::new(kept_fields),
-                },
-                out_map,
-            )
+            let project = LogicalPlan::Project {
+                input: new_input,
+                exprs: kept_exprs,
+                schema: keep_fields(&schema),
+            };
+            (project, keep_map(exprs.len(), &req))
         }
         LogicalPlan::Join {
             left,
             right,
             kind,
-            left_keys,
-            right_keys,
-            residual,
+            mut left_keys,
+            mut right_keys,
+            mut residual,
             build_left,
-            schema,
+            schema: _,
         } => {
             let lw = left.schema().len();
             let semi = matches!(kind, JKind::Semi | JKind::Anti);
             let mut lneed: Vec<usize> = Vec::new();
             let mut rneed: Vec<usize> = Vec::new();
-            for &i in &req {
+            let residual_cols = residual.as_ref().map(cols_of).unwrap_or_default();
+            for &i in req.iter().chain(&residual_cols) {
                 if i < lw {
                     lneed.push(i);
                 } else {
@@ -551,226 +480,104 @@ fn prune(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, Vec<(usize, usi
                 }
             }
             for k in &left_keys {
-                lneed.extend(cols_of(k));
+                k.columns_used(&mut lneed);
             }
             for k in &right_keys {
-                rneed.extend(cols_of(k));
+                k.columns_used(&mut rneed);
             }
-            if let Some(res) = &residual {
-                for c in cols_of(res) {
-                    if c < lw {
-                        lneed.push(c);
-                    } else {
-                        rneed.push(c - lw);
-                    }
-                }
+            // A keyless semi/anti join that reads no right column needs only
+            // the right input's row count: keep one column if it has any.
+            if semi && rneed.is_empty() && right_keys.is_empty() && !right.schema().is_empty() {
+                rneed.push(0);
             }
-            let (new_left, lmap) = prune(*left, &lneed);
-            let (new_right, rmap) = if semi && rneed.is_empty() && right_keys.is_empty() {
-                // Keyless semi/anti join needs nothing from the right but its
-                // row count; keep one column if available.
-                let keep: Vec<usize> = if right.schema().is_empty() {
-                    vec![]
-                } else {
-                    vec![0]
-                };
-                prune(*right, &keep)
+            let (left, lmap) = prune(*left, &lneed);
+            let (right, rmap) = prune(*right, &rneed);
+            let new_lw = left.schema().len();
+            for k in &mut left_keys {
+                remap(k, &lmap);
+            }
+            for k in &mut right_keys {
+                remap(k, &rmap);
+            }
+            // The residual reads left ++ right, semi/anti joins included.
+            let shifted = rmap.iter().map(|n| n.map(|n| new_lw + n));
+            let joined: ColMap = lmap.iter().copied().chain(shifted).collect();
+            if let Some(r) = &mut residual {
+                remap(r, &joined);
+            }
+            let (schema, map) = if semi {
+                (left.schema().clone(), lmap)
             } else {
-                prune(*right, &rneed)
+                (left.schema().concat(right.schema()), joined)
             };
-            let lremap = to_remap(&lmap);
-            let rremap = to_remap(&rmap);
-            let new_lw = new_left.schema().len();
-            let left_keys = left_keys
-                .into_iter()
-                .map(|mut k| {
-                    k.remap_columns(&lremap);
-                    k
-                })
-                .collect();
-            let right_keys = right_keys
-                .into_iter()
-                .map(|mut k| {
-                    k.remap_columns(&rremap);
-                    k
-                })
-                .collect();
-            let residual = residual.map(|mut r| {
-                r.remap_columns(&|i| {
-                    if i < lw {
-                        lremap(i)
-                    } else {
-                        new_lw + rremap(i - lw)
-                    }
-                });
-                r
-            });
-            // New schema: pruned left ++ pruned right (or left only).
-            let new_schema = if semi {
-                new_left.schema().clone()
-            } else {
-                new_left.schema().concat(new_right.schema())
+            let join = LogicalPlan::Join {
+                left: Box::new(left),
+                right: Box::new(right),
+                kind,
+                left_keys,
+                right_keys,
+                residual,
+                build_left,
+                schema,
             };
-            let _ = schema;
-            let mut mapping: Vec<(usize, usize)> = Vec::new();
-            for (old, new) in &lmap {
-                mapping.push((*old, *new));
-            }
-            if !semi {
-                for (old, new) in &rmap {
-                    mapping.push((old + lw, new + new_lw));
-                }
-            }
-            (
-                LogicalPlan::Join {
-                    left: Box::new(new_left),
-                    right: Box::new(new_right),
-                    kind,
-                    left_keys,
-                    right_keys,
-                    residual,
-                    build_left,
-                    schema: new_schema,
-                },
-                mapping,
-            )
+            (join, map)
         }
         LogicalPlan::Aggregate {
             input,
-            group,
-            aggs,
+            mut group,
+            mut aggs,
             schema,
         } => {
             // Group keys and aggregates all stay (grouping semantics); prune
             // only the input.
             let mut need = Vec::new();
-            for g in &group {
-                need.extend(cols_of(g));
+            for e in group
+                .iter()
+                .chain(aggs.iter().filter_map(|a| a.arg.as_ref()))
+            {
+                e.columns_used(&mut need);
             }
-            for a in &aggs {
-                if let Some(arg) = &a.arg {
-                    need.extend(cols_of(arg));
-                }
+            let (input, map) = prune(*input, &need);
+            for e in group
+                .iter_mut()
+                .chain(aggs.iter_mut().filter_map(|a| a.arg.as_mut()))
+            {
+                remap(e, &map);
             }
-            let (new_input, mapping) = prune(*input, &need);
-            let remap = to_remap(&mapping);
-            let group = group
-                .into_iter()
-                .map(|mut g| {
-                    g.remap_columns(&remap);
-                    g
-                })
-                .collect();
-            let aggs = aggs
-                .into_iter()
-                .map(|mut a| {
-                    if let Some(arg) = &mut a.arg {
-                        arg.remap_columns(&remap);
-                    }
-                    a
-                })
-                .collect();
-            let identity = (0..schema.len()).map(|i| (i, i)).collect();
-            (
-                LogicalPlan::Aggregate {
-                    input: Box::new(new_input),
-                    group,
-                    aggs,
-                    schema,
-                },
-                identity,
-            )
-        }
-        LogicalPlan::Sort { input, keys } => {
-            let mut need = req.clone();
-            for (k, _) in &keys {
-                need.extend(cols_of(k));
-            }
-            let (new_input, mapping) = prune(*input, &need);
-            let keys = {
-                let remap = to_remap(&mapping);
-                keys.into_iter()
-                    .map(|(mut k, asc)| {
-                        k.remap_columns(&remap);
-                        (k, asc)
-                    })
-                    .collect()
+            let identity = (0..schema.len()).map(Some).collect();
+            let aggregate = LogicalPlan::Aggregate {
+                input: Box::new(input),
+                group,
+                aggs,
+                schema,
             };
-            (
-                LogicalPlan::Sort {
-                    input: Box::new(new_input),
-                    keys,
-                },
-                mapping,
-            )
-        }
-        LogicalPlan::Limit { input, n } => {
-            let (new_input, mapping) = prune(*input, &req);
-            (
-                LogicalPlan::Limit {
-                    input: Box::new(new_input),
-                    n,
-                },
-                mapping,
-            )
+            (aggregate, identity)
         }
         LogicalPlan::Window {
             input,
-            order,
+            mut order,
             schema,
         } => {
+            // The appended row number requires nothing; the order keys do.
             let in_width = schema.len() - 1;
             let mut need: Vec<usize> = req.iter().filter(|&&i| i < in_width).copied().collect();
-            // The window column itself requires nothing extra; order keys do.
             for (k, _) in &order {
-                need.extend(cols_of(k));
+                k.columns_used(&mut need);
             }
-            // Window appends a column, so the input must keep everything the
-            // parent wants below the appended index.
-            let (new_input, mapping) = prune(*input, &need);
-            let remap = to_remap(&mapping);
-            let order = order
-                .into_iter()
-                .map(|(mut k, asc)| {
-                    k.remap_columns(&remap);
-                    (k, asc)
-                })
-                .collect();
-            let new_in_schema = new_input.schema().clone();
-            let mut fields = new_in_schema.fields.clone();
+            let (input, mut map) = prune(*input, &need);
+            for (k, _) in &mut order {
+                remap(k, &map);
+            }
+            let mut fields = input.schema().fields.clone();
             fields.push(schema.fields[in_width].clone());
-            let mut out_map = mapping.clone();
-            out_map.push((in_width, fields.len() - 1));
-            (
-                LogicalPlan::Window {
-                    input: Box::new(new_input),
-                    order,
-                    schema: Schema::new(fields),
-                },
-                out_map,
-            )
+            map.push(Some(fields.len() - 1));
+            let window = LogicalPlan::Window {
+                input: Box::new(input),
+                order,
+                schema: Schema::new(fields),
+            };
+            (window, map)
         }
-        LogicalPlan::Distinct { input } => {
-            // Distinct semantics depend on every column: prune nothing.
-            let all: Vec<usize> = (0..input.schema().len()).collect();
-            let (new_input, mapping) = prune(*input, &all);
-            (
-                LogicalPlan::Distinct {
-                    input: Box::new(new_input),
-                },
-                mapping,
-            )
-        }
-    }
-}
-
-fn to_remap(mapping: &[(usize, usize)]) -> impl Fn(usize) -> usize + '_ {
-    move |old| {
-        mapping
-            .iter()
-            .find(|(o, _)| *o == old)
-            .map(|(_, n)| *n)
-            .unwrap_or(old)
     }
 }
 
@@ -818,7 +625,7 @@ pub fn sink_scan_filters(plan: LogicalPlan) -> LogicalPlan {
 
 /// Rebuilds `plan` with `f` applied bottom-up to every node.
 fn map_inputs(plan: LogicalPlan, f: &impl Fn(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
-    f(map_inputs_shallow(plan, &|c| map_inputs(c, f)))
+    f(plan.map_children(|c| map_inputs(c, f)))
 }
 
 // ---------------- semi/anti-join sinking ----------------
@@ -1378,7 +1185,8 @@ pub fn reorder_joins(plan: LogicalPlan, ctx: &StatsCatalog<'_>) -> LogicalPlan {
             kind: JKind::Inner | JKind::Cross,
             ..
         } if region_size(&plan) <= MAX_REGION_INPUTS => reorder_region(plan, ctx),
-        other => map_children_reorder(other, ctx),
+        // Top-down, so a nested region is flattened from its topmost join.
+        other => other.map_children(|c| reorder_joins(c, ctx)),
     }
 }
 
@@ -1405,82 +1213,6 @@ fn region_size(plan: &LogicalPlan) -> usize {
             region_size(input)
         }
         _ => 1,
-    }
-}
-
-fn map_children_reorder(plan: LogicalPlan, ctx: &StatsCatalog<'_>) -> LogicalPlan {
-    map_inputs_shallow(plan, &|c| reorder_joins(c, ctx))
-}
-
-/// Applies `f` to the direct children only (not bottom-up like
-/// [`map_inputs`]) — region detection must run top-down so a nested join
-/// region is flattened from its topmost node.
-fn map_inputs_shallow(plan: LogicalPlan, f: &impl Fn(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Filter { input, pred } => LogicalPlan::Filter {
-            input: Box::new(f(*input)),
-            pred,
-        },
-        LogicalPlan::Project {
-            input,
-            exprs,
-            schema,
-        } => LogicalPlan::Project {
-            input: Box::new(f(*input)),
-            exprs,
-            schema,
-        },
-        LogicalPlan::Join {
-            left,
-            right,
-            kind,
-            left_keys,
-            right_keys,
-            residual,
-            build_left,
-            schema,
-        } => LogicalPlan::Join {
-            left: Box::new(f(*left)),
-            right: Box::new(f(*right)),
-            kind,
-            left_keys,
-            right_keys,
-            residual,
-            build_left,
-            schema,
-        },
-        LogicalPlan::Aggregate {
-            input,
-            group,
-            aggs,
-            schema,
-        } => LogicalPlan::Aggregate {
-            input: Box::new(f(*input)),
-            group,
-            aggs,
-            schema,
-        },
-        LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
-            input: Box::new(f(*input)),
-            keys,
-        },
-        LogicalPlan::Limit { input, n } => LogicalPlan::Limit {
-            input: Box::new(f(*input)),
-            n,
-        },
-        LogicalPlan::Window {
-            input,
-            order,
-            schema,
-        } => LogicalPlan::Window {
-            input: Box::new(f(*input)),
-            order,
-            schema,
-        },
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(f(*input)),
-        },
-        leaf => leaf,
     }
 }
 
@@ -1542,7 +1274,7 @@ fn reorder_region(plan: LogicalPlan, ctx: &StatsCatalog<'_>) -> LogicalPlan {
     }
     // No strict improvement: return the original shape; sub-regions and
     // barrier subtrees are still rewritten through the child recursion.
-    map_inputs_shallow(original, &|c| reorder_joins(c, ctx))
+    original.map_children(|c| reorder_joins(c, ctx))
 }
 
 /// Flattens a maximal inner/cross-join region into base inputs, global-space

@@ -187,6 +187,35 @@ impl LogicalPlan {
         }
     }
 
+    /// This node with `f` applied to each child, left before right (the
+    /// order of [`LogicalPlan::children`]); a leaf comes back as it is.
+    /// Every plan rewrite recurses through it.
+    pub fn map_children(mut self, mut f: impl FnMut(LogicalPlan) -> LogicalPlan) -> LogicalPlan {
+        let mut apply = |child: &mut Box<LogicalPlan>| {
+            let empty = LogicalPlan::Values {
+                schema: Schema::default(),
+                rows: Vec::new(),
+            };
+            let taken = std::mem::replace(&mut **child, empty);
+            **child = f(taken);
+        };
+        match &mut self {
+            LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => {}
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. }
+            | LogicalPlan::Window { input, .. }
+            | LogicalPlan::Distinct { input } => apply(input),
+            LogicalPlan::Join { left, right, .. } => {
+                apply(left);
+                apply(right);
+            }
+        }
+        self
+    }
+
     /// Indented multi-line plan rendering.
     pub fn explain(&self) -> String {
         fn rec(p: &LogicalPlan, depth: usize, out: &mut String) {

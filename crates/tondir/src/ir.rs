@@ -407,24 +407,47 @@ impl Term {
         found
     }
 
+    /// Calls `f` on each direct sub-term, in operand order. The one place
+    /// that lists a term's children; every walk recurses through it.
+    pub fn for_each_child(&self, mut f: impl FnMut(&Term)) {
+        match self {
+            Term::Agg { arg: t, .. } | Term::Not(t) | Term::IsNull(t) => f(t),
+            Term::Ext { args, .. } => args.iter().for_each(f),
+            Term::If { cond, then, els } => {
+                f(cond);
+                f(then);
+                f(els);
+            }
+            Term::Bin { lhs, rhs, .. } => {
+                f(lhs);
+                f(rhs);
+            }
+            Term::Var(_) | Term::Const(_) => {}
+        }
+    }
+
+    /// [`Term::for_each_child`] with mutable access.
+    pub fn for_each_child_mut(&mut self, mut f: impl FnMut(&mut Term)) {
+        match self {
+            Term::Agg { arg: t, .. } | Term::Not(t) | Term::IsNull(t) => f(t),
+            Term::Ext { args, .. } => args.iter_mut().for_each(f),
+            Term::If { cond, then, els } => {
+                f(cond);
+                f(then);
+                f(els);
+            }
+            Term::Bin { lhs, rhs, .. } => {
+                f(lhs);
+                f(rhs);
+            }
+            Term::Var(_) | Term::Const(_) => {}
+        }
+    }
+
     /// Pre-order visit of the term tree.
     pub fn visit(&self, f: &mut impl FnMut(&Term)) {
         f(self);
-        match self {
-            Term::Agg { arg, .. } => arg.visit(f),
-            Term::Ext { args, .. } => args.iter().for_each(|a| a.visit(f)),
-            Term::If { cond, then, els } => {
-                cond.visit(f);
-                then.visit(f);
-                els.visit(f);
-            }
-            Term::Bin { lhs, rhs, .. } => {
-                lhs.visit(f);
-                rhs.visit(f);
-            }
-            Term::Not(t) | Term::IsNull(t) => t.visit(f),
-            Term::Var(_) | Term::Const(_) => {}
-        }
+        self.for_each_child(|c| c.visit(f));
     }
 
     /// All variables referenced by the term, in first-use order.
@@ -442,26 +465,12 @@ impl Term {
 
     /// Rewrites every variable through `f` (in place).
     pub fn rename_vars(&mut self, f: &mut impl FnMut(&str) -> Option<String>) {
-        match self {
-            Term::Var(v) => {
-                if let Some(nv) = f(v) {
-                    *v = nv;
-                }
+        if let Term::Var(v) = self {
+            if let Some(nv) = f(v) {
+                *v = nv;
             }
-            Term::Agg { arg, .. } => arg.rename_vars(f),
-            Term::Ext { args, .. } => args.iter_mut().for_each(|a| a.rename_vars(f)),
-            Term::If { cond, then, els } => {
-                cond.rename_vars(f);
-                then.rename_vars(f);
-                els.rename_vars(f);
-            }
-            Term::Bin { lhs, rhs, .. } => {
-                lhs.rename_vars(f);
-                rhs.rename_vars(f);
-            }
-            Term::Not(t) | Term::IsNull(t) => t.rename_vars(f),
-            Term::Const(_) => {}
         }
+        self.for_each_child_mut(|c| c.rename_vars(f));
     }
 
     /// Substitutes whole sub-terms for variables (used by rule inlining).
@@ -473,21 +482,7 @@ impl Term {
                 return;
             }
         }
-        match self {
-            Term::Agg { arg, .. } => arg.substitute(f),
-            Term::Ext { args, .. } => args.iter_mut().for_each(|a| a.substitute(f)),
-            Term::If { cond, then, els } => {
-                cond.substitute(f);
-                then.substitute(f);
-                els.substitute(f);
-            }
-            Term::Bin { lhs, rhs, .. } => {
-                lhs.substitute(f);
-                rhs.substitute(f);
-            }
-            Term::Not(t) | Term::IsNull(t) => t.substitute(f),
-            Term::Var(_) | Term::Const(_) => {}
-        }
+        self.for_each_child_mut(|c| c.substitute(f));
     }
 }
 
@@ -507,6 +502,23 @@ mod tests {
         }
     }
 
+    /// `f(sum(a), if(not b, isnull(c), d - e), 0)`: every variant, a distinct
+    /// variable in every child slot.
+    fn every_variant_term() -> Term {
+        Term::Ext {
+            func: "f".into(),
+            args: vec![
+                Term::agg(AggFunc::Sum, Term::var("a")),
+                Term::If {
+                    cond: Box::new(Term::Not(Box::new(Term::var("b")))),
+                    then: Box::new(Term::IsNull(Box::new(Term::var("c")))),
+                    els: Box::new(Term::bin(ScalarOp::Sub, Term::var("d"), Term::var("e"))),
+                },
+                Term::int(0),
+            ],
+        }
+    }
+
     #[test]
     fn vars_collects_in_order_without_duplicates() {
         let t = Term::bin(
@@ -515,11 +527,13 @@ mod tests {
             Term::bin(ScalarOp::Mul, Term::var("y"), Term::var("x")),
         );
         assert_eq!(t.vars(), vec!["x", "y"]);
+        assert_eq!(every_variant_term().vars(), vec!["a", "b", "c", "d", "e"]);
     }
 
     #[test]
     fn contains_agg_detects_nested_aggregates() {
         assert!(sample_term().contains_agg());
+        assert!(every_variant_term().contains_agg());
         assert!(!Term::var("a").contains_agg());
     }
 
@@ -529,6 +543,9 @@ mod tests {
         t.rename_vars(&mut |v| (v == "b").then(|| "renamed".to_string()));
         assert!(t.vars().contains(&"renamed".to_string()));
         assert!(!t.vars().contains(&"b".to_string()));
+        let mut t = every_variant_term();
+        t.rename_vars(&mut |v| Some(v.to_uppercase()));
+        assert_eq!(t.vars(), vec!["A", "B", "C", "D", "E"]);
     }
 
     #[test]
@@ -536,6 +553,9 @@ mod tests {
         let mut t = Term::bin(ScalarOp::Add, Term::var("x"), Term::var("y"));
         t.substitute(&mut |v| (v == "x").then(|| Term::int(5)));
         assert_eq!(t, Term::bin(ScalarOp::Add, Term::int(5), Term::var("y")));
+        let mut t = every_variant_term();
+        t.substitute(&mut |_| Some(Term::int(5)));
+        assert!(t.vars().is_empty(), "{t:?}");
     }
 
     #[test]

@@ -21,13 +21,11 @@
 //! included), which shares nothing with either policy.
 
 use pytond::{Backend, EngineConfig, OptLevel, Profile, Pytond};
-use pytond_common::{pool, Column, DType, Relation, Value};
+use pytond_common::{Column, DType, Relation, Value};
 use pytond_sqldb::Database;
 
-/// The thread counts the fused candidate runs at.
-fn thread_counts() -> Vec<usize> {
-    vec![1, 2, 7, pool::hardware_threads().max(2)]
-}
+mod common;
+use common::{assert_bit_identical, corpus_db, null_heavy_db, thread_counts};
 
 /// Small morsels so test-sized inputs span many-morsel grids.
 const TEST_MORSEL: usize = 1024;
@@ -39,33 +37,6 @@ fn config(profile: Profile, threads: usize) -> EngineConfig {
         morsel: TEST_MORSEL,
         zone_prune: true,
         ..EngineConfig::default()
-    }
-}
-
-/// Exact equality under `Value::total_cmp` — see
-/// `tests/parallel_property.rs` for the rationale.
-fn assert_bit_identical(name: &str, reference: &Relation, candidate: &Relation) {
-    assert_eq!(
-        reference.num_cols(),
-        candidate.num_cols(),
-        "{name}: column count"
-    );
-    assert_eq!(
-        reference.num_rows(),
-        candidate.num_rows(),
-        "{name}: row count"
-    );
-    for ci in 0..reference.num_cols() {
-        let a = reference.column_at(ci);
-        let b = candidate.column_at(ci);
-        for i in 0..a.len() {
-            let (va, vb) = (a.get(i), b.get(i));
-            assert!(
-                va.total_cmp(&vb) == std::cmp::Ordering::Equal,
-                "{name}: cell ({i}, {}) differs: {va:?} vs {vb:?}",
-                reference.name_at(ci)
-            );
-        }
     }
 }
 
@@ -136,58 +107,6 @@ fn hybrid_workloads_fused_matches_materializing() {
 
 // ---------------- the stats-property corpus, re-run fused ----------------
 
-fn key_value(i: usize, n: usize, domain: i64, clustered: bool) -> i64 {
-    if clustered {
-        (i as i64) * domain / (n as i64).max(1)
-    } else {
-        ((i as i64).wrapping_mul(2_654_435_761)).rem_euclid(domain)
-    }
-}
-
-fn key_column(dtype: u8, n: usize, domain: i64, clustered: bool, null_every: usize) -> Column {
-    let dt = match dtype {
-        0 => DType::Int,
-        1 => DType::Float,
-        2 => DType::Date,
-        _ => DType::Bool,
-    };
-    let mut col = Column::new(dt);
-    for i in 0..n {
-        if null_every > 0 && i % (null_every + 3) == 0 {
-            col.push_null();
-            continue;
-        }
-        let v = key_value(i, n, domain, clustered);
-        let val = match dt {
-            DType::Int => Value::Int(v),
-            DType::Float => Value::Float(v as f64 + 0.25),
-            DType::Date => Value::Date(v as i32),
-            DType::Bool => Value::Bool(v % 2 == 0),
-            DType::Str => unreachable!(),
-        };
-        col.push(val).unwrap();
-    }
-    col
-}
-
-fn corpus_db(dtype: u8, n: usize, domain: i64, clustered: bool, null_every: usize) -> Database {
-    let k = key_column(dtype, n, domain, clustered, null_every);
-    let f: Vec<f64> = (0..n)
-        .map(|i| ((i as f64) * 0.618_033_988_749).fract() * 1e6 + 0.1)
-        .collect();
-    let db = Database::new();
-    db.register(
-        "t",
-        Relation::new(vec![
-            ("k".into(), k),
-            ("f".into(), Column::from_f64(f)),
-            ("v".into(), Column::from_i64((0..n as i64).collect())),
-        ])
-        .unwrap(),
-    );
-    db
-}
-
 #[test]
 fn stats_corpus_fused_matches_materializing() {
     // Float SUM/AVG group-bys are the rounding-sensitive cases: the fused
@@ -236,50 +155,6 @@ fn stats_corpus_fused_matches_materializing() {
 }
 
 // ---------------- NULL-heavy and empty-table joins, fused probes ---------
-
-fn null_heavy_db(n: usize) -> Database {
-    let mut l_key = Column::new(DType::Int);
-    let mut r_key = Column::new(DType::Int);
-    for i in 0..n {
-        if i % 3 == 0 {
-            l_key.push_null();
-        } else {
-            l_key.push(Value::Int((i % 500) as i64)).unwrap();
-        }
-    }
-    for i in 0..n / 2 {
-        if i % 4 == 0 {
-            r_key.push_null();
-        } else {
-            r_key.push(Value::Int((i % 700) as i64)).unwrap();
-        }
-    }
-    let db = Database::new();
-    db.register(
-        "l",
-        Relation::new(vec![
-            ("k".into(), l_key),
-            ("a".into(), Column::from_i64((0..n as i64).collect())),
-        ])
-        .unwrap(),
-    );
-    db.register(
-        "r",
-        Relation::new(vec![
-            ("k".into(), r_key),
-            (
-                "b".into(),
-                Column::from_f64((0..n / 2).map(|i| i as f64 * 0.3).collect()),
-            ),
-        ])
-        .unwrap(),
-    );
-    db.register(
-        "empty",
-        Relation::new(vec![("k".into(), Column::from_i64(vec![]))]).unwrap(),
-    );
-    db
-}
 
 #[test]
 fn null_heavy_and_empty_joins_fused_matches_materializing() {

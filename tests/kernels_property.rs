@@ -23,6 +23,9 @@ use pytond_sqldb::expr::{eval_bin, reference, BExpr, LikePattern};
 use pytond_sqldb::table::Batch;
 use pytond_sqldb::{Database, EngineConfig, Profile};
 
+mod common;
+use common::cols_bit_identical;
+
 /// Builds an Int column; selector 0 → NULL.
 fn int_col(rows: &[(u8, i64)]) -> Column {
     let mut c = Column::new(DType::Int);
@@ -76,25 +79,6 @@ fn str_col(rows: &[(u8, i64)]) -> Column {
         }
     }
     c
-}
-
-/// Bit-identical column comparison on every **valid** row (placeholder data
-/// under null rows is unspecified in both evaluators). Floats compare by bit
-/// pattern, with all NaNs considered one value.
-fn cols_bit_identical(a: &Column, b: &Column) -> bool {
-    if a.dtype() != b.dtype() || a.len() != b.len() {
-        return false;
-    }
-    (0..a.len()).all(|i| match (a.is_valid(i), b.is_valid(i)) {
-        (false, false) => true,
-        (true, true) => match (a.get(i), b.get(i)) {
-            (Value::Float(x), Value::Float(y)) => {
-                x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
-            }
-            (x, y) => x == y,
-        },
-        _ => false,
-    })
 }
 
 const ARITH: [BinOp; 5] = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Mod];

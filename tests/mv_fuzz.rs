@@ -17,6 +17,9 @@ use pytond::{EngineConfig, Profile};
 use pytond_common::{Column, DType, Relation, Value};
 use pytond_sqldb::Database;
 
+mod common;
+use common::diff_cells;
+
 /// Tiny morsels so fuzz-sized deltas cross chunk boundaries.
 const FUZZ_MORSEL: usize = 16;
 
@@ -188,36 +191,6 @@ fn append_rel(table: u8, shape: u8, salt: u16, step: usize) -> (&'static str, Re
     } else {
         ("r", r_rel(start, rows / 2, salt as u64))
     }
-}
-
-fn diff_cells(name: &str, a: &Relation, b: &Relation) -> Option<String> {
-    if a.num_cols() != b.num_cols() {
-        return Some(format!(
-            "{name}: column count {} vs {}",
-            a.num_cols(),
-            b.num_cols()
-        ));
-    }
-    if a.num_rows() != b.num_rows() {
-        return Some(format!(
-            "{name}: row count {} vs {}",
-            a.num_rows(),
-            b.num_rows()
-        ));
-    }
-    for ci in 0..a.num_cols() {
-        let (ca, cb) = (a.column_at(ci), b.column_at(ci));
-        for i in 0..ca.len() {
-            let (va, vb) = (ca.get(i), cb.get(i));
-            if va.total_cmp(&vb) != std::cmp::Ordering::Equal {
-                return Some(format!(
-                    "{name}: cell ({i}, {}) differs: {va:?} vs {vb:?}",
-                    a.name_at(ci)
-                ));
-            }
-        }
-    }
-    None
 }
 
 /// Runs one (plan, schedule) case. `None` = the maintained view matched a

@@ -24,15 +24,13 @@
 //! answers; and reads over appended tables never concatenate chunks.
 
 use pytond::{Backend, OptLevel, Profile, Pytond};
-use pytond_common::{pool, Column, DType, Relation, Value};
+use pytond_common::{Column, DType, Relation, Value};
 use pytond_sqldb::stats::ZONE_ROWS;
 use pytond_sqldb::table::Batch;
 use pytond_sqldb::{Database, EngineConfig, RefreshMode};
 
-/// The thread counts view refresh runs at.
-fn thread_counts() -> Vec<usize> {
-    vec![1, 2, 7, pool::hardware_threads().max(2)]
-}
+mod common;
+use common::{assert_bit_identical, thread_counts};
 
 /// Small morsels so test-sized inputs span many-morsel grids.
 const TEST_MORSEL: usize = 1024;
@@ -44,33 +42,6 @@ fn config(profile: Profile, threads: usize) -> EngineConfig {
         morsel: TEST_MORSEL,
         zone_prune: true,
         ..EngineConfig::default()
-    }
-}
-
-/// Exact equality under `Value::total_cmp` — see
-/// `tests/parallel_property.rs` for the rationale.
-fn assert_bit_identical(name: &str, reference: &Relation, candidate: &Relation) {
-    assert_eq!(
-        reference.num_cols(),
-        candidate.num_cols(),
-        "{name}: column count"
-    );
-    assert_eq!(
-        reference.num_rows(),
-        candidate.num_rows(),
-        "{name}: row count"
-    );
-    for ci in 0..reference.num_cols() {
-        let a = reference.column_at(ci);
-        let b = candidate.column_at(ci);
-        for i in 0..a.len() {
-            let (va, vb) = (a.get(i), b.get(i));
-            assert!(
-                va.total_cmp(&vb) == std::cmp::Ordering::Equal,
-                "{name}: cell ({i}, {}) differs: {va:?} vs {vb:?}",
-                reference.name_at(ci)
-            );
-        }
     }
 }
 

@@ -29,6 +29,9 @@ use pytond_sqldb::expr::{reference, BExpr};
 use pytond_sqldb::table::Batch;
 use pytond_sqldb::Database;
 
+mod common;
+use common::{cols_bit_identical, diff_cells};
+
 /// Tiny morsels so even fuzz-sized tables cross chunk boundaries inside
 /// fused pipelines.
 const FUZZ_MORSEL: usize = 16;
@@ -217,36 +220,6 @@ fn derived_sql(ops: &[Op], tail: u8) -> String {
     tail_sql(tail, |alias| format!("({body}) AS {alias}"))
 }
 
-fn diff_cells(name: &str, a: &Relation, b: &Relation) -> Option<String> {
-    if a.num_cols() != b.num_cols() {
-        return Some(format!(
-            "{name}: column count {} vs {}",
-            a.num_cols(),
-            b.num_cols()
-        ));
-    }
-    if a.num_rows() != b.num_rows() {
-        return Some(format!(
-            "{name}: row count {} vs {}",
-            a.num_rows(),
-            b.num_rows()
-        ));
-    }
-    for ci in 0..a.num_cols() {
-        let (ca, cb) = (a.column_at(ci), b.column_at(ci));
-        for i in 0..ca.len() {
-            let (va, vb) = (ca.get(i), cb.get(i));
-            if va.total_cmp(&vb) != std::cmp::Ordering::Equal {
-                return Some(format!(
-                    "{name}: cell ({i}, {}) differs: {va:?} vs {vb:?}",
-                    a.name_at(ci)
-                ));
-            }
-        }
-    }
-    None
-}
-
 /// Runs one chain differentially. `None` = fused and materializing agree at
 /// every thread count; `Some(why)` = divergence (a finding). The
 /// materializing oracle itself must accept the generated SQL — the
@@ -425,24 +398,6 @@ fn edge_tables_every_operator() {
 }
 
 // ---------------- sliced kernels vs selection vectors vs reference -------
-
-/// Bit-identical column comparison on valid rows (placeholder data under
-/// null slots is unspecified) — same policy as `tests/kernels_property.rs`.
-fn cols_bit_identical(a: &Column, b: &Column) -> bool {
-    if a.dtype() != b.dtype() || a.len() != b.len() {
-        return false;
-    }
-    (0..a.len()).all(|i| match (a.is_valid(i), b.is_valid(i)) {
-        (false, false) => true,
-        (true, true) => match (a.get(i), b.get(i)) {
-            (Value::Float(x), Value::Float(y)) => {
-                x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
-            }
-            (x, y) => x == y,
-        },
-        _ => false,
-    })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]

@@ -23,38 +23,14 @@ use pytond_sqldb::{Database, EngineConfig, Profile, Snapshot};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+mod common;
+use common::assert_bit_identical;
+
 /// Initial rows of the served table.
 const BASE_ROWS: i64 = 4_096;
 
 /// Rows per deterministic append batch.
 const BATCH_ROWS: i64 = 512;
-
-/// Exact equality, NaN-aware: every cell must agree under
-/// `Value::total_cmp` ("bit-identical", as in `tests/parallel_property.rs`).
-fn assert_bit_identical(name: &str, reference: &Relation, candidate: &Relation) {
-    assert_eq!(
-        reference.num_rows(),
-        candidate.num_rows(),
-        "{name}: row count"
-    );
-    assert_eq!(
-        reference.num_cols(),
-        candidate.num_cols(),
-        "{name}: column count"
-    );
-    for ci in 0..reference.num_cols() {
-        let a = reference.column_at(ci);
-        let b = candidate.column_at(ci);
-        for i in 0..a.len() {
-            let (va, vb) = (a.get(i), b.get(i));
-            assert!(
-                va.total_cmp(&vb) == std::cmp::Ordering::Equal,
-                "{name}: cell ({i}, {}) differs: {va:?} vs {vb:?}",
-                reference.name_at(ci)
-            );
-        }
-    }
-}
 
 /// The served table: `id` ascending, and on every row `a + b = 0` — the
 /// invariant a torn read (a partially appended batch, or `a` from one

@@ -9,43 +9,8 @@ use pytond_common::{Column, DType, Relation, Value};
 use pytond_sqldb::stats::{TableStats, ZONE_ROWS};
 use pytond_sqldb::{Database, EngineConfig};
 
-/// Deterministic value stream: clustered (sorted, tight zone bounds) or
-/// shuffled (wide zone bounds) over `[0, domain)`.
-fn key_value(i: usize, n: usize, domain: i64, clustered: bool) -> i64 {
-    if clustered {
-        (i as i64) * domain / (n as i64).max(1)
-    } else {
-        ((i as i64).wrapping_mul(2_654_435_761)).rem_euclid(domain)
-    }
-}
-
-/// Builds the key column for one dtype selector, with every
-/// `null_every + 3`-rd row NULL when `null_every > 0`.
-fn key_column(dtype: u8, n: usize, domain: i64, clustered: bool, null_every: usize) -> Column {
-    let dt = match dtype {
-        0 => DType::Int,
-        1 => DType::Float,
-        2 => DType::Date,
-        _ => DType::Bool,
-    };
-    let mut col = Column::new(dt);
-    for i in 0..n {
-        if null_every > 0 && i % (null_every + 3) == 0 {
-            col.push_null();
-            continue;
-        }
-        let v = key_value(i, n, domain, clustered);
-        let val = match dt {
-            DType::Int => Value::Int(v),
-            DType::Float => Value::Float(v as f64 + 0.25),
-            DType::Date => Value::Date(v as i32),
-            DType::Bool => Value::Bool(v % 2 == 0),
-            DType::Str => unreachable!(),
-        };
-        col.push(val).unwrap();
-    }
-    col
-}
+mod common;
+use common::key_column;
 
 fn table_of(k: Column) -> Relation {
     let n = k.len();
