@@ -588,7 +588,7 @@ fn push_f64(buf: &mut Vec<u8>, f: f64) {
     buf.extend_from_slice(&canonical_f64_bits(f).to_le_bytes());
 }
 
-// ---------------- CSR hash-join build ----------------
+// ---------------- CSR join index ----------------
 
 /// Hashes one key with the engine's [`FxHasher`] (the partitioning hash of
 /// [`PartitionedIndex`]; exposed so diagnostics can reproduce placements).
@@ -598,11 +598,121 @@ pub fn fx_hash_one<K: std::hash::Hash>(k: &K) -> u64 {
     FxBuildHasher::default().hash_one(k)
 }
 
+/// A join key [`PartitionedIndex`] can take: packed `u64` words (which a
+/// build over a dense range addresses directly), packed `u128` words and
+/// byte-encoded keys (which always hash).
+pub trait IndexKey: std::hash::Hash + Eq + Copy + Send + Sync {
+    /// The key as one `u64` word, when it is one.
+    fn word(&self) -> Option<u64>;
+}
+
+impl IndexKey for u64 {
+    #[inline]
+    fn word(&self) -> Option<u64> {
+        Some(*self)
+    }
+}
+
+impl IndexKey for u128 {
+    #[inline]
+    fn word(&self) -> Option<u64> {
+        None
+    }
+}
+
+impl IndexKey for &[u8] {
+    #[inline]
+    fn word(&self) -> Option<u64> {
+        None
+    }
+}
+
+/// The layout of a join index, read from the live build keys at execution
+/// (see `docs/EXECUTION.md` § Join index).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IndexLayout {
+    /// Every live key is a `u64` word and `max − min < 4 ×` the live rows:
+    /// runs are addressed by `key − min`, with no hashing.
+    Direct {
+        /// The smallest live key.
+        min: u64,
+        /// `max − min`.
+        span: u64,
+        /// Live (non-NULL) build rows.
+        live: usize,
+    },
+    /// Key → dense slot through a hash map, partitioned on large builds.
+    Hashed,
+}
+
+impl IndexLayout {
+    /// One pass over the live keys: [`IndexLayout::Direct`] when they are
+    /// `u64` words spanning fewer than four slots per live row — its offsets
+    /// then cost at most 16 bytes a row, less than the hashed slot map's
+    /// ≥ 19 bytes a distinct key — else [`IndexLayout::Hashed`]. An empty or
+    /// all-NULL build hashes (into nothing).
+    pub fn choose<K: IndexKey>(keys: &[K], nulls: Option<&[bool]>) -> IndexLayout {
+        let (mut min, mut max, mut live) = (u64::MAX, 0u64, 0usize);
+        for (i, k) in keys.iter().enumerate() {
+            if nulls.is_some_and(|n| n[i]) {
+                continue;
+            }
+            let Some(w) = k.word() else {
+                return IndexLayout::Hashed;
+            };
+            min = min.min(w);
+            max = max.max(w);
+            live += 1;
+        }
+        if live > 0 && max - min < (live as u64).saturating_mul(4) {
+            IndexLayout::Direct {
+                min,
+                span: max - min,
+                live,
+            }
+        } else {
+            IndexLayout::Hashed
+        }
+    }
+
+    /// The bytes a build of this layout allocates that are known before it
+    /// runs, for a build side of `rows` rows: all of a direct index (its
+    /// `span + 2` offsets and a row id per live row), and a row id plus a
+    /// slot-scratch word per row of a hashed one, whose key state is known
+    /// only once built.
+    pub fn upfront_bytes(&self, rows: usize) -> u64 {
+        match *self {
+            IndexLayout::Direct { span, live, .. } => 4 * (span + 2) + 4 * live as u64,
+            IndexLayout::Hashed => 8 * rows as u64,
+        }
+    }
+}
+
 /// Rows per partition-id morsel in [`PartitionedIndex::build`].
 const PARTITION_MORSEL: usize = 64 * 1024;
 
-/// One partition of a join index in CSR form: every distinct key owns a
-/// dense slot, and slot `s`'s build rows are the contiguous run
+/// Trailing control bytes of a hashbrown table: one SIMD group (16 on
+/// x86-64's SSE2, fewer elsewhere), so the probe never wraps mid-group.
+const CTRL_GROUP_BYTES: usize = 16;
+
+/// Bytes std's `HashMap<K, u32>` (hashbrown) allocates at `capacity`: the
+/// capacity is 7/8 of a power-of-two bucket count (one less than the count
+/// below 8 buckets), each bucket holds a `(K, u32)` tuple with its padding
+/// plus one control byte, and one group of control bytes trails.
+fn slot_map_bytes<K>(capacity: usize) -> usize {
+    if capacity == 0 {
+        return 0;
+    }
+    let buckets = if capacity < 8 {
+        capacity + 1
+    } else {
+        capacity / 7 * 8
+    };
+    buckets * (std::mem::size_of::<(K, u32)>() + 1) + CTRL_GROUP_BYTES
+}
+
+/// One partition of a hashed join index in CSR form: every distinct key
+/// owns a dense slot, and slot `s`'s build rows are the contiguous run
 /// `rows[offsets[s]..offsets[s + 1]]`. Three flat arrays and one
 /// key → slot map — nothing is allocated per key or per row.
 #[derive(Debug)]
@@ -660,53 +770,139 @@ impl<K: std::hash::Hash + Eq + Copy> CsrPart<K> {
     }
 
     fn heap_bytes(&self) -> u64 {
-        let entry = std::mem::size_of::<K>() + std::mem::size_of::<u32>() + 1;
-        (self.slots.capacity() * entry + 4 * (self.offsets.len() + self.rows.len())) as u64
+        (slot_map_bytes::<K>(self.slots.capacity()) + 4 * (self.offsets.len() + self.rows.len()))
+            as u64
     }
 }
 
-/// A hash-join build side in CSR form (see `docs/EXECUTION.md` § Join
-/// index), optionally split into `P` hash partitions built concurrently
-/// (P = the worker count rounded up to a power of two, capped at 64).
+/// A join index addressed by key: key `k`'s build rows are the run
+/// `rows[offsets[k − min]..offsets[k − min + 1]]`, empty for a key in
+/// range that no row carries. Two flat arrays and no key state.
+#[derive(Debug)]
+struct DirectCsr {
+    min: u64,
+    offsets: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl DirectCsr {
+    /// The hashed part's counted passes with `key − min` in place of the
+    /// slot map: count each key's live rows one entry ahead of its slot,
+    /// prefix-sum (each entry `s + 1` then holds slot `s`'s start, the
+    /// scatter cursor), scatter the live rows in ascending order (leaving
+    /// entry `s + 1` at slot `s`'s end, which is slot `s + 1`'s start).
+    fn build<K: IndexKey>(keys: &[K], nulls: Option<&[bool]>, min: u64, span: u64) -> DirectCsr {
+        let slot = |k: &K| {
+            let w = k.word().expect("a direct layout's keys are words");
+            (w - min) as usize
+        };
+        let live = || (0..keys.len()).filter(move |&i| nulls.map_or(true, |n| !n[i]));
+        let mut offsets = vec![0u32; span as usize + 2];
+        for i in live() {
+            offsets[slot(&keys[i]) + 1] += 1;
+        }
+        let mut total = 0u32;
+        for o in &mut offsets[1..] {
+            total += std::mem::replace(o, total);
+        }
+        let mut rows = vec![0u32; total as usize];
+        for i in live() {
+            let at = &mut offsets[slot(&keys[i]) + 1];
+            rows[*at as usize] = i as u32;
+            *at += 1;
+        }
+        DirectCsr { min, offsets, rows }
+    }
+
+    /// A bounds check plus two loads. A word below `min` wraps to a slot
+    /// far above the range and fails the same check as one above `max`.
+    #[inline]
+    fn get(&self, w: u64) -> Option<&[u32]> {
+        let s = w.wrapping_sub(self.min);
+        if s >= (self.offsets.len() - 1) as u64 {
+            return None;
+        }
+        let (start, end) = (self.offsets[s as usize], self.offsets[s as usize + 1]);
+        (start < end).then(|| &self.rows[start as usize..end as usize])
+    }
+
+    fn heap_bytes(&self) -> u64 {
+        4 * (self.offsets.len() + self.rows.len()) as u64
+    }
+}
+
+/// A join build side in CSR form (see `docs/EXECUTION.md` § Join index):
+/// direct-addressed when [`IndexLayout::choose`] finds the keys dense,
+/// else hashed, optionally split into `P` hash partitions built
+/// concurrently (P = the worker count rounded up to a power of two, capped
+/// at 64). Both layouts answer every lookup alike: a present key's rows in
+/// ascending order, `None` for an absent one.
 ///
-/// Keys are assigned to partitions by hash bits **just below the top 7**:
-/// hashbrown (std's `HashMap`) tags control bytes with the top-7 bits (h2)
-/// and picks buckets from the low bits (h1), so partition bits taken from
-/// either end would be constant within a partition and skew tag matching or
-/// bucket spread — bits 51+ (below the tag, far above the buckets) touch
-/// neither. A morsel-parallel pass buckets row ids per (morsel, partition);
-/// one worker per partition then walks its buckets in morsel order, so
-/// every key's row run is ascending — exactly what a single-threaded build
-/// over the same keys produces, and lookups are indistinguishable from the
-/// unpartitioned index. Total work is O(n) regardless of the partition
-/// count. NULL keys (join semantics) are never inserted.
+/// Hashed keys are assigned to partitions by hash bits **just below the
+/// top 7**: hashbrown (std's `HashMap`) tags control bytes with the top-7
+/// bits (h2) and picks buckets from the low bits (h1), so partition bits
+/// taken from either end would be constant within a partition and skew tag
+/// matching or bucket spread — bits 51+ (below the tag, far above the
+/// buckets) touch neither. A morsel-parallel pass buckets row ids per
+/// (morsel, partition); one worker per partition then walks its buckets in
+/// morsel order, so every key's row run is ascending — exactly what a
+/// single-threaded build over the same keys produces, and lookups are
+/// indistinguishable from the unpartitioned index. Total work is O(n)
+/// regardless of the partition count. NULL keys (join semantics) are never
+/// inserted.
 #[derive(Debug)]
 pub struct PartitionedIndex<K> {
-    parts: Vec<CsrPart<K>>,
+    runs: Runs<K>,
+}
+
+#[derive(Debug)]
+enum Runs<K> {
+    Direct(DirectCsr),
     /// `bits == 0` means a single partition (serial build, no hash on probe).
-    bits: u32,
+    Hashed {
+        parts: Vec<CsrPart<K>>,
+        bits: u32,
+    },
 }
 
 /// Build sides smaller than this stay unpartitioned: the scan-per-partition
 /// build costs more than it saves below ~tens of thousands of rows.
 pub const MIN_PARTITIONED_BUILD: usize = 16 * 1024;
 
-impl<K: std::hash::Hash + Eq + Copy + Send + Sync> PartitionedIndex<K> {
+impl<K: IndexKey> PartitionedIndex<K> {
     /// Builds the index over per-row keys; `nulls[i]` marks a row whose key
     /// contains a NULL (the `skip` mask of [`FixedKeySpec::pack_u64`], or
-    /// [`KeyArena::keys_and_nulls`]). With `threads <= 1` or a build side
-    /// below [`MIN_PARTITIONED_BUILD`] rows this is the serial
-    /// single-partition build.
+    /// [`KeyArena::keys_and_nulls`]), in the layout
+    /// [`IndexLayout::choose`] picks for them.
     pub fn build(keys: &[K], nulls: Option<&[bool]>, threads: usize) -> PartitionedIndex<K> {
+        PartitionedIndex::build_as(IndexLayout::choose(keys, nulls), keys, nulls, threads)
+    }
+
+    /// [`PartitionedIndex::build`] in a `layout` already chosen for these
+    /// keys by [`IndexLayout::choose`]. A direct build is serial: it is
+    /// O(rows) with no hashing. A hashed build with `threads <= 1` or
+    /// below [`MIN_PARTITIONED_BUILD`] rows is the serial single-partition
+    /// build.
+    pub fn build_as(
+        layout: IndexLayout,
+        keys: &[K],
+        nulls: Option<&[bool]>,
+        threads: usize,
+    ) -> PartitionedIndex<K> {
+        if let IndexLayout::Direct { min, span, .. } = layout {
+            let direct = DirectCsr::build(keys, nulls, min, span);
+            return PartitionedIndex {
+                runs: Runs::Direct(direct),
+            };
+        }
         let live = |i: &u32| nulls.map_or(true, |n| !n[*i as usize]);
         if threads <= 1 || keys.len() < MIN_PARTITIONED_BUILD {
+            let part = CsrPart::build(keys, (0..keys.len() as u32).filter(live), keys.len());
             return PartitionedIndex {
-                parts: vec![CsrPart::build(
-                    keys,
-                    (0..keys.len() as u32).filter(live),
-                    keys.len(),
-                )],
-                bits: 0,
+                runs: Runs::Hashed {
+                    parts: vec![part],
+                    bits: 0,
+                },
             };
         }
         let p = threads.next_power_of_two().min(64);
@@ -737,16 +933,18 @@ impl<K: std::hash::Hash + Eq + Copy + Send + Sync> PartitionedIndex<K> {
         })
         .expect("partition build is infallible")
         .results;
-        PartitionedIndex { parts, bits }
+        PartitionedIndex {
+            runs: Runs::Hashed { parts, bits },
+        }
     }
 
     /// The build-side rows matching `k`, in ascending row order.
     #[inline]
     pub fn get(&self, k: &K) -> Option<&[u32]> {
-        if self.bits == 0 {
-            self.parts[0].get(k)
-        } else {
-            self.parts[partition_of(fx_hash_one(k), self.bits)].get(k)
+        match &self.runs {
+            Runs::Direct(direct) => direct.get(k.word()?),
+            Runs::Hashed { parts, bits: 0 } => parts[0].get(k),
+            Runs::Hashed { parts, bits } => parts[partition_of(fx_hash_one(k), *bits)].get(k),
         }
     }
 
@@ -760,20 +958,34 @@ impl<K: std::hash::Hash + Eq + Copy + Send + Sync> PartitionedIndex<K> {
         self.get(&keys[i])
     }
 
-    /// Number of physical partitions (1 = unpartitioned serial build).
+    /// `true` when the index is direct-addressed (no hashing on build or
+    /// probe).
+    pub fn is_direct(&self) -> bool {
+        matches!(self.runs, Runs::Direct(_))
+    }
+
+    /// Number of physical partitions (1 = one serial build, direct or
+    /// hashed).
     pub fn num_partitions(&self) -> usize {
-        self.parts.len()
+        match &self.runs {
+            Runs::Direct(_) => 1,
+            Runs::Hashed { parts, .. } => parts.len(),
+        }
     }
 
     /// `true` when the build actually partitioned (and ran concurrently).
     pub fn partitioned(&self) -> bool {
-        self.bits != 0
+        matches!(self.runs, Runs::Hashed { bits, .. } if bits != 0)
     }
 
-    /// Bytes the index holds: slot-map capacity plus the offset and row
-    /// arrays, summed over partitions.
+    /// Bytes the index holds: a direct index's offset and row arrays, or a
+    /// hashed one's slot maps (their real bucket allocation) plus offset
+    /// and row arrays, summed over partitions.
     pub fn heap_bytes(&self) -> u64 {
-        self.parts.iter().map(CsrPart::heap_bytes).sum()
+        match &self.runs {
+            Runs::Direct(direct) => direct.heap_bytes(),
+            Runs::Hashed { parts, .. } => parts.iter().map(CsrPart::heap_bytes).sum(),
+        }
     }
 }
 
@@ -975,25 +1187,77 @@ mod tests {
     }
 
     /// The CSR index against the obvious grouping, for every input shape
-    /// the executor produces and both build paths.
+    /// the executor produces, both layouts and both hashed build paths.
     #[test]
     fn csr_index_matches_naive_grouping() {
         use std::collections::BTreeMap;
         let big = MIN_PARTITIONED_BUILD + 1234;
-        let shapes: Vec<(&str, Vec<Option<u64>>)> = vec![
-            ("empty", vec![]),
-            ("all-null", vec![None; 300]),
-            ("unique", (0..5000u64).map(|i| Some(i * 7919)).collect()),
-            ("duplicated", (0..5000u64).map(|i| Some(i % 25)).collect()),
+        let n = 1000u64;
+        // Packed words of `Int` keys: two's complement, so negatives sit at
+        // the top of the `u64` range.
+        let int = |i: i64| Some(i as u64);
+        // (name, keys, direct layout expected)
+        let shapes: Vec<(&str, Vec<Option<u64>>, bool)> = vec![
+            ("empty", vec![], false),
+            ("all-null", vec![None; 300], false),
+            ("single", vec![Some(42)], true),
+            (
+                "unique",
+                (0..5000u64).map(|i| Some(i * 7919)).collect(),
+                false,
+            ),
+            (
+                "duplicated",
+                (0..5000u64).map(|i| Some(i % 25)).collect(),
+                true,
+            ),
             (
                 "big-mixed",
                 (0..big as u64)
                     .map(|i| (i % 97 != 0).then_some(i % 4096))
                     .collect(),
+                true,
             ),
-            ("big-unique", (0..big as u64).map(Some).collect()),
+            (
+                "big-mixed-sparse",
+                (0..big as u64)
+                    .map(|i| (i % 97 != 0).then_some(i % 4096 * 7919))
+                    .collect(),
+                false,
+            ),
+            ("big-unique", (0..big as u64).map(Some).collect(), true),
+            (
+                "big-unique-sparse",
+                (0..big as u64).map(|i| Some(i * 7919)).collect(),
+                false,
+            ),
+            (
+                "negative-dense",
+                (1..=1000).map(|i| int(-i)).collect(),
+                true,
+            ),
+            ("straddles-zero", (-500..500).map(int).collect(), false),
+            // NULL rows pack as 0, far below the live keys: they must not
+            // widen the range.
+            (
+                "null-rows",
+                (0..200u64)
+                    .map(|i| (i % 2 == 0).then_some(1000 + i))
+                    .collect(),
+                true,
+            ),
+            (
+                "span-4n-1",
+                (0..n - 1).map(Some).chain([Some(4 * n - 1)]).collect(),
+                true,
+            ),
+            (
+                "span-4n",
+                (0..n - 1).map(Some).chain([Some(4 * n)]).collect(),
+                false,
+            ),
         ];
-        for (name, opt) in &shapes {
+        for (name, opt, direct) in &shapes {
             let mut naive: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
             for (i, k) in opt.iter().enumerate() {
                 if let Some(k) = k {
@@ -1001,22 +1265,44 @@ mod tests {
                 }
             }
             let (keys, nulls) = split(opt);
+            let layout = IndexLayout::choose(&keys, nulls.as_deref());
+            assert_eq!(
+                matches!(layout, IndexLayout::Direct { .. }),
+                *direct,
+                "{name}: {layout:?}"
+            );
+            // Probes just outside the live range (`min − 1` wraps at 0),
+            // inside a gap, and at the extremes of the word.
+            let (lo, hi) = (
+                naive.keys().next().copied().unwrap_or(0),
+                naive.keys().last().copied().unwrap_or(0),
+            );
+            let probes = [
+                lo.wrapping_sub(1),
+                lo,
+                lo + (hi - lo) / 2,
+                hi,
+                hi.wrapping_add(1),
+                0,
+                u64::MAX,
+                4096 * 7919 + 1,
+            ];
             for threads in [1, 2, 7] {
                 let idx = PartitionedIndex::build(&keys, nulls.as_deref(), threads);
-                let partitioned = threads > 1 && keys.len() >= MIN_PARTITIONED_BUILD;
+                assert_eq!(idx.is_direct(), *direct, "{name} @ {threads}");
+                let partitioned = threads > 1 && keys.len() >= MIN_PARTITIONED_BUILD && !direct;
                 assert_eq!(idx.partitioned(), partitioned, "{name} @ {threads}");
                 for (k, rows) in &naive {
                     assert_eq!(idx.get(k), Some(rows.as_slice()), "{name} @ {threads}: {k}");
                     assert!(rows.windows(2).all(|w| w[0] < w[1]));
                 }
                 // Absent keys (including the NULL rows' placeholder 0 when no
-                // real row carries it) miss; NULL probe rows never match.
-                for absent in [u64::MAX, 4096 * 7919 + 1] {
-                    assert_eq!(idx.get(&absent), None, "{name} @ {threads}");
+                // real row carries it) miss with `None`, never an empty run.
+                for k in probes {
+                    let want = naive.get(&k).map(Vec::as_slice);
+                    assert_eq!(idx.get(&k), want, "{name} @ {threads}: probe {k}");
                 }
-                if !naive.contains_key(&0) {
-                    assert_eq!(idx.get(&0), None, "{name} @ {threads}: NULL placeholder");
-                }
+                // NULL probe rows never match.
                 for (i, k) in opt.iter().enumerate().take(200) {
                     let want = k.and_then(|k| naive.get(&k)).map(Vec::as_slice);
                     assert_eq!(idx.probe(&keys, nulls.as_deref(), i), want);
@@ -1025,32 +1311,90 @@ mod tests {
         }
     }
 
+    /// Wider words and byte keys always hash, however dense.
+    #[test]
+    fn only_u64_words_build_direct() {
+        let wide: Vec<u128> = (0..100).collect();
+        assert!(!PartitionedIndex::build(&wide, None, 1).is_direct());
+        let arena = KeyArena::encode_raw(&[&Column::from_i64((0..100).collect())], true);
+        let (bytes, nulls) = arena.keys_and_nulls();
+        let idx = PartitionedIndex::build(&bytes, nulls.as_deref(), 1);
+        assert!(!idx.is_direct());
+        assert_eq!(idx.get(&bytes[7]), Some(&[7u32][..]));
+    }
+
     #[test]
     fn partition_count_follows_the_worker_count() {
-        let keys: Vec<u64> = (0..MIN_PARTITIONED_BUILD as u64 + 1).collect();
+        // Keys spanning ≥ 4× the rows hash, and partition by workers.
+        let keys: Vec<u64> = (0..MIN_PARTITIONED_BUILD as u64 + 1)
+            .map(|k| k * 7919)
+            .collect();
         assert_eq!(PartitionedIndex::build(&keys, None, 7).num_partitions(), 8);
         assert_eq!(PartitionedIndex::build(&keys, None, 1).num_partitions(), 1);
         assert_eq!(
             PartitionedIndex::build(&keys[..100], None, 8).num_partitions(),
             1
         );
+        // Dense keys build direct: one serial part at any worker count.
+        let dense: Vec<u64> = (0..MIN_PARTITIONED_BUILD as u64 + 1).collect();
+        let idx = PartitionedIndex::build(&dense, None, 7);
+        assert!(idx.is_direct() && !idx.partitioned());
+        assert_eq!(idx.num_partitions(), 1);
     }
 
     /// The index holds O(distinct) key state plus one `u32` per build row:
-    /// 25 keys over 300 K rows cost the row array and little else.
+    /// 25 keys over 300 K rows cost the row array and little else, in
+    /// either layout.
     #[test]
     fn heavily_duplicated_builds_hold_no_per_row_key_state() {
         let n = 300_000usize;
-        let keys: Vec<u64> = (0..n as u64).map(|i| i % 25).collect();
-        let dup = PartitionedIndex::build(&keys, None, 1);
-        assert!(
-            dup.heap_bytes() < (4 * n + 4096) as u64,
-            "{}",
-            dup.heap_bytes()
-        );
-        let unique: Vec<u64> = (0..n as u64).collect();
-        let uniq = PartitionedIndex::build(&unique, None, 1);
-        assert!(uniq.heap_bytes() >= (4 * n + 4 * n + 13 * n) as u64);
+        for scale in [1, 100_003] {
+            let keys: Vec<u64> = (0..n as u64).map(|i| i % 25 * scale).collect();
+            let dup = PartitionedIndex::build(&keys, None, 1);
+            assert_eq!(dup.is_direct(), scale == 1);
+            assert!(
+                dup.heap_bytes() < (4 * n + 4096) as u64,
+                "{}",
+                dup.heap_bytes()
+            );
+        }
+        // Unique keys: a hashed index holds a slot-map bucket (17 bytes,
+        // ≥ 8/7 of them per key) and an offset per key besides the row ids;
+        // a direct one an offset per key in range.
+        let spread: Vec<u64> = (0..n as u64).map(|k| k * 7919).collect();
+        let uniq = PartitionedIndex::build(&spread, None, 1);
+        assert!(!uniq.is_direct());
+        assert!(uniq.heap_bytes() >= (4 * n + 4 * n + 19 * n) as u64);
+        let dense: Vec<u64> = (0..n as u64).collect();
+        let direct = PartitionedIndex::build(&dense, None, 1);
+        assert!(direct.is_direct());
+        assert_eq!(direct.heap_bytes(), (4 * (n + 1) + 4 * n) as u64);
+    }
+
+    /// `heap_bytes` is the real allocation, pinned for one build of each
+    /// layout over 5 000 unique keys (and the up-front charge of a direct
+    /// build is all of it).
+    #[test]
+    fn heap_bytes_counts_the_real_allocation() {
+        let n = 5000usize;
+        // Grown from empty, the slot map of 5 000 keys has 8 192 buckets
+        // (capacity 7 168): a 16-byte `(u64, u32)` or 32-byte `(u128, u32)`
+        // tuple and a control byte each, plus one 16-byte control group.
+        // Offsets (n + 1) and row ids (n) are 4 bytes each.
+        let arrays = 4 * (n + 1 + n);
+        let spread: Vec<u64> = (0..n as u64).map(|k| k * 7919).collect();
+        let hashed = PartitionedIndex::build(&spread, None, 1);
+        assert_eq!(hashed.heap_bytes(), (8192 * 17 + 16 + arrays) as u64);
+        let wide: Vec<u128> = spread.iter().map(|&k| u128::from(k)).collect();
+        let hashed = PartitionedIndex::build(&wide, None, 1);
+        assert_eq!(hashed.heap_bytes(), (8192 * 33 + 16 + arrays) as u64);
+        // Direct over 0..n: span n − 1, so n + 1 offsets, and n row ids.
+        let dense: Vec<u64> = (0..n as u64).collect();
+        let layout = IndexLayout::choose(&dense, None);
+        let direct = PartitionedIndex::build_as(layout, &dense, None, 1);
+        assert_eq!(direct.heap_bytes(), arrays as u64);
+        assert_eq!(layout.upfront_bytes(n), arrays as u64);
+        assert_eq!(IndexLayout::Hashed.upfront_bytes(n), 8 * n as u64);
     }
 
     #[test]

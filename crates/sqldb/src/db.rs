@@ -978,7 +978,7 @@ impl QueryTrace {
              cancel checks: {}, mem charged: {} bytes\n\
              morsels claimed per worker: {:?}\n\
              scan zones: {} evaluated, {} pruned; storage chunks concatenated: {}\n\
-             joins flipped: {}, build partitions: {}\n\
+             joins flipped: {}, build partitions: {}, direct builds: {}\n\
              rows: {} join build, {} join probe; {} aggregate group(s)\n\
              pipelines: {}, fused ops per pipeline: {:?}, intermediates avoided: {}\n\
              dict: {} encoded col(s) scanned, {} dict-probe pipeline(s), {} predicate table(s), {} col(s) decoded",
@@ -991,6 +991,7 @@ impl QueryTrace {
             self.metrics.chunks_concatenated,
             self.metrics.joins_flipped,
             self.metrics.partitions_built,
+            self.metrics.direct_builds,
             self.metrics.join_build_rows,
             self.metrics.join_probe_rows,
             self.metrics.agg_groups,
@@ -1670,10 +1671,11 @@ mod tests {
         assert_eq!(r.column("a").unwrap().as_int(), &[3, 1, 2, 4]);
     }
 
-    /// What a join charges follows what its CSR index holds: one row id (and
-    /// one scratch word) per build row, key state per *distinct* key. A
-    /// 25-key build over 300 K rows must not be charged — or reserve — a key
-    /// entry per row; a unique build pays for every key.
+    /// What a join charges follows what its CSR index holds. Hashed: one row
+    /// id (and one scratch word) per build row, key state per *distinct*
+    /// key. Direct: one row id per build row and one offset per key in
+    /// range. A 25-key build over 300 K rows must not be charged — or
+    /// reserve — a key entry per row; a unique build pays for every key.
     #[test]
     fn join_index_memory_follows_distinct_keys() {
         let n = 300_000i64;
@@ -1681,7 +1683,16 @@ mod tests {
         let keyed = |keys: Vec<i64>| Relation::new(vec![("k".into(), Column::from_i64(keys))]);
         db.register("probe", keyed((0..n).collect()).unwrap());
         db.register("dup", keyed((0..n).map(|i| i % 25).collect()).unwrap());
-        db.register("uniq", keyed((0..n).map(|i| i * 2).collect()).unwrap());
+        db.register(
+            "dup_spread",
+            keyed((0..n).map(|i| i % 25 * 100_003).collect()).unwrap(),
+        );
+        // Unique keys spanning ≥ 4× the rows hash; a span of 2× builds direct.
+        db.register("uniq", keyed((0..n).map(|i| i * 7919).collect()).unwrap());
+        db.register(
+            "uniq_dense",
+            keyed((0..n).map(|i| i * 2).collect()).unwrap(),
+        );
         let semi = |build: &str, profile: Profile| {
             let sql = format!("SELECT COUNT(*) AS n FROM probe WHERE k IN (SELECT k FROM {build})");
             let (rel, trace) = db
@@ -1703,21 +1714,36 @@ mod tests {
             (
                 rel.column("n").unwrap().get(0),
                 trace.metrics.mem_peak_bytes,
+                trace.metrics.direct_builds == 1,
             )
         };
         for profile in [Profile::Vectorized, Profile::Fused] {
-            let (matches, charged) = semi("dup", profile);
-            assert_eq!(matches, Value::Int(25));
+            for (build, direct) in [("dup", true), ("dup_spread", false)] {
+                let (matches, charged, was_direct) = semi(build, profile);
+                assert_eq!(was_direct, direct, "{build}");
+                // The spread keys below 300 K: 0, 100 003 and 200 006.
+                let want = if direct { 25 } else { 3 };
+                assert_eq!(matches, Value::Int(want), "{build}");
+                assert!(
+                    charged < 8 * n as u64 + 4096,
+                    "{profile:?} {build}: {charged} bytes"
+                );
+            }
+            let (matches, charged, was_direct) = semi("uniq", profile);
+            assert!(!was_direct);
+            assert_eq!(matches, Value::Int(n / 7919 + 1));
+            // + an offset (4 B) and a slot-map bucket (≥ 17 B) per key.
             assert!(
-                charged < 8 * n as u64 + 4096,
+                charged >= (8 + 4 + 17) * n as u64,
                 "{profile:?}: {charged} bytes"
             );
-            let (matches, charged) = semi("uniq", profile);
+            let (matches, dense, was_direct) = semi("uniq_dense", profile);
+            assert!(was_direct);
             assert_eq!(matches, Value::Int(n / 2));
-            // + an offset (4 B) and a slot-map entry (≥ 13 B) per key.
+            // A row id per row and an offset per key in range (2n − 1).
             assert!(
-                charged >= (8 + 4 + 13) * n as u64,
-                "{profile:?}: {charged} bytes"
+                dense >= (4 + 8) * n as u64 && dense < charged,
+                "{profile:?}: {dense} vs hashed {charged} bytes"
             );
         }
     }

@@ -45,8 +45,8 @@ use crate::table::{self, Batch, Schema, StoredTable};
 use pytond_common::cancel::CancelToken;
 use pytond_common::fault::{self, FaultSite};
 use pytond_common::hash::{
-    distinct_rows, sql_key_encodings, FixedKeySpec, FxHashMap, KeyArena, KeyEncoding, KeyWidth,
-    PartitionedIndex,
+    distinct_rows, sql_key_encodings, FixedKeySpec, FxHashMap, IndexKey, IndexLayout, KeyArena,
+    KeyEncoding, KeyWidth, PartitionedIndex,
 };
 use pytond_common::pool;
 use pytond_common::{Column, DType, Error, Result};
@@ -149,6 +149,9 @@ pub struct ExecMetrics {
     /// Hash-join build partitions constructed concurrently (0 when every
     /// build ran serially on one partition).
     pub partitions_built: u64,
+    /// Join indexes built direct-addressed: dense `u64` keys, no hashing on
+    /// build or probe (see `docs/EXECUTION.md` § Join index).
+    pub direct_builds: u64,
     /// Rows hash-join build sides indexed, summed over every join.
     pub join_build_rows: u64,
     /// Rows probed against a join index, summed over every join.
@@ -597,23 +600,26 @@ impl<'a> Executor<'a> {
         Ok(outcome.results)
     }
 
-    /// Builds a hash-join build side: a CSR index, partitioned and built
-    /// concurrently when the input is large enough and workers are
-    /// available. Polls the token and charges what the flat layout
-    /// allocates: a row id and a slot-scratch word per build row before the
-    /// build, the key → slot state (proportional to the *distinct* keys)
-    /// once its size is known.
-    fn build_index<K: Hash + Eq + Copy + Send + Sync>(
-        &self,
-        (keys, nulls): &JoinKeys<K>,
-    ) -> Result<PartitionedIndex<K>> {
+    /// Builds a join build side: a CSR index, direct-addressed when its
+    /// keys are dense, else hashed and partitioned concurrently when the
+    /// input is large enough and workers are available. Polls the token and
+    /// charges what the chosen layout allocates: a direct index in full
+    /// before the build; a hashed one a row id and a slot-scratch word per
+    /// build row before it, and its key state (proportional to the
+    /// *distinct* keys) once that size is known.
+    fn build_index<K: IndexKey>(&self, (keys, nulls): &JoinKeys<K>) -> Result<PartitionedIndex<K>> {
         self.opts.cancel.check()?;
-        self.opts.cancel.charge(8 * keys.len() as u64)?;
-        let idx = PartitionedIndex::build(keys, nulls.as_deref(), self.opts.threads);
-        let row_ids = 4 * keys.len() as u64;
-        self.opts
-            .cancel
-            .charge(idx.heap_bytes().saturating_sub(row_ids))?;
+        let layout = IndexLayout::choose(keys, nulls.as_deref());
+        self.opts.cancel.charge(layout.upfront_bytes(keys.len()))?;
+        let idx = PartitionedIndex::build_as(layout, keys, nulls.as_deref(), self.opts.threads);
+        if idx.is_direct() {
+            self.metrics.borrow_mut().direct_builds += 1;
+        } else {
+            let row_ids = 4 * keys.len() as u64;
+            self.opts
+                .cancel
+                .charge(idx.heap_bytes().saturating_sub(row_ids))?;
+        }
         let mut m = self.metrics.borrow_mut();
         m.join_build_rows += keys.len() as u64;
         if idx.partitioned() {
@@ -1870,7 +1876,7 @@ struct ProbeHits {
 
 /// The probe loop, generic over the key type: NULL keys never match, semi
 /// keeps rows with a match, anti keeps NULL-key and matchless rows.
-fn probe_rows<K: Hash + Eq + Copy + Send + Sync>(
+fn probe_rows<K: IndexKey>(
     keys: &[K],
     nulls: Option<&[bool]>,
     range: std::ops::Range<usize>,

@@ -110,22 +110,30 @@ pub(crate) fn corpus_db(
 
 /// Two tables whose join keys are NULL on every third / fourth row — the
 /// case where partitioned builds must drop NULL keys exactly like the
-/// serial build, for every join kind.
+/// serial build, for every join kind. The live keys are dense (`i % 500`,
+/// `i % 700`), so join indexes over them build direct-addressed.
 pub(crate) fn null_heavy_db(n: usize) -> Database {
+    null_heavy_db_scaled(n, 1)
+}
+
+/// [`null_heavy_db`] with every live key multiplied by `scale`: at 7919
+/// the keys span far more than 4× the rows, so join indexes hash (and
+/// partition, when large enough and given workers).
+pub(crate) fn null_heavy_db_scaled(n: usize, scale: i64) -> Database {
     let mut l_key = Column::new(DType::Int);
     let mut r_key = Column::new(DType::Int);
     for i in 0..n {
         if i % 3 == 0 {
             l_key.push_null();
         } else {
-            l_key.push(Value::Int((i % 500) as i64)).unwrap();
+            l_key.push(Value::Int((i % 500) as i64 * scale)).unwrap();
         }
     }
     for i in 0..n / 2 {
         if i % 4 == 0 {
             r_key.push_null();
         } else {
-            r_key.push(Value::Int((i % 700) as i64)).unwrap();
+            r_key.push(Value::Int((i % 700) as i64 * scale)).unwrap();
         }
     }
     let db = Database::new();

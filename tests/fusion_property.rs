@@ -25,7 +25,7 @@ use pytond_common::{Column, DType, Relation, Value};
 use pytond_sqldb::Database;
 
 mod common;
-use common::{assert_bit_identical, corpus_db, null_heavy_db, thread_counts};
+use common::{assert_bit_identical, corpus_db, null_heavy_db, null_heavy_db_scaled, thread_counts};
 
 /// Small morsels so test-sized inputs span many-morsel grids.
 const TEST_MORSEL: usize = 1024;
@@ -158,7 +158,13 @@ fn stats_corpus_fused_matches_materializing() {
 
 #[test]
 fn null_heavy_and_empty_joins_fused_matches_materializing() {
-    let db = null_heavy_db(30_000);
+    // Dense keys build direct-addressed indexes, spread ones hashed.
+    for db in [null_heavy_db(30_000), null_heavy_db_scaled(30_000, 7919)] {
+        null_heavy_joins_fused_match(&db);
+    }
+}
+
+fn null_heavy_joins_fused_match(db: &Database) {
     for sql in [
         // Inner probe feeding a fused aggregate sink.
         "SELECT l.k, COUNT(*) AS n, SUM(r.b) AS s FROM l, r WHERE l.k = r.k GROUP BY l.k",
@@ -177,7 +183,7 @@ fn null_heavy_and_empty_joins_fused_matches_materializing() {
         "SELECT l.k, SUM(r.b) AS s FROM l, r WHERE l.k = r.k AND r.b > 10.0 \
          AND l.a < 20000 GROUP BY l.k",
     ] {
-        check_sql(sql, &db, sql);
+        check_sql(sql, db, sql);
     }
 }
 

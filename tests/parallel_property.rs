@@ -18,7 +18,7 @@ use pytond_sqldb::Database;
 use std::time::Duration;
 
 mod common;
-use common::{assert_bit_identical, corpus_db, null_heavy_db, thread_counts};
+use common::{assert_bit_identical, corpus_db, null_heavy_db, null_heavy_db_scaled, thread_counts};
 
 /// Small morsels so even the test-sized inputs span many-morsel grids
 /// (16 Ki-row production morsels would leave them single-morsel).
@@ -183,7 +183,13 @@ fn serial_operators_bit_identical_across_thread_counts() {
 
 #[test]
 fn null_heavy_and_empty_joins_bit_identical() {
-    let db = null_heavy_db(30_000);
+    // Dense keys build direct-addressed indexes, spread ones hashed.
+    for db in [null_heavy_db(30_000), null_heavy_db_scaled(30_000, 7919)] {
+        null_heavy_joins_bit_identical(&db);
+    }
+}
+
+fn null_heavy_joins_bit_identical(db: &Database) {
     for sql in [
         // Inner join + aggregate over the matches.
         "SELECT l.k, COUNT(*) AS n, SUM(r.b) AS s FROM l, r WHERE l.k = r.k GROUP BY l.k",
@@ -197,7 +203,7 @@ fn null_heavy_and_empty_joins_bit_identical() {
         "SELECT l.a FROM l, empty WHERE l.k = empty.k",
         "SELECT empty.k FROM empty LEFT JOIN r ON empty.k = r.k",
     ] {
-        check_sql(sql, &db, sql);
+        check_sql(sql, db, sql);
     }
 }
 
@@ -205,7 +211,8 @@ fn null_heavy_and_empty_joins_bit_identical() {
 
 #[test]
 fn traces_report_parallelism_and_partitions() {
-    let db = null_heavy_db(40_000);
+    // Keys spanning ≥ 4× the rows: the join index hashes.
+    let db = null_heavy_db_scaled(40_000, 7919);
     let join_agg = "SELECT l.k, SUM(r.b) AS s FROM l, r WHERE l.k = r.k GROUP BY l.k";
     // Serial trace: one worker, no concurrent partitions.
     let (_, serial) = db
@@ -218,6 +225,7 @@ fn traces_report_parallelism_and_partitions() {
         serial.metrics
     );
     assert_eq!(serial.metrics.partitions_built, 0);
+    assert_eq!(serial.metrics.direct_builds, 0);
     assert!(serial.plan.contains("parallelism: 1 worker thread(s)"));
     // Parallel trace: multiple workers claimed morsels, the join build
     // partitioned, and the plan header names the degree of parallelism.
@@ -240,6 +248,18 @@ fn traces_report_parallelism_and_partitions() {
         "the 40k-row build side should partition: {:?}",
         par.metrics
     );
+    assert_eq!(par.metrics.direct_builds, 0);
     assert!(par.plan.contains("parallelism: 7 worker thread(s)"));
     assert!(par.summary().contains("morsels claimed per worker"));
+    // Dense keys (`i % 500`, `i % 700`): the same join builds one
+    // direct-addressed index, serially, at any worker count.
+    let dense = null_heavy_db(40_000);
+    for threads in [1, 7] {
+        let (_, t) = dense
+            .execute_sql_traced(join_agg, &config(Profile::Vectorized, threads))
+            .unwrap();
+        assert_eq!(t.metrics.direct_builds, 1, "{threads}: {:?}", t.metrics);
+        assert_eq!(t.metrics.partitions_built, 0, "{threads}: {:?}", t.metrics);
+        assert!(t.summary().contains("direct builds: 1"), "{}", t.summary());
+    }
 }
