@@ -1011,8 +1011,8 @@ pub fn distinct_keep<K: std::hash::Hash + Eq + Copy>(keys: &[K]) -> Vec<usize> {
 }
 
 /// First-occurrence indices of the distinct rows over `cols` (NULL is a
-/// value, as in `DISTINCT` and `drop_duplicates`): packed words when every
-/// column is fixed-width, raw arena bytes otherwise.
+/// value, as in `drop_duplicates`): packed words when every column is
+/// fixed-width, raw arena bytes otherwise.
 pub fn distinct_rows(cols: &[&Column]) -> Vec<usize> {
     match FixedKeySpec::plan(&[cols], true) {
         Some(spec) if spec.width() == KeyWidth::U64 => distinct_keep(&spec.pack_u64(cols).0),

@@ -135,7 +135,8 @@ impl<'q> AggLayout<'q> {
     }
 
     /// Bytes one group occupies across every accumulator array (the charge
-    /// per retained group; DISTINCT sets grow separately).
+    /// per retained group; a DISTINCT set is charged per value it keeps, by
+    /// [`AggState::merge`]).
     pub(crate) fn group_bytes(&self) -> usize {
         let accs: usize = (0..self.len())
             .map(|ai| match self.acc(ai) {
@@ -304,7 +305,7 @@ enum AccCol {
     DistinctB(Distinct<Vec<u8>>),
 }
 
-/// One DISTINCT aggregate's values, flat over all groups. A morsel only
+/// One `COUNT(DISTINCT …)`'s values, flat over all groups. A morsel only
 /// *lists* its `(local group, value)` pairs; the merge, which knows global
 /// group ids, inserts them into the one `(group, value)` set — so each input
 /// row is hashed once, and sets being order-insensitive, the result cannot
@@ -316,9 +317,17 @@ struct Distinct<V> {
 }
 
 impl<V: std::hash::Hash + Eq> Distinct<V> {
-    fn merge(&mut self, part: Distinct<V>, map: &[u32]) {
-        let global = part.pairs.into_iter().map(|(g, v)| (map[g as usize], v));
-        self.seen.extend(global);
+    /// Inserts a partial's pairs under their global groups; returns the
+    /// bytes the newly kept pairs hold (`heap` is a value's own).
+    fn merge(&mut self, part: Distinct<V>, map: &[u32], heap: impl Fn(&V) -> usize) -> usize {
+        let mut added = 0;
+        for (g, v) in part.pairs {
+            let bytes = std::mem::size_of::<(u32, V)>() + heap(&v);
+            if self.seen.insert((map[g as usize], v)) {
+                added += bytes;
+            }
+        }
+        added
     }
 
     /// Distinct values per group.
@@ -568,8 +577,9 @@ impl AccCol {
     }
 
     /// Folds `part`'s group `g` into this accumulator's group `map[g]`
-    /// (already grown to cover every mapped group).
-    fn merge(&mut self, part: AccCol, map: &[u32], is_min: bool) {
+    /// (already grown to cover every mapped group). Returns the bytes a
+    /// DISTINCT set grew by (0 for every other accumulator).
+    fn merge(&mut self, part: AccCol, map: &[u32], is_min: bool) -> usize {
         let to = |g: usize| map[g] as usize;
         match (self, part) {
             (AccCol::Count(x), AccCol::Count(y)) => {
@@ -602,10 +612,11 @@ impl AccCol {
                     }
                 }
             }
-            (AccCol::DistinctI(x), AccCol::DistinctI(y)) => x.merge(y, map),
-            (AccCol::DistinctB(x), AccCol::DistinctB(y)) => x.merge(y, map),
+            (AccCol::DistinctI(x), AccCol::DistinctI(y)) => return x.merge(y, map, |_| 0),
+            (AccCol::DistinctB(x), AccCol::DistinctB(y)) => return x.merge(y, map, Vec::len),
             _ => unreachable!("accumulator kinds are fixed by the layout"),
         }
+        0
     }
 }
 
@@ -629,13 +640,16 @@ impl AggState {
 
     /// Folds a morsel's partial in: its local group `g` is this state's
     /// group `map[g]`. Groups `map` introduces must have been appended with
-    /// [`AggState::push_group`] first.
-    pub(crate) fn merge(&mut self, part: AggState, map: &[u32], layout: &AggLayout<'_>) {
+    /// [`AggState::push_group`] first. Returns the bytes the DISTINCT sets
+    /// grew by: the pairs they newly keep, and a byte-encoded value's bytes.
+    pub(crate) fn merge(&mut self, part: AggState, map: &[u32], layout: &AggLayout<'_>) -> usize {
         let groups = self.groups();
+        let mut grown = 0;
         for (ai, (acc, p)) in self.accs.iter_mut().zip(part.accs).enumerate() {
             acc.grow(groups);
-            acc.merge(p, map, layout.aggs[ai].func == AggName::Min);
+            grown += acc.merge(p, map, layout.aggs[ai].func == AggName::Min);
         }
+        grown
     }
 
     /// The aggregate output columns, one typed column per aggregate.
@@ -676,13 +690,9 @@ impl AggState {
                     }
                     col
                 }
-                AccCol::DistinctI(set) if agg.func == AggName::Count => set.counts(groups),
-                AccCol::DistinctB(set) if agg.func == AggName::Count => set.counts(groups),
-                // Only COUNT(DISTINCT …) is supported; other DISTINCT
-                // aggregates yield NULL.
-                AccCol::DistinctI(_) | AccCol::DistinctB(_) => {
-                    Column::Float(vec![0.0; groups], Some(vec![false; groups]))
-                }
+                // The binder admits COUNT(DISTINCT …) only.
+                AccCol::DistinctI(set) => set.counts(groups),
+                AccCol::DistinctB(set) => set.counts(groups),
             });
         }
         Ok(out)

@@ -10,6 +10,11 @@
 //! * uncorrelated scalar subqueries → cross-joined 1-row inputs;
 //! * the two-phase aggregate rewrite (aggregate node, then a post-projection
 //!   evaluating the select items over group keys and aggregate results);
+//! * `SELECT DISTINCT` → an aggregate whose group keys are every output
+//!   column, with no aggregates;
+//! * refusals ([`Error::Unsupported`]) for what the executor cannot
+//!   compute: `SUM`/`AVG`/`MIN`/`MAX(DISTINCT …)`, and outer joins whose ON
+//!   clause is not all equalities between the two sides;
 //! * `row_number() OVER` → window node;
 //! * ORDER BY over output aliases (hidden sort columns appended when a key is
 //!   not part of the projection).
@@ -321,8 +326,13 @@ impl<'a> Binder<'a> {
         };
 
         if s.distinct {
-            out = LogicalPlan::Distinct {
+            // DISTINCT is a key-only aggregate: every column a group key.
+            let schema = out.schema().clone();
+            out = LogicalPlan::Aggregate {
                 input: Box::new(out),
+                group: (0..schema.len()).map(BExpr::Col).collect(),
+                aggs: Vec::new(),
+                schema,
             };
         }
         if !sort_keys.is_empty() {
@@ -499,6 +509,16 @@ impl<'a> Binder<'a> {
                             });
                         }
                     }
+                }
+                // The probe keeps an outer row unmatched by its keys alone:
+                // a residual or a keyless ON clause would need it to see
+                // every candidate pair.
+                let outer = matches!(jkind, JKind::Left | JKind::Right | JKind::Full);
+                if outer && (residual.is_some() || lkeys.is_empty()) {
+                    let kind = format!("{jkind:?}").to_uppercase();
+                    return Err(Error::Unsupported(format!(
+                        "{kind} JOIN: only equalities between the two sides may join them"
+                    )));
                 }
                 Ok(LogicalPlan::Join {
                     left: Box::new(l),
@@ -754,6 +774,14 @@ impl<'a> Binder<'a> {
                 distinct,
             } = e
             {
+                // The accumulators keep distinct value sets for counting
+                // only.
+                if *distinct && *func != AggName::Count {
+                    return Err(Error::Unsupported(format!(
+                        "{}(DISTINCT ...): only COUNT(DISTINCT ...) is supported",
+                        func.name()
+                    )));
+                }
                 let mut bound_arg = arg
                     .as_ref()
                     .map(|a| self.bind_expr(a, schema, None))

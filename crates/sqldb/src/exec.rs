@@ -2,12 +2,12 @@
 //! batches.
 //!
 //! The executor walks the logical plan top-down. Sources and breakers
-//! (unpredicated scans, `Values`, sorts, limits, windows, DISTINCT, keyless
-//! joins, aggregation merges) materialize their output; **every streaming
-//! operator** — predicated scan, filter, evaluated projection, keyed hash
-//! join — runs through `Executor::run_pipeline`, the only implementation
-//! of predicate evaluation, projection evaluation and hash-join build/probe
-//! in the engine. Which operators share a pipeline is a policy
+//! (unpredicated scans, `Values`, sorts, limits, windows, keyless joins,
+//! aggregation merges — `DISTINCT` among them) materialize their output;
+//! **every streaming operator** — predicated scan, filter, evaluated
+//! projection, keyed hash join — runs through `Executor::run_pipeline`, the
+//! only implementation of predicate evaluation, projection evaluation and
+//! hash-join build/probe in the engine. Which operators share a pipeline is a policy
 //! ([`crate::pipeline::extract`]), not a second engine:
 //!
 //! * **fused** — the maximal chain: a claimed morsel flows
@@ -27,8 +27,8 @@
 //! group order, which keeps differential tests exact); and hash-join build
 //! sides above [`pytond_common::hash::MIN_PARTITIONED_BUILD`] rows are split
 //! by key hash into partitions built concurrently
-//! ([`pytond_common::hash::PartitionedIndex`]). Sorts, `DISTINCT` and
-//! group-key evaluation run on the driver thread. Which input is the build
+//! ([`pytond_common::hash::PartitionedIndex`]). Sorts and group-key
+//! evaluation run on the driver thread. Which input is the build
 //! side is the plan's decision ([`LogicalPlan::Join`]'s `build_left`), never
 //! the executor's. Order-sensitive float accumulation always folds over the
 //! fixed morsel grid — never over per-thread chunks — so every thread count
@@ -45,8 +45,8 @@ use crate::table::{self, Batch, Schema, StoredTable};
 use pytond_common::cancel::CancelToken;
 use pytond_common::fault::{self, FaultSite};
 use pytond_common::hash::{
-    distinct_rows, sql_key_encodings, FixedKeySpec, FxHashMap, IndexKey, IndexLayout, KeyArena,
-    KeyEncoding, KeyWidth, PartitionedIndex,
+    sql_key_encodings, FixedKeySpec, FxHashMap, IndexKey, IndexLayout, KeyArena, KeyEncoding,
+    KeyWidth, PartitionedIndex,
 };
 use pytond_common::pool;
 use pytond_common::{Column, DType, Error, Result};
@@ -115,10 +115,10 @@ pub struct ExecMetrics {
     /// left in several chunks, read whole — an unpredicated scan read by an
     /// operator that needs its rows contiguous (a sort, a join build side,
     /// a keyless join, an aggregate under the one-operator policy), or a
-    /// pipeline every row of whose scan survives. A table version does this
-    /// at most once per column (see [`StoredTable::whole`]); scans whose
-    /// pipelines keep fewer rows stream chunk by chunk and glue nothing, so
-    /// reads whose base-table scans all do report 0.
+    /// pipeline every row of whose scan survives. Every such read
+    /// concatenates afresh and keeps the copy no longer than the query;
+    /// scans whose pipelines keep fewer rows stream chunk by chunk and glue
+    /// nothing, so reads whose base-table scans all do report 0.
     pub chunks_concatenated: u64,
     /// Zones whose rows a predicated scan actually evaluated, as
     /// **per-pipeline totals**: each pipeline counts every zone it evaluates
@@ -234,8 +234,11 @@ pub(crate) fn execute_with_temps(
         let fields = fields.map(|f| table::Field::new(f.name.clone(), f.dtype));
         // CTE temporaries skip the stats pass: their scans filter
         // row-by-row without zone pruning.
-        let chunks = vec![table::Chunk::whole(batch)];
-        let temp = StoredTable::new(Schema::new(fields.collect()), chunks, None);
+        let temp = StoredTable {
+            schema: Schema::new(fields.collect()),
+            chunks: vec![table::Chunk::whole(batch)],
+            stats: None,
+        };
         exec.temps.insert(name.to_lowercase(), temp);
     }
     let batch = exec.exec(&q.root)?;
@@ -401,11 +404,6 @@ impl<'a> Executor<'a> {
                 let batch = self.exec(input)?;
                 self.window(&batch, order)
             }
-            LogicalPlan::Distinct { input } => {
-                let batch = self.exec(input)?;
-                let cols: Vec<&Column> = batch.cols.iter().map(|c| c.as_ref()).collect();
-                Ok(batch.gather(&distinct_rows(&cols)))
-            }
             streaming => Err(Error::Internal(format!(
                 "{} was not extracted into a pipeline",
                 streaming.name()
@@ -474,49 +472,20 @@ impl<'a> Executor<'a> {
         zone_ok
     }
 
-    /// An unpredicated scan read whole by a breaker: the projected columns
-    /// over every row (see [`StoredTable::whole`]).
+    /// An unpredicated scan read whole by a breaker: the parts a pipeline
+    /// source streams, as one batch. A lone part spanning its batch shares
+    /// the stored columns; anything else is concatenated for this read.
     fn scan(&self, table: &str, projection: Option<&[usize]>) -> Result<Batch> {
-        let stored = self.stored(table)?;
-        let batch = self.whole(stored, projection);
-        self.metrics.borrow_mut().dict_encoded_cols += batch.dict_cols() as u64;
-        Ok(batch)
-    }
-
-    /// [`StoredTable::whole`], counting the chunks it concatenated.
-    fn whole(&self, stored: &StoredTable, projection: Option<&[usize]>) -> Batch {
-        let (batch, glued) = stored.whole(projection);
-        if glued {
-            self.metrics.borrow_mut().chunks_concatenated += stored.chunks.len() as u64;
-        }
-        batch
-    }
-
-    /// The rows a pipeline of views over a table scan hands its sink when
-    /// every row survived: the table's whole columns, re-listed as the
-    /// stages' bare projections re-list them, narrowed to `only`.
-    fn whole_rows(
-        &self,
-        stored: &StoredTable,
-        projection: Option<&[usize]>,
-        stages: &[PStage<'_>],
-        only: Option<&[usize]>,
-    ) -> Batch {
-        let all = || (0..stored.schema.len()).collect();
-        let mut cols: Vec<usize> = projection.map_or_else(all, <[usize]>::to_vec);
-        for st in stages {
-            if let PStage::Project(exprs) = st {
-                let bare = |e: &BExpr| match e {
-                    BExpr::Col(i) => cols[*i],
-                    _ => unreachable!("a view's projections are bare columns"),
-                };
-                cols = exprs.iter().map(bare).collect();
+        let parts = self.scan_source(table, projection, None)?.parts;
+        match &parts[..] {
+            [c] if c.rows == (0..c.batch.num_rows()) => Ok((*c.batch).clone()),
+            _ => {
+                if parts.len() > 1 {
+                    self.metrics.borrow_mut().chunks_concatenated += parts.len() as u64;
+                }
+                Batch::concat_rows(&parts)
             }
         }
-        if let Some(used) = only {
-            cols = used.iter().map(|&i| cols[i]).collect();
-        }
-        self.whole(stored, Some(&cols))
     }
 
     /// A scan feeding a pipeline: the projected columns of each storage
@@ -545,7 +514,6 @@ impl<'a> Executor<'a> {
             n: stored.num_rows(),
             parts,
             scan,
-            table: Some((stored, projection)),
         })
     }
 
@@ -819,8 +787,9 @@ impl<'a> Executor<'a> {
         })?;
         // Merge partials in ascending morsel order — the explicit merge
         // order every thread count shares. Each merge step polls the token
-        // and charges newly retained groups against the budget: their slots
-        // in every accumulator array plus the key → group map entry.
+        // and charges what it newly retains against the budget: per new
+        // group its slots in every accumulator array plus the key → group
+        // map entry, and the values the DISTINCT sets newly keep.
         let group_bytes = layout.group_bytes() + std::mem::size_of::<(K, u32)>();
         let mut global: FxHashMap<K, u32> = (0u32..).zip(seen).map(|(g, k)| (*k, g)).collect();
         let mut first_row: Vec<usize> = Vec::new();
@@ -848,10 +817,9 @@ impl<'a> Executor<'a> {
                 }
                 to_global.push(g);
             }
-            self.opts
-                .cancel
-                .charge(((state.groups() - before) * group_bytes) as u64)?;
-            state.merge(part, &to_global, layout);
+            let distinct = state.merge(part, &to_global, layout);
+            let groups = (state.groups() - before) * group_bytes;
+            self.opts.cancel.charge((groups + distinct) as u64)?;
         }
         if resumable && closed.is_none() {
             closed = Some(state.clone());
@@ -1151,12 +1119,11 @@ impl<'a> Executor<'a> {
         };
         let regroup = matches!(sink, Sink::Regroup);
         // Chunks that reach the sink as views of the source are gathered
-        // after the last one, once per source part (or, when every row of
-        // a table survived, not at all: the table's whole columns stand
-        // in). Chunks a stage materialized are compacted where they are
-        // hot, except under a regroup sink, whose one gather follows the
-        // counting sort over one base — so there, views of a several-part
-        // source are compacted too.
+        // after the last one, once per source part. Chunks a stage
+        // materialized are compacted where they are hot, except under a
+        // regroup sink, whose one gather follows the counting sort over one
+        // base — so there, views of a several-part source are compacted
+        // too.
         let shared = !stages.iter().any(PStage::materializes);
         let views = shared && (source.parts.len() == 1 || !regroup);
         // Drive. Each claim passes the morsel guard; each stage boundary
@@ -1192,14 +1159,11 @@ impl<'a> Executor<'a> {
         let chunks: Vec<Chunk> = done.into_iter().flatten().collect();
         let owned_rows: usize = chunks.iter().map(|c| c.batch.num_rows()).sum();
         let total: usize = chunks.iter().map(|c| c.rows.len()).sum();
-        // Every row of a stored table survived stages that only filter and
-        // re-list columns: the sink reads the table's whole columns.
-        let whole = match source.table {
-            Some((table, projection)) if views && !regroup && total == n => {
-                Some(self.whole_rows(table, projection, stages, only.as_deref()))
-            }
-            _ => None,
-        };
+        // Every row of a several-chunk table reached the sink as views: the
+        // merge concatenates its chunks, for this read.
+        if views && source.parts.len() > 1 && total == n {
+            self.metrics.borrow_mut().chunks_concatenated += source.parts.len() as u64;
+        }
         let narrow = |b: &Batch| match &only {
             Some(used) => Batch {
                 cols: used.iter().map(|&i| b.cols[i].clone()).collect(),
@@ -1217,9 +1181,6 @@ impl<'a> Executor<'a> {
                 build_rows.push(c.build_rows);
             }
             if views {
-                if whole.is_some() {
-                    continue;
-                }
                 if parts.last().map_or(true, |(p, ..)| *p != c.part) {
                     parts.push((c.part, narrow(&c.batch), Vec::new()));
                 }
@@ -1252,7 +1213,6 @@ impl<'a> Executor<'a> {
             }
         }
         let (base, sel) = match parts.len() {
-            _ if whole.is_some() => (whole, None),
             _ if !views => (
                 merged.map(Batch::from_columns),
                 regroup.then(|| stitch(sels)),
@@ -1423,9 +1383,6 @@ struct PSource<'a> {
     n: usize,
     parts: Vec<table::Chunk>,
     scan: Option<PScan<'a>>,
-    /// For a table scan, the table and the projection of its columns the
-    /// parts hold.
-    table: Option<(&'a StoredTable, Option<&'a [usize]>)>,
 }
 
 impl PSource<'_> {
@@ -1435,7 +1392,6 @@ impl PSource<'_> {
             n: batch.num_rows(),
             parts: vec![table::Chunk::whole(batch)],
             scan: None,
-            table: None,
         }
     }
 }
@@ -1939,23 +1895,34 @@ fn compact_chunk(chunk: Chunk, only: Option<&[usize]>) -> Chunk {
     }
 }
 
-/// The rows the selections keep of each view part, in order, as one batch:
-/// each part's rows gathered, then appended (parts of one dictionary
-/// lineage append by code, see [`Column::append`]).
+/// The rows the selections keep of each view part, in order, as one batch.
+/// A part whose kept rows are one run — every row of a storage chunk that
+/// survived — appends that range, as [`Batch::concat_rows`] does; any other
+/// is gathered, then appended. Parts of one dictionary lineage append by
+/// code (see [`Column::append`]).
 fn gather_parts(parts: Vec<(usize, Batch, Vec<Vec<usize>>)>) -> Result<Batch> {
     let parts: Vec<(Batch, Vec<usize>)> =
         parts.into_iter().map(|(_, b, s)| (b, stitch(s))).collect();
     let total = parts.iter().map(|(_, s)| s.len()).sum::<usize>();
     let cols = (0..parts[0].0.cols.len()).map(|i| {
-        let (first, sel) = &parts[0];
-        let mut out = first.cols[i].gather(sel);
-        out.reserve(total - sel.len());
-        for (b, s) in &parts[1..] {
-            out.append(&b.cols[i].gather(s))?;
+        let mut out = parts[0].0.cols[i].slice(0, 0);
+        out.reserve(total);
+        for (b, sel) in &parts {
+            match run_of(sel) {
+                Some(rows) => out.append_range(&b.cols[i], rows)?,
+                None => out.append(&b.cols[i].gather(sel))?,
+            }
         }
         Ok(out)
     });
     Ok(Batch::from_columns(cols.collect::<Result<_>>()?))
+}
+
+/// The rows of an ascending, duplicate-free selection as one range, when
+/// they are one run: its ends are as far apart as it is long.
+fn run_of(sel: &[usize]) -> Option<std::ops::Range<usize>> {
+    let (&lo, &hi) = (sel.first()?, sel.last()?);
+    (hi - lo + 1 == sel.len()).then_some(lo..hi + 1)
 }
 
 /// An empty batch with the fields' dtypes (a pipeline whose every chunk
@@ -1973,8 +1940,8 @@ fn empty_batch(fields: &[crate::table::Field]) -> Batch {
 /// `Some(width)` = fixed-width packed fast path, `None` = byte-encoded
 /// fallback. This is the exact decision joins (two column sets,
 /// `nulls_matter = false`; planned from static dtypes in
-/// [`crate::pipeline`]), aggregation and DISTINCT (one set,
-/// `nulls_matter = true`) make — exposed so tests and diagnostics can assert
+/// [`crate::pipeline`]) and aggregation, DISTINCT included (one set,
+/// `nulls_matter = true`), make — exposed so tests and diagnostics can assert
 /// which path a query takes.
 pub fn planned_key_width(col_sets: &[&[&Column]], nulls_matter: bool) -> Option<KeyWidth> {
     FixedKeySpec::plan(col_sets, nulls_matter).map(|s| s.width())

@@ -41,9 +41,10 @@
 //!   spliced into the tree and classify like any subtree), tables scanned
 //!   more than once, deltas feeding a join build side or a non-monotone
 //!   (`Right`/`Full`) join, and order-sensitive operators (`Sort`,
-//!   `Distinct`, `Window`, `Limit`) between the scan and the root (above
-//!   the aggregate barrier they are fine — they re-run from the small
-//!   aggregate output every refresh).
+//!   `Window`, `Limit`) between the scan and the root (above the aggregate
+//!   barrier they are fine — they re-run from the small aggregate output
+//!   every refresh). `DISTINCT` is no such operator: it binds as a key-only
+//!   `Aggregate`, so it is a delta-agg barrier like any `GROUP BY`.
 //!
 //! # Consistency and staleness
 //!
@@ -372,7 +373,6 @@ fn roll(plan: &LogicalPlan, table: &str, path: &mut Vec<usize>) -> Roll {
                     LogicalPlan::Aggregate { .. } => Roll::Agg(path.clone()),
                     LogicalPlan::Sort { .. } => Roll::Stop("sort"),
                     LogicalPlan::Limit { .. } => Roll::Stop("limit"),
-                    LogicalPlan::Distinct { .. } => Roll::Stop("distinct"),
                     LogicalPlan::Window { .. } => Roll::Stop("window"),
                     LogicalPlan::Scan { .. } | LogicalPlan::Values { .. } => {
                         unreachable!("leaves have no children")
@@ -441,7 +441,11 @@ fn suffix_overlay(stored: &StoredTable, from: usize) -> StoredTable {
             chunks.push(Chunk { rows, ..c.clone() });
         }
     }
-    StoredTable::new(stored.schema.clone(), chunks, None)
+    StoredTable {
+        schema: stored.schema.clone(),
+        chunks,
+        stats: None,
+    }
 }
 
 /// Appends `delta`'s rows onto `dst` column by column (copy-on-write: a

@@ -245,9 +245,25 @@ fn push_conjuncts(plan: LogicalPlan, conjs: Vec<BExpr>) -> LogicalPlan {
             let inner = push_filters(plan);
             wrap_filter(inner, conjs)
         }
-        LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
-            input: Box::new(push_conjuncts(*input, conjs)),
-        },
+        // A key-only aggregate (DISTINCT) outputs its group keys: a
+        // conjunct over them keeps the same groups below it.
+        LogicalPlan::Aggregate {
+            input,
+            group,
+            aggs,
+            schema,
+        } if aggs.is_empty() => {
+            let mut pushed = conjs;
+            for c in &mut pushed {
+                substitute_cols(c, &group);
+            }
+            LogicalPlan::Aggregate {
+                input: Box::new(push_conjuncts(*input, pushed)),
+                group,
+                aggs,
+                schema,
+            }
+        }
         other => {
             let inner = push_filters(other);
             wrap_filter(inner, conjs)
@@ -390,7 +406,7 @@ fn prune(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, ColMap) {
             };
             (values, keep_map(schema.len(), &req))
         }
-        // Filter, Sort, Limit and Distinct pass their input's columns
+        // Filter, Sort and Limit pass their input's columns
         // through: they keep what is required plus what they read, and
         // report their input's map.
         LogicalPlan::Filter { input, mut pred } => {
@@ -415,13 +431,6 @@ fn prune(plan: LogicalPlan, required: &[usize]) -> (LogicalPlan, ColMap) {
             let (input, map) = prune(*input, &req);
             let input = Box::new(input);
             (LogicalPlan::Limit { input, n }, map)
-        }
-        LogicalPlan::Distinct { input } => {
-            // Distinct semantics depend on every column: prune nothing.
-            let all: Vec<usize> = (0..input.schema().len()).collect();
-            let (input, map) = prune(*input, &all);
-            let input = Box::new(input);
-            (LogicalPlan::Distinct { input }, map)
         }
         LogicalPlan::Project {
             input,
@@ -889,7 +898,6 @@ pub fn estimate(plan: &LogicalPlan, ctx: &StatsCatalog<'_>) -> f64 {
         | LogicalPlan::Sort { input, .. }
         | LogicalPlan::Window { input, .. } => estimate(input, ctx),
         LogicalPlan::Limit { input, n } => estimate(input, ctx).min(*n as f64),
-        LogicalPlan::Distinct { input } => (estimate(input, ctx) * 0.5).max(1.0),
         LogicalPlan::Aggregate { input, group, .. } => {
             if group.is_empty() {
                 1.0
@@ -970,8 +978,7 @@ fn col_ndv(plan: &LogicalPlan, i: usize, ctx: &StatsCatalog<'_>) -> Option<f64> 
         }
         LogicalPlan::Filter { input, .. }
         | LogicalPlan::Sort { input, .. }
-        | LogicalPlan::Limit { input, .. }
-        | LogicalPlan::Distinct { input } => col_ndv(input, i, ctx),
+        | LogicalPlan::Limit { input, .. } => col_ndv(input, i, ctx),
         LogicalPlan::Project { input, exprs, .. } => match exprs.get(i)? {
             BExpr::Col(j) => col_ndv(input, *j, ctx),
             _ => None,

@@ -5,7 +5,7 @@
 //! breakers. Its **source** is either a base-table scan, streamed storage
 //! chunk by storage chunk (a predicated one zone-at-a-time, so zone-map
 //! pruning stays a claim-time skip), or the materialized output of a
-//! breaker (join build, aggregation merge, sort, DISTINCT, limit, window —
+//! breaker (join build, aggregation merge, sort, limit, window —
 //! or, under the one-operator policy, simply the operator below). Its
 //! **stages** — filters, projections and hash-join
 //! probes — consume one claimed chunk at a time. Its **sink** stitches the
@@ -139,8 +139,8 @@ impl Pipeline<'_> {
 
 /// Extracts the pipeline rooted at `plan` under the given policy, or `None`
 /// when nothing streams: the node is a source or breaker (unpredicated scan,
-/// `Values`, sort, limit, window, DISTINCT, keyless join), an aggregate
-/// directly over one, or a projection of bare columns over one (which shares
+/// `Values`, sort, limit, window, keyless join), an aggregate directly over
+/// one, or a projection of bare columns over one (which shares
 /// the input's `Arc`s instead).
 pub fn extract(plan: &LogicalPlan, fuse: bool) -> Option<Pipeline<'_>> {
     let (top, mut sink) = match plan {

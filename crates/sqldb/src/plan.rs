@@ -98,7 +98,9 @@ pub enum LogicalPlan {
         /// Output schema (left ++ right; left only for semi/anti).
         schema: Schema,
     },
-    /// Hash aggregation (scalar aggregation when `group` is empty).
+    /// Hash aggregation (scalar aggregation when `group` is empty). With
+    /// every input column a group key and no aggregates it is `SELECT
+    /// DISTINCT`: one row per distinct input row, in first-occurrence order.
     Aggregate {
         /// Input.
         input: Box<LogicalPlan>,
@@ -132,11 +134,6 @@ pub enum LogicalPlan {
         /// Output schema (input ++ row_number field).
         schema: Schema,
     },
-    /// Duplicate elimination over all columns.
-    Distinct {
-        /// Input.
-        input: Box<LogicalPlan>,
-    },
 }
 
 impl LogicalPlan {
@@ -151,8 +148,7 @@ impl LogicalPlan {
             | LogicalPlan::Window { schema, .. } => schema,
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Limit { input, .. }
-            | LogicalPlan::Distinct { input } => input.schema(),
+            | LogicalPlan::Limit { input, .. } => input.schema(),
         }
     }
 
@@ -168,7 +164,6 @@ impl LogicalPlan {
             LogicalPlan::Sort { .. } => "Sort",
             LogicalPlan::Limit { .. } => "Limit",
             LogicalPlan::Window { .. } => "Window",
-            LogicalPlan::Distinct { .. } => "Distinct",
         }
     }
 
@@ -181,8 +176,7 @@ impl LogicalPlan {
             | LogicalPlan::Aggregate { input, .. }
             | LogicalPlan::Sort { input, .. }
             | LogicalPlan::Limit { input, .. }
-            | LogicalPlan::Window { input, .. }
-            | LogicalPlan::Distinct { input } => vec![input],
+            | LogicalPlan::Window { input, .. } => vec![input],
             LogicalPlan::Join { left, right, .. } => vec![left, right],
         }
     }
@@ -206,8 +200,7 @@ impl LogicalPlan {
             | LogicalPlan::Aggregate { input, .. }
             | LogicalPlan::Sort { input, .. }
             | LogicalPlan::Limit { input, .. }
-            | LogicalPlan::Window { input, .. }
-            | LogicalPlan::Distinct { input } => apply(input),
+            | LogicalPlan::Window { input, .. } => apply(input),
             LogicalPlan::Join { left, right, .. } => {
                 apply(left);
                 apply(right);

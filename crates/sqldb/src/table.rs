@@ -3,13 +3,14 @@
 //! A [`StoredTable`] is a list of immutable [`Chunk`]s: registered as one,
 //! grown by [`StoredTable::appended`] in O(batch + zone), every chunk but
 //! the last whole zones — so scans and zone maps see a bulk load's grid.
-//! A read that needs a table's columns whole concatenates them at most
-//! once per version ([`StoredTable::whole`]).
+//! Every scan reads the chunks; a read that needs a table's rows contiguous
+//! concatenates them itself ([`Batch::concat_rows`]), and holds the copy no
+//! longer than the read.
 
 use crate::stats::{TableStats, ZONE_ROWS};
 use pytond_common::{Column, DType, Error, Relation, Result};
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// One output/input field: optional table qualifier, name, type.
 #[derive(Debug, Clone, PartialEq)]
@@ -163,9 +164,8 @@ impl Batch {
 
     /// Concatenates the rows of chunks (schemas must match) into one batch:
     /// the one concatenation of storage chunks, for reads that need a
-    /// table's rows contiguous ([`StoredTable::whole`]). Encoded columns
-    /// stay encoded, in the newest version of their dictionary lineage,
-    /// codes unchanged.
+    /// table's rows contiguous. Encoded columns stay encoded, in the newest
+    /// version of their dictionary lineage, codes unchanged.
     pub fn concat_rows(parts: &[Chunk]) -> Result<Batch> {
         let first = parts.first().map_or(&[][..], |c| &c.batch.cols[..]);
         if parts.iter().any(|c| c.batch.num_cols() != first.len()) {
@@ -262,50 +262,9 @@ pub struct StoredTable {
     /// `None` on CTE temporaries (not worth a stats pass per query) and on
     /// view-maintenance overlays.
     pub stats: Option<TableStats>,
-    /// A read cache, not storage: per column, its rows as one column, once
-    /// a read needed them so (see [`StoredTable::whole`]).
-    whole: Vec<OnceLock<Arc<Column>>>,
 }
 
 impl StoredTable {
-    /// A table of `chunks` (at least one) under `schema`.
-    pub fn new(schema: Schema, chunks: Vec<Chunk>, stats: Option<TableStats>) -> StoredTable {
-        let whole = schema.fields.iter().map(|_| OnceLock::new()).collect();
-        StoredTable {
-            schema,
-            chunks,
-            stats,
-            whole,
-        }
-    }
-
-    /// The columns at `projection` (all when `None`) over every row, as one
-    /// batch, and whether this call concatenated chunks to build it. A
-    /// one-chunk table shares its stored columns. A several-chunk table
-    /// concatenates a column at most once per version — for the first read
-    /// that needs it whole — and shares it with every later read of the
-    /// version, which holds it until the version is dropped.
-    pub fn whole(&self, projection: Option<&[usize]>) -> (Batch, bool) {
-        let all: Vec<usize> = (0..self.schema.len()).collect();
-        let mut glued = false;
-        let mut column = |i: usize| match &self.chunks[..] {
-            [c] if c.rows == (0..c.batch.num_rows()) => c.batch.cols[i].clone(),
-            chunks => (self.whole[i].get_or_init(|| {
-                glued |= chunks.len() > 1;
-                let parts: Vec<Chunk> = chunks.iter().map(|c| c.project(Some(&[i]))).collect();
-                let col = Batch::concat_rows(&parts).expect("a table's chunks share its schema");
-                col.cols[0].clone()
-            }))
-            .clone(),
-        };
-        let cols = projection
-            .unwrap_or(&all)
-            .iter()
-            .map(|&i| column(i))
-            .collect();
-        (Batch { cols }, glued)
-    }
-
     /// Builds one chunk from a relation, computing full column statistics;
     /// with `encode` set, string columns are dictionary-encoded on the way
     /// in (the stored dtype stays `Str` — encoding is a representation, not
@@ -316,12 +275,11 @@ impl StoredTable {
         let fields = cols.clone().map(|(n, c)| Field::new(n.clone(), c.dtype()));
         let stored = |c: &Column| if encode { c.encode_str() } else { c.clone() };
         let batch = Batch::from_columns(cols.map(|(_, c)| stored(c).into_own_lineage()).collect());
-        let stats = Some(TableStats::compute(&batch.cols));
-        StoredTable::new(
-            Schema::new(fields.collect()),
-            vec![Chunk::whole(batch)],
-            stats,
-        )
+        StoredTable {
+            schema: Schema::new(fields.collect()),
+            stats: Some(TableStats::compute(&batch.cols)),
+            chunks: vec![Chunk::whole(batch)],
+        }
     }
 
     /// The next version of this table: its rows followed by those of `rel`
@@ -375,7 +333,11 @@ impl StoredTable {
             stats.extend(&tail.batch.cols);
         }
         chunks.push(tail);
-        Ok(StoredTable::new(self.schema.clone(), chunks, stats))
+        Ok(StoredTable {
+            schema: self.schema.clone(),
+            chunks,
+            stats,
+        })
     }
 
     /// Number of rows.

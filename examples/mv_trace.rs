@@ -1,8 +1,9 @@
 //! A standing query absorbing appends through incremental view maintenance:
-//! registers a 200 K-row fact table, stands four views over it (a selective
+//! registers a 200 K-row fact table, stands five views over it (a selective
 //! filter, a filtered group-by, the same group-by as a `@pytond` program
-//! registered through the front door, and a sorted top-N that is *not*
-//! delta-eligible), streams a few appends, and prints each view's
+//! registered through the front door, a `SELECT DISTINCT` — a key-only
+//! aggregate — and a sorted top-N that is *not* delta-eligible), streams a
+//! few appends, and prints each view's
 //! `view_trace` — the `view:` summary line with the refresh mode
 //! (`delta` vs `recompute`), rows propagated and refresh time, plus the
 //! per-table eligibility matrix (see `docs/VIEWS.md`).
@@ -77,8 +78,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..EngineConfig::default()
     };
     // A chain view (filter/project only → delta = run the plan over the
-    // appended rows and splice the survivors on), two aggregate views (delta
-    // = resume the aggregate's fold with the appended rows), and a sorted
+    // appended rows and splice the survivors on), three aggregate views
+    // (delta = resume the aggregate's fold with the appended rows; DISTINCT
+    // is an aggregate whose group keys are its columns), and a sorted
     // view (ORDER BY ... LIMIT is order-sensitive, so every append falls
     // back to a full recompute — visibly, in the trace).
     db.register_view_with("hot_rows", "SELECT k, v FROM fact WHERE k = 123", &cfg)?;
@@ -88,6 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &cfg,
     )?;
     py.register_view("by_key", BY_KEY, &Backend::hyper_sim(0))?;
+    db.register_view_with("keys", "SELECT DISTINCT k FROM fact WHERE k < 25", &cfg)?;
     db.register_view_with(
         "top5",
         "SELECT k, v FROM fact WHERE k < 25 ORDER BY v DESC, k LIMIT 5",

@@ -8,7 +8,7 @@
 //! materializing. Float data are multiples of 1/4 of small magnitude, so
 //! every sum is exact and no fold order can hide behind rounding.
 
-use pytond_repro::common::{Column, DType, Relation, Value};
+use pytond_repro::common::{Column, DType, Error, Relation, Value};
 use pytond_repro::sqldb::{Database, EngineConfig, Profile};
 
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -326,4 +326,68 @@ fn columnar_aggregation_equals_the_value_fold_under_every_grid() {
             }
         }
     }
+}
+
+/// `t(k, v)` with v = 10, 10, 20 for k = 1 and v = 5 for k = 2.
+fn kv_db() -> Database {
+    let db = Database::new();
+    let kv = Relation::new(vec![
+        ("k".into(), Column::from_i64(vec![1, 1, 1, 2])),
+        ("v".into(), Column::from_i64(vec![10, 10, 20, 5])),
+    ]);
+    db.register("t", kv.unwrap());
+    db
+}
+
+/// An aggregate over DISTINCT values the accumulators cannot compute is
+/// refused at bind, not answered with NULL for every group.
+fn assert_distinct_refused(func: &str) {
+    let sql = format!("SELECT k, {func}(DISTINCT v) AS x FROM t GROUP BY k");
+    let err = kv_db().prepare(&sql, Profile::Vectorized).unwrap_err();
+    assert!(matches!(err, Error::Unsupported(_)), "{func}: {err}");
+    assert!(err.to_string().contains(func), "{func}: {err}");
+}
+
+#[test]
+fn sum_distinct_is_refused() {
+    assert_distinct_refused("SUM");
+}
+
+#[test]
+fn avg_distinct_is_refused() {
+    assert_distinct_refused("AVG");
+}
+
+#[test]
+fn min_distinct_is_refused() {
+    assert_distinct_refused("MIN");
+}
+
+#[test]
+fn max_distinct_is_refused() {
+    assert_distinct_refused("MAX");
+}
+
+/// `COUNT(DISTINCT …)` still counts, and `SELECT DISTINCT` — a key-only
+/// aggregate — keeps one row per distinct input row in first-occurrence
+/// order, with a filter above it pushed through it into the scan.
+#[test]
+fn count_distinct_and_select_distinct_still_answer() {
+    let db = kv_db();
+    let cfg = EngineConfig::default();
+    let sql = "SELECT k, COUNT(DISTINCT v) AS x FROM t GROUP BY k";
+    let counts = db.execute_sql(sql, &cfg).unwrap();
+    assert_eq!(counts.column("x").unwrap().as_int(), [2, 1]);
+    let rows = db.execute_sql("SELECT DISTINCT k, v FROM t", &cfg).unwrap();
+    assert_eq!(rows.column("k").unwrap().as_int(), [1, 1, 2]);
+    assert_eq!(rows.column("v").unwrap().as_int(), [10, 20, 5]);
+    assert!(db
+        .explain_sql("SELECT DISTINCT k, v FROM t")
+        .unwrap()
+        .contains("Aggregate [2 groups, 0 aggs]"));
+    let above = "SELECT k, v FROM (SELECT DISTINCT k, v FROM t) d WHERE v > 5";
+    let plan = db.explain_sql(above).unwrap();
+    assert!(plan.contains("Scan t [2 cols] where"), "{plan}");
+    let rows = db.execute_sql(above, &cfg).unwrap();
+    assert_eq!(rows.column("v").unwrap().as_int(), [10, 20]);
 }

@@ -467,6 +467,62 @@ fn one_join_matches_nested_loop_reference() {
     }
 }
 
+/// An outer join keeps a row unmatched by its equi-keys alone, so one whose
+/// ON clause holds anything else — a non-equi conjunct beside the keys, or
+/// no key at all — is refused at bind instead of answering with the inner
+/// join's rows. The equi-key outer joins still run (and match
+/// [`nested_loop_join`] in `one_join_matches_nested_loop_reference`), as do
+/// inner joins with a residual.
+#[test]
+fn outer_joins_beyond_equalities_are_refused() {
+    let db = Database::new();
+    let pairs = |k: Vec<i64>, x: Vec<i64>, name: &str| {
+        Relation::new(vec![
+            ("k".into(), Column::from_i64(k)),
+            (name.into(), Column::from_i64(x)),
+        ])
+        .unwrap()
+    };
+    db.register("a", pairs(vec![1, 2, 3], vec![10, 20, 30], "x"));
+    db.register("b", pairs(vec![1, 2, 2], vec![5, 25, 15], "y"));
+    let refused = [
+        "SELECT a.k, a.x, b.y FROM a LEFT JOIN b ON a.k = b.k AND a.x < b.y",
+        "SELECT a.k, a.x, b.y FROM a LEFT JOIN b ON a.x < b.y",
+        "SELECT a.k, a.x, b.y FROM a RIGHT JOIN b ON a.x < b.y",
+        "SELECT a.k, a.x, b.y FROM a FULL OUTER JOIN b ON a.x < b.y",
+    ];
+    let int = |v: i64| Value::Int(v);
+    let admitted = [
+        (
+            "SELECT a.k, a.x, b.y FROM a LEFT JOIN b ON a.k = b.k",
+            vec![
+                vec![int(1), int(10), int(5)],
+                vec![int(2), int(20), int(25)],
+                vec![int(2), int(20), int(15)],
+                vec![int(3), int(30), Value::Null],
+            ],
+        ),
+        (
+            "SELECT a.k, a.x, b.y FROM a JOIN b ON a.k = b.k AND a.x < b.y",
+            vec![vec![int(2), int(20), int(25)]],
+        ),
+    ];
+    for profile in [Profile::Vectorized, Profile::Fused] {
+        let cfg = config(profile, 2);
+        for sql in refused {
+            let err = db.execute_sql(sql, &cfg).unwrap_err();
+            assert!(
+                matches!(err, pytond_common::Error::Unsupported(_)),
+                "{profile:?}: {sql}: {err}"
+            );
+        }
+        for (sql, want) in &admitted {
+            let got = rows_of(&db.execute_sql(sql, &cfg).unwrap());
+            assert_eq!(&got, want, "{profile:?}: {sql}");
+        }
+    }
+}
+
 #[test]
 fn keyless_joins_broadcast_a_one_row_side() {
     let db = Database::new();

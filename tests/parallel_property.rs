@@ -7,8 +7,8 @@
 //! Coverage: all 22 TPC-H queries, every hybrid workload, the
 //! stats-property corpus (dtypes × clustering × NULL patterns ×
 //! predicates), the operators that stay on the driver thread (sort,
-//! `DISTINCT`, computed group keys), NULL-heavy joins and empty-table
-//! joins. Thread counts
+//! computed group keys), `DISTINCT` on the aggregate path, NULL-heavy joins
+//! and empty-table joins. Thread counts
 //! include 1 (the serial path), 2, 7 (odd counts catch partition-skew and
 //! uneven-grid bugs) and the machine's hardware parallelism.
 
@@ -140,9 +140,10 @@ fn stats_corpus_bit_identical_across_thread_counts() {
 }
 
 /// The shapes whose work stays on the driver thread at every thread count —
-/// a sort, a `DISTINCT`, a computed group key — over many-morsel inputs, so
-/// a parallel fork reappearing in any of them would have to match the
-/// serial bits to pass.
+/// a sort, a computed group key — over many-morsel inputs, so a parallel
+/// fork reappearing in any of them would have to match the serial bits to
+/// pass. (`DISTINCT` left this list when it became an aggregate: below, it
+/// polls per morsel like one.)
 #[test]
 fn serial_operators_bit_identical_across_thread_counts() {
     let db = corpus_db(0, 12_000, 400, false, 5);
@@ -150,7 +151,6 @@ fn serial_operators_bit_identical_across_thread_counts() {
     for sql in [
         // 12 morsels of shuffled keys, ties broken on row position.
         "SELECT v, k, f FROM t ORDER BY k DESC, f",
-        "SELECT DISTINCT k % 97 AS d FROM t",
         computed_key,
     ] {
         check_sql(sql, &db, sql);
@@ -167,6 +167,11 @@ fn serial_operators_bit_identical_across_thread_counts() {
         checks(computed_key) >= bare + 12_000 / TEST_MORSEL as u64,
         "key evaluation stopped polling per morsel"
     );
+    // DISTINCT folds its morsels as any aggregate does, polling at each.
+    assert!(
+        checks("SELECT DISTINCT v, k FROM t") >= 12_000 / TEST_MORSEL as u64,
+        "DISTINCT stopped polling per morsel"
+    );
     // A deadline that has already passed trips the computed-key query.
     let prepared = db.prepare(computed_key, Profile::Vectorized).unwrap();
     let expired = CancelToken::new();
@@ -177,6 +182,57 @@ fn serial_operators_bit_identical_across_thread_counts() {
         .execute_prepared_with(&prepared, &config(Profile::Vectorized, 2), expired)
         .unwrap_err();
     assert!(matches!(err, Error::Timeout(_)), "{err}");
+}
+
+/// `SELECT DISTINCT` is a key-only aggregate: over a 12-morsel input under
+/// an armed token it polls at least once per morsel, charges its groups
+/// against the budget, folds its partials on the workers, fuses into a
+/// pipeline's aggregate sink — and answers bit-identically at every thread
+/// count under both profiles, rows in first-occurrence order.
+#[test]
+fn distinct_is_an_aggregate_on_shared_code() {
+    let n = 12_000usize;
+    let morsels = (n / TEST_MORSEL) as u64;
+    let db = corpus_db(0, n, 400, false, 5);
+    let all_distinct = "SELECT DISTINCT v, k FROM t";
+    let filtered = "SELECT DISTINCT k FROM t WHERE v % 3 = 0";
+    for sql in [all_distinct, filtered] {
+        check_sql(sql, &db, sql);
+        let want = db
+            .execute_sql(sql, &config(Profile::Vectorized, 1))
+            .unwrap();
+        let fused = db.execute_sql(sql, &config(Profile::Fused, 7)).unwrap();
+        assert_bit_identical(&format!("fused/{sql}"), &want, &fused);
+    }
+    for profile in [Profile::Vectorized, Profile::Fused] {
+        let armed = config(profile, 1).with_timeout(Some(60_000));
+        let (rel, trace) = db.execute_sql_traced(all_distinct, &armed).unwrap();
+        assert_eq!(rel.num_rows(), n);
+        let m = &trace.metrics;
+        assert!(m.cancel_checks >= morsels, "{profile:?}: {m:?}");
+        assert!(m.mem_peak_bytes > 0, "{profile:?}: {m:?}");
+        assert_eq!(m.agg_groups, n as u64, "{profile:?}");
+        let first: Vec<i64> = rel.column("v").unwrap().as_int().to_vec();
+        assert_eq!(first, (0..n as i64).collect::<Vec<_>>(), "{profile:?}");
+        let (_, par) = db
+            .execute_sql_traced(all_distinct, &config(profile, 7))
+            .unwrap();
+        assert!(
+            par.metrics.morsels_claimed_per_worker.len() > 1,
+            "{profile:?}: {:?}",
+            par.metrics
+        );
+    }
+    // Fused, the filter streams into the DISTINCT's aggregate sink.
+    let (_, trace) = db
+        .execute_sql_traced(filtered, &config(Profile::Fused, 1))
+        .unwrap();
+    assert!(trace.plan.contains("→ aggregate ["), "{}", trace.plan);
+    assert!(
+        trace.metrics.pipeline_ops.iter().any(|&ops| ops >= 2),
+        "{:?}",
+        trace.metrics
+    );
 }
 
 // ---------------- NULL-heavy and empty-table joins ----------------

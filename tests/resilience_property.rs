@@ -165,6 +165,46 @@ fn memory_budget_aborts_without_poisoning_the_snapshot() {
     assert!(trace.metrics.mem_peak_bytes < trace.metrics.mem_budget_bytes);
 }
 
+/// A `COUNT(DISTINCT …)` keeps every distinct `(group, value)` pair: 100 K
+/// distinct values in four groups overrun a 1 MiB budget, over a
+/// fixed-width argument and over a byte-encoded (float) one alike, and a
+/// roomy budget reports at least the pairs' bytes.
+#[test]
+fn count_distinct_sets_are_charged_against_the_budget() {
+    let n = 100_000i64;
+    let db = Database::new();
+    db.register(
+        "t",
+        Relation::new(vec![
+            (
+                "k".into(),
+                Column::from_i64((0..n).map(|i| i % 4).collect()),
+            ),
+            ("v".into(), Column::from_i64((0..n).collect())),
+            (
+                "f".into(),
+                Column::from_f64((0..n).map(|i| i as f64).collect()),
+            ),
+        ])
+        .unwrap(),
+    );
+    for arg in ["v", "f"] {
+        let sql = format!("SELECT k, COUNT(DISTINCT {arg}) AS d FROM t GROUP BY k");
+        let tight = serial_cfg().with_mem_budget(Some(1));
+        let err = db.execute_sql(&sql, &tight).unwrap_err();
+        assert!(matches!(err, Error::ResourceExhausted(_)), "{arg}: {err}");
+        let roomy = serial_cfg().with_mem_budget(Some(1024));
+        let (out, trace) = db.execute_sql_traced(&sql, &roomy).unwrap();
+        assert_eq!(out.column("d").unwrap().as_int(), [n / 4; 4], "{arg}");
+        let pairs = n as u64 * 16;
+        assert!(
+            trace.metrics.mem_peak_bytes >= pairs,
+            "{arg}: {:?}",
+            trace.metrics
+        );
+    }
+}
+
 /// Bounded admission: a full gate rejects with the transient `Overloaded`
 /// instead of queueing forever, and a caller retrying it recovers as soon
 /// as capacity frees up.
